@@ -1,7 +1,5 @@
 //! Runs every experiment in sequence (the full evaluation).
-use mutree_bench::experiments::{
-    ablations, bound_kernel, cache, frontier, hpcasia, leafwords, pact, propagate,
-};
+use mutree_bench::experiments::{ablations, cache, frontier, hpcasia, leafwords, pact};
 
 fn main() {
     let tables = [
@@ -30,9 +28,7 @@ fn main() {
         ablations::exp_taskgraph(),
         frontier::exp_frontier(),
         leafwords::exp_leafwords(),
-        bound_kernel::exp_bound_kernel(),
         cache::exp_cache(),
-        propagate::exp_propagate(),
     ];
     for t in tables {
         t.emit(None).expect("write results");

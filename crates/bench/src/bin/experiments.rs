@@ -11,9 +11,7 @@
 
 use std::process::ExitCode;
 
-use mutree_bench::experiments::{
-    ablations, bound_kernel, cache, frontier, hpcasia, leafwords, pact, propagate, serve,
-};
+use mutree_bench::experiments::{ablations, cache, frontier, hpcasia, leafwords, pact, serve};
 use mutree_bench::report::{results_dir, Table};
 
 /// Builds the `NAMES` table and the dispatch function in one place, so a
@@ -57,9 +55,7 @@ experiments! {
     "exp_taskgraph" => ablations::exp_taskgraph,
     "exp_frontier" => frontier::exp_frontier,
     "exp_leafwords" => leafwords::exp_leafwords,
-    "exp_bound_kernel" => bound_kernel::exp_bound_kernel,
     "exp_cache" => cache::exp_cache,
-    "exp_propagate" => propagate::exp_propagate,
     "exp_serve" => serve::exp_serve,
 }
 

@@ -4,8 +4,7 @@ use std::time::Instant;
 
 use mutree_clustersim::ClusterSpec;
 use mutree_core::{
-    CompactPipeline, Executor, Linkage, MutSolver, PruneStrategy, SearchBackend, Strategy,
-    ThreeThree,
+    CompactPipeline, Executor, Linkage, MutSolver, SearchBackend, Strategy, ThreeThree,
 };
 
 use crate::data;
@@ -232,38 +231,16 @@ pub fn abl_threshold() -> Table {
 
 /// `abl_bound` — Algorithm BBU's two bound ingredients: the maxmin
 /// relabeling (tightens the suffix lower bound) and the UPGMM initial
-/// incumbent (tightens the upper bound before the search starts) —
-/// plus the prune-stage strategy, ablated per node size. The first four
-/// columns keep the historical random-matrix, `ThreeThree::Off`
-/// setting. The prune columns run the full 3-3 rule — the
-/// configuration where the triple-domain masks are live — on a
-/// *clustered* matrix of the same species count: on uniform random
-/// data the 3-3 filter alone collapses these searches to a couple of
-/// branched nodes, leaving the strategies nothing to separate, while
-/// the clustered family (the `exp_propagate` workload) keeps the
-/// search large enough for the arm-wipeout prunes to register. A
-/// single instance is still too lumpy — most contribute no wipeout —
-/// so each prune cell sums branch counts over a 40-seed batch per node
-/// size. Measured in branch operations, the machine-independent cost;
-/// all strategies find bit-identical optima (see
-/// `tests/prune_differential.rs`), so branched nodes is the whole
-/// story (the wall-clock side lives in `exp_propagate`).
+/// incumbent (tightens the upper bound before the search starts),
+/// ablated per node size on random matrices with `ThreeThree::Off`.
+/// Measured in branch operations, the machine-independent cost.
 pub fn abl_bound() -> Table {
     let mut t = Table::new(
         "abl_bound",
-        "branch operations by bound configuration (random) and prune strategy (clustered, full 3-3)",
-        &[
-            "species",
-            "full",
-            "no_maxmin",
-            "no_upgmm",
-            "neither",
-            "prune_weight",
-            "prune_propagate",
-            "prune_hybrid",
-        ],
+        "branch operations by bound configuration (random)",
+        &["species", "full", "no_maxmin", "no_upgmm", "neither"],
     );
-    for (n, clusters, size) in [(9usize, 3usize, 3usize), (12, 4, 3), (16, 4, 4)] {
+    for n in [9usize, 12, 16] {
         let m = data::random_species_matrix(n, 2);
         let branched = |m: &_, solver: MutSolver| {
             solver
@@ -273,24 +250,12 @@ pub fn abl_bound() -> Table {
                 .stats
                 .branched
         };
-        let batch: Vec<_> = (0..40)
-            .map(|i| data::clustered_matrix(clusters, size, 0xab1 + i as u64))
-            .collect();
-        let pruned = |p| {
-            batch
-                .iter()
-                .map(|cm| branched(cm, MutSolver::new().three_three(ThreeThree::Full).prune(p)))
-                .sum::<u64>()
-        };
         t.push(vec![
             n.to_string(),
             branched(&m, MutSolver::new()).to_string(),
             branched(&m, MutSolver::new().without_maxmin()).to_string(),
             branched(&m, MutSolver::new().without_upgmm()).to_string(),
             branched(&m, MutSolver::new().without_maxmin().without_upgmm()).to_string(),
-            pruned(PruneStrategy::WeightOnly).to_string(),
-            pruned(PruneStrategy::Propagate).to_string(),
-            pruned(PruneStrategy::Hybrid).to_string(),
         ]);
     }
     t

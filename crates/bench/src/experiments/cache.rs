@@ -6,7 +6,7 @@
 //! tolerance-quantized) matrix bytes plus a solver signature. Real
 //! batches repeat themselves — bootstrap replicates, parameter sweeps,
 //! incremental re-runs — so this experiment prices exactly that: the
-//! 400-solve clustered batch of `exp_frontier`/`exp_bound_kernel` is run
+//! 400-solve clustered batch of `exp_frontier` is run
 //! twice through cache-enabled [`mutree_core::solve_plan`] requests. The **cold** pass solves and files every instance; the
 //! **warm** replay must answer every instance from the cache — hit rate
 //! 1.0 — with optima bit-identical to the cold pass (weight bits and

@@ -1,34 +1,26 @@
-//! `exp_frontier` — the sharded work-stealing frontier against the
-//! retired global-mutex pool it replaced, on a batch of block-clustered
-//! instances, at 1/2/4/8 worker threads.
+//! `exp_frontier` — the sharded work-stealing frontier with a fresh
+//! thread scope per solve against the same frontier on a persistent
+//! executor, on a batch of block-clustered instances, at 1/2/4/8 worker
+//! threads.
 //!
 //! The workload mirrors how the parallel driver is actually used: the
 //! compact-set pipeline dispatches *many* group-sized subproblem solves,
-//! not one giant search. Three drivers run the identical batch:
+//! not one giant search. Two drivers run the identical batch:
 //!
-//! * `global` — the first-generation driver exactly as it shipped: one
-//!   mutex-guarded pool, per-node donation under the lock, a fresh
+//! * `scoped` — the sharded work-stealing frontier, with a fresh
 //!   `thread::scope` spawn per solve;
-//! * `scoped` — the sharded work-stealing frontier, same per-solve spawn;
 //! * `pooled` — the sharded frontier on a persistent [`Executor`], the
-//!   production configuration. A shared pool was not possible with the
-//!   global design (its termination test assumed dedicated threads), so
-//!   this column is the architectural payoff of the new frontier.
+//!   production configuration: a batch handoff to already-parked
+//!   workers instead of a spawn-and-join cycle per solve.
 //!
-//! All drivers must report the same optimum on every instance. On a host
-//! with fewer cores than workers the per-node synchronization difference
-//! between `global` and `scoped` is within measurement noise (both are
-//! dominated by bound arithmetic; see the DESIGN.md §3.8 caveat) — the
-//! robust separation is `global` vs `pooled`, where the retired driver
-//! pays a full spawn-and-join cycle per solve and the new one pays a
-//! batch handoff to already-parked workers.
+//! Both drivers must report the same optimum on every instance. The
+//! retired global-mutex driver's column is preserved in the committed
+//! `results/exp_frontier.json` and `results/BENCH_frontier.json`.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use mutree_bnb::{
-    solve_parallel, solve_parallel_global, solve_parallel_pooled, SearchMode, SearchOptions,
-};
+use mutree_bnb::{solve_parallel, solve_parallel_pooled, SearchMode, SearchOptions};
 use mutree_core::{Executor, MutProblem, ThreeThree};
 
 use crate::data;
@@ -41,7 +33,7 @@ const BATCH: usize = 400;
 
 /// Interleaved repetitions per thread count; each driver's cell is the
 /// best of its reps, and the drivers alternate within a rep so slow host
-/// phases hit all three equally.
+/// phases hit both equally.
 const REPS: usize = 4;
 
 /// One timed batch run, folded into a running best-of; returns the
@@ -57,15 +49,14 @@ fn timed_batch<F: FnMut(&Arc<MutProblem>) -> Option<f64>>(
     optima
 }
 
-/// `exp_frontier` — batch wall-clock for the three driver generations at
-/// 1/2/4/8 workers, plus the sharded driver's contention counters.
+/// `exp_frontier` — batch wall-clock for the scoped and pooled drivers
+/// at 1/2/4/8 workers, plus the pooled driver's contention counters.
 pub fn exp_frontier() -> Table {
     let mut t = Table::new(
         "exp_frontier",
-        "parallel frontier: global-mutex pool vs sharded work stealing, batch of 400 clustered solves (interleaved best of 4)",
+        "parallel frontier: per-solve thread scope vs persistent executor, batch of 400 clustered solves (interleaved best of 4)",
         &[
             "threads",
-            "global",
             "scoped",
             "pooled",
             "speedup",
@@ -95,16 +86,11 @@ pub fn exp_frontier() -> Table {
 
     for threads in [1usize, 2, 4, 8] {
         let exec = Executor::new(threads);
-        let (mut global_s, mut scoped_s, mut pooled_s) =
-            (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        let mut global_opt = Vec::new();
+        let (mut scoped_s, mut pooled_s) = (f64::INFINITY, f64::INFINITY);
         let mut scoped_opt = Vec::new();
         let mut pooled_opt = Vec::new();
         let (mut steals, mut donations, mut parks) = (0u64, 0u64, 0u64);
         for _ in 0..REPS {
-            global_opt = timed_batch(&mut global_s, &problems, |p| {
-                solve_parallel_global(&**p, &opts, threads).best_value
-            });
             scoped_opt = timed_batch(&mut scoped_s, &problems, |p| {
                 solve_parallel(&**p, &opts, threads).best_value
             });
@@ -119,17 +105,16 @@ pub fn exp_frontier() -> Table {
                 out.best_value
             });
         }
-        let same = global_opt.len() == BATCH
-            && (0..BATCH).all(|i| match (global_opt[i], scoped_opt[i], pooled_opt[i]) {
-                (Some(g), Some(s), Some(p)) => (g - s).abs() < 1e-9 && (g - p).abs() < 1e-9,
+        let same = scoped_opt.len() == BATCH
+            && (0..BATCH).all(|i| match (scoped_opt[i], pooled_opt[i]) {
+                (Some(s), Some(p)) => (s - p).abs() < 1e-9,
                 _ => false,
             });
         t.push(vec![
             threads.to_string(),
-            fmt_secs(global_s),
             fmt_secs(scoped_s),
             fmt_secs(pooled_s),
-            format!("{:.2}", global_s / pooled_s.max(1e-12)),
+            format!("{:.2}", scoped_s / pooled_s.max(1e-12)),
             same.to_string(),
             steals.to_string(),
             donations.to_string(),

@@ -8,30 +8,22 @@
 //! * [`ablations`] — design-choice studies: condensed-matrix linkage,
 //!   group-size threshold, bound ingredients (maxmin, UPGMM), and the
 //!   3-3 rule's strength.
-//! * [`frontier`] — the sharded work-stealing frontier against the
-//!   retired global-mutex pool, at 1/2/4/8 worker threads.
+//! * [`frontier`] — the sharded work-stealing frontier with a per-solve
+//!   thread scope against a persistent executor, at 1/2/4/8 threads.
 //! * [`leafwords`] — the const-generic leaf-bitset widths: K=1 vs K=2 on
 //!   the frontier batch (hot-path regression watch), plus the 80-taxon
 //!   wide solve the width dispatcher unlocked.
-//! * [`bound_kernel`] — the lane-oriented bound path over the blocked
-//!   solver matrix against the scalar packed-triangle reference, at
-//!   every monomorphized leaf width.
 //! * [`cache`] — the content-addressed group-solve cache: the frontier
 //!   batch solved cold then replayed warm through cache-enabled solve
 //!   plans (hit rate, replay speedup, bit-identity).
-//! * [`propagate`] — the constraint-propagation prune stage (height
-//!   floors + triple-domain arm wipeouts) against the weight-only
-//!   baseline on the frontier batch, at 1/4/8 threads.
 //! * [`serve`] — the solve daemon replaying the frontier batch over a
 //!   real TCP socket at increasing client concurrency: sustained req/s,
 //!   p50/p99 latency, cache hit rate, and shed count under overload.
 
 pub mod ablations;
-pub mod bound_kernel;
 pub mod cache;
 pub mod frontier;
 pub mod hpcasia;
 pub mod leafwords;
 pub mod pact;
-pub mod propagate;
 pub mod serve;

@@ -34,10 +34,9 @@
 //!
 //! The kernel deliberately owns *no* bound arithmetic: it consumes
 //! whatever [`Problem::lower_bound`] cached on the node during
-//! branching. The numeric layer below it — blocked solver-matrix rows
-//! plus the lane kernels in [`bound`](crate::bound) — is where the
-//! per-node math lives, so all three drivers inherit a faster bound path
-//! without a single driver-side change.
+//! branching, so the per-node math lives entirely with the problem and
+//! all three drivers inherit any change to it without a driver-side
+//! edit.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -275,8 +274,8 @@ pub enum PruneReason {
     /// solution is dropped rather than poisoning the bound).
     NanObjective,
     /// The constraint-propagation stage ([`Problem::propagate`]) proved
-    /// the node dominated: a triple-domain wipeout or a propagated
-    /// height floor fired before the weight bound could.
+    /// the node dominated (e.g. a triple-domain wipeout) before the
+    /// weight bound could.
     Propagation,
 }
 
@@ -524,11 +523,6 @@ impl<N> DepthFirstFrontier<N> {
     /// An empty stack.
     pub fn new() -> Self {
         DepthFirstFrontier { stack: Vec::new() }
-    }
-
-    /// Wraps an existing stack (last element pops first).
-    pub fn from_vec(stack: Vec<N>) -> Self {
-        DepthFirstFrontier { stack }
     }
 
     /// Pushes a single node on top of the stack.
@@ -894,7 +888,7 @@ impl<'a, P: Problem> Expander<'a, P> {
         // the weight bound kept, so a NaN-sanitized (never-pruning) first
         // stage cannot be overridden into a prune by accident — the hook
         // sees the same sanitized incumbent and must apply its own
-        // sanitize_lb before comparing (see bnb::propagate).
+        // sanitize_lb before comparing any bound of its own.
         if self.problem.propagate(node, ub, self.opts) {
             self.stats.pruned += 1;
             self.stats.propagation_pruned += 1;

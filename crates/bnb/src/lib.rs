@@ -102,20 +102,17 @@ mod sequential;
 mod shared_bound;
 mod trace;
 
-pub use bound::BoundKernel;
 pub use cancel::CancelToken;
 pub use checkpoint::{CheckpointError, CheckpointFile, CheckpointPolicy};
 pub use frontier::{ShardedFrontier, WorkerFrontier};
 pub use kernel::{sanitize_lb, ChildBuf, Incumbents, PruneReason, SearchEvent, SearchObserver};
-pub use parallel::{
-    solve_parallel, solve_parallel_global, solve_parallel_observed, solve_parallel_pooled,
-};
+pub use parallel::{solve_parallel, solve_parallel_observed, solve_parallel_pooled};
 pub use pool::{PoolJob, WorkerPool};
 pub use problem::{
     MemoryBudget, Problem, SearchMode, SearchOptions, SearchOutcome, SearchStats, StopReason,
     Strategy,
 };
-pub use propagate::{PruneStrategy, TripleDomains};
+pub use propagate::TripleDomains;
 pub use sequential::{solve_sequential, solve_sequential_observed};
 pub use shared_bound::SharedBound;
 pub use trace::{LoggingObserver, TraceLevel};

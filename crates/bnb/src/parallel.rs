@@ -1,11 +1,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use crate::frontier::{ShardedFrontier, WorkerFrontier};
 use crate::kernel::{
-    sanitize_lb, AtomicBudget, BreadthFirstFrontier, DepthFirstFrontier, Expander, Frontier,
-    IncumbentSink, Incumbents, SearchObserver, Step,
+    sanitize_lb, AtomicBudget, BreadthFirstFrontier, Expander, Frontier, IncumbentSink, Incumbents,
+    SearchObserver, Step,
 };
 use crate::pool::{PoolJob, WorkerPool};
 use crate::{
@@ -136,9 +136,7 @@ impl<S: Clone> IncumbentSink<S> for SeedSink<'_, S> {
 }
 
 /// A worker's sink: prunes against a shared atomic bound and publishes
-/// accepted solutions immediately, so a later panic loses nothing. Used
-/// by both the sharded driver and the global-pool baseline, which share
-/// the bound/publish half of the machinery.
+/// accepted solutions immediately, so a later panic loses nothing.
 struct WorkerSink<'a, S, F: Fn(f64, S)> {
     bound: &'a SharedBound,
     publish: F,
@@ -668,260 +666,6 @@ fn run_worker<P: Problem, O: SearchObserver>(
     stats
 }
 
-// ---------------------------------------------------------------------------
-// Global-mutex baseline
-// ---------------------------------------------------------------------------
-
-/// State of the baseline's single global pool.
-struct GlobalPool<N> {
-    global: Vec<N>,
-    /// Workers currently blocked waiting for global work.
-    idle: usize,
-    /// Workers still running (panicked workers deregister themselves so
-    /// the `idle == alive` termination test stays reachable).
-    alive: usize,
-    done: bool,
-}
-
-/// The first-generation driver's shared state: one mutex-guarded pool,
-/// one condvar. Every donation and every starved worker serializes here —
-/// which is exactly what the `exp_frontier` benchmark measures against.
-struct GlobalShared<N, S> {
-    state: Mutex<GlobalPool<N>>,
-    cv: Condvar,
-    bound: SharedBound,
-    branches: AtomicU64,
-    stop: AtomicU8,
-    found: Mutex<Vec<(f64, S)>>,
-}
-
-impl<N, S> GlobalShared<N, S> {
-    fn lock_state(&self) -> MutexGuard<'_, GlobalPool<N>> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn request_stop(&self, reason: StopReason) {
-        let _ = self.stop.compare_exchange(
-            STOP_NONE,
-            encode_stop(reason),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-        let mut st = self.lock_state();
-        st.done = true;
-        self.cv.notify_all();
-    }
-
-    fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire) != STOP_NONE
-    }
-
-    /// Blocks until global work is available or the search has finished.
-    /// The wait is untimed: every transition that could end the wait
-    /// (donation, stop, panic deregistration) mutates the state and
-    /// notifies *while holding the state mutex*, so no wakeup can be
-    /// missed and no poll interval is needed.
-    fn fetch_global(&self) -> Option<N> {
-        let mut st = self.lock_state();
-        loop {
-            if st.done {
-                return None;
-            }
-            if let Some(n) = st.global.pop() {
-                return Some(n);
-            }
-            st.idle += 1;
-            if st.idle >= st.alive {
-                // Everyone still alive is out of work: the search is over.
-                st.done = true;
-                self.cv.notify_all();
-                return None;
-            }
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            if st.done {
-                return None;
-            }
-            st.idle -= 1;
-        }
-    }
-
-    /// Deregisters a panicked worker and wakes all waiters so the idle
-    /// count converges without it.
-    fn abandon_worker(&self) {
-        let mut st = self.lock_state();
-        st.alive = st.alive.saturating_sub(1);
-        if st.idle >= st.alive {
-            st.done = true;
-        }
-        self.cv.notify_all();
-    }
-
-    fn publish(&self, value: f64, solution: S) {
-        self.found
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((value, solution));
-    }
-}
-
-/// The retired first-generation parallel driver: one global
-/// `Mutex<Vec<N>>` pool with per-node donation and a condvar for starved
-/// workers. Kept (with the old timed poll replaced by a correctly
-/// synchronized untimed wait) **only** as the contention baseline for the
-/// `exp_frontier` benchmark and the agreement tests; production callers
-/// should use [`solve_parallel`], which runs the sharded work-stealing
-/// frontier instead.
-pub fn solve_parallel_global<P: Problem>(
-    problem: &P,
-    opts: &SearchOptions,
-    workers: usize,
-) -> SearchOutcome<P::Solution> {
-    assert!(workers >= 1, "need at least one worker");
-    let mut master_inc = Incumbents::new(opts);
-    let bound = SharedBound::unbounded();
-    let branches = AtomicU64::new(0);
-    let seed = seed_phase(
-        problem,
-        opts,
-        workers,
-        &mut master_inc,
-        &bound,
-        &branches,
-        &mut (),
-    );
-
-    if seed.frontier.is_empty() || seed.early_stop.is_some() {
-        return gather(
-            opts,
-            seed.stats,
-            master_inc.solutions,
-            seed.early_stop.unwrap_or(StopReason::Completed),
-        );
-    }
-
-    let mut seeds: Vec<(f64, P::Node)> = seed
-        .frontier
-        .into_vec()
-        .into_iter()
-        .map(|n| (sanitize_lb(problem.lower_bound(&n)), n))
-        .collect();
-    seeds.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut locals: Vec<Vec<P::Node>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, (_, node)) in seeds.into_iter().enumerate() {
-        locals[i % workers].push(node);
-    }
-    for lp in &mut locals {
-        lp.reverse();
-    }
-
-    let shared: GlobalShared<P::Node, P::Solution> = GlobalShared {
-        state: Mutex::new(GlobalPool {
-            global: Vec::new(),
-            idle: 0,
-            alive: workers,
-            done: false,
-        }),
-        cv: Condvar::new(),
-        bound,
-        branches,
-        stop: AtomicU8::new(STOP_NONE),
-        found: Mutex::new(Vec::new()),
-    };
-
-    let worker_stats: Vec<Option<SearchStats>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = locals
-            .into_iter()
-            .map(|lp| {
-                let shared = &shared;
-                scope.spawn(move || {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        run_global_worker(problem, opts, shared, lp)
-                    })) {
-                        Ok(stats) => Some(stats),
-                        Err(_) => {
-                            shared.request_stop(StopReason::WorkerPanicked);
-                            shared.abandon_worker();
-                            None
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or(None))
-            .collect()
-    });
-
-    let mut stats = seed.stats;
-    for wstats in worker_stats.into_iter().flatten() {
-        stats.merge(&wstats);
-    }
-    let mut all = master_inc.solutions;
-    all.append(&mut shared.found.lock().unwrap_or_else(|e| e.into_inner()));
-    gather(
-        opts,
-        stats,
-        all,
-        decode_stop(shared.stop.load(Ordering::Acquire)),
-    )
-}
-
-/// The baseline worker loop: depth-first on the local stack, global-pool
-/// fetch when it drains, one-node donation under the global mutex — the
-/// pre-sharding hot path, with a mutex acquisition per expansion whenever
-/// any peer is idle.
-fn run_global_worker<P: Problem>(
-    problem: &P,
-    opts: &SearchOptions,
-    shared: &GlobalShared<P::Node, P::Solution>,
-    lp: Vec<P::Node>,
-) -> SearchStats {
-    let mut exp = Expander::new(problem, opts);
-    let mut frontier = DepthFirstFrontier::from_vec(lp);
-    let mut budget = AtomicBudget::new(&shared.branches, opts.max_branches);
-    let mut sink = WorkerSink::new(&shared.bound, opts, |v, s| shared.publish(v, s));
-    loop {
-        if shared.stopping() {
-            break;
-        }
-        if let Some(reason) = exp.poll_stop(&mut ()) {
-            shared.request_stop(reason);
-            break;
-        }
-        let node = match frontier.pop() {
-            Some(n) => n,
-            None => match shared.fetch_global() {
-                Some(n) => n,
-                None => break,
-            },
-        };
-        match exp.expand(&node, &mut sink, &mut budget, &mut frontier, &mut ()) {
-            Step::Stopped(reason) => {
-                shared.request_stop(reason);
-                break;
-            }
-            Step::Branched { .. } => {
-                exp.recycle(node);
-                // Load balancing: keep the global pool stocked while we
-                // have spare work (the paper's "send the last UT in sorted
-                // LP to GP").
-                if frontier.len() > 1 {
-                    let mut st = shared.lock_state();
-                    if st.global.is_empty() && !st.done && st.idle > 0 {
-                        if let Some(donated) = frontier.steal_oldest() {
-                            st.global.push(donated);
-                            shared.cv.notify_one();
-                        }
-                    }
-                }
-            }
-            _ => exp.recycle(node),
-        }
-    }
-    exp.stats()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -975,18 +719,6 @@ mod tests {
             let par = solve_parallel(&p, &opts, workers);
             assert_eq!(seq.best_value, par.best_value, "workers = {workers}");
             assert_eq!(par.solutions.len(), 1);
-            assert!(par.is_complete());
-        }
-    }
-
-    #[test]
-    fn global_baseline_matches_sequential_optimum() {
-        let p = problem(10);
-        for workers in [1, 2, 4] {
-            let opts = SearchOptions::new(SearchMode::BestOne);
-            let seq = solve_sequential(&p, &opts);
-            let par = solve_parallel_global(&p, &opts, workers);
-            assert_eq!(seq.best_value, par.best_value, "workers = {workers}");
             assert!(par.is_complete());
         }
     }

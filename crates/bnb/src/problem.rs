@@ -17,9 +17,7 @@ use crate::CancelToken;
 /// every thread count. Implementations should therefore treat
 /// `lower_bound` as a *cached read* — compute the bound once while
 /// branching (where the problem's data structures are already hot) and
-/// store it on the node. The [`bound`](crate::bound) module provides
-/// lane-oriented kernels for exactly that arithmetic, fed by a blocked
-/// solver-matrix layout; `lower_bound` itself should never re-derive
+/// store it on the node; `lower_bound` itself should never re-derive
 /// anything per call.
 pub trait Problem: Sync {
     /// A partial solution.
@@ -333,8 +331,8 @@ pub struct SearchStats {
     /// incumbent.
     pub pruned: u64,
     /// Nodes discarded by the constraint-propagation stage
-    /// ([`Problem::propagate`]): a triple-domain wipeout or a propagated
-    /// height floor beat the weight bound to the prune. Counted in
+    /// ([`Problem::propagate`]), e.g. a triple-domain wipeout that beat
+    /// the weight bound to the prune. Counted in
     /// [`pruned`](SearchStats::pruned) as well — this field attributes
     /// the subset the second stage caught.
     pub propagation_pruned: u64,

@@ -1,138 +1,29 @@
-//! Constraint propagation over unresolved leaf-triple relations — the
-//! second prune stage of the expansion kernel.
+//! Constraint propagation over fixed leaf-triple relations — the
+//! second prune stage of the expansion kernel under the full 3-3 rule.
 //!
 //! The Wu–Chao–Tang search prunes on a weight lower bound (partial
 //! weight + pendant suffix) and, optionally, the 3-3 close-pair checks.
 //! Moore & Prosser's ultrametric-constraint model observes that every
 //! leaf triple of an ultrametric tree resolves to a *(low, low, high)*
-//! pattern — the two deepest-LCA distances are equal and dominate the
-//! third — and that fixing one triple's relation forces others
-//! transitively, long before any weight arithmetic notices. This module
-//! packages the pieces of that idea that are independent of the tree
-//! arena:
+//! pattern, and that fixing one triple's relation forces others
+//! transitively, long before any weight arithmetic notices. Under
+//! `ThreeThree::Full` the matrix fixes the relation of every triple with
+//! a strict close pair, so those relations are part of the problem
+//! semantics and propagating them is a pure look-ahead of checks the
+//! filter applies anyway. This module holds the arena-independent half:
 //!
-//! * [`PruneStrategy`] — the stage selector (`WeightOnly`, `Propagate`,
-//!   `Hybrid`), resolved builder > request > `MUTREE_FORCE_PRUNE`
-//!   exactly like the bound kernel.
 //! * [`TripleDomains`] — the matrix-derived triple-relation domain:
 //!   packed 2-bit states over the same triangular index as the 3-3
 //!   close-pair table, reusing
-//!   [`close_pair_code`](crate::bound::close_pair_code)'s arm encoding.
-//! * [`floor_table`] — the *height-floor* propagation: a per-depth
-//!   vector of root-height floors implied by triples that straddle the
-//!   inserted prefix, turned into a provably sound lower-bound
-//!   tightening (see below).
-//!
-//! # The height-floor bound
-//!
-//! Leaves enter the search in a fixed (maxmin) order, so a node at depth
-//! `k` has inserted exactly the prefix `0..k`. For any triple `(i, j, u)`
-//! with `i < j < k ≤ u`, the final tree's triple top — the LCA of the
-//! two *(high)* pairs — satisfies
-//!
-//! ```text
-//! 2 · h(top(i, j, u)) ≥ med(d(i,j), d(i,u), d(j,u))
-//! ```
-//!
-//! because two of the three tree distances equal `2·h(top)`, each tree
-//! distance dominates its matrix entry, and whichever pair turns out to
-//! be the *(low)* one, the second-largest matrix entry is covered by a
-//! *(high)* pair. The top is an ancestor of `i`, hence comparable to the
-//! partial tree's root, and a telescoping argument over the restricted
-//! tree plus the pendant charges shows the final weight is at least
-//!
-//! ```text
-//! ω(partial) + suffix[k] + max(0, H[k] − h(root))
-//! ```
-//!
-//! where `H[k]` is the maximum such floor over all prefix-straddling
-//! triples. `H` depends only on the matrix and the insertion order, so
-//! it is precomputed once per problem ([`floor_table`], `O(n³)` — the
-//! same class as the close-pair table) and each node pays one compare.
-//! Because the tightened value is still a true lower bound, pruning with
-//! it can never change which solutions the search visits: optima stay
-//! bit-identical in every mode, strategy and driver.
+//!   [`close_pair_code`](crate::bound::close_pair_code)'s arm encoding;
+//! * [`Arm`] — the decoded relation.
 //!
 //! The *arm* side of the propagation — confining a future leaf to a
 //! subtree when its triple relations are fixed, and wiping out when two
 //! confinements contradict — needs the leaf-bitset arena and therefore
-//! lives with the tree (`mutree-core`); the [`Arm`] decoding here is the
-//! shared vocabulary.
+//! lives with the tree (`mutree-core`).
 
 use crate::bound::{CLOSE_EARLIER, CLOSE_NONE, CLOSE_WITH_HIGH, CLOSE_WITH_LOW};
-
-/// Which prune stages the expansion kernel runs.
-///
-/// Resolved like [`BoundKernel`](crate::BoundKernel): builder >
-/// `SolveRequest` field > `MUTREE_FORCE_PRUNE` (read only at plan
-/// resolution) > this default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PruneStrategy {
-    /// Weight lower bound only — the papers' original configuration.
-    WeightOnly,
-    /// Weight bound plus full-depth constraint propagation: the
-    /// height-floor bound at every node, and (under
-    /// `ThreeThree::Full`, where the arm set is part of the problem
-    /// semantics) triple-domain wipeout over future-leaf confinements,
-    /// with the confinement masks also pre-filtering insertion sites.
-    /// The `exp_propagate` bench picks this as the default: the deep
-    /// levels have the most insertion sites, so the site filter pays
-    /// for the domain maintenance many times over exactly where
-    /// `Hybrid` switches it off.
-    #[default]
-    Propagate,
-    /// Weight bound plus propagation gated to the shallow three
-    /// quarters of the insertion order; the deep tail skips the
-    /// per-node domain maintenance. This was the presumed winner
-    /// before mask-driven site filtering existed — kept as an
-    /// ablation point showing what the gate costs.
-    Hybrid,
-}
-
-impl PruneStrategy {
-    /// Parses a strategy name as used by `--prune` and
-    /// `MUTREE_FORCE_PRUNE`: `weight`, `propagate` or `hybrid`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim() {
-            "weight" => Some(PruneStrategy::WeightOnly),
-            "propagate" => Some(PruneStrategy::Propagate),
-            "hybrid" => Some(PruneStrategy::Hybrid),
-            _ => None,
-        }
-    }
-
-    /// The canonical name (`parse`'s inverse).
-    pub fn name(self) -> &'static str {
-        match self {
-            PruneStrategy::WeightOnly => "weight",
-            PruneStrategy::Propagate => "propagate",
-            PruneStrategy::Hybrid => "hybrid",
-        }
-    }
-
-    /// Whether any propagation stage runs at all under this strategy.
-    pub fn propagates(self) -> bool {
-        !matches!(self, PruneStrategy::WeightOnly)
-    }
-
-    /// Whether the per-node domain maintenance runs at depth `k` of an
-    /// `n`-leaf insertion order: always for [`PruneStrategy::Propagate`],
-    /// the shallow `3n/4` prefix for [`PruneStrategy::Hybrid`], never
-    /// for [`PruneStrategy::WeightOnly`].
-    pub fn propagates_at(self, k: usize, n: usize) -> bool {
-        match self {
-            PruneStrategy::WeightOnly => false,
-            PruneStrategy::Propagate => true,
-            PruneStrategy::Hybrid => 4 * k <= 3 * n,
-        }
-    }
-}
-
-impl std::fmt::Display for PruneStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// A fixed triple relation, decoded from the 2-bit domain state.
 ///
@@ -217,80 +108,10 @@ impl TripleDomains {
     }
 }
 
-/// Precomputes the height-floor vector `H` for an `n`-leaf problem whose
-/// leaves insert in index order, reading each triple's median pairwise
-/// distance through `med` (for `i < j < u`, already relabeled — the
-/// `triple_med` accessor of either distance backend).
-///
-/// `H[k]` is the largest `med(i, j, u) / 2` over triples with
-/// `i < j < k ≤ u`: a floor some ancestor of leaf `i` must reach in
-/// any completion of a depth-`k` partial tree (see the module docs for
-/// the soundness argument). `H[k]` is `-∞` where no such triple exists
-/// (`k < 2` or `k = n`), so the `max(0, H[k] − h(root))` adjustment
-/// degenerates to zero and NaN can never enter the comparison from this
-/// side.
-pub fn floor_table(n: usize, med: impl Fn(usize, usize, usize) -> f64) -> Vec<f64> {
-    let mut h = vec![f64::NEG_INFINITY; n + 1];
-    if n < 3 {
-        return h;
-    }
-    // g[u] accumulates the best floor over pairs inside the prefix as it
-    // grows.
-    let mut g = vec![f64::NEG_INFINITY; n];
-    for k in 1..n {
-        // The prefix grows from k to k+1: leaf k joins, adding pairs
-        // (i, k) for every i < k to each still-future u > k.
-        for (u, gu) in g.iter_mut().enumerate().skip(k + 1) {
-            for i in 0..k {
-                let floor = med(i, k, u) / 2.0;
-                if floor > *gu {
-                    *gu = floor;
-                }
-            }
-        }
-        let mut best = f64::NEG_INFINITY;
-        for &gu in g.iter().skip(k + 1) {
-            if gu > best {
-                best = gu;
-            }
-        }
-        h[k + 1] = best;
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bound::{close_pair_code, close_pair_table_len, triple_index};
-
-    #[test]
-    fn strategy_parses_and_displays_round_trip() {
-        for s in [
-            PruneStrategy::WeightOnly,
-            PruneStrategy::Propagate,
-            PruneStrategy::Hybrid,
-        ] {
-            assert_eq!(PruneStrategy::parse(s.name()), Some(s));
-            assert_eq!(format!("{s}"), s.name());
-        }
-        assert_eq!(
-            PruneStrategy::parse(" hybrid "),
-            Some(PruneStrategy::Hybrid)
-        );
-        assert_eq!(PruneStrategy::parse("weights"), None);
-        assert_eq!(PruneStrategy::parse(""), None);
-        assert_eq!(PruneStrategy::default(), PruneStrategy::Propagate);
-    }
-
-    #[test]
-    fn hybrid_gates_the_deep_quarter() {
-        let n = 16;
-        assert!(PruneStrategy::Hybrid.propagates_at(12, n));
-        assert!(!PruneStrategy::Hybrid.propagates_at(13, n));
-        assert!(PruneStrategy::Propagate.propagates_at(n, n));
-        assert!(!PruneStrategy::WeightOnly.propagates_at(0, n));
-    }
 
     #[test]
     fn domains_pack_and_decode_every_arm() {
@@ -325,65 +146,5 @@ mod tests {
         let dom = TripleDomains::default();
         assert!(dom.is_empty());
         assert_eq!(dom.len(), 0);
-    }
-
-    #[test]
-    fn floor_table_matches_brute_force() {
-        let n = 8;
-        let d = |i: usize, j: usize| {
-            let (i, j) = (i.min(j), i.max(j));
-            ((i * 31 + j * 17) % 23) as f64 + 1.0
-        };
-        let med = |i: usize, j: usize, u: usize| {
-            let (a, b, c) = (d(i, j), d(i, u), d(j, u));
-            a.max(b).min(a.max(c)).min(b.max(c))
-        };
-        let h = floor_table(n, med);
-        assert_eq!(h.len(), n + 1);
-        for (k, &hk) in h.iter().enumerate() {
-            let mut best = f64::NEG_INFINITY;
-            for u in k..n {
-                for j in 1..k {
-                    for i in 0..j {
-                        best = best.max(med(i, j, u) / 2.0);
-                    }
-                }
-            }
-            assert_eq!(hk, best, "H[{k}]");
-        }
-        // Degenerate depths carry the -inf sentinel.
-        assert_eq!(h[0], f64::NEG_INFINITY);
-        assert_eq!(h[1], f64::NEG_INFINITY);
-        assert_eq!(h[n], f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn floor_table_is_monotone_under_an_ultrametric_spread() {
-        // Two tight clusters far apart: as soon as the prefix holds a
-        // pair and the future holds a cross-cluster leaf, the floor
-        // jumps to the inter-cluster distance — the exact shape the
-        // clustered bench exploits.
-        let n = 6;
-        let d = |i: usize, j: usize| -> f64 {
-            if i == j {
-                0.0
-            } else if (i < 3) == (j < 3) {
-                1.0
-            } else {
-                100.0
-            }
-        };
-        let h = floor_table(n, |i, j, u| {
-            let (a, b, c) = (d(i, j), d(i, u), d(j, u));
-            a.max(b).min(a.max(c)).min(b.max(c))
-        });
-        // With leaves 0,1 inserted (both cluster A) and 2..6 future, the
-        // triple (0, 1, u) for a cluster-B u has distances (1, 100, 100):
-        // med = 100, floor 50.
-        assert_eq!(h[2], 50.0);
-        assert_eq!(h[3], 50.0);
-        assert_eq!(h[4], 50.0);
-        // At k = n every leaf is inserted; nothing straddles.
-        assert_eq!(h[n], f64::NEG_INFINITY);
     }
 }

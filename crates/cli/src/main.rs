@@ -36,9 +36,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use mutree_core::{
-    plan_pipeline, plan_solver, solve_plan, BackendSpec, BoundKernel, CheckpointPolicy,
-    MemoryBudget, MutError, PruneStrategy, RetryPolicy, SearchMode, SolvePlan, SolveReport,
-    SolveRequest, ThreeThree, TraceLevel,
+    plan_pipeline, plan_solver, solve_plan, BackendSpec, CheckpointPolicy, MemoryBudget, MutError,
+    RetryPolicy, SearchMode, SolvePlan, SolveReport, SolveRequest, ThreeThree, TraceLevel,
 };
 use mutree_distmat::{io as mio, DistanceMatrix};
 use mutree_graph::CompactSets;
@@ -85,13 +84,11 @@ USAGE:
   mutree solve <matrix.phy> [--backend seq|par:N|sim:N] [--all] [--33 off|initial|full]
                [--timeout SECS] [--threads N] [--trace-search incumbents|all]
                [--max-open-nodes N] [--checkpoint FILE] [--checkpoint-interval B]
-               [--resume FILE] [--cache] [--bound-kernel scalar|lanes]
-               [--prune weight|propagate|hybrid]
+               [--resume FILE] [--cache]
         Exact minimum ultrametric tree via branch-and-bound.
   mutree fast <matrix.phy> [--threshold K] [--linkage max|min|avg] [--timeout SECS]
                [--threads N] [--trace-search incumbents|all] [--retries N]
-               [--max-open-nodes N] [--cache] [--bound-kernel scalar|lanes]
-               [--prune weight|propagate|hybrid]
+               [--max-open-nodes N] [--cache]
         Near-optimal tree via compact-set decomposition (the fast technique).
   mutree sets <matrix.phy>
         List the compact sets of the distance graph.
@@ -143,15 +140,9 @@ USAGE:
   the search from the stored tree. MUTREE_CACHE=1 enables it for every
   run; the flag wins over the environment.
 
-  --bound-kernel forces the bound arithmetic: 'scalar' reads the packed
-  triangle, 'lanes' the blocked solver matrix (default). Both run
-  bit-identical searches; MUTREE_FORCE_BOUND_KERNEL applies process-wide.
-
-  --prune picks the prune stages: 'weight' is the weight bound alone,
-  'propagate' (default) adds triple constraint propagation at every
-  depth, and 'hybrid' propagates on the shallow prefix only. Every
-  strategy returns the same optimum bit for bit; MUTREE_FORCE_PRUNE
-  applies process-wide and the flag wins over it.
+  --33 full also propagates the fixed triple relations: a node whose
+  future leaves have contradictory confinements is pruned early, and
+  the count is reported as 'propagation pruned'.
 
   serve runs requests on one shared worker pool behind a bounded
   earliest-deadline-first queue (--queue-depth, default 64, or
@@ -292,36 +283,6 @@ fn parse_memory_budget(args: &[String]) -> Result<Option<MemoryBudget>, CliError
     }
 }
 
-/// Parses an optional `--bound-kernel <scalar|lanes>` flag.
-fn parse_bound_kernel(args: &[String]) -> Result<Option<BoundKernel>, CliError> {
-    let Some(spec) = flag_value(args, "--bound-kernel") else {
-        if args.iter().any(|a| a == "--bound-kernel") {
-            return Err(usage("--bound-kernel requires a kernel (scalar | lanes)"));
-        }
-        return Ok(None);
-    };
-    BoundKernel::parse(spec)
-        .map(Some)
-        .ok_or_else(|| usage(format!("unknown bound kernel {spec:?} (scalar | lanes)")))
-}
-
-/// Parses an optional `--prune <weight|propagate|hybrid>` flag.
-fn parse_prune(args: &[String]) -> Result<Option<PruneStrategy>, CliError> {
-    let Some(spec) = flag_value(args, "--prune") else {
-        if args.iter().any(|a| a == "--prune") {
-            return Err(usage(
-                "--prune requires a strategy (weight | propagate | hybrid)",
-            ));
-        }
-        return Ok(None);
-    };
-    PruneStrategy::parse(spec).map(Some).ok_or_else(|| {
-        usage(format!(
-            "unknown prune strategy {spec:?} (weight | propagate | hybrid)"
-        ))
-    })
-}
-
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
@@ -360,12 +321,6 @@ fn solve(args: &[String]) -> Result<ExitCode, CliError> {
     }
     req.timeout = parse_timeout(args)?;
     req.memory = parse_memory_budget(args)?;
-    if let Some(kernel) = parse_bound_kernel(args)? {
-        req = req.bound_kernel(kernel);
-    }
-    if let Some(prune) = parse_prune(args)? {
-        req = req.prune(prune);
-    }
     if let Some(path) = flag_value(args, "--checkpoint") {
         let mut policy = CheckpointPolicy::new(path);
         if let Some(every) = parse_count(args, "--checkpoint-interval")? {
@@ -410,29 +365,11 @@ fn solve(args: &[String]) -> Result<ExitCode, CliError> {
         64 * words,
         solver.max_taxa()
     );
-    // Which bound arithmetic ran (MUTREE_FORCE_BOUND_KERNEL overrides the
-    // lane default) and the matrix layout it read.
-    let kernel = report.bound_kernel.unwrap_or_default();
     println!(
-        "bound kernel: {kernel}  (matrix layout: {})",
-        match kernel {
-            mutree_core::BoundKernel::Scalar => "packed triangle".to_string(),
-            mutree_core::BoundKernel::Lanes =>
-                format!("blocked rows, stride {} lanes", m.len().div_ceil(64) * 64),
-        }
-    );
-    // Which prune stages ran (MUTREE_FORCE_PRUNE overrides the
-    // full-depth propagation default) and how many nodes the
-    // propagation stage cut.
-    println!(
-        "prune: {}  (propagation pruned: {})",
-        report.prune.unwrap_or_default(),
-        report.stats.propagation_pruned
-    );
-    println!(
-        "branched: {}  pruned: {}  solutions seen: {}  incumbent updates: {}  peak pool: {}",
+        "branched: {}  pruned: {}  propagation pruned: {}  solutions seen: {}  incumbent updates: {}  peak pool: {}",
         report.stats.branched,
         report.stats.pruned,
+        report.stats.propagation_pruned,
         report.stats.solutions_seen,
         report.stats.incumbent_updates,
         report.stats.peak_pool
@@ -519,12 +456,6 @@ fn fast(args: &[String]) -> Result<ExitCode, CliError> {
             .backend(BackendSpec::Parallel { workers: threads })
             .threads(threads);
     }
-    if let Some(kernel) = parse_bound_kernel(args)? {
-        req = req.bound_kernel(kernel);
-    }
-    if let Some(prune) = parse_prune(args)? {
-        req = req.prune(prune);
-    }
     if args.iter().any(|a| a == "--cache") {
         req = req.cache(true);
     }
@@ -554,13 +485,6 @@ fn fast(args: &[String]) -> Result<ExitCode, CliError> {
         })
         .collect();
     println!("groups: {}", groups.join(" "));
-    // Pipeline stage solves all share the plan's prune strategy (the
-    // report's own field is per-exact-solve, so read the plan here).
-    println!(
-        "prune: {}  (propagation pruned: {})",
-        plan.prune.unwrap_or_default(),
-        report.stats.propagation_pruned
-    );
     println!(
         "retries: {}  nodes shed: {}  checkpoints: {}",
         report.stats.retries, report.stats.nodes_shed, report.stats.checkpoints

@@ -67,69 +67,22 @@ fn solve_reads_stdin_and_prints_newick() {
     assert!(stdout.contains("weight: 11"));
     assert!(stdout.contains("alpha"));
     assert!(stdout.contains(";"));
-    // Diagnostics name both the leaf width and the bound kernel in play
-    // (exact values depend on the ambient MUTREE_FORCE_* hooks CI pins,
-    // so assert the lines, not the dispatch).
+    // Diagnostics name the leaf width in play (its value depends on the
+    // ambient MUTREE_FORCE_LEAF_WORDS hook CI pins, so assert the line,
+    // not the dispatch) and the propagation stage's prune count.
     assert!(stdout.contains("leaf words: "), "{stdout}");
-    assert!(stdout.contains("bound kernel: "), "{stdout}");
-    assert!(stdout.contains("matrix layout: "), "{stdout}");
-    assert!(stdout.contains("prune: "), "{stdout}");
+    assert!(stdout.contains("propagation pruned: "), "{stdout}");
 }
 
 #[test]
-fn solve_forced_kernel_and_prune_agree_with_defaults() {
+fn solve_full_three_three_agrees_with_default() {
     let (base, ok) = run_with_stdin(&["solve", "-"], MATRIX);
     assert!(ok);
     let weight = base.lines().find(|l| l.starts_with("weight:")).unwrap();
-    for flags in [
-        ["--bound-kernel", "scalar"],
-        ["--prune", "weight"],
-        ["--prune", "propagate"],
-    ] {
-        let (stdout, ok) = run_with_stdin(&["solve", "-", flags[0], flags[1]], MATRIX);
-        assert!(ok, "{flags:?}: {stdout}");
-        assert!(stdout.contains(weight), "{flags:?}: {stdout}");
-    }
-    let (stdout, ok) = run_with_stdin(&["solve", "-", "--prune", "propagate"], MATRIX);
-    assert!(ok);
-    assert!(stdout.contains("prune: propagate"), "{stdout}");
-}
-
-/// Runs with `MATRIX` on stdin and returns (stderr, exit code): for
-/// asserting the usage-error contract on flag values.
-fn run_stdin_stderr(args: &[&str]) -> (String, Option<i32>) {
-    let mut child = mutree()
-        .args(args)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn mutree");
-    child
-        .stdin
-        .as_mut()
-        .expect("piped stdin")
-        .write_all(MATRIX.as_bytes())
-        .expect("write stdin");
-    let out = child.wait_with_output().expect("wait");
-    (
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.code(),
-    )
-}
-
-#[test]
-fn solve_rejects_bad_prune_strategy() {
-    let (stderr, code) = run_stdin_stderr(&["solve", "-", "--prune", "psychic"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("unknown prune strategy"), "{stderr}");
-}
-
-#[test]
-fn solve_rejects_bad_bound_kernel() {
-    let (stderr, code) = run_stdin_stderr(&["solve", "-", "--bound-kernel", "gpu"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("unknown bound kernel"), "{stderr}");
+    let (stdout, ok) = run_with_stdin(&["solve", "-", "--33", "full"], MATRIX);
+    assert!(ok, "{stdout}");
+    assert!(stdout.contains(weight), "{stdout}");
+    assert!(stdout.contains("propagation pruned: "), "{stdout}");
 }
 
 #[test]
@@ -160,17 +113,6 @@ fn fast_prints_groups() {
     assert!(ok);
     assert!(stdout.contains("groups:"));
     assert!(stdout.contains("weight:"));
-    assert!(stdout.contains("prune: "), "{stdout}");
-}
-
-#[test]
-fn fast_accepts_kernel_and_prune_flags() {
-    let (stdout, ok) = run_with_stdin(
-        &["fast", "-", "--bound-kernel", "scalar", "--prune", "weight"],
-        MATRIX,
-    );
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("prune: weight"), "{stdout}");
 }
 
 #[test]

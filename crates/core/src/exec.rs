@@ -142,7 +142,15 @@ struct ExecutorCore {
 
 impl Drop for ExecutorCore {
     fn drop(&mut self) {
-        self.queue.shutdown.store(true, Ordering::Release);
+        // Publish the flag under the queue lock: `next_job` checks it
+        // while holding that lock, so a worker is either before its
+        // check (and sees the flag) or already waiting (and gets the
+        // notification). Stored without the lock, a worker between its
+        // check and its wait would sleep forever and the join would hang.
+        {
+            let _jobs = self.queue.jobs.lock().unwrap_or_else(|e| e.into_inner());
+            self.queue.shutdown.store(true, Ordering::Release);
+        }
         self.queue.cv.notify_all();
         for handle in self
             .handles

@@ -111,15 +111,6 @@ impl<const K: usize> LeafWords<K> {
         !self.is_disjoint(other)
     }
 
-    /// The raw 64-bit words, word `w` holding bits `64w..64(w+1)` — the
-    /// form the lane kernels in `mutree_bnb::bound` consume: mask word
-    /// `w` selects lanes `64w..64(w+1)` of a blocked solver-matrix row,
-    /// so leaf-word iteration and lane loads share one stride.
-    #[inline]
-    pub fn words(&self) -> &[u64; K] {
-        &self.words
-    }
-
     /// Iterates the members in ascending order: word by word, peeling the
     /// lowest set bit with `trailing_zeros` — for K = 1 this is exactly
     /// the classic single-`u64` scan.

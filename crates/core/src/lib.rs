@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 mod cluster;
-mod dist;
 mod error;
 pub mod exec;
 mod leafset;
@@ -55,7 +54,6 @@ mod run;
 mod solver;
 
 pub use cluster::{solve_simulated, solve_simulated_observed, SimCost, SimulatedOutcome};
-pub use dist::{DistSource, LaneDist, LaneRowMax, RowMax, ScalarRowMax};
 pub use error::MutError;
 pub use exec::{Executor, QueueStats, TaskDag};
 pub use leafset::{LeafIter, LeafWords};
@@ -71,9 +69,8 @@ pub use solver::{
 };
 
 pub use mutree_bnb::{
-    BoundKernel, CancelToken, CheckpointError, CheckpointFile, CheckpointPolicy, LoggingObserver,
-    MemoryBudget, PruneStrategy, SearchMode, SearchStats, StopReason, Strategy, TraceLevel,
-    WorkerPool,
+    CancelToken, CheckpointError, CheckpointFile, CheckpointPolicy, LoggingObserver, MemoryBudget,
+    SearchMode, SearchStats, StopReason, Strategy, TraceLevel, WorkerPool,
 };
 // The bit-exact tree codec (checkpoints, cache payloads) and the shared
 // FNV/splitmix hash primitives live downstack; re-export them at their

@@ -1,11 +1,23 @@
 use mutree_bnb::bound::triple_index;
 use mutree_bnb::propagate::{Arm, TripleDomains};
+use mutree_distmat::DistanceMatrix;
 use mutree_tree::UltrametricTree;
 
-use crate::dist::{DistSource, RowMax};
 use crate::leafset::LeafWords;
 
 const NONE: u32 = u32::MAX;
+
+/// `max_{y ∈ mask} M[s, y]`, floored at `0.0` (distances are
+/// non-negative; the floor makes the empty mask well-defined) — the
+/// pendant-height candidate of one ancestor in the insertion walk.
+#[inline]
+fn max_to_mask<const K: usize>(m: &DistanceMatrix, s: usize, mask: &LeafWords<K>) -> f64 {
+    let mut best = 0.0f64;
+    for y in mask.iter() {
+        best = best.max(m.get(s, y));
+    }
+    best
+}
 
 /// The triple-domain arm index: for every leaf pair `(s, u)` with
 /// `s < u`, the partition of the earlier leaves `i < s` by the fixed arm
@@ -103,7 +115,8 @@ pub struct PartialTree<const K: usize = 1> {
     /// `u` must insert into (its edge included), `prop_outside[u]` the
     /// leafset of the current subtree `u` must not insert strictly
     /// inside. `EMPTY` means unconstrained; the vectors are empty — no
-    /// per-node cost at all — when propagation is off for this node.
+    /// per-node cost at all — unless the problem propagates (the full
+    /// 3-3 rule).
     prop_inside: Vec<LeafWords<K>>,
     prop_outside: Vec<LeafWords<K>>,
     /// Some future leaf's confinements contradict: every completion of
@@ -171,19 +184,13 @@ impl<const K: usize> PartialTree<K> {
     /// The root BBT node: the unique topology over taxa `{0, 1}`, with
     /// height `M[0,1] / 2`.
     ///
-    /// Generic over the [`DistSource`]: pass the plain
-    /// [`DistanceMatrix`](mutree_distmat::DistanceMatrix) for the scalar
-    /// reference path, or a [`LaneDist`](crate::LaneDist) view of the
-    /// blocked [`SolverMatrix`](mutree_distmat::SolverMatrix) for the
-    /// lane-kernel path — both produce bit-identical trees.
-    ///
     /// # Panics
     ///
     /// Panics when the matrix exceeds [`MAX_TAXA`](Self::MAX_TAXA) taxa
     /// (enforce via [`MutSolver`](crate::MutSolver), which dispatches to a
     /// wide-enough width and returns an error beyond the widest).
-    pub fn cherry<S: DistSource>(m: &S) -> Self {
-        let n = m.taxa();
+    pub fn cherry(m: &DistanceMatrix) -> Self {
+        let n = m.len();
         assert!(
             n <= Self::MAX_TAXA,
             "PartialTree with {K} leaf words supports at most {} taxa, got {n}",
@@ -215,8 +222,8 @@ impl<const K: usize> PartialTree<K> {
         t.parent[0] = r as u32;
         t.parent[1] = r as u32;
         t.leafset[r] = LeafWords::singleton(0).union(LeafWords::singleton(1));
-        t.height[r] = m.dist(0, 1) / 2.0;
-        t.weight = m.dist(0, 1);
+        t.height[r] = m.get(0, 1) / 2.0;
+        t.weight = m.get(0, 1);
         t
     }
 
@@ -267,7 +274,7 @@ impl<const K: usize> PartialTree<K> {
     ///
     /// Panics (in debug builds) when the tree is already complete or
     /// `site` is not a live node.
-    pub fn insert_next<S: DistSource>(&self, m: &S, site: u32) -> PartialTree<K> {
+    pub fn insert_next(&self, m: &DistanceMatrix, site: u32) -> PartialTree<K> {
         let mut t = self.clone();
         t.insert_in_place(m, site);
         t
@@ -277,20 +284,16 @@ impl<const K: usize> PartialTree<K> {
     /// into `scratch` (typically a retired sibling from the same search)
     /// instead of allocating a fresh tree. With a warmed-up scratch this is
     /// allocation-free: `clone_from` reuses the arena vectors in place.
-    pub fn insert_next_into<S: DistSource>(&self, m: &S, site: u32, scratch: &mut PartialTree<K>) {
+    pub fn insert_next_into(&self, m: &DistanceMatrix, site: u32, scratch: &mut PartialTree<K>) {
         scratch.clone_from(self);
         scratch.insert_in_place(m, site);
     }
 
     /// Inserts the next species above `site`, mutating `self` (which must
-    /// be a copy of the parent node). The masked row maxima feeding each
-    /// ancestor's height all read the inserted taxon's row, so the cursor
-    /// from [`row_max`](DistSource::row_max) is fetched once up front —
-    /// the bound-kernel seam.
-    fn insert_in_place<S: DistSource>(&mut self, m: &S, site: u32) {
+    /// be a copy of the parent node).
+    fn insert_in_place(&mut self, m: &DistanceMatrix, site: u32) {
         debug_assert!(!self.is_complete(), "tree is already complete");
         let s = self.k as usize; // the taxon being inserted
-        let srow = m.row_max(s);
         let n = self.n as usize;
         let e = site as usize;
         debug_assert!(
@@ -307,7 +310,7 @@ impl<const K: usize> PartialTree<K> {
         self.parent[e] = j as u32;
         self.parent[s] = j as u32;
         self.leafset[j] = self.leafset[e].union(sbit);
-        let cand = srow.max_to_mask(&self.leafset[e]) / 2.0;
+        let cand = max_to_mask(m, s, &self.leafset[e]) / 2.0;
         self.height[j] = self.height[e].max(cand);
         if p == NONE {
             self.root = j as u32;
@@ -334,7 +337,7 @@ impl<const K: usize> PartialTree<K> {
             } else {
                 self.left[ai]
             } as usize;
-            let cand = srow.max_to_mask(&self.leafset[sibling]) / 2.0;
+            let cand = max_to_mask(m, s, &self.leafset[sibling]) / 2.0;
             self.height[ai] = self.height[ai].max(self.height[child]).max(cand);
             child = ai;
             a = self.parent[ai];
@@ -399,13 +402,6 @@ impl<const K: usize> PartialTree<K> {
         order
     }
 
-    /// Height of the current root — the tallest node of the partial
-    /// tree. The propagation stage compares it against the precomputed
-    /// per-depth height floors.
-    pub fn root_height(&self) -> f64 {
-        self.height[self.root as usize]
-    }
-
     /// Whether confinement masks are maintained on this node.
     pub(crate) fn prop_is_active(&self) -> bool {
         !self.prop_inside.is_empty()
@@ -450,16 +446,6 @@ impl<const K: usize> PartialTree<K> {
         // subtree; its own top edge stays legal.
         let outs = self.prop_outside[u];
         !(!outs.is_empty() && lx.is_subset(&outs) && lx != outs)
-    }
-
-    /// Drops the masks — the hybrid strategy's deep tail. Descendants of
-    /// this node skip domain maintenance entirely. `clear` keeps the
-    /// capacity, so a recycled scratch tree flips between active and
-    /// released states without reallocating.
-    pub(crate) fn prop_release(&mut self) {
-        self.prop_inside.clear();
-        self.prop_outside.clear();
-        self.prop_wiped = false;
     }
 
     /// Advances the confinement masks after the newest leaf's insertion:
@@ -615,7 +601,6 @@ impl<const K: usize> PartialTree<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mutree_distmat::DistanceMatrix;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -845,7 +830,7 @@ mod tests {
     }
 
     #[test]
-    fn prop_release_keeps_clones_cheap_and_inactive() {
+    fn prop_activation_survives_clones() {
         let m = m5();
         let mut t = PartialTree::<1>::cherry(&m);
         assert!(!t.prop_is_active());
@@ -853,9 +838,7 @@ mod tests {
         assert!(t.prop_is_active());
         let cloned = t.clone();
         assert!(cloned.prop_is_active());
-        t.prop_release();
-        assert!(!t.prop_is_active());
-        assert!(!t.prop_wiped());
+        assert!(!cloned.prop_wiped());
     }
 
     proptest! {

@@ -1,17 +1,10 @@
-use mutree_bnb::bound::{
-    self, triple_index, CLOSE_EARLIER, CLOSE_NONE, CLOSE_WITH_HIGH, CLOSE_WITH_LOW,
-};
-use mutree_bnb::kernel::prunable;
-use mutree_bnb::propagate::floor_table;
-use mutree_bnb::{
-    sanitize_lb, BoundKernel, ChildBuf, Problem, PruneStrategy, SearchOptions, TripleDomains,
-};
-use mutree_distmat::{DistanceMatrix, SolverMatrix};
-use mutree_tree::{cluster, triples, Linkage, UltrametricTree};
+use mutree_bnb::bound::{self, triple_index, CLOSE_EARLIER, CLOSE_NONE, CLOSE_WITH_LOW};
+use mutree_bnb::{ChildBuf, Problem, SearchOptions, TripleDomains};
+use mutree_distmat::DistanceMatrix;
+use mutree_tree::{cluster, Linkage, UltrametricTree};
 
 use mutree_engine::ThreeThree;
 
-use crate::dist::{DistSource, LaneDist};
 use crate::node::ArmIndex;
 use crate::PartialTree;
 
@@ -25,7 +18,11 @@ use crate::PartialTree;
 /// * **Nodes** — [`PartialTree`]s over the first `k` species, with minimal
 ///   heights for their topology.
 /// * **Branching** — insert species `k` at each of the `2k − 1` sites,
-///   optionally filtered by the [`ThreeThree`] rule.
+///   optionally filtered by the [`ThreeThree`] rule. Under
+///   [`ThreeThree::Full`] the fixed triple relations also propagate:
+///   each node carries future-leaf confinement masks that pre-filter
+///   insertion sites and prune the node when two confinements
+///   contradict (see [`Problem::propagate`]).
 /// * **Lower bound** — `ω(partial) + ½ Σ_{t>k} min_{i<t} M[i,t]`: each
 ///   remaining species `t` eventually hangs from an ancestor of height at
 ///   least `½ min_{i<t} M[i,t]` (its parent separates it from some earlier
@@ -34,25 +31,10 @@ use crate::PartialTree;
 /// * **Initial incumbent** — the UPGMM tree (complete-linkage
 ///   agglomeration) with its own linkage heights, whose distances
 ///   dominate the matrix — exactly the paper's Step 3 upper bound.
-///
-/// The bound arithmetic itself runs through a [`BoundKernel`]: `Scalar`
-/// keeps the historical packed-triangle loops as the differential
-/// baseline; `Lanes` (the default) reads a blocked, cache-line-aligned
-/// [`SolverMatrix`] copy through the fixed-lane kernels in
-/// [`mutree_bnb::bound`]. Both produce bit-identical lower bounds — the
-/// only reordered operations are floating-point `min`/`max` reductions,
-/// and the one summation (the pendant-edge suffix) uses the shared
-/// [`bound::pendant_suffix`] accumulation order.
 pub struct MutProblem<const K: usize = 1> {
     /// Owned so a problem can be `Arc`-shared across executor tasks whose
     /// lifetimes outlive the caller's stack frame (see `mutree_core::exec`).
     m: DistanceMatrix,
-    /// Blocked row-major copy of `m` (padded rows, cache-line-aligned,
-    /// stride shared with the `LeafWords` mask words) — built once per
-    /// solve, read by the `Lanes` kernel on every insertion.
-    sm: SolverMatrix,
-    /// Which bound arithmetic the searches dispatch through.
-    kernel: BoundKernel,
     /// `suffix[k]` = Σ_{t=k}^{n−1} min_{i<t} M[i,t] / 2; `suffix[n]` = 0.
     suffix: Vec<f64>,
     /// Memoized 3-3 close pairs, one byte per triple `i < j < s` at index
@@ -64,23 +46,15 @@ pub struct MutProblem<const K: usize = 1> {
     close_pairs: Vec<u8>,
     three_three: ThreeThree,
     use_upgmm: bool,
-    /// Which prune stages the expansion kernel runs for this problem.
-    prune: PruneStrategy,
     /// Per-pair `[Earlier, WithLow, WithHigh]` arm masks for the
     /// propagation stage's future-leaf confinements, decoded from the
     /// packed 2-bit [`TripleDomains`] at construction — the form
     /// [`PartialTree::prop_advance`] folds with three intersection tests
     /// per root-path level instead of a per-triple decode. Empty unless
-    /// the strategy propagates *and* the 3-3 rule is
-    /// [`ThreeThree::Full`] — only then is the arm set part of the
-    /// problem semantics, making a confinement wipeout a pure look-ahead
-    /// of checks the filter applies anyway.
+    /// the 3-3 rule is [`ThreeThree::Full`] — only then is the arm set
+    /// part of the problem semantics, making a confinement wipeout a
+    /// pure look-ahead of checks the filter applies anyway.
     arms: ArmIndex<K>,
-    /// Per-depth height floors `H[k]` (see
-    /// [`floor_table`]): a sound lower-bound tightening in every
-    /// configuration, so it runs whenever the strategy propagates.
-    /// Empty under [`PruneStrategy::WeightOnly`].
-    floors: Vec<f64>,
     /// Permuted-index → original-index taxon map for checkpoint payloads;
     /// `None` means the identity (no maxmin relabeling was applied).
     /// Checkpoints always store original indexing so a resumed run is
@@ -103,85 +77,29 @@ impl<const K: usize> MutProblem<K> {
     /// bitsets can hold ([`MutSolver`](crate::MutSolver) dispatches to a
     /// wide-enough width automatically).
     pub fn new(m: &DistanceMatrix, three_three: ThreeThree, use_upgmm: bool) -> Self {
-        let kernel = mutree_engine::plan::env_forced_bound_kernel().unwrap_or_default();
-        let prune = mutree_engine::plan::env_forced_prune().unwrap_or_default();
-        Self::with_config(m, three_three, use_upgmm, kernel, prune)
-    }
-
-    /// Like [`new`](Self::new) but with an explicit [`BoundKernel`],
-    /// bypassing the `MUTREE_FORCE_BOUND_KERNEL` environment hook —
-    /// the entry point the differential tests use. The prune strategy
-    /// stays at its default.
-    pub fn with_kernel(
-        m: &DistanceMatrix,
-        three_three: ThreeThree,
-        use_upgmm: bool,
-        kernel: BoundKernel,
-    ) -> Self {
-        Self::with_config(m, three_three, use_upgmm, kernel, PruneStrategy::default())
-    }
-
-    /// The fully explicit constructor: bound kernel *and* prune strategy,
-    /// bypassing every environment hook — what the solver's builder
-    /// resolves to.
-    pub fn with_config(
-        m: &DistanceMatrix,
-        three_three: ThreeThree,
-        use_upgmm: bool,
-        kernel: BoundKernel,
-        prune: PruneStrategy,
-    ) -> Self {
         let n = m.len();
         assert!(
             n <= PartialTree::<K>::MAX_TAXA,
             "MutProblem with {K} leaf words supports at most {} taxa, got {n}",
             PartialTree::<K>::MAX_TAXA
         );
-        let sm = SolverMatrix::new(m);
         // minrow[t] = min_{i<t} M[i,t]; entries below t = 2 stay 0 and are
         // never read by the suffix recurrence.
         let mut minrow = vec![0.0; n];
         for (t, slot) in minrow.iter_mut().enumerate().skip(2) {
-            *slot = match kernel {
-                BoundKernel::Scalar => (0..t).map(|i| m.get(i, t)).fold(f64::INFINITY, f64::min),
-                BoundKernel::Lanes => bound::min_prefix(sm.row(t), t),
-            };
+            *slot = (0..t).map(|i| m.get(i, t)).fold(f64::INFINITY, f64::min);
         }
         let suffix = bound::pendant_suffix(&minrow);
         let close_pairs = if matches!(three_three, ThreeThree::Off) {
             Vec::new()
         } else {
             let mut table = vec![CLOSE_NONE; bound::close_pair_table_len(n)];
-            match kernel {
-                BoundKernel::Scalar => {
-                    for s in 2..n {
-                        for j in 1..s {
-                            for i in 0..j {
-                                table[triple_index(i, j, s)] =
-                                    match triples::close_pair_in_matrix(m, i, j, s) {
-                                        None => CLOSE_NONE,
-                                        Some(cp) if cp == (i, j) => CLOSE_EARLIER,
-                                        Some(cp) if cp == (i, s) => CLOSE_WITH_LOW,
-                                        Some(_) => CLOSE_WITH_HIGH,
-                                    };
-                            }
-                        }
-                    }
-                }
-                BoundKernel::Lanes => {
-                    // triple_index is linear in i, so the codes for a fixed
-                    // (j, s) land in one contiguous slice of the table.
-                    for s in 2..n {
-                        let row_s = sm.row(s);
-                        for j in 1..s {
-                            let base = triple_index(0, j, s);
-                            bound::close_pair_row(
-                                sm.row(j),
-                                row_s,
-                                row_s[j],
-                                &mut table[base..base + j],
-                            );
-                        }
+            for s in 2..n {
+                for j in 1..s {
+                    let d_js = m.get(j, s);
+                    for i in 0..j {
+                        table[triple_index(i, j, s)] =
+                            bound::close_pair_code(m.get(i, j), m.get(i, s), d_js);
                     }
                 }
             }
@@ -190,31 +108,18 @@ impl<const K: usize> MutProblem<K> {
         // The confinement domains reuse the close-pair table verbatim —
         // they are the same arm codes, packed — but only under the Full
         // rule is pruning on them answer-preserving.
-        let domains = if prune.propagates() && matches!(three_three, ThreeThree::Full) {
-            TripleDomains::pack(&close_pairs)
+        let arms = if matches!(three_three, ThreeThree::Full) {
+            ArmIndex::build(n, &TripleDomains::pack(&close_pairs))
         } else {
-            TripleDomains::default()
-        };
-        let arms = ArmIndex::build(n, &domains);
-        let floors = if prune.propagates() {
-            match kernel {
-                BoundKernel::Scalar => floor_table(n, |i, j, u| m.triple_med(i, j, u)),
-                BoundKernel::Lanes => floor_table(n, |i, j, u| sm.triple_med(i, j, u)),
-            }
-        } else {
-            Vec::new()
+            ArmIndex::default()
         };
         MutProblem {
             m: m.clone(),
-            sm,
-            kernel,
             suffix,
             close_pairs,
             three_three,
             use_upgmm,
-            prune,
             arms,
-            floors,
             taxon_map: None,
             resume: None,
         }
@@ -223,28 +128,6 @@ impl<const K: usize> MutProblem<K> {
     /// The matrix this problem searches over.
     pub fn matrix(&self) -> &DistanceMatrix {
         &self.m
-    }
-
-    /// The blocked solver-matrix copy the `Lanes` kernel reads.
-    pub fn solver_matrix(&self) -> &SolverMatrix {
-        &self.sm
-    }
-
-    /// Which bound arithmetic this problem dispatches through.
-    pub fn bound_kernel(&self) -> BoundKernel {
-        self.kernel
-    }
-
-    /// Which prune stages the expansion kernel runs for this problem.
-    pub fn prune_strategy(&self) -> PruneStrategy {
-        self.prune
-    }
-
-    /// The precomputed bound tables `(suffix, close_pairs)` — exposed for
-    /// the differential suite to assert kernel-independence bit for bit.
-    #[doc(hidden)]
-    pub fn bound_tables(&self) -> (&[f64], &[u8]) {
-        (&self.suffix, &self.close_pairs)
     }
 
     /// Sets the permuted→original taxon map applied when encoding
@@ -290,16 +173,34 @@ impl<const K: usize> MutProblem<K> {
         }
         true
     }
+}
 
-    /// The branching body, monomorphized over the distance source so the
-    /// insertion hot path inlines the chosen kernel's masked maxima with
-    /// no per-call dispatch.
-    fn branch_with<S: DistSource>(
-        &self,
-        m: &S,
-        node: &PartialTree<K>,
-        out: &mut ChildBuf<PartialTree<K>>,
-    ) {
+impl<const K: usize> Problem for MutProblem<K> {
+    type Node = PartialTree<K>;
+    type Solution = UltrametricTree;
+
+    fn root(&self) -> PartialTree<K> {
+        let mut t = PartialTree::<K>::cherry(&self.m);
+        let lb = self.bound_of(&t);
+        t.set_lower_bound(lb);
+        if !self.arms.is_empty() {
+            t.prop_activate();
+            t.prop_advance(&self.arms);
+        }
+        t
+    }
+
+    fn lower_bound(&self, node: &PartialTree<K>) -> f64 {
+        node.lower_bound()
+    }
+
+    fn solution(&self, node: &PartialTree<K>) -> Option<(UltrametricTree, f64)> {
+        node.is_complete()
+            .then(|| (node.to_ultrametric(), node.weight()))
+    }
+
+    fn branch(&self, node: &PartialTree<K>, out: &mut ChildBuf<PartialTree<K>>) {
+        let m = &self.m;
         let filter = match self.three_three {
             ThreeThree::Off => false,
             ThreeThree::InitialOnly => node.leaves_inserted() == 2,
@@ -330,75 +231,17 @@ impl<const K: usize> MutProblem<K> {
             let lb = self.bound_of(&child);
             child.set_lower_bound(lb);
             if child.prop_is_active() {
-                if self
-                    .prune
-                    .propagates_at(child.leaves_inserted(), self.m.len())
-                {
-                    child.prop_advance(&self.arms);
-                } else {
-                    // The hybrid deep tail: drop the masks; descendants
-                    // skip domain maintenance entirely.
-                    child.prop_release();
-                }
+                child.prop_advance(&self.arms);
             }
             out.push(child);
         }
     }
-}
 
-impl<const K: usize> Problem for MutProblem<K> {
-    type Node = PartialTree<K>;
-    type Solution = UltrametricTree;
-
-    fn root(&self) -> PartialTree<K> {
-        let mut t = match self.kernel {
-            BoundKernel::Scalar => PartialTree::<K>::cherry(&self.m),
-            BoundKernel::Lanes => PartialTree::<K>::cherry(&LaneDist::new(&self.sm)),
-        };
-        let lb = self.bound_of(&t);
-        t.set_lower_bound(lb);
-        if !self.arms.is_empty() && self.prune.propagates_at(2, self.m.len()) {
-            t.prop_activate();
-            t.prop_advance(&self.arms);
-        }
-        t
-    }
-
-    fn lower_bound(&self, node: &PartialTree<K>) -> f64 {
-        node.lower_bound()
-    }
-
-    fn solution(&self, node: &PartialTree<K>) -> Option<(UltrametricTree, f64)> {
-        node.is_complete()
-            .then(|| (node.to_ultrametric(), node.weight()))
-    }
-
-    fn branch(&self, node: &PartialTree<K>, out: &mut ChildBuf<PartialTree<K>>) {
-        match self.kernel {
-            BoundKernel::Scalar => self.branch_with(&self.m, node, out),
-            BoundKernel::Lanes => self.branch_with(&LaneDist::new(&self.sm), node, out),
-        }
-    }
-
-    fn propagate(&self, node: &PartialTree<K>, ub: f64, opts: &SearchOptions) -> bool {
+    fn propagate(&self, node: &PartialTree<K>, _ub: f64, _opts: &SearchOptions) -> bool {
         // A confinement wipeout is ub-independent: every completion of
         // the node dies in a later 3-3 check, so pruning it now only
         // skips work, never a solution.
-        if node.prop_wiped() {
-            return true;
-        }
-        if self.floors.is_empty() {
-            return false;
-        }
-        // The height-floor tightening: some ancestor of the partial root
-        // must reach H[k], so any completion pays the raise on top of
-        // the weight bound. `-∞` sentinels (k < 2, k = n) and a NaN from
-        // a degenerate height both land in the no-prune arm.
-        let lift = self.floors[node.leaves_inserted()] - node.root_height();
-        if lift.is_nan() || lift <= 0.0 {
-            return false;
-        }
-        prunable(sanitize_lb(node.lower_bound() + lift), ub, opts)
+        node.prop_wiped()
     }
 
     fn initial_incumbent(&self) -> Option<(UltrametricTree, f64)> {
@@ -436,7 +279,9 @@ impl<const K: usize> Problem for MutProblem<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mutree_bnb::bound::CLOSE_WITH_HIGH;
     use mutree_bnb::{solve_sequential, SearchMode, SearchOptions};
+    use mutree_tree::triples;
 
     fn m5() -> DistanceMatrix {
         DistanceMatrix::from_rows(&[

@@ -44,8 +44,6 @@ impl From<MutSolution> for SolveReport {
             compact_sets: None,
             sim: sol.sim,
             leaf_words: None,
-            bound_kernel: None,
-            prune: None,
         }
     }
 }
@@ -64,8 +62,6 @@ impl From<PipelineSolution> for SolveReport {
             compact_sets: Some(sol.compact_sets),
             sim: None,
             leaf_words: None,
-            bound_kernel: None,
-            prune: None,
         }
     }
 }
@@ -184,12 +180,6 @@ pub fn plan_solver(plan: &SolvePlan) -> MutSolver {
     if let Some(w) = plan.leaf_words.filter(|w| LEAF_WIDTHS.contains(w)) {
         s = s.leaf_words(w);
     }
-    if let Some(k) = plan.bound_kernel {
-        s = s.bound_kernel(k);
-    }
-    if let Some(p) = plan.prune {
-        s = s.prune(p);
-    }
     if let Some(shards) = plan.frontier_shards {
         s = s.frontier_shards(shards);
     }
@@ -292,8 +282,6 @@ pub fn solve_plan_hooked(plan: &SolvePlan, hooks: &SolveHooks) -> Result<SolveRe
         SolveKind::Exact => {
             let solver = hooks.apply(plan_solver(plan));
             let leaf_words = solver.dispatch_leaf_words(m.len());
-            let bound_kernel = solver.dispatch_bound_kernel();
-            let prune = solver.dispatch_prune();
             // Whole-solve memoization for explicitly cache-enabled exact
             // requests; the signature gate keeps constrained solves live.
             let sig = if hooks.is_empty() {
@@ -333,8 +321,6 @@ pub fn solve_plan_hooked(plan: &SolvePlan, hooks: &SolveHooks) -> Result<SolveRe
                             compact_sets: None,
                             sim: None,
                             leaf_words,
-                            bound_kernel: Some(bound_kernel),
-                            prune: Some(prune),
                         });
                     }
                     CacheOutcome::Seed { tree, query, .. } => {
@@ -368,8 +354,6 @@ pub fn solve_plan_hooked(plan: &SolvePlan, hooks: &SolveHooks) -> Result<SolveRe
                 provenance,
             }];
             report.leaf_words = leaf_words;
-            report.bound_kernel = Some(bound_kernel);
-            report.prune = Some(prune);
             Ok(report)
         }
         SolveKind::Decompose => {
@@ -417,14 +401,6 @@ mod tests {
         assert!(report.is_complete());
         assert_eq!(report.timings.len(), 1);
         assert_eq!(report.timings[0].stage, "exact");
-        // The report records what actually ran; with no plan override
-        // that is whatever an unconstrained solver dispatches to, so
-        // the assert stays valid under the forced-env CI legs.
-        assert_eq!(
-            report.bound_kernel,
-            Some(MutSolver::new().dispatch_bound_kernel())
-        );
-        assert_eq!(report.prune, Some(MutSolver::new().dispatch_prune()));
         assert!(report.leaf_words.is_some());
         assert!(report.groups.is_none());
     }

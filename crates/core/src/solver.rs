@@ -5,8 +5,8 @@ use std::time::{Duration, Instant};
 
 use mutree_bnb::{
     checkpoint, solve_parallel_observed, solve_parallel_pooled, solve_sequential_observed,
-    BoundKernel, CancelToken, CheckpointFile, CheckpointPolicy, LoggingObserver, MemoryBudget,
-    PruneStrategy, SearchMode, SearchOptions, SearchStats, StopReason, Strategy,
+    CancelToken, CheckpointFile, CheckpointPolicy, LoggingObserver, MemoryBudget, SearchMode,
+    SearchOptions, SearchStats, StopReason, Strategy,
 };
 use mutree_clustersim::{ClusterSpec, SimReport};
 use mutree_distmat::DistanceMatrix;
@@ -123,8 +123,6 @@ pub struct MutSolver {
     panic_on_taxa: Option<usize>,
     panic_fuel: Option<(usize, Arc<AtomicU64>)>,
     leaf_words: Option<usize>,
-    bound_kernel: Option<BoundKernel>,
-    prune: Option<PruneStrategy>,
     frontier_shards: Option<usize>,
     memory: Option<MemoryBudget>,
     checkpoint: Option<CheckpointPolicy>,
@@ -158,8 +156,6 @@ impl MutSolver {
             panic_on_taxa: None,
             panic_fuel: None,
             leaf_words: None,
-            bound_kernel: None,
-            prune: None,
             frontier_shards: None,
             memory: None,
             checkpoint: None,
@@ -379,51 +375,6 @@ impl MutSolver {
         self
     }
 
-    /// Forces the bound-arithmetic kernel instead of the default
-    /// dispatch: [`BoundKernel::Lanes`] (the blocked solver-matrix path)
-    /// unless `MUTREE_FORCE_BOUND_KERNEL` says otherwise. This builder
-    /// wins over the environment hook; the two kernels produce
-    /// bit-identical searches, so forcing one is a benchmarking and
-    /// differential-testing affordance, never a correctness knob.
-    pub fn bound_kernel(mut self, kernel: BoundKernel) -> Self {
-        self.bound_kernel = Some(kernel);
-        self
-    }
-
-    /// The bound kernel [`solve`](MutSolver::solve) will dispatch
-    /// through: the builder override when set, else the
-    /// `MUTREE_FORCE_BOUND_KERNEL` environment hook (read per solve, not
-    /// cached), else [`BoundKernel::Lanes`]. The CLI reports this in its
-    /// diagnostics.
-    pub fn dispatch_bound_kernel(&self) -> BoundKernel {
-        self.bound_kernel
-            .or_else(mutree_engine::plan::env_forced_bound_kernel)
-            .unwrap_or_default()
-    }
-
-    /// Forces the prune-stage strategy instead of the default dispatch:
-    /// [`PruneStrategy::Propagate`] (full-depth constraint propagation
-    /// with mask-driven insertion-site filtering) unless
-    /// `MUTREE_FORCE_PRUNE` says otherwise. This builder wins over the environment hook. Every
-    /// strategy returns the same optimum, bit for bit — propagation only
-    /// discards nodes whose subtrees provably hold no improving solution
-    /// — so forcing one is a benchmarking and ablation affordance.
-    pub fn prune(mut self, prune: PruneStrategy) -> Self {
-        self.prune = Some(prune);
-        self
-    }
-
-    /// The prune-stage strategy [`solve`](MutSolver::solve) will dispatch
-    /// through: the builder override when set, else the
-    /// `MUTREE_FORCE_PRUNE` environment hook (read per solve, not
-    /// cached), else [`PruneStrategy::Propagate`]. The CLI reports this in
-    /// its diagnostics.
-    pub fn dispatch_prune(&self) -> PruneStrategy {
-        self.prune
-            .or_else(mutree_engine::plan::env_forced_prune)
-            .unwrap_or_default()
-    }
-
     /// The dispatcher's taxa ceiling for one exact solve
     /// ([`MAX_EXACT_TAXA`]). The compact-set pipeline reads the limit from
     /// here instead of hard-coding it.
@@ -451,11 +402,8 @@ impl MutSolver {
     /// knob that changes *which* answer comes back (the 3-3 rule, the
     /// maxmin/UPGMM heuristics, the node-selection strategy, the backend
     /// family) and deliberately omits knobs proven answer-neutral (leaf
-    /// width, bound kernel, worker count — the differential tests pin
-    /// those as bit-identical). The prune strategy *is* hashed even
-    /// though its optima are bit-identical too: cached entries replay
-    /// search statistics (branched/pruned counts) into reports, and
-    /// those differ per strategy, so strategies must not share entries.
+    /// width and worker count — the differential tests pin those as
+    /// bit-identical).
     ///
     /// `None` — no caching — whenever a solve is constrained or
     /// instrumented: anything but a plain unconstrained
@@ -495,7 +443,7 @@ impl MutSolver {
             return None;
         }
         use mutree_bnb::hash::{fnv1a, fnv1a_continue};
-        let mut h = fnv1a(b"mutree-solver-sig-v2");
+        let mut h = fnv1a(b"mutree-solver-sig-v3");
         h = fnv1a_continue(
             h,
             &[
@@ -514,11 +462,6 @@ impl MutSolver {
                     SearchBackend::Sequential => 0,
                     SearchBackend::Parallel { .. } => 1,
                     SearchBackend::SimulatedCluster { .. } => 2,
-                },
-                match self.dispatch_prune() {
-                    PruneStrategy::WeightOnly => 0,
-                    PruneStrategy::Propagate => 1,
-                    PruneStrategy::Hybrid => 2,
                 },
             ],
         );
@@ -597,13 +540,7 @@ impl MutSolver {
             (m, None)
         };
 
-        let mut problem = MutProblem::<K>::with_config(
-            pm,
-            self.three_three,
-            self.use_upgmm,
-            self.dispatch_bound_kernel(),
-            self.dispatch_prune(),
-        );
+        let mut problem = MutProblem::<K>::new(pm, self.three_three, self.use_upgmm);
         if let Some(order) = &order {
             problem.set_taxon_map(order.clone());
         }
@@ -948,65 +885,6 @@ mod tests {
         assert!(sol.is_complete());
         assert_eq!(sol.tree.leaf_count(), 65);
         assert_eq!(sol.tree.distance_matrix().max_relative_deviation(&m), 0.0);
-    }
-
-    /// Scalar and lane bound kernels must run indistinguishable searches:
-    /// same weight to the bit, same branch and prune counts.
-    #[test]
-    fn forced_bound_kernels_agree_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(33);
-        for m in [m5(), gen::uniform_metric(10, 0.0, 100.0, &mut rng)] {
-            let scalar = MutSolver::new()
-                .bound_kernel(BoundKernel::Scalar)
-                .solve(&m)
-                .unwrap();
-            let lanes = MutSolver::new()
-                .bound_kernel(BoundKernel::Lanes)
-                .solve(&m)
-                .unwrap();
-            assert_eq!(scalar.weight.to_bits(), lanes.weight.to_bits());
-            assert_eq!(scalar.stats.branched, lanes.stats.branched);
-            assert_eq!(scalar.stats.pruned, lanes.stats.pruned);
-        }
-    }
-
-    /// Every prune strategy finds the same optimum, bit for bit, with
-    /// the same topology: propagation only discards nodes whose
-    /// completions the weight prune would reject anyway. `Full` 3-3
-    /// additionally exercises the arm-wipeout masks.
-    #[test]
-    fn forced_prune_strategies_agree_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(44);
-        for m in [m5(), gen::uniform_metric(10, 0.0, 100.0, &mut rng)] {
-            for rule in [ThreeThree::Off, ThreeThree::Full] {
-                let base = MutSolver::new()
-                    .three_three(rule)
-                    .prune(PruneStrategy::WeightOnly)
-                    .solve(&m)
-                    .unwrap();
-                for p in [PruneStrategy::Propagate, PruneStrategy::Hybrid] {
-                    let sol = MutSolver::new()
-                        .three_three(rule)
-                        .prune(p)
-                        .solve(&m)
-                        .unwrap();
-                    assert_eq!(
-                        base.weight.to_bits(),
-                        sol.weight.to_bits(),
-                        "{rule:?} / {p:?}"
-                    );
-                    assert_eq!(
-                        canonical_form(&base.tree),
-                        canonical_form(&sol.tree),
-                        "{rule:?} / {p:?}"
-                    );
-                    assert!(
-                        sol.stats.branched <= base.stats.branched,
-                        "{rule:?} / {p:?}: propagation must never widen the search"
-                    );
-                }
-            }
-        }
     }
 
     /// Forcing a wider width than needed must not change the result.

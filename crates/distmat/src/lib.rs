@@ -11,9 +11,9 @@
 //!   relabeling required by the Wu–Chao–Tang branch-and-bound lower bound,
 //! * slicing — [`DistanceMatrix::submatrix`] and
 //!   [`DistanceMatrix::permute`], used by the compact-set decomposition,
-//! * solver layout — [`SolverMatrix`], the blocked row-major, padded,
-//!   cache-line-aligned copy the branch-and-bound bound kernels read
-//!   (built once per solve, after the maxmin relabeling),
+//! * blocked layout — [`SolverMatrix`], a row-major, padded,
+//!   cache-line-aligned copy (no longer on the solve path; kept for
+//!   layout benchmarks),
 //! * I/O — PHYLIP-style square matrix parsing and formatting ([`io`]),
 //! * workload generation — random metric and perturbed-ultrametric matrices
 //!   ([`gen`]), matching the paper's "randomly generated species matrix"

@@ -152,21 +152,6 @@ impl DistanceMatrix {
         }
     }
 
-    /// Median of the three pairwise distances of a leaf triple: in any
-    /// ultrametric realization two of the triple's tree distances equal
-    /// twice their common top height and each dominates its matrix
-    /// entry, so `2·h(top) ≥ triple_med(i, j, s)` — the height floor the
-    /// constraint-propagation stage reads through this accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an index is out of bounds.
-    #[inline]
-    pub fn triple_med(&self, i: usize, j: usize, s: usize) -> f64 {
-        let (a, b, c) = (self.get(i, j), self.get(i, s), self.get(j, s));
-        a.max(b).min(a.max(c)).min(b.max(c))
-    }
-
     /// Sets the distance between distinct taxa `i` and `j`.
     ///
     /// # Panics

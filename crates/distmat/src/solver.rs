@@ -1,48 +1,37 @@
-//! Solver-local matrix layout: the blocked row-major copy the hot bound
-//! kernels read.
+//! A blocked row-major copy of a [`DistanceMatrix`].
 //!
-//! [`DistanceMatrix`] stores a packed strict lower triangle — ideal for
-//! validation, I/O and memory, but hostile to the branch-and-bound hot
-//! path: every `get(i, j)` pays an index comparison plus a triangular
-//! index multiply, and a row scan walks a stride that grows with `i`.
-//! Profiles (`results/BENCH_frontier.json`) put the Wu–Chao–Tang bound
-//! arithmetic — row maxima against leaf masks, column-prefix minima,
-//! 3-3 close-pair comparisons — at the top of node expansion.
+//! [`DistanceMatrix`] stores a packed strict lower triangle. A
+//! [`SolverMatrix`] trades that compactness for locality:
 //!
-//! A [`SolverMatrix`] is built once per solve, *after* the maxmin
-//! relabeling, so its row order is the leaf-sorted order the search
-//! consumes. The layout is chosen for the access pattern:
-//!
-//! * **full square rows** — `row(i)` is one contiguous `&[f64]`, read
-//!   front to back by the lane kernels (`mutree_bnb::bound`); symmetry
-//!   is traded for locality,
+//! * **full square rows** — `row(i)` is one contiguous `&[f64]`;
+//!   symmetry is traded for locality,
 //! * **rows padded to the leaf-word stride** — every row holds
 //!   `ceil(n/64)·64` lanes, so 64-bit leaf-mask word `w` always covers
-//!   lanes `64w..64(w+1)` of the row: leaf-word iteration and lane loads
-//!   share one stride at every monomorphized `LeafWords<K>` width,
+//!   lanes `64w..64(w+1)` of the row,
 //! * **cache-line-aligned blocks** — the buffer is over-allocated and
 //!   offset so every row starts on a 64-byte boundary; a row is then a
 //!   whole number of 8-lane blocks, each one cache line,
 //! * **poisoned padding** — lanes `n..stride` of each row are `NaN` in
-//!   debug builds (zero in release). A kernel that ever lets padding
-//!   leak into a bound turns the result into `NaN`, which the debug
-//!   assertions and the differential tests catch immediately.
+//!   debug builds (zero in release), so a reader that lets padding leak
+//!   into a result produces `NaN`.
+//!
+//! No solve reads this layout: the branch-and-bound search reads the
+//! packed [`DistanceMatrix`] directly. The type stays for layout
+//! benchmarks.
 
 use crate::DistanceMatrix;
 
-/// Lanes per block: 8 `f64`s = one 64-byte cache line, and the fixed-lane
-/// width of the `mutree_bnb::bound` inner loops.
+/// Lanes per block: 8 `f64`s = one 64-byte cache line.
 pub const LANE_BLOCK: usize = 8;
 
 /// Lanes covered by one 64-bit leaf-mask word; rows are padded to a
 /// multiple of this so mask words and row blocks share one stride.
 pub const WORD_LANES: usize = 64;
 
-/// A blocked, row-major, padded copy of a [`DistanceMatrix`], laid out
-/// for the branch-and-bound bound kernels (see the module docs).
+/// A blocked, row-major, padded copy of a [`DistanceMatrix`] (see the
+/// module docs).
 ///
-/// Built once per solve from the already maxmin-relabeled matrix;
-/// read-only afterwards. Row `i` is the full symmetric row
+/// Read-only after construction. Row `i` is the full symmetric row
 /// `M[i, 0..n]` (diagonal zero) followed by padding lanes up to
 /// [`stride`](SolverMatrix::stride).
 #[derive(Debug, Clone)]
@@ -56,12 +45,13 @@ pub struct SolverMatrix {
 }
 
 impl SolverMatrix {
-    /// Copies `m` into the blocked layout. `O(n²)` time and space, done
-    /// once per solve.
+    /// Copies `m` into the blocked layout in `O(n²)` time and space.
+    /// This is not on the solve path: the search reads the packed
+    /// [`DistanceMatrix`] directly.
     pub fn new(m: &DistanceMatrix) -> Self {
         let n = m.len();
         let stride = n.div_ceil(WORD_LANES) * WORD_LANES;
-        // Padding lanes must never reach a bound: poison them in debug
+        // Padding lanes must never reach a result: poison them in debug
         // builds so any leak is a NaN, not a silently-absorbed zero.
         let pad = if cfg!(debug_assertions) {
             f64::NAN
@@ -111,7 +101,7 @@ impl SolverMatrix {
     /// Row `i` including its padding lanes, as one contiguous 64-byte
     /// aligned slice of [`stride`](SolverMatrix::stride) lanes. Lanes
     /// `n..stride` are padding: zero in release builds, `NaN` in debug
-    /// builds — kernels must mask them out, never absorb them.
+    /// builds — readers must mask them out, never absorb them.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         debug_assert!(i < self.n, "taxon index out of bounds");
@@ -130,20 +120,6 @@ impl SolverMatrix {
         assert!(i < self.n && j < self.n, "taxon index out of bounds");
         self.buf[self.off + i * self.stride + j]
     }
-
-    /// Median of the three pairwise distances of a leaf triple, read
-    /// from the blocked rows — same value, bit for bit, as
-    /// [`DistanceMatrix::triple_med`], with the same max/min reduction
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an index is out of bounds.
-    #[inline]
-    pub fn triple_med(&self, i: usize, j: usize, s: usize) -> f64 {
-        let (a, b, c) = (self.get(i, j), self.get(i, s), self.get(j, s));
-        a.max(b).min(a.max(c)).min(b.max(c))
-    }
 }
 
 #[cfg(test)]
@@ -158,25 +134,6 @@ mod tests {
             vec![9.0, 9.0, 9.0, 0.0],
         ])
         .unwrap()
-    }
-
-    #[test]
-    fn triple_med_matches_between_backends() {
-        let m = sample();
-        let s = SolverMatrix::new(&m);
-        for k in 2..4 {
-            for j in 1..k {
-                for i in 0..j {
-                    let mut d = [m.get(i, j), m.get(i, k), m.get(j, k)];
-                    d.sort_by(f64::total_cmp);
-                    assert_eq!(m.triple_med(i, j, k).to_bits(), d[1].to_bits());
-                    assert_eq!(
-                        s.triple_med(i, j, k).to_bits(),
-                        m.triple_med(i, j, k).to_bits()
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! 1. [`SolveRequest`] — an owned, serializable description of *what* to
 //!    solve: the matrix (inline or a PHYLIP path) plus every knob (mode,
 //!    strategy, tolerance, budget, deadline, threads, forced leaf width,
-//!    forced bound kernel, retry / checkpoint / memory policies, pipeline
-//!    depth and threshold). Nothing in a request depends on the process
+//!    retry / checkpoint / memory policies, pipeline depth and
+//!    threshold). Nothing in a request depends on the process
 //!    environment.
 //! 2. [`SolvePlan`] — the request with every environment override
 //!    resolved, in exactly one place ([`SolvePlan::resolve`]). The

@@ -17,8 +17,6 @@
 //! |---|---|---|
 //! | `MUTREE_PIPELINE_THREADS` | `threads` | pipeline executor thread count |
 //! | `MUTREE_FORCE_LEAF_WORDS` | `leaf_words` | leaf-bitset width in 64-bit words |
-//! | `MUTREE_FORCE_BOUND_KERNEL` | `bound_kernel` | `scalar` or `lanes` bound arithmetic |
-//! | `MUTREE_FORCE_PRUNE` | `prune` | `weight`, `propagate` or `hybrid` prune stages |
 //! | `MUTREE_FRONTIER_SHARDS` | `frontier_shards` | work-stealing shard count |
 //! | `MUTREE_CACHE` | `cache` | `1`/`true`/`on` enables the group-solve cache |
 //! | `MUTREE_SERVE_QUEUE_DEPTH` | — (daemon knob) | `mutree serve` admission-queue depth |
@@ -39,8 +37,6 @@
 //! process environment: tests build the overrides by hand and call
 //! [`SolvePlan::resolve`] directly.
 
-use mutree_bnb::{BoundKernel, PruneStrategy};
-
 use crate::request::SolveRequest;
 
 /// Pipeline executor threads from `MUTREE_PIPELINE_THREADS` (positive
@@ -59,22 +55,6 @@ pub fn env_forced_leaf_words() -> Option<usize> {
     std::env::var("MUTREE_FORCE_LEAF_WORDS")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
-}
-
-/// Forced bound kernel from `MUTREE_FORCE_BOUND_KERNEL` (`scalar` or
-/// `lanes`).
-pub fn env_forced_bound_kernel() -> Option<BoundKernel> {
-    std::env::var("MUTREE_FORCE_BOUND_KERNEL")
-        .ok()
-        .and_then(|v| BoundKernel::parse(&v))
-}
-
-/// Forced prune strategy from `MUTREE_FORCE_PRUNE` (`weight`,
-/// `propagate` or `hybrid`).
-pub fn env_forced_prune() -> Option<PruneStrategy> {
-    std::env::var("MUTREE_FORCE_PRUNE")
-        .ok()
-        .and_then(|v| PruneStrategy::parse(&v))
 }
 
 /// Forced work-stealing shard count from `MUTREE_FRONTIER_SHARDS`
@@ -127,10 +107,6 @@ pub struct EnvOverrides {
     pub pipeline_threads: Option<usize>,
     /// `MUTREE_FORCE_LEAF_WORDS` (raw, validated downstream).
     pub leaf_words: Option<usize>,
-    /// `MUTREE_FORCE_BOUND_KERNEL`.
-    pub bound_kernel: Option<BoundKernel>,
-    /// `MUTREE_FORCE_PRUNE`.
-    pub prune: Option<PruneStrategy>,
     /// `MUTREE_FRONTIER_SHARDS`.
     pub frontier_shards: Option<usize>,
     /// `MUTREE_CACHE`.
@@ -149,8 +125,6 @@ impl EnvOverrides {
         EnvOverrides {
             pipeline_threads: env_pipeline_threads(),
             leaf_words: env_forced_leaf_words(),
-            bound_kernel: env_forced_bound_kernel(),
-            prune: env_forced_prune(),
             frontier_shards: env_frontier_shards(),
             cache: env_cache_enabled(),
         }
@@ -171,10 +145,6 @@ pub struct SolvePlan {
     pub threads: Option<usize>,
     /// Resolved forced leaf width (still unvalidated).
     pub leaf_words: Option<usize>,
-    /// Resolved forced bound kernel.
-    pub bound_kernel: Option<BoundKernel>,
-    /// Resolved prune strategy.
-    pub prune: Option<PruneStrategy>,
     /// Resolved frontier shard override.
     pub frontier_shards: Option<usize>,
     /// Whether the group-solve cache is on.
@@ -194,8 +164,6 @@ impl SolvePlan {
     pub fn resolve(request: SolveRequest, env: &EnvOverrides) -> SolvePlan {
         let threads = request.threads.or(env.pipeline_threads);
         let leaf_words = request.leaf_words.or(env.leaf_words);
-        let bound_kernel = request.bound_kernel.or(env.bound_kernel);
-        let prune = request.prune.or(env.prune);
         let frontier_shards = request.frontier_shards.or(env.frontier_shards);
         let cache_enabled = request.cache.or(env.cache).unwrap_or(false);
         let cache_explicit = request.cache.is_some();
@@ -203,8 +171,6 @@ impl SolvePlan {
             request,
             threads,
             leaf_words,
-            bound_kernel,
-            prune,
             frontier_shards,
             cache_enabled,
             cache_explicit,
@@ -236,8 +202,6 @@ mod tests {
         let plan = SolvePlan::resolve(request(), &EnvOverrides::none());
         assert_eq!(plan.threads, None);
         assert_eq!(plan.leaf_words, None);
-        assert_eq!(plan.bound_kernel, None);
-        assert_eq!(plan.prune, None);
         assert_eq!(plan.frontier_shards, None);
         assert!(!plan.cache_enabled);
         assert!(!plan.cache_explicit);
@@ -248,16 +212,12 @@ mod tests {
         let env = EnvOverrides {
             pipeline_threads: Some(8),
             leaf_words: Some(2),
-            bound_kernel: Some(BoundKernel::Lanes),
-            prune: Some(PruneStrategy::Propagate),
             frontier_shards: Some(4),
             cache: Some(true),
         };
         let plan = SolvePlan::resolve(request(), &env);
         assert_eq!(plan.threads, Some(8));
         assert_eq!(plan.leaf_words, Some(2));
-        assert_eq!(plan.bound_kernel, Some(BoundKernel::Lanes));
-        assert_eq!(plan.prune, Some(PruneStrategy::Propagate));
         assert_eq!(plan.frontier_shards, Some(4));
         assert!(plan.cache_enabled);
         // Environment-enabled, not explicit.
@@ -269,23 +229,17 @@ mod tests {
         let env = EnvOverrides {
             pipeline_threads: Some(8),
             leaf_words: Some(4),
-            bound_kernel: Some(BoundKernel::Lanes),
-            prune: Some(PruneStrategy::Propagate),
             frontier_shards: Some(64),
             cache: Some(true),
         };
         let req = request()
             .threads(2)
             .leaf_words(1)
-            .bound_kernel(BoundKernel::Scalar)
-            .prune(PruneStrategy::WeightOnly)
             .frontier_shards(3)
             .cache(false);
         let plan = SolvePlan::resolve(req, &env);
         assert_eq!(plan.threads, Some(2));
         assert_eq!(plan.leaf_words, Some(1));
-        assert_eq!(plan.bound_kernel, Some(BoundKernel::Scalar));
-        assert_eq!(plan.prune, Some(PruneStrategy::WeightOnly));
         assert_eq!(plan.frontier_shards, Some(3));
         assert!(!plan.cache_enabled);
         assert!(plan.cache_explicit);

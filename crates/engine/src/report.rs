@@ -7,7 +7,7 @@
 //! timings with cache provenance, degradation records, the most severe
 //! stop reason — in one shape.
 
-use mutree_bnb::{BoundKernel, PruneStrategy, SearchStats, StopReason};
+use mutree_bnb::{SearchStats, StopReason};
 use mutree_clustersim::SimReport;
 use mutree_tree::UltrametricTree;
 
@@ -136,11 +136,6 @@ pub struct SolveReport {
     /// The leaf-bitset width the solve dispatched to, in 64-bit words
     /// (exact solves only).
     pub leaf_words: Option<usize>,
-    /// The bound kernel the solve dispatched to (exact solves only).
-    pub bound_kernel: Option<BoundKernel>,
-    /// The prune-stage strategy the solve dispatched to (exact solves
-    /// only).
-    pub prune: Option<PruneStrategy>,
 }
 
 impl SolveReport {

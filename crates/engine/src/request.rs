@@ -16,9 +16,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use mutree_bnb::{
-    BoundKernel, CheckpointPolicy, MemoryBudget, PruneStrategy, SearchMode, Strategy, TraceLevel,
-};
+use mutree_bnb::{CheckpointPolicy, MemoryBudget, SearchMode, Strategy, TraceLevel};
 use mutree_distmat::DistanceMatrix;
 use mutree_tree::Linkage;
 
@@ -200,12 +198,6 @@ pub struct SolveRequest {
     /// Forced leaf-bitset width in 64-bit words. `None` defers to
     /// `MUTREE_FORCE_LEAF_WORDS`, then to the narrowest fit.
     pub leaf_words: Option<usize>,
-    /// Forced bound-arithmetic kernel. `None` defers to
-    /// `MUTREE_FORCE_BOUND_KERNEL`, then to the default.
-    pub bound_kernel: Option<BoundKernel>,
-    /// Forced prune-stage strategy. `None` defers to
-    /// `MUTREE_FORCE_PRUNE`, then to the default (propagate).
-    pub prune: Option<PruneStrategy>,
     /// Forced work-stealing shard count. `None` defers to
     /// `MUTREE_FRONTIER_SHARDS`, then to the worker-derived policy.
     pub frontier_shards: Option<usize>,
@@ -251,8 +243,6 @@ impl SolveRequest {
             use_upgmm: true,
             threads: None,
             leaf_words: None,
-            bound_kernel: None,
-            prune: None,
             frontier_shards: None,
             memory: None,
             checkpoint: None,
@@ -306,18 +296,6 @@ impl SolveRequest {
     /// Forces the leaf-bitset width (overrides the environment).
     pub fn leaf_words(mut self, words: usize) -> Self {
         self.leaf_words = Some(words);
-        self
-    }
-
-    /// Forces the bound kernel (overrides the environment).
-    pub fn bound_kernel(mut self, kernel: BoundKernel) -> Self {
-        self.bound_kernel = Some(kernel);
-        self
-    }
-
-    /// Forces the prune-stage strategy (overrides the environment).
-    pub fn prune(mut self, prune: PruneStrategy) -> Self {
-        self.prune = Some(prune);
         self
     }
 
@@ -390,18 +368,6 @@ impl SolveRequest {
         }
         if let Some(w) = self.leaf_words {
             line(format!("leaf-words {w}"));
-        }
-        if let Some(k) = self.bound_kernel {
-            line(format!(
-                "bound-kernel {}",
-                match k {
-                    BoundKernel::Scalar => "scalar",
-                    BoundKernel::Lanes => "lanes",
-                }
-            ));
-        }
-        if let Some(p) = self.prune {
-            line(format!("prune {}", p.name()));
         }
         if let Some(s) = self.frontier_shards {
             line(format!("frontier-shards {s}"));
@@ -579,18 +545,6 @@ impl SolveRequest {
                 "upgmm" => req.use_upgmm = rest.trim() == "true",
                 "threads" => req.threads = Some(usize_arg()?),
                 "leaf-words" => req.leaf_words = Some(usize_arg()?),
-                "bound-kernel" => {
-                    req.bound_kernel = Some(
-                        BoundKernel::parse(rest)
-                            .ok_or_else(|| fail(ln, format!("unknown bound kernel {rest:?}")))?,
-                    )
-                }
-                "prune" => {
-                    req.prune = Some(
-                        PruneStrategy::parse(rest)
-                            .ok_or_else(|| fail(ln, format!("unknown prune strategy {rest:?}")))?,
-                    )
-                }
                 "frontier-shards" => req.frontier_shards = Some(usize_arg()?),
                 "memory-nodes" => {
                     let nodes: u64 = rest
@@ -763,8 +717,6 @@ mod tests {
             .mode(SearchMode::AllOptimal)
             .threads(8)
             .leaf_words(2)
-            .bound_kernel(BoundKernel::Scalar)
-            .prune(PruneStrategy::Propagate)
             .frontier_shards(16)
             .cache(true);
         req.strategy = Strategy::BestFirst;
@@ -791,7 +743,6 @@ mod tests {
         assert_eq!(back.mode, SearchMode::AllOptimal);
         assert_eq!(back.timeout, Some(Duration::from_millis(1500)));
         assert_eq!(back.cache, Some(true));
-        assert_eq!(back.prune, Some(PruneStrategy::Propagate));
         let MatrixSource::Inline(m) = &back.source else {
             panic!("inline matrix expected");
         };
@@ -808,7 +759,6 @@ mod tests {
         assert_eq!(back.kind, SolveKind::Exact);
         assert_eq!(back.threads, None);
         assert_eq!(back.cache, None);
-        assert_eq!(back.prune, None);
         assert_eq!(back.tol.to_bits(), 1e-9f64.to_bits());
     }
 

@@ -26,7 +26,7 @@
 //!
 //! [`SolveRequest`]: crate::SolveRequest
 
-use mutree_bnb::{BoundKernel, PruneStrategy, SearchStats, StopReason};
+use mutree_bnb::{SearchStats, StopReason};
 use mutree_tree::codec as tree_codec;
 
 use crate::report::{DegradeReason, DegradedGroup, SolveReport, StageProvenance, StageTiming};
@@ -212,12 +212,6 @@ impl SolveReport {
         if let Some(w) = self.leaf_words {
             line(format!("leaf-words {w}"));
         }
-        if let Some(k) = self.bound_kernel {
-            line(format!("bound-kernel {}", k.name()));
-        }
-        if let Some(p) = self.prune {
-            line(format!("prune {}", p.name()));
-        }
         if let Some(c) = self.compact_sets {
             line(format!("compact-sets {c}"));
         }
@@ -287,8 +281,6 @@ impl SolveReport {
         let mut stop: Option<StopReason> = None;
         let mut stats = SearchStats::default();
         let mut leaf_words = None;
-        let mut bound_kernel = None;
-        let mut prune = None;
         let mut compact_sets = None;
         let mut groups: Option<Vec<Vec<usize>>> = None;
         let mut group_count = 0usize;
@@ -350,16 +342,6 @@ impl SolveReport {
                             .parse::<usize>()
                             .map_err(|_| fail(ln, format!("leaf-words: bad count {rest:?}")))?,
                     )
-                }
-                "bound-kernel" => {
-                    bound_kernel = Some(BoundKernel::parse(rest).ok_or_else(|| {
-                        fail(ln, format!("unknown bound kernel {:?}", rest.trim()))
-                    })?)
-                }
-                "prune" => {
-                    prune = Some(PruneStrategy::parse(rest).ok_or_else(|| {
-                        fail(ln, format!("unknown prune strategy {:?}", rest.trim()))
-                    })?)
                 }
                 "compact-sets" => {
                     compact_sets = Some(
@@ -487,8 +469,6 @@ impl SolveReport {
             compact_sets,
             sim: None,
             leaf_words,
-            bound_kernel,
-            prune,
         })
     }
 }
@@ -682,8 +662,6 @@ mod tests {
             compact_sets: Some(3),
             sim: None,
             leaf_words: Some(2),
-            bound_kernel: Some(BoundKernel::Lanes),
-            prune: Some(PruneStrategy::Hybrid),
         }
     }
 
@@ -699,8 +677,6 @@ mod tests {
         assert_eq!(decoded.groups, r.groups);
         assert_eq!(decoded.compact_sets, r.compact_sets);
         assert_eq!(decoded.leaf_words, r.leaf_words);
-        assert_eq!(decoded.bound_kernel, r.bound_kernel);
-        assert_eq!(decoded.prune, r.prune);
         assert_eq!(decoded.trees.len(), r.trees.len());
         assert_eq!(
             tree_codec::encode_tree(&decoded.tree),

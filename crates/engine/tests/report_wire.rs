@@ -5,7 +5,7 @@
 //! provenance and degradation records — and corrupted documents must be
 //! rejected with a line-numbered error, never mis-decoded.
 
-use mutree_bnb::{BoundKernel, PruneStrategy, SearchStats, StopReason};
+use mutree_bnb::{SearchStats, StopReason};
 use mutree_engine::{DegradeReason, DegradedGroup, SolveReport, StageProvenance, StageTiming};
 use mutree_tree::{codec, UltrametricTree};
 use proptest::prelude::*;
@@ -70,7 +70,6 @@ fn build_report(
     timing_seconds: &[f64],
     degrade_idx: usize,
     pipelineish: bool,
-    kernel_idx: usize,
 ) -> SolveReport {
     let tree = caterpillar(steps);
     let n = steps.len() + 1;
@@ -118,16 +117,6 @@ fn build_report(
         compact_sets: pipelineish.then_some(n / 2),
         sim: None,
         leaf_words: (!pipelineish).then_some(1 + n / 64),
-        bound_kernel: (!pipelineish).then_some(if kernel_idx.is_multiple_of(2) {
-            BoundKernel::Scalar
-        } else {
-            BoundKernel::Lanes
-        }),
-        prune: (!pipelineish).then_some(match kernel_idx % 3 {
-            0 => PruneStrategy::WeightOnly,
-            1 => PruneStrategy::Propagate,
-            _ => PruneStrategy::Hybrid,
-        }),
     }
 }
 
@@ -141,8 +130,6 @@ fn assert_reports_identical(a: &SolveReport, b: &SolveReport) {
     assert_eq!(a.groups, b.groups);
     assert_eq!(a.compact_sets, b.compact_sets);
     assert_eq!(a.leaf_words, b.leaf_words);
-    assert_eq!(a.bound_kernel, b.bound_kernel);
-    assert_eq!(a.prune, b.prune);
     assert_eq!(codec::encode_tree(&a.tree), codec::encode_tree(&b.tree));
     assert_eq!(a.trees.len(), b.trees.len());
     for (x, y) in a.trees.iter().zip(&b.trees) {
@@ -171,7 +158,6 @@ proptest! {
         timing_seconds in proptest::collection::vec(0.0f64..1e4, 1..5),
         degrade_idx in 0usize..8,
         pipelineish in 0usize..2,
-        kernel_idx in 0usize..6,
     ) {
         let report = build_report(
             &steps,
@@ -181,7 +167,6 @@ proptest! {
             &timing_seconds,
             degrade_idx,
             pipelineish == 1,
-            kernel_idx,
         );
         let text = report.encode();
         let back = SolveReport::decode(&text).expect("round trip decodes");
@@ -197,7 +182,7 @@ proptest! {
         line_idx in 0usize..64,
     ) {
         let report = build_report(
-            &steps, 0x400921fb54442d18, &[7u64; 16], 0, &[0.25], 0, false, 1,
+            &steps, 0x400921fb54442d18, &[7u64; 16], 0, &[0.25], 0, false,
         );
         let text = report.encode();
         let lines: Vec<&str> = text.lines().collect();
@@ -235,7 +220,7 @@ fn odd_weight_bit_patterns_survive() {
         f64::MIN_POSITIVE.to_bits() >> 1,
         f64::MAX.to_bits(),
     ] {
-        let report = build_report(&[1.0, 2.0], bits, &[0; 16], 0, &[0.5], 0, false, 0);
+        let report = build_report(&[1.0, 2.0], bits, &[0; 16], 0, &[0.5], 0, false);
         let back = SolveReport::decode(&report.encode()).expect("decode");
         assert_eq!(back.weight.to_bits(), bits);
     }
@@ -252,7 +237,6 @@ fn corrupt_headers_and_structure_are_rejected() {
         &[0.125],
         3,
         true,
-        0,
     );
     let good = report.encode();
     assert!(SolveReport::decode(&good).is_ok());

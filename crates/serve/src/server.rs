@@ -525,6 +525,17 @@ fn admit(
     let token = CancelToken::new();
     {
         let mut st = shared.lock();
+        // The check above is a fast path; this one decides. A drain that
+        // began since then may already have seen an empty queue and
+        // released the workers, so a job queued now would never run.
+        // `drain` sets the flag under this lock, so either it is visible
+        // here or the job is queued before the drain looks.
+        if shared.draining.load(Ordering::Acquire) {
+            drop(st);
+            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+            conn.send_error(tag, ServeErrorCode::Draining, "daemon is draining");
+            return;
+        }
         if st.pending.len() >= shared.config.queue_depth {
             drop(st);
             shared.counters.shed.fetch_add(1, Ordering::Relaxed);
@@ -646,9 +657,14 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
 
 /// Stops admission, waits for queued + in-flight work to finish.
 fn drain(shared: &Arc<Shared>) {
+    // Publish the flag under the state lock: `worker_loop` checks it
+    // while holding that lock, so a worker is either before its check
+    // (and sees the flag) or already waiting (and gets the notification).
+    // Stored without the lock, a worker between its check and its wait
+    // would sleep forever and `Server::join` would hang.
+    let mut st = shared.lock();
     shared.draining.store(true, Ordering::Release);
     shared.work_cv.notify_all();
-    let mut st = shared.lock();
     while st.in_flight > 0 || !st.pending.is_empty() {
         st = shared.idle_cv.wait(st).unwrap_or_else(|e| e.into_inner());
     }

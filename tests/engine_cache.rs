@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use mutree::core::{
     solve_plan, BackendSpec, CacheOutcome, CompactPipeline, EnvOverrides, GroupCache, MutSolver,
-    PruneStrategy, SolvePlan, SolveRequest, StageProvenance,
+    SearchBackend, SolvePlan, SolveRequest, StageProvenance, ThreeThree,
 };
 use mutree::distmat::gen;
 use mutree::tree::compare::robinson_foulds;
@@ -118,24 +118,20 @@ proptest! {
     }
 }
 
-/// Solvers that differ only in prune strategy must never share a cache
-/// entry: cached reports replay the filing solve's search statistics
-/// (branched/pruned counts), which differ per strategy even though the
-/// optima are bit-identical. The signature therefore hashes the
-/// *dispatched* strategy — so an environment-forced strategy separates
-/// entries exactly like a builder-forced one.
+/// Solvers that differ only in the 3-3 rule must never share a cache
+/// entry: the rule can change which optimum comes back, and cached
+/// reports replay the filing solve's search statistics (branched and
+/// propagation-pruned counts), which differ per rule. Answer-neutral
+/// knobs — the leaf-bitset width and the worker count — stay unhashed,
+/// so their solves share entries.
 #[test]
-fn cache_sig_separates_prune_strategies() {
-    let strategies = [
-        PruneStrategy::WeightOnly,
-        PruneStrategy::Propagate,
-        PruneStrategy::Hybrid,
-    ];
-    let sigs: Vec<u64> = strategies
+fn cache_sig_separates_three_three_modes() {
+    let modes = [ThreeThree::Off, ThreeThree::InitialOnly, ThreeThree::Full];
+    let sigs: Vec<u64> = modes
         .iter()
-        .map(|&p| {
+        .map(|&rule| {
             MutSolver::new()
-                .prune(p)
+                .three_three(rule)
                 .cache_sig()
                 .expect("unconstrained solver is cacheable")
         })
@@ -143,32 +139,20 @@ fn cache_sig_separates_prune_strategies() {
     for (i, a) in sigs.iter().enumerate() {
         for (j, b) in sigs.iter().enumerate() {
             if i != j {
-                assert_ne!(
-                    a, b,
-                    "{:?} and {:?} share a signature",
-                    strategies[i], strategies[j]
-                );
+                assert_ne!(a, b, "{:?} and {:?} share a signature", modes[i], modes[j]);
             }
         }
     }
-    // An unforced solver files under whatever it would dispatch to
-    // (Propagate, unless MUTREE_FORCE_PRUNE redirects the whole
-    // process).
-    let dispatched = MutSolver::new().dispatch_prune();
     assert_eq!(
-        MutSolver::new().cache_sig(),
-        MutSolver::new().prune(dispatched).cache_sig()
+        MutSolver::new().leaf_words(1).cache_sig(),
+        MutSolver::new().leaf_words(2).cache_sig()
     );
-    // The bound kernel stays deliberately unhashed: both kernels run
-    // bit-identical searches with identical statistics, so sharing
-    // entries across them is sound (and keeps the cache warm when a
-    // bench toggles kernels).
     assert_eq!(
         MutSolver::new()
-            .bound_kernel(mutree::core::BoundKernel::Scalar)
+            .backend(SearchBackend::Parallel { workers: 2 })
             .cache_sig(),
         MutSolver::new()
-            .bound_kernel(mutree::core::BoundKernel::Lanes)
+            .backend(SearchBackend::Parallel { workers: 4 })
             .cache_sig()
     );
 }

@@ -154,3 +154,24 @@ fn panicking_group_degrades_alone_inline() {
     assert_eq!(pipe.degraded[0].reason, DegradeReason::Panicked);
     assert!(pipe.tree.is_feasible_for(&m, 1e-9));
 }
+
+/// Creating and dropping executors must never hang. Dropping one joins
+/// its workers after setting the shutdown flag; that flag has to be
+/// published under the queue lock the workers check it under, or a
+/// worker between its check and its wait misses the wakeup and the join
+/// blocks forever (about once per hundred drops before the fix). The
+/// loop runs on its own thread so a hang fails the test instead of
+/// wedging the suite.
+#[test]
+fn dropping_executors_never_hangs() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for _ in 0..200 {
+            drop(Executor::new(2));
+        }
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("an executor drop hung joining its workers");
+}

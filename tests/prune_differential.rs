@@ -1,188 +1,188 @@
-//! Differential agreement between the prune-stage strategies: the
-//! weight-only search, the always-on constraint-propagation search, and
-//! the hybrid (shallow-prefix propagation) search must all find *the
-//! same answer* — identical optimum weight to the bit and identical
-//! topology (RF = 0) — on every driver and at every monomorphized leaf
-//! width. Propagation is a valid-lower-bound tightening plus a pure 3-3
-//! look-ahead, so it may only discard nodes whose completions the weight
-//! prune (or the 3-3 feasibility check) would reject anyway; it must
-//! also never *widen* the sequential search.
+//! Oracle test of the exact search under the full 3-3 rule.
 //!
-//! `ThreeThree::Full` cases are included deliberately: that is the only
-//! configuration where the triple-domain arm-wipeout masks are active,
-//! so without it the sweep would exercise the height-floor bound alone.
+//! `ThreeThree::Full` restricts the search to topologies that resolve
+//! every leaf triple the way the matrix nominates (its strict close
+//! pair), and propagates those fixed relations: insertion sites are
+//! pre-filtered by future-leaf confinement masks, and a node whose
+//! confinements contradict is pruned. None of that may change the
+//! answer. So for small `n` the test enumerates all `(2n − 3)!!`
+//! topologies by leaf insertion, keeps those the matrix's triple
+//! relations admit — checked with `mutree_tree::triples`, the tree-side
+//! R(P) relation, not the search's own filter — and requires every
+//! driver at every leaf-bitset width to find the minimum weight among
+//! them.
 
 use mutree::clustersim::ClusterSpec;
-use mutree::core::{MutSolver, PruneStrategy, SearchBackend, ThreeThree};
-use mutree::distmat::gen;
+use mutree::core::{MutSolver, PartialTree, SearchBackend, ThreeThree};
+use mutree::distmat::{gen, DistanceMatrix};
 use mutree::seqgen;
-use mutree::tree::compare::robinson_foulds;
-use proptest::prelude::*;
+use mutree::tree::triples;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const STRATEGIES: [PruneStrategy; 2] = [PruneStrategy::Propagate, PruneStrategy::Hybrid];
+/// `(2k − 1)(2k + 1)⋯(2n − 3)`: the number of ways to complete a
+/// topology on `k` leaves to one on `n` — for `k = 2`, the `(2n − 3)!!`
+/// rooted binary topologies on `n` leaves.
+fn completions(k: usize, n: usize) -> usize {
+    (k..n).map(|j| 2 * j - 1).product()
+}
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// Whether the partial tree resolves every triple that involves its
+/// newest leaf the way the matrix nominates. A triple's resolution never
+/// changes as later leaves insert, so checking each triple once, when
+/// its last leaf arrives, checks the whole topology.
+fn newest_leaf_consistent(t: &PartialTree, m: &DistanceMatrix) -> bool {
+    let s = t.leaves_inserted() - 1;
+    let tree = t.to_ultrametric();
+    (0..s).all(|j| (0..j).all(|i| triples::is_consistent(&tree, m, i, j, s)))
+}
 
-    /// Sequential, all leaf widths, both 3-3 settings: bit-identical
-    /// weight, RF-0 topology, and a search that never grows.
-    #[test]
-    fn strategies_agree_sequentially_at_every_width(
-        n in 6usize..10,
-        seed in any::<u64>(),
-        full_33 in any::<bool>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let m = gen::perturbed_ultrametric(n, 60.0, 0.08, &mut rng);
-        let rule = if full_33 { ThreeThree::Full } else { ThreeThree::Off };
+/// Enumerates every topology of `m` by leaf insertion and returns the
+/// minimum weight among those consistent with the matrix on every
+/// triple (`None` when no topology is). An inconsistent prefix is cut
+/// with all its completions counted, and the count must come to
+/// `(2n − 3)!!`.
+fn oracle(m: &DistanceMatrix) -> Option<f64> {
+    let n = m.len();
+    let mut visited = 0;
+    let mut best: Option<f64> = None;
+    let mut stack = vec![PartialTree::<1>::cherry(m)];
+    while let Some(t) = stack.pop() {
+        if t.leaves_inserted() > 2 && !newest_leaf_consistent(&t, m) {
+            visited += completions(t.leaves_inserted(), n);
+            continue;
+        }
+        if t.is_complete() {
+            visited += 1;
+            assert_eq!(triples::contradictions(&t.to_ultrametric(), m), 0);
+            best = Some(best.map_or(t.weight(), |b| b.min(t.weight())));
+            continue;
+        }
+        for site in t.insertion_sites() {
+            stack.push(t.insert_next(m, site));
+        }
+    }
+    assert_eq!(visited, completions(2, n));
+    best
+}
+
+/// Small instances of three families: short-sequence HMDNA-like
+/// matrices (integer distances, so tied triples leave several
+/// topologies admitted), near-ultrametric matrices (every triple
+/// strictly resolved, so at most one topology is admitted) and uniform
+/// metrics (usually contradictory, so none is).
+fn instances() -> Vec<DistanceMatrix> {
+    let mut out = Vec::new();
+    for n in 6..=8 {
+        for seed in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(0x3e3 + 10 * n as u64 + seed);
+            out.push(seqgen::hmdna_like_matrix(n, 40, &mut rng));
+            out.push(gen::perturbed_ultrametric(n, 60.0, 0.02, &mut rng));
+            out.push(gen::uniform_metric(n, 1.0, 100.0, &mut rng));
+        }
+    }
+    out
+}
+
+/// Checks one solver configuration against the oracle. The UPGMM
+/// incumbent is switched off: it need not respect the 3-3 rule, so with
+/// it on the answer would be the better of the heuristic and the search.
+fn assert_matches_oracle(m: &DistanceMatrix, best: Option<f64>, solver: MutSolver, what: &str) {
+    let result = solver
+        .three_three(ThreeThree::Full)
+        .without_upgmm()
+        .solve(m);
+    match best {
+        Some(want) => {
+            let sol = result.unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(sol.is_complete(), "{what}");
+            assert!(
+                (sol.weight - want).abs() <= 1e-9 * want.max(1.0),
+                "{what}: search found {}, oracle {want}",
+                sol.weight
+            );
+            assert_eq!(triples::contradictions(&sol.tree, m), 0, "{what}");
+        }
+        None => assert!(result.is_err(), "{what}: no topology is admitted"),
+    }
+}
+
+#[test]
+fn full_three_three_matches_the_topology_oracle_at_every_width() {
+    let (mut admitted, mut rejected) = (0, 0);
+    for (i, m) in instances().iter().enumerate() {
+        let best = oracle(m);
+        match best {
+            Some(_) => admitted += 1,
+            None => rejected += 1,
+        }
         for words in [1usize, 2, 4] {
-            let base = MutSolver::new()
-                .leaf_words(words)
-                .three_three(rule)
-                .prune(PruneStrategy::WeightOnly)
-                .solve(&m)
-                .unwrap();
-            for p in STRATEGIES {
-                let sol = MutSolver::new()
-                    .leaf_words(words)
-                    .three_three(rule)
-                    .prune(p)
-                    .solve(&m)
-                    .unwrap();
-                prop_assert!(sol.is_complete(), "K={words} {rule:?} {p:?}");
-                prop_assert_eq!(
-                    base.weight.to_bits(), sol.weight.to_bits(),
-                    "K={} {:?} {:?}: weight differs", words, rule, p
-                );
-                prop_assert_eq!(
-                    robinson_foulds(&base.tree, &sol.tree).unwrap(), 0,
-                    "K={} {:?} {:?}: topologies differ", words, rule, p
-                );
-                prop_assert!(
-                    sol.stats.branched <= base.stats.branched,
-                    "K={} {:?} {:?}: propagation widened the search ({} > {})",
-                    words, rule, p, sol.stats.branched, base.stats.branched
-                );
+            let what = format!("instance {i} (n = {}), K = {words}", m.len());
+            assert_matches_oracle(m, best, MutSolver::new().leaf_words(words), &what);
+        }
+    }
+    // The instance families cover both oracle outcomes.
+    assert!(
+        admitted > 0 && rejected > 0,
+        "{admitted} admitted, {rejected} rejected"
+    );
+}
+
+#[test]
+fn parallel_and_simulated_drivers_match_the_topology_oracle() {
+    let backends = [
+        SearchBackend::Parallel { workers: 2 },
+        SearchBackend::Parallel { workers: 4 },
+        SearchBackend::SimulatedCluster {
+            spec: ClusterSpec::with_slaves(3),
+        },
+    ];
+    for (i, m) in instances().iter().enumerate() {
+        let best = oracle(m);
+        for backend in &backends {
+            for words in [1usize, 2, 4] {
+                let what = format!("instance {i} (n = {}), {backend:?}, K = {words}", m.len());
+                let solver = MutSolver::new().backend(backend.clone()).leaf_words(words);
+                assert_matches_oracle(m, best, solver, &what);
             }
         }
     }
-
-    /// The thread-parallel and simulated-cluster drivers agree on the
-    /// optimum under every strategy (parallel expansion order is
-    /// scheduling-dependent, so the cross-driver contract is optimum +
-    /// completeness; the deterministic sim also pins topology).
-    #[test]
-    fn strategies_agree_on_parallel_and_simulated_drivers(
-        seed in any::<u64>(),
-        full_33 in any::<bool>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let m = gen::perturbed_ultrametric(8, 60.0, 0.08, &mut rng);
-        let rule = if full_33 { ThreeThree::Full } else { ThreeThree::Off };
-        let base = MutSolver::new()
-            .three_three(rule)
-            .prune(PruneStrategy::WeightOnly)
-            .solve(&m)
-            .unwrap();
-        for p in STRATEGIES {
-            let par = MutSolver::new()
-                .three_three(rule)
-                .prune(p)
-                .backend(SearchBackend::Parallel { workers: 4 })
-                .solve(&m)
-                .unwrap();
-            prop_assert!(par.is_complete(), "parallel {rule:?} {p:?}");
-            prop_assert_eq!(
-                base.weight.to_bits(), par.weight.to_bits(),
-                "parallel {:?} {:?}: weight differs", rule, p
-            );
-            let sim = MutSolver::new()
-                .three_three(rule)
-                .prune(p)
-                .backend(SearchBackend::SimulatedCluster {
-                    spec: ClusterSpec::with_slaves(3),
-                })
-                .solve(&m)
-                .unwrap();
-            prop_assert!(sim.is_complete(), "sim {rule:?} {p:?}");
-            prop_assert_eq!(
-                base.weight.to_bits(), sim.weight.to_bits(),
-                "sim {:?} {:?}: weight differs", rule, p
-            );
-            prop_assert_eq!(
-                robinson_foulds(&base.tree, &sim.tree).unwrap(), 0,
-                "sim {:?} {:?}: topologies differ", rule, p
-            );
-        }
-    }
 }
 
-/// Sequence-derived workload under `Full` 3-3, where the triple domains
-/// carry real close-pair structure: propagation must shrink (or at least
-/// not grow) the search while reproducing the optimum bit for bit.
+/// Sequence-derived workloads under `Full` 3-3 (with the default UPGMM
+/// incumbent), where the triple relations carry real close-pair
+/// structure: the wipeout stage prunes nodes that survived the weight
+/// bound — nodes the 3-3 filter alone would still have branched — and
+/// every driver returns the same optimum.
 #[test]
 fn propagation_shrinks_the_search_on_sequence_workloads() {
-    let mut rng = StdRng::seed_from_u64(99);
-    let m = seqgen::hmdna_like_matrix(11, 150, &mut rng);
-    let base = MutSolver::new()
-        .three_three(ThreeThree::Full)
-        .prune(PruneStrategy::WeightOnly)
-        .solve(&m)
-        .unwrap();
-    for p in STRATEGIES {
-        let sol = MutSolver::new()
-            .three_three(ThreeThree::Full)
-            .prune(p)
-            .solve(&m)
-            .unwrap();
-        assert_eq!(base.weight.to_bits(), sol.weight.to_bits(), "{p:?}");
-        assert_eq!(robinson_foulds(&base.tree, &sol.tree).unwrap(), 0, "{p:?}");
-        assert!(sol.stats.branched <= base.stats.branched, "{p:?}");
-        assert_eq!(base.stats.propagation_pruned, 0);
+    let mut propagation_pruned = 0;
+    for (n, len) in [(11usize, 40usize), (14, 150)] {
+        for seed in 90..110u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = seqgen::hmdna_like_matrix(n, len, &mut rng);
+            let seq = MutSolver::new()
+                .three_three(ThreeThree::Full)
+                .solve(&m)
+                .unwrap();
+            assert!(seq.is_complete());
+            propagation_pruned += seq.stats.propagation_pruned;
+            for backend in [
+                SearchBackend::Parallel { workers: 4 },
+                SearchBackend::SimulatedCluster {
+                    spec: ClusterSpec::with_slaves(3),
+                },
+            ] {
+                let sol = MutSolver::new()
+                    .three_three(ThreeThree::Full)
+                    .backend(backend.clone())
+                    .solve(&m)
+                    .unwrap();
+                let what = format!("n = {n}, seed {seed}, {backend:?}");
+                assert!(sol.is_complete(), "{what}");
+                assert_eq!(seq.weight.to_bits(), sol.weight.to_bits(), "{what}");
+            }
+        }
     }
-}
-
-/// The env hook forces the strategy process-wide; the builder overrides
-/// it when both are set, and junk values mean no override. Env mutation
-/// is confined to this one test (same discipline as the bound-kernel
-/// differential file).
-#[test]
-fn env_hook_forces_prune_strategy() {
-    let mut rng = StdRng::seed_from_u64(6);
-    let m = gen::uniform_metric(8, 1.0, 100.0, &mut rng);
-    let solver = MutSolver::new();
-    let prior = std::env::var_os("MUTREE_FORCE_PRUNE");
-    std::env::remove_var("MUTREE_FORCE_PRUNE");
-    assert_eq!(solver.dispatch_prune(), PruneStrategy::Propagate);
-
-    std::env::set_var("MUTREE_FORCE_PRUNE", "weight");
-    assert_eq!(solver.dispatch_prune(), PruneStrategy::WeightOnly);
-    let forced = solver.solve(&m).unwrap();
-    // Builder beats env.
-    assert_eq!(
-        solver
-            .clone()
-            .prune(PruneStrategy::Propagate)
-            .dispatch_prune(),
-        PruneStrategy::Propagate
-    );
-    std::env::set_var("MUTREE_FORCE_PRUNE", "propagate");
-    assert_eq!(solver.dispatch_prune(), PruneStrategy::Propagate);
-    // Junk values mean no override.
-    std::env::set_var("MUTREE_FORCE_PRUNE", "clairvoyant");
-    assert_eq!(solver.dispatch_prune(), PruneStrategy::Propagate);
-    match prior {
-        Some(v) => std::env::set_var("MUTREE_FORCE_PRUNE", v),
-        None => std::env::remove_var("MUTREE_FORCE_PRUNE"),
-    }
-
-    let baseline = MutSolver::new()
-        .prune(PruneStrategy::WeightOnly)
-        .solve(&m)
-        .unwrap();
-    assert_eq!(forced.weight.to_bits(), baseline.weight.to_bits());
-    assert_eq!(forced.stats.branched, baseline.stats.branched);
-    assert_eq!(robinson_foulds(&forced.tree, &baseline.tree).unwrap(), 0);
+    assert!(propagation_pruned > 0, "no confinement wipeout fired");
 }

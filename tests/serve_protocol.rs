@@ -295,3 +295,42 @@ fn response_headers_are_the_documented_constants() {
     assert_eq!(ERROR_HEADER, "mutree-error v1");
     assert_eq!(mutree::serve::DRAIN_HEADER, "mutree-drain v1");
 }
+
+/// Bind/drain/join cycles must never hang. A drain wakes the dispatch
+/// workers after setting the draining flag; that flag has to be
+/// published under the scheduler lock the workers check it under, or a
+/// worker between its check and its wait misses the wakeup and
+/// `Server::join` blocks forever. Workers only pass through that window
+/// while they are busy, so each cycle drains under live traffic from two
+/// clients. The cycles run on their own thread under a watchdog.
+#[test]
+fn bind_drain_join_cycles_never_hang() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for cycle in 0..200u64 {
+            let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+            let addr = server.local_addr();
+            let traffic: Vec<_> = (0..2u64)
+                .map(|c| {
+                    let mut client = Client::connect(addr).expect("connect");
+                    let req = SolveRequest::exact(matrix(4, 2 * cycle + c)).cache(false);
+                    // Solve until the drain turns requests away.
+                    std::thread::spawn(move || while client.solve(&req).is_ok() {})
+                })
+                .collect();
+            std::thread::sleep(Duration::from_millis(2));
+            Client::connect(addr)
+                .expect("connect")
+                .drain()
+                .expect("drain");
+            for t in traffic {
+                t.join().expect("traffic client");
+            }
+            server.join();
+        }
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a drained daemon hung in join");
+}
