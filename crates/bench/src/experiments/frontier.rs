@@ -1,26 +1,25 @@
-//! `exp_frontier` — the sharded work-stealing frontier with a fresh
-//! thread scope per solve against the same frontier on a persistent
-//! executor, on a batch of block-clustered instances, at 1/2/4/8 worker
-//! threads.
+//! `exp_frontier` — the parallel driver on freshly spawned threads per
+//! solve against the same driver on a persistent executor, on a batch of
+//! block-clustered instances, at 1/2/4/8 worker threads.
 //!
 //! The workload mirrors how the parallel driver is actually used: the
 //! compact-set pipeline dispatches *many* group-sized subproblem solves,
-//! not one giant search. Two drivers run the identical batch:
+//! not one giant search. The one driver runs the identical batch on two
+//! pools:
 //!
-//! * `scoped` — the sharded work-stealing frontier, with a fresh
-//!   `thread::scope` spawn per solve;
-//! * `pooled` — the sharded frontier on a persistent [`Executor`], the
-//!   production configuration: a batch handoff to already-parked
-//!   workers instead of a spawn-and-join cycle per solve.
+//! * `spawned` — [`SpawnPool`], a spawn-and-join cycle per solve (what a
+//!   solver without an attached executor does);
+//! * `pooled` — a persistent [`Executor`], the production configuration:
+//!   a batch handoff to already-parked workers.
 //!
-//! Both drivers must report the same optimum on every instance. The
-//! retired global-mutex driver's column is preserved in the committed
-//! `results/exp_frontier.json` and `results/BENCH_frontier.json`.
+//! Both columns must report the same optimum on every instance. The
+//! retired global-mutex and scoped drivers' columns are preserved in the
+//! committed `results/exp_frontier.json` and `results/BENCH_frontier.json`.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use mutree_bnb::{solve_parallel, solve_parallel_pooled, SearchMode, SearchOptions};
+use mutree_bnb::{solve_parallel, SearchMode, SearchOptions, SpawnPool};
 use mutree_core::{Executor, MutProblem, ThreeThree};
 
 use crate::data;
@@ -49,15 +48,16 @@ fn timed_batch<F: FnMut(&Arc<MutProblem>) -> Option<f64>>(
     optima
 }
 
-/// `exp_frontier` — batch wall-clock for the scoped and pooled drivers
-/// at 1/2/4/8 workers, plus the pooled driver's contention counters.
+/// `exp_frontier` — batch wall-clock on spawned threads and on a
+/// persistent executor at 1/2/4/8 workers, plus the pooled runs'
+/// contention counters.
 pub fn exp_frontier() -> Table {
     let mut t = Table::new(
         "exp_frontier",
-        "parallel frontier: per-solve thread scope vs persistent executor, batch of 400 clustered solves (interleaved best of 4)",
+        "parallel frontier: per-solve spawned threads vs persistent executor, batch of 400 clustered solves (interleaved best of 4)",
         &[
             "threads",
-            "scoped",
+            "spawned",
             "pooled",
             "speedup",
             "same_optimum",
@@ -86,35 +86,35 @@ pub fn exp_frontier() -> Table {
 
     for threads in [1usize, 2, 4, 8] {
         let exec = Executor::new(threads);
-        let (mut scoped_s, mut pooled_s) = (f64::INFINITY, f64::INFINITY);
-        let mut scoped_opt = Vec::new();
+        let (mut spawned_s, mut pooled_s) = (f64::INFINITY, f64::INFINITY);
+        let mut spawned_opt = Vec::new();
         let mut pooled_opt = Vec::new();
         let (mut steals, mut donations, mut parks) = (0u64, 0u64, 0u64);
         for _ in 0..REPS {
-            scoped_opt = timed_batch(&mut scoped_s, &problems, |p| {
-                solve_parallel(&**p, &opts, threads).best_value
+            spawned_opt = timed_batch(&mut spawned_s, &problems, |p| {
+                solve_parallel(Arc::clone(p), &opts, threads, &SpawnPool, ()).best_value
             });
-            // Counters are reported for the production (pooled) driver,
+            // Counters are reported for the production (pooled) runs,
             // summed over the batch of the last repetition.
             (steals, donations, parks) = (0, 0, 0);
             pooled_opt = timed_batch(&mut pooled_s, &problems, |p| {
-                let out = solve_parallel_pooled(Arc::clone(p), &opts, threads, &exec, ());
+                let out = solve_parallel(Arc::clone(p), &opts, threads, &exec, ());
                 steals += out.stats.steals;
                 donations += out.stats.donations;
                 parks += out.stats.parks;
                 out.best_value
             });
         }
-        let same = scoped_opt.len() == BATCH
-            && (0..BATCH).all(|i| match (scoped_opt[i], pooled_opt[i]) {
+        let same = spawned_opt.len() == BATCH
+            && (0..BATCH).all(|i| match (spawned_opt[i], pooled_opt[i]) {
                 (Some(s), Some(p)) => (s - p).abs() < 1e-9,
                 _ => false,
             });
         t.push(vec![
             threads.to_string(),
-            fmt_secs(scoped_s),
+            fmt_secs(spawned_s),
             fmt_secs(pooled_s),
-            format!("{:.2}", scoped_s / pooled_s.max(1e-12)),
+            format!("{:.2}", spawned_s / pooled_s.max(1e-12)),
             same.to_string(),
             steals.to_string(),
             donations.to_string(),

@@ -4,10 +4,10 @@
 //! and dispatches on taxa count, promising that the K = 1 hot path
 //! compiles to exactly the historical single-`u64` code. This experiment
 //! watches that promise: the same 400-solve clustered batch as
-//! `exp_frontier` runs once per width on the production pooled driver at
-//! 1/2/4/8 workers, and the `ratio` column (K=2 over K=1) is the price of
-//! doubling every leafset word — expected a few percent, paid only by
-//! matrices that actually need the width.
+//! `exp_frontier` runs once per width on the parallel driver over a
+//! persistent executor at 1/2/4/8 workers, and the `ratio` column (K=2
+//! over K=1) is the price of doubling every leafset word — expected a few
+//! percent, paid only by matrices that actually need the width.
 //!
 //! Correctness rides along: both widths must report the same optimum on
 //! every instance, and a sequential pre-pass asserts branch-for-branch
@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mutree_bnb::{solve_parallel_pooled, solve_sequential, SearchMode, SearchOptions};
+use mutree_bnb::{solve_parallel, solve_sequential, SearchMode, SearchOptions};
 use mutree_core::{Executor, MutProblem, ThreeThree};
 
 use crate::data;
@@ -100,10 +100,10 @@ pub fn exp_leafwords() -> Table {
         let mut k2_opt = Vec::new();
         for _ in 0..REPS {
             k1_opt = timed_batch(&mut k1_s, &k1, |p| {
-                solve_parallel_pooled(Arc::clone(p), &opts, threads, &exec, ()).best_value
+                solve_parallel(Arc::clone(p), &opts, threads, &exec, ()).best_value
             });
             k2_opt = timed_batch(&mut k2_s, &k2, |p| {
-                solve_parallel_pooled(Arc::clone(p), &opts, threads, &exec, ()).best_value
+                solve_parallel(Arc::clone(p), &opts, threads, &exec, ()).best_value
             });
         }
         let same = k1_opt.len() == BATCH

@@ -8,8 +8,8 @@
 //! * [`ablations`] — design-choice studies: condensed-matrix linkage,
 //!   group-size threshold, bound ingredients (maxmin, UPGMM), and the
 //!   3-3 rule's strength.
-//! * [`frontier`] — the sharded work-stealing frontier with a per-solve
-//!   thread scope against a persistent executor, at 1/2/4/8 threads.
+//! * [`frontier`] — the parallel driver on freshly spawned threads per
+//!   solve against a persistent executor, at 1/2/4/8 threads.
 //! * [`leafwords`] — the const-generic leaf-bitset widths: K=1 vs K=2 on
 //!   the frontier batch (hot-path regression watch), plus the 80-taxon
 //!   wide solve the width dispatcher unlocked.

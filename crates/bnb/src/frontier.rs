@@ -1,4 +1,4 @@
-//! The sharded work-stealing frontier behind the thread-parallel drivers.
+//! The sharded work-stealing frontier behind the thread-parallel driver.
 //!
 //! The first-generation parallel driver kept every open node in one
 //! `Mutex<Vec<N>>` guarded by a single condvar: every donation and every
@@ -150,24 +150,18 @@ impl<N> ShardedFrontier<N> {
         self.in_flight.load(Ordering::SeqCst)
     }
 
-    /// Charges `n` nodes to the in-flight counter *without* queueing them
-    /// anywhere — used by the scoped driver, whose seeds are pre-dealt to
-    /// the workers' local stacks. Must happen before any worker starts,
-    /// so the counter can never transiently read zero mid-search.
-    pub fn charge(&self, n: u64) {
-        self.in_flight.fetch_add(n, Ordering::SeqCst);
-    }
-
     /// Seeds the shards round-robin with `nodes` (already sorted most
     /// promising first, so each shard's front holds its best seed) and
-    /// charges them in flight. Used by the pooled driver, whose workers
-    /// start with empty local stacks and steal their first batch.
+    /// charges them in flight. Workers start with empty local stacks and
+    /// steal their first batch. Must happen before any worker starts, so
+    /// the counter can never transiently read zero mid-search.
     pub fn seed(&self, nodes: Vec<N>) {
         if nodes.is_empty() {
             return;
         }
-        self.charge(nodes.len() as u64);
-        self.pooled.fetch_add(nodes.len() as u64, Ordering::SeqCst);
+        let n = nodes.len() as u64;
+        self.in_flight.fetch_add(n, Ordering::SeqCst);
+        self.pooled.fetch_add(n, Ordering::SeqCst);
         for (i, node) in nodes.into_iter().enumerate() {
             lock(&self.shards[i % self.shards.len()]).push(node);
         }
@@ -185,7 +179,7 @@ impl<N> ShardedFrontier<N> {
     }
 
     /// Atomically converts one finished parent's in-flight unit into
-    /// `kept` child units — the netted form of `charge(kept)` followed by
+    /// `kept` child units — the netted form of adding `kept` followed by
     /// [`finish_node`](Self::finish_node). The counter moves in a single
     /// transition, so it still can never transiently read zero under a
     /// live expansion, and in the common tight-search case of exactly one
@@ -283,15 +277,13 @@ pub struct WorkerFrontier<'a, N> {
 }
 
 impl<'a, N> WorkerFrontier<'a, N> {
-    /// Registers a worker with `shared`, starting from the pre-dealt
-    /// `local` stack (empty for pooled workers, which steal their first
-    /// batch instead). The nodes in `local` must already be charged in
-    /// flight via [`ShardedFrontier::charge`].
-    pub fn new(shared: &'a ShardedFrontier<N>, local: Vec<N>) -> Self {
+    /// Registers a worker with `shared`, starting from an empty local
+    /// stack: its first node comes from a steal.
+    pub fn new(shared: &'a ShardedFrontier<N>) -> Self {
         let ordinal = shared.next_worker.fetch_add(1, Ordering::Relaxed);
         WorkerFrontier {
             shared,
-            local,
+            local: Vec::new(),
             home: (ordinal as usize) % shared.shards.len(),
             // Any non-degenerate per-ordinal seed works; the golden-ratio
             // stride keeps consecutive ordinals' victim orders unrelated.
@@ -488,7 +480,7 @@ mod tests {
     fn steal_half_takes_the_front() {
         let f: ShardedFrontier<u32> = ShardedFrontier::new(1);
         f.seed(vec![10, 11, 12, 13]);
-        let mut w = WorkerFrontier::new(&f, Vec::new());
+        let mut w = WorkerFrontier::new(&f);
         // 4 queued: the thief takes ⌈4/2⌉ = 2 from the front and returns
         // the oldest first.
         assert_eq!(w.try_steal(&mut ()), Some(10));
@@ -509,7 +501,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    let mut w = WorkerFrontier::new(&f, Vec::new());
+                    let mut w = WorkerFrontier::new(&f);
                     let mut obs = ();
                     loop {
                         let node = match w.pop() {
@@ -538,7 +530,7 @@ mod tests {
         let f: ShardedFrontier<u32> = ShardedFrontier::new(1);
         std::thread::scope(|s| {
             let h = s.spawn(|| {
-                let mut w = WorkerFrontier::new(&f, Vec::new());
+                let mut w = WorkerFrontier::new(&f);
                 // Blocks until close; must return None, not hang.
                 w.acquire(&mut ())
             });
@@ -551,16 +543,19 @@ mod tests {
     #[test]
     fn park_wakes_on_donation() {
         let f: ShardedFrontier<u32> = ShardedFrontier::new(2);
-        // One phantom in-flight unit keeps the frontier open while the
-        // consumer below waits for the late donation.
-        f.charge(1);
         std::thread::scope(|s| {
             let h = s.spawn(|| {
-                let mut w = WorkerFrontier::new(&f, Vec::new());
+                let mut w = WorkerFrontier::new(&f);
                 w.acquire(&mut ())
             });
             std::thread::sleep(std::time::Duration::from_millis(20));
-            let mut donor = WorkerFrontier::new(&f, vec![7, 8, 9, 10]);
+            // The donor stages four children of a phantom parent; settling
+            // charges them in flight, which keeps the frontier open while
+            // the consumer waits for the late donation.
+            let mut donor = WorkerFrontier::new(&f);
+            donor.absorb(&mut vec![(0.0, 7), (0.0, 8), (0.0, 9), (0.0, 10)]);
+            donor.settle();
+            assert_eq!(donor.local_len(), 4);
             // The sleeper registered; a donation must hand it work.
             while f.sleepers.load(Ordering::SeqCst) == 0 {
                 std::thread::yield_now();

@@ -16,12 +16,16 @@
 //!   immediately, per-worker *local stacks* searched depth-first, and a
 //!   [sharded work-stealing frontier](frontier) for load balancing: the
 //!   master pre-branches until `2 × workers` open nodes exist, sorts them
-//!   by lower bound and deals them cyclically; a worker whose stack
-//!   drains steals half a batch from a sharded overflow pool, and a
-//!   loaded worker donates its shallowest nodes in batches whenever a
-//!   peer is parked waiting. The per-node expansion fast path acquires
-//!   no lock, and termination is an atomic in-flight node counter with
-//!   eventcount parking — no timed polling anywhere.
+//!   by lower bound and seeds them round-robin into the frontier's
+//!   overflow shards; every worker steals its first batch from there, a
+//!   worker whose stack drains steals half a batch again, and a loaded
+//!   worker donates its shallowest nodes in batches whenever a peer is
+//!   parked waiting. The per-node expansion fast path acquires no lock,
+//!   and termination is an atomic in-flight node counter with eventcount
+//!   parking — no timed polling anywhere;
+//! * the parallel driver owns no threads: its workers run on a borrowed
+//!   [`WorkerPool`] — a shared executor, or [`SpawnPool`] (one thread per
+//!   worker) for a standalone solve.
 //!
 //! Because a better incumbent found by *any* worker immediately tightens
 //! pruning in *all* workers, the parallel search can visit strictly fewer
@@ -106,8 +110,8 @@ pub use cancel::CancelToken;
 pub use checkpoint::{CheckpointError, CheckpointFile, CheckpointPolicy};
 pub use frontier::{ShardedFrontier, WorkerFrontier};
 pub use kernel::{sanitize_lb, ChildBuf, Incumbents, PruneReason, SearchEvent, SearchObserver};
-pub use parallel::{solve_parallel, solve_parallel_observed, solve_parallel_pooled};
-pub use pool::{PoolJob, WorkerPool};
+pub use parallel::solve_parallel;
+pub use pool::{PoolJob, SpawnPool, WorkerPool};
 pub use problem::{
     MemoryBudget, Problem, SearchMode, SearchOptions, SearchOutcome, SearchStats, StopReason,
     Strategy,

@@ -184,32 +184,47 @@ impl<S, F: Fn(f64, S)> IncumbentSink<S> for WorkerSink<'_, S, F> {
 }
 
 /// Master/slave parallel branch-and-bound (the paper's Table 1 algorithm,
-/// with threads standing in for cluster nodes):
+/// with threads standing in for cluster nodes), run on a borrowed
+/// [`WorkerPool`]:
 ///
 /// 1. the master applies the initial incumbent (Step 3) and pre-branches
 ///    the tree breadth-first until at least `2 × workers` open nodes exist
 ///    (Step 5);
-/// 2. open nodes are sorted by lower bound and dealt cyclically to the
-///    workers' local stacks (Step 6);
-/// 3. every worker runs depth-first on its local stack (Step 7), pruning
-///    against the *shared* upper bound, which any improvement updates
-///    atomically — the thread analogue of broadcasting the global UB;
-/// 4. load balancing is work stealing over a
-///    [sharded frontier](crate::frontier): a worker whose stack drains
-///    steals half a batch from a sharded overflow pool, and a loaded
-///    worker donates its shallowest nodes in batches whenever a peer is
-///    parked — nobody idles while work remains, and the per-node fast
-///    path never touches a lock;
+/// 2. open nodes are sorted by lower bound and seeded round-robin into
+///    the [sharded frontier](crate::frontier)'s overflow shards, so each
+///    shard's front holds its most promising node (Step 6);
+/// 3. `workers − 1` worker loops are submitted to `pool` as jobs and one
+///    runs on the calling thread; every worker steals its first batch,
+///    then runs depth-first on its local stack (Step 7), pruning against
+///    the *shared* upper bound, which any improvement updates atomically
+///    — the thread analogue of broadcasting the global UB;
+/// 4. load balancing is work stealing: a worker whose stack drains
+///    steals half a batch from an overflow shard, and a loaded worker
+///    donates its shallowest nodes in batches whenever a peer is parked
+///    — nobody idles while work remains, and the per-node fast path never
+///    touches a lock;
 /// 5. when the frontier's in-flight node counter reaches zero the search
 ///    is exhausted; the last worker closes the frontier and the master
 ///    gathers solutions (Step 8).
 ///
 /// Both the seeding phase and the workers run the shared
 /// [expansion kernel](crate::kernel); only the scheduling around it (the
-/// frontier, the shared bound, the stop flags) lives here.
+/// frontier, the shared bound, the stop flags) lives here. The observer
+/// is cloned once per worker (plus once for the seeding phase), so each
+/// thread owns its copy and no locking is added to the hot path.
+///
+/// The problem is `Arc`-shared because pool jobs are `'static` and may
+/// outlive this stack frame (they self-terminate once the search ends).
+/// Termination needs no worker registration: the in-flight counter
+/// reaches zero when the tree is exhausted, whether one thread drained it
+/// or eight did, so the search completes even if the pool is too busy to
+/// ever run some jobs (the calling thread alone suffices), and a job
+/// arriving after the search drained exits immediately on the closed
+/// frontier. Pass [`SpawnPool`](crate::SpawnPool) when no executor is at
+/// hand.
 ///
 /// With `workers == 1` this degenerates to (slightly buffered) sequential
-/// search; results are always identical in optimum value to
+/// search; completed runs always agree in optimum value with
 /// [`solve_sequential`](crate::solve_sequential).
 ///
 /// # Robustness
@@ -228,152 +243,7 @@ impl<S, F: Fn(f64, S)> IncumbentSink<S> for WorkerSink<'_, S, F> {
 /// * NaN lower bounds never prune (they are treated as `-∞`) and NaN
 ///   objective values are rejected, so a numerically degenerate problem
 ///   degrades to extra work instead of wrong answers.
-pub fn solve_parallel<P: Problem>(
-    problem: &P,
-    opts: &SearchOptions,
-    workers: usize,
-) -> SearchOutcome<P::Solution> {
-    solve_parallel_observed(problem, opts, workers, ())
-}
-
-/// [`solve_parallel`] with a [`SearchObserver`]. The observer is cloned
-/// once per worker (plus once for the master's seeding phase), so each
-/// thread owns its copy and no locking is added to the hot path.
-pub fn solve_parallel_observed<P, O>(
-    problem: &P,
-    opts: &SearchOptions,
-    workers: usize,
-    observer: O,
-) -> SearchOutcome<P::Solution>
-where
-    P: Problem,
-    O: SearchObserver + Clone + Send,
-{
-    assert!(workers >= 1, "need at least one worker");
-    let mut master_inc = Incumbents::new(opts);
-    let bound = SharedBound::unbounded();
-    // One budget counter spans seeding and the worker phase, so the global
-    // branch limit holds across both.
-    let branches = AtomicU64::new(0);
-    let mut master_obs = observer.clone();
-    let seed = seed_phase(
-        problem,
-        opts,
-        workers,
-        &mut master_inc,
-        &bound,
-        &branches,
-        &mut master_obs,
-    );
-
-    if seed.frontier.is_empty() || seed.early_stop.is_some() {
-        // The whole tree collapsed during seeding, or seeding was stopped
-        // early — either way there is nothing to hand to workers.
-        return gather(
-            opts,
-            seed.stats,
-            master_inc.solutions,
-            seed.early_stop.unwrap_or(StopReason::Completed),
-        );
-    }
-
-    // --- Sort by lower bound, deal cyclically (Step 6).
-    let mut seeds: Vec<(f64, P::Node)> = seed
-        .frontier
-        .into_vec()
-        .into_iter()
-        .map(|n| (sanitize_lb(problem.lower_bound(&n)), n))
-        .collect();
-    seeds.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let seed_count = seeds.len() as u64;
-    let mut locals: Vec<Vec<P::Node>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, (_, node)) in seeds.into_iter().enumerate() {
-        locals[i % workers].push(node);
-    }
-    // Local pools are stacks: reverse so the most promising node pops first.
-    for lp in &mut locals {
-        lp.reverse();
-    }
-
-    let shared: Shared<P::Node, P::Solution> = Shared::new(
-        ShardedFrontier::for_workers_with(workers, opts.frontier_shards),
-        bound,
-        branches,
-    );
-    // Charge the pre-dealt seeds before any worker starts, so the
-    // in-flight counter can never transiently read zero mid-search.
-    shared.frontier.charge(seed_count);
-
-    // --- Worker phase.
-    let worker_stats: Vec<Option<SearchStats>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = locals
-            .into_iter()
-            .map(|lp| {
-                let shared = &shared;
-                let mut obs = observer.clone();
-                scope.spawn(move || {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        run_worker(problem, opts, shared, lp, &mut obs)
-                    })) {
-                        Ok(stats) => Some(stats),
-                        Err(_) => {
-                            // The panic payload is intentionally dropped:
-                            // isolation means the search result reports the
-                            // fault, it does not re-raise it.
-                            shared.request_stop(StopReason::WorkerPanicked);
-                            None
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or(None))
-            .collect()
-    });
-
-    // --- Gather (Step 8).
-    let mut stats = seed.stats;
-    for wstats in worker_stats.into_iter().flatten() {
-        stats.merge(&wstats);
-    }
-    let mut all = master_inc.solutions;
-    all.append(&mut shared.take_found());
-    gather(opts, stats, all, shared.stop_reason())
-}
-
-/// [`solve_parallel`] on borrowed workers: the same master/slave search,
-/// but instead of spawning a fresh `thread::scope` per call, the worker
-/// loops run as jobs on a caller-supplied [`WorkerPool`], and the calling
-/// thread always serves as one of the workers.
-///
-/// This is the backend the compact-set pipeline uses so that group-level
-/// task parallelism and intra-solve B&B parallelism share one thread
-/// budget instead of oversubscribing the machine with nested scopes.
-///
-/// Differences from the scoped driver, none observable in the outcome:
-///
-/// * the problem is `Arc`-shared because pool jobs are `'static` and may
-///   outlive this stack frame (they self-terminate once the search ends);
-/// * seeds are dealt round-robin into the frontier's overflow shards
-///   (sorted so each shard's front holds its most promising node) rather
-///   than into per-worker local stacks — pool jobs start at staggered
-///   times and steal their first batch when they arrive, so a job that
-///   never runs orphans nothing;
-/// * termination needs no worker registration at all: the frontier's
-///   in-flight counter reaches zero when the tree is exhausted, whether
-///   one thread drained it or eight did, so the search completes even if
-///   the pool is too busy to ever run some jobs (the calling thread alone
-///   suffices) and a job arriving after the search drained exits
-///   immediately on the closed frontier.
-///
-/// The optimum value is identical to [`solve_sequential`] /
-/// [`solve_parallel`] for completed runs, as always with a shared exact
-/// bound.
-///
-/// [`solve_sequential`]: crate::solve_sequential
-pub fn solve_parallel_pooled<P, O>(
+pub fn solve_parallel<P, O>(
     problem: Arc<P>,
     opts: &SearchOptions,
     workers: usize,
@@ -442,7 +312,7 @@ where
                     return;
                 }
                 match catch_unwind(AssertUnwindSafe(|| {
-                    run_worker(&*problem, &opts, &shared, Vec::new(), &mut obs)
+                    run_worker(&*problem, &opts, &shared, &mut obs)
                 })) {
                     Ok(st) => stats.lock().unwrap_or_else(|e| e.into_inner()).push(st),
                     Err(_) => shared.request_stop(StopReason::WorkerPanicked),
@@ -457,7 +327,7 @@ where
         jobs,
         Box::new(|| {
             caller_stats = match catch_unwind(AssertUnwindSafe(|| {
-                run_worker(&*problem, opts, &shared, Vec::new(), &mut caller_obs)
+                run_worker(&*problem, opts, &shared, &mut caller_obs)
             })) {
                 Ok(st) => Some(st),
                 Err(_) => {
@@ -592,7 +462,8 @@ fn gather<S>(
 }
 
 /// One worker's scheduling loop around the expansion kernel: dive
-/// depth-first on the local stack; when it drains, steal from the
+/// depth-first on the local stack; when it drains (or before the first
+/// node, since every worker starts empty), steal from the
 /// frontier's overflow shards or park; after every expansion, donate
 /// surplus if a peer is parked. The per-node fast path (pop → expand →
 /// finish) performs no mutex acquisition — shared state is touched only
@@ -601,11 +472,10 @@ fn run_worker<P: Problem, O: SearchObserver>(
     problem: &P,
     opts: &SearchOptions,
     shared: &Shared<P::Node, P::Solution>,
-    lp: Vec<P::Node>,
     observer: &mut O,
 ) -> SearchStats {
     let mut exp = Expander::new(problem, opts);
-    let mut frontier = WorkerFrontier::new(&shared.frontier, lp);
+    let mut frontier = WorkerFrontier::new(&shared.frontier);
     let mut budget = AtomicBudget::new(&shared.branches, opts.max_branches);
     let mut sink = WorkerSink::new(&shared.bound, opts, |v, s| shared.publish(v, s));
     loop {
@@ -670,7 +540,7 @@ fn run_worker<P: Problem, O: SearchObserver>(
 mod tests {
     use super::*;
     use crate::kernel::ChildBuf;
-    use crate::{solve_sequential, CancelToken};
+    use crate::{solve_sequential, CancelToken, SpawnPool};
     use std::time::Instant;
 
     /// Minimize the weighted ones-count over binary strings, with values
@@ -712,11 +582,11 @@ mod tests {
 
     #[test]
     fn matches_sequential_optimum() {
-        let p = problem(10);
+        let p = Arc::new(problem(10));
         for workers in [1, 2, 4] {
             let opts = SearchOptions::new(SearchMode::BestOne);
-            let seq = solve_sequential(&p, &opts);
-            let par = solve_parallel(&p, &opts, workers);
+            let seq = solve_sequential(&*p, &opts);
+            let par = solve_parallel(Arc::clone(&p), &opts, workers, &SpawnPool, ());
             assert_eq!(seq.best_value, par.best_value, "workers = {workers}");
             assert_eq!(par.solutions.len(), 1);
             assert!(par.is_complete());
@@ -726,12 +596,12 @@ mod tests {
     #[test]
     fn all_optimal_matches_sequential_set() {
         // Two zero-weight bits → 4 co-optimal solutions.
-        let p = WeightedBits {
+        let p = Arc::new(WeightedBits {
             weights: vec![0.0, 1.0, 0.0, 2.0, 1.0],
-        };
+        });
         let opts = SearchOptions::new(SearchMode::AllOptimal);
-        let seq = solve_sequential(&p, &opts);
-        let par = solve_parallel(&p, &opts, 3);
+        let seq = solve_sequential(&*p, &opts);
+        let par = solve_parallel(p, &opts, 3, &SpawnPool, ());
         let norm = |mut v: Vec<Vec<bool>>| {
             v.sort();
             v.dedup();
@@ -745,46 +615,42 @@ mod tests {
 
     #[test]
     fn single_worker_agrees() {
-        let p = problem(8);
+        let p = Arc::new(problem(8));
         let opts = SearchOptions::new(SearchMode::AllOptimal);
-        let seq = solve_sequential(&p, &opts);
-        let par = solve_parallel(&p, &opts, 1);
+        let seq = solve_sequential(&*p, &opts);
+        let par = solve_parallel(p, &opts, 1, &SpawnPool, ());
         assert_eq!(seq.best_value, par.best_value);
         assert_eq!(seq.solutions.len(), par.solutions.len());
     }
 
     #[test]
     fn more_workers_than_nodes() {
-        let p = problem(2);
         let opts = SearchOptions::new(SearchMode::BestOne);
-        let par = solve_parallel(&p, &opts, 16);
+        let par = solve_parallel(Arc::new(problem(2)), &opts, 16, &SpawnPool, ());
         assert_eq!(par.best_value, Some(0.0));
     }
 
     #[test]
     fn budget_abort_is_reported() {
-        let p = problem(18);
         let opts = SearchOptions::new(SearchMode::BestOne).max_branches(10);
-        let par = solve_parallel(&p, &opts, 4);
+        let par = solve_parallel(Arc::new(problem(18)), &opts, 4, &SpawnPool, ());
         assert_eq!(par.stop, StopReason::BudgetExhausted);
         assert!(!par.is_complete());
     }
 
     #[test]
     fn expired_deadline_returns_quickly() {
-        let p = problem(20);
         let opts = SearchOptions::new(SearchMode::BestOne).deadline(Instant::now());
-        let par = solve_parallel(&p, &opts, 4);
+        let par = solve_parallel(Arc::new(problem(20)), &opts, 4, &SpawnPool, ());
         assert_eq!(par.stop, StopReason::DeadlineExpired);
     }
 
     #[test]
     fn pre_cancelled_token_stops_immediately() {
-        let p = problem(20);
         let token = CancelToken::new();
         token.cancel();
         let opts = SearchOptions::new(SearchMode::BestOne).cancel_token(token);
-        let par = solve_parallel(&p, &opts, 4);
+        let par = solve_parallel(Arc::new(problem(20)), &opts, 4, &SpawnPool, ());
         assert_eq!(par.stop, StopReason::Cancelled);
     }
 
@@ -810,8 +676,14 @@ mod tests {
                 Some((vec![false; self.0.weights.len()], 0.0))
             }
         }
-        let p = Hinted(problem(6));
-        let out = solve_parallel(&p, &SearchOptions::new(SearchMode::BestOne), 4);
+        let p = Arc::new(Hinted(problem(6)));
+        let out = solve_parallel(
+            p,
+            &SearchOptions::new(SearchMode::BestOne),
+            4,
+            &SpawnPool,
+            (),
+        );
         assert_eq!(out.best_value, Some(0.0));
         assert_eq!(out.solutions.len(), 1);
         assert!(out.is_complete());
@@ -819,9 +691,10 @@ mod tests {
 
     #[test]
     fn stress_many_runs_no_deadlock() {
-        let p = problem(9);
+        let p = Arc::new(problem(9));
+        let opts = SearchOptions::new(SearchMode::BestOne);
         for _ in 0..25 {
-            let out = solve_parallel(&p, &SearchOptions::new(SearchMode::BestOne), 4);
+            let out = solve_parallel(Arc::clone(&p), &opts, 4, &SpawnPool, ());
             assert_eq!(out.best_value, Some(0.0));
         }
     }
@@ -834,12 +707,12 @@ mod tests {
         // conservation oracle across steals and donations — no node
         // lost, none expanded twice.
         let depth = 12u32;
-        let p = WeightedBits {
+        let p = Arc::new(WeightedBits {
             weights: vec![0.0; depth as usize],
-        };
+        });
         let opts = SearchOptions::new(SearchMode::AllOptimal);
         for _ in 0..5 {
-            let out = solve_parallel(&p, &opts, 8);
+            let out = solve_parallel(Arc::clone(&p), &opts, 8, &SpawnPool, ());
             assert!(out.is_complete());
             assert_eq!(out.stats.solutions_seen, 1u64 << depth);
             assert_eq!(out.stats.branched, (1u64 << depth) - 1);
@@ -872,10 +745,10 @@ mod tests {
                 self.0.branch(n, out)
             }
         }
-        let p = NanBounds(problem(8));
+        let p = Arc::new(NanBounds(problem(8)));
         let opts = SearchOptions::new(SearchMode::BestOne);
-        let seq = solve_sequential(&p, &opts);
-        let par = solve_parallel(&p, &opts, 4);
+        let seq = solve_sequential(&*p, &opts);
+        let par = solve_parallel(p, &opts, 4, &SpawnPool, ());
         assert_eq!(seq.best_value, Some(0.0));
         assert_eq!(par.best_value, Some(0.0));
         assert!(par.is_complete());

@@ -2,13 +2,22 @@
 //! panicking, lying, and slow [`Problem`] implementations without
 //! hanging, losing incumbents, or reporting a wrong stop reason.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mutree_bnb::fault::{FaultSpec, FaultyProblem};
 use mutree_bnb::{
     solve_parallel, solve_sequential, ChildBuf, MemoryBudget, Problem, SearchMode, SearchOptions,
-    StopReason,
+    SearchOutcome, SpawnPool, StopReason,
 };
+
+/// The parallel driver at four workers, on freshly spawned threads.
+fn par4<P: Problem + Send + Sync + 'static>(
+    p: P,
+    opts: &SearchOptions,
+) -> SearchOutcome<P::Solution> {
+    solve_parallel(Arc::new(p), opts, 4, &SpawnPool, ())
+}
 
 /// Minimize the weighted ones-count over binary strings; the all-false
 /// string (value 0) is always optimal, and an initial incumbent (all-true)
@@ -62,7 +71,7 @@ fn worker_panic_reports_and_keeps_incumbent() {
     for seed in 0..20u64 {
         let p = FaultyProblem::new(WeightedBits::new(14), FaultSpec::new(seed).panic_rate(0.05));
         let start = Instant::now();
-        let out = solve_parallel(&p, &SearchOptions::new(SearchMode::BestOne), 4);
+        let out = par4(p, &SearchOptions::new(SearchMode::BestOne));
         assert!(
             start.elapsed() < Duration::from_secs(30),
             "seed {seed}: search took pathologically long"
@@ -89,7 +98,7 @@ fn worker_panic_reports_and_keeps_incumbent() {
 #[test]
 fn certain_panic_in_seeding_degrades_cleanly() {
     let p = FaultyProblem::new(WeightedBits::new(10), FaultSpec::new(3).panic_rate(1.0));
-    let out = solve_parallel(&p, &SearchOptions::new(SearchMode::BestOne), 4);
+    let out = par4(p, &SearchOptions::new(SearchMode::BestOne));
     assert_eq!(out.stop, StopReason::WorkerPanicked);
     let total: f64 = WeightedBits::new(10).weights.iter().sum();
     assert_eq!(out.best_value, Some(total));
@@ -109,7 +118,7 @@ fn nan_bounds_never_lose_the_optimum() {
         let seq = solve_sequential(&p, &SearchOptions::new(SearchMode::BestOne));
         assert_eq!(seq.best_value, Some(0.0), "seed {seed} (sequential)");
         assert!(seq.is_complete());
-        let par = solve_parallel(&p, &SearchOptions::new(SearchMode::BestOne), 4);
+        let par = par4(p, &SearchOptions::new(SearchMode::BestOne));
         assert_eq!(par.best_value, Some(0.0), "seed {seed} (parallel)");
         assert!(par.is_complete());
     }
@@ -123,7 +132,7 @@ fn inf_bounds_still_terminate_with_feasible_output() {
             WeightedBits::new(10),
             FaultSpec::new(seed).inf_bound_rate(0.3),
         );
-        let out = solve_parallel(&p, &SearchOptions::new(SearchMode::BestOne), 4);
+        let out = par4(p, &SearchOptions::new(SearchMode::BestOne));
         let v = out.best_value.expect("initial incumbent survives");
         assert!(
             (0.0..=total + 1e-9).contains(&v),
@@ -142,7 +151,7 @@ fn deadline_interrupts_slow_branches() {
     );
     let start = Instant::now();
     let opts = SearchOptions::new(SearchMode::BestOne).timeout(Duration::from_millis(50));
-    let out = solve_parallel(&p, &opts, 4);
+    let out = par4(p, &opts);
     let elapsed = start.elapsed();
     assert!(
         matches!(
@@ -170,7 +179,7 @@ fn killed_worker_does_not_hang_the_pool() {
     for kill_at in [0u64, 1, 5, 50] {
         let p = FaultyProblem::new(WeightedBits::new(14), FaultSpec::new(7).kill_after(kill_at));
         let start = Instant::now();
-        let out = solve_parallel(&p, &SearchOptions::new(SearchMode::BestOne), 4);
+        let out = par4(p, &SearchOptions::new(SearchMode::BestOne));
         assert!(
             start.elapsed() < Duration::from_secs(30),
             "kill at #{kill_at}: hang"
@@ -193,7 +202,7 @@ fn memory_pressure_trips_the_watchdog() {
         FaultSpec::new(11).memory_pressure(0.9, 3),
     );
     let opts = SearchOptions::new(SearchMode::BestOne).memory_budget(MemoryBudget::new(8));
-    let out = solve_parallel(&p, &opts, 4);
+    let out = par4(p, &opts);
     assert_eq!(out.stop, StopReason::MemoryExhausted);
     assert!(out.stats.nodes_shed > 0, "shedding must be accounted");
     let v = out.best_value.expect("incumbent lost");
@@ -213,7 +222,7 @@ fn memory_pressure_alone_preserves_the_optimum() {
         let seq = solve_sequential(&p, &SearchOptions::new(SearchMode::BestOne));
         assert_eq!(seq.best_value, Some(0.0), "seed {seed} (sequential)");
         assert!(seq.is_complete());
-        let par = solve_parallel(&p, &SearchOptions::new(SearchMode::BestOne), 4);
+        let par = par4(p, &SearchOptions::new(SearchMode::BestOne));
         assert_eq!(par.best_value, Some(0.0), "seed {seed} (parallel)");
         assert!(par.is_complete());
     }
@@ -233,7 +242,7 @@ fn sliced_sleeps_respect_the_deadline_under_a_driver() {
     );
     let opts = SearchOptions::new(SearchMode::BestOne).deadline(deadline);
     let start = Instant::now();
-    let out = solve_parallel(&p, &opts, 4);
+    let out = par4(p, &opts);
     let elapsed = start.elapsed();
     assert!(
         elapsed < Duration::from_millis(5_000),
@@ -262,7 +271,7 @@ fn combined_fault_storm_never_hangs_or_loses_incumbents() {
         );
         let opts = SearchOptions::new(SearchMode::BestOne).timeout(Duration::from_secs(5));
         let start = Instant::now();
-        let out = solve_parallel(&p, &opts, 4);
+        let out = par4(p, &opts);
         assert!(
             start.elapsed() < Duration::from_secs(30),
             "seed {seed}: hang"

@@ -9,10 +9,12 @@
 //! two.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use mutree_bnb::fault::{FaultSpec, FaultyProblem};
-use mutree_bnb::{solve_parallel, ChildBuf, Problem, SearchMode, SearchOptions, StopReason};
+use mutree_bnb::{
+    solve_parallel, ChildBuf, Problem, SearchMode, SearchOptions, SpawnPool, StopReason,
+};
 
 /// A full binary tree of the given depth; every complete string has
 /// value 0, so under `AllOptimal` no node is ever pruned.
@@ -87,8 +89,8 @@ fn steal_half_never_loses_or_duplicates_a_node() {
     let depth = 11usize;
     let opts = SearchOptions::new(SearchMode::AllOptimal);
     for workers in [2, 4, 8] {
-        let p = Counting::new(ZeroTree { depth });
-        let out = solve_parallel(&p, &opts, workers);
+        let p = Arc::new(Counting::new(ZeroTree { depth }));
+        let out = solve_parallel(Arc::clone(&p), &opts, workers, &SpawnPool, ());
         assert!(out.is_complete(), "workers = {workers}");
         // Every leaf seen exactly once…
         assert_eq!(
@@ -117,11 +119,11 @@ fn conservation_holds_with_a_panicking_worker() {
     let opts = SearchOptions::new(SearchMode::AllOptimal);
     let mut saw_panic = false;
     for seed in 0..6u64 {
-        let p = Counting::new(FaultyProblem::new(
+        let p = Arc::new(Counting::new(FaultyProblem::new(
             ZeroTree { depth },
             FaultSpec::new(seed).panic_rate(0.002),
-        ));
-        let out = solve_parallel(&p, &opts, 8);
+        )));
+        let out = solve_parallel(Arc::clone(&p), &opts, 8, &SpawnPool, ());
         let branched = p.branched.lock().unwrap_or_else(|e| e.into_inner());
         assert!(
             branched.values().all(|&c| c == 1),
@@ -149,17 +151,19 @@ fn conservation_holds_with_a_panicking_worker() {
 fn contention_counters_reach_the_outcome() {
     // A tree deep enough that 8 workers on few cores must steal at least
     // once; the steal/donate/park counters must surface in the merged
-    // stats (and are all zero for a 1-worker run, which never shares).
+    // stats. A 1-worker run steals its seeds from the overflow shards
+    // but never donates or parks: it has no peer to share with.
     let depth = 13usize;
     let opts = SearchOptions::new(SearchMode::AllOptimal);
-    let p = ZeroTree { depth };
-    let solo = solve_parallel(&p, &opts, 1);
+    let p = Arc::new(ZeroTree { depth });
+    let solo = solve_parallel(Arc::clone(&p), &opts, 1, &SpawnPool, ());
+    assert!(solo.is_complete());
     assert_eq!(solo.stats.donations, 0);
-    assert_eq!(solo.stats.steals, 0);
-    let crowd = solve_parallel(&p, &opts, 8);
+    assert_eq!(solo.stats.parks, 0);
+    let crowd = solve_parallel(p, &opts, 8, &SpawnPool, ());
     assert!(crowd.is_complete());
-    // Workers 1..7 start with ~2 seeds each and drain them quickly; they
-    // can only have kept busy via the frontier.
+    // Every worker starts with an empty stack and the 16 seeds sit in the
+    // overflow shards: the search can only have started via steals.
     assert!(
         crowd.stats.steals > 0,
         "8 workers finished a 2^13 tree without a single steal"

@@ -2,12 +2,12 @@
 //! instances: all drivers must agree with exhaustive enumeration, and the
 //! sequential driver must reproduce a recorded expansion-order oracle.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mutree_bnb::{
     kernel::prunable, sanitize_lb, solve_parallel, solve_sequential, CancelToken, ChildBuf,
-    Problem, SearchMode, SearchOptions, StopReason, Strategy,
+    Problem, SearchMode, SearchOptions, SpawnPool, StopReason, Strategy,
 };
 use proptest::prelude::*;
 
@@ -172,8 +172,9 @@ fn nan_lower_bounds_never_prune_in_any_driver() {
         // the full binary tree branches.
         assert_eq!(out.stats.branched, (1 << weights.len()) - 1, "{strat:?}");
     }
-    let p = NanBound(SubsetCost { weights });
-    let par = solve_parallel(&p, &SearchOptions::new(SearchMode::BestOne), 4);
+    let p = Arc::new(NanBound(SubsetCost { weights }));
+    let opts = SearchOptions::new(SearchMode::BestOne);
+    let par = solve_parallel(p, &opts, 4, &SpawnPool, ());
     assert_eq!(par.best_value, Some(optimum), "parallel");
     assert!(par.is_complete(), "parallel");
     assert_eq!(par.stats.pruned, 0, "parallel: NaN bound pruned a node");
@@ -225,8 +226,9 @@ fn nan_propagation_lifts_never_prune_in_any_driver() {
         );
         assert_eq!(out.stats.branched, (1 << weights.len()) - 1, "{strat:?}");
     }
-    let p = NanLiftPropagate(SubsetCost { weights });
-    let par = solve_parallel(&p, &SearchOptions::new(SearchMode::BestOne), 4);
+    let p = Arc::new(NanLiftPropagate(SubsetCost { weights }));
+    let opts = SearchOptions::new(SearchMode::BestOne);
+    let par = solve_parallel(p, &opts, 4, &SpawnPool, ());
     assert_eq!(par.best_value, Some(optimum), "parallel");
     assert_eq!(
         par.stats.propagation_pruned, 0,
@@ -362,7 +364,7 @@ proptest! {
         let p = SubsetCost { weights };
         let opts = SearchOptions::new(SearchMode::BestOne);
         let seq = solve_sequential(&p, &opts);
-        let par = solve_parallel(&p, &opts, workers);
+        let par = solve_parallel(Arc::new(p), &opts, workers, &SpawnPool, ());
         prop_assert_eq!(seq.best_value, par.best_value);
         prop_assert!(par.is_complete());
     }
@@ -376,7 +378,7 @@ proptest! {
         let opts = SearchOptions::new(SearchMode::AllOptimal);
         let seq = solve_sequential(&p, &opts);
         prop_assert_eq!(seq.solutions.len(), 1 << zero_bits);
-        let par = solve_parallel(&p, &opts, 3);
+        let par = solve_parallel(Arc::new(p), &opts, 3, &SpawnPool, ());
         let mut a = seq.solutions.clone();
         let mut b = par.solutions.clone();
         a.sort();
@@ -415,7 +417,7 @@ proptest! {
                 std::thread::sleep(Duration::from_micros(delay_us));
                 canceller.cancel();
             });
-            solve_parallel(&p, &opts, workers)
+            solve_parallel(Arc::new(p), &opts, workers, &SpawnPool, ())
         });
         prop_assert!(matches!(out.stop, StopReason::Cancelled | StopReason::Completed));
         if let Some(v) = out.best_value {
@@ -457,7 +459,7 @@ proptest! {
         prop_assert_eq!(seq.stop, StopReason::DeadlineExpired);
         prop_assert_eq!(seq.best_value, Some(total));
         prop_assert_eq!(seq.stats.branched, 0);
-        let par = solve_parallel(&p, &opts, workers);
+        let par = solve_parallel(Arc::new(p), &opts, workers, &SpawnPool, ());
         prop_assert_eq!(par.stop, StopReason::DeadlineExpired);
         prop_assert_eq!(par.best_value, Some(total));
     }

@@ -479,10 +479,11 @@ fn gather<S: Clone>(
 mod tests {
     use super::*;
     use crate::ThreeThree;
-    use mutree_bnb::{solve_parallel, solve_sequential, ChildBuf};
+    use mutree_bnb::{solve_parallel, solve_sequential, ChildBuf, SpawnPool};
     use mutree_distmat::{gen, DistanceMatrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn m6() -> DistanceMatrix {
         let mut rng = StdRng::seed_from_u64(77);
@@ -660,11 +661,11 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let m = gen::uniform_metric(7, 0.0, 50.0, &mut rng);
             let pm = m.maxmin_permutation().apply(&m);
-            let p = MutProblem::<1>::new(&pm, ThreeThree::Off, true);
+            let p = Arc::new(MutProblem::<1>::new(&pm, ThreeThree::Off, true));
             let opts = SearchOptions::new(SearchMode::BestOne);
-            let seq = solve_sequential(&p, &opts);
-            let par = solve_parallel(&p, &opts, 4);
-            let sim = solve_simulated(&p, &opts, &ClusterSpec::with_slaves(4));
+            let seq = solve_sequential(&*p, &opts);
+            let par = solve_parallel(Arc::clone(&p), &opts, 4, &SpawnPool, ());
+            let sim = solve_simulated(&*p, &opts, &ClusterSpec::with_slaves(4));
             assert_eq!(seq.best_value, par.best_value, "seed {seed} (parallel)");
             assert_eq!(
                 seq.best_value, sim.outcome.best_value,

@@ -12,8 +12,8 @@
 //! budget shared by group-level parallelism and intra-solve B&B
 //! parallelism (the executor also implements
 //! [`WorkerPool`], so
-//! [`solve_parallel_pooled`](mutree_bnb::solve_parallel_pooled) borrows
-//! the same workers).
+//! [`solve_parallel`](mutree_bnb::solve_parallel) borrows the same
+//! workers).
 //!
 //! # Design rules
 //!
@@ -212,11 +212,6 @@ impl Executor {
         }
     }
 
-    /// Number of pool threads.
-    pub fn thread_count(&self) -> usize {
-        self.core.threads
-    }
-
     /// A snapshot of the pool queue's lifetime counters.
     pub fn queue_stats(&self) -> QueueStats {
         let q = &self.core.queue;
@@ -245,10 +240,6 @@ impl Executor {
 }
 
 impl WorkerPool for Executor {
-    fn threads(&self) -> usize {
-        self.thread_count()
-    }
-
     fn run_all(&self, jobs: Vec<PoolJob>, main: Box<dyn FnOnce() + '_>) {
         let latch = Arc::new(Latch::new(jobs.len()));
         for job in jobs {
@@ -696,7 +687,7 @@ mod tests {
     #[test]
     fn executor_as_worker_pool_runs_pooled_search() {
         use mutree_bnb::{
-            solve_parallel_pooled, solve_sequential, ChildBuf, Problem, SearchMode, SearchOptions,
+            solve_parallel, solve_sequential, ChildBuf, Problem, SearchMode, SearchOptions,
         };
 
         struct Bits;
@@ -725,7 +716,7 @@ mod tests {
         let seq = solve_sequential(&Bits, &opts);
         for threads in [1, 4] {
             let exec = Executor::new(threads);
-            let pooled = solve_parallel_pooled(Arc::new(Bits), &opts, 4, &exec, ());
+            let pooled = solve_parallel(Arc::new(Bits), &opts, 4, &exec, ());
             assert_eq!(pooled.best_value, seq.best_value, "threads = {threads}");
             assert!(pooled.is_complete());
         }

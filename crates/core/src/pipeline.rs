@@ -32,9 +32,9 @@
 //! [`Executor`] attached ([`CompactPipeline::executor`]) the independent
 //! solves run concurrently on its shared worker pool, and Parallel-backend
 //! solvers borrow the same workers
-//! ([`solve_parallel_pooled`](mutree_bnb::solve_parallel_pooled)) instead
-//! of spawning a `thread::scope` per solve, so one `--threads` budget
-//! covers both levels of parallelism. Without an executor the identical
+//! ([`solve_parallel`](mutree_bnb::solve_parallel)) instead of spawning
+//! threads per solve, so one `--threads` budget covers both levels of
+//! parallelism. Without an executor the identical
 //! DAG runs inline on the calling thread. Either way results are
 //! aggregated in task order — never completion order — so the solution,
 //! its degradation records and its merged statistics are deterministic.

@@ -4,9 +4,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mutree_bnb::{
-    checkpoint, solve_parallel_observed, solve_parallel_pooled, solve_sequential_observed,
-    CancelToken, CheckpointFile, CheckpointPolicy, LoggingObserver, MemoryBudget, SearchMode,
-    SearchOptions, SearchStats, StopReason, Strategy,
+    checkpoint, solve_parallel, solve_sequential_observed, CancelToken, CheckpointFile,
+    CheckpointPolicy, LoggingObserver, MemoryBudget, SearchMode, SearchOptions, SearchStats,
+    SpawnPool, StopReason, Strategy, WorkerPool,
 };
 use mutree_clustersim::{ClusterSpec, SimReport};
 use mutree_distmat::DistanceMatrix;
@@ -260,7 +260,7 @@ impl MutSolver {
         self
     }
 
-    /// Overrides the parallel drivers' work-stealing shard count
+    /// Overrides the parallel driver's work-stealing shard count
     /// (clamped to the frontier's compiled-in maximum). The
     /// `MUTREE_FRONTIER_SHARDS` environment variable applies the same
     /// override process-wide; this builder wins when both are set.
@@ -313,9 +313,9 @@ impl MutSolver {
     }
 
     /// Borrows worker threads from `exec` for the thread-parallel backend
-    /// instead of spawning a fresh `thread::scope` per solve, so many
-    /// concurrent solves (the compact-set pipeline's group stages) share
-    /// one thread budget. Ignored by the other backends.
+    /// instead of spawning fresh threads per solve ([`SpawnPool`]), so
+    /// many concurrent solves (the compact-set pipeline's group stages)
+    /// share one thread budget. Ignored by the other backends.
     pub fn executor(mut self, exec: Executor) -> Self {
         self.executor = Some(exec);
         self
@@ -610,14 +610,13 @@ impl MutSolver {
                 None,
             ),
             SearchBackend::Parallel { workers } => {
-                let out = match &self.executor {
-                    // Borrowed workers: the search runs on the caller's
-                    // shared pool instead of a per-solve thread::scope.
-                    Some(exec) => {
-                        solve_parallel_pooled(Arc::new(problem), &opts, *workers, exec, self.trace)
-                    }
-                    None => solve_parallel_observed(&problem, &opts, *workers, self.trace),
+                // Borrowed workers: the caller's shared executor if one is
+                // attached, else one freshly spawned thread per worker.
+                let pool: &dyn WorkerPool = match &self.executor {
+                    Some(exec) => exec,
+                    None => &SpawnPool,
                 };
+                let out = solve_parallel(Arc::new(problem), &opts, *workers, pool, self.trace);
                 (out, None)
             }
             SearchBackend::SimulatedCluster { spec } => {

@@ -509,17 +509,19 @@ impl SolveRequest {
                 }
                 "backend" => {
                     let mut parts = rest.split_whitespace();
+                    // Zero workers or slaves would panic in the solve.
+                    let count = |tok: &str, what: &str| match tok.parse() {
+                        Ok(0) => Err(fail(ln, format!("need at least one {what}"))),
+                        Ok(n) => Ok(n),
+                        Err(_) => Err(fail(ln, format!("bad {what} count {tok:?}"))),
+                    };
                     req.backend = match (parts.next(), parts.next()) {
                         (Some("seq"), None) => BackendSpec::Sequential,
                         (Some("par"), Some(w)) => BackendSpec::Parallel {
-                            workers: w
-                                .parse()
-                                .map_err(|_| fail(ln, format!("bad worker count {w:?}")))?,
+                            workers: count(w, "worker")?,
                         },
                         (Some("sim"), Some(s)) => BackendSpec::SimulatedCluster {
-                            slaves: s
-                                .parse()
-                                .map_err(|_| fail(ln, format!("bad slave count {s:?}")))?,
+                            slaves: count(s, "slave")?,
                         },
                         _ => return Err(fail(ln, format!("unknown backend {rest:?}"))),
                     }
@@ -779,6 +781,23 @@ mod tests {
         assert_eq!(err.line, 2);
         let truncated = "mutree-request v1\nmatrix inline 4\nrow 0000000000000000\n";
         assert!(SolveRequest::decode(truncated).is_err());
+    }
+
+    #[test]
+    fn zero_worker_and_slave_counts_are_rejected() {
+        // Zero workers or slaves would panic inside the solve; the decoder
+        // must turn them away with the line that asked for them.
+        for (backend, message) in [
+            ("par 0", "need at least one worker"),
+            ("sim 0", "need at least one slave"),
+        ] {
+            let text = format!("mutree-request v1\nmode best-one\nbackend {backend}\n");
+            let err = SolveRequest::decode(&text).unwrap_err();
+            assert_eq!(err.line, 3, "{backend}");
+            assert_eq!(err.message, message, "{backend}");
+        }
+        let ok = "mutree-request v1\nbackend par 1\nmatrix phylip x.phy\n";
+        assert!(SolveRequest::decode(ok).is_ok());
     }
 
     #[test]

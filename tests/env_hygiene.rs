@@ -64,13 +64,15 @@ fn only_plan_resolution_reads_mutree_env_vars() {
 
 /// Names of retired search paths and the knobs that forced them. Each is
 /// split in two so this file's own source never matches.
-const RETIRED: [[&str; 2]; 6] = [
+const RETIRED: [[&str; 2]; 8] = [
     ["MUTREE_FORCE_", "BOUND_KERNEL"],
     ["MUTREE_FORCE_", "PRUNE"],
     ["Prune", "Strategy"],
     ["Bound", "Kernel"],
     ["Dist", "Source"],
     ["solve_parallel_", "global"],
+    ["solve_parallel_", "pooled"],
+    ["solve_parallel_", "observed"],
 ];
 
 #[test]

@@ -1,7 +1,8 @@
 //! Three-driver agreement over the sharded work-stealing frontier: the
-//! sequential search, the thread-parallel drivers (scoped and pooled,
-//! both running the sharded frontier) and the simulated cluster must all
-//! find the same optimum on the same matrices, at every worker count.
+//! sequential search, the thread-parallel driver (on spawned threads
+//! without an executor and on an attached executor) and the simulated
+//! cluster must all find the same optimum on the same matrices, at every
+//! worker count.
 //!
 //! Worker counts default to {1, 2, 8}; when `MUTREE_PIPELINE_THREADS` is
 //! set (the CI stress pass pins it to 8 with `RUST_TEST_THREADS=1`), the
@@ -58,16 +59,17 @@ fn sequential_parallel_and_cluster_sim_agree() {
             assert!((wseq.weight - seq.weight).abs() < 1e-9, "matrix {mi}");
             for workers in worker_counts() {
                 let ctx = format!("matrix {mi}, workers {workers}, width {words}");
-                let par = MutSolver::new()
+                // No executor attached: one spawned thread per worker.
+                let spawned = MutSolver::new()
                     .leaf_words(words)
                     .backend(SearchBackend::Parallel { workers })
                     .solve(m)
                     .unwrap();
-                assert!(par.is_complete(), "{ctx}");
+                assert!(spawned.is_complete(), "{ctx}");
                 assert!(
-                    (par.weight - seq.weight).abs() < 1e-9,
-                    "scoped parallel disagrees: {ctx}: {} vs {}",
-                    par.weight,
+                    (spawned.weight - seq.weight).abs() < 1e-9,
+                    "spawned parallel disagrees: {ctx}: {} vs {}",
+                    spawned.weight,
                     seq.weight
                 );
 
@@ -139,8 +141,8 @@ fn all_optimal_sets_agree_across_drivers() {
 
 #[test]
 fn pipeline_honors_thread_env_and_agrees() {
-    // The compact-set pipeline routes its group solves through the
-    // pooled driver whenever an executor is attached — including the
+    // The compact-set pipeline runs its group solves' parallel search on
+    // the executor whenever one is attached — including the
     // process-wide one forced by MUTREE_PIPELINE_THREADS. Its exact
     // pieces must reproduce the sequential optimum of each piece's
     // submatrix regardless of thread count.

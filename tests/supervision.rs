@@ -4,13 +4,14 @@
 //! whole, from the engine up through the solver and pipeline front ends.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mutree::bnb::checkpoint;
 use mutree::bnb::fault::{FaultSpec, FaultyProblem};
 use mutree::bnb::{
     solve_parallel, CheckpointPolicy, ChildBuf, MemoryBudget, Problem, SearchMode, SearchOptions,
-    StopReason,
+    SpawnPool, StopReason,
 };
 use mutree::clustersim::ClusterSpec;
 use mutree::core::{CompactPipeline, MutSolver, RetryPolicy, SearchBackend};
@@ -308,7 +309,7 @@ fn killed_search_leaves_a_resumable_snapshot() {
     let opts = SearchOptions::new(SearchMode::BestOne)
         .checkpoint(CheckpointPolicy::new(&ckpt).interval(1));
     let start = Instant::now();
-    let out = solve_parallel(&killed, &opts, 4);
+    let out = solve_parallel(Arc::new(killed), &opts, 4, &SpawnPool, ());
     assert!(
         start.elapsed() < Duration::from_secs(30),
         "kill hung the pool"
@@ -326,12 +327,9 @@ fn killed_search_leaves_a_resumable_snapshot() {
         "snapshot value must match its payload"
     );
     resumed.resume = Some((bits, value));
-    let clean = solve_parallel(
-        &WeightedBits::new(14),
-        &SearchOptions::new(SearchMode::BestOne),
-        4,
-    );
-    let warm = solve_parallel(&resumed, &SearchOptions::new(SearchMode::BestOne), 4);
+    let opts = SearchOptions::new(SearchMode::BestOne);
+    let clean = solve_parallel(Arc::new(WeightedBits::new(14)), &opts, 4, &SpawnPool, ());
+    let warm = solve_parallel(Arc::new(resumed), &opts, 4, &SpawnPool, ());
     assert!(warm.is_complete());
     assert_eq!(warm.best_value, clean.best_value);
     assert_eq!(warm.best_value, Some(0.0));
