@@ -285,6 +285,11 @@ impl<P: Problem> Problem for FaultyProblem<P> {
         if r < self.spec.panic_rate + self.spec.slow_branch_rate {
             self.spec.sliced_sleep(self.spec.slow_duration);
         }
+        // Faulty bounds replace the inner problem's as the ones the kernel
+        // prunes by, so the inner `branch` must build every child.
+        if self.spec.nan_bound_rate > 0.0 || self.spec.inf_bound_rate > 0.0 {
+            out.admit_all();
+        }
         self.inner.branch(node, out);
         if r >= self.spec.panic_rate + self.spec.slow_branch_rate
             && r < self.spec.panic_rate + self.spec.slow_branch_rate + self.spec.pressure_rate
@@ -326,6 +331,49 @@ mod tests {
         fn branch(&self, n: &u32, out: &mut ChildBuf<u32>) {
             out.push(n - 1);
         }
+    }
+
+    /// Scores every child at 1.0 and skips it when the cutoff rejects
+    /// that score.
+    struct Scored;
+    impl Problem for Scored {
+        type Node = u32;
+        type Solution = u32;
+        fn root(&self) -> u32 {
+            2
+        }
+        fn lower_bound(&self, _: &u32) -> f64 {
+            1.0
+        }
+        fn solution(&self, n: &u32) -> Option<(u32, f64)> {
+            (*n == 0).then_some((0, 1.0))
+        }
+        fn branch(&self, n: &u32, out: &mut ChildBuf<u32>) {
+            if out.admits(1.0) {
+                out.push(n - 1);
+            } else {
+                out.skip();
+            }
+        }
+    }
+
+    #[test]
+    fn bound_faults_lift_the_inner_cutoff() {
+        let opts = crate::SearchOptions::new(crate::SearchMode::BestOne);
+        // Faulty bounds replace the inner ones: the inner score must not
+        // skip a child the faulty bound might keep.
+        let p = FaultyProblem::new(Scored, FaultSpec::new(1).nan_bound_rate(1.0));
+        let mut out = ChildBuf::new();
+        out.set_cutoff(0.5, &opts);
+        p.branch(&2, &mut out);
+        assert_eq!(out.len(), 1);
+        // Without bound faults the inner cutoff stands: the child is
+        // skipped, not built.
+        let p = FaultyProblem::new(Scored, FaultSpec::new(1));
+        let mut out = ChildBuf::new();
+        out.set_cutoff(0.5, &opts);
+        p.branch(&2, &mut out);
+        assert_eq!(out.len(), 0);
     }
 
     #[test]

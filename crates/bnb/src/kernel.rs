@@ -31,10 +31,14 @@
 //! children and consumed parents are retired into a spare pool that
 //! [`Problem::branch`] implementations can [`recycle`](ChildBuf::recycle)
 //! into the next generation of children instead of allocating fresh nodes.
+//! It also carries the child-prune cutoff, so a problem that can bound a
+//! child from its parent builds only the children that can survive (see
+//! the cutoff contract on [`ChildBuf`]).
 //!
 //! The kernel deliberately owns *no* bound arithmetic: it consumes
 //! whatever [`Problem::lower_bound`] cached on the node during
-//! branching, so the per-node math lives entirely with the problem and
+//! branching, and the cutoff it lends is only the incumbent and the
+//! prune rule, so the per-node math lives entirely with the problem and
 //! all three drivers inherit any change to it without a driver-side
 //! edit.
 
@@ -285,7 +289,8 @@ pub enum SearchEvent {
     /// A node was branched: `children` generated, `kept` survived the
     /// child-prune pass into the frontier.
     NodeExpanded {
-        /// Children generated by [`Problem::branch`].
+        /// Children generated by [`Problem::branch`]: those it built
+        /// plus those it [skipped](ChildBuf::skip) against the cutoff.
         children: usize,
         /// Children that survived pruning into the frontier.
         kept: usize,
@@ -383,7 +388,9 @@ impl StopPoller {
 }
 
 /// The buffer [`Problem::branch`] writes children into, plus a bounded
-/// spare pool of retired nodes for allocation-free branching.
+/// spare pool of retired nodes for allocation-free branching, and the
+/// child-prune cutoff that lets `branch` skip building children the
+/// kernel would discard.
 ///
 /// A `branch` implementation calls [`recycle`](ChildBuf::recycle) to pull
 /// a retired node whose buffers it can overwrite in place (e.g. via a
@@ -392,9 +399,30 @@ impl StopPoller {
 /// but discards itself (e.g. filtered by a feasibility rule) go back via
 /// [`retire`](ChildBuf::retire). The kernel retires pruned children and
 /// consumed parents automatically.
+///
+/// **The cutoff contract.** Just before calling `branch`, the kernel
+/// records the incumbent it pruned the parent against. A problem that can
+/// bound a child before building it asks [`admits`](ChildBuf::admits)
+/// with a value that never exceeds the child's eventual
+/// [`Problem::lower_bound`]; on `false` it calls
+/// [`skip`](ChildBuf::skip) instead of building the child. The kernel
+/// counts and reports every skipped child exactly as a pruned one
+/// ([`SearchStats::pruned`], one [`PruneReason::Child`] event, and in
+/// [`SearchEvent::NodeExpanded`]'s `children`), so skipping is invisible
+/// in every count. The cutoff defaults to `+∞`, so a buffer used outside
+/// the kernel admits every finite bound. A wrapper problem that
+/// redefines `lower_bound` must call [`admit_all`](ChildBuf::admit_all)
+/// before delegating to the inner `branch`: the inner problem's bound is
+/// then no longer the one the kernel prunes by.
 pub struct ChildBuf<N> {
     out: Vec<N>,
     spare: Vec<N>,
+    /// The incumbent children are judged against.
+    cutoff: f64,
+    /// Carries only the mode and tolerance [`prunable`] reads.
+    opts: SearchOptions,
+    skipped: usize,
+    scratch: Vec<f64>,
 }
 
 impl<N> Default for ChildBuf<N> {
@@ -404,12 +432,57 @@ impl<N> Default for ChildBuf<N> {
 }
 
 impl<N> ChildBuf<N> {
-    /// An empty buffer with an empty spare pool.
+    /// An empty buffer with an empty spare pool and no cutoff.
     pub fn new() -> Self {
         ChildBuf {
             out: Vec::new(),
             spare: Vec::new(),
+            cutoff: f64::INFINITY,
+            opts: SearchOptions::new(SearchMode::BestOne),
+            skipped: 0,
+            scratch: Vec::new(),
         }
+    }
+
+    /// Records the incumbent `ub` the next `branch` call's children are
+    /// judged against under `opts`' mode and tolerance.
+    pub(crate) fn set_cutoff(&mut self, ub: f64, opts: &SearchOptions) {
+        self.cutoff = ub;
+        self.opts.mode = opts.mode;
+        self.opts.tol = opts.tol;
+    }
+
+    /// Whether a child whose lower bound is at least `lb` could survive
+    /// the kernel's child prune: exactly `!prunable(sanitize_lb(lb), ub)`
+    /// against the recorded cutoff, so a NaN `lb` is always admitted.
+    pub fn admits(&self, lb: f64) -> bool {
+        !prunable(sanitize_lb(lb), self.cutoff, &self.opts)
+    }
+
+    /// Counts one child that [`admits`](ChildBuf::admits) rejected and
+    /// was therefore never built; the kernel reports it as pruned.
+    pub fn skip(&mut self) {
+        self.skipped += 1;
+    }
+
+    /// Lifts the cutoff to `+∞` for the rest of this `branch` call, so
+    /// [`admits`](ChildBuf::admits) accepts every finite bound. Wrappers
+    /// that redefine [`Problem::lower_bound`] call this before
+    /// delegating.
+    pub fn admit_all(&mut self) {
+        self.cutoff = f64::INFINITY;
+    }
+
+    /// Lends the buffer's reusable `f64` scratch (contents unspecified),
+    /// so per-branch working arrays need no allocation once warm. Hand it
+    /// back with [`restore_scratch`](ChildBuf::restore_scratch).
+    pub fn take_scratch(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.scratch)
+    }
+
+    /// Returns the scratch lent by [`take_scratch`](ChildBuf::take_scratch).
+    pub fn restore_scratch(&mut self, scratch: Vec<f64>) {
+        self.scratch = scratch;
     }
 
     /// Appends a finished child.
@@ -444,9 +517,11 @@ impl<N> ChildBuf<N> {
         &self.out
     }
 
-    /// Drops all staged children (they do *not* go to the spare pool).
+    /// Drops all staged children (they do *not* go to the spare pool) and
+    /// resets the skipped count.
     pub fn clear(&mut self) {
         self.out.clear();
+        self.skipped = 0;
     }
 }
 
@@ -927,10 +1002,22 @@ impl<'a, P: Problem> Expander<'a, P> {
         }
         self.stats.branched += 1;
         debug_assert!(self.children.is_empty(), "branch buffer not drained");
+        self.children.set_cutoff(ub, self.opts);
         self.problem.branch(node, &mut self.children);
-        let generated = self.children.len();
+        // Children `branch` skipped against the cutoff are pruned children
+        // that were never built: count and report them as such.
+        let skipped = std::mem::take(&mut self.children.skipped);
+        self.stats.pruned += skipped as u64;
+        for _ in 0..skipped {
+            observer.on_event(SearchEvent::Pruned {
+                reason: PruneReason::Child,
+            });
+        }
+        let generated = self.children.len() + skipped;
         // Re-read the bound: another worker may have tightened it while
         // `branch` ran (for single-threaded sinks this is the same value).
+        // The shared bound only decreases, so every skip above is also a
+        // prune at this value.
         let ub = sink.current_ub();
         let mut out = std::mem::take(&mut self.children.out);
         self.staged.clear();
@@ -962,5 +1049,143 @@ impl<'a, P: Problem> Expander<'a, P> {
     /// available to the next [`ChildBuf::recycle`] call.
     pub fn recycle(&mut self, node: P::Node) {
         self.children.retire(node);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::AtomicUsize;
+
+    use super::*;
+    use crate::{solve_sequential_observed, Strategy};
+
+    /// A uniform tree of depth `depth`: node `(depth, id, cost)`, child `i`
+    /// adds a pseudo-random positive step to the cost, which is also the
+    /// (admissible) lower bound. With `skip`, `branch` scores each child
+    /// before building it and skips it when the cutoff rejects it; with
+    /// `nan_first`, the first child's score is NaN.
+    struct Steps {
+        depth: u32,
+        skip: bool,
+        nan_first: bool,
+        skips: AtomicUsize,
+    }
+
+    impl Steps {
+        fn new(skip: bool, nan_first: bool) -> Self {
+            Steps {
+                depth: 6,
+                skip,
+                nan_first,
+                skips: AtomicUsize::new(0),
+            }
+        }
+    }
+
+    impl Problem for Steps {
+        type Node = (u32, u64, f64);
+        type Solution = u64;
+
+        fn root(&self) -> Self::Node {
+            (0, 1, 0.0)
+        }
+        fn lower_bound(&self, node: &Self::Node) -> f64 {
+            node.2
+        }
+        fn solution(&self, node: &Self::Node) -> Option<(u64, f64)> {
+            (node.0 == self.depth).then_some((node.1, node.2))
+        }
+        fn initial_incumbent(&self) -> Option<(u64, f64)> {
+            // Far below the mean path cost (4.5 per level), so children
+            // of nodes best-first search still expands get pruned too.
+            Some((0, 2.5 * self.depth as f64))
+        }
+        fn branch(&self, node: &Self::Node, out: &mut ChildBuf<Self::Node>) {
+            for i in 0..3u64 {
+                let id = node.1 * 3 + i;
+                let step = (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61) as f64 + 1.0;
+                let child = (node.0 + 1, id, node.2 + step);
+                let est = if self.nan_first && i == 0 {
+                    f64::NAN
+                } else {
+                    child.2
+                };
+                if self.skip && !out.admits(est) {
+                    self.skips.fetch_add(1, AtomicOrdering::Relaxed);
+                    out.skip();
+                    continue;
+                }
+                out.push(child);
+            }
+        }
+    }
+
+    #[derive(Default)]
+    struct Record(Vec<SearchEvent>);
+
+    impl SearchObserver for Record {
+        fn on_event(&mut self, event: SearchEvent) {
+            self.0.push(event);
+        }
+    }
+
+    fn run(p: &Steps, opts: &SearchOptions) -> (SearchOutcome<u64>, Vec<SearchEvent>) {
+        let mut rec = Record::default();
+        let out = solve_sequential_observed(p, opts, &mut rec);
+        (out, rec.0)
+    }
+
+    #[test]
+    fn skipped_children_count_exactly_as_pruned_ones() {
+        for mode in [SearchMode::BestOne, SearchMode::AllOptimal] {
+            for strategy in [Strategy::DepthFirst, Strategy::BestFirst] {
+                let opts = SearchOptions::new(mode).strategy(strategy);
+                let (built, built_events) = run(&Steps::new(false, false), &opts);
+                let skipping = Steps::new(true, false);
+                let (skipped, skipped_events) = run(&skipping, &opts);
+                assert!(
+                    skipping.skips.load(AtomicOrdering::Relaxed) > 0,
+                    "{mode:?}/{strategy:?}: the cutoff never fired"
+                );
+                assert_eq!(built.stats, skipped.stats, "{mode:?}/{strategy:?}");
+                assert_eq!(built.best_value, skipped.best_value);
+                assert_eq!(built.solutions, skipped.solutions);
+                assert_eq!(built_events, skipped_events, "{mode:?}/{strategy:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn nan_scores_are_never_skipped() {
+        let opts = SearchOptions::new(SearchMode::BestOne);
+        let (built, built_events) = run(&Steps::new(false, true), &opts);
+        let nan = Steps::new(true, true);
+        let (skipped, skipped_events) = run(&nan, &opts);
+        assert_eq!(built.stats, skipped.stats);
+        assert_eq!(built_events, skipped_events);
+
+        let mut buf = ChildBuf::<u32>::new();
+        buf.set_cutoff(10.0, &opts);
+        assert!(buf.admits(f64::NAN));
+        assert!(buf.admits(5.0));
+        assert!(!buf.admits(10.0));
+        assert!(!buf.admits(f64::INFINITY));
+    }
+
+    #[test]
+    fn the_cutoff_defaults_open_and_admit_all_lifts_it() {
+        let mut buf = ChildBuf::<u32>::new();
+        assert!(buf.admits(1e300));
+        let all = SearchOptions::new(SearchMode::AllOptimal);
+        buf.set_cutoff(10.0, &all);
+        // AllOptimal keeps ties: only a strictly worse bound is rejected.
+        assert!(buf.admits(10.0));
+        assert!(!buf.admits(11.0));
+        buf.admit_all();
+        assert!(buf.admits(11.0));
+        buf.skip();
+        assert_eq!(buf.skipped, 1);
+        buf.clear();
+        assert_eq!(buf.skipped, 0);
     }
 }

@@ -12,10 +12,12 @@ use crate::CancelToken;
 /// any complete solution reachable from the node (admissibility) — pruning
 /// correctness depends on it.
 ///
-/// Bound arithmetic is the hot path of every driver: profiles of the
-/// minimum-ultrametric problem put it ahead of frontier bookkeeping at
-/// every thread count. Implementations should therefore treat
-/// `lower_bound` as a *cached read* — compute the bound once while
+/// Branching and bound arithmetic are the hot path of every driver, and
+/// most children a branch could produce are pruned on their bound at
+/// once. Implementations should therefore bound a child *before*
+/// building it where they can — score it from the parent, ask
+/// [`ChildBuf::admits`], and [`skip`](ChildBuf::skip) the rejects — and
+/// treat `lower_bound` as a *cached read*: compute the bound once while
 /// branching (where the problem's data structures are already hot) and
 /// store it on the node; `lower_bound` itself should never re-derive
 /// anything per call.
@@ -41,6 +43,19 @@ pub trait Problem: Sync {
     /// that can overwrite an old node in place should prefer
     /// [`ChildBuf::recycle`] over allocating, which makes the hot path
     /// allocation-free once the pool is warm.
+    ///
+    /// **Cutoff contract.** `out` carries the incumbent the kernel will
+    /// prune the children against. An implementation may, instead of
+    /// building a child, call [`ChildBuf::skip`] when
+    /// [`ChildBuf::admits`] rejects a value that is *at most* the
+    /// child's eventual `lower_bound` (round toward the parent's side);
+    /// the kernel then counts and reports it exactly as a pruned child,
+    /// so search counters are unchanged. Ignoring the cutoff and building
+    /// every child is always correct. A wrapper that redefines
+    /// [`lower_bound`](Problem::lower_bound) must call
+    /// [`ChildBuf::admit_all`] before delegating to the inner `branch`,
+    /// because the inner problem's scores no longer predict the bound the
+    /// kernel prunes by.
     fn branch(&self, node: &Self::Node, out: &mut ChildBuf<Self::Node>);
 
     /// An optional heuristic incumbent used as the initial upper bound

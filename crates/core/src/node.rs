@@ -82,8 +82,11 @@ impl<const K: usize> ArmIndex<K> {
 /// A node of the branch-and-bound tree (BBT): an ultrametric tree over the
 /// first `k` species of a (maxmin-relabeled) matrix, with minimal heights.
 ///
-/// The encoding is a flat arena sized for the complete tree so that clones
-/// — the dominant cost of branching — are straight `memcpy`s:
+/// The encoding is a flat arena sized for the complete tree so that the
+/// clone behind every built child is a straight `memcpy` (branching
+/// scores each insertion site from the parent first — see
+/// [`site_weight`](PartialTree::site_weight) — and clones only the
+/// children that survive the bound):
 ///
 /// * node ids `0..n` are the leaves (id = taxon); ids `n..2n-1` are
 ///   internal nodes, allocated in insertion order (inserting taxon `s`
@@ -360,12 +363,132 @@ impl<const K: usize> PartialTree<K> {
         w
     }
 
+    /// Arena length: one slot per node of the complete tree (`2n − 1`),
+    /// the size [`fill_site_heights`](Self::fill_site_heights) needs.
+    pub fn arena_len(&self) -> usize {
+        self.parent.len()
+    }
+
+    /// Fills `mx[v] = max_{y ∈ L(v)} M[k, y] / 2` (floored at `0`, like
+    /// the insertion walk) for every live node `v`, where `k` is the next
+    /// species to insert: one stackless post-order pass over the parent
+    /// pointers. `mx` must hold [`arena_len`](Self::arena_len) entries;
+    /// slots of nodes not yet in the tree are left untouched.
+    ///
+    /// `max` is exact and `x ↦ x / 2` is monotone, so each entry is
+    /// bit-identical to the pendant-height candidate `insert_in_place`
+    /// computes for the same leafset.
+    pub fn fill_site_heights(&self, m: &DistanceMatrix, mx: &mut [f64]) {
+        let s = self.k as usize;
+        let n = self.n as usize;
+        let mut v = self.root;
+        let mut prev = NONE;
+        loop {
+            let vi = v as usize;
+            if vi < n {
+                mx[vi] = 0f64.max(m.get(s, vi)) / 2.0;
+            } else if prev == self.parent[vi] {
+                // Arrived from above: descend left first.
+                prev = v;
+                v = self.left[vi];
+                continue;
+            } else if prev == self.left[vi] {
+                prev = v;
+                v = self.right[vi];
+                continue;
+            } else {
+                mx[vi] = mx[self.left[vi] as usize].max(mx[self.right[vi] as usize]);
+            }
+            if v == self.root {
+                return;
+            }
+            prev = v;
+            v = self.parent[vi];
+        }
+    }
+
+    /// The weight of the child that inserting the next species above
+    /// `site` would produce, computed from this tree and the `mx` filled
+    /// by [`fill_site_heights`](Self::fill_site_heights) — without
+    /// building the child.
+    ///
+    /// `ω = Σ internal heights + root height`. The insertion adds the new
+    /// internal node `j` at `h_j = max(h_site, mx[site])` and raises each
+    /// ancestor `a` of the site to `max(h_a, mx[a])`, so the child weighs
+    /// `ω + h_j + Σ Δh_a` along the root path, plus the root's `Δh` once
+    /// more; above the root it weighs `ω − h_site + 2h_j`. Every height is
+    /// bit-identical to the built child's, but the summation order is not
+    /// the one [`weight`](Self::weight) uses, so the two can differ by a
+    /// few ulps (see [`site_weight_margin`](Self::site_weight_margin)).
+    pub fn site_weight(&self, mx: &[f64], site: u32) -> f64 {
+        let e = site as usize;
+        let hj = self.height[e].max(mx[e]);
+        let mut a = self.parent[e];
+        if a == NONE {
+            return self.weight - self.height[e] + 2.0 * hj;
+        }
+        let mut w = self.weight + hj;
+        let mut dh = 0.0;
+        while a != NONE {
+            let ai = a as usize;
+            dh = self.height[ai].max(mx[ai]) - self.height[ai];
+            w += dh;
+            a = self.parent[ai];
+        }
+        // The loop ended on the root, which ω counts twice.
+        w + dh
+    }
+
+    /// How far [`site_weight`](Self::site_weight)'s `est` may sit from
+    /// the built child's [`weight`](Self::weight): `4n·ε·est`. Both are
+    /// sums of at most `2n` non-negative terms, and so is the parent
+    /// weight the estimate starts from, so their rounding errors together
+    /// stay below `3n·ε` of the total.
+    pub fn site_weight_margin(&self, est: f64) -> f64 {
+        4.0 * self.n as f64 * f64::EPSILON * est
+    }
+
+    /// [`root_path_orders`](Self::root_path_orders) of the child that
+    /// inserting the next species above `site` would produce, written
+    /// into `order[..k]` without building the child. Leaves under `site`
+    /// share the new joint node (order `0`); the sibling subtree at the
+    /// site's `ℓ`-th ancestor gets order `ℓ`. Orders are small integers,
+    /// exact in `f64` — which lets them share the `f64` scratch the
+    /// branching borrows.
+    pub fn site_orders(&self, site: u32, order: &mut [f64]) {
+        let e = site as usize;
+        for y in self.leafset[e].iter() {
+            order[y] = 0.0;
+        }
+        let mut level = 1.0;
+        let mut child = site;
+        let mut a = self.parent[e];
+        while a != NONE {
+            let ai = a as usize;
+            let sibling = if self.left[ai] == child {
+                self.right[ai]
+            } else {
+                self.left[ai]
+            };
+            for y in self.leafset[sibling as usize].iter() {
+                order[y] = level;
+            }
+            level += 1.0;
+            child = a;
+            a = self.parent[ai];
+        }
+    }
+
     /// For the freshly inserted leaf `s = k − 1`, computes each earlier
     /// leaf's position along `s`'s root path: `order[y]` is `0` for leaves
     /// sharing `s`'s deepest ancestor, `1` for the next ancestor up, and so
     /// on. Two leaves share their LCA with `s` iff their orders are equal,
     /// and `LCA(y1, s)` is strictly below `LCA(y2, s)` iff
     /// `order[y1] < order[y2]` — which is all the 3-3 rule needs.
+    ///
+    /// The search checks the rule before building a child, with
+    /// [`site_orders`](Self::site_orders) on the parent; this built-child
+    /// form is the reference that is tested against.
     pub fn root_path_orders(&self) -> Vec<u32> {
         let s = (self.k - 1) as usize;
         let mut order = vec![0u32; s];
@@ -841,8 +964,84 @@ mod tests {
         assert!(!cloned.prop_wiped());
     }
 
+    /// A test matrix of family `family`: 0 = uniform random metric,
+    /// 1 = four tight clusters at a common distance (ties across
+    /// clusters), 2 = integer distances in 1..=3 (ties everywhere). The
+    /// scale spreads magnitudes so the margin is tested relative to them.
+    fn family_matrix(family: usize, n: usize, rng: &mut StdRng) -> DistanceMatrix {
+        use rand::Rng;
+        let scale = [1e-3, 1.0, 1e4][rng.gen_range(0..3usize)];
+        if family == 0 {
+            let m = mutree_distmat::gen::uniform_metric(n, 1.0, 100.0, rng);
+            let mut out = m.clone();
+            for (i, j, d) in m.pairs() {
+                out.set(i, j, d * scale);
+            }
+            return out;
+        }
+        let mut m = DistanceMatrix::zeros(n).unwrap();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d = match family {
+                    1 if i % 4 == j % 4 => rng.gen_range(2.0..8.0),
+                    1 => 100.0,
+                    _ => rng.gen_range(1..=3u32) as f64,
+                };
+                m.set(i, j, d * scale);
+            }
+        }
+        m
+    }
+
+    /// Walks one random insertion sequence and, at every step, scores
+    /// every site from the parent and builds its child: the estimate must
+    /// sit within the margin of the stored weight, and the at-site orders
+    /// must equal the built child's.
+    fn check_site_scores<const K: usize>(m: &DistanceMatrix, rng: &mut StdRng) {
+        use rand::Rng;
+        let n = m.len();
+        let mut t = PartialTree::<K>::cherry(m);
+        let mut mx = vec![f64::NAN; t.arena_len()];
+        let mut order = vec![f64::NAN; n];
+        while !t.is_complete() {
+            t.fill_site_heights(m, &mut mx);
+            let sites: Vec<u32> = t.insertion_sites().collect();
+            for &site in &sites {
+                let child = t.insert_next(m, site);
+                let est = t.site_weight(&mx, site);
+                let margin = t.site_weight_margin(est);
+                assert!(
+                    (child.weight() - est).abs() <= margin,
+                    "K = {K}, k = {}, site {site}: estimate {est:e} vs weight {:e} (margin {margin:e})",
+                    t.leaves_inserted(),
+                    child.weight()
+                );
+                t.site_orders(site, &mut order);
+                let built: Vec<f64> = child.root_path_orders().iter().map(|&o| o as f64).collect();
+                assert_eq!(&order[..t.leaves_inserted()], &built[..], "site {site}");
+            }
+            t = t.insert_next(m, sites[rng.gen_range(0..sites.len())]);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Site scoring agrees with building the child, for every site of
+        /// random insertion paths over random, clustered and tie-heavy
+        /// matrices, at every leaf-bitset width.
+        #[test]
+        fn site_scores_match_built_children(
+            n in 3usize..=40,
+            family in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = family_matrix(family, n, &mut rng);
+            check_site_scores::<1>(&m, &mut rng);
+            check_site_scores::<2>(&m, &mut rng);
+            check_site_scores::<4>(&m, &mut rng);
+        }
 
         /// The invariant `root_path_orders` relies on (noted at the sibling
         /// walk above): after any insertion sequence, the sibling masks

@@ -150,14 +150,13 @@ impl<const K: usize> MutProblem<K> {
         t.weight() + self.suffix[t.leaves_inserted()]
     }
 
-    /// Checks the 3-3 rule for the species inserted last: every triple
-    /// `(i, j, s)` with a strict matrix close pair must be resolved the
-    /// same way by the topology. `O(k²)` table lookups via the root-path
-    /// orders of `s` — the close pairs themselves were memoized at
-    /// construction, so no distance comparison runs per node expansion.
-    fn three_three_ok(&self, t: &PartialTree<K>) -> bool {
-        let s = t.leaves_inserted() - 1;
-        let order = t.root_path_orders();
+    /// Checks the 3-3 rule for species `s` placed with root-path `order`
+    /// (see [`PartialTree::site_orders`]): every triple `(i, j, s)` with a
+    /// strict matrix close pair must be resolved the same way by the
+    /// topology. `O(s²)` table lookups — the close pairs themselves were
+    /// memoized at construction, so no distance comparison runs per node
+    /// expansion.
+    fn three_three_ok(&self, s: usize, order: &[f64]) -> bool {
         for i in 0..s {
             for j in (i + 1)..s {
                 let ok = match self.close_pairs[triple_index(i, j, s)] {
@@ -209,25 +208,52 @@ impl<const K: usize> Problem for MutProblem<K> {
         // With live confinement masks, the next leaf's fold is complete
         // (every triple it joins has both earlier leaves placed), so a
         // mask-rejected site's child is guaranteed to fail its own 3-3
-        // check — skip it before paying for the arena copy.
+        // check — skip it before scoring it.
         let confine = filter && node.prop_is_active() && !node.prop_wiped();
+        let s = node.leaves_inserted();
+        let suffix = self.suffix[s + 1];
+        // One borrowed buffer, no per-branch allocation once warm: the
+        // per-node pendant maxima, then (under the rule) the at-site
+        // root-path orders.
+        let arena = node.arena_len();
+        let mut scratch = out.take_scratch();
+        scratch.resize(arena + if filter { s } else { 0 }, 0.0);
+        let (mx, order) = scratch.split_at_mut(arena);
+        node.fill_site_heights(m, mx);
         for site in node.insertion_sites() {
             if confine && !node.prop_allows(site) {
+                continue;
+            }
+            if filter {
+                node.site_orders(site, order);
+                if !self.three_three_ok(s, order) {
+                    continue;
+                }
+            }
+            // Score the site from the parent; build only what can survive
+            // the kernel's child prune. The margin keeps the estimate at
+            // or below the built child's weight, so a skipped child is one
+            // the kernel would have pruned.
+            let est = node.site_weight(mx, site);
+            let margin = node.site_weight_margin(est);
+            if !out.admits(est - margin + suffix) {
+                out.skip();
                 continue;
             }
             // Overwrite a retired sibling when one is available: after the
             // pool warms up, branching allocates nothing.
             let mut child = match out.recycle() {
-                Some(mut scratch) => {
-                    node.insert_next_into(m, site, &mut scratch);
-                    scratch
+                Some(mut spare) => {
+                    node.insert_next_into(m, site, &mut spare);
+                    spare
                 }
                 None => node.insert_next(m, site),
             };
-            if filter && !self.three_three_ok(&child) {
-                out.retire(child);
-                continue;
-            }
+            debug_assert!(
+                !est.is_finite() || (child.weight() - est).abs() <= margin,
+                "site {site}: estimate {est} vs built weight {}",
+                child.weight()
+            );
             let lb = self.bound_of(&child);
             child.set_lower_bound(lb);
             if child.prop_is_active() {
@@ -235,6 +261,7 @@ impl<const K: usize> Problem for MutProblem<K> {
             }
             out.push(child);
         }
+        out.restore_scratch(scratch);
     }
 
     fn propagate(&self, node: &PartialTree<K>, _ub: f64, _opts: &SearchOptions) -> bool {

@@ -10,6 +10,11 @@ pub enum MatrixError {
         /// Number of taxa supplied.
         n: usize,
     },
+    /// The matrix has more taxa than its packed storage can address.
+    TooLarge {
+        /// Number of taxa supplied.
+        n: usize,
+    },
     /// A row does not have the expected number of columns.
     RaggedRow {
         /// Index of the offending row.
@@ -69,6 +74,9 @@ impl fmt::Display for MatrixError {
         match self {
             MatrixError::TooSmall { n } => {
                 write!(f, "a distance matrix needs at least 2 taxa, got {n}")
+            }
+            MatrixError::TooLarge { n } => {
+                write!(f, "a {n}-taxon distance matrix is too large to store")
             }
             MatrixError::RaggedRow {
                 row,

@@ -50,8 +50,11 @@ pub fn parse_phylip(input: &str) -> Result<DistanceMatrix, MatrixError> {
         }
     }
 
-    let mut labels = Vec::with_capacity(n);
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+    // The header count is untrusted: reserve no more than the input could
+    // possibly fill.
+    let cap = n.min(tokens.len());
+    let mut labels = Vec::with_capacity(cap);
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(cap);
     let mut it = tokens.into_iter();
     for row in 0..n {
         let (line, label) = it.next().ok_or(MatrixError::Parse {
@@ -65,7 +68,7 @@ pub fn parse_phylip(input: &str) -> Result<DistanceMatrix, MatrixError> {
             });
         }
         labels.push(label.to_string());
-        let mut values = Vec::with_capacity(n);
+        let mut values = Vec::with_capacity(cap);
         for col in 0..n {
             let (line, tok) = it.next().ok_or(MatrixError::Parse {
                 line: 0,
@@ -141,6 +144,19 @@ delta  4 4 2 0
         let m = parse_phylip(wrapped).unwrap();
         assert_eq!(m.get(0, 2), 2.0);
         assert_eq!(m.get(1, 2), 3.0);
+    }
+
+    #[test]
+    fn huge_header_counts_are_parse_errors_not_allocations() {
+        // u64::MAX used to overflow the reservation ("capacity overflow")
+        // and four billion to abort the process on allocation.
+        for n in ["18446744073709551615", "4000000000"] {
+            let text = format!("{n}\nalpha 0 1\nbeta 1 0\n");
+            assert!(
+                matches!(parse_phylip(&text), Err(MatrixError::Parse { .. })),
+                "{n}"
+            );
+        }
     }
 
     #[test]

@@ -18,6 +18,15 @@ pub struct DistanceMatrix {
     labels: Option<Vec<String>>,
 }
 
+/// The `n(n − 1)/2` entries of an `n`-taxon packed triangle, or
+/// [`MatrixError::TooLarge`] when they overflow the address space.
+fn packed_len(n: usize) -> Result<usize, MatrixError> {
+    n.checked_mul(n.saturating_sub(1))
+        .map(|twice| twice / 2)
+        .filter(|&len| len <= isize::MAX as usize / std::mem::size_of::<f64>())
+        .ok_or(MatrixError::TooLarge { n })
+}
+
 #[inline]
 fn tri_index(i: usize, j: usize) -> usize {
     debug_assert!(j < i);
@@ -29,14 +38,16 @@ impl DistanceMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`MatrixError::TooSmall`] when `n < 2`.
+    /// Returns [`MatrixError::TooSmall`] when `n < 2` and
+    /// [`MatrixError::TooLarge`] when the `n(n − 1)/2` packed entries
+    /// overflow the address space.
     pub fn zeros(n: usize) -> Result<Self, MatrixError> {
         if n < 2 {
             return Err(MatrixError::TooSmall { n });
         }
         Ok(DistanceMatrix {
             n,
-            data: vec![0.0; n * (n - 1) / 2],
+            data: vec![0.0; packed_len(n)?],
             labels: None,
         })
     }
@@ -88,6 +99,7 @@ impl DistanceMatrix {
     /// # Errors
     ///
     /// Returns [`MatrixError::TooSmall`] when `n < 2`,
+    /// [`MatrixError::TooLarge`] when `n(n-1)/2` overflows,
     /// [`MatrixError::RaggedRow`] when `condensed.len() != n(n-1)/2`,
     /// [`MatrixError::InvalidDistance`] for negative entries and
     /// [`MatrixError::NotFinite`] for NaN/infinite entries.
@@ -95,7 +107,7 @@ impl DistanceMatrix {
         if n < 2 {
             return Err(MatrixError::TooSmall { n });
         }
-        let expected = n * (n - 1) / 2;
+        let expected = packed_len(n)?;
         if condensed.len() != expected {
             return Err(MatrixError::RaggedRow {
                 row: 0,
@@ -414,6 +426,22 @@ mod tests {
             Err(MatrixError::TooSmall { n: 1 })
         ));
         assert!(DistanceMatrix::zeros(2).is_ok());
+    }
+
+    #[test]
+    fn sizes_that_overflow_storage_are_rejected() {
+        // n(n − 1) wraps for the first; the second's entries fit a usize
+        // but not the address space. Neither may allocate or panic.
+        for n in [usize::MAX, 1 << 32] {
+            assert_eq!(
+                DistanceMatrix::zeros(n).unwrap_err(),
+                MatrixError::TooLarge { n }
+            );
+            assert_eq!(
+                DistanceMatrix::from_condensed(n, Vec::new()).unwrap_err(),
+                MatrixError::TooLarge { n }
+            );
+        }
     }
 
     #[test]

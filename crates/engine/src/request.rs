@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use mutree_bnb::{CheckpointPolicy, MemoryBudget, SearchMode, Strategy, TraceLevel};
-use mutree_distmat::DistanceMatrix;
+use mutree_distmat::{DistanceMatrix, MatrixError};
 use mutree_tree::Linkage;
 
 /// How aggressively to apply the 3-3 relationship rule during branching.
@@ -615,10 +615,19 @@ impl SolveRequest {
                             let n: usize = arg
                                 .parse()
                                 .map_err(|_| fail(ln, format!("bad taxon count {arg:?}")))?;
-                            let mut labels: Vec<String> = Vec::new();
-                            let mut m = DistanceMatrix::zeros(n).map_err(|e| {
+                            let cannot_build = |e: MatrixError| {
                                 fail(ln, format!("cannot build {n}-taxon matrix: {e}"))
-                            })?;
+                            };
+                            if n < 2 {
+                                return Err(cannot_build(MatrixError::TooSmall { n }));
+                            }
+                            // Collect the packed lower triangle as rows
+                            // arrive — the frame cap bounds them — and size
+                            // the matrix only once all `n` rows are in: the
+                            // count alone is untrusted.
+                            let mut labels: Vec<String> = Vec::new();
+                            let mut packed: Vec<f64> = Vec::new();
+                            let mut toks: Vec<&str> = Vec::new();
                             let mut i = 1;
                             for (ln, raw) in lines.by_ref() {
                                 let raw = raw.trim_end();
@@ -632,19 +641,20 @@ impl SolveRequest {
                                         format!("expected matrix row, found {raw:?}"),
                                     ));
                                 };
-                                let toks: Vec<&str> = row.split_whitespace().collect();
+                                toks.clear();
+                                toks.extend(row.split_whitespace());
                                 if toks.len() != i {
                                     return Err(fail(
                                         ln,
                                         format!("row {i} has {} entries, wants {i}", toks.len()),
                                     ));
                                 }
-                                for (j, tok) in toks.iter().enumerate() {
+                                for tok in &toks {
                                     let d =
                                         u64::from_str_radix(tok, 16).map(f64::from_bits).map_err(
                                             |_| fail(ln, format!("bad hex distance {tok:?}")),
                                         )?;
-                                    m.set(i, j, d);
+                                    packed.push(d);
                                 }
                                 i += 1;
                                 if i == n {
@@ -653,6 +663,13 @@ impl SolveRequest {
                             }
                             if i != n {
                                 return Err(fail(0, format!("matrix ended at row {i} of {n}")));
+                            }
+                            let mut m = DistanceMatrix::zeros(n).map_err(cannot_build)?;
+                            let mut packed = packed.into_iter();
+                            for i in 1..n {
+                                for (j, d) in packed.by_ref().take(i).enumerate() {
+                                    m.set(i, j, d);
+                                }
                             }
                             if !labels.is_empty() {
                                 if labels.len() != n {
@@ -781,6 +798,25 @@ mod tests {
         assert_eq!(err.line, 2);
         let truncated = "mutree-request v1\nmatrix inline 4\nrow 0000000000000000\n";
         assert!(SolveRequest::decode(truncated).is_err());
+    }
+
+    #[test]
+    fn inline_taxon_counts_are_not_trusted_before_the_rows_arrive() {
+        // A bare count must not size anything: 200000 taxa would ask for
+        // 160 GB up front, and u64::MAX would wrap the entry count to one
+        // slot that the second row overruns.
+        let rows = "row 4000000000000000\nrow 4000000000000000 4000000000000000\n";
+        for n in ["200000", "18446744073709551615"] {
+            let text = format!("mutree-request v1\nmatrix inline {n}\n{rows}");
+            let err = SolveRequest::decode(&text).unwrap_err();
+            assert_eq!(err.message, format!("matrix ended at row 3 of {n}"), "{n}");
+        }
+        let err = SolveRequest::decode("mutree-request v1\nmatrix inline 1\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.message.starts_with("cannot build 1-taxon matrix"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -355,7 +355,9 @@ impl SolveReport {
                         .trim()
                         .parse()
                         .map_err(|_| fail(ln, format!("groups: bad count {rest:?}")))?;
-                    groups = Some(Vec::with_capacity(group_count));
+                    // The count is untrusted: the group lines that follow
+                    // grow the list, the count only checks it.
+                    groups = Some(Vec::new());
                 }
                 "group" => {
                     let list = groups

@@ -282,3 +282,29 @@ fn corrupt_headers_and_structure_are_rejected() {
         );
     }
 }
+
+/// The `groups` count is untrusted: a huge one must be a count mismatch,
+/// not a reservation that panics ("capacity overflow") or aborts the
+/// process on allocation.
+#[test]
+fn huge_group_counts_are_rejected_without_allocating() {
+    let good = build_report(
+        &[1.0, 2.0, 3.0],
+        0x3ff0_0000_0000_0000,
+        &[1; 16],
+        2,
+        &[0.125],
+        3,
+        true,
+    )
+    .encode();
+    assert!(good.contains("\ngroups 2\n"));
+    for count in ["18446744073709551615", "4000000000000"] {
+        let text = good.replacen("\ngroups 2\n", &format!("\ngroups {count}\n"), 1);
+        let err = SolveReport::decode(&text).expect_err("count mismatch");
+        assert!(
+            err.message.contains(&format!("expected {count}")),
+            "{err:?}"
+        );
+    }
+}
