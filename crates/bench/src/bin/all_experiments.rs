@@ -1,5 +1,5 @@
 //! Runs every experiment in sequence (the full evaluation).
-use mutree_bench::experiments::{ablations, cache, frontier, hpcasia, leafwords, pact};
+use mutree_bench::experiments::{ablations, hpcasia, leafwords, pact};
 
 fn main() {
     let tables = [
@@ -26,9 +26,7 @@ fn main() {
         ablations::exp_grid(),
         ablations::exp_baselines(),
         ablations::exp_taskgraph(),
-        frontier::exp_frontier(),
         leafwords::exp_leafwords(),
-        cache::exp_cache(),
     ];
     for t in tables {
         t.emit(None).expect("write results");

@@ -3,11 +3,11 @@
 //! The solver monomorphizes the exact search for K = 1, 2, 4 leaf words
 //! and dispatches on taxa count, promising that the K = 1 hot path
 //! compiles to exactly the historical single-`u64` code. This experiment
-//! watches that promise: the same 400-solve clustered batch as
-//! `exp_frontier` runs once per width on the parallel driver over a
-//! persistent executor at 1/2/4/8 workers, and the `ratio` column (K=2
-//! over K=1) is the price of doubling every leafset word — expected a few
-//! percent, paid only by matrices that actually need the width.
+//! watches that promise: a 400-solve clustered batch runs once per width
+//! on the parallel driver over a persistent executor at 1/2/4/8 workers,
+//! and the `ratio` column (K=2 over K=1) is the price of doubling every
+//! leafset word — expected a few percent, paid only by matrices that
+//! actually need the width.
 //!
 //! Correctness rides along: both widths must report the same optimum on
 //! every instance, and a sequential pre-pass asserts branch-for-branch
@@ -24,8 +24,8 @@ use mutree_core::{Executor, MutProblem, ThreeThree};
 use crate::data;
 use crate::report::{fmt_secs, Table};
 
-/// Instances per batch — identical mix to `exp_frontier` (20 sixteen-taxon
-/// + 380 twelve-taxon), so the two experiments watch the same hot path.
+/// Instances per batch: 20 sixteen-taxon + 380 twelve-taxon clustered
+/// matrices, the mix `exp_serve` replays too.
 const BATCH: usize = 400;
 
 /// Interleaved repetitions per thread count; each width's cell is the
@@ -62,7 +62,7 @@ pub fn exp_leafwords() -> Table {
         ],
     );
 
-    // The exp_frontier workload, constructed once per width from the same
+    // The clustered batch, constructed once per width from the same
     // matrices (maxmin relabeling included, the production bound
     // configuration).
     let matrices: Vec<_> = (0..20)

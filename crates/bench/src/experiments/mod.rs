@@ -8,21 +8,14 @@
 //! * [`ablations`] — design-choice studies: condensed-matrix linkage,
 //!   group-size threshold, bound ingredients (maxmin, UPGMM), and the
 //!   3-3 rule's strength.
-//! * [`frontier`] — the parallel driver on freshly spawned threads per
-//!   solve against a persistent executor, at 1/2/4/8 threads.
 //! * [`leafwords`] — the const-generic leaf-bitset widths: K=1 vs K=2 on
-//!   the frontier batch (hot-path regression watch), plus the 80-taxon
-//!   wide solve the width dispatcher unlocked.
-//! * [`cache`] — the content-addressed group-solve cache: the frontier
-//!   batch solved cold then replayed warm through cache-enabled solve
-//!   plans (hit rate, replay speedup, bit-identity).
-//! * [`serve`] — the solve daemon replaying the frontier batch over a
+//!   the 400-solve clustered batch (hot-path regression watch), plus the
+//!   80-taxon wide solve the width dispatcher unlocked.
+//! * [`serve`] — the solve daemon replaying the clustered batch over a
 //!   real TCP socket at increasing client concurrency: sustained req/s,
 //!   p50/p99 latency, cache hit rate, and shed count under overload.
 
 pub mod ablations;
-pub mod cache;
-pub mod frontier;
 pub mod hpcasia;
 pub mod leafwords;
 pub mod pact;

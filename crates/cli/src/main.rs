@@ -137,8 +137,7 @@ USAGE:
   --cache enables the content-addressed group-solve cache: a solve whose
   canonical matrix bytes match a stored solve is answered from the cache
   bit for bit, and a near-miss (same quantization bucket) warm-starts
-  the search from the stored tree. MUTREE_CACHE=1 enables it for every
-  run; the flag wins over the environment.
+  the search from the stored tree.
 
   --33 full also propagates the fixed triple relations: a node whose
   future leaves have contradictory confinements is pruned early, and

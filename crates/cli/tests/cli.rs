@@ -473,31 +473,6 @@ fn cache_counts(stdout: &str) -> (u64, u64, u64) {
     (nums[0], nums[1], nums[2])
 }
 
-/// Like [`run_with_stdin`] with the ambient cache switch scrubbed, so
-/// the assertion on "no cache" holds even under the CI leg that exports
-/// MUTREE_CACHE=1 for the whole suite.
-fn run_without_ambient_cache(args: &[&str], input: &str) -> (String, bool) {
-    let mut child = mutree()
-        .args(args)
-        .env_remove("MUTREE_CACHE")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn mutree");
-    child
-        .stdin
-        .as_mut()
-        .expect("piped stdin")
-        .write_all(input.as_bytes())
-        .expect("write stdin");
-    let out = child.wait_with_output().expect("wait");
-    (
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        out.status.success(),
-    )
-}
-
 #[test]
 fn solve_cache_flag_reports_the_lookup() {
     // A fresh process starts with an empty cache: the solve files its
@@ -510,7 +485,7 @@ fn solve_cache_flag_reports_the_lookup() {
 
 #[test]
 fn solve_without_cache_reports_zero_lookups() {
-    let (stdout, ok) = run_without_ambient_cache(&["solve", "-"], MATRIX);
+    let (stdout, ok) = run_with_stdin(&["solve", "-"], MATRIX);
     assert!(ok, "{stdout}");
     assert_eq!(cache_counts(&stdout), (0, 0, 0), "{stdout}");
 }
@@ -528,7 +503,7 @@ fn fast_cache_flag_reports_group_lookups() {
 
 #[test]
 fn fast_without_cache_reports_zero_lookups() {
-    let (stdout, ok) = run_without_ambient_cache(&["fast", "-", "--threshold", "2"], MATRIX);
+    let (stdout, ok) = run_with_stdin(&["fast", "-", "--threshold", "2"], MATRIX);
     assert!(ok, "{stdout}");
     assert_eq!(cache_counts(&stdout), (0, 0, 0), "{stdout}");
 }

@@ -47,6 +47,7 @@ mod cluster;
 mod error;
 pub mod exec;
 mod leafset;
+mod memo;
 mod node;
 mod pipeline;
 mod problem;

@@ -39,6 +39,7 @@
 //! aggregated in task order — never completion order — so the solution,
 //! its degradation records and its merged statistics are deterministic.
 
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -47,13 +48,13 @@ use std::time::Instant;
 use mutree_bnb::StopReason;
 use mutree_distmat::DistanceMatrix;
 use mutree_engine::{
-    CacheOutcome, DegradeReason, DegradedGroup, GroupCache, RetryPolicy, StageProvenance,
-    StageTiming,
+    DegradeReason, DegradedGroup, GroupCache, RetryPolicy, StageProvenance, StageTiming,
 };
 use mutree_graph::CompactSets;
 use mutree_tree::{cluster, Linkage, UltrametricTree};
 
 use crate::exec::{Executor, TaskDag, TaskId};
+use crate::memo::{memoized, Answer};
 use crate::{MutError, MutSolver, SearchStats};
 
 /// A solved pipeline instance.
@@ -120,10 +121,6 @@ pub struct CompactPipeline {
     executor: Option<Executor>,
     retry: Option<RetryPolicy>,
     cache: Option<Arc<GroupCache>>,
-    /// Whether the cache was attached explicitly (builder) rather than
-    /// picked up from the `MUTREE_CACHE` environment override. Only an
-    /// explicit cache memoizes whole pipeline runs.
-    cache_explicit: bool,
     /// Remaining pipeline-wide retry budget for the current run. Shared
     /// (via `Clone`) with the recursive meta pipelines of the same run;
     /// re-armed by [`solve`](CompactPipeline::solve).
@@ -147,27 +144,10 @@ fn env_executor() -> Option<Executor> {
         .clone()
 }
 
-/// `MUTREE_CACHE=1` attaches one process-wide shared [`GroupCache`] to
-/// every pipeline built after the variable is set — CI uses it to replay
-/// the whole test suite through the cache path. Unlike the executor the
-/// variable is re-read per pipeline construction (only the cache instance
-/// is shared), so tests can toggle it. An env-attached cache stays
-/// *ambient*: it memoizes group solves but never whole pipeline runs
-/// (see [`CompactPipeline::cache`]).
-fn env_cache() -> Option<Arc<GroupCache>> {
-    if mutree_engine::plan::env_cache_enabled() != Some(true) {
-        return None;
-    }
-    static GLOBAL: OnceLock<Arc<GroupCache>> = OnceLock::new();
-    Some(Arc::clone(
-        GLOBAL.get_or_init(|| Arc::new(GroupCache::new())),
-    ))
-}
-
 impl CompactPipeline {
     /// A pipeline cutting compact sets at 12 species, condensing under
     /// maximum linkage (the paper's studied variant) and solving pieces
-    /// with a default sequential [`MutSolver`].
+    /// with a default sequential [`MutSolver`]. No cache is attached.
     pub fn new() -> Self {
         CompactPipeline {
             threshold: 12,
@@ -176,8 +156,7 @@ impl CompactPipeline {
             max_depth: 8,
             executor: env_executor(),
             retry: None,
-            cache: env_cache(),
-            cache_explicit: false,
+            cache: None,
             retry_budget: Arc::new(AtomicU32::new(0)),
         }
     }
@@ -240,21 +219,12 @@ impl CompactPipeline {
 
     /// Attaches a content-addressed [`GroupCache`]: every cacheable group
     /// and meta solve probes it before searching (an exact hit returns
-    /// the memoized optimum, a near-hit warm-seeds the search), and an
-    /// explicitly attached cache additionally memoizes whole pipeline
-    /// runs. Only unconstrained best-one solvers are cacheable — see
-    /// [`MutSolver::cache_sig`] — so deadline/budget/checkpoint runs are
-    /// never served stale answers.
+    /// the memoized optimum, a near-hit warm-seeds the search), and whole
+    /// pipeline runs are memoized too. Only unconstrained best-one
+    /// solvers are cacheable — see [`MutSolver::cache_sig`] — so
+    /// deadline/budget/checkpoint runs are never served stale answers.
     pub fn cache(mut self, cache: Arc<GroupCache>) -> Self {
         self.cache = Some(cache);
-        self.cache_explicit = true;
-        self
-    }
-
-    /// Detaches any cache, including one picked up from `MUTREE_CACHE`.
-    pub fn no_cache(mut self) -> Self {
-        self.cache = None;
-        self.cache_explicit = false;
         self
     }
 
@@ -291,54 +261,43 @@ impl CompactPipeline {
         run.retry_budget = Arc::new(AtomicU32::new(
             run.retry.as_ref().map_or(0, |policy| policy.budget),
         ));
-        // Whole-run memoization — explicitly attached caches only, so an
-        // ambient `MUTREE_CACHE=1` can never collapse a run whose caller
-        // wants real per-stage timings and statistics.
-        if run.cache_explicit {
-            if let (Some(cache), Some(solver_sig)) = (run.cache.clone(), run.solver.cache_sig()) {
-                let sig = run.pipeline_sig(solver_sig);
-                let probe = cache.probe(m, sig);
-                let poisoned = probe.poisoned;
-                return match probe.outcome {
-                    CacheOutcome::Hit { tree, weight } => {
-                        let cs = CompactSets::find(m);
-                        let groups = cs.partition(run.threshold.max(2));
-                        let stats = SearchStats {
-                            cache_hits: 1,
-                            cache_poisoned: poisoned,
-                            ..Default::default()
-                        };
-                        Ok(PipelineSolution {
-                            tree,
-                            weight,
-                            groups,
-                            stats,
-                            compact_sets: cs.len(),
-                            stop: StopReason::Completed,
-                            degraded: Vec::new(),
-                            timings: vec![StageTiming {
-                                stage: "cached".to_string(),
-                                seconds: 0.0,
-                                attempts: 1,
-                                provenance: StageProvenance::Cached,
-                            }],
-                        })
-                    }
-                    // A near-hit cannot seed a decomposed run (the stage
-                    // caches handle per-group seeding); treat it as a miss.
-                    CacheOutcome::Seed { query, .. } | CacheOutcome::Miss(query) => {
-                        let mut sol = run.solve_at_depth(m, 0, "")?;
-                        sol.stats.cache_misses += 1;
-                        sol.stats.cache_poisoned += poisoned;
-                        if sol.is_complete() {
-                            cache.insert(query, &sol.tree, sol.weight);
-                        }
-                        Ok(sol)
-                    }
-                };
+        let cache = run
+            .cache
+            .as_deref()
+            .zip(run.solver.cache_sig().map(|sig| run.pipeline_sig(sig)));
+        let started = Instant::now();
+        // A near hit cannot seed a decomposed run (the stage lookups seed
+        // per group), so it counts as a plain miss.
+        let memo = memoized(
+            cache,
+            m,
+            false,
+            |_| run.solve_at_depth(m, 0, ""),
+            |sol| sol.is_complete().then_some((&sol.tree, sol.weight)),
+        )?;
+        let mut sol = match memo.answer {
+            Answer::Solved(sol) => sol,
+            Answer::Hit { tree, weight } => {
+                let cs = CompactSets::find(m);
+                PipelineSolution {
+                    tree,
+                    weight,
+                    groups: cs.partition(run.threshold.max(2)),
+                    stats: SearchStats::default(),
+                    compact_sets: cs.len(),
+                    stop: StopReason::Completed,
+                    degraded: Vec::new(),
+                    timings: vec![StageTiming {
+                        stage: "cached".to_string(),
+                        seconds: started.elapsed().as_secs_f64(),
+                        attempts: 1,
+                        provenance: StageProvenance::Cached,
+                    }],
+                }
             }
-        }
-        run.solve_at_depth(m, 0, "")
+        };
+        sol.stats.merge(&memo.stats);
+        Ok(sol)
     }
 
     /// The whole-run cache signature: the solver's answer-affecting
@@ -779,45 +738,59 @@ fn solve_stage(
     budget: &AtomicU32,
     cache: Option<&GroupCache>,
 ) -> StageTree {
+    let memo = memoized(
+        cache.zip(solver.cache_sig()),
+        sub,
+        true,
+        |seed| {
+            Ok::<_, Infallible>(match seed {
+                Some(tree) => {
+                    let seeded = solver.clone().seed_incumbent(tree);
+                    attempt_stage(&seeded, sub, group, stage, retry, budget)
+                }
+                None => attempt_stage(solver, sub, group, stage, retry, budget),
+            })
+        },
+        // The tree is still submatrix-local here, matching the probe's
+        // indexing.
+        |(st, weight)| {
+            weight
+                .filter(|_| st.degraded.is_empty())
+                .map(|w| (&st.tree, w))
+        },
+    )
+    .unwrap_or_else(|never| match never {});
+    match memo.answer {
+        Answer::Hit { tree, .. } => StageTree {
+            tree,
+            stats: memo.stats,
+            stop: StopReason::Completed,
+            degraded: Vec::new(),
+            attempts: 1,
+            provenance: StageProvenance::Cached,
+        },
+        Answer::Solved((mut st, _)) => {
+            st.stats.merge(&memo.stats);
+            st.provenance = memo.provenance;
+            st
+        }
+    }
+}
+
+/// [`solve_stage`]'s attempt loop, without the cache: the stage tree plus
+/// its proven-optimal weight (`None` unless an attempt completed).
+fn attempt_stage(
+    solver: &MutSolver,
+    sub: &DistanceMatrix,
+    group: Option<usize>,
+    stage: &str,
+    retry: Option<&RetryPolicy>,
+    budget: &AtomicU32,
+) -> (StageTree, Option<f64>) {
     let mut stats = SearchStats::default();
     let mut stop = StopReason::Completed;
     let mut degraded = Vec::new();
     let mut attempts: u32 = 0;
-    let mut provenance = StageProvenance::Solved;
-    let mut pending_insert = None;
-    let seeded;
-    let mut solver = solver;
-    if let Some(cache) = cache {
-        if let Some(sig) = solver.cache_sig() {
-            let probe = cache.probe(sub, sig);
-            stats.cache_poisoned += probe.poisoned;
-            match probe.outcome {
-                CacheOutcome::Hit { tree, .. } => {
-                    stats.cache_hits += 1;
-                    return StageTree {
-                        tree,
-                        stats,
-                        stop: StopReason::Completed,
-                        degraded,
-                        attempts: 1,
-                        provenance: StageProvenance::Cached,
-                    };
-                }
-                CacheOutcome::Seed { tree, query, .. } => {
-                    stats.cache_misses += 1;
-                    stats.cache_warm_seeds += 1;
-                    provenance = StageProvenance::WarmSeeded;
-                    seeded = solver.clone().seed_incumbent(tree);
-                    solver = &seeded;
-                    pending_insert = Some(query);
-                }
-                CacheOutcome::Miss(query) => {
-                    stats.cache_misses += 1;
-                    pending_insert = Some(query);
-                }
-            }
-        }
-    }
     let mut solved_weight = None;
     let tree = 'tree: loop {
         // Re-checked every attempt: a deadline or cancellation that fires
@@ -886,21 +859,15 @@ fn solve_stage(
         break 'tree cluster(sub, Linkage::Maximum);
     };
     stats.retries += u64::from(attempts.saturating_sub(1));
-    // Only proven optima are worth memoizing: the insert happens while
-    // the tree is still submatrix-local, matching the probe's indexing.
-    if let (Some(cache), Some(query), Some(weight)) = (cache, pending_insert, solved_weight) {
-        if degraded.is_empty() {
-            cache.insert(query, &tree, weight);
-        }
-    }
-    StageTree {
+    let st = StageTree {
         tree,
         stats,
         stop,
         degraded,
         attempts: attempts.max(1),
-        provenance,
-    }
+        provenance: StageProvenance::Solved,
+    };
+    (st, solved_weight)
 }
 
 /// Builds the condensed matrix: entry `(a, b)` is the maximum / minimum /

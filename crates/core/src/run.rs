@@ -19,10 +19,11 @@ use std::time::Instant;
 use mutree_clustersim::ClusterSpec;
 use mutree_distmat::DistanceMatrix;
 use mutree_engine::{
-    BackendSpec, CacheOutcome, GroupCache, MatrixSource, SolveKind, SolvePlan, SolveReport,
-    SolveRequest, StageProvenance, StageTiming,
+    BackendSpec, GroupCache, MatrixSource, SolveKind, SolvePlan, SolveReport, SolveRequest,
+    StageTiming,
 };
 
+use crate::memo::{memoized, Answer};
 use crate::pipeline::{CompactPipeline, PipelineSolution};
 use crate::solver::{MutSolution, MutSolver, SearchBackend, LEAF_WIDTHS};
 use crate::{CancelToken, Executor, MutError};
@@ -67,7 +68,8 @@ impl From<PipelineSolution> for SolveReport {
 }
 
 /// The process-wide cache used by plan execution whenever a plan enables
-/// caching. One shared instance keyed by content means repeated
+/// caching, and the only process-wide [`GroupCache`] in the workspace.
+/// One shared instance keyed by content means repeated
 /// [`solve_plan`] calls in the same process (benches replaying a batch,
 /// a long-lived service) hit each other's entries; distinct
 /// configurations cannot collide because the solver signature is part of
@@ -147,9 +149,12 @@ fn load_matrix(source: &MatrixSource) -> Result<DistanceMatrix, MutError> {
 }
 
 /// Builds the solver a plan prescribes. Pure plan-to-builder translation:
-/// every environment override was already folded in by
-/// [`SolvePlan::resolve`], so nothing here reads the environment. Public
-/// so front ends that need a builder tweak the plan cannot express (the
+/// the plan's own fields were resolved by [`SolvePlan::resolve`], and
+/// nothing here reads the environment. The built solver still does, for
+/// knobs the plan left unset: [`MutSolver::dispatch_leaf_words`] falls
+/// back to `MUTREE_FORCE_LEAF_WORDS` and the parallel frontier to
+/// `MUTREE_FRONTIER_SHARDS` (see [`mutree_engine::plan`]). Public so
+/// front ends that need a builder tweak the plan cannot express (the
 /// CLI's fault-injection test hook) can still construct through the
 /// spine.
 pub fn plan_solver(plan: &SolvePlan) -> MutSolver {
@@ -197,8 +202,10 @@ pub fn plan_solver(plan: &SolvePlan) -> MutSolver {
     }
     // For an exact solve, `threads` means "run the search itself on a
     // shared pool" (the pipeline owns the pool for decomposed solves, so
-    // attaching one here too would double the budget).
-    if req.kind == SolveKind::Exact {
+    // attaching one here too would double the budget). Only the Parallel
+    // backend borrows pool workers, and `Executor::new` spawns its
+    // threads eagerly, so other backends get none.
+    if req.kind == SolveKind::Exact && matches!(req.backend, BackendSpec::Parallel { .. }) {
         if let Some(t) = plan.threads {
             s = s.executor(Executor::new(t));
         }
@@ -234,16 +241,7 @@ fn pipeline_with_solver(
         p = p.executor(Executor::new(threads));
     }
     if plan.cache_enabled {
-        if plan.cache_explicit {
-            // Explicitly requested: attach the shared cache, which also
-            // arms whole-run memoization.
-            p = p.cache(shared_cache());
-        }
-        // Environment-enabled: `CompactPipeline::new()` already picked up
-        // the ambient cache (stage-level only).
-    } else if plan.cache_explicit {
-        // Explicitly disabled: shed even an ambient environment cache.
-        p = p.no_cache();
+        p = p.cache(shared_cache());
     }
     p
 }
@@ -282,76 +280,46 @@ pub fn solve_plan_hooked(plan: &SolvePlan, hooks: &SolveHooks) -> Result<SolveRe
         SolveKind::Exact => {
             let solver = hooks.apply(plan_solver(plan));
             let leaf_words = solver.dispatch_leaf_words(m.len());
-            // Whole-solve memoization for explicitly cache-enabled exact
-            // requests; the signature gate keeps constrained solves live.
+            // Whole-solve memoization; the signature gate keeps
+            // constrained solves live.
             let sig = if hooks.is_empty() {
                 solver.cache_sig()
             } else {
                 solver.cache_sig_interruptible()
             };
-            let cache = (plan.cache_enabled && plan.cache_explicit)
-                .then(shared_cache)
-                .zip(sig);
+            let cache = plan.cache_enabled.then(shared_cache);
             let started = Instant::now();
-            let mut pending = None;
-            let mut solver = solver;
-            let mut stats_extra = crate::SearchStats::default();
-            let mut provenance = StageProvenance::Solved;
-            if let Some((cache, sig)) = &cache {
-                let probe = cache.probe(&m, *sig);
-                stats_extra.cache_poisoned += probe.poisoned;
-                match probe.outcome {
-                    CacheOutcome::Hit { tree, weight } => {
-                        let mut stats = stats_extra;
-                        stats.cache_hits = 1;
-                        return Ok(SolveReport {
-                            trees: vec![tree.clone()],
-                            tree,
-                            weight,
-                            stats,
-                            stop: crate::StopReason::Completed,
-                            degraded: Vec::new(),
-                            timings: vec![StageTiming {
-                                stage: "cached".to_string(),
-                                seconds: started.elapsed().as_secs_f64(),
-                                attempts: 1,
-                                provenance: StageProvenance::Cached,
-                            }],
-                            groups: None,
-                            compact_sets: None,
-                            sim: None,
-                            leaf_words,
-                        });
-                    }
-                    CacheOutcome::Seed { tree, query, .. } => {
-                        stats_extra.cache_misses += 1;
-                        stats_extra.cache_warm_seeds += 1;
-                        provenance = StageProvenance::WarmSeeded;
-                        solver = solver.seed_incumbent(tree);
-                        pending = Some(query);
-                    }
-                    CacheOutcome::Miss(query) => {
-                        stats_extra.cache_misses += 1;
-                        pending = Some(query);
-                    }
-                }
-            }
-            let sol = solver.solve(&m)?;
-            if let (Some((cache, _)), Some(query)) = (&cache, pending) {
-                if sol.stop.is_complete() {
-                    cache.insert(query, &sol.tree, sol.weight);
-                }
-            }
+            let memo = memoized(
+                cache.as_deref().zip(sig),
+                &m,
+                true,
+                |seed| match seed {
+                    Some(tree) => solver.seed_incumbent(tree).solve(&m),
+                    None => solver.solve(&m),
+                },
+                |sol| sol.is_complete().then_some((&sol.tree, sol.weight)),
+            )?;
+            let (sol, stage) = match memo.answer {
+                Answer::Hit { tree, weight } => (
+                    MutSolution {
+                        trees: vec![tree.clone()],
+                        tree,
+                        weight,
+                        stats: crate::SearchStats::default(),
+                        stop: crate::StopReason::Completed,
+                        sim: None,
+                    },
+                    "cached",
+                ),
+                Answer::Solved(sol) => (sol, "exact"),
+            };
             let mut report = SolveReport::from(sol);
-            report.stats.cache_hits += stats_extra.cache_hits;
-            report.stats.cache_misses += stats_extra.cache_misses;
-            report.stats.cache_warm_seeds += stats_extra.cache_warm_seeds;
-            report.stats.cache_poisoned += stats_extra.cache_poisoned;
+            report.stats.merge(&memo.stats);
             report.timings = vec![StageTiming {
-                stage: "exact".to_string(),
+                stage: stage.to_string(),
                 seconds: started.elapsed().as_secs_f64(),
                 attempts: 1,
-                provenance,
+                provenance: memo.provenance,
             }];
             report.leaf_words = leaf_words;
             Ok(report)
@@ -379,7 +347,7 @@ pub fn solve_request(request: SolveRequest) -> Result<SolveReport, MutError> {
 mod tests {
     use super::*;
     use mutree_distmat::gen;
-    use mutree_engine::EnvOverrides;
+    use mutree_engine::{EnvOverrides, StageProvenance};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -413,7 +381,7 @@ mod tests {
             &EnvOverrides::none(),
         ))
         .unwrap();
-        let direct = CompactPipeline::new().no_cache().solve(&m).unwrap();
+        let direct = CompactPipeline::new().solve(&m).unwrap();
         assert_eq!(report.weight.to_bits(), direct.weight.to_bits());
         assert_eq!(report.groups.as_deref(), Some(direct.groups.as_slice()));
         assert_eq!(report.compact_sets, Some(direct.compact_sets));
@@ -434,6 +402,26 @@ mod tests {
             mutree_tree::compare::robinson_foulds(&warm.tree, &cold.tree).unwrap(),
             0
         );
+    }
+
+    #[test]
+    fn only_parallel_exact_plans_get_an_executor() {
+        // `Executor::new` spawns its threads at once, and only the
+        // Parallel backend borrows them.
+        let m = matrix(6, 3);
+        let solver = |backend| {
+            plan_solver(&SolvePlan::resolve(
+                SolveRequest::exact(m.clone()).backend(backend).threads(4),
+                &EnvOverrides::none(),
+            ))
+        };
+        assert!(solver(BackendSpec::Sequential).executor_handle().is_none());
+        assert!(solver(BackendSpec::SimulatedCluster { slaves: 3 })
+            .executor_handle()
+            .is_none());
+        assert!(solver(BackendSpec::Parallel { workers: 2 })
+            .executor_handle()
+            .is_some());
     }
 
     #[test]

@@ -16,8 +16,12 @@
 //!    resolved, in exactly one place ([`SolvePlan::resolve`]). The
 //!    precedence rule is uniform and tested: **builder > environment >
 //!    default**. The `MUTREE_*` variables are captured by
-//!    [`EnvOverrides::capture`]; no other call site in the workspace
-//!    reads them (a hygiene test greps for strays).
+//!    [`EnvOverrides::capture`], and every read lives in [`plan`] (a
+//!    hygiene test greps for strays). Three `mutree-core` builders still
+//!    call those readers as a fallback for an unset knob (forced leaf
+//!    width, frontier shards, pipeline executor), so
+//!    [`EnvOverrides::none`] does not shield a builder from the
+//!    environment; see [`plan`].
 //! 3. [`SolveReport`] — the unified outcome: tree(s), weight, merged
 //!    [`SearchStats`](mutree_bnb::SearchStats), stage timings,
 //!    degradation provenance and stop reasons, whichever path (exact

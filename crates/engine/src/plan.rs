@@ -1,9 +1,9 @@
 //! [`SolvePlan`]: a [`SolveRequest`] with every environment override
 //! resolved.
 //!
-//! This module is the **only** place in the workspace that reads the
-//! `MUTREE_*` environment variables (a hygiene test greps the source
-//! tree for strays). Each knob resolves with the same precedence rule:
+//! This module holds every read of the `MUTREE_*` environment variables
+//! (a hygiene test greps the source tree for strays). Each knob resolves
+//! with the same precedence rule:
 //!
 //! | priority | source | example |
 //! |---|---|---|
@@ -18,7 +18,6 @@
 //! | `MUTREE_PIPELINE_THREADS` | `threads` | pipeline executor thread count |
 //! | `MUTREE_FORCE_LEAF_WORDS` | `leaf_words` | leaf-bitset width in 64-bit words |
 //! | `MUTREE_FRONTIER_SHARDS` | `frontier_shards` | work-stealing shard count |
-//! | `MUTREE_CACHE` | `cache` | `1`/`true`/`on` enables the group-solve cache |
 //! | `MUTREE_SERVE_QUEUE_DEPTH` | — (daemon knob) | `mutree serve` admission-queue depth |
 //! | `MUTREE_SERVE_WORKERS` | — (daemon knob) | `mutree serve` concurrent solve workers |
 //!
@@ -36,6 +35,19 @@
 //! struct, so every precedence rule is testable without mutating the
 //! process environment: tests build the overrides by hand and call
 //! [`SolvePlan::resolve`] directly.
+//!
+//! The plan is not the only *caller* of these readers, though. Three
+//! `mutree-core` builders fall back to the environment themselves when
+//! their knob is unset: `MutSolver::dispatch_leaf_words`
+//! (`MUTREE_FORCE_LEAF_WORDS`), `MutSolver::solve`'s frontier
+//! (`MUTREE_FRONTIER_SHARDS`) and `CompactPipeline::new`'s executor
+//! (`MUTREE_PIPELINE_THREADS`). So [`EnvOverrides::none`] pins the plan,
+//! not a builder: a plan that leaves one of those knobs unset still
+//! picks the variable up downstream. The whole-suite CI legs rely on
+//! that fallback to push every test through the forced paths.
+//!
+//! The group-solve cache has no variable: only
+//! [`SolveRequest::cache`] attaches it.
 
 use crate::request::SolveRequest;
 
@@ -64,17 +76,6 @@ pub fn env_frontier_shards() -> Option<usize> {
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&s| s >= 1)
-}
-
-/// Whether `MUTREE_CACHE` asks for the group-solve cache (`1`, `true`
-/// or `on`, case-insensitive). `None` when unset or unrecognized.
-pub fn env_cache_enabled() -> Option<bool> {
-    let v = std::env::var("MUTREE_CACHE").ok()?;
-    match v.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => None,
-    }
 }
 
 /// `mutree serve` admission-queue depth from `MUTREE_SERVE_QUEUE_DEPTH`
@@ -109,8 +110,6 @@ pub struct EnvOverrides {
     pub leaf_words: Option<usize>,
     /// `MUTREE_FRONTIER_SHARDS`.
     pub frontier_shards: Option<usize>,
-    /// `MUTREE_CACHE`.
-    pub cache: Option<bool>,
 }
 
 impl EnvOverrides {
@@ -126,7 +125,6 @@ impl EnvOverrides {
             pipeline_threads: env_pipeline_threads(),
             leaf_words: env_forced_leaf_words(),
             frontier_shards: env_frontier_shards(),
-            cache: env_cache_enabled(),
         }
     }
 }
@@ -147,14 +145,9 @@ pub struct SolvePlan {
     pub leaf_words: Option<usize>,
     /// Resolved frontier shard override.
     pub frontier_shards: Option<usize>,
-    /// Whether the group-solve cache is on.
+    /// Whether the group-solve cache is attached (the request said
+    /// `cache(true)`; no environment variable turns it on).
     pub cache_enabled: bool,
-    /// Whether the cache decision came from the request itself rather
-    /// than the environment. Explicitly-requested caches additionally
-    /// memoize whole pipeline solves; environment-enabled ones stay
-    /// stage-level so ambient `MUTREE_CACHE=1` cannot change the shape
-    /// of a run's timing report.
-    pub cache_explicit: bool,
 }
 
 impl SolvePlan {
@@ -165,15 +158,13 @@ impl SolvePlan {
         let threads = request.threads.or(env.pipeline_threads);
         let leaf_words = request.leaf_words.or(env.leaf_words);
         let frontier_shards = request.frontier_shards.or(env.frontier_shards);
-        let cache_enabled = request.cache.or(env.cache).unwrap_or(false);
-        let cache_explicit = request.cache.is_some();
+        let cache_enabled = request.cache.unwrap_or(false);
         SolvePlan {
             request,
             threads,
             leaf_words,
             frontier_shards,
             cache_enabled,
-            cache_explicit,
         }
     }
 
@@ -204,7 +195,6 @@ mod tests {
         assert_eq!(plan.leaf_words, None);
         assert_eq!(plan.frontier_shards, None);
         assert!(!plan.cache_enabled);
-        assert!(!plan.cache_explicit);
     }
 
     #[test]
@@ -213,15 +203,15 @@ mod tests {
             pipeline_threads: Some(8),
             leaf_words: Some(2),
             frontier_shards: Some(4),
-            cache: Some(true),
         };
         let plan = SolvePlan::resolve(request(), &env);
         assert_eq!(plan.threads, Some(8));
         assert_eq!(plan.leaf_words, Some(2));
         assert_eq!(plan.frontier_shards, Some(4));
-        assert!(plan.cache_enabled);
-        // Environment-enabled, not explicit.
-        assert!(!plan.cache_explicit);
+        assert!(
+            !plan.cache_enabled,
+            "no environment variable attaches the cache"
+        );
     }
 
     #[test]
@@ -230,7 +220,6 @@ mod tests {
             pipeline_threads: Some(8),
             leaf_words: Some(4),
             frontier_shards: Some(64),
-            cache: Some(true),
         };
         let req = request()
             .threads(2)
@@ -242,13 +231,11 @@ mod tests {
         assert_eq!(plan.leaf_words, Some(1));
         assert_eq!(plan.frontier_shards, Some(3));
         assert!(!plan.cache_enabled);
-        assert!(plan.cache_explicit);
     }
 
     #[test]
-    fn explicit_cache_on_is_flagged_explicit() {
+    fn only_the_request_attaches_the_cache() {
         let plan = SolvePlan::resolve(request().cache(true), &EnvOverrides::none());
         assert!(plan.cache_enabled);
-        assert!(plan.cache_explicit);
     }
 }

@@ -215,9 +215,10 @@ pub struct SolveRequest {
     pub linkage: Linkage,
     /// Maximum recursion depth of the pipeline's meta solves.
     pub max_depth: usize,
-    /// Group-solve cache: `Some(true)` forces it on (with whole-solve
-    /// memoization), `Some(false)` forces it off, `None` defers to
-    /// `MUTREE_CACHE` (stage-level only).
+    /// Group-solve cache: `Some(true)` attaches the process-wide cache
+    /// (stage lookups plus whole-solve memoization); `Some(false)` and
+    /// `None` leave it off. `None` means "unsaid", so a front end such as
+    /// the daemon can fill in its own default.
     pub cache: Option<bool>,
     /// Structured kernel-event tracing to stderr.
     pub trace: Option<TraceLevel>,
@@ -305,8 +306,7 @@ impl SolveRequest {
         self
     }
 
-    /// Forces the group-solve cache on or off (overrides the
-    /// environment).
+    /// Turns the group-solve cache on or off for this request.
     pub fn cache(mut self, enabled: bool) -> Self {
         self.cache = Some(enabled);
         self

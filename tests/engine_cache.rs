@@ -8,19 +8,23 @@
 //!   still proves the same optimum;
 //! * a **poisoned** entry fails its checksum, is evicted, and the solve
 //!   degrades to a cold search with the corruption counted — never a
-//!   wrong answer.
+//!   wrong answer;
+//! * one cache **shared** by pipelines on a pooled executor, probed and
+//!   filed from several threads at once, never changes an answer.
 
 use std::sync::Arc;
 
 use mutree::core::{
-    solve_plan, BackendSpec, CacheOutcome, CompactPipeline, EnvOverrides, GroupCache, MutSolver,
-    SearchBackend, SolvePlan, SolveRequest, StageProvenance, ThreeThree,
+    solve_plan, BackendSpec, CacheOutcome, CompactPipeline, DegradeReason, EnvOverrides, Executor,
+    GroupCache, MutSolver, PipelineSolution, SearchBackend, SolvePlan, SolveRequest,
+    StageProvenance, ThreeThree,
 };
-use mutree::distmat::gen;
+use mutree::distmat::{gen, DistanceMatrix};
+use mutree::seqgen;
 use mutree::tree::compare::robinson_foulds;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const BACKENDS: [BackendSpec; 3] = [
     BackendSpec::Sequential,
@@ -197,4 +201,150 @@ fn poisoned_cache_degrades_to_cold_solve() {
         "no stage may be served from a poisoned cache: {:?}",
         replay.timings
     );
+}
+
+/// Clustered, HMDNA-like and tie-heavy matrices, plus one exact repeat:
+/// random float groups whose canonical order is not the identity, integer
+/// ties, and a whole instance the pipeline memo must answer.
+fn shared_cache_batch() -> Vec<DistanceMatrix> {
+    let mut rng = StdRng::seed_from_u64(0x5ca1e);
+    let mut batch = Vec::new();
+    for _ in 0..3 {
+        // Three tight clusters of five taxa, far apart.
+        let mut m = DistanceMatrix::zeros(15).unwrap();
+        for i in 0..15 {
+            for j in (i + 1)..15 {
+                let d = if i / 5 == j / 5 {
+                    rng.gen_range(2.0..8.0)
+                } else {
+                    rng.gen_range(90.0..110.0)
+                };
+                m.set(i, j, d);
+            }
+        }
+        batch.push(m);
+    }
+    for _ in 0..3 {
+        batch.push(seqgen::hmdna_like_matrix(16, 150, &mut rng));
+    }
+    for _ in 0..3 {
+        let mut m = DistanceMatrix::zeros(12).unwrap();
+        for i in 0..12 {
+            for j in (i + 1)..12 {
+                m.set(i, j, f64::from(rng.gen_range(1..=3u32)));
+            }
+        }
+        batch.push(m);
+    }
+    batch.push(batch[0].clone());
+    batch
+}
+
+fn assert_unchanged(pass: &str, reference: &[PipelineSolution], got: &[PipelineSolution]) {
+    for (i, (want, got)) in reference.iter().zip(got).enumerate() {
+        assert!(
+            got.is_complete(),
+            "{pass}, instance {i}: {:?}",
+            got.degraded
+        );
+        assert_eq!(
+            got.weight.to_bits(),
+            want.weight.to_bits(),
+            "{pass}, instance {i}: weight {} vs uncached {}",
+            got.weight,
+            want.weight
+        );
+        assert_eq!(
+            robinson_foulds(&got.tree, &want.tree).unwrap(),
+            0,
+            "{pass}, instance {i}: topology differs from the uncached run"
+        );
+        assert_eq!(got.stats.cache_poisoned, 0, "{pass}, instance {i}");
+    }
+}
+
+/// One `GroupCache` shared by pipelines on an 8-worker executor answers
+/// every instance exactly as the uncached pipeline does: cold, warm, and
+/// with several threads probing and filing at once. Stages that fail
+/// under a cacheable signature file nothing.
+#[test]
+fn shared_cache_never_changes_a_pipeline_answer() {
+    let exec = Executor::new(8);
+    let batch = shared_cache_batch();
+    let pipeline = || CompactPipeline::new().threshold(5).executor(exec.clone());
+    let reference: Vec<PipelineSolution> =
+        batch.iter().map(|m| pipeline().solve(m).unwrap()).collect();
+    let cached = |cache: &Arc<GroupCache>| pipeline().cache(Arc::clone(cache));
+    let pass = |cache: &Arc<GroupCache>| -> Vec<PipelineSolution> {
+        batch
+            .iter()
+            .map(|m| cached(cache).solve(m).unwrap())
+            .collect()
+    };
+
+    // Zero parallel workers trip the driver's worker assertion, so every
+    // stage panics and degrades to its agglomerative fallback. The worker
+    // count is answer-neutral and left out of the signature, so these
+    // stages probe and could file under a healthy parallel solver's key.
+    let cache = Arc::new(GroupCache::new());
+    let broken = MutSolver::new().backend(SearchBackend::Parallel { workers: 0 });
+    assert!(broken.cache_sig().is_some());
+    for m in &batch {
+        let sol = cached(&cache).solver(broken.clone()).solve(m).unwrap();
+        assert!(
+            sol.degraded
+                .iter()
+                .any(|d| d.reason == DegradeReason::Panicked),
+            "the broken solver must degrade its stages"
+        );
+    }
+    assert!(cache.is_empty(), "degraded stages were filed: {cache:?}");
+
+    let cold = pass(&cache);
+    assert_unchanged("cold", &reference, &cold);
+    let warm = pass(&cache);
+    assert_unchanged("warm", &reference, &warm);
+    let hits: u64 = warm.iter().map(|s| s.stats.cache_hits).sum();
+    assert!(hits > 0, "the warm pass must hit");
+    assert!(
+        warm.iter()
+            .all(|s| s.timings[0].provenance == StageProvenance::Cached),
+        "every warm run is a whole-run memo hit"
+    );
+    // Another depth cap changes the whole-run key but no stage key, so
+    // this pass misses the whole-run memo and answers from stage hits.
+    let staged: Vec<PipelineSolution> = batch
+        .iter()
+        .map(|m| cached(&cache).max_depth(7).solve(m).unwrap())
+        .collect();
+    assert_unchanged("stage-warm", &reference, &staged);
+    assert!(
+        staged.iter().all(|s| s.stats.cache_hits > 0),
+        "every instance has a stage answered from the cache"
+    );
+
+    // A fresh cache, probed and filed by three threads at once, each
+    // walking the batch from a different offset.
+    let shared = Arc::new(GroupCache::new());
+    std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..3)
+            .map(|t| {
+                let shared = &shared;
+                let batch = &batch;
+                let cached = &cached;
+                scope.spawn(move || {
+                    let k = batch.len();
+                    let mut out: Vec<Option<PipelineSolution>> = vec![None; k];
+                    for step in 0..k {
+                        let i = (step + t * k / 3) % k;
+                        out[i] = Some(cached(shared).solve(&batch[i]).unwrap());
+                    }
+                    out.into_iter().map(Option::unwrap).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for run in runs {
+            assert_unchanged("concurrent", &reference, &run.join().unwrap());
+        }
+    });
 }

@@ -9,9 +9,10 @@
 //! not match: writes and save/restore are fine, reads are not.
 //!
 //! A second scan keeps retired search paths retired: the forced-kernel
-//! and forced-prune knobs, the types that selected between bound kernels
-//! and prune strategies, and the global-mutex parallel driver must not
-//! reappear in any Rust source or in the CI workflow.
+//! and forced-prune knobs, the ambient cache switch, the types that
+//! selected between bound kernels and prune strategies, and the
+//! global-mutex parallel driver must not reappear in any Rust source or
+//! in the CI workflow.
 
 use std::path::{Path, PathBuf};
 
@@ -64,9 +65,10 @@ fn only_plan_resolution_reads_mutree_env_vars() {
 
 /// Names of retired search paths and the knobs that forced them. Each is
 /// split in two so this file's own source never matches.
-const RETIRED: [[&str; 2]; 8] = [
+const RETIRED: [[&str; 2]; 9] = [
     ["MUTREE_FORCE_", "BOUND_KERNEL"],
     ["MUTREE_FORCE_", "PRUNE"],
+    ["MUTREE_", "CACHE"],
     ["Prune", "Strategy"],
     ["Bound", "Kernel"],
     ["Dist", "Source"],
