@@ -13,9 +13,8 @@
 //!   per-node expansion fast path acquires **no mutex at all**;
 //! * surplus nodes are **donated in batches** to one of `S` sharded
 //!   overflow pools (`S` chosen from the worker count, overridable via
-//!   [`SearchOptions::frontier_shards`](crate::SearchOptions::frontier_shards),
-//!   which callers resolve from the `MUTREE_FRONTIER_SHARDS` environment
-//!   hook), and only when a peer is actually parked waiting for work;
+//!   [`SearchOptions::frontier_shards`](crate::SearchOptions::frontier_shards)),
+//!   and only when a peer is actually parked waiting for work;
 //! * a starved worker sweeps the shards in a **randomized victim order**
 //!   (seeded deterministically from its worker ordinal) and **steals half
 //!   a victim's batch** in one lock acquisition;
@@ -240,9 +239,7 @@ impl<N> ShardedFrontier<N> {
 }
 
 /// Shard count policy: an explicit override (clamped to `1..=64`; zero
-/// ignored), else the next power of two ≥ `workers`, capped at 16. Pure:
-/// the `MUTREE_FRONTIER_SHARDS` environment hook is resolved into the
-/// override by the engine crate's plan resolution, never here.
+/// ignored), else the next power of two ≥ `workers`, capped at 16.
 fn shard_count_with(override_shards: Option<usize>, workers: usize) -> usize {
     if let Some(n) = override_shards {
         if n >= 1 {

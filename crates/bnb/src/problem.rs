@@ -239,8 +239,6 @@ pub struct SearchOptions {
     pub checkpoint: Option<CheckpointPolicy>,
     /// Overrides the parallel drivers' work-stealing shard count (clamped
     /// to the frontier's maximum). `None` uses the worker-derived default.
-    /// Callers resolve the `MUTREE_FRONTIER_SHARDS` environment hook into
-    /// this field; this crate itself never reads the environment.
     pub frontier_shards: Option<usize>,
 }
 

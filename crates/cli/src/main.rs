@@ -36,8 +36,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use mutree_core::{
-    plan_pipeline, plan_solver, solve_plan, BackendSpec, CheckpointPolicy, MemoryBudget, MutError,
-    RetryPolicy, SearchMode, SolvePlan, SolveReport, SolveRequest, ThreeThree, TraceLevel,
+    leaf_words_for, plan_pipeline, plan_solver, solve_plan, BackendSpec, CheckpointPolicy,
+    EnvOverrides, MemoryBudget, MutError, RetryPolicy, SearchMode, SolvePlan, SolveReport,
+    SolveRequest, ThreeThree, TraceLevel, MAX_EXACT_TAXA,
 };
 use mutree_distmat::{io as mio, DistanceMatrix};
 use mutree_graph::CompactSets;
@@ -339,30 +340,29 @@ fn solve(args: &[String]) -> Result<ExitCode, CliError> {
     if args.iter().any(|a| a == "--cache") {
         req = req.cache(true);
     }
-    // Resolve every environment override in one place, then execute the
-    // plan through the engine spine.
-    let plan = SolvePlan::resolve_from_env(req);
-    let solver = plan_solver(&plan);
-    // Which leaf-bitset width the dispatcher picked (or was forced to via
-    // MUTREE_FORCE_LEAF_WORDS), against the engine's taxa ceiling.
-    let words = solver.dispatch_leaf_words(m.len()).ok_or_else(|| {
+    // Refuse matrices beyond the engine's taxa ceiling up front, with a
+    // pointer to the pipeline.
+    let needed = leaf_words_for(m.len()).ok_or_else(|| {
         CliError::Solver(format!(
-            "matrix has {} taxa; engine limit is {} (use the pipeline: mutree fast)",
-            m.len(),
-            solver.max_taxa()
+            "matrix has {} taxa; engine limit is {MAX_EXACT_TAXA} (use the pipeline: mutree fast)",
+            m.len()
         ))
     })?;
+    // The request is the whole configuration; execute it through the
+    // engine spine.
+    let plan = SolvePlan::resolve(req, &EnvOverrides::none());
     let report = solve_plan(&plan).map_err(|e| match e {
         // A bad snapshot is an input problem, not a search failure.
         MutError::Checkpoint { .. } | MutError::Input { .. } => CliError::Input(e.to_string()),
         e => CliError::Solver(e.to_string()),
     })?;
+    // The leaf-bitset width the dispatcher picked.
+    let words = report.leaf_words.unwrap_or(needed);
     println!("weight: {}", report.weight);
     println!(
-        "leaf words: {words}  ({} of {} taxa, engine limit {})",
+        "leaf words: {words}  ({} of {} taxa, engine limit {MAX_EXACT_TAXA})",
         m.len(),
         64 * words,
-        solver.max_taxa()
     );
     println!(
         "branched: {}  pruned: {}  propagation pruned: {}  solutions seen: {}  incumbent updates: {}  peak pool: {}",
@@ -458,7 +458,7 @@ fn fast(args: &[String]) -> Result<ExitCode, CliError> {
     if args.iter().any(|a| a == "--cache") {
         req = req.cache(true);
     }
-    let plan = SolvePlan::resolve_from_env(req);
+    let plan = SolvePlan::resolve(req, &EnvOverrides::none());
     // Undocumented test hook for the exit-code contract tests: makes
     // every n-taxon stage solve panic, exercising the retry/degrade
     // path. A request cannot express it, so this path assembles the

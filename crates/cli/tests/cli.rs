@@ -17,8 +17,11 @@ fn run(args: &[&str]) -> (String, String, bool) {
 }
 
 fn run_with_stdin(args: &[&str], input: &str) -> (String, bool) {
-    let mut child = mutree()
-        .args(args)
+    feed_stdin(mutree().args(args), input)
+}
+
+fn feed_stdin(cmd: &mut Command, input: &str) -> (String, bool) {
+    let mut child = cmd
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -67,11 +70,32 @@ fn solve_reads_stdin_and_prints_newick() {
     assert!(stdout.contains("weight: 11"));
     assert!(stdout.contains("alpha"));
     assert!(stdout.contains(";"));
-    // Diagnostics name the leaf width in play (its value depends on the
-    // ambient MUTREE_FORCE_LEAF_WORDS hook CI pins, so assert the line,
-    // not the dispatch) and the propagation stage's prune count.
-    assert!(stdout.contains("leaf words: "), "{stdout}");
+    // Diagnostics name the leaf width in play and the propagation
+    // stage's prune count.
+    assert!(stdout.contains("leaf words: 1 "), "{stdout}");
     assert!(stdout.contains("propagation pruned: "), "{stdout}");
+}
+
+#[test]
+fn former_environment_knobs_are_inert() {
+    // The solve is configured by its flags alone: variables that once
+    // forced the pipeline pool, the leaf width and the frontier shards
+    // change nothing. Names are assembled at runtime so no source file
+    // spells them.
+    let (clean, ok) = run_with_stdin(&["solve", "-"], MATRIX);
+    assert!(ok, "{clean}");
+    let mut cmd = mutree();
+    for (name, value) in [
+        ("PIPELINE_THREADS", "4"),
+        ("FORCE_LEAF_WORDS", "2"),
+        ("FRONTIER_SHARDS", "8"),
+    ] {
+        cmd.env(format!("MUTREE_{name}"), value);
+    }
+    let (stdout, ok) = feed_stdin(cmd.args(["solve", "-"]), MATRIX);
+    assert!(ok, "{stdout}");
+    assert!(stdout.contains("leaf words: 1 "), "{stdout}");
+    assert_eq!(stdout, clean);
 }
 
 #[test]

@@ -42,7 +42,7 @@
 use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use mutree_bnb::StopReason;
@@ -133,28 +133,18 @@ impl Default for CompactPipeline {
     }
 }
 
-/// `MUTREE_PIPELINE_THREADS=N` (N ≥ 1) forces every pipeline onto one
-/// process-wide shared N-thread executor — CI uses it to push the whole
-/// test suite through the task-graph path. The env read itself lives in
-/// [`mutree_engine::plan`] with the rest of the override resolution.
-fn env_executor() -> Option<Executor> {
-    static FORCED: OnceLock<Option<Executor>> = OnceLock::new();
-    FORCED
-        .get_or_init(|| mutree_engine::plan::env_pipeline_threads().map(Executor::new))
-        .clone()
-}
-
 impl CompactPipeline {
     /// A pipeline cutting compact sets at 12 species, condensing under
     /// maximum linkage (the paper's studied variant) and solving pieces
-    /// with a default sequential [`MutSolver`]. No cache is attached.
+    /// with a default sequential [`MutSolver`]. The stage DAG runs
+    /// inline; no executor and no cache is attached.
     pub fn new() -> Self {
         CompactPipeline {
             threshold: 12,
             linkage: Linkage::Maximum,
             solver: MutSolver::new(),
             max_depth: 8,
-            executor: env_executor(),
+            executor: None,
             retry: None,
             cache: None,
             retry_budget: Arc::new(AtomicU32::new(0)),

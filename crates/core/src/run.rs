@@ -2,13 +2,12 @@
 //! and folding either solve path's outcome into one [`SolveReport`].
 //!
 //! ```text
-//! SolveRequest ──resolve(env)──▶ SolvePlan ──solve_plan──▶ SolveReport
+//! SolveRequest ──resolve──▶ SolvePlan ──solve_plan──▶ SolveReport
 //! ```
 //!
-//! [`solve_request`] resolves the live environment
-//! ([`EnvOverrides::capture`]) and runs the plan; [`solve_plan`] runs an
-//! already-resolved plan, so tests can pin the environment to
-//! [`EnvOverrides::none`] and exercise precedence deterministically. The
+//! [`solve_request`] resolves a request and runs it; [`solve_plan`] runs
+//! an already-resolved plan. Either way the request alone configures the
+//! solve: nothing on this path reads the environment. The
 //! `From` conversions below are the only place the exact solver's
 //! [`MutSolution`] and the pipeline's [`PipelineSolution`] are reconciled
 //! into the shared report shape.
@@ -19,8 +18,8 @@ use std::time::Instant;
 use mutree_clustersim::ClusterSpec;
 use mutree_distmat::DistanceMatrix;
 use mutree_engine::{
-    BackendSpec, GroupCache, MatrixSource, SolveKind, SolvePlan, SolveReport, SolveRequest,
-    StageTiming,
+    BackendSpec, EnvOverrides, GroupCache, MatrixSource, SolveKind, SolvePlan, SolveReport,
+    SolveRequest, StageTiming,
 };
 
 use crate::memo::{memoized, Answer};
@@ -89,8 +88,8 @@ fn shared_cache() -> Arc<GroupCache> {
 /// relative `timeout` to an instant at admission), the shared
 /// [`Executor`] every connection's solves run on, and the chaos-test
 /// fault injection. [`solve_plan_hooked`] threads these into the solver
-/// after plan translation; `SolveHooks::default()` makes it equivalent
-/// to [`solve_plan`].
+/// as it translates the plan; `SolveHooks::default()` makes it
+/// equivalent to [`solve_plan`].
 #[derive(Debug, Clone, Default)]
 pub struct SolveHooks {
     /// Absolute wall-clock deadline. Overrides the request's relative
@@ -100,7 +99,7 @@ pub struct SolveHooks {
     /// Cancel token observed by the search; sticky and level-triggered.
     pub cancel: Option<CancelToken>,
     /// Shared worker pool for the solve (and the pipeline, for
-    /// decomposed requests) instead of a per-solve `Executor::new`.
+    /// decomposed requests). When present, no per-solve pool is built.
     pub executor: Option<Executor>,
     /// Fault-injection test hook: panic on subproblems of exactly this
     /// many taxa (see [`MutSolver::panic_on_taxa`]).
@@ -113,22 +112,6 @@ impl SolveHooks {
             && self.cancel.is_none()
             && self.executor.is_none()
             && self.panic_on_taxa.is_none()
-    }
-
-    fn apply(&self, mut s: MutSolver) -> MutSolver {
-        if let Some(d) = self.deadline {
-            s = s.deadline(d);
-        }
-        if let Some(token) = &self.cancel {
-            s = s.cancel_token(token.clone());
-        }
-        if let Some(exec) = &self.executor {
-            s = s.executor(exec.clone());
-        }
-        if let Some(n) = self.panic_on_taxa {
-            s = s.panic_on_taxa(n);
-        }
-        s
     }
 }
 
@@ -148,16 +131,19 @@ fn load_matrix(source: &MatrixSource) -> Result<DistanceMatrix, MutError> {
     }
 }
 
-/// Builds the solver a plan prescribes. Pure plan-to-builder translation:
-/// the plan's own fields were resolved by [`SolvePlan::resolve`], and
-/// nothing here reads the environment. The built solver still does, for
-/// knobs the plan left unset: [`MutSolver::dispatch_leaf_words`] falls
-/// back to `MUTREE_FORCE_LEAF_WORDS` and the parallel frontier to
-/// `MUTREE_FRONTIER_SHARDS` (see [`mutree_engine::plan`]). Public so
-/// front ends that need a builder tweak the plan cannot express (the
-/// CLI's fault-injection test hook) can still construct through the
-/// spine.
+/// Builds the solver a plan prescribes: pure request-to-builder
+/// translation. Public so front ends that need a builder tweak the plan
+/// cannot express (the CLI's fault-injection test hook) can still
+/// construct through the spine.
 pub fn plan_solver(plan: &SolvePlan) -> MutSolver {
+    hooked_solver(plan, &SolveHooks::default())
+}
+
+/// [`plan_solver`] with `hooks` applied. The hooks' executor, when
+/// present, serves the search in place of the per-solve pool, which is
+/// then never built: a request's `threads` cannot make a daemon spawn
+/// threads.
+fn hooked_solver(plan: &SolvePlan, hooks: &SolveHooks) -> MutSolver {
     let req = &plan.request;
     let mut s = MutSolver::new()
         .backend(match req.backend {
@@ -180,12 +166,11 @@ pub fn plan_solver(plan: &SolvePlan) -> MutSolver {
     if let Some(t) = req.timeout {
         s = s.timeout(t);
     }
-    // An unsupported forced width behaves as unset, same as the solver's
-    // own treatment of the environment hook.
-    if let Some(w) = plan.leaf_words.filter(|w| LEAF_WIDTHS.contains(w)) {
+    // An unsupported forced width behaves as unset.
+    if let Some(w) = req.leaf_words.filter(|w| LEAF_WIDTHS.contains(w)) {
         s = s.leaf_words(w);
     }
-    if let Some(shards) = plan.frontier_shards {
+    if let Some(shards) = req.frontier_shards {
         s = s.frontier_shards(shards);
     }
     if let Some(budget) = req.memory {
@@ -200,15 +185,27 @@ pub fn plan_solver(plan: &SolvePlan) -> MutSolver {
     if let Some(level) = req.trace {
         s = s.trace(crate::LoggingObserver::new(level));
     }
-    // For an exact solve, `threads` means "run the search itself on a
+    // A hooks pool serves the solve whatever the request says. Otherwise,
+    // for an exact solve, `threads` means "run the search itself on a
     // shared pool" (the pipeline owns the pool for decomposed solves, so
     // attaching one here too would double the budget). Only the Parallel
     // backend borrows pool workers, and `Executor::new` spawns its
     // threads eagerly, so other backends get none.
-    if req.kind == SolveKind::Exact && matches!(req.backend, BackendSpec::Parallel { .. }) {
-        if let Some(t) = plan.threads {
+    if let Some(exec) = &hooks.executor {
+        s = s.executor(exec.clone());
+    } else if req.kind == SolveKind::Exact && matches!(req.backend, BackendSpec::Parallel { .. }) {
+        if let Some(t) = req.threads {
             s = s.executor(Executor::new(t));
         }
+    }
+    if let Some(d) = hooks.deadline {
+        s = s.deadline(d);
+    }
+    if let Some(token) = &hooks.cancel {
+        s = s.cancel_token(token.clone());
+    }
+    if let Some(n) = hooks.panic_on_taxa {
+        s = s.panic_on_taxa(n);
     }
     s
 }
@@ -237,7 +234,7 @@ fn pipeline_with_solver(
     }
     if let Some(exec) = shared {
         p = p.executor(exec.clone());
-    } else if let Some(threads) = plan.threads {
+    } else if let Some(threads) = req.threads {
         p = p.executor(Executor::new(threads));
     }
     if plan.cache_enabled {
@@ -267,8 +264,8 @@ pub fn solve_plan(plan: &SolvePlan) -> Result<SolveReport, MutError> {
 ///   the shared cache off for all of them. Sound because entries are
 ///   only filed from completed solves and a hit returns the stored
 ///   proven optimum (see `cache_sig_interruptible`'s contract).
-/// * The hooks' executor replaces any per-solve `Executor::new`, so all
-///   requests share one pool.
+/// * The hooks' executor stands in for every per-solve `Executor::new`,
+///   which is then never built, so all requests share one pool.
 ///
 /// # Errors
 ///
@@ -278,7 +275,7 @@ pub fn solve_plan_hooked(plan: &SolvePlan, hooks: &SolveHooks) -> Result<SolveRe
     let m = load_matrix(&req.source)?;
     match req.kind {
         SolveKind::Exact => {
-            let solver = hooks.apply(plan_solver(plan));
+            let solver = hooked_solver(plan, hooks);
             let leaf_words = solver.dispatch_leaf_words(m.len());
             // Whole-solve memoization; the signature gate keeps
             // constrained solves live.
@@ -325,29 +322,29 @@ pub fn solve_plan_hooked(plan: &SolvePlan, hooks: &SolveHooks) -> Result<SolveRe
             Ok(report)
         }
         SolveKind::Decompose => {
-            let solver = hooks.apply(plan_solver(plan));
+            let solver = hooked_solver(plan, hooks);
             let pipeline = pipeline_with_solver(plan, solver, hooks.executor.as_ref());
             Ok(SolveReport::from(pipeline.solve(&m)?))
         }
     }
 }
 
-/// Resolves `request` against the live process environment and executes
-/// it: the whole spine in one call. Equivalent to
-/// `solve_plan(&SolvePlan::resolve_from_env(request))`.
+/// Resolves `request` and executes it: the whole spine in one call.
+/// Equivalent to `solve_plan(&SolvePlan::resolve(request,
+/// &EnvOverrides::none()))`.
 ///
 /// # Errors
 ///
 /// See [`solve_plan`].
 pub fn solve_request(request: SolveRequest) -> Result<SolveReport, MutError> {
-    solve_plan(&SolvePlan::resolve_from_env(request))
+    solve_plan(&SolvePlan::resolve(request, &EnvOverrides::none()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mutree_distmat::gen;
-    use mutree_engine::{EnvOverrides, StageProvenance};
+    use mutree_engine::StageProvenance;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -422,6 +419,28 @@ mod tests {
         assert!(solver(BackendSpec::Parallel { workers: 2 })
             .executor_handle()
             .is_some());
+    }
+
+    #[test]
+    fn request_knobs_reach_the_builders() {
+        // The request alone configures the builders: its text form's
+        // knob lines reach the solver and the pipeline, and without them
+        // both fall back to the built-in defaults.
+        let builders = |text: &str| {
+            let plan =
+                SolvePlan::resolve(SolveRequest::decode(text).unwrap(), &EnvOverrides::none());
+            (plan_solver(&plan), plan_pipeline(&plan))
+        };
+        let (solver, pipeline) = builders(
+            "mutree-request v1\nkind decompose\nthreads 3\nleaf-words 2\nfrontier-shards 8\n\
+             matrix phylip unread.phy\n",
+        );
+        assert_eq!(solver.dispatch_leaf_words(10), Some(2));
+        assert!(pipeline.executor_handle().is_some());
+        let (solver, pipeline) =
+            builders("mutree-request v1\nkind decompose\nmatrix phylip unread.phy\n");
+        assert_eq!(solver.dispatch_leaf_words(10), Some(1));
+        assert!(pipeline.executor_handle().is_none());
     }
 
     #[test]

@@ -33,17 +33,6 @@ pub fn leaf_words_for(n: usize) -> Option<usize> {
     LEAF_WIDTHS.iter().copied().find(|&k| n <= 64 * k)
 }
 
-/// The `MUTREE_FORCE_LEAF_WORDS` override, validated against
-/// [`LEAF_WIDTHS`]: a supported width forces every solve in the process
-/// onto at least that many leaf words (the differential CI pass pins it
-/// to 2 so the whole suite runs the wide path). Unset, empty or
-/// unsupported values mean no override. The raw read lives in
-/// [`mutree_engine::plan`] with the other environment hooks; it happens
-/// per solve, not cached, so tests can toggle it.
-fn env_forced_leaf_words() -> Option<usize> {
-    mutree_engine::plan::env_forced_leaf_words().filter(|w| LEAF_WIDTHS.contains(w))
-}
-
 /// Which execution backend runs the branch-and-bound search.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchBackend {
@@ -261,9 +250,8 @@ impl MutSolver {
     }
 
     /// Overrides the parallel driver's work-stealing shard count
-    /// (clamped to the frontier's compiled-in maximum). The
-    /// `MUTREE_FRONTIER_SHARDS` environment variable applies the same
-    /// override process-wide; this builder wins when both are set.
+    /// (clamped to the frontier's compiled-in maximum). Unset, the
+    /// driver derives the count from its worker count.
     pub fn frontier_shards(mut self, shards: usize) -> Self {
         self.frontier_shards = Some(shards);
         self
@@ -358,10 +346,8 @@ impl MutSolver {
     /// Forces the leaf-bitset width to `words` 64-bit words (one of
     /// [`LEAF_WIDTHS`]) instead of the narrowest fit for the matrix. A
     /// forced width narrower than the matrix needs is ignored. The
-    /// `MUTREE_FORCE_LEAF_WORDS` environment variable applies the same
-    /// override process-wide (this builder wins when both are set); the
-    /// differential tests solve with widths 1 and 2 and assert identical
-    /// results.
+    /// differential tests and the search pins solve at several widths
+    /// and assert identical results.
     ///
     /// # Panics
     ///
@@ -384,13 +370,11 @@ impl MutSolver {
 
     /// The leaf-bitset width [`solve`](MutSolver::solve) would dispatch an
     /// `n`-taxon matrix to, accounting for a width forced via
-    /// [`leaf_words`](MutSolver::leaf_words) or `MUTREE_FORCE_LEAF_WORDS`;
-    /// `None` beyond [`MAX_EXACT_TAXA`]. The CLI reports this in its
-    /// diagnostics.
+    /// [`leaf_words`](MutSolver::leaf_words); `None` beyond
+    /// [`MAX_EXACT_TAXA`]. The CLI reports this in its diagnostics.
     pub fn dispatch_leaf_words(&self, n: usize) -> Option<usize> {
         let needed = leaf_words_for(n)?;
-        let forced = self.leaf_words.or_else(env_forced_leaf_words);
-        Some(forced.filter(|&w| w >= needed).unwrap_or(needed))
+        Some(self.leaf_words.filter(|&w| w >= needed).unwrap_or(needed))
     }
 
     /// The content-addressing signature of this solver's *answer*, or
@@ -491,8 +475,8 @@ impl MutSolver {
     /// [`CompactPipeline`](crate::CompactPipeline) there.
     pub fn solve(&self, m: &DistanceMatrix) -> Result<MutSolution, MutError> {
         let n = m.len();
-        // A forced width (builder first, then the env hook) may widen the
-        // dispatch but never narrow it below what the matrix needs.
+        // A forced width may widen the dispatch but never narrow it below
+        // what the matrix needs.
         let Some(width) = self.dispatch_leaf_words(n) else {
             return Err(MutError::TooManyTaxa {
                 n,
@@ -594,9 +578,7 @@ impl MutSolver {
         opts.deadline = self.deadline;
         opts.cancel = self.cancel.clone();
         opts.memory = self.memory;
-        opts.frontier_shards = self
-            .frontier_shards
-            .or_else(mutree_engine::plan::env_frontier_shards);
+        opts.frontier_shards = self.frontier_shards;
         // A cadence set before any destination was given has an empty
         // path; never hand that to the drivers.
         opts.checkpoint = self

@@ -1,10 +1,8 @@
 //! The solve-engine spine: **request → plan → report**.
 //!
 //! Every way of running a minimum-ultrametric-tree solve — the CLI, the
-//! benches, the tests — used to assemble its configuration ad hoc from
-//! builder calls sprinkled with `MUTREE_*` environment reads scattered
-//! across three crates. This crate pulls that into one explicit
-//! three-stage spine:
+//! daemon, the benches, the tests — describes it as one value and runs
+//! it through one explicit three-stage spine:
 //!
 //! 1. [`SolveRequest`] — an owned, serializable description of *what* to
 //!    solve: the matrix (inline or a PHYLIP path) plus every knob (mode,
@@ -12,16 +10,11 @@
 //!    retry / checkpoint / memory policies, pipeline depth and
 //!    threshold). Nothing in a request depends on the process
 //!    environment.
-//! 2. [`SolvePlan`] — the request with every environment override
-//!    resolved, in exactly one place ([`SolvePlan::resolve`]). The
-//!    precedence rule is uniform and tested: **builder > environment >
-//!    default**. The `MUTREE_*` variables are captured by
-//!    [`EnvOverrides::capture`], and every read lives in [`plan`] (a
-//!    hygiene test greps for strays). Three `mutree-core` builders still
-//!    call those readers as a fallback for an unset knob (forced leaf
-//!    width, frontier shards, pipeline executor), so
-//!    [`EnvOverrides::none`] does not shield a builder from the
-//!    environment; see [`plan`].
+//! 2. [`SolvePlan`] — the request resolved into what will run
+//!    ([`SolvePlan::resolve`]), under one rule: **request > default**.
+//!    No environment variable configures a solve; the only `MUTREE_*`
+//!    variables are the two `mutree serve` deployment knobs, read in
+//!    [`plan`] (a hygiene test greps for strays).
 //! 3. [`SolveReport`] — the unified outcome: tree(s), weight, merged
 //!    [`SearchStats`](mutree_bnb::SearchStats), stage timings,
 //!    degradation provenance and stop reasons, whichever path (exact

@@ -2,9 +2,9 @@
 //!
 //! A request carries the matrix (inline or as a PHYLIP path) and every
 //! knob the solver and the decomposition pipeline understand, with
-//! `None` / default meaning "let the plan resolution decide" (see
-//! [`SolvePlan::resolve`](crate::SolvePlan::resolve)). Requests never
-//! read the process environment — that is the plan's job — so a request
+//! `None` / default meaning "the built-in default" (see
+//! [`SolvePlan::resolve`](crate::SolvePlan::resolve)). Nothing reads the
+//! process environment to fill a knob, so a request
 //! [`encode`](SolveRequest::encode)d on one machine and
 //! [`decode`](SolveRequest::decode)d on another describes the same solve.
 //!
@@ -192,14 +192,16 @@ pub struct SolveRequest {
     pub use_maxmin: bool,
     /// UPGMM initial incumbent (off only for ablations).
     pub use_upgmm: bool,
-    /// Pipeline executor threads. `None` defers to
-    /// `MUTREE_PIPELINE_THREADS`, then to inline execution.
+    /// Executor threads: the pipeline's worker pool for a decomposed
+    /// solve, the search's borrowed pool for a parallel exact one.
+    /// `None` means inline execution (and one spawned thread per worker
+    /// for a parallel search).
     pub threads: Option<usize>,
-    /// Forced leaf-bitset width in 64-bit words. `None` defers to
-    /// `MUTREE_FORCE_LEAF_WORDS`, then to the narrowest fit.
+    /// Forced leaf-bitset width in 64-bit words. `None` means the
+    /// narrowest fit.
     pub leaf_words: Option<usize>,
-    /// Forced work-stealing shard count. `None` defers to
-    /// `MUTREE_FRONTIER_SHARDS`, then to the worker-derived policy.
+    /// Forced work-stealing shard count. `None` means the
+    /// worker-derived policy.
     pub frontier_shards: Option<usize>,
     /// Open-node cap for the memory watchdog.
     pub memory: Option<MemoryBudget>,
@@ -287,20 +289,19 @@ impl SolveRequest {
         self
     }
 
-    /// Sets the pipeline executor thread count (overrides the
-    /// environment).
+    /// Sets the executor thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
     }
 
-    /// Forces the leaf-bitset width (overrides the environment).
+    /// Forces the leaf-bitset width.
     pub fn leaf_words(mut self, words: usize) -> Self {
         self.leaf_words = Some(words);
         self
     }
 
-    /// Forces the frontier shard count (overrides the environment).
+    /// Forces the frontier shard count.
     pub fn frontier_shards(mut self, shards: usize) -> Self {
         self.frontier_shards = Some(shards);
         self

@@ -300,7 +300,6 @@ struct Shared {
     idle_cv: Condvar,
     draining: AtomicBool,
     exec: Executor,
-    env: EnvOverrides,
     config: ServeConfig,
     counters: Counters,
 }
@@ -323,9 +322,9 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// serving. The environment ([`EnvOverrides::capture`]) is captured
-    /// once, here: every request this daemon runs resolves against the
-    /// daemon's environment, exactly like `solve_request` in-process.
+    /// serving. Every request runs exactly as its own fields say, like
+    /// `solve_request` in-process; its solves borrow the daemon's one
+    /// shared [`Executor`], so a request's `threads` spawns nothing.
     ///
     /// # Errors
     ///
@@ -344,7 +343,6 @@ impl Server {
             idle_cv: Condvar::new(),
             draining: AtomicBool::new(false),
             exec: Executor::new(config.threads.max(1)),
-            env: EnvOverrides::capture(),
             config,
             counters: Counters::new(),
         });
@@ -521,7 +519,7 @@ fn admit(
         req = req.cache(true);
     }
     let deadline = req.timeout.map(|t| Instant::now() + t);
-    let plan = SolvePlan::resolve(req, &shared.env);
+    let plan = SolvePlan::resolve(req, &EnvOverrides::none());
     let token = CancelToken::new();
     {
         let mut st = shared.lock();

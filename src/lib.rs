@@ -11,7 +11,7 @@
 //!   reproduce the paper's 16-node speedup experiments;
 //! * [`seqgen`] — synthetic molecular sequence data and edit distances;
 //! * [`engine`] — the solve spine: serializable
-//!   [`SolveRequest`](engine::SolveRequest)s, environment-resolved
+//!   [`SolveRequest`](engine::SolveRequest)s, resolved
 //!   [`SolvePlan`](engine::SolvePlan)s, unified
 //!   [`SolveReport`](engine::SolveReport)s, and the content-addressed
 //!   group-solve cache;

@@ -1,18 +1,16 @@
 //! Grep-enforced configuration hygiene: `mutree_engine::plan` is the
-//! *only* module allowed to read `MUTREE_*` environment variables. Every
-//! other layer receives its knobs through a resolved
-//! [`SolvePlan`](mutree::engine::SolvePlan), so the builder > env >
-//! default precedence rules live (and are tested) in exactly one place.
-//!
-//! Tests that need to *mutate* the environment (save/restore around
-//! `set_var`) use `std::env::var_os`, which this scan deliberately does
-//! not match: writes and save/restore are fine, reads are not.
+//! *only* module allowed to touch `MUTREE_*` environment variables, and
+//! it reads only the two `mutree serve` deployment knobs. A solve is
+//! configured by its [`SolveRequest`](mutree::engine::SolveRequest)
+//! alone. No other file reads (`var`, `var_os`), sets (`set_var`) or
+//! removes (`remove_var`) a `MUTREE_*` variable, tests included.
 //!
 //! A second scan keeps retired search paths retired: the forced-kernel
-//! and forced-prune knobs, the ambient cache switch, the types that
-//! selected between bound kernels and prune strategies, and the
-//! global-mutex parallel driver must not reappear in any Rust source or
-//! in the CI workflow.
+//! and forced-prune knobs, the ambient cache switch, the three former
+//! per-solve knobs (pipeline threads, forced leaf width, frontier
+//! shards), the types that selected between bound kernels and prune
+//! strategies, and the global-mutex parallel driver must not reappear in
+//! any Rust source or in the CI workflow.
 
 use std::path::{Path, PathBuf};
 
@@ -38,7 +36,10 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
 #[test]
 fn only_plan_resolution_reads_mutree_env_vars() {
     // Assembled at runtime so this file's own source never matches.
-    let needle = format!("::var(\"{}", "MUTREE_");
+    let needles: Vec<String> = ["var", "var_os", "set_var", "remove_var"]
+        .iter()
+        .map(|call| format!("{call}(\"{}", "MUTREE_"))
+        .collect();
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut sources = Vec::new();
     rust_sources(&root, &mut sources);
@@ -51,24 +52,26 @@ fn only_plan_resolution_reads_mutree_env_vars() {
         .iter()
         .filter(|path| !path.ends_with("crates/engine/src/plan.rs"))
         .filter(|path| {
-            std::fs::read_to_string(path)
-                .unwrap_or_default()
-                .contains(&needle)
+            let text = std::fs::read_to_string(path).unwrap_or_default();
+            needles.iter().any(|needle| text.contains(needle.as_str()))
         })
         .collect();
     assert!(
         offenders.is_empty(),
-        "MUTREE_* environment reads outside mutree_engine::plan: {offenders:?}\n\
-         route the knob through SolveRequest / SolvePlan::resolve instead"
+        "MUTREE_* environment access outside mutree_engine::plan: {offenders:?}\n\
+         configure the solve through its SolveRequest instead"
     );
 }
 
 /// Names of retired search paths and the knobs that forced them. Each is
 /// split in two so this file's own source never matches.
-const RETIRED: [[&str; 2]; 9] = [
+const RETIRED: [[&str; 2]; 12] = [
     ["MUTREE_FORCE_", "BOUND_KERNEL"],
     ["MUTREE_FORCE_", "PRUNE"],
     ["MUTREE_", "CACHE"],
+    ["MUTREE_PIPELINE_", "THREADS"],
+    ["MUTREE_FORCE_", "LEAF_WORDS"],
+    ["MUTREE_FRONTIER_", "SHARDS"],
     ["Prune", "Strategy"],
     ["Bound", "Kernel"],
     ["Dist", "Source"],

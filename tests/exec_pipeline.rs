@@ -4,24 +4,36 @@
 //! them either inline or on a shared [`Executor`] worker pool. These
 //! tests pin the two properties that make that safe:
 //!
-//! * **Determinism** — a 4-worker executor run produces the same weight,
-//!   groups and (index-ordered) degradation records as the sequential
-//!   run, under any scheduling;
+//! * **Determinism** — a 4- or 8-worker executor run produces the same
+//!   weight, groups, (index-ordered) degradation records and stage
+//!   timing order as the inline run, under any scheduling;
 //! * **Fault isolation** — a group solve that panics degrades only its
 //!   own group, while sibling groups on the same pool complete exactly.
 
 use mutree::bnb::StopReason;
-use mutree::core::{CompactPipeline, DegradeReason, Executor, MutSolver, SearchBackend};
+use mutree::core::{
+    CompactPipeline, DegradeReason, Executor, MutSolver, PipelineSolution, SearchBackend,
+};
 use mutree::distmat::{gen, DistanceMatrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Worker counts of the pooled arms; 8 oversubscribes a small host, so
+/// stages finish in many different orders.
+const POOLS: [usize; 2] = [4, 8];
+
+/// Stage labels in the order the pipeline reports their timings.
+fn stages(sol: &PipelineSolution) -> Vec<&str> {
+    sol.timings.iter().map(|t| t.stage.as_str()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Weight, groups and feasibility agree between the inline pipeline
-    /// and the same pipeline fanned out over a 4-worker executor.
+    /// Weight, groups, feasibility and the order of the stage timings
+    /// agree between the inline pipeline and the same pipeline fanned
+    /// out over 4- and 8-worker executors.
     #[test]
     fn executor_pipeline_matches_sequential(
         n in 10usize..=20,
@@ -30,23 +42,28 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let m = gen::perturbed_ultrametric(n, 60.0, 0.05, &mut rng);
-        let seq = CompactPipeline::new().threshold(threshold).solve(&m).unwrap();
-        let par = CompactPipeline::new()
-            .threshold(threshold)
-            .executor(Executor::new(4))
-            .solve(&m)
-            .unwrap();
-        prop_assert!(par.tree.is_feasible_for(&m, 1e-9));
-        prop_assert!(
-            (seq.weight - par.weight).abs() < 1e-9,
-            "inline {} vs pooled {}", seq.weight, par.weight
-        );
-        prop_assert_eq!(&seq.groups, &par.groups);
-        prop_assert_eq!(&seq.degraded, &par.degraded);
+        let inline = CompactPipeline::new().threshold(threshold);
+        prop_assert!(inline.executor_handle().is_none());
+        let seq = inline.solve(&m).unwrap();
+        for workers in POOLS {
+            let par = CompactPipeline::new()
+                .threshold(threshold)
+                .executor(Executor::new(workers))
+                .solve(&m)
+                .unwrap();
+            prop_assert!(par.tree.is_feasible_for(&m, 1e-9));
+            prop_assert!(
+                (seq.weight - par.weight).abs() < 1e-9,
+                "inline {} vs {workers}-worker pool {}", seq.weight, par.weight
+            );
+            prop_assert_eq!(&seq.groups, &par.groups);
+            prop_assert_eq!(&seq.degraded, &par.degraded);
+            prop_assert_eq!(stages(&seq), stages(&par), "{} workers", workers);
+        }
     }
 
     /// Degradation records stay deterministic when *every* stage degrades
-    /// (zero budget, no initial incumbent): the executor run reports the
+    /// (zero budget, no initial incumbent): the executor runs report the
     /// identical stage-path-ordered set the inline run does.
     #[test]
     fn degraded_sets_agree_under_concurrency(
@@ -61,16 +78,18 @@ proptest! {
             .solver(starved())
             .solve(&m)
             .unwrap();
-        let par = CompactPipeline::new()
-            .threshold(5)
-            .solver(starved())
-            .executor(Executor::new(4))
-            .solve(&m)
-            .unwrap();
-        prop_assert!(par.tree.is_feasible_for(&m, 1e-9));
-        prop_assert!((seq.weight - par.weight).abs() < 1e-9);
-        prop_assert_eq!(&seq.degraded, &par.degraded);
-        prop_assert_eq!(seq.stop, par.stop);
+        for workers in POOLS {
+            let par = CompactPipeline::new()
+                .threshold(5)
+                .solver(starved())
+                .executor(Executor::new(workers))
+                .solve(&m)
+                .unwrap();
+            prop_assert!(par.tree.is_feasible_for(&m, 1e-9));
+            prop_assert!((seq.weight - par.weight).abs() < 1e-9);
+            prop_assert_eq!(&seq.degraded, &par.degraded);
+            prop_assert_eq!(seq.stop, par.stop);
+        }
     }
 }
 

@@ -4,10 +4,9 @@
 //! cluster must all find the same optimum on the same matrices, at every
 //! worker count.
 //!
-//! Worker counts default to {1, 2, 8}; when `MUTREE_PIPELINE_THREADS` is
-//! set (the CI stress pass pins it to 8 with `RUST_TEST_THREADS=1`), the
-//! suite uses that count instead, so the stress run drives exactly the
-//! configuration under test.
+//! The parallel driver runs at workers {1, 2, 8} × shards {default, 8}:
+//! 8 workers on 8 shards oversubscribes a small host, which maximises
+//! donation, steal and park interleavings.
 //!
 //! The whole matrix additionally runs at both monomorphized leaf-bitset
 //! widths (K = 1 and forced K = 2): the sharded frontier must find the
@@ -15,39 +14,51 @@
 
 use mutree::clustersim::ClusterSpec;
 use mutree::core::{CompactPipeline, Executor, MutSolver, SearchBackend, SearchMode};
-use mutree::distmat::DistanceMatrix;
+use mutree::distmat::{gen, DistanceMatrix};
 use mutree::seqgen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn worker_counts() -> Vec<usize> {
-    match std::env::var_os("MUTREE_PIPELINE_THREADS") {
-        Some(v) => vec![v
-            .to_string_lossy()
-            .trim()
-            .parse()
-            .expect("MUTREE_PIPELINE_THREADS is numeric")],
-        None => vec![1, 2, 8],
+/// Parallel worker (and simulated slave) counts.
+const WORKERS: [usize; 3] = [1, 2, 8];
+
+/// Frontier shard counts: the worker-derived default, and 8.
+const SHARDS: [Option<usize>; 2] = [None, Some(8)];
+
+/// A solver with `shards` frontier shards, or the default count.
+fn sharded(solver: MutSolver, shards: Option<usize>) -> MutSolver {
+    match shards {
+        Some(s) => solver.frontier_shards(s),
+        None => solver,
     }
 }
 
+/// Near-ultrametric matrices, which the UPGMM incumbent settles at the
+/// root, and random metrics, whose searches branch hundreds of times so
+/// the frontier carries real steal and donation traffic.
 fn matrices() -> Vec<DistanceMatrix> {
     let mut out = Vec::new();
     for seed in [11u64, 12, 13] {
         let mut rng = StdRng::seed_from_u64(seed);
         out.push(seqgen::hmdna_like_matrix(11, 150, &mut rng));
     }
+    for (n, seed) in [(11usize, 3u64), (12, 1)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        out.push(gen::uniform_metric(n, 1.0, 100.0, &mut rng));
+    }
     out
 }
 
 #[test]
 fn sequential_parallel_and_cluster_sim_agree() {
+    let mut branched = 0;
     for (mi, m) in matrices().iter().enumerate() {
         let seq = MutSolver::new()
             .backend(SearchBackend::Sequential)
             .solve(m)
             .unwrap();
         assert!(seq.is_complete());
+        branched += seq.stats.branched;
         for words in [1usize, 2] {
             let wseq = MutSolver::new()
                 .leaf_words(words)
@@ -57,36 +68,36 @@ fn sequential_parallel_and_cluster_sim_agree() {
             // The widths run the same search: same weight, same counters.
             assert_eq!(wseq.stats.branched, seq.stats.branched, "matrix {mi}");
             assert!((wseq.weight - seq.weight).abs() < 1e-9, "matrix {mi}");
-            for workers in worker_counts() {
+            for workers in WORKERS {
+                for shards in SHARDS {
+                    let ctx =
+                        format!("matrix {mi}, workers {workers}, shards {shards:?}, width {words}");
+                    let parallel = sharded(
+                        MutSolver::new()
+                            .leaf_words(words)
+                            .backend(SearchBackend::Parallel { workers }),
+                        shards,
+                    );
+                    // No executor attached: one spawned thread per worker.
+                    let spawned = parallel.solve(m).unwrap();
+                    assert!(spawned.is_complete(), "{ctx}");
+                    assert!(
+                        (spawned.weight - seq.weight).abs() < 1e-9,
+                        "spawned parallel disagrees: {ctx}: {} vs {}",
+                        spawned.weight,
+                        seq.weight
+                    );
+
+                    let pooled = parallel.executor(Executor::new(workers)).solve(m).unwrap();
+                    assert!(pooled.is_complete(), "{ctx}");
+                    assert!(
+                        (pooled.weight - seq.weight).abs() < 1e-9,
+                        "pooled parallel disagrees: {ctx}: {} vs {}",
+                        pooled.weight,
+                        seq.weight
+                    );
+                }
                 let ctx = format!("matrix {mi}, workers {workers}, width {words}");
-                // No executor attached: one spawned thread per worker.
-                let spawned = MutSolver::new()
-                    .leaf_words(words)
-                    .backend(SearchBackend::Parallel { workers })
-                    .solve(m)
-                    .unwrap();
-                assert!(spawned.is_complete(), "{ctx}");
-                assert!(
-                    (spawned.weight - seq.weight).abs() < 1e-9,
-                    "spawned parallel disagrees: {ctx}: {} vs {}",
-                    spawned.weight,
-                    seq.weight
-                );
-
-                let pooled = MutSolver::new()
-                    .leaf_words(words)
-                    .backend(SearchBackend::Parallel { workers })
-                    .executor(Executor::new(workers))
-                    .solve(m)
-                    .unwrap();
-                assert!(pooled.is_complete(), "{ctx}");
-                assert!(
-                    (pooled.weight - seq.weight).abs() < 1e-9,
-                    "pooled parallel disagrees: {ctx}: {} vs {}",
-                    pooled.weight,
-                    seq.weight
-                );
-
                 let sim = MutSolver::new()
                     .leaf_words(words)
                     .backend(SearchBackend::SimulatedCluster {
@@ -104,6 +115,7 @@ fn sequential_parallel_and_cluster_sim_agree() {
             }
         }
     }
+    assert!(branched > 0, "no matrix sends work through the frontier");
 }
 
 #[test]
@@ -122,39 +134,47 @@ fn all_optimal_sets_agree_across_drivers() {
         .solve(&m)
         .unwrap();
     for words in [1usize, 2] {
-        for workers in worker_counts() {
-            let par = MutSolver::new()
-                .leaf_words(words)
-                .mode(SearchMode::AllOptimal)
-                .backend(SearchBackend::Parallel { workers })
+        for workers in WORKERS {
+            for shards in SHARDS {
+                let par = sharded(
+                    MutSolver::new()
+                        .leaf_words(words)
+                        .mode(SearchMode::AllOptimal)
+                        .backend(SearchBackend::Parallel { workers }),
+                    shards,
+                )
                 .solve(&m)
                 .unwrap();
-            assert!((par.weight - seq.weight).abs() < 1e-9);
-            assert_eq!(
-                par.trees.len(),
-                seq.trees.len(),
-                "co-optimum count differs at {workers} workers, width {words}"
-            );
+                assert!((par.weight - seq.weight).abs() < 1e-9);
+                assert_eq!(
+                    par.trees.len(),
+                    seq.trees.len(),
+                    "co-optimum count differs at {workers} workers, shards {shards:?}, width {words}"
+                );
+            }
         }
     }
 }
 
 #[test]
-fn pipeline_honors_thread_env_and_agrees() {
-    // The compact-set pipeline runs its group solves' parallel search on
-    // the executor whenever one is attached — including the
-    // process-wide one forced by MUTREE_PIPELINE_THREADS. Its exact
-    // pieces must reproduce the sequential optimum of each piece's
-    // submatrix regardless of thread count.
+fn pipeline_on_an_executor_agrees() {
+    // The compact-set pipeline runs its group solves on the executor
+    // whenever one is attached. Its exact pieces must reproduce the
+    // inline run's optimum regardless of thread count.
     let mut rng = StdRng::seed_from_u64(99);
     let m = seqgen::hmdna_like_matrix(14, 150, &mut rng);
     let base = CompactPipeline::new().threshold(8).solve(&m).unwrap();
-    let pooled = CompactPipeline::new()
-        .threshold(8)
-        .executor(Executor::new(worker_counts()[0]))
-        .solve(&m)
-        .unwrap();
     assert!(base.tree.is_feasible_for(&m, 1e-9));
-    assert!(pooled.tree.is_feasible_for(&m, 1e-9));
-    assert!((base.tree.weight() - pooled.tree.weight()).abs() < 1e-9);
+    for workers in WORKERS {
+        let pooled = CompactPipeline::new()
+            .threshold(8)
+            .executor(Executor::new(workers))
+            .solve(&m)
+            .unwrap();
+        assert!(pooled.tree.is_feasible_for(&m, 1e-9));
+        assert!(
+            (base.tree.weight() - pooled.tree.weight()).abs() < 1e-9,
+            "{workers} workers"
+        );
+    }
 }

@@ -5,10 +5,7 @@
 //! (sequentially, the drivers expand the same nodes in the same order;
 //! widening the bitset may not change a single decision).
 //!
-//! Widths are forced two ways: the `MutSolver::leaf_words` builder
-//! (race-free, used for the matrix sweep) and the
-//! `MUTREE_FORCE_LEAF_WORDS` env hook that CI pins to 2 for its wide
-//! full-suite pass (exercised once here, serialized within this file).
+//! Widths are forced with the `MutSolver::leaf_words` builder.
 
 use mutree::clustersim::ClusterSpec;
 use mutree::core::{MutSolver, SearchBackend};
@@ -108,39 +105,26 @@ fn forced_widths_agree_on_all_drivers() {
     assert_eq!(robinson_foulds(&sim1.tree, &sim2.tree).unwrap(), 0);
 }
 
-/// The env hook forces the wide path process-wide; the builder overrides
-/// it when both are set, and a forced width can never narrow the dispatch
-/// below what the matrix needs. Env mutation is confined to this one test
-/// (integration-test files run as their own process, and the other tests
-/// in this file use the builder, which wins over the env var — so even
-/// concurrent execution within the file stays correct).
+/// A builder-set width forces the wide path, and a forced width can never
+/// narrow the dispatch below what the matrix needs.
 #[test]
-fn env_hook_forces_wide_path() {
+fn forced_width_widens_but_never_narrows() {
     let mut rng = StdRng::seed_from_u64(5);
     let m = gen::uniform_metric(8, 1.0, 100.0, &mut rng);
     let solver = MutSolver::new();
-    // CI's wide pass pins the variable for the whole process; save and
-    // restore it so this test is valid in any ambient configuration.
-    let prior = std::env::var_os("MUTREE_FORCE_LEAF_WORDS");
-    std::env::remove_var("MUTREE_FORCE_LEAF_WORDS");
     assert_eq!(solver.dispatch_leaf_words(m.len()), Some(1));
-
-    std::env::set_var("MUTREE_FORCE_LEAF_WORDS", "2");
-    assert_eq!(solver.dispatch_leaf_words(m.len()), Some(2));
-    let forced = solver.solve(&m).unwrap();
-    // Builder beats env; a narrower forced width than needed is ignored.
+    assert_eq!(
+        solver.clone().leaf_words(2).dispatch_leaf_words(m.len()),
+        Some(2)
+    );
     assert_eq!(solver.clone().leaf_words(4).dispatch_leaf_words(8), Some(4));
-    std::env::set_var("MUTREE_FORCE_LEAF_WORDS", "1");
-    assert_eq!(solver.dispatch_leaf_words(65), Some(2));
-    // Junk values mean no override.
-    std::env::set_var("MUTREE_FORCE_LEAF_WORDS", "3");
-    assert_eq!(solver.dispatch_leaf_words(m.len()), Some(1));
-    match prior {
-        Some(v) => std::env::set_var("MUTREE_FORCE_LEAF_WORDS", v),
-        None => std::env::remove_var("MUTREE_FORCE_LEAF_WORDS"),
-    }
+    assert_eq!(
+        solver.clone().leaf_words(1).dispatch_leaf_words(65),
+        Some(2)
+    );
 
-    let baseline = MutSolver::new().leaf_words(1).solve(&m).unwrap();
+    let forced = solver.clone().leaf_words(2).solve(&m).unwrap();
+    let baseline = solver.leaf_words(1).solve(&m).unwrap();
     assert_eq!(forced.weight, baseline.weight);
     assert_eq!(forced.stats.branched, baseline.stats.branched);
     assert_eq!(robinson_foulds(&forced.tree, &baseline.tree).unwrap(), 0);

@@ -4,7 +4,7 @@
 //! The contract under test, end to end over TCP:
 //!
 //! * a daemon answer is **bit-identical** to an in-process `solve_plan`
-//!   of the same request resolved against the same environment;
+//!   of the same request;
 //! * a replayed request is answered from the process-wide shared cache,
 //!   provenance `Cached`, bit-identical to the filing solve;
 //! * malformed, truncated and oversized frames get clean error frames
@@ -56,7 +56,7 @@ fn daemon_answers_bit_identically_to_in_process_solve_plan() {
         // Explicit cache choice so the daemon's cache-by-default policy
         // cannot make the two plans differ.
         let req = SolveRequest::exact(matrix(8, seed)).cache(false);
-        let local = solve_plan(&SolvePlan::resolve(req.clone(), &EnvOverrides::capture()))
+        let local = solve_plan(&SolvePlan::resolve(req.clone(), &EnvOverrides::none()))
             .expect("in-process solve");
         let remote = client.solve(&req).expect("daemon solve");
         assert_bit_identical(&remote, &local);
@@ -197,26 +197,32 @@ fn client_disconnect_mid_solve_cancels_the_request() {
 
 #[test]
 fn eight_concurrent_clients_all_get_correct_answers() {
+    // An oversubscribed shared pool, and half the requests on the
+    // two-word leaf bitsets: every answer must still match the local
+    // reference bit for bit.
     let config = ServeConfig {
         workers: 4,
-        threads: 4,
+        threads: 8,
         ..ServeConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr();
-    let env = EnvOverrides::capture();
     std::thread::scope(|scope| {
         for c in 0..8u64 {
-            let env = env.clone();
             scope.spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
                 for k in 0..3u64 {
                     let seed = 0xc0_0000 + c * 100 + k;
-                    let req = SolveRequest::exact(matrix(7, seed)).cache(false);
-                    let local =
-                        solve_plan(&SolvePlan::resolve(req.clone(), &env)).expect("local solve");
+                    let mut req = SolveRequest::exact(matrix(7, seed)).cache(false);
+                    if (c + k) % 2 == 1 {
+                        req = req.leaf_words(2);
+                    }
+                    let local = solve_plan(&SolvePlan::resolve(req.clone(), &EnvOverrides::none()))
+                        .expect("local solve");
                     let remote = client.solve(&req).expect("daemon solve");
                     assert_bit_identical(&remote, &local);
+                    assert_eq!(remote.leaf_words, local.leaf_words);
+                    assert_eq!(remote.stats.branched, local.stats.branched);
                 }
             });
         }

@@ -14,7 +14,7 @@ use mutree::bnb::{
     SpawnPool, StopReason,
 };
 use mutree::clustersim::ClusterSpec;
-use mutree::core::{CompactPipeline, MutSolver, RetryPolicy, SearchBackend};
+use mutree::core::{CompactPipeline, Executor, MutSolver, RetryPolicy, SearchBackend};
 use mutree::distmat::{gen, DistanceMatrix};
 use mutree::tree::compare::robinson_foulds;
 use rand::rngs::StdRng;
@@ -202,20 +202,29 @@ fn killed_stages_retried_to_success_match_the_clean_run() {
         .map(Vec::len)
         .find(|&l| l >= 3)
         .unwrap_or(clean.groups.len());
-    let pipe = CompactPipeline::new()
-        .threshold(6)
-        .solver(MutSolver::new().panic_on_taxa_times(target, 2))
-        .retry(
-            RetryPolicy::new()
-                .max_attempts(3)
-                .base_backoff(Duration::from_micros(200)),
-        )
-        .solve(&m)
-        .unwrap();
-    assert!(pipe.is_complete(), "degraded: {:?}", pipe.degraded);
-    assert!(pipe.stats.retries >= 2, "the panics must have been retried");
-    assert_eq!(clean.weight.to_bits(), pipe.weight.to_bits());
-    assert_eq!(robinson_foulds(&clean.tree, &pipe.tree).unwrap(), 0);
+    // Inline, and with the retried stages racing on 8 pool workers.
+    for exec in [None, Some(Executor::new(8))] {
+        let pooled = exec.is_some();
+        let mut pipe = CompactPipeline::new()
+            .threshold(6)
+            .solver(MutSolver::new().panic_on_taxa_times(target, 2))
+            .retry(
+                RetryPolicy::new()
+                    .max_attempts(3)
+                    .base_backoff(Duration::from_micros(200)),
+            );
+        if let Some(exec) = exec {
+            pipe = pipe.executor(exec);
+        }
+        let pipe = pipe.solve(&m).unwrap();
+        assert!(pipe.is_complete(), "pooled {pooled}: {:?}", pipe.degraded);
+        assert!(
+            pipe.stats.retries >= 2,
+            "pooled {pooled}: the panics must have been retried"
+        );
+        assert_eq!(clean.weight.to_bits(), pipe.weight.to_bits());
+        assert_eq!(robinson_foulds(&clean.tree, &pipe.tree).unwrap(), 0);
+    }
 }
 
 /// Fixed fault seed ⇒ identical result and provenance on repeated runs:
