@@ -21,7 +21,6 @@ fn main() {
         ablations::abl_threshold(),
         ablations::abl_bound(),
         ablations::abl_33(),
-        ablations::abl_strategy(),
         ablations::exp_superlinear(),
         ablations::exp_grid(),
         ablations::exp_baselines(),

@@ -48,7 +48,6 @@ experiments! {
     "abl_threshold" => ablations::abl_threshold,
     "abl_bound" => ablations::abl_bound,
     "abl_33" => ablations::abl_33,
-    "abl_strategy" => ablations::abl_strategy,
     "exp_superlinear" => ablations::exp_superlinear,
     "exp_grid" => ablations::exp_grid,
     "exp_baselines" => ablations::exp_baselines,

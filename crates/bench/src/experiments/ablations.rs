@@ -3,9 +3,7 @@
 use std::time::Instant;
 
 use mutree_clustersim::ClusterSpec;
-use mutree_core::{
-    CompactPipeline, Executor, Linkage, MutSolver, SearchBackend, Strategy, ThreeThree,
-};
+use mutree_core::{CompactPipeline, Executor, Linkage, MutSolver, SearchBackend, ThreeThree};
 
 use crate::data;
 use crate::report::{fmt_secs, Table};
@@ -256,45 +254,6 @@ pub fn abl_bound() -> Table {
             branched(&m, MutSolver::new().without_maxmin()).to_string(),
             branched(&m, MutSolver::new().without_upgmm()).to_string(),
             branched(&m, MutSolver::new().without_maxmin().without_upgmm()).to_string(),
-        ]);
-    }
-    t
-}
-
-/// `abl_strategy` — depth-first (the papers' strategy) vs best-first
-/// node selection in the sequential driver: best-first provably branches
-/// the fewest nodes in best-one mode, but holds the whole search frontier
-/// in memory (`peak_pool`).
-pub fn abl_strategy() -> Table {
-    let mut t = Table::new(
-        "abl_strategy",
-        "DFS vs best-first: branch operations and peak pool size (random data)",
-        &[
-            "species",
-            "dfs_branched",
-            "bfs_branched",
-            "dfs_peak_pool",
-            "bfs_peak_pool",
-        ],
-    );
-    for n in [10usize, 12, 14, 16] {
-        let m = data::random_species_matrix(n, 4);
-        let run = |strategy| {
-            let sol = MutSolver::new()
-                .strategy(strategy)
-                .max_branches(BUDGET)
-                .solve(&m)
-                .expect("solve");
-            (sol.stats.branched, sol.stats.peak_pool)
-        };
-        let (db, dp) = run(Strategy::DepthFirst);
-        let (bb, bp) = run(Strategy::BestFirst);
-        t.push(vec![
-            n.to_string(),
-            db.to_string(),
-            bb.to_string(),
-            dp.to_string(),
-            bp.to_string(),
         ]);
     }
     t

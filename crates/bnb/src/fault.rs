@@ -359,19 +359,19 @@ mod tests {
 
     #[test]
     fn bound_faults_lift_the_inner_cutoff() {
-        let opts = crate::SearchOptions::new(crate::SearchMode::BestOne);
+        let mode = crate::SearchMode::BestOne;
         // Faulty bounds replace the inner ones: the inner score must not
         // skip a child the faulty bound might keep.
         let p = FaultyProblem::new(Scored, FaultSpec::new(1).nan_bound_rate(1.0));
         let mut out = ChildBuf::new();
-        out.set_cutoff(0.5, &opts);
+        out.set_cutoff(0.5, mode);
         p.branch(&2, &mut out);
         assert_eq!(out.len(), 1);
         // Without bound faults the inner cutoff stands: the child is
         // skipped, not built.
         let p = FaultyProblem::new(Scored, FaultSpec::new(1));
         let mut out = ChildBuf::new();
-        out.set_cutoff(0.5, &opts);
+        out.set_cutoff(0.5, mode);
         p.branch(&2, &mut out);
         assert_eq!(out.len(), 0);
     }

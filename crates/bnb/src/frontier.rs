@@ -12,9 +12,8 @@
 //!   [`Frontier`] impl) and dives depth-first on its own children, so the
 //!   per-node expansion fast path acquires **no mutex at all**;
 //! * surplus nodes are **donated in batches** to one of `S` sharded
-//!   overflow pools (`S` chosen from the worker count, overridable via
-//!   [`SearchOptions::frontier_shards`](crate::SearchOptions::frontier_shards)),
-//!   and only when a peer is actually parked waiting for work;
+//!   overflow pools (`S` chosen from the worker count), and only when a
+//!   peer is actually parked waiting for work;
 //! * a starved worker sweeps the shards in a **randomized victim order**
 //!   (seeded deterministically from its worker ordinal) and **steals half
 //!   a victim's batch** in one lock acquisition;
@@ -59,10 +58,9 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::kernel::{shed_worst_from_stack, Frontier, SearchEvent, SearchObserver};
 
-/// Hard ceiling on the shard count (also the cap for the
-/// [`SearchOptions::frontier_shards`](crate::SearchOptions::frontier_shards)
-/// override). More shards than this buys nothing: steals sweep every
-/// shard, so the sweep cost is linear in it.
+/// Hard ceiling on the shard count of [`ShardedFrontier::new`]. More
+/// shards than this buys nothing: steals sweep every shard, so the sweep
+/// cost is linear in it.
 const MAX_SHARDS: usize = 64;
 
 /// A worker only donates when its local stack holds at least this many
@@ -126,15 +124,7 @@ impl<N> ShardedFrontier<N> {
     /// `workers`, capped at 16 — enough that donors rarely collide on a
     /// shard, small enough that a steal sweep stays cheap.
     pub fn for_workers(workers: usize) -> Self {
-        ShardedFrontier::for_workers_with(workers, None)
-    }
-
-    /// [`for_workers`](Self::for_workers) with an explicit shard-count
-    /// override (clamped to `1..=64`; zero means no override). Drivers
-    /// pass [`SearchOptions::frontier_shards`](crate::SearchOptions::frontier_shards)
-    /// here, which CI forces to the maximum to stress sharding.
-    pub fn for_workers_with(workers: usize, shards: Option<usize>) -> Self {
-        ShardedFrontier::new(shard_count_with(shards, workers))
+        ShardedFrontier::new(shard_count_for(workers))
     }
 
     /// Number of overflow shards.
@@ -238,14 +228,8 @@ impl<N> ShardedFrontier<N> {
     }
 }
 
-/// Shard count policy: an explicit override (clamped to `1..=64`; zero
-/// ignored), else the next power of two ≥ `workers`, capped at 16.
-fn shard_count_with(override_shards: Option<usize>, workers: usize) -> usize {
-    if let Some(n) = override_shards {
-        if n >= 1 {
-            return n.min(MAX_SHARDS);
-        }
-    }
+/// Shard count policy: the next power of two ≥ `workers`, capped at 16.
+fn shard_count_for(workers: usize) -> usize {
     workers.clamp(1, 16).next_power_of_two()
 }
 
@@ -450,13 +434,11 @@ mod tests {
 
     #[test]
     fn shard_count_policy() {
-        assert_eq!(shard_count_with(None, 1), 1);
-        assert_eq!(shard_count_with(None, 3), 4);
-        assert_eq!(shard_count_with(None, 8), 8);
-        assert_eq!(shard_count_with(None, 100), 16);
-        assert_eq!(shard_count_with(Some(6), 100), 6);
-        assert_eq!(shard_count_with(Some(9999), 1), MAX_SHARDS);
-        assert_eq!(shard_count_with(Some(0), 3), 4);
+        assert_eq!(shard_count_for(0), 1);
+        assert_eq!(shard_count_for(1), 1);
+        assert_eq!(shard_count_for(3), 4);
+        assert_eq!(shard_count_for(8), 8);
+        assert_eq!(shard_count_for(100), 16);
         assert_eq!(ShardedFrontier::<u32>::new(0).shard_count(), 1);
         assert_eq!(ShardedFrontier::<u32>::new(1000).shard_count(), 64);
     }

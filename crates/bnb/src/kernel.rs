@@ -9,7 +9,7 @@
 //! in:
 //!
 //! * **node selection** — the [`Frontier`] trait ([`DepthFirstFrontier`],
-//!   [`BestFirstFrontier`], [`BreadthFirstFrontier`]);
+//!   [`BreadthFirstFrontier`]);
 //! * **incumbent storage** — the [`IncumbentSink`] trait (a local
 //!   [`Incumbents`] tracker, a shared atomic bound, a simulated slave's
 //!   view of the global bound);
@@ -42,12 +42,12 @@
 //! all three drivers inherit any change to it without a driver-side
 //! edit.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::checkpoint::{self, CheckpointFile};
-use crate::{Problem, SearchMode, SearchOptions, SearchOutcome, SearchStats, StopReason};
+use crate::problem::slack;
+use crate::{Problem, SearchMode, SearchOptions, SearchOutcome, SearchStats, StopReason, TOL};
 
 /// How often (in processed nodes) the drivers look at the wall clock for
 /// deadline checks. Cancel flags are atomics and are checked every node.
@@ -74,12 +74,14 @@ pub fn sanitize_lb(lb: f64) -> f64 {
 }
 
 /// Whether a node with (sanitized) lower bound `lb` can be discarded
-/// against upper bound `ub`: `lb ≥ ub − ε` when one optimum suffices,
-/// `lb > ub + ε` when all co-optima must be kept.
-pub fn prunable(lb: f64, ub: f64, opts: &SearchOptions) -> bool {
-    match opts.mode {
-        SearchMode::BestOne => lb >= ub - opts.eps(ub),
-        SearchMode::AllOptimal => lb > ub + opts.eps(ub),
+/// against upper bound `ub` under `mode`: `lb ≥ ub − ε` when one optimum
+/// suffices, `lb > ub + ε` when all co-optima must be kept
+/// (ε = [`SearchOptions::eps`]).
+pub fn prunable(lb: f64, ub: f64, mode: SearchMode) -> bool {
+    let eps = slack(ub);
+    match mode {
+        SearchMode::BestOne => lb >= ub - eps,
+        SearchMode::AllOptimal => lb > ub + eps,
     }
 }
 
@@ -94,7 +96,6 @@ pub struct Incumbents<S> {
     /// the bound improves).
     pub solutions: Vec<(f64, S)>,
     mode: SearchMode,
-    tol: f64,
 }
 
 impl<S: Clone> Incumbents<S> {
@@ -104,14 +105,7 @@ impl<S: Clone> Incumbents<S> {
             ub: f64::INFINITY,
             solutions: Vec::new(),
             mode: opts.mode,
-            tol: opts.tol,
         }
-    }
-
-    /// Whether a node with lower bound `lb` can be discarded given `ub`.
-    /// (Kept for compatibility; identical to the free [`prunable`].)
-    pub fn prunable(lb: f64, ub: f64, opts: &SearchOptions) -> bool {
-        crate::kernel::prunable(lb, ub, opts)
     }
 
     /// Offers a complete solution; returns whether it improved the bound.
@@ -122,11 +116,7 @@ impl<S: Clone> Incumbents<S> {
         if value.is_nan() {
             return false;
         }
-        let eps = if self.ub.is_finite() {
-            self.tol * 1f64.max(self.ub.abs())
-        } else {
-            0.0
-        };
+        let eps = slack(self.ub);
         if value < self.ub - eps {
             self.ub = value;
             match self.mode {
@@ -135,7 +125,7 @@ impl<S: Clone> Incumbents<S> {
                     self.solutions.push((value, solution));
                 }
                 SearchMode::AllOptimal => {
-                    let eps = self.tol * 1f64.max(value.abs());
+                    let eps = TOL * 1f64.max(value.abs());
                     self.solutions.retain(|(v, _)| *v <= value + eps);
                     self.solutions.push((value, solution));
                 }
@@ -151,7 +141,7 @@ impl<S: Clone> Incumbents<S> {
 
     /// Final solutions: exactly those within tolerance of `best`.
     pub fn finish(self, best: f64) -> Vec<S> {
-        let eps = self.tol * 1f64.max(best.abs());
+        let eps = TOL * 1f64.max(best.abs());
         self.solutions
             .into_iter()
             .filter(|(v, _)| *v <= best + eps)
@@ -351,14 +341,6 @@ impl SearchObserver for () {
     fn on_event(&mut self, _event: SearchEvent) {}
 }
 
-/// An explicitly named no-op [`SearchObserver`] (equivalent to `()`).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopObserver;
-
-impl SearchObserver for NoopObserver {
-    fn on_event(&mut self, _event: SearchEvent) {}
-}
-
 /// The shared stop-condition cadence: cancellation is checked on every
 /// poll, the wall-clock deadline only every `TIME_CHECK_INTERVAL` polls
 /// (including the very first, so an already-expired deadline stops a
@@ -419,8 +401,8 @@ pub struct ChildBuf<N> {
     spare: Vec<N>,
     /// The incumbent children are judged against.
     cutoff: f64,
-    /// Carries only the mode and tolerance [`prunable`] reads.
-    opts: SearchOptions,
+    /// The prune rule children are judged under.
+    mode: SearchMode,
     skipped: usize,
     scratch: Vec<f64>,
 }
@@ -438,25 +420,24 @@ impl<N> ChildBuf<N> {
             out: Vec::new(),
             spare: Vec::new(),
             cutoff: f64::INFINITY,
-            opts: SearchOptions::new(SearchMode::BestOne),
+            mode: SearchMode::BestOne,
             skipped: 0,
             scratch: Vec::new(),
         }
     }
 
     /// Records the incumbent `ub` the next `branch` call's children are
-    /// judged against under `opts`' mode and tolerance.
-    pub(crate) fn set_cutoff(&mut self, ub: f64, opts: &SearchOptions) {
+    /// judged against under `mode`'s prune rule.
+    pub(crate) fn set_cutoff(&mut self, ub: f64, mode: SearchMode) {
         self.cutoff = ub;
-        self.opts.mode = opts.mode;
-        self.opts.tol = opts.tol;
+        self.mode = mode;
     }
 
     /// Whether a child whose lower bound is at least `lb` could survive
     /// the kernel's child prune: exactly `!prunable(sanitize_lb(lb), ub)`
     /// against the recorded cutoff, so a NaN `lb` is always admitted.
     pub fn admits(&self, lb: f64) -> bool {
-        !prunable(sanitize_lb(lb), self.cutoff, &self.opts)
+        !prunable(sanitize_lb(lb), self.cutoff, self.mode)
     }
 
     /// Counts one child that [`admits`](ChildBuf::admits) rejected and
@@ -633,98 +614,6 @@ impl<N> Frontier<N> for DepthFirstFrontier<N> {
 
     fn shed(&mut self, excess: usize, lb: &mut dyn FnMut(&N) -> f64) -> usize {
         shed_worst_from_stack(&mut self.stack, excess, lb)
-    }
-}
-
-/// Min-heap on the lower bound, FIFO among exact ties: always expands the
-/// open node with the smallest bound.
-#[derive(Debug, Default)]
-pub struct BestFirstFrontier<N> {
-    heap: BinaryHeap<HeapEntry<N>>,
-    seq: u64,
-}
-
-struct HeapEntry<N> {
-    lb: f64,
-    seq: u64,
-    node: N,
-}
-
-impl<N> std::fmt::Debug for HeapEntry<N> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeapEntry")
-            .field("lb", &self.lb)
-            .field("seq", &self.seq)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<N> PartialEq for HeapEntry<N> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl<N> Eq for HeapEntry<N> {}
-impl<N> Ord for HeapEntry<N> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse both: BinaryHeap is a max-heap, we want the smallest
-        // bound, then the earliest insertion. `total_cmp` keeps the order
-        // total even if a buggy bound produces NaN (sorted past +∞, i.e.
-        // least promising — it is never used for pruning).
-        other.lb.total_cmp(&self.lb).then(other.seq.cmp(&self.seq))
-    }
-}
-impl<N> PartialOrd for HeapEntry<N> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<N> BestFirstFrontier<N> {
-    /// An empty heap.
-    pub fn new() -> Self {
-        BestFirstFrontier {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-}
-
-impl<N> Frontier<N> for BestFirstFrontier<N> {
-    fn pop(&mut self) -> Option<N> {
-        self.heap.pop().map(|e| e.node)
-    }
-
-    fn absorb(&mut self, staged: &mut Vec<(f64, N)>) {
-        // Reverse branch order, matching the historical driver: among
-        // equal bounds the FIFO tie-break then favors the first child.
-        for (lb, node) in staged.drain(..).rev() {
-            self.heap.push(HeapEntry {
-                lb,
-                seq: self.seq,
-                node,
-            });
-            self.seq += 1;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn shed(&mut self, excess: usize, _lb: &mut dyn FnMut(&N) -> f64) -> usize {
-        // The heap already knows every bound; ignore the callback and
-        // rebuild without the least-promising entries (smallest in the
-        // reversed `Ord`, i.e. largest bound, latest insertion first).
-        let excess = excess.min(self.heap.len());
-        if excess == 0 {
-            return 0;
-        }
-        let mut entries: Vec<HeapEntry<N>> = std::mem::take(&mut self.heap).into_vec();
-        entries.sort();
-        let kept = entries.split_off(excess);
-        self.heap = BinaryHeap::from(kept);
-        excess
     }
 }
 
@@ -952,7 +841,7 @@ impl<'a, P: Problem> Expander<'a, P> {
     {
         let ub = sink.current_ub();
         let lb = sanitize_lb(self.problem.lower_bound(node));
-        if prunable(lb, ub, self.opts) {
+        if prunable(lb, ub, self.opts.mode) {
             self.stats.pruned += 1;
             observer.on_event(SearchEvent::Pruned {
                 reason: PruneReason::Node,
@@ -1002,7 +891,7 @@ impl<'a, P: Problem> Expander<'a, P> {
         }
         self.stats.branched += 1;
         debug_assert!(self.children.is_empty(), "branch buffer not drained");
-        self.children.set_cutoff(ub, self.opts);
+        self.children.set_cutoff(ub, self.opts.mode);
         self.problem.branch(node, &mut self.children);
         // Children `branch` skipped against the cutoff are pruned children
         // that were never built: count and report them as such.
@@ -1023,7 +912,7 @@ impl<'a, P: Problem> Expander<'a, P> {
         self.staged.clear();
         for child in out.drain(..) {
             let clb = sanitize_lb(self.problem.lower_bound(&child));
-            if prunable(clb, ub, self.opts) {
+            if prunable(clb, ub, self.opts.mode) {
                 self.stats.pruned += 1;
                 observer.on_event(SearchEvent::Pruned {
                     reason: PruneReason::Child,
@@ -1057,7 +946,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     use super::*;
-    use crate::{solve_sequential_observed, Strategy};
+    use crate::solve_sequential_observed;
 
     /// A uniform tree of depth `depth`: node `(depth, id, cost)`, child `i`
     /// adds a pseudo-random positive step to the cost, which is also the
@@ -1096,8 +985,8 @@ mod tests {
             (node.0 == self.depth).then_some((node.1, node.2))
         }
         fn initial_incumbent(&self) -> Option<(u64, f64)> {
-            // Far below the mean path cost (4.5 per level), so children
-            // of nodes best-first search still expands get pruned too.
+            // Far below the mean path cost (4.5 per level), so the cutoff
+            // fires on children as well as on popped nodes.
             Some((0, 2.5 * self.depth as f64))
         }
         fn branch(&self, node: &Self::Node, out: &mut ChildBuf<Self::Node>) {
@@ -1138,20 +1027,18 @@ mod tests {
     #[test]
     fn skipped_children_count_exactly_as_pruned_ones() {
         for mode in [SearchMode::BestOne, SearchMode::AllOptimal] {
-            for strategy in [Strategy::DepthFirst, Strategy::BestFirst] {
-                let opts = SearchOptions::new(mode).strategy(strategy);
-                let (built, built_events) = run(&Steps::new(false, false), &opts);
-                let skipping = Steps::new(true, false);
-                let (skipped, skipped_events) = run(&skipping, &opts);
-                assert!(
-                    skipping.skips.load(AtomicOrdering::Relaxed) > 0,
-                    "{mode:?}/{strategy:?}: the cutoff never fired"
-                );
-                assert_eq!(built.stats, skipped.stats, "{mode:?}/{strategy:?}");
-                assert_eq!(built.best_value, skipped.best_value);
-                assert_eq!(built.solutions, skipped.solutions);
-                assert_eq!(built_events, skipped_events, "{mode:?}/{strategy:?}");
-            }
+            let opts = SearchOptions::new(mode);
+            let (built, built_events) = run(&Steps::new(false, false), &opts);
+            let skipping = Steps::new(true, false);
+            let (skipped, skipped_events) = run(&skipping, &opts);
+            assert!(
+                skipping.skips.load(AtomicOrdering::Relaxed) > 0,
+                "{mode:?}: the cutoff never fired"
+            );
+            assert_eq!(built.stats, skipped.stats, "{mode:?}");
+            assert_eq!(built.best_value, skipped.best_value);
+            assert_eq!(built.solutions, skipped.solutions);
+            assert_eq!(built_events, skipped_events, "{mode:?}");
         }
     }
 
@@ -1165,7 +1052,7 @@ mod tests {
         assert_eq!(built_events, skipped_events);
 
         let mut buf = ChildBuf::<u32>::new();
-        buf.set_cutoff(10.0, &opts);
+        buf.set_cutoff(10.0, SearchMode::BestOne);
         assert!(buf.admits(f64::NAN));
         assert!(buf.admits(5.0));
         assert!(!buf.admits(10.0));
@@ -1176,8 +1063,7 @@ mod tests {
     fn the_cutoff_defaults_open_and_admit_all_lifts_it() {
         let mut buf = ChildBuf::<u32>::new();
         assert!(buf.admits(1e300));
-        let all = SearchOptions::new(SearchMode::AllOptimal);
-        buf.set_cutoff(10.0, &all);
+        buf.set_cutoff(10.0, SearchMode::AllOptimal);
         // AllOptimal keeps ties: only a strictly worse bound is rejected.
         assert!(buf.admits(10.0));
         assert!(!buf.admits(11.0));

@@ -113,8 +113,7 @@ pub use kernel::{sanitize_lb, ChildBuf, Incumbents, PruneReason, SearchEvent, Se
 pub use parallel::solve_parallel;
 pub use pool::{PoolJob, SpawnPool, WorkerPool};
 pub use problem::{
-    MemoryBudget, Problem, SearchMode, SearchOptions, SearchOutcome, SearchStats, StopReason,
-    Strategy,
+    MemoryBudget, Problem, SearchMode, SearchOptions, SearchOutcome, SearchStats, StopReason, TOL,
 };
 pub use propagate::TripleDomains;
 pub use sequential::{solve_sequential, solve_sequential_observed};

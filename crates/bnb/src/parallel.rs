@@ -289,7 +289,7 @@ where
     seeds.sort_by(|a, b| a.0.total_cmp(&b.0));
 
     let shared: Arc<Shared<P::Node, P::Solution>> = Arc::new(Shared::new(
-        ShardedFrontier::for_workers_with(workers, opts.frontier_shards),
+        ShardedFrontier::for_workers(workers),
         bound,
         branches,
     ));

@@ -99,23 +99,6 @@ pub enum SearchMode {
     AllOptimal,
 }
 
-/// Node-selection strategy of the sequential driver.
-///
-/// The parallel and simulated drivers always run depth-first within each
-/// worker, as the papers do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// Depth-first: cheap memory, reaches complete solutions fast —
-    /// Algorithm BBU's published strategy.
-    #[default]
-    DepthFirst,
-    /// Best-first: always expand the open node with the smallest lower
-    /// bound. Branches the provably minimal number of nodes in
-    /// [`SearchMode::BestOne`], at the price of a pool as large as the
-    /// frontier.
-    BestFirst,
-}
-
 /// Why a search run stopped.
 ///
 /// Every stop mode is *anytime*: the outcome still carries the best
@@ -206,6 +189,13 @@ impl MemoryBudget {
     }
 }
 
+/// Relative tolerance of every objective comparison in the search:
+/// values within `TOL × max(1, |UB|)` count as equal. One constant for
+/// pruning ([`SearchOptions::eps`]), incumbent bookkeeping
+/// ([`Incumbents`](crate::Incumbents)) and the child cutoff
+/// ([`ChildBuf`](crate::ChildBuf)).
+pub const TOL: f64 = 1e-9;
+
 /// Search configuration.
 ///
 /// No longer `Copy` (the cancel token is reference-counted); clone freely.
@@ -213,11 +203,6 @@ impl MemoryBudget {
 pub struct SearchOptions {
     /// Whether to find one optimum or all of them.
     pub mode: SearchMode,
-    /// Node-selection strategy for the sequential driver.
-    pub strategy: Strategy,
-    /// Relative tolerance used when comparing objective values: values
-    /// within `tol × max(1, |UB|)` count as equal.
-    pub tol: f64,
     /// Stop after this many branch operations (safety valve for
     /// experiments; `u64::MAX` means unlimited). When the search stops
     /// early the outcome reports [`StopReason::BudgetExhausted`] and the
@@ -237,37 +222,25 @@ pub struct SearchOptions {
     /// default). Requires the problem to implement
     /// [`Problem::encode_solution`].
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Overrides the parallel drivers' work-stealing shard count (clamped
-    /// to the frontier's maximum). `None` uses the worker-derived default.
-    pub frontier_shards: Option<usize>,
 }
 
 impl SearchOptions {
-    /// Options with the given mode, depth-first strategy, default
-    /// tolerance `1e-9`, no branch limit, no deadline, no cancel token.
+    /// Options with the given mode, no branch limit, no deadline, no
+    /// cancel token.
     pub fn new(mode: SearchMode) -> Self {
         SearchOptions {
             mode,
-            strategy: Strategy::DepthFirst,
-            tol: 1e-9,
             max_branches: u64::MAX,
             deadline: None,
             cancel: None,
             memory: None,
             checkpoint: None,
-            frontier_shards: None,
         }
     }
 
     /// Sets the branch-operation budget.
     pub fn max_branches(mut self, limit: u64) -> Self {
         self.max_branches = limit;
-        self
-    }
-
-    /// Sets the sequential node-selection strategy.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -302,13 +275,6 @@ impl SearchOptions {
         self
     }
 
-    /// Overrides the parallel drivers' work-stealing shard count (see
-    /// [`SearchOptions::frontier_shards`]).
-    pub fn frontier_shards(mut self, shards: usize) -> Self {
-        self.frontier_shards = Some(shards);
-        self
-    }
-
     /// Whether the deadline (if any) has passed. Public so custom drivers
     /// (e.g. the simulated-cluster backend) can share the stop policy.
     pub fn deadline_expired(&self) -> bool {
@@ -321,17 +287,23 @@ impl SearchOptions {
     }
 
     /// The absolute comparison slack at upper bound `ub`:
-    /// `tol × max(1, |ub|)`, or `0` while the bound is still infinite
-    /// (`∞ − ∞` would be NaN). Public so custom drivers share the exact
-    /// pruning arithmetic of the built-in ones.
+    /// `TOL × max(1, |ub|)` (see [`TOL`]), or `0` while the bound is still
+    /// infinite (`∞ − ∞` would be NaN). Public so custom drivers share
+    /// the exact pruning arithmetic of the built-in ones.
     pub fn eps(&self, ub: f64) -> f64 {
-        if ub.is_finite() {
-            self.tol * 1f64.max(ub.abs())
-        } else {
-            // Before any incumbent exists the bound is ∞; a zero epsilon
-            // keeps `ub - eps` well-defined (∞ − ∞ would be NaN).
-            0.0
-        }
+        slack(ub)
+    }
+}
+
+/// [`SearchOptions::eps`] without the options: the slack depends only on
+/// `ub` and [`TOL`].
+pub(crate) fn slack(ub: f64) -> f64 {
+    if ub.is_finite() {
+        TOL * 1f64.max(ub.abs())
+    } else {
+        // Before any incumbent exists the bound is ∞; a zero epsilon
+        // keeps `ub - eps` well-defined (∞ − ∞ would be NaN).
+        0.0
     }
 }
 

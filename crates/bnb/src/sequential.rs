@@ -1,14 +1,12 @@
 use crate::kernel::{
-    BestFirstFrontier, DepthFirstFrontier, Expander, Frontier, Incumbents, LocalBudget,
-    SearchObserver, Step,
+    DepthFirstFrontier, Expander, Frontier, Incumbents, LocalBudget, SearchObserver, Step,
 };
-use crate::{Problem, SearchOptions, SearchOutcome, StopReason, Strategy};
+use crate::{Problem, SearchOptions, SearchOutcome, StopReason};
 
-/// Single-threaded branch-and-bound — Algorithm BBU's skeleton: keep a
-/// pool of open nodes (a stack under [`Strategy::DepthFirst`], a bound-
-/// ordered heap under [`Strategy::BestFirst`]), prune against the
-/// incumbent, and record complete solutions. A thin scheduler over the
-/// shared [expansion kernel](crate::kernel).
+/// Single-threaded depth-first branch-and-bound — Algorithm BBU's
+/// skeleton: keep a stack of open nodes, prune against the incumbent,
+/// and record complete solutions. A thin scheduler over the shared
+/// [expansion kernel](crate::kernel).
 ///
 /// The search is *anytime*: the cancel token is checked on every node and
 /// the deadline every 128 nodes (including before the first, so an
@@ -29,18 +27,7 @@ pub fn solve_sequential_observed<P: Problem, O: SearchObserver>(
     opts: &SearchOptions,
     observer: &mut O,
 ) -> SearchOutcome<P::Solution> {
-    match opts.strategy {
-        Strategy::DepthFirst => drive(problem, opts, DepthFirstFrontier::new(), observer),
-        Strategy::BestFirst => drive(problem, opts, BestFirstFrontier::new(), observer),
-    }
-}
-
-fn drive<P: Problem, F: Frontier<P::Node>, O: SearchObserver>(
-    problem: &P,
-    opts: &SearchOptions,
-    mut frontier: F,
-    observer: &mut O,
-) -> SearchOutcome<P::Solution> {
+    let mut frontier = DepthFirstFrontier::new();
     let mut exp = Expander::new(problem, opts);
     let mut inc = Incumbents::new(opts);
     let mut budget = LocalBudget::new(opts.max_branches);
@@ -208,45 +195,6 @@ mod tests {
         assert_eq!(a.best_value, b.best_value);
         // The perfect hint prunes the entire tree.
         assert_eq!(b.stats.branched, 0);
-    }
-
-    #[test]
-    fn best_first_agrees_with_depth_first() {
-        let p = Bits {
-            n: 9,
-            base: 2.0,
-            twist: false,
-        };
-        let dfs = solve_sequential(&p, &SearchOptions::new(SearchMode::BestOne));
-        let bfs = solve_sequential(
-            &p,
-            &SearchOptions::new(SearchMode::BestOne).strategy(crate::Strategy::BestFirst),
-        );
-        assert_eq!(dfs.best_value, bfs.best_value);
-        assert_eq!(dfs.solutions, bfs.solutions);
-        // Best-first never expands a node whose bound exceeds the optimum,
-        // so it cannot branch more than depth-first here.
-        assert!(bfs.stats.branched <= dfs.stats.branched);
-    }
-
-    #[test]
-    fn best_first_all_optimal_set_matches() {
-        let p = Bits {
-            n: 6,
-            base: 0.0,
-            twist: true,
-        };
-        let dfs = solve_sequential(&p, &SearchOptions::new(SearchMode::AllOptimal));
-        let bfs = solve_sequential(
-            &p,
-            &SearchOptions::new(SearchMode::AllOptimal).strategy(crate::Strategy::BestFirst),
-        );
-        let norm = |mut v: Vec<Vec<bool>>| {
-            v.sort();
-            v
-        };
-        assert_eq!(dfs.best_value, bfs.best_value);
-        assert_eq!(norm(dfs.solutions), norm(bfs.solutions));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use mutree_bnb::{
     kernel::prunable, sanitize_lb, solve_parallel, solve_sequential, CancelToken, ChildBuf,
-    Problem, SearchMode, SearchOptions, SpawnPool, StopReason, Strategy,
+    Problem, SearchMode, SearchOptions, SpawnPool, StopReason,
 };
 use proptest::prelude::*;
 
@@ -91,33 +91,30 @@ fn oracle_weights(seed: u64, n: usize) -> Vec<f64> {
 }
 
 /// The sequential driver's exact behavior, recorded before the expansion
-/// loop moved into the shared kernel: per-(seed, mode, strategy) counters
+/// loop moved into the shared kernel: per-(seed, mode) counters
 /// plus an FNV-1a hash of the comma-joined expansion order. Any change to
 /// pop order, child staging order, pruning policy, or stats accounting
 /// shows up here as a diff against a known-good trace.
 #[test]
 fn sequential_driver_matches_recorded_oracle() {
-    // (seed, mode, strategy, branched, pruned, seen, updates, peak, hash)
+    // (seed, mode, branched, pruned, seen, updates, peak, hash)
     #[rustfmt::skip]
     #[allow(clippy::type_complexity)]
-    let oracle: &[(u64, SearchMode, Strategy, u64, u64, u64, u64, u64, u64)] = &[
-        (1, SearchMode::BestOne,    Strategy::DepthFirst, 89, 68, 22, 22, 10, 0xbcd4_7df4_5d10_975a),
-        (1, SearchMode::BestOne,    Strategy::BestFirst,   9,  9,  1,  1, 10, 0xc581_ae17_b3d0_0855),
-        (1, SearchMode::AllOptimal, Strategy::DepthFirst, 89, 68, 22, 22, 10, 0xbcd4_7df4_5d10_975a),
-        (2, SearchMode::BestOne,    Strategy::DepthFirst, 89, 67, 23, 23, 10, 0xb676_1cd7_989b_0d6c),
-        (2, SearchMode::BestOne,    Strategy::BestFirst,   9,  9,  1,  1, 10, 0xc581_ae17_b3d0_0855),
-        (2, SearchMode::AllOptimal, Strategy::DepthFirst, 89, 67, 23, 23, 10, 0xb676_1cd7_989b_0d6c),
-        (3, SearchMode::BestOne,    Strategy::DepthFirst, 84, 43, 42, 42, 10, 0x86ee_7384_84e4_7cb7),
-        (3, SearchMode::BestOne,    Strategy::BestFirst,   9,  9,  1,  1, 10, 0xc581_ae17_b3d0_0855),
-        (3, SearchMode::AllOptimal, Strategy::DepthFirst, 89, 41, 49, 42, 10, 0x28b4_756d_cace_1f62),
+    let oracle: &[(u64, SearchMode, u64, u64, u64, u64, u64, u64)] = &[
+        (1, SearchMode::BestOne,    89, 68, 22, 22, 10, 0xbcd4_7df4_5d10_975a),
+        (1, SearchMode::AllOptimal, 89, 68, 22, 22, 10, 0xbcd4_7df4_5d10_975a),
+        (2, SearchMode::BestOne,    89, 67, 23, 23, 10, 0xb676_1cd7_989b_0d6c),
+        (2, SearchMode::AllOptimal, 89, 67, 23, 23, 10, 0xb676_1cd7_989b_0d6c),
+        (3, SearchMode::BestOne,    84, 43, 42, 42, 10, 0x86ee_7384_84e4_7cb7),
+        (3, SearchMode::AllOptimal, 89, 41, 49, 42, 10, 0x28b4_756d_cace_1f62),
     ];
-    for &(seed, mode, strat, branched, pruned, seen, updates, peak, hash) in oracle {
+    for &(seed, mode, branched, pruned, seen, updates, peak, hash) in oracle {
         let p = Logged {
             weights: oracle_weights(seed, 9),
             log: Mutex::new(Vec::new()),
         };
-        let out = solve_sequential(&p, &SearchOptions::new(mode).strategy(strat));
-        let ctx = format!("seed={seed} mode={mode:?} strat={strat:?}");
+        let out = solve_sequential(&p, &SearchOptions::new(mode));
+        let ctx = format!("seed={seed} mode={mode:?}");
         assert_eq!(out.stats.branched, branched, "{ctx}");
         assert_eq!(out.stats.pruned, pruned, "{ctx}");
         assert_eq!(out.stats.solutions_seen, seen, "{ctx}");
@@ -160,20 +157,18 @@ impl Problem for NanBound {
 fn nan_lower_bounds_never_prune_in_any_driver() {
     let weights = vec![1.0, 2.0, 3.0, 1.5, 0.5, 2.5];
     let optimum = exhaustive_min(&weights);
-    for strat in [Strategy::DepthFirst, Strategy::BestFirst] {
-        let p = NanBound(SubsetCost {
-            weights: weights.clone(),
-        });
-        let out = solve_sequential(&p, &SearchOptions::new(SearchMode::BestOne).strategy(strat));
-        assert_eq!(out.best_value, Some(optimum), "{strat:?}");
-        assert!(out.is_complete(), "{strat:?}");
-        assert_eq!(out.stats.pruned, 0, "{strat:?}: NaN bound pruned a node");
-        // With no pruning the search is exhaustive: every internal node of
-        // the full binary tree branches.
-        assert_eq!(out.stats.branched, (1 << weights.len()) - 1, "{strat:?}");
-    }
-    let p = Arc::new(NanBound(SubsetCost { weights }));
     let opts = SearchOptions::new(SearchMode::BestOne);
+    let p = NanBound(SubsetCost {
+        weights: weights.clone(),
+    });
+    let out = solve_sequential(&p, &opts);
+    assert_eq!(out.best_value, Some(optimum), "sequential");
+    assert!(out.is_complete(), "sequential");
+    assert_eq!(out.stats.pruned, 0, "sequential: NaN bound pruned a node");
+    // With no pruning the search is exhaustive: every internal node of
+    // the full binary tree branches.
+    assert_eq!(out.stats.branched, (1 << weights.len()) - 1, "sequential");
+    let p = Arc::new(NanBound(SubsetCost { weights }));
     let par = solve_parallel(p, &opts, 4, &SpawnPool, ());
     assert_eq!(par.best_value, Some(optimum), "parallel");
     assert!(par.is_complete(), "parallel");
@@ -205,7 +200,7 @@ impl Problem for NanLiftPropagate {
         self.0.branch(n, out)
     }
     fn propagate(&self, n: &Vec<bool>, ub: f64, opts: &SearchOptions) -> bool {
-        prunable(sanitize_lb(self.lower_bound(n) + f64::NAN), ub, opts)
+        prunable(sanitize_lb(self.lower_bound(n) + f64::NAN), ub, opts.mode)
     }
 }
 
@@ -213,21 +208,19 @@ impl Problem for NanLiftPropagate {
 fn nan_propagation_lifts_never_prune_in_any_driver() {
     let weights = vec![1.0, 2.0, 3.0, 1.5, 0.5, 2.5];
     let optimum = exhaustive_min(&weights);
-    for strat in [Strategy::DepthFirst, Strategy::BestFirst] {
-        let p = NanLiftPropagate(SubsetCost {
-            weights: weights.clone(),
-        });
-        let out = solve_sequential(&p, &SearchOptions::new(SearchMode::BestOne).strategy(strat));
-        assert_eq!(out.best_value, Some(optimum), "{strat:?}");
-        assert!(out.is_complete(), "{strat:?}");
-        assert_eq!(
-            out.stats.propagation_pruned, 0,
-            "{strat:?}: NaN lift pruned a node"
-        );
-        assert_eq!(out.stats.branched, (1 << weights.len()) - 1, "{strat:?}");
-    }
-    let p = Arc::new(NanLiftPropagate(SubsetCost { weights }));
     let opts = SearchOptions::new(SearchMode::BestOne);
+    let p = NanLiftPropagate(SubsetCost {
+        weights: weights.clone(),
+    });
+    let out = solve_sequential(&p, &opts);
+    assert_eq!(out.best_value, Some(optimum), "sequential");
+    assert!(out.is_complete(), "sequential");
+    assert_eq!(
+        out.stats.propagation_pruned, 0,
+        "sequential: NaN lift pruned a node"
+    );
+    assert_eq!(out.stats.branched, (1 << weights.len()) - 1, "sequential");
+    let p = Arc::new(NanLiftPropagate(SubsetCost { weights }));
     let par = solve_parallel(p, &opts, 4, &SpawnPool, ());
     assert_eq!(par.best_value, Some(optimum), "parallel");
     assert_eq!(
@@ -288,7 +281,7 @@ impl Problem for PickM {
         }
         rest.sort_by(f64::total_cmp);
         let lift: f64 = rest[..need].iter().sum();
-        prunable(sanitize_lb(self.lower_bound(n) + lift), ub, opts)
+        prunable(sanitize_lb(self.lower_bound(n) + lift), ub, opts.mode)
     }
 }
 

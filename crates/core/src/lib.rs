@@ -71,7 +71,7 @@ pub use solver::{
 
 pub use mutree_bnb::{
     CancelToken, CheckpointError, CheckpointFile, CheckpointPolicy, LoggingObserver, MemoryBudget,
-    SearchMode, SearchStats, StopReason, Strategy, TraceLevel, WorkerPool,
+    SearchMode, SearchStats, StopReason, TraceLevel, WorkerPool,
 };
 // The bit-exact tree codec (checkpoints, cache payloads) and the shared
 // FNV/splitmix hash primitives live downstack; re-export them at their

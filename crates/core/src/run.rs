@@ -154,7 +154,6 @@ fn hooked_solver(plan: &SolvePlan, hooks: &SolveHooks) -> MutSolver {
             },
         })
         .mode(req.mode)
-        .strategy(req.strategy)
         .three_three(req.three_three)
         .max_branches(req.max_branches);
     if !req.use_maxmin {
@@ -169,9 +168,6 @@ fn hooked_solver(plan: &SolvePlan, hooks: &SolveHooks) -> MutSolver {
     // An unsupported forced width behaves as unset.
     if let Some(w) = req.leaf_words.filter(|w| LEAF_WIDTHS.contains(w)) {
         s = s.leaf_words(w);
-    }
-    if let Some(shards) = req.frontier_shards {
-        s = s.frontier_shards(shards);
     }
     if let Some(budget) = req.memory {
         s = s.memory_budget(budget);
@@ -432,8 +428,7 @@ mod tests {
             (plan_solver(&plan), plan_pipeline(&plan))
         };
         let (solver, pipeline) = builders(
-            "mutree-request v1\nkind decompose\nthreads 3\nleaf-words 2\nfrontier-shards 8\n\
-             matrix phylip unread.phy\n",
+            "mutree-request v1\nkind decompose\nthreads 3\nleaf-words 2\nmatrix phylip unread.phy\n",
         );
         assert_eq!(solver.dispatch_leaf_words(10), Some(2));
         assert!(pipeline.executor_handle().is_some());

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use mutree_bnb::{
     checkpoint, solve_parallel, solve_sequential_observed, CancelToken, CheckpointFile,
     CheckpointPolicy, LoggingObserver, MemoryBudget, SearchMode, SearchOptions, SearchStats,
-    SpawnPool, StopReason, Strategy, WorkerPool,
+    SpawnPool, StopReason, WorkerPool,
 };
 use mutree_clustersim::{ClusterSpec, SimReport};
 use mutree_distmat::DistanceMatrix;
@@ -100,7 +100,6 @@ impl MutSolution {
 pub struct MutSolver {
     backend: SearchBackend,
     mode: SearchMode,
-    strategy: Strategy,
     three_three: ThreeThree,
     max_branches: u64,
     deadline: Option<Instant>,
@@ -112,7 +111,6 @@ pub struct MutSolver {
     panic_on_taxa: Option<usize>,
     panic_fuel: Option<(usize, Arc<AtomicU64>)>,
     leaf_words: Option<usize>,
-    frontier_shards: Option<usize>,
     memory: Option<MemoryBudget>,
     checkpoint: Option<CheckpointPolicy>,
     resume: Option<PathBuf>,
@@ -133,7 +131,6 @@ impl MutSolver {
         MutSolver {
             backend: SearchBackend::Sequential,
             mode: SearchMode::BestOne,
-            strategy: Strategy::DepthFirst,
             three_three: ThreeThree::Off,
             max_branches: u64::MAX,
             deadline: None,
@@ -145,7 +142,6 @@ impl MutSolver {
             panic_on_taxa: None,
             panic_fuel: None,
             leaf_words: None,
-            frontier_shards: None,
             memory: None,
             checkpoint: None,
             resume: None,
@@ -162,14 +158,6 @@ impl MutSolver {
     /// Find one optimum or enumerate all of them.
     pub fn mode(mut self, mode: SearchMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Sets the sequential backend's node-selection strategy (the
-    /// parallel and simulated backends always run depth-first per worker,
-    /// as the papers do).
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -246,14 +234,6 @@ impl MutSolver {
             // Remember the cadence for a later `checkpoint_to`.
             self.checkpoint = Some(CheckpointPolicy::new(PathBuf::new()).interval(every));
         }
-        self
-    }
-
-    /// Overrides the parallel driver's work-stealing shard count
-    /// (clamped to the frontier's compiled-in maximum). Unset, the
-    /// driver derives the count from its worker count.
-    pub fn frontier_shards(mut self, shards: usize) -> Self {
-        self.frontier_shards = Some(shards);
         self
     }
 
@@ -384,10 +364,9 @@ impl MutSolver {
     /// the same matrix, so a [`GroupCache`](crate::GroupCache) entry
     /// filed under one can answer the other. The signature hashes every
     /// knob that changes *which* answer comes back (the 3-3 rule, the
-    /// maxmin/UPGMM heuristics, the node-selection strategy, the backend
-    /// family) and deliberately omits knobs proven answer-neutral (leaf
-    /// width and worker count — the differential tests pin those as
-    /// bit-identical).
+    /// maxmin/UPGMM heuristics, the backend family) and deliberately
+    /// omits knobs proven answer-neutral (leaf width and worker count —
+    /// the differential tests pin those as bit-identical).
     ///
     /// `None` — no caching — whenever a solve is constrained or
     /// instrumented: anything but a plain unconstrained
@@ -427,7 +406,7 @@ impl MutSolver {
             return None;
         }
         use mutree_bnb::hash::{fnv1a, fnv1a_continue};
-        let mut h = fnv1a(b"mutree-solver-sig-v3");
+        let mut h = fnv1a(b"mutree-solver-sig-v4");
         h = fnv1a_continue(
             h,
             &[
@@ -438,10 +417,6 @@ impl MutSolver {
                 },
                 u8::from(self.use_maxmin),
                 u8::from(self.use_upgmm),
-                match self.strategy {
-                    Strategy::DepthFirst => 0,
-                    Strategy::BestFirst => 1,
-                },
                 match self.backend {
                     SearchBackend::Sequential => 0,
                     SearchBackend::Parallel { .. } => 1,
@@ -572,13 +547,10 @@ impl MutSolver {
                 problem.set_resume_incumbent(tree, w);
             }
         }
-        let mut opts = SearchOptions::new(self.mode)
-            .max_branches(self.max_branches)
-            .strategy(self.strategy);
+        let mut opts = SearchOptions::new(self.mode).max_branches(self.max_branches);
         opts.deadline = self.deadline;
         opts.cancel = self.cancel.clone();
         opts.memory = self.memory;
-        opts.frontier_shards = self.frontier_shards;
         // A cadence set before any destination was given has an empty
         // path; never hand that to the drivers.
         opts.checkpoint = self
@@ -769,18 +741,6 @@ mod tests {
         assert_eq!(seq, par);
         assert_eq!(seq, sim);
         assert!(!seq.is_empty());
-    }
-
-    #[test]
-    fn best_first_strategy_agrees() {
-        let m = m5();
-        let dfs = MutSolver::new().solve(&m).unwrap();
-        let bfs = MutSolver::new()
-            .strategy(Strategy::BestFirst)
-            .solve(&m)
-            .unwrap();
-        assert!((dfs.weight - bfs.weight).abs() < 1e-9);
-        assert!(bfs.stats.branched <= dfs.stats.branched);
     }
 
     /// A matrix already in maxmin order takes the identity fast path (no

@@ -17,10 +17,11 @@
 //! permuted copies across entries: a missed dedup, never a wrong
 //! answer). The
 //! canonical strict-lower-triangle distances are then **quantized** to
-//! the solve tolerance (`floor(d / quantum)` per entry) and hashed with
-//! FNV-1a, together with the taxon count and a *solver signature*
-//! describing every knob that can change the optimum (search strategy,
-//! 3-3 rule, incumbent heuristics, …). That hash picks a bucket:
+//! the search tolerance [`mutree_bnb::TOL`] (`floor(d / quantum)` per
+//! entry; a request's `tol` plays no part) and hashed with FNV-1a,
+//! together with the taxon count and a *solver signature* describing
+//! every knob that can change the optimum (3-3 rule, incumbent
+//! heuristics, backend family). That hash picks a bucket:
 //!
 //! * an entry whose canonical bytes match **bit for bit** (same `n`,
 //!   same signature) is an **exact hit** — the stored optimum and
@@ -171,10 +172,10 @@ impl std::fmt::Debug for GroupCache {
 }
 
 impl GroupCache {
-    /// An empty cache quantizing at the solver's default tolerance
-    /// (`1e-9`).
+    /// An empty cache quantizing at the search tolerance
+    /// [`mutree_bnb::TOL`].
     pub fn new() -> Self {
-        GroupCache::with_quantum(1e-9)
+        GroupCache::with_quantum(mutree_bnb::TOL)
     }
 
     /// An empty cache quantizing distances to `quantum` for key

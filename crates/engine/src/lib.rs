@@ -6,10 +6,11 @@
 //!
 //! 1. [`SolveRequest`] — an owned, serializable description of *what* to
 //!    solve: the matrix (inline or a PHYLIP path) plus every knob (mode,
-//!    strategy, tolerance, budget, deadline, threads, forced leaf width,
-//!    retry / checkpoint / memory policies, pipeline depth and
-//!    threshold). Nothing in a request depends on the process
-//!    environment.
+//!    budget, deadline, threads, forced leaf width, retry / checkpoint /
+//!    memory policies, pipeline depth and threshold). Nothing in a
+//!    request depends on the process environment. Its `tol` is only the
+//!    tolerance a caller checks answers against: the search and the
+//!    cache compare at the one constant [`mutree_bnb::TOL`].
 //! 2. [`SolvePlan`] — the request resolved into what will run
 //!    ([`SolvePlan::resolve`]), under one rule: **request > default**.
 //!    No environment variable configures a solve; the only `MUTREE_*`

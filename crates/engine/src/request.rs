@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use mutree_bnb::{CheckpointPolicy, MemoryBudget, SearchMode, Strategy, TraceLevel};
+use mutree_bnb::{CheckpointPolicy, MemoryBudget, SearchMode, TraceLevel};
 use mutree_distmat::{DistanceMatrix, MatrixError};
 use mutree_tree::Linkage;
 
@@ -176,13 +176,13 @@ pub struct SolveRequest {
     pub kind: SolveKind,
     /// Find one optimum or all of them.
     pub mode: SearchMode,
-    /// Sequential node-selection strategy.
-    pub strategy: Strategy,
     /// 3-3 relationship pruning strength.
     pub three_three: ThreeThree,
     /// Which driver runs the branch-and-bound search.
     pub backend: BackendSpec,
-    /// Numeric tolerance; also the cache's quantization quantum.
+    /// The tolerance a caller checks the answer against (e.g. the
+    /// returned tree's feasibility). It configures nothing: the search
+    /// and the group-solve cache compare at [`mutree_bnb::TOL`].
     pub tol: f64,
     /// Branch-operation budget (`u64::MAX` = unbounded).
     pub max_branches: u64,
@@ -200,9 +200,6 @@ pub struct SolveRequest {
     /// Forced leaf-bitset width in 64-bit words. `None` means the
     /// narrowest fit.
     pub leaf_words: Option<usize>,
-    /// Forced work-stealing shard count. `None` means the
-    /// worker-derived policy.
-    pub frontier_shards: Option<usize>,
     /// Open-node cap for the memory watchdog.
     pub memory: Option<MemoryBudget>,
     /// Crash-safe incumbent snapshots while solving.
@@ -236,17 +233,15 @@ impl SolveRequest {
             source,
             kind: SolveKind::Exact,
             mode: SearchMode::BestOne,
-            strategy: Strategy::DepthFirst,
             three_three: ThreeThree::Off,
             backend: BackendSpec::Sequential,
-            tol: 1e-9,
+            tol: mutree_bnb::TOL,
             max_branches: u64::MAX,
             timeout: None,
             use_maxmin: true,
             use_upgmm: true,
             threads: None,
             leaf_words: None,
-            frontier_shards: None,
             memory: None,
             checkpoint: None,
             resume: None,
@@ -301,12 +296,6 @@ impl SolveRequest {
         self
     }
 
-    /// Forces the frontier shard count.
-    pub fn frontier_shards(mut self, shards: usize) -> Self {
-        self.frontier_shards = Some(shards);
-        self
-    }
-
     /// Turns the group-solve cache on or off for this request.
     pub fn cache(mut self, enabled: bool) -> Self {
         self.cache = Some(enabled);
@@ -338,13 +327,6 @@ impl SolveRequest {
             }
         ));
         line(format!(
-            "strategy {}",
-            match self.strategy {
-                Strategy::DepthFirst => "depth-first",
-                Strategy::BestFirst => "best-first",
-            }
-        ));
-        line(format!(
             "three-three {}",
             match self.three_three {
                 ThreeThree::Off => "off",
@@ -369,9 +351,6 @@ impl SolveRequest {
         }
         if let Some(w) = self.leaf_words {
             line(format!("leaf-words {w}"));
-        }
-        if let Some(s) = self.frontier_shards {
-            line(format!("frontier-shards {s}"));
         }
         if let Some(m) = self.memory {
             line(format!("memory-nodes {}", m.max_open_nodes));
@@ -478,6 +457,14 @@ impl SolveRequest {
                     .map(f64::from_bits)
                     .map_err(|_| fail(ln, format!("bad hex float {tok:?}")))
             };
+            let bool_arg = || match rest.trim() {
+                "true" => Ok(true),
+                "false" => Ok(false),
+                other => Err(fail(
+                    ln,
+                    format!("{keyword}: expected true or false, found {other:?}"),
+                )),
+            };
             match keyword {
                 "kind" => {
                     req.kind = match rest.trim() {
@@ -493,13 +480,12 @@ impl SolveRequest {
                         other => return Err(fail(ln, format!("unknown mode {other:?}"))),
                     }
                 }
-                "strategy" => {
-                    req.strategy = match rest.trim() {
-                        "depth-first" => Strategy::DepthFirst,
-                        "best-first" => Strategy::BestFirst,
-                        other => return Err(fail(ln, format!("unknown strategy {other:?}"))),
-                    }
-                }
+                // Depth-first is the only node order; requests encoded
+                // before the line was dropped still carry it.
+                "strategy" => match rest.trim() {
+                    "depth-first" => {}
+                    other => return Err(fail(ln, format!("unknown strategy {other:?}"))),
+                },
                 "three-three" => {
                     req.three_three = match rest.trim() {
                         "off" => ThreeThree::Off,
@@ -544,11 +530,10 @@ impl SolveRequest {
                             fail(ln, format!("timeout overflows: {rest:?}"))
                         })?));
                 }
-                "maxmin" => req.use_maxmin = rest.trim() == "true",
-                "upgmm" => req.use_upgmm = rest.trim() == "true",
+                "maxmin" => req.use_maxmin = bool_arg()?,
+                "upgmm" => req.use_upgmm = bool_arg()?,
                 "threads" => req.threads = Some(usize_arg()?),
                 "leaf-words" => req.leaf_words = Some(usize_arg()?),
-                "frontier-shards" => req.frontier_shards = Some(usize_arg()?),
                 "memory-nodes" => {
                     let nodes: u64 = rest
                         .trim()
@@ -665,13 +650,8 @@ impl SolveRequest {
                             if i != n {
                                 return Err(fail(0, format!("matrix ended at row {i} of {n}")));
                             }
-                            let mut m = DistanceMatrix::zeros(n).map_err(cannot_build)?;
-                            let mut packed = packed.into_iter();
-                            for i in 1..n {
-                                for (j, d) in packed.by_ref().take(i).enumerate() {
-                                    m.set(i, j, d);
-                                }
-                            }
+                            let mut m =
+                                DistanceMatrix::from_condensed(n, packed).map_err(cannot_build)?;
                             if !labels.is_empty() {
                                 if labels.len() != n {
                                     return Err(fail(
@@ -737,9 +717,7 @@ mod tests {
             .mode(SearchMode::AllOptimal)
             .threads(8)
             .leaf_words(2)
-            .frontier_shards(16)
             .cache(true);
-        req.strategy = Strategy::BestFirst;
         req.three_three = ThreeThree::Full;
         req.tol = 1e-7;
         req.max_branches = 123_456;
@@ -799,6 +777,70 @@ mod tests {
         assert_eq!(err.line, 2);
         let truncated = "mutree-request v1\nmatrix inline 4\nrow 0000000000000000\n";
         assert!(SolveRequest::decode(truncated).is_err());
+    }
+
+    #[test]
+    fn invalid_inline_distances_are_errors_not_panics() {
+        // NaN, -1.0 and +inf: `DistanceMatrix::set` would assert on each.
+        for bits in ["7ff8000000000000", "bff0000000000000", "7ff0000000000000"] {
+            let text = format!(
+                "mutree-request v1\nmatrix inline 3\nrow 4000000000000000\n\
+                 row 4000000000000000 {bits}\n"
+            );
+            let err = SolveRequest::decode(&text).unwrap_err();
+            assert_eq!(err.line, 2, "{bits}: {err}");
+            assert!(
+                err.message
+                    .starts_with("cannot build 3-taxon matrix: entry (2, 1)"),
+                "{bits}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn boolean_switches_accept_only_true_or_false() {
+        for keyword in ["maxmin", "upgmm"] {
+            for (value, expect) in [("true", true), ("false", false)] {
+                let text = format!("mutree-request v1\n{keyword} {value}\nmatrix phylip x.phy\n");
+                let req = SolveRequest::decode(&text).unwrap();
+                let got = if keyword == "maxmin" {
+                    req.use_maxmin
+                } else {
+                    req.use_upgmm
+                };
+                assert_eq!(got, expect, "{keyword} {value}");
+            }
+            // A typo must not silently switch the heuristic off.
+            for value in ["yes", "TRUE", "1", ""] {
+                let text = format!("mutree-request v1\nmode best-one\n{keyword} {value}\n");
+                let err = SolveRequest::decode(&text).unwrap_err();
+                assert_eq!(err.line, 3, "{keyword} {value:?}");
+                assert_eq!(
+                    err.message,
+                    format!("{keyword}: expected true or false, found {value:?}")
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn retired_search_knobs_are_rejected() {
+        // Every request encoded before the node order was fixed carries
+        // this line; it still decodes.
+        let old = "mutree-request v1\nstrategy depth-first\nmatrix phylip x.phy\n";
+        assert!(SolveRequest::decode(old).is_ok());
+        for (line, message) in [
+            ("strategy best-first", "unknown strategy \"best-first\""),
+            (
+                concat!("frontier", "-shards 8"),
+                concat!("unknown keyword \"frontier", "-shards\""),
+            ),
+        ] {
+            let text = format!("mutree-request v1\nmode best-one\n{line}\nmatrix phylip x.phy\n");
+            let err = SolveRequest::decode(&text).unwrap_err();
+            assert_eq!(err.line, 3, "{line}");
+            assert_eq!(err.message, message, "{line}");
+        }
     }
 
     #[test]

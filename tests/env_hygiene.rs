@@ -7,10 +7,12 @@
 //!
 //! A second scan keeps retired search paths retired: the forced-kernel
 //! and forced-prune knobs, the ambient cache switch, the three former
-//! per-solve knobs (pipeline threads, forced leaf width, frontier
-//! shards), the types that selected between bound kernels and prune
-//! strategies, and the global-mutex parallel driver must not reappear in
-//! any Rust source or in the CI workflow.
+//! per-solve environment knobs (pipeline threads, forced leaf width,
+//! frontier shards), the types that selected between bound kernels and
+//! prune strategies, the global-mutex parallel driver, best-first node
+//! selection with the ablation that priced it, and the forced frontier
+//! shard count (the builder and the request keyword) must not reappear
+//! in any Rust source or in the CI workflow.
 
 use std::path::{Path, PathBuf};
 
@@ -65,7 +67,7 @@ fn only_plan_resolution_reads_mutree_env_vars() {
 
 /// Names of retired search paths and the knobs that forced them. Each is
 /// split in two so this file's own source never matches.
-const RETIRED: [[&str; 2]; 12] = [
+const RETIRED: [[&str; 2]; 16] = [
     ["MUTREE_FORCE_", "BOUND_KERNEL"],
     ["MUTREE_FORCE_", "PRUNE"],
     ["MUTREE_", "CACHE"],
@@ -78,6 +80,10 @@ const RETIRED: [[&str; 2]; 12] = [
     ["solve_parallel_", "global"],
     ["solve_parallel_", "pooled"],
     ["solve_parallel_", "observed"],
+    ["Best", "First"],
+    ["frontier_", "shards"],
+    ["frontier-", "shards"],
+    ["abl_", "strategy"],
 ];
 
 #[test]

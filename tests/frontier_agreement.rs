@@ -4,9 +4,10 @@
 //! cluster must all find the same optimum on the same matrices, at every
 //! worker count.
 //!
-//! The parallel driver runs at workers {1, 2, 8} × shards {default, 8}:
-//! 8 workers on 8 shards oversubscribes a small host, which maximises
-//! donation, steal and park interleavings.
+//! The parallel driver runs at workers {1, 2, 8}; the shard count
+//! follows the worker count, so 8 workers steal across 8 shards, and on
+//! a small host they oversubscribe the cores, which maximises donation,
+//! steal and park interleavings.
 //!
 //! The whole matrix additionally runs at both monomorphized leaf-bitset
 //! widths (K = 1 and forced K = 2): the sharded frontier must find the
@@ -21,17 +22,6 @@ use rand::SeedableRng;
 
 /// Parallel worker (and simulated slave) counts.
 const WORKERS: [usize; 3] = [1, 2, 8];
-
-/// Frontier shard counts: the worker-derived default, and 8.
-const SHARDS: [Option<usize>; 2] = [None, Some(8)];
-
-/// A solver with `shards` frontier shards, or the default count.
-fn sharded(solver: MutSolver, shards: Option<usize>) -> MutSolver {
-    match shards {
-        Some(s) => solver.frontier_shards(s),
-        None => solver,
-    }
-}
 
 /// Near-ultrametric matrices, which the UPGMM incumbent settles at the
 /// root, and random metrics, whose searches branch hundreds of times so
@@ -69,35 +59,29 @@ fn sequential_parallel_and_cluster_sim_agree() {
             assert_eq!(wseq.stats.branched, seq.stats.branched, "matrix {mi}");
             assert!((wseq.weight - seq.weight).abs() < 1e-9, "matrix {mi}");
             for workers in WORKERS {
-                for shards in SHARDS {
-                    let ctx =
-                        format!("matrix {mi}, workers {workers}, shards {shards:?}, width {words}");
-                    let parallel = sharded(
-                        MutSolver::new()
-                            .leaf_words(words)
-                            .backend(SearchBackend::Parallel { workers }),
-                        shards,
-                    );
-                    // No executor attached: one spawned thread per worker.
-                    let spawned = parallel.solve(m).unwrap();
-                    assert!(spawned.is_complete(), "{ctx}");
-                    assert!(
-                        (spawned.weight - seq.weight).abs() < 1e-9,
-                        "spawned parallel disagrees: {ctx}: {} vs {}",
-                        spawned.weight,
-                        seq.weight
-                    );
-
-                    let pooled = parallel.executor(Executor::new(workers)).solve(m).unwrap();
-                    assert!(pooled.is_complete(), "{ctx}");
-                    assert!(
-                        (pooled.weight - seq.weight).abs() < 1e-9,
-                        "pooled parallel disagrees: {ctx}: {} vs {}",
-                        pooled.weight,
-                        seq.weight
-                    );
-                }
                 let ctx = format!("matrix {mi}, workers {workers}, width {words}");
+                let parallel = MutSolver::new()
+                    .leaf_words(words)
+                    .backend(SearchBackend::Parallel { workers });
+                // No executor attached: one spawned thread per worker.
+                let spawned = parallel.solve(m).unwrap();
+                assert!(spawned.is_complete(), "{ctx}");
+                assert!(
+                    (spawned.weight - seq.weight).abs() < 1e-9,
+                    "spawned parallel disagrees: {ctx}: {} vs {}",
+                    spawned.weight,
+                    seq.weight
+                );
+
+                let pooled = parallel.executor(Executor::new(workers)).solve(m).unwrap();
+                assert!(pooled.is_complete(), "{ctx}");
+                assert!(
+                    (pooled.weight - seq.weight).abs() < 1e-9,
+                    "pooled parallel disagrees: {ctx}: {} vs {}",
+                    pooled.weight,
+                    seq.weight
+                );
+
                 let sim = MutSolver::new()
                     .leaf_words(words)
                     .backend(SearchBackend::SimulatedCluster {
@@ -135,23 +119,18 @@ fn all_optimal_sets_agree_across_drivers() {
         .unwrap();
     for words in [1usize, 2] {
         for workers in WORKERS {
-            for shards in SHARDS {
-                let par = sharded(
-                    MutSolver::new()
-                        .leaf_words(words)
-                        .mode(SearchMode::AllOptimal)
-                        .backend(SearchBackend::Parallel { workers }),
-                    shards,
-                )
+            let par = MutSolver::new()
+                .leaf_words(words)
+                .mode(SearchMode::AllOptimal)
+                .backend(SearchBackend::Parallel { workers })
                 .solve(&m)
                 .unwrap();
-                assert!((par.weight - seq.weight).abs() < 1e-9);
-                assert_eq!(
-                    par.trees.len(),
-                    seq.trees.len(),
-                    "co-optimum count differs at {workers} workers, shards {shards:?}, width {words}"
-                );
-            }
+            assert!((par.weight - seq.weight).abs() < 1e-9);
+            assert_eq!(
+                par.trees.len(),
+                seq.trees.len(),
+                "co-optimum count differs at {workers} workers, width {words}"
+            );
         }
     }
 }

@@ -8,7 +8,8 @@
 //! * a replayed request is answered from the process-wide shared cache,
 //!   provenance `Cached`, bit-identical to the filing solve;
 //! * malformed, truncated and oversized frames get clean error frames
-//!   and never kill the daemon;
+//!   and never kill the daemon; a request carrying invalid distances
+//!   leaves its connection serving;
 //! * a client disconnect cancels its in-flight request;
 //! * concurrent clients all get correct answers;
 //! * a drain finishes queued and in-flight work before acknowledging.
@@ -159,6 +160,41 @@ fn malformed_frames_get_error_frames_and_do_not_kill_the_daemon() {
         .expect("healthy solve after abuse");
     assert!(report.is_complete());
     client.drain().expect("drain");
+    server.join();
+}
+
+#[test]
+fn invalid_inline_distances_get_an_error_frame_and_the_connection_lives_on() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let mut raw = TcpStream::connect(addr).expect("connect raw");
+
+    // A NaN distance in an inline matrix is answered with an error frame;
+    // decoding it must not take down the connection thread.
+    let nan = "mutree-request v1\nmatrix inline 3\nrow 4000000000000000\n\
+               row 4000000000000000 7ff8000000000000\n";
+    write_frame(&mut raw, 1, nan.as_bytes()).expect("write");
+    let (tag, text) = read_text(&mut raw);
+    assert_eq!(tag, 1);
+    let err = mutree::engine::ServeError::decode(&text).expect("error frame");
+    assert_eq!(err.code, ServeErrorCode::Malformed);
+
+    // The same connection then serves a good request.
+    let req = SolveRequest::exact(matrix(6, 0x7a17)).cache(false);
+    write_frame(&mut raw, 2, req.encode().as_bytes()).expect("write");
+    let (tag, text) = read_text(&mut raw);
+    assert_eq!(tag, 2);
+    let remote = SolveReport::decode(&text).expect("report frame");
+    let local = solve_plan(&SolvePlan::resolve(req, &EnvOverrides::none())).expect("local");
+    assert_bit_identical(&remote, &local);
+    drop(raw);
+
+    let summary = Client::connect(addr)
+        .expect("connect drain client")
+        .drain()
+        .expect("drain");
+    assert_eq!(summary.errors, 1);
+    assert_eq!(summary.served, 1);
     server.join();
 }
 
