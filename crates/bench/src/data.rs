@@ -61,7 +61,7 @@ pub fn hmdna_matrix(n: usize, seed: u64) -> DistanceMatrix {
     m
 }
 
-/// A block-clustered workload for the task-graph pipeline experiments:
+/// A block-clustered workload for the fork-join pipeline experiments:
 /// `clusters` tight groups of `size` taxa each. Within-cluster distances
 /// are random in 2–8, across-cluster distances are 100, so the compact
 /// sets at any size threshold `>= size` are exactly the clusters and the

@@ -303,22 +303,21 @@ pub fn abl_33() -> Table {
     t
 }
 
-/// `exp_taskgraph` — the compact-set pipeline run as an inline sequential
-/// group loop vs the same task DAG scheduled on a shared 4-worker
-/// [`Executor`], on block-clustered instances whose compact sets form 8+
-/// groups. Both runs solve identical stage DAGs and must report the same
-/// tree weight; the wall-clock ratio depends on the host's core count
-/// (see EXPERIMENTS.md for the single-core caveat).
+/// `exp_taskgraph` — the compact-set pipeline with its group and meta
+/// solves run inline vs fanned out on a shared 4-worker [`Executor`], on
+/// block-clustered instances whose compact sets form 8+ groups. Both runs
+/// solve the same stages and must report the bit-identical tree weight;
+/// the wall-clock ratio depends on the host's core count.
 pub fn exp_taskgraph() -> Table {
     let mut t = Table::new(
         "exp_taskgraph",
-        "task-graph pipeline: inline group loop vs shared 4-worker executor (clustered data)",
+        "fork-join pipeline: inline stage solves vs shared 4-worker executor (clustered data)",
         &[
             "clusters",
             "taxa",
             "groups",
             "inline",
-            "dag4",
+            "pool4",
             "ratio",
             "weight_match",
         ],
@@ -335,12 +334,12 @@ pub fn exp_taskgraph() -> Table {
         let inline_s = t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
-        let dag = CompactPipeline::new()
+        let pooled = CompactPipeline::new()
             .threshold(size + 1)
             .executor(Executor::new(4))
             .solve(&m)
             .expect("pooled pipeline");
-        let dag_s = t0.elapsed().as_secs_f64();
+        let pooled_s = t0.elapsed().as_secs_f64();
 
         assert!(
             inline.groups.len() >= 8,
@@ -352,9 +351,9 @@ pub fn exp_taskgraph() -> Table {
             m.len().to_string(),
             inline.groups.len().to_string(),
             fmt_secs(inline_s),
-            fmt_secs(dag_s),
-            format!("{:.2}", inline_s / dag_s.max(1e-12)),
-            ((inline.weight - dag.weight).abs() < 1e-9).to_string(),
+            fmt_secs(pooled_s),
+            format!("{:.2}", inline_s / pooled_s.max(1e-12)),
+            (inline.weight.to_bits() == pooled.weight.to_bits()).to_string(),
         ]);
     }
     t

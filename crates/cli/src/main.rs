@@ -116,9 +116,9 @@ USAGE:
   so far is still printed and the exit code becomes 5.
 
   --threads N runs on one shared N-thread worker pool: 'fast' fans its
-  group and condensed solves out as a task graph on it, and parallel
-  branch-and-bound borrows the same workers ('solve' defaults to the
-  par:N backend when --backend is not given).
+  group and condensed solves out on it, and parallel branch-and-bound
+  borrows the same workers ('solve' defaults to the par:N backend when
+  --backend is not given).
 
   --trace-search logs structured search events to stderr: 'incumbents'
   prints incumbent updates and stops, 'all' adds every expansion/prune.

@@ -1,45 +1,44 @@
-//! Shared work pool and task-DAG runner for the compact-set pipeline.
+//! Shared work pool and fan-out helper for the compact-set pipeline.
 //!
 //! The pipeline decomposes one big matrix into many independent solves
-//! (one per compact group, plus a condensed meta-matrix, plus a merge).
-//! Before this module each of those solves either ran serially or spawned
-//! its own `thread::scope`, so an 8-group instance on 8 cores used the
-//! machine badly: either one core, or 8 × N oversubscribed threads.
+//! (one per compact group, plus a condensed meta-matrix) and then merges
+//! them: one fork-join. Before this module each of those solves either
+//! ran serially or spawned its own `thread::scope`, so an 8-group
+//! instance on 8 cores used the machine badly: either one core, or 8 × N
+//! oversubscribed threads.
 //!
-//! [`Executor`] owns N long-lived worker threads fed from one queue;
-//! [`TaskDag`] declares a set of labelled tasks with dependencies and runs
-//! them on an executor. Together they give the pipeline *one* thread
-//! budget shared by group-level parallelism and intra-solve B&B
-//! parallelism (the executor also implements
-//! [`WorkerPool`], so
+//! [`Executor`] owns N long-lived worker threads fed from one queue; the
+//! crate-private `fan_out` runs a batch of jobs on it (or inline, without
+//! one) and hands their results back. Together they give the pipeline
+//! *one* thread budget shared by group-level parallelism and intra-solve
+//! B&B parallelism (the executor also implements [`WorkerPool`], so
 //! [`solve_parallel`](mutree_bnb::solve_parallel) borrows the same
 //! workers).
 //!
 //! # Design rules
 //!
-//! * **Tasks are `'static`.** A queued task may run on a pool thread long
-//!   after the submitting stack frame is gone, so tasks own (or
+//! * **Jobs are `'static`.** A queued job may run on a pool thread long
+//!   after the submitting stack frame is gone, so jobs own (or
 //!   `Arc`-share) their data. This is why [`MutProblem`](crate::MutProblem)
 //!   owns its matrix.
-//! * **Blocking waits help.** Any wait on pool work (`run_all`, DAG
-//!   [`run`](TaskDag::run)) executes queued jobs on the waiting thread
-//!   instead of sleeping. A one-thread executor therefore completes any
-//!   DAG, including DAGs whose tasks recursively run nested DAGs or pooled
-//!   B&B searches on the same executor — there is always at least one
-//!   thread making progress.
-//! * **Panics are contained.** A panicking task marks its slot as failed
-//!   (observable to dependents and in the [`StageReport`]) and never takes
-//!   down a worker thread or a waiter.
-//! * **Results are positional.** DAG results come back indexed by
-//!   [`TaskId`] in insertion order, never completion order, so callers
-//!   that aggregate (the pipeline merging stats and degradation records)
-//!   stay deterministic under any scheduling.
+//! * **Blocking waits help.** A wait on pool work ([`WorkerPool::run_all`],
+//!   and so `fan_out`) executes queued jobs on the waiting thread instead
+//!   of sleeping. A one-thread executor therefore completes any fan-out,
+//!   including jobs that recursively fan out again or run pooled B&B
+//!   searches on the same executor — there is always at least one thread
+//!   making progress.
+//! * **Panics are contained.** A panicking job yields `None` in its
+//!   result slot and never takes down a worker thread or a waiter.
+//! * **Results are positional.** Fan-out results come back in job order,
+//!   never completion order, so callers that aggregate (the pipeline
+//!   merging stats and degradation records) stay deterministic under any
+//!   scheduling.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mutree_bnb::{PoolJob, WorkerPool};
@@ -125,9 +124,9 @@ pub struct QueueStats {
 
 fn worker_loop(queue: &PoolQueue) {
     while let Some(job) = queue.next_job() {
-        // A panicking job must not kill the worker; accounting (latches,
-        // DAG slots) is done by Drop guards inside the job itself, which
-        // run during this unwind.
+        // A panicking job must not kill the worker; latch accounting is
+        // done by a Drop guard inside the job itself, which runs during
+        // this unwind.
         let _ = catch_unwind(AssertUnwindSafe(job));
     }
 }
@@ -167,8 +166,8 @@ impl Drop for ExecutorCore {
 ///
 /// Cheap to clone (a handle); the threads live until the last handle
 /// drops. Submitted jobs are `'static` and panic-isolated. Blocking
-/// operations ([`WorkerPool::run_all`], [`TaskDag::run`]) have the
-/// help-while-wait property described in the module docs.
+/// waits ([`WorkerPool::run_all`]) have the help-while-wait property
+/// described in the module docs.
 #[derive(Clone)]
 pub struct Executor {
     core: Arc<ExecutorCore>,
@@ -304,244 +303,62 @@ impl Drop for LatchGuard {
 }
 
 // ---------------------------------------------------------------------------
-// Task DAG
+// Fan-out
 // ---------------------------------------------------------------------------
 
-/// Index of a task within its [`TaskDag`], in insertion order.
-pub type TaskId = usize;
+/// One [`fan_out`] job: owns (or `Arc`-shares) its data and returns its
+/// result.
+pub(crate) type FanJob<T> = Box<dyn FnOnce() -> T + Send + 'static>;
 
-type Body<T> = Box<dyn FnOnce(&DagCtx<'_, T>) -> T + Send + 'static>;
+/// What one [`fan_out`] job produced: its result (`None` if it panicked)
+/// and how long it ran.
+pub(crate) type FanResult<T> = (Option<T>, Duration);
 
-struct Finished<T> {
-    /// `None` when the task body panicked.
-    value: Option<T>,
-    elapsed: Duration,
-}
-
-/// Read-only view of completed dependencies, passed to each task body.
-pub struct DagCtx<'a, T> {
-    slots: &'a [OnceLock<Finished<T>>],
-}
-
-impl<T> DagCtx<'_, T> {
-    /// The result of dependency `id`, or `None` if that task panicked.
-    ///
-    /// Only declared dependencies are guaranteed to have finished; asking
-    /// for anything else returns `None` rather than a torn read.
-    pub fn dep(&self, id: TaskId) -> Option<&T> {
-        self.slots
-            .get(id)
-            .and_then(|slot| slot.get())
-            .and_then(|fin| fin.value.as_ref())
-    }
-}
-
-/// One task's outcome: its label, its return value (`None` if the body
-/// panicked), and how long the body ran.
-#[derive(Debug)]
-pub struct StageReport<T> {
-    /// The label given to [`TaskDag::add`].
-    pub label: String,
-    /// What the body returned; `None` means it panicked.
-    pub result: Option<T>,
-    /// Wall-clock time the body ran for.
-    pub elapsed: Duration,
-}
-
-/// A set of labelled tasks with dependencies, run either on an
-/// [`Executor`] ([`run`](TaskDag::run)) or serially on the calling thread
-/// ([`run_inline`](TaskDag::run_inline)) — same results either way, which
-/// is what the pipeline's determinism tests check.
-///
-/// Dependencies must point at already-added tasks, so every DAG is
-/// acyclic by construction and insertion order is a topological order.
-pub struct TaskDag<T: Send + Sync + 'static> {
-    labels: Vec<String>,
-    deps: Vec<Vec<TaskId>>,
-    bodies: Vec<Body<T>>,
-}
-
-impl<T: Send + Sync + 'static> Default for TaskDag<T> {
-    fn default() -> Self {
-        TaskDag::new()
-    }
-}
-
-impl<T: Send + Sync + 'static> TaskDag<T> {
-    /// An empty DAG.
-    pub fn new() -> Self {
-        TaskDag {
-            labels: Vec::new(),
-            deps: Vec::new(),
-            bodies: Vec::new(),
-        }
-    }
-
-    /// Number of tasks added so far.
-    pub fn len(&self) -> usize {
-        self.bodies.len()
-    }
-
-    /// Whether the DAG has no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.bodies.is_empty()
-    }
-
-    /// Adds a task that runs `body` once every task in `deps` has
-    /// finished (panicked dependencies count as finished). Returns the
-    /// task's id, which is also its index in the result vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dependency id has not been added yet.
-    pub fn add<F>(&mut self, label: impl Into<String>, deps: &[TaskId], body: F) -> TaskId
-    where
-        F: FnOnce(&DagCtx<'_, T>) -> T + Send + 'static,
-    {
-        let id = self.bodies.len();
-        for &d in deps {
-            assert!(d < id, "dependency {d} of task {id} not added yet");
-        }
-        self.labels.push(label.into());
-        self.deps.push(deps.to_vec());
-        self.bodies.push(Box::new(body));
-        id
-    }
-
-    /// Runs every task on `exec`, helping from the calling thread, and
-    /// returns one [`StageReport`] per task in insertion order.
-    pub fn run(self, exec: &Executor) -> Vec<StageReport<T>> {
-        let n = self.bodies.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        for (id, ds) in self.deps.iter().enumerate() {
-            for &d in ds {
-                dependents[d].push(id);
-            }
-        }
-        let roots: Vec<TaskId> = (0..n).filter(|&id| self.deps[id].is_empty()).collect();
-        let state = Arc::new(DagState {
-            slots: (0..n).map(|_| OnceLock::new()).collect(),
-            waiting: self
-                .deps
-                .iter()
-                .map(|d| AtomicUsize::new(d.len()))
-                .collect(),
-            dependents,
-            bodies: self
-                .bodies
-                .into_iter()
-                .map(|b| Mutex::new(Some(b)))
-                .collect(),
-            latch: Latch::new(n),
-            exec: exec.clone(),
-        });
-        for id in roots {
-            schedule(&state, id);
-        }
-        exec.help_latch(&state.latch);
-
-        // The latch releases inside `execute`, a hair before the last job
-        // closure drops its `Arc` clone; spin the gap out.
-        let mut state = state;
-        let state = loop {
-            match Arc::try_unwrap(state) {
-                Ok(inner) => break inner,
-                Err(again) => {
-                    state = again;
-                    std::thread::yield_now();
-                }
-            }
-        };
-        finish(self.labels, state.slots)
-    }
-
-    /// Runs every task serially on the calling thread, in insertion
-    /// order (a valid topological order by construction). Reference
-    /// implementation for [`run`](TaskDag::run); same panic isolation.
-    pub fn run_inline(self) -> Vec<StageReport<T>> {
-        let n = self.bodies.len();
-        let slots: Vec<OnceLock<Finished<T>>> = (0..n).map(|_| OnceLock::new()).collect();
-        for (id, body) in self.bodies.into_iter().enumerate() {
-            let started = Instant::now();
-            let value = {
-                let ctx = DagCtx { slots: &slots };
-                catch_unwind(AssertUnwindSafe(|| body(&ctx))).ok()
-            };
-            let set = slots[id].set(Finished {
-                value,
-                elapsed: started.elapsed(),
-            });
-            debug_assert!(set.is_ok());
-        }
-        finish(self.labels, slots)
-    }
-}
-
-fn finish<T>(labels: Vec<String>, slots: Vec<OnceLock<Finished<T>>>) -> Vec<StageReport<T>> {
-    labels
+/// Runs every job and returns one [`FanResult`] per job, in job order —
+/// never completion order. With an executor the jobs run on its pool
+/// through [`WorkerPool::run_all`], so the caller helps while it waits;
+/// without one they run in order on the calling thread. Either way each
+/// job runs under `catch_unwind` and is timed.
+pub(crate) fn fan_out<T: Send + 'static>(
+    exec: Option<&Executor>,
+    jobs: Vec<FanJob<T>>,
+) -> Vec<FanResult<T>> {
+    let Some(exec) = exec else {
+        return jobs.into_iter().map(run_timed).collect();
+    };
+    let slots: Arc<[Mutex<Option<FanResult<T>>>]> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    let pool_jobs: Vec<PoolJob> = jobs
         .into_iter()
-        .zip(slots)
-        .map(|(label, slot)| {
-            let fin = slot.into_inner().expect("every task ran");
-            StageReport {
-                label,
-                result: fin.value,
-                elapsed: fin.elapsed,
-            }
+        .enumerate()
+        .map(|(i, job)| {
+            let slots = Arc::clone(&slots);
+            Box::new(move || {
+                let out = run_timed(job);
+                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+            }) as PoolJob
+        })
+        .collect();
+    exec.run_all(pool_jobs, Box::new(|| {}));
+    slots
+        .iter()
+        .map(|slot| {
+            slot.lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .take()
+                .expect("run_all returns after every job")
         })
         .collect()
 }
 
-struct DagState<T: Send + Sync + 'static> {
-    slots: Vec<OnceLock<Finished<T>>>,
-    waiting: Vec<AtomicUsize>,
-    dependents: Vec<Vec<TaskId>>,
-    bodies: Vec<Mutex<Option<Body<T>>>>,
-    latch: Latch,
-    exec: Executor,
-}
-
-fn schedule<T: Send + Sync + 'static>(state: &Arc<DagState<T>>, id: TaskId) {
-    let task_state = Arc::clone(state);
-    state
-        .exec
-        .spawn_job(Box::new(move || execute(&task_state, id)));
-}
-
-fn execute<T: Send + Sync + 'static>(state: &Arc<DagState<T>>, id: TaskId) {
-    let body = state.bodies[id]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take()
-        .expect("a task is scheduled exactly once");
+fn run_timed<T>(job: FanJob<T>) -> FanResult<T> {
     let started = Instant::now();
-    let value = {
-        let ctx = DagCtx {
-            slots: &state.slots,
-        };
-        catch_unwind(AssertUnwindSafe(|| body(&ctx))).ok()
-    };
-    let set = state.slots[id].set(Finished {
-        value,
-        elapsed: started.elapsed(),
-    });
-    debug_assert!(set.is_ok());
-    // Publish the slot before waking dependents, then count down.
-    for &dep in &state.dependents[id] {
-        if state.waiting[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
-            schedule(state, dep);
-        }
-    }
-    state.latch.done_one();
+    let value = catch_unwind(AssertUnwindSafe(job)).ok();
+    (value, started.elapsed())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn run_all_executes_every_job() {
@@ -612,79 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn dag_runs_in_dependency_order_and_reports_in_insertion_order() {
-        let exec = Executor::new(4);
-        let mut dag: TaskDag<u64> = TaskDag::new();
-        let a = dag.add("a", &[], |_| 3);
-        let b = dag.add("b", &[], |_| 4);
-        let sum = dag.add("sum", &[a, b], move |ctx| {
-            ctx.dep(a).copied().unwrap() + ctx.dep(b).copied().unwrap()
-        });
-        let reports = dag.run(&exec);
-        assert_eq!(reports.len(), 3);
-        assert_eq!(reports[0].label, "a");
-        assert_eq!(reports[1].label, "b");
-        assert_eq!(reports[2].label, "sum");
-        assert_eq!(reports[sum].result, Some(7));
-    }
-
-    #[test]
-    fn dag_inline_matches_executor_run() {
-        let build = || {
-            let mut dag: TaskDag<u64> = TaskDag::new();
-            let roots: Vec<TaskId> = (0..6)
-                .map(|i| dag.add(format!("r{i}"), &[], move |_| i))
-                .collect();
-            let join_deps = roots.clone();
-            dag.add("join", &roots, move |ctx| {
-                join_deps
-                    .iter()
-                    .map(|&r| ctx.dep(r).copied().unwrap())
-                    .sum()
-            });
-            dag
-        };
-        let exec = Executor::new(4);
-        let par: Vec<Option<u64>> = build().run(&exec).into_iter().map(|r| r.result).collect();
-        let seq: Vec<Option<u64>> = build().run_inline().into_iter().map(|r| r.result).collect();
-        assert_eq!(par, seq);
-        assert_eq!(par.last().unwrap(), &Some(15));
-    }
-
-    #[test]
-    fn panicking_task_fails_alone_and_dependents_still_run() {
-        let exec = Executor::new(2);
-        let mut dag: TaskDag<u64> = TaskDag::new();
-        let good = dag.add("good", &[], |_| 1);
-        let bad = dag.add("bad", &[], |_| -> u64 { panic!("injected") });
-        let join = dag.add("join", &[good, bad], move |ctx| {
-            assert!(ctx.dep(bad).is_none());
-            ctx.dep(good).copied().unwrap() + 100
-        });
-        let reports = dag.run(&exec);
-        assert_eq!(reports[good].result, Some(1));
-        assert_eq!(reports[bad].result, None);
-        assert_eq!(reports[join].result, Some(101));
-    }
-
-    #[test]
-    fn deep_dag_on_one_thread() {
-        // A chain forces strict ordering; one thread forces the helper
-        // path to schedule each link.
-        let exec = Executor::new(1);
-        let mut dag: TaskDag<u64> = TaskDag::new();
-        let mut prev = dag.add("t0", &[], |_| 0);
-        for i in 1..64u64 {
-            let p = prev;
-            prev = dag.add(format!("t{i}"), &[p], move |ctx| {
-                ctx.dep(p).copied().unwrap() + 1
-            });
-        }
-        let reports = dag.run(&exec);
-        assert_eq!(reports[prev].result, Some(63));
-    }
-
-    #[test]
     fn executor_as_worker_pool_runs_pooled_search() {
         use mutree_bnb::{
             solve_parallel, solve_sequential, ChildBuf, Problem, SearchMode, SearchOptions,
@@ -735,36 +479,101 @@ mod tests {
         assert!(stats.peak_depth <= 12);
     }
 
-    #[test]
-    fn dag_timings_are_recorded() {
-        let exec = Executor::new(2);
-        let mut dag: TaskDag<()> = TaskDag::new();
-        dag.add("sleep", &[], |_| {
-            std::thread::sleep(Duration::from_millis(5));
-        });
-        let reports = dag.run(&exec);
-        assert!(reports[0].elapsed >= Duration::from_millis(4));
+    fn jobs<T: Send + 'static>(
+        bodies: impl IntoIterator<Item = impl FnOnce() -> T + Send + 'static>,
+    ) -> Vec<FanJob<T>> {
+        bodies
+            .into_iter()
+            .map(|body| Box::new(body) as FanJob<T>)
+            .collect()
     }
 
     #[test]
-    fn stress_shared_executor_across_many_dags() {
+    fn fan_out_results_are_positional() {
+        // Earlier jobs sleep longer, so on four workers they finish last.
         let exec = Executor::new(4);
-        let total = Arc::new(AtomicU64::new(0));
-        for round in 0..25u64 {
-            let mut dag: TaskDag<u64> = TaskDag::new();
-            let ids: Vec<TaskId> = (0..8)
-                .map(|i| dag.add(format!("w{i}"), &[], move |_| round + i))
-                .collect();
-            let join_deps = ids.clone();
-            dag.add("join", &ids, move |ctx| {
-                join_deps
-                    .iter()
-                    .map(|&t| ctx.dep(t).copied().unwrap())
-                    .sum()
-            });
-            let reports = dag.run(&exec);
-            total.fetch_add(reports.last().unwrap().result.unwrap(), Ordering::Relaxed);
+        let out = fan_out(
+            Some(&exec),
+            jobs((0..8u64).map(|i| {
+                move || {
+                    std::thread::sleep(Duration::from_millis(2 * (8 - i)));
+                    i
+                }
+            })),
+        );
+        let values: Vec<Option<u64>> = out.iter().map(|(v, _)| *v).collect();
+        assert_eq!(values, (0..8).map(Some).collect::<Vec<_>>());
+        for (i, (_, elapsed)) in out.iter().enumerate() {
+            assert!(*elapsed >= Duration::from_millis(2 * (8 - i as u64)));
         }
-        assert!(total.load(Ordering::Relaxed) > 0);
+    }
+
+    #[test]
+    fn fan_out_panicking_job_yields_none_alone() {
+        let exec = Executor::new(2);
+        for pool in [None, Some(&exec)] {
+            let out = fan_out(
+                pool,
+                jobs((0..5u64).map(|i| {
+                    move || {
+                        if i == 2 {
+                            std::thread::sleep(Duration::from_millis(5));
+                            panic!("injected");
+                        }
+                        i * 10
+                    }
+                })),
+            );
+            let values: Vec<Option<u64>> = out.iter().map(|(v, _)| *v).collect();
+            assert_eq!(values, [Some(0), Some(10), None, Some(30), Some(40)]);
+            assert!(
+                out[2].1 >= Duration::from_millis(4),
+                "the dead job is timed"
+            );
+        }
+    }
+
+    #[test]
+    fn fan_out_inline_and_pooled_agree() {
+        let make = || jobs((0..16u64).map(|i| move || i.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+        let exec = Executor::new(4);
+        let inline: Vec<Option<u64>> = fan_out(None, make()).into_iter().map(|r| r.0).collect();
+        let pooled: Vec<Option<u64>> = fan_out(Some(&exec), make())
+            .into_iter()
+            .map(|r| r.0)
+            .collect();
+        assert_eq!(inline, pooled);
+    }
+
+    #[test]
+    fn nested_fan_out_completes_on_one_thread() {
+        // The pipeline's recursive meta solve fans out again on the same
+        // executor from inside a job; only help-while-wait lets the inner
+        // jobs run when the pool's one worker is the outer job.
+        let exec = Executor::new(1);
+        let inner = exec.clone();
+        let out = fan_out(
+            Some(&exec),
+            jobs([move || {
+                fan_out(Some(&inner), jobs((1..=4u64).map(|i| move || i)))
+                    .into_iter()
+                    .map(|(v, _)| v.unwrap())
+                    .sum::<u64>()
+            }]),
+        );
+        assert_eq!(out[0].0, Some(10));
+    }
+
+    #[test]
+    fn fan_out_stress_on_one_shared_executor() {
+        let exec = Executor::new(4);
+        for round in 0..25u64 {
+            let out = fan_out(Some(&exec), jobs((0..8u64).map(|i| move || round * 8 + i)));
+            let values: Vec<u64> = out.into_iter().map(|(v, _)| v.unwrap()).collect();
+            assert_eq!(values, (round * 8..round * 8 + 8).collect::<Vec<_>>());
+        }
+        let stats = exec.queue_stats();
+        assert_eq!(stats.submitted, 25 * 8);
+        assert_eq!(stats.started, stats.submitted);
     }
 }

@@ -56,7 +56,7 @@ mod solver;
 
 pub use cluster::{solve_simulated, solve_simulated_observed, SimCost, SimulatedOutcome};
 pub use error::MutError;
-pub use exec::{Executor, QueueStats, TaskDag};
+pub use exec::{Executor, QueueStats};
 pub use leafset::{LeafIter, LeafWords};
 pub use node::PartialTree;
 pub use pipeline::{CompactPipeline, PipelineSolution};
@@ -65,8 +65,7 @@ pub use run::{
     plan_pipeline, plan_solver, solve_plan, solve_plan_hooked, solve_request, SolveHooks,
 };
 pub use solver::{
-    leaf_words_for, solution_newick, MutSolution, MutSolver, SearchBackend, LEAF_WIDTHS,
-    MAX_EXACT_TAXA,
+    leaf_words_for, solution_newick, MutSolution, MutSolver, SearchBackend, MAX_EXACT_TAXA,
 };
 
 pub use mutree_bnb::{
@@ -83,5 +82,5 @@ pub use mutree_tree::Linkage;
 pub use mutree_engine::{
     BackendSpec, CacheOutcome, CacheProbe, CacheQuery, DegradeReason, DegradedGroup, EnvOverrides,
     GroupCache, MatrixSource, RetryPolicy, SolveKind, SolvePlan, SolveReport, SolveRequest,
-    StageProvenance, StageTiming, ThreeThree,
+    StageProvenance, StageTiming, ThreeThree, LEAF_WIDTHS,
 };

@@ -23,21 +23,21 @@
 //! grouped together really do share a lowest common ancestor below any
 //! outside species, so the phylogenetic relations are preserved.
 //!
-//! # Execution as a task DAG
+//! # Execution as a fork-join
 //!
-//! Steps 3–4 are declared as a [`TaskDag`]: one task per ≥3-member group
-//! solve, one task for the condensed meta-matrix (which may recurse
-//! through the pipeline — on the *same* executor, never a nested pool),
-//! and a merge/refit join task depending on all of them. With an
-//! [`Executor`] attached ([`CompactPipeline::executor`]) the independent
-//! solves run concurrently on its shared worker pool, and Parallel-backend
-//! solvers borrow the same workers
-//! ([`solve_parallel`](mutree_bnb::solve_parallel)) instead of spawning
-//! threads per solve, so one `--threads` budget covers both levels of
-//! parallelism. Without an executor the identical
-//! DAG runs inline on the calling thread. Either way results are
-//! aggregated in task order — never completion order — so the solution,
-//! its degradation records and its merged statistics are deterministic.
+//! Steps 3–4 are one fork-join: one job per ≥3-member group solve and one
+//! job for the condensed meta-matrix (which may recurse through the
+//! pipeline — on the *same* executor, never a nested pool) fan out
+//! together, and the merge/refit runs on the calling thread once all of
+//! them are back. With an [`Executor`] attached
+//! ([`CompactPipeline::executor`]) the independent solves run
+//! concurrently on its shared worker pool, and Parallel-backend solvers
+//! borrow the same workers ([`solve_parallel`](mutree_bnb::solve_parallel))
+//! instead of spawning threads per solve, so one `--threads` budget covers
+//! both levels of parallelism. Without an executor the same jobs run in
+//! order on the calling thread. Either way results are aggregated in job
+//! order — never completion order — so the solution, its degradation
+//! records and its merged statistics are deterministic.
 
 use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,7 +53,7 @@ use mutree_engine::{
 use mutree_graph::CompactSets;
 use mutree_tree::{cluster, Linkage, UltrametricTree};
 
-use crate::exec::{Executor, TaskDag, TaskId};
+use crate::exec::{fan_out, Executor, FanJob};
 use crate::memo::{memoized, Answer};
 use crate::{MutError, MutSolver, SearchStats};
 
@@ -136,7 +136,7 @@ impl Default for CompactPipeline {
 impl CompactPipeline {
     /// A pipeline cutting compact sets at 12 species, condensing under
     /// maximum linkage (the paper's studied variant) and solving pieces
-    /// with a default sequential [`MutSolver`]. The stage DAG runs
+    /// with a default sequential [`MutSolver`]. The stage solves run
     /// inline; no executor and no cache is attached.
     pub fn new() -> Self {
         CompactPipeline {
@@ -177,10 +177,10 @@ impl CompactPipeline {
         self
     }
 
-    /// Runs the stage DAG on `exec`: group solves and the meta solve run
-    /// concurrently on its worker pool, and any Parallel-backend solver
-    /// without its own executor borrows the same workers, so group-level
-    /// and intra-solve parallelism share one thread budget.
+    /// Fans the stage solves out on `exec`: group solves and the meta
+    /// solve run concurrently on its worker pool, and any Parallel-backend
+    /// solver without its own executor borrows the same workers, so
+    /// group-level and intra-solve parallelism share one thread budget.
     pub fn executor(mut self, exec: Executor) -> Self {
         self.executor = Some(exec);
         self
@@ -223,7 +223,7 @@ impl CompactPipeline {
         self.cache.as_ref()
     }
 
-    /// The solver clone handed to each stage task: when the pipeline has
+    /// The solver clone handed to each stage job: when the pipeline has
     /// an executor and the solver does not, the solver borrows the
     /// pipeline's pool (a no-op for non-Parallel backends).
     fn task_solver(&self) -> MutSolver {
@@ -272,7 +272,7 @@ impl CompactPipeline {
                 PipelineSolution {
                     tree,
                     weight,
-                    groups: cs.partition(run.threshold.max(2)),
+                    groups: cs.partition(run.threshold),
                     stats: SearchStats::default(),
                     compact_sets: cs.len(),
                     stop: StopReason::Completed,
@@ -318,7 +318,7 @@ impl CompactPipeline {
     ) -> Result<PipelineSolution, MutError> {
         let n = m.len();
         let cs = CompactSets::find(m);
-        let groups = cs.partition(self.threshold.max(2));
+        let groups = cs.partition(self.threshold);
 
         // When decomposition does nothing (all singletons or one group),
         // fall back to the plain exact solver.
@@ -362,10 +362,10 @@ impl CompactPipeline {
             });
         }
 
-        // --- Declare the stage DAG: one task per nontrivial group solve,
-        // one meta task, one merge join. Degradation stays per stage (one
-        // stuck or broken group must not take the whole tree down) because
-        // `solve_stage` absorbs every solver failure into a fallback tree.
+        // --- Fork: one job per nontrivial group solve, then the meta job.
+        // Degradation stays per stage (one stuck or broken group must not
+        // take the whole tree down) because `solve_stage` absorbs every
+        // solver failure into a fallback tree.
         let g = groups.len();
         let condensed = condense(m, &groups, self.linkage)?;
         // Meta heights are refit against the *maximum*-linkage condensed
@@ -379,41 +379,31 @@ impl CompactPipeline {
         };
 
         let task_solver = self.task_solver();
-        let mut dag: TaskDag<StageData> = TaskDag::new();
-        let mut slots: Vec<MergeSlot> = Vec::with_capacity(g);
+        let mut jobs: Vec<FanJob<StageData>> = Vec::new();
+        // Per group job, in job order: its group index and stage label.
+        let mut solved: Vec<(usize, String)> = Vec::new();
+        // Subtrees by group index; the solved ones arrive after the join.
+        let mut subtrees: Vec<Option<UltrametricTree>> = Vec::with_capacity(g);
         for (gi, group) in groups.iter().enumerate() {
-            match group.len() {
-                1 => slots.push(MergeSlot {
-                    gi,
-                    task: None,
-                    trivial: Some(UltrametricTree::leaf(group[0])),
-                    group: group.clone(),
-                    sub: None,
-                }),
+            subtrees.push(match group.len() {
+                1 => Some(UltrametricTree::leaf(group[0])),
                 2 => {
                     let h = m.get(group[0], group[1]) / 2.0;
-                    slots.push(MergeSlot {
-                        gi,
-                        task: None,
-                        trivial: Some(UltrametricTree::cherry(group[0], group[1], h)),
-                        group: group.clone(),
-                        sub: None,
-                    });
+                    Some(UltrametricTree::cherry(group[0], group[1], h))
                 }
                 _ => {
-                    let sub = Arc::new(m.submatrix(group)?);
+                    let sub = m.submatrix(group)?;
                     let stage = format!("{prefix}group {gi}");
                     let solver = task_solver.clone();
-                    let task_sub = Arc::clone(&sub);
                     let task_group = group.clone();
                     let task_stage = stage.clone();
                     let retry = self.retry.clone();
                     let budget = Arc::clone(&self.retry_budget);
                     let task_cache = self.cache.clone();
-                    let id = dag.add(stage, &[], move |_| {
+                    jobs.push(Box::new(move || {
                         let mut st = solve_stage(
                             &solver,
-                            &task_sub,
+                            &sub,
                             Some(gi),
                             &task_stage,
                             retry.as_ref(),
@@ -423,16 +413,11 @@ impl CompactPipeline {
                         // Solver taxa are submatrix-relative; map back.
                         st.tree.map_taxa(|local| task_group[local]);
                         StageData::Group(st)
-                    });
-                    slots.push(MergeSlot {
-                        gi,
-                        task: Some(id),
-                        trivial: None,
-                        group: group.clone(),
-                        sub: Some(sub),
-                    });
+                    }));
+                    solved.push((gi, stage));
+                    None
                 }
-            }
+            });
         }
 
         // The condensed matrix is itself a (strictly smaller) instance:
@@ -443,10 +428,10 @@ impl CompactPipeline {
         // errors out above.
         let meta_stage = format!("{prefix}meta");
         let recurse = g > self.solver.max_taxa() || (g > self.threshold && depth < self.max_depth);
-        let meta_id = if recurse {
+        if recurse {
             let pipeline = self.clone();
             let child_prefix = format!("{prefix}meta[{}]/", depth + 1);
-            dag.add(meta_stage, &[], move |_| {
+            jobs.push(Box::new(move || {
                 let rec = pipeline.solve_at_depth(&condensed, depth + 1, &child_prefix);
                 StageData::Meta(rec.map(|rec| {
                     MetaOut {
@@ -465,19 +450,19 @@ impl CompactPipeline {
                             .collect(),
                         timings: rec.timings,
                         // The recursion's own stages carry their attempt
-                        // counts; the wrapping meta task made one "attempt".
+                        // counts; the wrapping meta job made one "attempt".
                         attempts: 1,
                         provenance: StageProvenance::Solved,
                     }
                 }))
-            })
+            }));
         } else {
             let solver = task_solver.clone();
             let task_stage = meta_stage.clone();
             let retry = self.retry.clone();
             let budget = Arc::clone(&self.retry_budget);
             let task_cache = self.cache.clone();
-            dag.add(meta_stage, &[], move |_| {
+            jobs.push(Box::new(move || {
                 let st = solve_stage(
                     &solver,
                     &condensed,
@@ -496,141 +481,95 @@ impl CompactPipeline {
                     attempts: st.attempts,
                     provenance: st.provenance,
                 }))
-            })
-        };
+            }));
+        }
 
-        // Caller-side record of which task id is which group, for
-        // aggregating dead task slots deterministically.
-        let group_tasks: Vec<(TaskId, usize)> = slots
-            .iter()
-            .filter_map(|s| s.task.map(|t| (t, s.gi)))
-            .collect();
+        let mut results = fan_out(self.executor.as_ref(), jobs);
 
-        // --- Merge join: graft each group subtree onto its meta leaf and
-        // refit against the original matrix (minimal feasible heights for
-        // the merged topology — never worse, often better). A group slot
-        // whose task died gets the agglomerative stand-in; a dead or
-        // failed meta solve fails the merge, and the caller maps that to
-        // the meta task's error.
-        let merge_deps: Vec<TaskId> = group_tasks
-            .iter()
-            .map(|&(t, _)| t)
-            .chain(std::iter::once(meta_id))
-            .collect();
-        let m_owned = m.clone();
-        dag.add(format!("{prefix}merge"), &merge_deps, move |ctx| {
-            let meta = match ctx.dep(meta_id) {
-                Some(StageData::Meta(Ok(out))) => out,
-                _ => return StageData::Merged(None),
-            };
-            let mut meta_tree = meta.tree.clone();
-            meta_tree.fit_heights(&max_condensed);
-            // Move meta taxa out of the way of original ids, then graft.
-            meta_tree.map_taxa(|group| n + group);
-            for slot in &slots {
-                let subtree = match (&slot.trivial, slot.task) {
-                    (Some(t), _) => t.clone(),
-                    (None, Some(tid)) => match ctx.dep(tid) {
-                        Some(StageData::Group(st)) => st.tree.clone(),
-                        _ => {
-                            // The task itself died (solver panics are
-                            // already absorbed inside `solve_stage`, so
-                            // this is the outer safety net); stand in the
-                            // agglomerative tree. The caller records the
-                            // degradation from the task report.
-                            let sub = slot.sub.as_ref().expect("solved slot keeps its submatrix");
-                            let mut t = cluster(sub, Linkage::Maximum);
-                            t.map_taxa(|local| slot.group[local]);
-                            t
-                        }
-                    },
-                    (None, None) => unreachable!("slot has either a trivial tree or a task"),
-                };
-                if let Err(e) = meta_tree.graft(n + slot.gi, subtree) {
-                    return StageData::Merged(Some(Err(e.into())));
-                }
-            }
-            let weight = meta_tree.fit_heights(&m_owned);
-            StageData::Merged(Some(Ok(MergeOut {
-                tree: meta_tree,
-                weight,
-            })))
-        });
-
-        let reports = match &self.executor {
-            Some(exec) => dag.run(exec),
-            None => dag.run_inline(),
-        };
-
-        // --- Aggregate in task order (never completion order): stats,
-        // stop severity, degradations and timings all come out identical
-        // under any scheduling, which is the pipeline's determinism rule.
+        // --- Join, in job order (never completion order): stats, stop
+        // severity, degradations and timings all come out identical under
+        // any scheduling, which is the pipeline's determinism rule.
+        let (meta, meta_elapsed) = results.pop().expect("the meta job is last");
         let mut stats = SearchStats::default();
         let mut stop = StopReason::Completed;
         let mut degraded: Vec<DegradedGroup> = Vec::new();
-        let mut timings: Vec<StageTiming> = Vec::with_capacity(reports.len());
-        let mut meta_err: Option<MutError> = None;
-        let mut merged: Option<Option<Result<MergeOut, MutError>>> = None;
-        for (id, report) in reports.into_iter().enumerate() {
-            timings.push(StageTiming {
-                stage: report.label.clone(),
-                seconds: report.elapsed.as_secs_f64(),
+        let mut timings: Vec<StageTiming> = Vec::with_capacity(results.len() + 2);
+        for ((result, elapsed), (gi, stage)) in results.into_iter().zip(solved) {
+            let mut timing = StageTiming {
+                stage,
+                seconds: elapsed.as_secs_f64(),
                 attempts: 1,
                 provenance: StageProvenance::Solved,
-            });
-            match report.result {
+            };
+            subtrees[gi] = Some(match result {
                 Some(StageData::Group(st)) => {
-                    if let Some(t) = timings.last_mut() {
-                        t.attempts = st.attempts;
-                        t.provenance = st.provenance;
-                    }
+                    timing.attempts = st.attempts;
+                    timing.provenance = st.provenance;
                     stats.merge(&st.stats);
                     stop = stop.worst(st.stop);
                     degraded.extend(st.degraded);
+                    st.tree
                 }
-                Some(StageData::Meta(Ok(out))) => {
-                    if let Some(t) = timings.last_mut() {
-                        t.attempts = out.attempts;
-                        t.provenance = out.provenance;
-                    }
-                    stats.merge(&out.stats);
-                    stop = stop.worst(out.stop);
-                    degraded.extend(out.degraded);
-                    timings.extend(out.timings);
-                }
-                Some(StageData::Meta(Err(e))) => meta_err = Some(e),
-                Some(StageData::Merged(result)) => merged = Some(result),
-                None => {
-                    // The task body died outside solve_stage's isolation.
+                _ => {
+                    // The job itself died (solver panics are already
+                    // absorbed inside `solve_stage`, so this is the outer
+                    // safety net): stand in the agglomerative tree.
                     stop = stop.worst(StopReason::WorkerPanicked);
-                    if let Some(&(_, gi)) = group_tasks.iter().find(|&&(t, _)| t == id) {
-                        degraded.push(DegradedGroup {
-                            group: Some(gi),
-                            stage: report.label,
-                            reason: DegradeReason::Panicked,
-                            attempts: 1,
-                        });
-                    }
+                    degraded.push(DegradedGroup {
+                        group: Some(gi),
+                        stage: timing.stage.clone(),
+                        reason: DegradeReason::Panicked,
+                        attempts: 1,
+                    });
+                    let mut t = cluster(&m.submatrix(&groups[gi])?, Linkage::Maximum);
+                    t.map_taxa(|local| groups[gi][local]);
+                    t
                 }
-            }
+            });
+            timings.push(timing);
         }
-
-        let merge_out = match merged {
-            Some(Some(Ok(out))) => out,
-            // Graft/refit failure inside the merge task.
-            Some(Some(Err(e))) => return Err(e),
-            // The meta solve failed (recursion error) or a task died so
-            // badly the merge could not run.
-            Some(None) | None => {
-                return Err(meta_err.unwrap_or(MutError::Interrupted {
+        let meta = match meta {
+            Some(StageData::Meta(Ok(out))) => out,
+            Some(StageData::Meta(Err(e))) => return Err(e),
+            _ => {
+                return Err(MutError::Interrupted {
                     reason: StopReason::WorkerPanicked,
-                }))
+                })
             }
         };
+        timings.push(StageTiming {
+            stage: meta_stage,
+            seconds: meta_elapsed.as_secs_f64(),
+            attempts: meta.attempts,
+            provenance: meta.provenance,
+        });
+        stats.merge(&meta.stats);
+        stop = stop.worst(meta.stop);
+        degraded.extend(meta.degraded);
+        timings.extend(meta.timings);
+
+        // --- Merge: graft each group subtree onto its meta leaf and refit
+        // against the original matrix (minimal feasible heights for the
+        // merged topology — never worse, often better).
+        let started = Instant::now();
+        let mut tree = meta.tree;
+        tree.fit_heights(&max_condensed);
+        // Move meta taxa out of the way of original ids, then graft.
+        tree.map_taxa(|group| n + group);
+        for (gi, subtree) in subtrees.into_iter().enumerate() {
+            tree.graft(n + gi, subtree.expect("every group has a subtree"))?;
+        }
+        let weight = tree.fit_heights(m);
+        timings.push(StageTiming {
+            stage: format!("{prefix}merge"),
+            seconds: started.elapsed().as_secs_f64(),
+            attempts: 1,
+            provenance: StageProvenance::Solved,
+        });
 
         Ok(PipelineSolution {
-            tree: merge_out.tree,
-            weight: merge_out.weight,
+            tree,
+            weight,
             groups,
             stats,
             compact_sets: cs.len(),
@@ -663,29 +602,10 @@ struct MetaOut {
     provenance: StageProvenance,
 }
 
-/// The merge join's payload.
-struct MergeOut {
-    tree: UltrametricTree,
-    weight: f64,
-}
-
-/// What one DAG task returns; the variant is fixed per stage kind.
+/// What one fan-out job returns; the variant is fixed per stage kind.
 enum StageData {
     Group(StageTree),
     Meta(Result<MetaOut, MutError>),
-    /// `None`: the meta dependency was dead or failed, nothing to merge.
-    Merged(Option<Result<MergeOut, MutError>>),
-}
-
-/// How a group subtree reaches the merge task: either a precomputed
-/// trivial tree (singleton / pair) or the [`TaskId`] of its solve task,
-/// with the submatrix kept around for the dead-task fallback.
-struct MergeSlot {
-    gi: usize,
-    task: Option<TaskId>,
-    trivial: Option<UltrametricTree>,
-    group: Vec<usize>,
-    sub: Option<Arc<DistanceMatrix>>,
 }
 
 /// Produces a feasible ultrametric tree for one pipeline stage, degrading
@@ -1289,7 +1209,7 @@ mod tests {
             .executor(Executor::new(4))
             .solve(&m)
             .unwrap();
-        assert!((inline.weight - pooled.weight).abs() < 1e-9);
+        assert_eq!(inline.weight.to_bits(), pooled.weight.to_bits());
         assert_eq!(inline.groups, pooled.groups);
         assert_eq!(inline.degraded, pooled.degraded);
         assert!(pooled.tree.is_feasible_for(&m, 1e-9));

@@ -19,12 +19,12 @@ use mutree_clustersim::ClusterSpec;
 use mutree_distmat::DistanceMatrix;
 use mutree_engine::{
     BackendSpec, EnvOverrides, GroupCache, MatrixSource, SolveKind, SolvePlan, SolveReport,
-    SolveRequest, StageTiming,
+    SolveRequest, StageTiming, LEAF_WIDTHS,
 };
 
 use crate::memo::{memoized, Answer};
 use crate::pipeline::{CompactPipeline, PipelineSolution};
-use crate::solver::{MutSolution, MutSolver, SearchBackend, LEAF_WIDTHS};
+use crate::solver::{MutSolution, MutSolver, SearchBackend};
 use crate::{CancelToken, Executor, MutError};
 
 impl From<MutSolution> for SolveReport {
@@ -165,7 +165,8 @@ fn hooked_solver(plan: &SolvePlan, hooks: &SolveHooks) -> MutSolver {
     if let Some(t) = req.timeout {
         s = s.timeout(t);
     }
-    // An unsupported forced width behaves as unset.
+    // The decoder rejects an unsupported forced width; one set in code
+    // behaves as unset.
     if let Some(w) = req.leaf_words.filter(|w| LEAF_WIDTHS.contains(w)) {
         s = s.leaf_words(w);
     }

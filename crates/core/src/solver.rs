@@ -12,14 +12,7 @@ use mutree_clustersim::{ClusterSpec, SimReport};
 use mutree_distmat::DistanceMatrix;
 use mutree_tree::{newick, UltrametricTree};
 
-use crate::{solve_simulated_observed, Executor, MutError, MutProblem, ThreeThree};
-
-/// Leaf-bitset widths (in 64-bit words) the exact search is
-/// monomorphized for, narrowest first. Each width `K` handles up to
-/// `64·K` taxa; [`MutSolver::solve`] dispatches to the narrowest fit so
-/// the historical `K = 1` hot path compiles to exactly the single-`u64`
-/// code it always was.
-pub const LEAF_WIDTHS: [usize; 3] = [1, 2, 4];
+use crate::{solve_simulated_observed, Executor, MutError, MutProblem, ThreeThree, LEAF_WIDTHS};
 
 /// Taxa ceiling of a single exact search: the widest monomorphized
 /// leaf-bitset width (`LeafWords<4>`) holds 256 leaves. Matrices beyond

@@ -47,5 +47,6 @@ pub use plan::{EnvOverrides, SolvePlan};
 pub use report::{DegradeReason, DegradedGroup, SolveReport, StageProvenance, StageTiming};
 pub use request::{
     BackendSpec, MatrixSource, RequestError, RetryPolicy, SolveKind, SolveRequest, ThreeThree,
+    LEAF_WIDTHS,
 };
 pub use wire::{ReportError, ServeError, ServeErrorCode};

@@ -127,6 +127,12 @@ impl RetryPolicy {
     }
 }
 
+/// Leaf-bitset widths (in 64-bit words) the exact search is
+/// monomorphized for, narrowest first. Each width `K` handles up to
+/// `64·K` taxa; the solver dispatches to the narrowest fit, and a
+/// request's `leaf-words` line must name one of these.
+pub const LEAF_WIDTHS: [usize; 3] = [1, 2, 4];
+
 /// Where the distance matrix comes from.
 #[derive(Debug, Clone)]
 pub enum MatrixSource {
@@ -197,8 +203,8 @@ pub struct SolveRequest {
     /// `None` means inline execution (and one spawned thread per worker
     /// for a parallel search).
     pub threads: Option<usize>,
-    /// Forced leaf-bitset width in 64-bit words. `None` means the
-    /// narrowest fit.
+    /// Forced leaf-bitset width in 64-bit words, one of
+    /// [`LEAF_WIDTHS`]. `None` means the narrowest fit.
     pub leaf_words: Option<usize>,
     /// Open-node cap for the memory watchdog.
     pub memory: Option<MemoryBudget>,
@@ -533,7 +539,16 @@ impl SolveRequest {
                 "maxmin" => req.use_maxmin = bool_arg()?,
                 "upgmm" => req.use_upgmm = bool_arg()?,
                 "threads" => req.threads = Some(usize_arg()?),
-                "leaf-words" => req.leaf_words = Some(usize_arg()?),
+                "leaf-words" => {
+                    let words = usize_arg()?;
+                    if !LEAF_WIDTHS.contains(&words) {
+                        return Err(fail(
+                            ln,
+                            format!("leaf-words: {words} is not one of {LEAF_WIDTHS:?}"),
+                        ));
+                    }
+                    req.leaf_words = Some(words);
+                }
                 "memory-nodes" => {
                     let nodes: u64 = rest
                         .trim()
@@ -560,15 +575,25 @@ impl SolveRequest {
                         tok.parse()
                             .map_err(|_| fail(ln, format!("bad retry field {tok:?}")))
                     };
+                    // Attempt caps and budgets are `u32`: reject, never wrap.
+                    let count = |tok: &str| -> Result<u32, RequestError> {
+                        u32::try_from(num(tok)?)
+                            .map_err(|_| fail(ln, format!("retry field {tok:?} overflows u32")))
+                    };
                     req.retry = Some(
                         RetryPolicy::new()
-                            .max_attempts(num(attempts)? as u32)
+                            .max_attempts(count(attempts)?)
                             .base_backoff(Duration::from_nanos(num(backoff_ns)?))
                             .seed(num(seed)?)
-                            .budget(num(budget)? as u32),
+                            .budget(count(budget)?),
                     );
                 }
-                "threshold" => req.threshold = usize_arg()?,
+                "threshold" => {
+                    req.threshold = usize_arg()?;
+                    if req.threshold < 2 {
+                        return Err(fail(ln, "threshold must be at least 2".into()));
+                    }
+                }
                 "linkage" => {
                     req.linkage = match rest.trim() {
                         "maximum" => Linkage::Maximum,
@@ -877,6 +902,58 @@ mod tests {
         }
         let ok = "mutree-request v1\nbackend par 1\nmatrix phylip x.phy\n";
         assert!(SolveRequest::decode(ok).is_ok());
+    }
+
+    #[test]
+    fn retry_counts_overflowing_u32_are_rejected() {
+        // An `as u32` cast would wrap 2^32 + 1 attempts to one.
+        for (spec, field) in [
+            ("4294967297 0 0 0", "4294967297"),
+            ("3 0 0 4294967296", "4294967296"),
+        ] {
+            let text = format!("mutree-request v1\nmode best-one\nretry {spec}\n");
+            let err = SolveRequest::decode(&text).unwrap_err();
+            assert_eq!(err.line, 3, "{spec}");
+            assert_eq!(
+                err.message,
+                format!("retry field \"{field}\" overflows u32")
+            );
+        }
+        let text = "mutree-request v1\nretry 4294967295 0 0 4294967295\nmatrix phylip x.phy\n";
+        let policy = SolveRequest::decode(text).unwrap().retry.unwrap();
+        assert_eq!(policy.max_attempts, u32::MAX);
+        assert_eq!(policy.budget, u32::MAX);
+    }
+
+    #[test]
+    fn thresholds_below_two_and_unsupported_leaf_widths_are_rejected() {
+        for (line, message) in [
+            ("threshold 0", "threshold must be at least 2".to_string()),
+            ("threshold 1", "threshold must be at least 2".to_string()),
+            (
+                "leaf-words 0",
+                format!("leaf-words: 0 is not one of {LEAF_WIDTHS:?}"),
+            ),
+            (
+                "leaf-words 3",
+                format!("leaf-words: 3 is not one of {LEAF_WIDTHS:?}"),
+            ),
+            (
+                "leaf-words 8",
+                format!("leaf-words: 8 is not one of {LEAF_WIDTHS:?}"),
+            ),
+        ] {
+            let text = format!("mutree-request v1\nmode best-one\n{line}\nmatrix phylip x.phy\n");
+            let err = SolveRequest::decode(&text).unwrap_err();
+            assert_eq!(err.line, 3, "{line}");
+            assert_eq!(err.message, message, "{line}");
+        }
+        let text = "mutree-request v1\nthreshold 2\nmatrix phylip x.phy\n";
+        assert_eq!(SolveRequest::decode(text).unwrap().threshold, 2);
+        for words in LEAF_WIDTHS {
+            let text = format!("mutree-request v1\nleaf-words {words}\nmatrix phylip x.phy\n");
+            assert_eq!(SolveRequest::decode(&text).unwrap().leaf_words, Some(words));
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! per-solve environment knobs (pipeline threads, forced leaf width,
 //! frontier shards), the types that selected between bound kernels and
 //! prune strategies, the global-mutex parallel driver, best-first node
-//! selection with the ablation that priced it, and the forced frontier
-//! shard count (the builder and the request keyword) must not reappear
-//! in any Rust source or in the CI workflow.
+//! selection with the ablation that priced it, the forced frontier
+//! shard count (the builder and the request keyword), and the task-DAG
+//! runner the fork-join pipeline replaced must not reappear in any Rust
+//! source or in the CI workflow.
 
 use std::path::{Path, PathBuf};
 
@@ -67,7 +68,7 @@ fn only_plan_resolution_reads_mutree_env_vars() {
 
 /// Names of retired search paths and the knobs that forced them. Each is
 /// split in two so this file's own source never matches.
-const RETIRED: [[&str; 2]; 16] = [
+const RETIRED: [[&str; 2]; 18] = [
     ["MUTREE_FORCE_", "BOUND_KERNEL"],
     ["MUTREE_FORCE_", "PRUNE"],
     ["MUTREE_", "CACHE"],
@@ -84,6 +85,8 @@ const RETIRED: [[&str; 2]; 16] = [
     ["frontier_", "shards"],
     ["frontier-", "shards"],
     ["abl_", "strategy"],
+    ["Task", "Dag"],
+    ["run_", "inline"],
 ];
 
 #[test]

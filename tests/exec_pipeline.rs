@@ -1,12 +1,14 @@
-//! Determinism and fault isolation of the task-graph pipeline.
+//! Determinism and fault isolation of the fork-join pipeline.
 //!
-//! The compact-set pipeline declares its stages as a task DAG and runs
-//! them either inline or on a shared [`Executor`] worker pool. These
-//! tests pin the two properties that make that safe:
+//! The compact-set pipeline fans its group and meta solves out either
+//! inline or on a shared [`Executor`] worker pool, then merges on the
+//! calling thread. These tests pin the two properties that make that
+//! safe:
 //!
-//! * **Determinism** — a 4- or 8-worker executor run produces the same
-//!   weight, groups, (index-ordered) degradation records and stage
-//!   timing order as the inline run, under any scheduling;
+//! * **Determinism** — a 4- or 8-worker executor run produces the
+//!   bit-identical weight, the same groups, (index-ordered) degradation
+//!   records and stage timing order as the inline run, under any
+//!   scheduling;
 //! * **Fault isolation** — a group solve that panics degrades only its
 //!   own group, while sibling groups on the same pool complete exactly.
 
@@ -31,9 +33,9 @@ fn stages(sol: &PipelineSolution) -> Vec<&str> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Weight, groups, feasibility and the order of the stage timings
-    /// agree between the inline pipeline and the same pipeline fanned
-    /// out over 4- and 8-worker executors.
+    /// Weight (to the bit), groups, feasibility and the order of the
+    /// stage timings agree between the inline pipeline and the same
+    /// pipeline fanned out over 4- and 8-worker executors.
     #[test]
     fn executor_pipeline_matches_sequential(
         n in 10usize..=20,
@@ -52,9 +54,10 @@ proptest! {
                 .solve(&m)
                 .unwrap();
             prop_assert!(par.tree.is_feasible_for(&m, 1e-9));
-            prop_assert!(
-                (seq.weight - par.weight).abs() < 1e-9,
-                "inline {} vs {workers}-worker pool {}", seq.weight, par.weight
+            prop_assert_eq!(
+                seq.weight.to_bits(),
+                par.weight.to_bits(),
+                "inline {} vs {}-worker pool {}", seq.weight, workers, par.weight
             );
             prop_assert_eq!(&seq.groups, &par.groups);
             prop_assert_eq!(&seq.degraded, &par.degraded);
@@ -86,7 +89,7 @@ proptest! {
                 .solve(&m)
                 .unwrap();
             prop_assert!(par.tree.is_feasible_for(&m, 1e-9));
-            prop_assert!((seq.weight - par.weight).abs() < 1e-9);
+            prop_assert_eq!(seq.weight.to_bits(), par.weight.to_bits());
             prop_assert_eq!(&seq.degraded, &par.degraded);
             prop_assert_eq!(seq.stop, par.stop);
         }
@@ -159,7 +162,7 @@ fn panicking_group_degrades_alone_on_shared_pool() {
     assert!(pipe.tree.is_feasible_for(&m, 1e-9));
 }
 
-/// The same injected fault without an executor (inline DAG) behaves
+/// The same injected fault without an executor (inline jobs) behaves
 /// identically — the degradation ladder is executor-independent.
 #[test]
 fn panicking_group_degrades_alone_inline() {

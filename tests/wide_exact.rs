@@ -64,7 +64,7 @@ fn pipeline_no_longer_forces_decomposition_up_to_128() {
         let sol = CompactPipeline::new().threshold(128).solve(&m).unwrap();
         assert_eq!(sol.tree.leaf_count(), n, "n = {n}");
         assert!(sol.tree.is_feasible_for(&m, 1e-9), "n = {n}");
-        // One group ⇒ the plain whole-matrix exact path, no stage DAG.
+        // One group ⇒ the plain whole-matrix exact path, no fan-out.
         if sol.groups.len() == 1 {
             assert_eq!(sol.timings.len(), 1, "n = {n}");
             assert_eq!(sol.timings[0].stage, "whole", "n = {n}");
