@@ -1,6 +1,8 @@
+use std::cmp::Ordering;
+
 use mutree_distmat::DistanceMatrix;
 
-use crate::{kruskal, WeightedGraph};
+use crate::Edge;
 
 /// A compact set: a vertex subset whose largest internal distance is smaller
 /// than its smallest escaping distance (`Max(C) < Min(C, V ∖ C)`).
@@ -46,9 +48,9 @@ impl CompactSet {
         'outer: for x in &other.members {
             for y in it.by_ref() {
                 match y.cmp(x) {
-                    std::cmp::Ordering::Equal => continue 'outer,
-                    std::cmp::Ordering::Greater => return false,
-                    std::cmp::Ordering::Less => {}
+                    Ordering::Equal => continue 'outer,
+                    Ordering::Greater => return false,
+                    Ordering::Less => {}
                 }
             }
             return false;
@@ -61,95 +63,186 @@ impl CompactSet {
 /// members and fewer than all of them. Singletons and the full vertex set
 /// are compact by convention and are omitted.
 ///
-/// Sets are stored in detection order (ascending merge weight), which places
-/// every set after all of its subsets.
+/// Sets are stored in *canonical order*: ascending by the height of the
+/// merge that formed the set (its heaviest minimum-spanning-tree edge),
+/// then by size, then by smallest member. The order is total (two sets with
+/// the same smallest member intersect, so they nest, and then equal sizes
+/// make them equal), it does not depend on which minimum spanning tree tied
+/// weights select, and it places every set after all of its subsets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompactSets {
     n: usize,
     sets: Vec<CompactSet>,
+    forest: LaminarForest,
+}
+
+/// A set accepted by [`CompactSets::find`], before the canonical sort.
+struct Accepted {
+    /// Position in acceptance order, which `children` refer to.
+    id: usize,
+    set: CompactSet,
+    /// Weight of the merge that formed the set.
+    height: f64,
+    /// Acceptance ids of the maximal accepted sets strictly inside.
+    children: Vec<usize>,
+}
+
+impl Accepted {
+    /// The canonical order of [`CompactSets`].
+    fn cmp_canonical(&self, other: &Accepted) -> Ordering {
+        self.height
+            .partial_cmp(&other.height)
+            .expect("distances are finite")
+            .then(self.set.len().cmp(&other.set.len()))
+            .then(self.set.members[0].cmp(&other.set.members[0]))
+    }
 }
 
 impl CompactSets {
-    /// Runs the paper's compact-set algorithm (§3.1):
+    /// Runs the paper's compact-set algorithm (§3.1) in `O(n²)` time:
     ///
-    /// 1. build the minimum spanning tree of the complete distance graph
-    ///    (Kruskal, so the edges come out weight-sorted);
-    /// 2. process MST edges in ascending order, merging their endpoint
+    /// 1. build a minimum spanning tree with dense Prim straight over the
+    ///    matrix (no edge list) and sort its `n − 1` edges by
+    ///    `(weight, u, v)`;
+    /// 2. process the edges in that order, merging their endpoint
     ///    components;
-    /// 3. after each merge `A`, test `Max(A) < Min(A, !A)` — when it holds,
-    ///    `A` is compact.
+    /// 3. at the merge that *consumes* a component `A`, with edge weight
+    ///    `w`, test `Max(A) < w` — when it holds, `A` is compact.
     ///
-    /// `Max` is maintained incrementally:
-    /// `Max(A ∪ B) = max(Max A, Max B, cross-max(A, B))`, so the total cost
-    /// of all max updates is `O(n²)`; each crossing minimum is recomputed in
-    /// `O(|A| · (n − |A|))`, for `O(n³)` worst-case overall — ample for the
-    /// matrix sizes where exact tree search is feasible.
+    /// Every MST edge inside `A` is merged before `A` exists and none
+    /// leaving it is, so the consuming edge is the lightest MST edge
+    /// leaving `A`. By the cut property its weight is the lightest of all
+    /// distances leaving `A`: `w = Min(A, !A)`, the very matrix entry, so
+    /// the crossing minimum costs nothing. `Max` is maintained
+    /// incrementally, `Max(A ∪ B) = max(Max A, Max B, cross-max(A, B))`,
+    /// which reads every pair once over the whole run. Prim is `O(n²)`, the
+    /// cross maxima read `n(n − 1)/2` entries, and member lists and forest
+    /// links cost `O(n)` per merge, so the total is `O(n²)`.
     ///
-    /// Correctness: every compact set `C` induces a connected subtree of the
-    /// MST whose internal edges all weigh less than every edge escaping `C`
-    /// (Lemmas 2 and 4), so in ascending order the component equals exactly
-    /// `C` right after its last internal MST edge — the test then fires.
-    /// Hence **all** compact sets are found.
+    /// Correctness: every compact set `C` induces a connected subtree of
+    /// any MST whose internal edges all weigh less than every edge escaping
+    /// `C` (Lemmas 2 and 4), so in ascending order the component equals
+    /// exactly `C` from its last internal MST edge until its first escaping
+    /// one — and the test fires there. Hence **all** compact sets are found,
+    /// whichever MST tied weights select.
+    ///
+    /// The laminar forest is read off the merges: each component keeps the
+    /// list of its topmost accepted sets, accepting a component makes that
+    /// list the new set's children, and a merge concatenates the two lists.
     pub fn find(m: &DistanceMatrix) -> Self {
         let n = m.len();
-        let mst = kruskal(&WeightedGraph::from_matrix(m)).expect("complete graph is connected");
+        let mut edges = dense_prim(m);
+        edges.sort_by(|a, b| {
+            a.weight
+                .partial_cmp(&b.weight)
+                .expect("distances are finite")
+                .then(a.u.cmp(&b.u))
+                .then(a.v.cmp(&b.v))
+        });
 
-        // comp[v] = current component id of v; components store members and
-        // running internal max.
+        // comp[v] = current component id of v. Per component: its members
+        // (sorted), Max, the weight of the merge that formed it and the
+        // acceptance ids of its topmost accepted sets.
         let mut comp: Vec<usize> = (0..n).collect();
         let mut members: Vec<Vec<usize>> = (0..n).map(|v| vec![v]).collect();
-        let mut max_internal: Vec<f64> = vec![0.0; n];
-        let mut sets = Vec::new();
+        let mut max_internal = vec![0.0f64; n];
+        let mut height = vec![0.0f64; n];
+        let mut tops: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut accepted: Vec<Accepted> = Vec::new();
+        let mut merged = Vec::with_capacity(n);
 
-        for e in mst.edges() {
+        for e in &edges {
             let (ca, cb) = (comp[e.u], comp[e.v]);
             debug_assert_ne!(ca, cb, "MST edges join distinct components");
+            // This merge consumes both components, so `e.weight` is the
+            // crossing minimum of each.
+            for c in [ca, cb] {
+                if members[c].len() >= 2 && max_internal[c] < e.weight {
+                    let id = accepted.len();
+                    accepted.push(Accepted {
+                        id,
+                        set: CompactSet {
+                            members: members[c].clone(),
+                            max_internal: max_internal[c],
+                            min_crossing: e.weight,
+                        },
+                        height: height[c],
+                        children: std::mem::replace(&mut tops[c], vec![id]),
+                    });
+                }
+            }
             // Merge smaller into larger to bound relabeling cost.
             let (keep, drop) = if members[ca].len() >= members[cb].len() {
                 (ca, cb)
             } else {
                 (cb, ca)
             };
+            // The smaller side outermost: with `keep` sorted, each inner
+            // loop reads one taxon's distances in ascending address order.
             let mut cross_max = 0.0f64;
-            for &x in &members[keep] {
-                for &y in &members[drop] {
+            for &x in &members[drop] {
+                for &y in &members[keep] {
                     cross_max = cross_max.max(m.get(x, y));
                 }
             }
-            let dropped = std::mem::take(&mut members[drop]);
-            for &y in &dropped {
+            for &y in &members[drop] {
                 comp[y] = keep;
             }
-            members[keep].extend(dropped);
+            merge_sorted(&members[keep], &members[drop], &mut merged);
+            std::mem::swap(&mut members[keep], &mut merged);
+            members[drop] = Vec::new();
             max_internal[keep] = max_internal[keep].max(max_internal[drop]).max(cross_max);
-
-            let size = members[keep].len();
-            if size < n {
-                // Min(A, !A): smallest distance escaping the merged set.
-                let mut inside = vec![false; n];
-                for &x in &members[keep] {
-                    inside[x] = true;
-                }
-                let mut min_crossing = f64::INFINITY;
-                for &x in &members[keep] {
-                    for (y, &is_in) in inside.iter().enumerate() {
-                        if !is_in {
-                            min_crossing = min_crossing.min(m.get(x, y));
-                        }
-                    }
-                }
-                if max_internal[keep] < min_crossing {
-                    let mut ms = members[keep].clone();
-                    ms.sort_unstable();
-                    sets.push(CompactSet {
-                        members: ms,
-                        max_internal: max_internal[keep],
-                        min_crossing,
-                    });
-                }
-            }
+            height[keep] = e.weight;
+            let moved = std::mem::take(&mut tops[drop]);
+            tops[keep].extend(moved);
         }
-        CompactSets { n, sets }
+        let roots = std::mem::take(&mut tops[comp[0]]);
+        Self::canonical(n, accepted, roots)
+    }
+
+    /// Sorts the accepted sets into canonical order and relabels the forest
+    /// links from acceptance ids to positions in that order.
+    fn canonical(n: usize, mut accepted: Vec<Accepted>, roots: Vec<usize>) -> Self {
+        accepted.sort_by(Accepted::cmp_canonical);
+        debug_assert!(
+            accepted
+                .windows(2)
+                .all(|w| w[0].cmp_canonical(&w[1]) == Ordering::Less),
+            "compact sets are strictly ascending in canonical order"
+        );
+        let mut rank = vec![0; accepted.len()];
+        for (r, a) in accepted.iter().enumerate() {
+            rank[a.id] = r;
+        }
+        let relabel = |ids: Vec<usize>| {
+            let mut out: Vec<usize> = ids.into_iter().map(|id| rank[id]).collect();
+            out.sort_unstable();
+            out
+        };
+        let mut parent = vec![None; accepted.len()];
+        let mut sets = Vec::with_capacity(accepted.len());
+        let mut nodes = Vec::with_capacity(accepted.len());
+        for (r, a) in accepted.into_iter().enumerate() {
+            let children = relabel(a.children);
+            for &c in &children {
+                parent[c] = Some(r);
+            }
+            sets.push(a.set);
+            nodes.push(LaminarNode {
+                set: r,
+                parent: None,
+                children,
+            });
+        }
+        for (node, p) in nodes.iter_mut().zip(parent) {
+            node.parent = p;
+        }
+        let forest = LaminarForest {
+            n,
+            nodes,
+            roots: relabel(roots),
+        };
+        CompactSets { n, sets, forest }
     }
 
     /// Number of taxa in the underlying matrix.
@@ -167,76 +260,28 @@ impl CompactSets {
         self.sets.is_empty()
     }
 
-    /// Iterates the sets in detection order (subsets before supersets).
+    /// Iterates the sets in canonical order (ascending merge height, then
+    /// size, then smallest member; subsets before supersets).
     pub fn iter(&self) -> impl Iterator<Item = &CompactSet> {
         self.sets.iter()
     }
 
-    /// The sets as a slice, in detection order.
+    /// The sets as a slice, in canonical order (see [`CompactSets`]).
     pub fn as_slice(&self) -> &[CompactSet] {
         &self.sets
     }
 
     /// The maximal proper compact sets: those contained in no other proper
-    /// compact set. They are pairwise disjoint (Lemma 3).
+    /// compact set, i.e. the forest's roots, in canonical order. They are
+    /// pairwise disjoint (Lemma 3).
     pub fn maximal(&self) -> Vec<&CompactSet> {
-        self.sets
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| {
-                !self
-                    .sets
-                    .iter()
-                    .enumerate()
-                    .any(|(j, t)| j != *i && t.len() > s.len() && t.contains_set(s))
-            })
-            .map(|(_, s)| s)
-            .collect()
+        self.forest.roots.iter().map(|&r| &self.sets[r]).collect()
     }
 
-    /// Builds the laminar containment forest over the proper compact sets.
-    pub fn forest(&self) -> LaminarForest {
-        let k = self.sets.len();
-        // Smallest strict superset is the parent; detection order puts
-        // supersets after subsets, but sizes are the robust criterion.
-        let parent: Vec<Option<usize>> = (0..k)
-            .map(|i| {
-                let mut best: Option<usize> = None;
-                for j in 0..k {
-                    if j != i
-                        && self.sets[j].len() > self.sets[i].len()
-                        && self.sets[j].contains_set(&self.sets[i])
-                    {
-                        match best {
-                            None => best = Some(j),
-                            Some(b) if self.sets[j].len() < self.sets[b].len() => best = Some(j),
-                            _ => {}
-                        }
-                    }
-                }
-                best
-            })
-            .collect();
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); k];
-        let mut roots = Vec::new();
-        for (i, p) in parent.iter().enumerate() {
-            match p {
-                Some(p) => children[*p].push(i),
-                None => roots.push(i),
-            }
-        }
-        let nodes = (0..k)
-            .map(|i| LaminarNode {
-                set: i,
-                parent: parent[i],
-                children: children[i].clone(),
-            })
-            .collect();
-        LaminarForest {
-            n: self.n,
-            nodes,
-            roots,
-        }
+    /// The laminar containment forest over the proper compact sets,
+    /// recorded by [`CompactSets::find`] during its merges.
+    pub fn forest(&self) -> &LaminarForest {
+        &self.forest
     }
 
     /// Partitions the taxa for decomposition: descend the laminar forest and
@@ -251,7 +296,7 @@ impl CompactSets {
     /// Panics when `max_size < 2` (no set could ever be cut).
     pub fn partition(&self, max_size: usize) -> Vec<Vec<usize>> {
         assert!(max_size >= 2, "max_size must be at least 2");
-        let forest = self.forest();
+        let forest = &self.forest;
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut covered = vec![false; self.n];
         // Iterative DFS from the roots.
@@ -275,6 +320,54 @@ impl CompactSets {
         groups.sort_by_key(|g| g[0]);
         groups
     }
+}
+
+/// A minimum spanning tree of the complete graph over `m` by dense Prim:
+/// `O(n²)`, reading each entry once and building no edge list. Each edge
+/// has `u < v` and carries the matrix entry `m.get(u, v)` as its weight.
+fn dense_prim(m: &DistanceMatrix) -> Vec<Edge> {
+    let n = m.len();
+    // Vertices outside the tree: (vertex, nearest tree vertex, distance).
+    let mut outside: Vec<(usize, usize, f64)> = (1..n).map(|v| (v, 0, m.get(0, v))).collect();
+    let mut edges = Vec::with_capacity(n - 1);
+    while !outside.is_empty() {
+        let mut best = 0;
+        for (i, o) in outside.iter().enumerate().skip(1) {
+            if o.2 < outside[best].2 {
+                best = i;
+            }
+        }
+        let (v, link, weight) = outside.swap_remove(best);
+        edges.push(Edge {
+            u: v.min(link),
+            v: v.max(link),
+            weight,
+        });
+        for o in &mut outside {
+            let d = m.get(v, o.0);
+            if d < o.2 {
+                *o = (o.0, v, d);
+            }
+        }
+    }
+    edges
+}
+
+/// Writes the merge of two ascending lists into `out`.
+fn merge_sorted(a: &[usize], b: &[usize], out: &mut Vec<usize>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 /// One node of a [`LaminarForest`]: a compact set with its containment

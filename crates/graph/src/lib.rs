@@ -15,10 +15,13 @@
 //! below every species outside it (Lemma 1), so solving each compact set
 //! separately preserves the true phylogenetic relations.
 //!
-//! The detection algorithm here is the paper's §3.1: build an MST
-//! ([`kruskal`]), process its edges in ascending weight order merging
-//! components with a [`UnionFind`], and after each merge test compactness.
-//! Internal maxima are maintained incrementally; see [`CompactSets::find`].
+//! The detection algorithm here is the paper's §3.1 in `O(n²)`: build an
+//! MST by dense Prim straight over the matrix, process its edges in
+//! ascending weight order merging components, and test each component's
+//! compactness at the merge that consumes it, whose weight is its crossing
+//! minimum by the cut property. Internal maxima are maintained
+//! incrementally and the laminar forest is read off the merges; see
+//! [`CompactSets::find`].
 //!
 //! ```
 //! use mutree_distmat::DistanceMatrix;

@@ -8,9 +8,12 @@ pub struct Mst {
 }
 
 impl Mst {
-    /// The tree edges. For [`kruskal`] they are sorted by ascending weight —
-    /// exactly the processing order required by the compact-set algorithm
-    /// (paper §3.1, Step 2).
+    /// The tree edges. For [`kruskal`] they are sorted by ascending weight,
+    /// ties by `(u, v)` — the processing order of the paper's compact-set
+    /// algorithm (§3.1, Step 2), which [`CompactSets::find`] reaches by
+    /// sorting the `n − 1` edges of a dense Prim tree instead.
+    ///
+    /// [`CompactSets::find`]: crate::CompactSets::find
     pub fn edges(&self) -> &[Edge] {
         &self.edges
     }

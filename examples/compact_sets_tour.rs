@@ -27,7 +27,7 @@ fn main() {
 
     // Step 1 (paper §3.1): the minimum spanning tree of the complete
     // distance graph, Kruskal's algorithm — edges come out weight-sorted,
-    // exactly the processing order of the compact-set algorithm.
+    // the processing order of the compact-set algorithm.
     let mst = kruskal(&WeightedGraph::from_matrix(&m)).expect("complete graph");
     println!("minimum spanning tree (weight {}):", mst.weight());
     for e in mst.edges() {
@@ -36,7 +36,7 @@ fn main() {
 
     // Step 2: merge in ascending order, test Max(A) < Min(A, !A).
     let cs = CompactSets::find(&m);
-    println!("\ncompact sets (detection order):");
+    println!("\ncompact sets (canonical order):");
     for s in cs.iter() {
         println!(
             "  {:?}  Max = {}, Min(out) = {}",
