@@ -1,9 +1,13 @@
 //! Pins the exact search: node counts are the portable measure of a
 //! branch-and-bound's work, so a change that claims to make the search
 //! faster without changing it must reproduce, bit for bit, the node count
-//! and optimum weight the benchmark catalog screened these instances at.
-//! The values are copied from `perfbench/catalog.txt` on purpose — this
-//! test must not follow the file if it is regenerated.
+//! and optimum weight pinned here.
+//!
+//! The node counts are this test's own: they are the look-ahead bound's,
+//! and the `branched` column of `perfbench/catalog.txt` still records the
+//! static bound the catalog was screened under. The weight bits still
+//! equal the catalog's — a tighter bound may only prove the same optimum
+//! sooner. Neither follows the catalog if it is regenerated.
 //!
 //! Every pin holds at every leaf-bitset width: widening the per-node
 //! leaf masks may not change a single search decision.
@@ -26,11 +30,8 @@ fn solve(m: &DistanceMatrix, words: usize) -> (u64, u64) {
 }
 
 #[test]
-fn exact_instances_reproduce_their_catalog_counts_and_weights() {
-    for (seed, branched, bits) in [
-        (48, 2530, 0x407e23b3ff858ef9),
-        (62, 3026, 0x40800e9bc424575c),
-    ] {
+fn exact_instances_reproduce_their_pinned_counts_and_weights() {
+    for (seed, branched, bits) in [(48, 459, 0x407e23b3ff858ef9), (62, 782, 0x40800e9bc424575c)] {
         let m = data::random_species_matrix(20, seed);
         for words in LEAF_WIDTHS {
             assert_eq!(
@@ -43,8 +44,8 @@ fn exact_instances_reproduce_their_catalog_counts_and_weights() {
 }
 
 #[test]
-fn clustered_instances_reproduce_their_catalog_counts_and_weights() {
-    for (seed, branched, bits) in [(47, 94, 0x406c37d7185f2ee0), (43, 109, 0x406c76c04c18b908)] {
+fn clustered_instances_reproduce_their_pinned_counts_and_weights() {
+    for (seed, branched, bits) in [(47, 64, 0x406c37d7185f2ee0), (43, 49, 0x406c76c04c18b908)] {
         let m = data::clustered_matrix(4, 4, seed);
         for words in LEAF_WIDTHS {
             assert_eq!(

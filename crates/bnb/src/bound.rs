@@ -1,11 +1,21 @@
 //! Wu–Chao–Tang bound tables and the 3-3 close-pair encoding.
 //!
-//! The minimum-ultrametric problem precomputes two matrix-only tables
-//! per solve: the pendant-edge suffix of the lower bound
-//! ([`pendant_suffix`]) and the 3-3 close-pair codes of every leaf
-//! triple ([`close_pair_code`] at [`triple_index`]). They live here, as
-//! free functions over plain values, so the triple-relation domains in
-//! [`crate::propagate`] share the same arm encoding and index.
+//! The minimum-ultrametric problem precomputes matrix-only tables per
+//! solve. Two live here, as free functions over plain values: the
+//! pendant-edge suffix ([`pendant_suffix`]) and the 3-3 close-pair codes
+//! of every leaf triple ([`close_pair_code`] at [`triple_index`]), so
+//! the triple-relation domains in [`crate::propagate`] share the same
+//! arm encoding and index.
+//!
+//! The suffix is Wu–Chao–Tang's static bound, `ω + suffix[k]`: every
+//! uninserted species adds at least half its distance to the nearest
+//! earlier one. The search prunes with a look-ahead bound built on it
+//! (`mutree_core::MutProblem`): it charges one future species its
+//! cheapest exact insertion into the partial tree, then the suffix of
+//! the rest with that species counted as present, and takes the best
+//! future species. Its tables and per-node passes depend on the tree
+//! encoding, so they live with the problem; the static bound stays its
+//! floor.
 
 /// `suffix[t] = Σ_{u ≥ t} minrow[u] / 2` with `suffix[n] = 0`, summed
 /// from the back (`minrow[t]` is `min_{i<t} M[i, t]`; entries `0` and

@@ -19,6 +19,67 @@ fn max_to_mask<const K: usize>(m: &DistanceMatrix, s: usize, mask: &LeafWords<K>
     best
 }
 
+/// Row `v` of `table` (rows of width `w`), mutable, and a reader for
+/// every other row.
+#[inline]
+fn row_and_rest<'a>(
+    table: &'a mut [f64],
+    w: usize,
+    v: usize,
+) -> (&'a mut [f64], impl Fn(usize) -> &'a [f64]) {
+    let (before, rest) = table.split_at_mut(v * w);
+    let (row, after) = rest.split_at_mut(w);
+    let (before, after): (&[f64], &[f64]) = (before, after);
+    let other = move |c: usize| {
+        debug_assert_ne!(c, v);
+        if c < v {
+            &before[c * w..(c + 1) * w]
+        } else {
+            &after[(c - v - 1) * w..(c - v) * w]
+        }
+    };
+    (row, other)
+}
+
+/// One node of a child's root path in
+/// [`PartialTree::child_min_insertions`]. `out` holds the path child's
+/// `sub_f` and `other` the other child's (leaf `s`'s row at the joint
+/// node, the unchanged sibling's above it); the node now sits at height
+/// `h` over `mx`'s leaves plus the new leaf (`hs`). Turns `out` into the
+/// node's `sub_f`, or, at the root, into `min_site Δ_f`: the root's raise
+/// counts twice.
+#[inline]
+fn child_path_step(out: &mut [f64], h: f64, mx: &[f64], hs: &[f64], other: &[f64], root: bool) {
+    let lanes = out.iter_mut().zip(mx).zip(hs).zip(other);
+    if root {
+        for (((o, &x), &y), &b) in lanes {
+            let m = h.max(x.max(y));
+            *o = (m - h) + m.min((m - h) + o.min(b));
+        }
+    } else {
+        for (((o, &x), &y), &b) in lanes {
+            let m = h.max(x.max(y));
+            *o = m.min((m - h) + o.min(b));
+        }
+    }
+}
+
+/// Debug check that every lane's cheapest insertion is at least the
+/// static pendant term it replaces: half the distance from future leaf
+/// `lo + i` to the nearest placed leaf, `0..lo`.
+#[inline]
+fn debug_assert_lanes_reach_static_term(half: &[f64], n: usize, lo: usize, lanes: &[f64]) {
+    debug_assert!(
+        lanes.iter().enumerate().all(|(i, &cheapest)| {
+            let nearest = (0..lo)
+                .map(|y| half[y * n + lo + i])
+                .fold(f64::INFINITY, f64::min);
+            cheapest >= nearest
+        }),
+        "a lane's cheapest insertion fell below its static pendant term"
+    );
+}
+
 /// The triple-domain arm index: for every leaf pair `(s, u)` with
 /// `s < u`, the partition of the earlier leaves `i < s` by the fixed arm
 /// of triple `(i, s, u)` — one `[Earlier, WithLow, WithHigh]` mask trio
@@ -250,8 +311,10 @@ impl<const K: usize> PartialTree<K> {
         self.weight
     }
 
-    /// The cached lower bound (weight plus the insertion-cost suffix;
-    /// maintained by [`MutProblem`](crate::MutProblem)).
+    /// The cached lower bound on every completion: the look-ahead bound
+    /// built from [`min_insertions`](Self::min_insertions), never below
+    /// the weight plus the static pendant suffix (maintained by
+    /// [`MutProblem`](crate::MutProblem)).
     pub fn lower_bound(&self) -> f64 {
         self.lb
     }
@@ -446,6 +509,152 @@ impl<const K: usize> PartialTree<K> {
     /// stay below `3n·ε` of the total.
     pub fn site_weight_margin(&self, est: f64) -> f64 {
         4.0 * self.n as f64 * f64::EPSILON * est
+    }
+
+    /// `f64`s of scratch [`fill_look_ahead`](Self::fill_look_ahead)
+    /// needs for the future leaves `lo..n`: two rows of `n − lo` lanes
+    /// per internal node.
+    pub fn look_ahead_rows_len(&self, lo: usize) -> usize {
+        2 * (self.k as usize - 1) * (self.n as usize - lo)
+    }
+
+    /// The look-ahead rows of this tree for the future leaves `lo..n`, one
+    /// `f64` lane per leaf `f`, filled by one stackless post-order pass
+    /// over the parent pointers. For each internal node `v`:
+    ///
+    /// * `mx_f[v] = max_{y ∈ L(v)} M[f, y] / 2`, the height a node joining
+    ///   `f` to `v`'s leaves needs at least;
+    /// * `sub_f[v]`, the cheapest insertion of `f` at a site in `v`'s
+    ///   subtree, counting the height raises inside the subtree only:
+    ///   with `m = max(h_v, mx_f[v])`, it is `m` for the site above `v`
+    ///   and `m − h_v` plus a child's `sub_f` for a site below it.
+    ///
+    /// A leaf's row of either kind is its row of `half`, the `n × n`
+    /// table `max(M[y, f], 0) / 2` in rows of `n`. `rows` must hold at
+    /// least [`look_ahead_rows_len`](Self::look_ahead_rows_len)`(lo)`
+    /// entries: all `mx` rows, then all `sub` rows, each in internal-node
+    /// id order. The lane loops are straight `f64` loops the compiler
+    /// vectorizes.
+    pub fn fill_look_ahead(&self, half: &[f64], lo: usize, rows: &mut [f64]) {
+        let n = self.n as usize;
+        let w = n - lo;
+        let internal = (self.k as usize - 1) * w;
+        let (mx, sub) = rows[..2 * internal].split_at_mut(internal);
+        let leaf = |y: usize| &half[y * n + lo..y * n + n];
+        let mut v = self.root;
+        let mut prev = NONE;
+        loop {
+            let vi = v as usize;
+            if vi >= n {
+                if prev == self.parent[vi] {
+                    prev = v;
+                    v = self.left[vi];
+                    continue;
+                } else if prev == self.left[vi] {
+                    prev = v;
+                    v = self.right[vi];
+                    continue;
+                }
+                let (l, r) = (self.left[vi] as usize, self.right[vi] as usize);
+                let (mx_v, mx_of) = row_and_rest(mx, w, vi - n);
+                let pick = |c: usize| if c < n { leaf(c) } else { mx_of(c - n) };
+                for ((d, &a), &b) in mx_v.iter_mut().zip(pick(l)).zip(pick(r)) {
+                    *d = a.max(b);
+                }
+                let (sub_v, sub_of) = row_and_rest(sub, w, vi - n);
+                let pick = |c: usize| if c < n { leaf(c) } else { sub_of(c - n) };
+                let h = self.height[vi];
+                for (((d, &x), &a), &b) in sub_v.iter_mut().zip(&*mx_v).zip(pick(l)).zip(pick(r)) {
+                    let m = h.max(x);
+                    *d = m.min((m - h) + a.min(b));
+                }
+            }
+            if v == self.root {
+                return;
+            }
+            prev = v;
+            v = self.parent[vi];
+        }
+    }
+
+    /// `min_site Δ_f` of this tree for every future leaf `f ≥ k`, written
+    /// to `out[f − k]`, from rows [`fill_look_ahead`](Self::fill_look_ahead)
+    /// filled with `lo = k`. `Δ_f` at a site is the exact weight increase
+    /// of inserting `f` there, height raises included; the root's raise
+    /// counts twice, as `ω` counts the root height twice.
+    pub fn min_insertions(&self, half: &[f64], rows: &[f64], out: &mut [f64]) {
+        let n = self.n as usize;
+        let k = self.k as usize;
+        let w = n - k;
+        let r = self.root as usize - n;
+        let h = self.height[self.root as usize];
+        let (mx, sub) = rows[..2 * (k - 1) * w].split_at((k - 1) * w);
+        let (mx_r, sub_r) = (&mx[r * w..(r + 1) * w], &sub[r * w..(r + 1) * w]);
+        for ((o, &x), &b) in out[..w].iter_mut().zip(mx_r).zip(sub_r) {
+            *o = (h.max(x) - h) + b;
+        }
+        debug_assert_lanes_reach_static_term(half, n, k, &out[..w]);
+    }
+
+    /// `min_site Δ_f` of the child that inserting the next species `s`
+    /// above `site` would produce, for every future leaf `f > s`, written
+    /// to `out[f − s − 1]` — without building the child. `site_mx` is
+    /// this tree's [`fill_site_heights`](Self::fill_site_heights) and
+    /// `rows` its [`fill_look_ahead`](Self::fill_look_ahead) with
+    /// `lo = s + 1`, both shared by all the children.
+    ///
+    /// The child differs from this tree only on its root path `j` (the
+    /// new joint node), then the site's ancestors: each gets `s` in its
+    /// leafset, so `mx_f` rises to at least `half[s][f]`, and its height
+    /// to `max(h_a, site_mx[a])` (bit-identical to the built child's,
+    /// see [`site_weight`](Self::site_weight)). Every subtree hanging off
+    /// that path is unchanged, and so is its `sub_f` row. So one walk up
+    /// the path folds `sub_f` of the child's root, `O(depth · (n − s))`
+    /// per child instead of a pass over the whole child.
+    pub fn child_min_insertions<'a>(
+        &self,
+        half: &'a [f64],
+        site_mx: &[f64],
+        rows: &'a [f64],
+        site: u32,
+        out: &mut [f64],
+    ) {
+        let n = self.n as usize;
+        let s = self.k as usize;
+        let lo = s + 1;
+        let w = n - lo;
+        let out = &mut out[..w];
+        let (mx, sub) = rows[..2 * (s - 1) * w].split_at((s - 1) * w);
+        let leaf = |y: usize| &half[y * n + lo..y * n + n];
+        let row = |t: &'a [f64], v: usize| {
+            if v < n {
+                leaf(v)
+            } else {
+                &t[(v - n) * w..(v - n + 1) * w]
+            }
+        };
+        let hs = leaf(s);
+        // The joint node: the site's subtree and leaf `s` below it.
+        let e = site as usize;
+        out.copy_from_slice(row(sub, e));
+        let mut a = self.parent[e];
+        let h = self.height[e].max(site_mx[e]);
+        child_path_step(out, h, row(mx, e), hs, hs, a == NONE);
+        let mut child = site;
+        while a != NONE {
+            let ai = a as usize;
+            let sibling = if self.left[ai] == child {
+                self.right[ai]
+            } else {
+                self.left[ai]
+            } as usize;
+            let up = self.parent[ai];
+            let h = self.height[ai].max(site_mx[ai]);
+            child_path_step(out, h, row(mx, ai), hs, row(sub, sibling), up == NONE);
+            child = a;
+            a = up;
+        }
+        debug_assert_lanes_reach_static_term(half, n, lo, out);
     }
 
     /// [`root_path_orders`](Self::root_path_orders) of the child that
@@ -1024,8 +1233,87 @@ mod tests {
         }
     }
 
+    /// Walks one random insertion sequence. At every step, each lane of
+    /// the tree's own `min_insertions` must equal the cheapest site score
+    /// of that future leaf, found by swapping it into the next slot of
+    /// the matrix and scoring every site; and each child's lanes, folded
+    /// from the parent's rows, must equal a fresh pass over the built
+    /// child bit for bit.
+    fn check_look_ahead<const K: usize>(m: &DistanceMatrix, rng: &mut StdRng) {
+        use rand::Rng;
+        let n = m.len();
+        let half: Vec<f64> = (0..n * n)
+            .map(|i| 0f64.max(m.get(i / n, i % n)) / 2.0)
+            .collect();
+        let mut t = PartialTree::<K>::cherry(m);
+        let mut path = Vec::new();
+        let mut mx = vec![f64::NAN; t.arena_len()];
+        while !t.is_complete() {
+            let s = t.leaves_inserted();
+            let mut rows = vec![f64::NAN; t.look_ahead_rows_len(s)];
+            let mut own = vec![f64::NAN; n - s];
+            t.fill_look_ahead(&half, s, &mut rows);
+            t.min_insertions(&half, &rows, &mut own);
+            for f in s..n {
+                let mut perm: Vec<usize> = (0..n).collect();
+                perm.swap(s, f);
+                let mp = m.permute(&perm);
+                let mut u = PartialTree::<K>::cherry(&mp);
+                for &site in &path {
+                    u = u.insert_next(&mp, site);
+                }
+                let mut umx = vec![f64::NAN; u.arena_len()];
+                u.fill_site_heights(&mp, &mut umx);
+                let cheapest = u
+                    .insertion_sites()
+                    .map(|e| u.site_weight(&umx, e))
+                    .fold(f64::INFINITY, f64::min);
+                let brute = cheapest - u.weight();
+                assert!(
+                    (brute - own[f - s]).abs() <= 16.0 * n as f64 * f64::EPSILON * cheapest,
+                    "K = {K}, k = {s}, f = {f}: lane {:e} vs scored {brute:e}",
+                    own[f - s]
+                );
+            }
+
+            let lo = s + 1;
+            t.fill_site_heights(m, &mut mx);
+            t.fill_look_ahead(&half, lo, &mut rows);
+            let sites: Vec<u32> = t.insertion_sites().collect();
+            for &site in &sites {
+                let mut lanes = vec![f64::NAN; n - lo];
+                t.child_min_insertions(&half, &mx, &rows, site, &mut lanes);
+                let child = t.insert_next(m, site);
+                let mut child_rows = vec![f64::NAN; child.look_ahead_rows_len(lo)];
+                let mut fresh = vec![f64::NAN; n - lo];
+                child.fill_look_ahead(&half, lo, &mut child_rows);
+                child.min_insertions(&half, &child_rows, &mut fresh);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&lanes), bits(&fresh), "K = {K}, k = {s}, site {site}");
+            }
+            let site = sites[rng.gen_range(0..sites.len())];
+            path.push(site);
+            t = t.insert_next(m, site);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The look-ahead lanes are the exact cheapest insertions, and a
+        /// child's lanes folded from its parent equal a fresh pass, over
+        /// random, clustered and tie-heavy matrices at two widths.
+        #[test]
+        fn look_ahead_lanes_are_the_cheapest_insertions(
+            n in 3usize..=24,
+            family in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = family_matrix(family, n, &mut rng);
+            check_look_ahead::<1>(&m, &mut rng);
+            check_look_ahead::<2>(&m, &mut rng);
+        }
 
         /// Site scoring agrees with building the child, for every site of
         /// random insertion paths over random, clustered and tie-heavy

@@ -23,11 +23,22 @@ use crate::PartialTree;
 ///   each node carries future-leaf confinement masks that pre-filter
 ///   insertion sites and prune the node when two confinements
 ///   contradict (see [`Problem::propagate`]).
-/// * **Lower bound** — `ω(partial) + ½ Σ_{t>k} min_{i<t} M[i,t]`: each
-///   remaining species `t` eventually hangs from an ancestor of height at
-///   least `½ min_{i<t} M[i,t]` (its parent separates it from some earlier
-///   species), and those pendant edges are pairwise disjoint. The suffix
-///   sums are precomputed.
+/// * **Lower bound** — the look-ahead bound
+///   `ω(partial) + max_{f ≥ k} [min_site Δ_f + adj[k][f]]`, less a
+///   rounding margin. Insert future leaf `f` first:
+///   the completion restricted to the placed leaves plus `f` weighs at
+///   least `ω + min_site Δ_f`, the cheapest exact insertion of `f`. Every
+///   other remaining leaf `t` then adds at least half its distance to
+///   the nearest leaf already present, and `f` now counts as present:
+///   `adj[k][f] = Σ_{k ≤ t < f} ½ min(minrow[t], M[f,t]) + suffix[f+1]`,
+///   where `minrow[t] = min_{i<t} M[i,t]` and `suffix` is Wu–Chao–Tang's
+///   pendant suffix. Each `f` is admissible, and the `f = k` term is at
+///   least the static `ω + suffix[k]`, which the cached bound never
+///   falls below. The `half` and `adj` tables are precomputed in
+///   `O(n²)`. Branching computes every child's bound from the parent,
+///   before building the child: one pass fills the parent's lanes
+///   ([`PartialTree::fill_look_ahead`]), then each child folds its root
+///   path ([`PartialTree::child_min_insertions`]).
 /// * **Initial incumbent** — the UPGMM tree (complete-linkage
 ///   agglomeration) with its own linkage heights, whose distances
 ///   dominate the matrix — exactly the paper's Step 3 upper bound.
@@ -37,6 +48,14 @@ pub struct MutProblem<const K: usize = 1> {
     m: DistanceMatrix,
     /// `suffix[k]` = Σ_{t=k}^{n−1} min_{i<t} M[i,t] / 2; `suffix[n]` = 0.
     suffix: Vec<f64>,
+    /// `half[y·n + f] = max(M[y,f], 0) / 2`: row `y` (a placed leaf)
+    /// holds the half-distances to every future leaf `f` contiguously,
+    /// the lanes [`PartialTree::fill_look_ahead`] works in.
+    half: Vec<f64>,
+    /// `adj[k·n + f]` for `2 ≤ k ≤ f < n`: the pendant suffix of a tree
+    /// over `k` leaves once future leaf `f` is inserted first (see the
+    /// lower bound above); other entries are unused.
+    adj: Vec<f64>,
     /// Memoized 3-3 close pairs, one byte per triple `i < j < s` at index
     /// `C(s,3) + C(j,2) + i` (see [`triple_index`]); empty when the rule
     /// is [`ThreeThree::Off`]. The matrix never changes after
@@ -90,6 +109,21 @@ impl<const K: usize> MutProblem<K> {
             *slot = (0..t).map(|i| m.get(i, t)).fold(f64::INFINITY, f64::min);
         }
         let suffix = bound::pendant_suffix(&minrow);
+        let mut half = vec![0.0; n * n];
+        for (y, row) in half.chunks_exact_mut(n).enumerate() {
+            for (f, h) in row.iter_mut().enumerate() {
+                *h = 0f64.max(m.get(y, f)) / 2.0;
+            }
+        }
+        // adj[k][f] = adj[k + 1][f] + ½ min(minrow[k], M[f,k]), from
+        // adj[f][f] = suffix[f + 1] down to k = 2.
+        let mut adj = vec![0.0; n * n];
+        for f in 2..n {
+            adj[f * n + f] = suffix[f + 1];
+            for k in (2..f).rev() {
+                adj[k * n + f] = adj[(k + 1) * n + f] + minrow[k].min(m.get(f, k)) / 2.0;
+            }
+        }
         let close_pairs = if matches!(three_three, ThreeThree::Off) {
             Vec::new()
         } else {
@@ -116,6 +150,8 @@ impl<const K: usize> MutProblem<K> {
         MutProblem {
             m: m.clone(),
             suffix,
+            half,
+            adj,
             close_pairs,
             three_three,
             use_upgmm,
@@ -146,8 +182,30 @@ impl<const K: usize> MutProblem<K> {
         self.resume = Some((tree, weight));
     }
 
-    fn bound_of(&self, t: &PartialTree<K>) -> f64 {
-        t.weight() + self.suffix[t.leaves_inserted()]
+    /// `max_{f ≥ k} [lanes[f − k] + adj[k][f]]`: what the look-ahead
+    /// adds to `ω` for a tree over `k` leaves whose `min_site Δ_f` are
+    /// `lanes`. Every term is non-negative, so `0` is a safe start, and it
+    /// is the answer for a complete tree.
+    fn look_ahead_gain(&self, k: usize, lanes: &[f64]) -> f64 {
+        let n = self.m.len();
+        if k == n {
+            return 0.0;
+        }
+        let adj = &self.adj[k * n + k..k * n + n];
+        lanes
+            .iter()
+            .zip(adj)
+            .fold(0.0, |acc, (&d, &a)| acc.max(d + a))
+    }
+
+    /// `lb` less `8n·ε·lb`. The look-ahead bound adds `ω` (or the site
+    /// score standing in for it), a root-path sum of raises and an `adj`
+    /// entry: at most `4n` non-negative terms between them, and a
+    /// completion's stored weight is another `2n`. The margin covers
+    /// their rounding together, so rounding never lifts the bound above
+    /// a completion's stored weight.
+    fn less_margin(&self, lb: f64) -> f64 {
+        lb - 8.0 * self.m.len() as f64 * f64::EPSILON * lb
     }
 
     /// Checks the 3-3 rule for species `s` placed with root-path `order`
@@ -180,8 +238,13 @@ impl<const K: usize> Problem for MutProblem<K> {
 
     fn root(&self) -> PartialTree<K> {
         let mut t = PartialTree::<K>::cherry(&self.m);
-        let lb = self.bound_of(&t);
-        t.set_lower_bound(lb);
+        let rows_len = t.look_ahead_rows_len(2);
+        let mut scratch = vec![0.0; rows_len + self.m.len() - 2];
+        let (rows, lanes) = scratch.split_at_mut(rows_len);
+        t.fill_look_ahead(&self.half, 2, rows);
+        t.min_insertions(&self.half, rows, lanes);
+        let look_ahead = self.less_margin(t.weight() + self.look_ahead_gain(2, lanes));
+        t.set_lower_bound(look_ahead.max(t.weight() + self.suffix[2]));
         if !self.arms.is_empty() {
             t.prop_activate();
             t.prop_advance(&self.arms);
@@ -212,14 +275,24 @@ impl<const K: usize> Problem for MutProblem<K> {
         let confine = filter && node.prop_is_active() && !node.prop_wiped();
         let s = node.leaves_inserted();
         let suffix = self.suffix[s + 1];
+        // Future leaves of the children: `s + 1..n`, one lane each.
+        let lo = s + 1;
+        let w = m.len() - lo;
         // One borrowed buffer, no per-branch allocation once warm: the
-        // per-node pendant maxima, then (under the rule) the at-site
-        // root-path orders.
+        // per-node pendant maxima, (under the rule) the at-site root-path
+        // orders, this node's look-ahead rows, then one child's lanes.
         let arena = node.arena_len();
+        let order_len = if filter { s } else { 0 };
+        let rows_len = node.look_ahead_rows_len(lo);
         let mut scratch = out.take_scratch();
-        scratch.resize(arena + if filter { s } else { 0 }, 0.0);
-        let (mx, order) = scratch.split_at_mut(arena);
+        scratch.resize(arena + order_len + rows_len + w, 0.0);
+        let (mx, rest) = scratch.split_at_mut(arena);
+        let (order, rest) = rest.split_at_mut(order_len);
+        let (rows, lanes) = rest.split_at_mut(rows_len);
         node.fill_site_heights(m, mx);
+        // The rows are shared by every child; fill them on the first
+        // site that survives the site score.
+        let mut rows_filled = false;
         for site in node.insertion_sites() {
             if confine && !node.prop_allows(site) {
                 continue;
@@ -240,6 +313,21 @@ impl<const K: usize> Problem for MutProblem<K> {
                 out.skip();
                 continue;
             }
+            // Then the look-ahead bound, still without building the child.
+            let look_ahead = if w == 0 {
+                f64::NEG_INFINITY
+            } else {
+                if !rows_filled {
+                    node.fill_look_ahead(&self.half, lo, rows);
+                    rows_filled = true;
+                }
+                node.child_min_insertions(&self.half, mx, rows, site, lanes);
+                self.less_margin(est + self.look_ahead_gain(lo, lanes))
+            };
+            if !out.admits(look_ahead) {
+                out.skip();
+                continue;
+            }
             // Overwrite a retired sibling when one is available: after the
             // pool warms up, branching allocates nothing.
             let mut child = match out.recycle() {
@@ -254,8 +342,7 @@ impl<const K: usize> Problem for MutProblem<K> {
                 "site {site}: estimate {est} vs built weight {}",
                 child.weight()
             );
-            let lb = self.bound_of(&child);
-            child.set_lower_bound(lb);
+            child.set_lower_bound(look_ahead.max(child.weight() + suffix));
             if child.prop_is_active() {
                 child.prop_advance(&self.arms);
             }
@@ -309,6 +396,9 @@ mod tests {
     use mutree_bnb::bound::CLOSE_WITH_HIGH;
     use mutree_bnb::{solve_sequential, SearchMode, SearchOptions};
     use mutree_tree::triples;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn m5() -> DistanceMatrix {
         DistanceMatrix::from_rows(&[
@@ -353,30 +443,76 @@ mod tests {
     fn lower_bound_is_admissible_along_paths() {
         let m = m5();
         let p = MutProblem::<1>::new(&m, ThreeThree::Off, false);
-        // For every partial tree, LB must not exceed the weight of any
-        // completion reachable from it.
-        fn walk(p: &MutProblem, t: &PartialTree) -> f64 {
-            if t.is_complete() {
-                return t.weight();
-            }
-            let mut best = f64::INFINITY;
-            let mut kids = ChildBuf::new();
-            p.branch(t, &mut kids);
-            for k in kids.as_slice() {
-                let completion = walk(p, k);
-                assert!(
-                    k.lower_bound() <= completion + 1e-9,
-                    "LB {} exceeds a completion of weight {}",
-                    k.lower_bound(),
-                    completion
-                );
-                best = best.min(completion);
-            }
-            best
-        }
         let root = p.root();
-        let best = walk(&p, &root);
-        assert!(root.lower_bound() <= best + 1e-9);
+        assert!(root.lower_bound() <= lightest_checking_bounds(&p, &root));
+    }
+
+    /// An integer matrix with entries in `1..=8` of family `family`:
+    /// 0 = uniform, 1 = three clusters (1..=3 inside, 6..=8 across),
+    /// 2 = tie-heavy (1..=2).
+    fn integer_matrix(family: usize, n: usize, rng: &mut StdRng) -> DistanceMatrix {
+        let mut m = DistanceMatrix::zeros(n).unwrap();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d = match family {
+                    0 => rng.gen_range(1..=8u32),
+                    1 if i % 3 == j % 3 => rng.gen_range(1..=3u32),
+                    1 => rng.gen_range(6..=8u32),
+                    _ => rng.gen_range(1..=2u32),
+                };
+                m.set(i, j, d as f64);
+            }
+        }
+        m
+    }
+
+    /// Enumerates every completion of `t` through `branch` (no incumbent,
+    /// so every child is built) and returns the lightest. On the way back
+    /// up, each child's cached bound must sit at or below its lightest
+    /// completion and at or above the static `ω + suffix[k]`.
+    fn lightest_checking_bounds(p: &MutProblem, t: &PartialTree) -> f64 {
+        if t.is_complete() {
+            return t.weight();
+        }
+        let mut kids = ChildBuf::new();
+        p.branch(t, &mut kids);
+        assert_eq!(kids.len(), 2 * t.leaves_inserted() - 1);
+        let mut best = f64::INFINITY;
+        for c in kids.as_slice() {
+            let lightest = lightest_checking_bounds(p, c);
+            let lb = c.lower_bound();
+            let static_lb = c.weight() + p.suffix[c.leaves_inserted()];
+            assert!(
+                lb <= lightest,
+                "k = {}: LB {lb} above completion {lightest}",
+                c.leaves_inserted()
+            );
+            assert!(lb >= static_lb, "LB {lb} below the static {static_lb}");
+            best = best.min(lightest);
+        }
+        best
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The look-ahead bound is admissible at every node branching
+        /// reaches and never weaker than the static bound, on random,
+        /// clustered and tie-heavy integer matrices.
+        #[test]
+        fn look_ahead_bound_is_admissible_everywhere(
+            n in 4usize..=8,
+            family in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = integer_matrix(family, n, &mut rng);
+            let p = MutProblem::<1>::new(&m, ThreeThree::Off, false);
+            let root = p.root();
+            let best = lightest_checking_bounds(&p, &root);
+            prop_assert!(root.lower_bound() <= best);
+            prop_assert!(root.lower_bound() >= root.weight() + p.suffix[2]);
+        }
     }
 
     #[test]
@@ -489,7 +625,16 @@ mod tests {
         assert!((p.suffix[2] - 6.0).abs() < 1e-12);
         assert!((p.suffix[4] - 2.5).abs() < 1e-12);
         assert_eq!(p.suffix[5], 0.0);
-        // Root LB = 9 + 6.
-        assert!((p.root().lower_bound() - 15.0).abs() < 1e-12);
+        // The static root bound would be 9 + 6 = 15. Look-ahead at the
+        // cherry (0, 1), root height 4.5: a future leaf's cheapest site
+        // is above leaf 0 (half-distance, no root raise), so
+        //   f = 2: min Δ = 4/2 = 2,   adj = suffix[3] = 4          → 6;
+        //   f = 3: min Δ = 6/2 = 3,   adj = min(4, 3)/2 + 2.5 = 4  → 7;
+        //   f = 4: min Δ = 5/2 = 2.5, adj = 4/2 + 3/2 = 3.5        → 6.
+        // Root LB = 9 + 7.
+        assert!((p.adj[2 * 5 + 3] - 4.0).abs() < 1e-12);
+        assert!((p.adj[2 * 5 + 4] - 3.5).abs() < 1e-12);
+        assert!((p.root().lower_bound() - 16.0).abs() < 1e-12);
+        assert!(p.root().lower_bound() <= brute_force(&m));
     }
 }
