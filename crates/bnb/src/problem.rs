@@ -173,6 +173,15 @@ impl std::fmt::Display for StopReason {
 /// incumbent, and the run finishes with [`StopReason::MemoryExhausted`]
 /// instead of growing without bound. Shedding drops whole subtrees, so
 /// the result is an anytime upper bound, not a proven optimum.
+///
+/// What an open node costs depends on the problem. For the MUT search
+/// (`mutree_core::MutProblem<K>`), a node over `k` of `n` taxa holds
+/// `PartialTree::heap_bytes` of heap: `(2n − 1)(20 + 8K)` bytes of
+/// arena, `16(k − 1)(n − k)` of look-ahead rows (at most about `4n²`,
+/// at `k ≈ n/2`), and `16nK` of confinement masks under the full 3-3
+/// rule. At `n = 80` (`K = 2`) that is at most about 33 KB a node, at
+/// `n = 200` (`K = 4`) about 192 KB, so a byte budget `B` allows at
+/// least `B / (4n² + 40n + 32nK)` open nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBudget {
     /// Maximum open nodes allowed at once (at least 1).

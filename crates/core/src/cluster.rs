@@ -57,15 +57,16 @@ pub trait SimCost: Problem {
 
 impl<const K: usize> SimCost for MutProblem<K> {
     fn branch_ops(&self, node: &Self::Node) -> f64 {
-        // 2k−1 children, each an O(k) height-path update.
+        // 2k−1 children, each an O(k) height-path update, plus the
+        // look-ahead rows a branch copies and refreshes: 2(k−1) rows of
+        // n−k lanes.
         let k = node.leaves_inserted() as f64;
-        (2.0 * k - 1.0) * k
+        let lanes = (node.taxon_count() - node.leaves_inserted()) as f64;
+        (2.0 * k - 1.0) * k + 2.0 * (k - 1.0) * lanes
     }
 
     fn node_bytes(&self, node: &Self::Node) -> u64 {
-        // Parent/children/height arrays plus K leafset words over 2n−1
-        // arena slots (28 bytes/slot at the historical K = 1).
-        (2 * node.taxon_count() as u64 - 1) * (20 + 8 * K as u64)
+        node.heap_bytes()
     }
 }
 
@@ -488,6 +489,21 @@ mod tests {
     fn m6() -> DistanceMatrix {
         let mut rng = StdRng::seed_from_u64(77);
         gen::uniform_metric(6, 0.0, 100.0, &mut rng)
+    }
+
+    #[test]
+    fn cost_model_charges_tree_work_and_look_ahead_rows() {
+        let m = m6();
+        let p = MutProblem::<1>::new(&m, ThreeThree::Off, true);
+        let root = p.root();
+        // k = 2, n = 6: 3 children of a 2-node path, plus 2·1·4 lanes.
+        assert_eq!(p.branch_ops(&root), 3.0 * 2.0 + 8.0);
+        assert_eq!(p.node_bytes(&root), root.heap_bytes());
+        let mut kids = ChildBuf::new();
+        p.branch(&root, &mut kids);
+        let child = &kids.as_slice()[0];
+        // k = 3: 5·3 tree steps plus 2·2·3 lanes.
+        assert_eq!(p.branch_ops(child), 15.0 + 12.0);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use cluster::{solve_simulated, solve_simulated_observed, SimCost, SimulatedO
 pub use error::MutError;
 pub use exec::{Executor, QueueStats};
 pub use leafset::{LeafIter, LeafWords};
-pub use node::PartialTree;
+pub use node::{half_distances, PartialTree};
 pub use pipeline::{CompactPipeline, PipelineSolution};
 pub use problem::MutProblem;
 pub use run::{

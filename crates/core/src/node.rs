@@ -7,16 +7,20 @@ use crate::leafset::LeafWords;
 
 const NONE: u32 = u32::MAX;
 
-/// `max_{y ∈ mask} M[s, y]`, floored at `0.0` (distances are
-/// non-negative; the floor makes the empty mask well-defined) — the
-/// pendant-height candidate of one ancestor in the insertion walk.
-#[inline]
-fn max_to_mask<const K: usize>(m: &DistanceMatrix, s: usize, mask: &LeafWords<K>) -> f64 {
-    let mut best = 0.0f64;
-    for y in mask.iter() {
-        best = best.max(m.get(s, y));
+/// The `n × n` table `max(M[y, f], 0) / 2`, in rows of `n`: row `y`
+/// holds leaf `y`'s half-distances to every other leaf contiguously. A
+/// leaf's pendant heights and its look-ahead rows (see
+/// [`PartialTree`]) are slices of its row; every tree operation that
+/// inserts a leaf or bounds a node takes this table.
+pub fn half_distances(m: &DistanceMatrix) -> Vec<f64> {
+    let n = m.len();
+    let mut half = vec![0.0; n * n];
+    for (y, row) in half.chunks_exact_mut(n).enumerate() {
+        for (f, h) in row.iter_mut().enumerate() {
+            *h = 0f64.max(m.get(y, f)) / 2.0;
+        }
     }
-    best
+    half
 }
 
 /// Row `v` of `table` (rows of width `w`), mutable, and a reader for
@@ -41,13 +45,30 @@ fn row_and_rest<'a>(
     (row, other)
 }
 
+/// One internal node's look-ahead rows from its children's. `out` holds
+/// the node's `mx_f` row then its `sub_f` row; `l` and `r` are the
+/// children's `(mx_f, sub_f)` rows (a leaf passes its `half` row for
+/// both). With `m = max(h, mx_f)`: `mx_f` is the larger child `mx_f`,
+/// and `sub_f = min(m, (m − h) + min(sub_l, sub_r))`.
+#[inline]
+fn join_rows(out: &mut [f64], h: f64, l: (&[f64], &[f64]), r: (&[f64], &[f64])) {
+    let (mx, sub) = out.split_at_mut(out.len() / 2);
+    let lanes = mx.iter_mut().zip(sub).zip(l.0).zip(r.0).zip(l.1).zip(r.1);
+    for (((((x, d), &ml), &mr), &sl), &sr) in lanes {
+        *x = ml.max(mr);
+        let m = h.max(*x);
+        *d = m.min((m - h) + sl.min(sr));
+    }
+}
+
 /// One node of a child's root path in
 /// [`PartialTree::child_min_insertions`]. `out` holds the path child's
 /// `sub_f` and `other` the other child's (leaf `s`'s row at the joint
 /// node, the unchanged sibling's above it); the node now sits at height
 /// `h` over `mx`'s leaves plus the new leaf (`hs`). Turns `out` into the
 /// node's `sub_f`, or, at the root, into `min_site Δ_f`: the root's raise
-/// counts twice.
+/// counts twice. The same lanes as [`join_rows`] followed by
+/// [`PartialTree::min_insertions`], so the results agree bit for bit.
 #[inline]
 fn child_path_step(out: &mut [f64], h: f64, mx: &[f64], hs: &[f64], other: &[f64], root: bool) {
     let lanes = out.iter_mut().zip(mx).zip(hs).zip(other);
@@ -143,10 +164,11 @@ impl<const K: usize> ArmIndex<K> {
 /// A node of the branch-and-bound tree (BBT): an ultrametric tree over the
 /// first `k` species of a (maxmin-relabeled) matrix, with minimal heights.
 ///
-/// The encoding is a flat arena sized for the complete tree so that the
-/// clone behind every built child is a straight `memcpy` (branching
-/// scores each insertion site from the parent first — see
-/// [`site_weight`](PartialTree::site_weight) — and clones only the
+/// The encoding is a flat arena sized for the complete tree, plus the
+/// node's look-ahead rows, so that the copy behind every built child is
+/// a straight `memcpy` of the arena and one of each row (branching scores
+/// each insertion site from the parent first — see
+/// [`site_weight`](PartialTree::site_weight) — and copies only the
 /// children that survive the bound):
 ///
 /// * node ids `0..n` are the leaves (id = taxon); ids `n..2n-1` are
@@ -160,8 +182,27 @@ impl<const K: usize> ArmIndex<K> {
 ///   compiles to the historical single-`u64` arena.
 ///
 /// Heights are kept *minimal* for the topology at all times: inserting a
-/// leaf only updates heights along its root path, using the leaf masks to
-/// find the cross pairs each ancestor newly separates.
+/// leaf only updates heights along its root path, each ancestor rising to
+/// the pendant height of the new leaf over its leaves (lane `k` of its
+/// look-ahead rows).
+///
+/// The look-ahead rows hold, for each internal node `v` and each future
+/// leaf `f ∈ k..n` (one `f64` lane per leaf, stride `n − k`):
+///
+/// * `mx_f[v] = max_{y ∈ L(v)} M[f, y] / 2`, the height a node joining
+///   `f` to `v`'s leaves needs at least — lane `f = k` is the pendant
+///   height of the next leaf at `v`;
+/// * `sub_f[v]`, the cheapest insertion of `f` at a site in `v`'s
+///   subtree, counting the height raises inside the subtree only: with
+///   `m = max(h_v, mx_f[v])`, it is `m` for the site above `v` and
+///   `m − h_v` plus a child's `sub_f` for a site below it.
+///
+/// A leaf's row of either kind is its row of the
+/// [`half_distances`] table, so only internal nodes store rows: `mx_f`
+/// then `sub_f` for node `n + i` at offset `2i·(n − k)`, `2(k − 1)(n − k)`
+/// `f64`s in all (see [`heap_bytes`](PartialTree::heap_bytes)). An
+/// insertion changes them only on the new leaf's root path: the child
+/// copies the rest without lane `k` and recomputes that path alone.
 #[derive(Debug)]
 pub struct PartialTree<const K: usize = 1> {
     parent: Vec<u32>,
@@ -174,6 +215,8 @@ pub struct PartialTree<const K: usize = 1> {
     n: u32,
     weight: f64,
     lb: f64,
+    /// The look-ahead rows of the internal nodes (layout above).
+    rows: Vec<f64>,
     /// Future-leaf confinement masks for the propagation stage, indexed
     /// by taxon: `prop_inside[u]` is the leafset of the current subtree
     /// `u` must insert into (its edge included), `prop_outside[u]` the
@@ -190,7 +233,8 @@ pub struct PartialTree<const K: usize = 1> {
     /// root path — scratch for [`prop_advance`](Self::prop_advance),
     /// kept on the node so a recycled tree re-fills it without
     /// allocating. Contents are meaningless between calls, so clones
-    /// don't copy it (and `clone_from` leaves the capacity in place).
+    /// don't copy it (and an insertion into a recycled tree leaves the
+    /// capacity in place).
     prop_scratch: Vec<(LeafWords<K>, LeafWords<K>)>,
 }
 
@@ -207,36 +251,12 @@ impl<const K: usize> Clone for PartialTree<K> {
             n: self.n,
             weight: self.weight,
             lb: self.lb,
+            rows: self.rows.clone(),
             prop_inside: self.prop_inside.clone(),
             prop_outside: self.prop_outside.clone(),
             prop_wiped: self.prop_wiped,
             prop_scratch: Vec::new(),
         }
-    }
-
-    /// Overwrites `self` without reallocating: the arena vectors of a
-    /// retired tree from the same matrix already have the right capacity,
-    /// so this is a handful of `memcpy`s — five arena vectors plus the
-    /// two confinement-mask vectors when propagation is on. This is what
-    /// makes [`insert_next_into`](PartialTree::insert_next_into)
-    /// allocation-free.
-    fn clone_from(&mut self, source: &Self) {
-        self.parent.clone_from(&source.parent);
-        self.left.clone_from(&source.left);
-        self.right.clone_from(&source.right);
-        self.height.clone_from(&source.height);
-        self.leafset.clone_from(&source.leafset);
-        self.root = source.root;
-        self.k = source.k;
-        self.n = source.n;
-        self.weight = source.weight;
-        self.lb = source.lb;
-        self.prop_inside.clone_from(&source.prop_inside);
-        self.prop_outside.clone_from(&source.prop_outside);
-        self.prop_wiped = source.prop_wiped;
-        // prop_scratch deliberately untouched: its contents are dead
-        // between prop_advance calls and the retained capacity is the
-        // point of recycling.
     }
 }
 
@@ -246,14 +266,15 @@ impl<const K: usize> PartialTree<K> {
     pub const MAX_TAXA: usize = LeafWords::<K>::CAPACITY;
 
     /// The root BBT node: the unique topology over taxa `{0, 1}`, with
-    /// height `M[0,1] / 2`.
+    /// height `M[0,1] / 2`, and its look-ahead rows. `half` is `m`'s
+    /// [`half_distances`] table.
     ///
     /// # Panics
     ///
     /// Panics when the matrix exceeds [`MAX_TAXA`](Self::MAX_TAXA) taxa
     /// (enforce via [`MutSolver`](crate::MutSolver), which dispatches to a
     /// wide-enough width and returns an error beyond the widest).
-    pub fn cherry(m: &DistanceMatrix) -> Self {
+    pub fn cherry(m: &DistanceMatrix, half: &[f64]) -> Self {
         let n = m.len();
         assert!(
             n <= Self::MAX_TAXA,
@@ -272,6 +293,7 @@ impl<const K: usize> PartialTree<K> {
             n: n as u32,
             weight: 0.0,
             lb: 0.0,
+            rows: vec![0.0; 2 * (n - 2)],
             prop_inside: Vec::new(),
             prop_outside: Vec::new(),
             prop_wiped: false,
@@ -288,6 +310,8 @@ impl<const K: usize> PartialTree<K> {
         t.leafset[r] = LeafWords::singleton(0).union(LeafWords::singleton(1));
         t.height[r] = m.get(0, 1) / 2.0;
         t.weight = m.get(0, 1);
+        let leaf = |y: usize| (&half[y * n + 2..y * n + n], &half[y * n + 2..y * n + n]);
+        join_rows(&mut t.rows, t.height[r], leaf(0), leaf(1));
         t
     }
 
@@ -334,31 +358,68 @@ impl<const K: usize> PartialTree<K> {
     }
 
     /// Returns a copy of this tree with the next species (`taxon = k`)
-    /// inserted above node `site`, with heights and weight updated.
+    /// inserted above node `site`, with heights, weight and look-ahead
+    /// rows updated. `half` is the matrix's [`half_distances`] table.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) when the tree is already complete or
     /// `site` is not a live node.
-    pub fn insert_next(&self, m: &DistanceMatrix, site: u32) -> PartialTree<K> {
+    pub fn insert_next(&self, half: &[f64], site: u32) -> PartialTree<K> {
         let mut t = self.clone();
-        t.insert_in_place(m, site);
+        t.insert_from(self, half, site);
         t
     }
 
     /// Like [`insert_next`](PartialTree::insert_next), but writes the child
     /// into `scratch` (typically a retired sibling from the same search)
     /// instead of allocating a fresh tree. With a warmed-up scratch this is
-    /// allocation-free: `clone_from` reuses the arena vectors in place.
-    pub fn insert_next_into(&self, m: &DistanceMatrix, site: u32, scratch: &mut PartialTree<K>) {
-        scratch.clone_from(self);
-        scratch.insert_in_place(m, site);
+    /// allocation-free: the copy reuses the arena and row vectors in
+    /// place.
+    pub fn insert_next_into(&self, half: &[f64], site: u32, scratch: &mut PartialTree<K>) {
+        scratch.insert_from(self, half, site);
     }
 
-    /// Inserts the next species above `site`, mutating `self` (which must
-    /// be a copy of the parent node).
-    fn insert_in_place(&mut self, m: &DistanceMatrix, site: u32) {
-        debug_assert!(!self.is_complete(), "tree is already complete");
+    /// The look-ahead lanes of this tree: one per future leaf `k..n`.
+    fn lanes(&self) -> usize {
+        (self.n - self.k) as usize
+    }
+
+    /// Lane `k` of node `v`'s `mx` row: `max_{y ∈ L(v)} M[k, y] / 2`,
+    /// the height the next species needs to join `v`'s leaves — read
+    /// from `half` for a leaf.
+    #[inline]
+    fn site_height(&self, half: &[f64], v: usize) -> f64 {
+        let n = self.n as usize;
+        if v < n {
+            half[v * n + self.k as usize]
+        } else {
+            self.rows[2 * (v - n) * self.lanes()]
+        }
+    }
+
+    /// Overwrites `self` with the child of `from` that inserting the next
+    /// species above `site` produces. The arena and the confinement masks
+    /// copy as they are, a handful of `memcpy`s that reuse `self`'s
+    /// buffers; `prop_scratch` is left alone, as its contents are dead
+    /// between [`prop_advance`](Self::prop_advance) calls and its
+    /// capacity is the point of recycling.
+    fn insert_from(&mut self, from: &Self, half: &[f64], site: u32) {
+        debug_assert!(!from.is_complete(), "tree is already complete");
+        self.parent.clone_from(&from.parent);
+        self.left.clone_from(&from.left);
+        self.right.clone_from(&from.right);
+        self.height.clone_from(&from.height);
+        self.leafset.clone_from(&from.leafset);
+        self.root = from.root;
+        self.k = from.k;
+        self.n = from.n;
+        self.weight = from.weight;
+        self.lb = from.lb;
+        self.prop_inside.clone_from(&from.prop_inside);
+        self.prop_outside.clone_from(&from.prop_outside);
+        self.prop_wiped = from.prop_wiped;
+
         let s = self.k as usize; // the taxon being inserted
         let n = self.n as usize;
         let e = site as usize;
@@ -376,8 +437,7 @@ impl<const K: usize> PartialTree<K> {
         self.parent[e] = j as u32;
         self.parent[s] = j as u32;
         self.leafset[j] = self.leafset[e].union(sbit);
-        let cand = max_to_mask(m, s, &self.leafset[e]) / 2.0;
-        self.height[j] = self.height[e].max(cand);
+        self.height[j] = self.height[e].max(from.site_height(half, e));
         if p == NONE {
             self.root = j as u32;
         } else {
@@ -390,27 +450,60 @@ impl<const K: usize> PartialTree<K> {
             }
         }
 
-        // Walk up from the new node, folding in the pairs (s, y) newly
-        // separated at each ancestor: exactly the leaves of the sibling
-        // subtree at that ancestor.
-        let mut child = j;
+        // Walk up from the new node: each ancestor gains s and rises to
+        // s's pendant height over its leaves, which covers the pairs
+        // (s, y) it newly separates.
         let mut a = p;
         while a != NONE {
             let ai = a as usize;
             self.leafset[ai] |= sbit;
-            let sibling = if self.left[ai] == child as u32 {
-                self.right[ai]
-            } else {
-                self.left[ai]
-            } as usize;
-            let cand = max_to_mask(m, s, &self.leafset[sibling]) / 2.0;
-            self.height[ai] = self.height[ai].max(self.height[child]).max(cand);
-            child = ai;
+            self.height[ai] = self.height[ai].max(from.site_height(half, ai));
             a = self.parent[ai];
         }
 
         self.k += 1;
         self.weight = self.recompute_weight();
+        self.refresh_rows(from, half, s);
+    }
+
+    /// Fills this child's look-ahead rows, lanes `s + 1..n`, from the
+    /// parent's, lanes `s..n`, after leaf `s` inserted: copies every row
+    /// without lane `s`, then recomputes the rows of `s`'s root path,
+    /// joint node first. Every other subtree is unchanged, and so are its
+    /// rows.
+    fn refresh_rows(&mut self, from: &Self, half: &[f64], s: usize) {
+        let n = self.n as usize;
+        let w = self.lanes();
+        self.rows.clear();
+        if w == 0 {
+            return;
+        }
+        for row in from.rows.chunks_exact(w + 1) {
+            self.rows.extend_from_slice(&row[1..]);
+        }
+        self.rows.resize(2 * s * w, 0.0);
+        let lo = s + 1;
+        let leaf = |y: usize| (&half[y * n + lo..y * n + n], &half[y * n + lo..y * n + n]);
+        let mut v = self.parent[s];
+        while v != NONE {
+            let vi = v as usize;
+            let (out, other) = row_and_rest(&mut self.rows, 2 * w, vi - n);
+            let pick = |c: u32| {
+                let c = c as usize;
+                if c < n {
+                    leaf(c)
+                } else {
+                    other(c - n).split_at(w)
+                }
+            };
+            join_rows(
+                out,
+                self.height[vi],
+                pick(self.left[vi]),
+                pick(self.right[vi]),
+            );
+            v = self.parent[vi];
+        }
     }
 
     fn recompute_weight(&self) -> f64 {
@@ -426,54 +519,24 @@ impl<const K: usize> PartialTree<K> {
         w
     }
 
-    /// Arena length: one slot per node of the complete tree (`2n − 1`),
-    /// the size [`fill_site_heights`](Self::fill_site_heights) needs.
-    pub fn arena_len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Fills `mx[v] = max_{y ∈ L(v)} M[k, y] / 2` (floored at `0`, like
-    /// the insertion walk) for every live node `v`, where `k` is the next
-    /// species to insert: one stackless post-order pass over the parent
-    /// pointers. `mx` must hold [`arena_len`](Self::arena_len) entries;
-    /// slots of nodes not yet in the tree are left untouched.
-    ///
-    /// `max` is exact and `x ↦ x / 2` is monotone, so each entry is
-    /// bit-identical to the pendant-height candidate `insert_in_place`
-    /// computes for the same leafset.
-    pub fn fill_site_heights(&self, m: &DistanceMatrix, mx: &mut [f64]) {
-        let s = self.k as usize;
-        let n = self.n as usize;
-        let mut v = self.root;
-        let mut prev = NONE;
-        loop {
-            let vi = v as usize;
-            if vi < n {
-                mx[vi] = 0f64.max(m.get(s, vi)) / 2.0;
-            } else if prev == self.parent[vi] {
-                // Arrived from above: descend left first.
-                prev = v;
-                v = self.left[vi];
-                continue;
-            } else if prev == self.left[vi] {
-                prev = v;
-                v = self.right[vi];
-                continue;
-            } else {
-                mx[vi] = mx[self.left[vi] as usize].max(mx[self.right[vi] as usize]);
-            }
-            if v == self.root {
-                return;
-            }
-            prev = v;
-            v = self.parent[vi];
-        }
+    /// The bytes of heap this node's contents occupy: the arena's
+    /// `2n − 1` slots (three `u32` links, an `f64` height and a
+    /// `LeafWords<K>` each), the `2(k − 1)(n − k)` `f64`s of look-ahead
+    /// rows, and, when propagation is on, two `LeafWords<K>` confinement
+    /// masks per taxon. A recycled node may hold spare capacity beyond
+    /// this.
+    pub fn heap_bytes(&self) -> u64 {
+        let words = std::mem::size_of::<LeafWords<K>>();
+        let bytes = self.parent.len() * (3 * 4 + 8 + words)
+            + self.rows.len() * 8
+            + (self.prop_inside.len() + self.prop_outside.len()) * words;
+        bytes as u64
     }
 
     /// The weight of the child that inserting the next species above
-    /// `site` would produce, computed from this tree and the `mx` filled
-    /// by [`fill_site_heights`](Self::fill_site_heights) — without
-    /// building the child.
+    /// `site` would produce, computed from this tree's heights and the
+    /// pendant heights in lane `k` of its rows — without building the
+    /// child.
     ///
     /// `ω = Σ internal heights + root height`. The insertion adds the new
     /// internal node `j` at `h_j = max(h_site, mx[site])` and raises each
@@ -483,9 +546,9 @@ impl<const K: usize> PartialTree<K> {
     /// bit-identical to the built child's, but the summation order is not
     /// the one [`weight`](Self::weight) uses, so the two can differ by a
     /// few ulps (see [`site_weight_margin`](Self::site_weight_margin)).
-    pub fn site_weight(&self, mx: &[f64], site: u32) -> f64 {
+    pub fn site_weight(&self, half: &[f64], site: u32) -> f64 {
         let e = site as usize;
-        let hj = self.height[e].max(mx[e]);
+        let hj = self.height[e].max(self.site_height(half, e));
         let mut a = self.parent[e];
         if a == NONE {
             return self.weight - self.height[e] + 2.0 * hj;
@@ -494,7 +557,7 @@ impl<const K: usize> PartialTree<K> {
         let mut dh = 0.0;
         while a != NONE {
             let ai = a as usize;
-            dh = self.height[ai].max(mx[ai]) - self.height[ai];
+            dh = self.height[ai].max(self.site_height(half, ai)) - self.height[ai];
             w += dh;
             a = self.parent[ai];
         }
@@ -511,135 +574,97 @@ impl<const K: usize> PartialTree<K> {
         4.0 * self.n as f64 * f64::EPSILON * est
     }
 
-    /// `f64`s of scratch [`fill_look_ahead`](Self::fill_look_ahead)
-    /// needs for the future leaves `lo..n`: two rows of `n − lo` lanes
-    /// per internal node.
-    pub fn look_ahead_rows_len(&self, lo: usize) -> usize {
-        2 * (self.k as usize - 1) * (self.n as usize - lo)
+    /// The look-ahead rows a fresh post-order pass over this tree
+    /// computes, in the carried rows' layout: the oracle the rows an
+    /// insertion refreshes must equal bit for bit.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn fresh_rows(&self, half: &[f64]) -> Vec<f64> {
+        fn fill<const K: usize>(t: &PartialTree<K>, half: &[f64], v: usize, rows: &mut [f64]) {
+            let n = t.n as usize;
+            let w = t.lanes();
+            let (l, r) = (t.left[v] as usize, t.right[v] as usize);
+            for c in [l, r] {
+                if c >= n {
+                    fill(t, half, c, rows);
+                }
+            }
+            let lo = t.k as usize;
+            let (out, other) = row_and_rest(rows, 2 * w, v - n);
+            let pick = |c: usize| {
+                if c < n {
+                    (&half[c * n + lo..c * n + n], &half[c * n + lo..c * n + n])
+                } else {
+                    other(c - n).split_at(w)
+                }
+            };
+            join_rows(out, t.height[v], pick(l), pick(r));
+        }
+        let mut rows = vec![f64::NAN; self.rows.len()];
+        if self.lanes() > 0 {
+            fill(self, half, self.root as usize, &mut rows);
+        }
+        rows
     }
 
-    /// The look-ahead rows of this tree for the future leaves `lo..n`, one
-    /// `f64` lane per leaf `f`, filled by one stackless post-order pass
-    /// over the parent pointers. For each internal node `v`:
-    ///
-    /// * `mx_f[v] = max_{y ∈ L(v)} M[f, y] / 2`, the height a node joining
-    ///   `f` to `v`'s leaves needs at least;
-    /// * `sub_f[v]`, the cheapest insertion of `f` at a site in `v`'s
-    ///   subtree, counting the height raises inside the subtree only:
-    ///   with `m = max(h_v, mx_f[v])`, it is `m` for the site above `v`
-    ///   and `m − h_v` plus a child's `sub_f` for a site below it.
-    ///
-    /// A leaf's row of either kind is its row of `half`, the `n × n`
-    /// table `max(M[y, f], 0) / 2` in rows of `n`. `rows` must hold at
-    /// least [`look_ahead_rows_len`](Self::look_ahead_rows_len)`(lo)`
-    /// entries: all `mx` rows, then all `sub` rows, each in internal-node
-    /// id order. The lane loops are straight `f64` loops the compiler
-    /// vectorizes.
-    pub fn fill_look_ahead(&self, half: &[f64], lo: usize, rows: &mut [f64]) {
-        let n = self.n as usize;
-        let w = n - lo;
-        let internal = (self.k as usize - 1) * w;
-        let (mx, sub) = rows[..2 * internal].split_at_mut(internal);
-        let leaf = |y: usize| &half[y * n + lo..y * n + n];
-        let mut v = self.root;
-        let mut prev = NONE;
-        loop {
-            let vi = v as usize;
-            if vi >= n {
-                if prev == self.parent[vi] {
-                    prev = v;
-                    v = self.left[vi];
-                    continue;
-                } else if prev == self.left[vi] {
-                    prev = v;
-                    v = self.right[vi];
-                    continue;
-                }
-                let (l, r) = (self.left[vi] as usize, self.right[vi] as usize);
-                let (mx_v, mx_of) = row_and_rest(mx, w, vi - n);
-                let pick = |c: usize| if c < n { leaf(c) } else { mx_of(c - n) };
-                for ((d, &a), &b) in mx_v.iter_mut().zip(pick(l)).zip(pick(r)) {
-                    *d = a.max(b);
-                }
-                let (sub_v, sub_of) = row_and_rest(sub, w, vi - n);
-                let pick = |c: usize| if c < n { leaf(c) } else { sub_of(c - n) };
-                let h = self.height[vi];
-                for (((d, &x), &a), &b) in sub_v.iter_mut().zip(&*mx_v).zip(pick(l)).zip(pick(r)) {
-                    let m = h.max(x);
-                    *d = m.min((m - h) + a.min(b));
-                }
-            }
-            if v == self.root {
-                return;
-            }
-            prev = v;
-            v = self.parent[vi];
-        }
+    /// The carried look-ahead rows, for comparison with
+    /// [`fresh_rows`](Self::fresh_rows).
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn rows(&self) -> &[f64] {
+        &self.rows
     }
 
     /// `min_site Δ_f` of this tree for every future leaf `f ≥ k`, written
-    /// to `out[f − k]`, from rows [`fill_look_ahead`](Self::fill_look_ahead)
-    /// filled with `lo = k`. `Δ_f` at a site is the exact weight increase
-    /// of inserting `f` there, height raises included; the root's raise
-    /// counts twice, as `ω` counts the root height twice.
-    pub fn min_insertions(&self, half: &[f64], rows: &[f64], out: &mut [f64]) {
+    /// to `out[f − k]`, from the root's look-ahead rows. `Δ_f` at a site
+    /// is the exact weight increase of inserting `f` there, height raises
+    /// included; the root's raise counts twice, as `ω` counts the root
+    /// height twice.
+    pub fn min_insertions(&self, half: &[f64], out: &mut [f64]) {
         let n = self.n as usize;
-        let k = self.k as usize;
-        let w = n - k;
-        let r = self.root as usize - n;
+        let w = self.lanes();
+        let at = 2 * (self.root as usize - n) * w;
         let h = self.height[self.root as usize];
-        let (mx, sub) = rows[..2 * (k - 1) * w].split_at((k - 1) * w);
-        let (mx_r, sub_r) = (&mx[r * w..(r + 1) * w], &sub[r * w..(r + 1) * w]);
+        let (mx_r, sub_r) = self.rows[at..at + 2 * w].split_at(w);
         for ((o, &x), &b) in out[..w].iter_mut().zip(mx_r).zip(sub_r) {
             *o = (h.max(x) - h) + b;
         }
-        debug_assert_lanes_reach_static_term(half, n, k, &out[..w]);
+        debug_assert_lanes_reach_static_term(half, n, self.k as usize, &out[..w]);
     }
 
     /// `min_site Δ_f` of the child that inserting the next species `s`
     /// above `site` would produce, for every future leaf `f > s`, written
-    /// to `out[f − s − 1]` — without building the child. `site_mx` is
-    /// this tree's [`fill_site_heights`](Self::fill_site_heights) and
-    /// `rows` its [`fill_look_ahead`](Self::fill_look_ahead) with
-    /// `lo = s + 1`, both shared by all the children.
+    /// to `out[f − s − 1]` — without building the child, from this tree's
+    /// rows past lane `s`.
     ///
     /// The child differs from this tree only on its root path `j` (the
     /// new joint node), then the site's ancestors: each gets `s` in its
     /// leafset, so `mx_f` rises to at least `half[s][f]`, and its height
-    /// to `max(h_a, site_mx[a])` (bit-identical to the built child's,
-    /// see [`site_weight`](Self::site_weight)). Every subtree hanging off
+    /// to `max(h_a, mx_s[a])` (bit-identical to the built child's, see
+    /// [`site_weight`](Self::site_weight)). Every subtree hanging off
     /// that path is unchanged, and so is its `sub_f` row. So one walk up
     /// the path folds `sub_f` of the child's root, `O(depth · (n − s))`
-    /// per child instead of a pass over the whole child.
-    pub fn child_min_insertions<'a>(
-        &self,
-        half: &'a [f64],
-        site_mx: &[f64],
-        rows: &'a [f64],
-        site: u32,
-        out: &mut [f64],
-    ) {
+    /// per child — the walk the built child's own row refresh repeats.
+    pub fn child_min_insertions(&self, half: &[f64], site: u32, out: &mut [f64]) {
         let n = self.n as usize;
         let s = self.k as usize;
         let lo = s + 1;
-        let w = n - lo;
-        let out = &mut out[..w];
-        let (mx, sub) = rows[..2 * (s - 1) * w].split_at((s - 1) * w);
-        let leaf = |y: usize| &half[y * n + lo..y * n + n];
-        let row = |t: &'a [f64], v: usize| {
+        let w = n - s;
+        let out = &mut out[..w - 1];
+        // Lanes `s + 1..n` of node `v`'s `mx` (`kind` 0) or `sub` (1) row.
+        let row = |v: usize, kind: usize| {
             if v < n {
-                leaf(v)
+                &half[v * n + lo..v * n + n]
             } else {
-                &t[(v - n) * w..(v - n + 1) * w]
+                let at = (2 * (v - n) + kind) * w;
+                &self.rows[at + 1..at + w]
             }
         };
-        let hs = leaf(s);
+        let hs = &half[s * n + lo..s * n + n];
         // The joint node: the site's subtree and leaf `s` below it.
         let e = site as usize;
-        out.copy_from_slice(row(sub, e));
+        out.copy_from_slice(row(e, 1));
         let mut a = self.parent[e];
-        let h = self.height[e].max(site_mx[e]);
-        child_path_step(out, h, row(mx, e), hs, hs, a == NONE);
+        let h = self.height[e].max(self.site_height(half, e));
+        child_path_step(out, h, row(e, 0), hs, hs, a == NONE);
         let mut child = site;
         while a != NONE {
             let ai = a as usize;
@@ -649,8 +674,8 @@ impl<const K: usize> PartialTree<K> {
                 self.left[ai]
             } as usize;
             let up = self.parent[ai];
-            let h = self.height[ai].max(site_mx[ai]);
-            child_path_step(out, h, row(mx, ai), hs, row(sub, sibling), up == NONE);
+            let h = self.height[ai].max(self.site_height(half, ai));
+            child_path_step(out, h, row(ai, 0), hs, row(sibling, 1), up == NONE);
             child = a;
             a = up;
         }
@@ -951,7 +976,8 @@ mod tests {
     #[test]
     fn cherry_weight_and_sites() {
         let m = m5();
-        let t = PartialTree::<1>::cherry(&m);
+        let h = half_distances(&m);
+        let t = PartialTree::<1>::cherry(&m, &h);
         assert_eq!(t.leaves_inserted(), 2);
         assert_eq!(t.weight(), 9.0);
         assert_eq!(t.insertion_sites().count(), 3);
@@ -961,11 +987,12 @@ mod tests {
     #[test]
     fn insertion_site_count_grows_correctly() {
         let m = m5();
-        let mut t = PartialTree::<1>::cherry(&m);
+        let h = half_distances(&m);
+        let mut t = PartialTree::<1>::cherry(&m, &h);
         for expect in [3usize, 5, 7] {
             assert_eq!(t.insertion_sites().count(), expect);
             let site = t.insertion_sites().next().unwrap();
-            t = t.insert_next(&m, site);
+            t = t.insert_next(&h, site);
         }
         assert!(t.is_complete());
     }
@@ -975,8 +1002,9 @@ mod tests {
     #[test]
     fn weight_matches_fit_heights_everywhere() {
         let m = m5();
+        let h = half_distances(&m);
         // Depth-first over all insertion sequences.
-        let mut stack = vec![PartialTree::<1>::cherry(&m)];
+        let mut stack = vec![PartialTree::<1>::cherry(&m, &h)];
         let mut seen = 0;
         while let Some(t) = stack.pop() {
             if t.is_complete() {
@@ -994,7 +1022,7 @@ mod tests {
             }
             let sites: Vec<u32> = t.insertion_sites().collect();
             for site in sites {
-                stack.push(t.insert_next(&m, site));
+                stack.push(t.insert_next(&h, site));
             }
         }
         // A(5) = 3 * 5 * 7 = 105 distinct insertion sequences/topologies.
@@ -1004,12 +1032,13 @@ mod tests {
     #[test]
     fn weight_never_decreases_with_insertions() {
         let m = m5();
-        let t = PartialTree::<1>::cherry(&m);
+        let h = half_distances(&m);
+        let t = PartialTree::<1>::cherry(&m, &h);
         for site in t.insertion_sites().collect::<Vec<_>>() {
-            let t2 = t.insert_next(&m, site);
+            let t2 = t.insert_next(&h, site);
             assert!(t2.weight() >= t.weight() - 1e-12);
             for site2 in t2.insertion_sites().collect::<Vec<_>>() {
-                let t3 = t2.insert_next(&m, site2);
+                let t3 = t2.insert_next(&h, site2);
                 assert!(t3.weight() >= t2.weight() - 1e-12);
             }
         }
@@ -1018,10 +1047,11 @@ mod tests {
     #[test]
     fn to_ultrametric_is_valid() {
         let m = m5();
-        let mut t = PartialTree::<1>::cherry(&m);
+        let h = half_distances(&m);
+        let mut t = PartialTree::<1>::cherry(&m, &h);
         while !t.is_complete() {
             let site = t.insertion_sites().last().unwrap();
-            t = t.insert_next(&m, site);
+            t = t.insert_next(&h, site);
         }
         let ut = t.to_ultrametric();
         assert!(ut.validate().is_ok());
@@ -1034,11 +1064,12 @@ mod tests {
     #[test]
     fn insert_next_into_matches_insert_next() {
         let m = m5();
-        let base = PartialTree::<1>::cherry(&m).insert_next(&m, 1);
-        let mut scratch = PartialTree::<1>::cherry(&m); // deliberately stale state
+        let h = half_distances(&m);
+        let base = PartialTree::<1>::cherry(&m, &h).insert_next(&h, 1);
+        let mut scratch = PartialTree::<1>::cherry(&m, &h); // deliberately stale state
         for site in base.insertion_sites().collect::<Vec<_>>() {
-            let fresh = base.insert_next(&m, site);
-            base.insert_next_into(&m, site, &mut scratch);
+            let fresh = base.insert_next(&h, site);
+            base.insert_next_into(&h, site, &mut scratch);
             assert_eq!(format!("{fresh:?}"), format!("{scratch:?}"), "site {site}");
         }
     }
@@ -1046,26 +1077,28 @@ mod tests {
     #[test]
     fn root_path_orders_reflect_topology() {
         let m = m5();
+        let h = half_distances(&m);
         // Build ((0,2),1): insert 2 above leaf 0.
-        let t = PartialTree::<1>::cherry(&m).insert_next(&m, 0);
+        let t = PartialTree::<1>::cherry(&m, &h).insert_next(&h, 0);
         // s = 2; path: joint above {0,2}, then root. 0 shares the joint
         // (order 0); 1 hangs off the root (order 1).
         let order = t.root_path_orders();
         assert_eq!(order, vec![0, 1]);
 
         // Build (0,(1,2)): insert 2 above leaf 1.
-        let t = PartialTree::<1>::cherry(&m).insert_next(&m, 1);
+        let t = PartialTree::<1>::cherry(&m, &h).insert_next(&h, 1);
         assert_eq!(t.root_path_orders(), vec![1, 0]);
 
         // Insert 2 above the root: both 0 and 1 are one level up.
-        let t = PartialTree::<1>::cherry(&m).insert_next(&m, 5);
+        let t = PartialTree::<1>::cherry(&m, &h).insert_next(&h, 5);
         assert_eq!(t.root_path_orders(), vec![0, 0]);
     }
 
     #[test]
     fn heights_are_minimal_after_each_insertion() {
         let m = m5();
-        let mut stack = vec![PartialTree::<1>::cherry(&m)];
+        let h = half_distances(&m);
+        let mut stack = vec![PartialTree::<1>::cherry(&m, &h)];
         while let Some(t) = stack.pop() {
             let mut ut = t.to_ultrametric();
             let refit = ut.fit_heights(&m);
@@ -1076,7 +1109,7 @@ mod tests {
             );
             if t.leaves_inserted() < 4 {
                 for site in t.insertion_sites().collect::<Vec<_>>() {
-                    stack.push(t.insert_next(&m, site));
+                    stack.push(t.insert_next(&h, site));
                 }
             }
         }
@@ -1087,7 +1120,11 @@ mod tests {
     #[test]
     fn widths_agree_on_every_insertion_path() {
         let m = m5();
-        let mut stack = vec![(PartialTree::<1>::cherry(&m), PartialTree::<2>::cherry(&m))];
+        let h = half_distances(&m);
+        let mut stack = vec![(
+            PartialTree::<1>::cherry(&m, &h),
+            PartialTree::<2>::cherry(&m, &h),
+        )];
         while let Some((t1, t2)) = stack.pop() {
             assert_eq!(t1.weight(), t2.weight());
             assert_eq!(
@@ -1096,7 +1133,7 @@ mod tests {
             );
             if !t1.is_complete() {
                 for site in t1.insertion_sites().collect::<Vec<_>>() {
-                    stack.push((t1.insert_next(&m, site), t2.insert_next(&m, site)));
+                    stack.push((t1.insert_next(&h, site), t2.insert_next(&h, site)));
                 }
             }
         }
@@ -1106,13 +1143,14 @@ mod tests {
     fn prop_masks_track_confinements_across_insertions() {
         use mutree_bnb::bound::{close_pair_table_len, CLOSE_WITH_HIGH, CLOSE_WITH_LOW};
         let m = m5();
+        let h = half_distances(&m);
         // Hand-built domains: only the (0, 1, u) triples constrain.
         let mut codes = vec![0u8; close_pair_table_len(5)];
         codes[triple_index(0, 1, 2)] = CLOSE_WITH_LOW; // 2 inside the 0-side of LCA(0,1)
         codes[triple_index(0, 1, 3)] = CLOSE_WITH_HIGH; // 3 inside the 1-side of LCA(0,1)
         let dom = ArmIndex::<1>::build(5, &TripleDomains::pack(&codes));
 
-        let mut t = PartialTree::<1>::cherry(&m);
+        let mut t = PartialTree::<1>::cherry(&m, &h);
         t.prop_activate();
         t.prop_advance(&dom);
         assert!(!t.prop_wiped());
@@ -1122,7 +1160,7 @@ mod tests {
 
         // Inserting 2 above leaf 1 replaces leaf 1 — the subtree 3 is
         // confined to — with the node {1, 2}: the mask must follow.
-        let mut above_leaf = t.insert_next(&m, 1);
+        let mut above_leaf = t.insert_next(&h, 1);
         above_leaf.prop_advance(&dom);
         assert!(!above_leaf.prop_wiped());
         let grown = LeafWords::singleton(1).union(LeafWords::singleton(2));
@@ -1131,7 +1169,7 @@ mod tests {
 
         // Inserting 2 above the root leaves both LCA children intact:
         // no mask moves.
-        let mut above_root = t.insert_next(&m, 5);
+        let mut above_root = t.insert_next(&h, 5);
         above_root.prop_advance(&dom);
         assert!(!above_root.prop_wiped());
         assert_eq!(above_root.prop_inside[3], LeafWords::singleton(1));
@@ -1142,6 +1180,7 @@ mod tests {
     fn prop_wipes_on_disjoint_confinements() {
         use mutree_bnb::bound::{close_pair_table_len, CLOSE_WITH_HIGH, CLOSE_WITH_LOW};
         let m = m5();
+        let h = half_distances(&m);
         let mut codes = vec![0u8; close_pair_table_len(5)];
         // 3 inside the 0-side of LCA(0,1) = {0} ...
         codes[triple_index(0, 1, 3)] = CLOSE_WITH_LOW;
@@ -1150,13 +1189,13 @@ mod tests {
         codes[triple_index(0, 2, 3)] = CLOSE_WITH_HIGH;
         let dom = ArmIndex::<1>::build(5, &TripleDomains::pack(&codes));
 
-        let mut t = PartialTree::<1>::cherry(&m);
+        let mut t = PartialTree::<1>::cherry(&m, &h);
         t.prop_activate();
         t.prop_advance(&dom);
         assert!(!t.prop_wiped());
         assert_eq!(t.prop_inside[3], LeafWords::singleton(0));
 
-        let mut child = t.insert_next(&m, 1);
+        let mut child = t.insert_next(&h, 1);
         child.prop_advance(&dom);
         assert!(child.prop_wiped());
     }
@@ -1164,7 +1203,8 @@ mod tests {
     #[test]
     fn prop_activation_survives_clones() {
         let m = m5();
-        let mut t = PartialTree::<1>::cherry(&m);
+        let h = half_distances(&m);
+        let mut t = PartialTree::<1>::cherry(&m, &h);
         assert!(!t.prop_is_active());
         t.prop_activate();
         assert!(t.prop_is_active());
@@ -1209,15 +1249,14 @@ mod tests {
     fn check_site_scores<const K: usize>(m: &DistanceMatrix, rng: &mut StdRng) {
         use rand::Rng;
         let n = m.len();
-        let mut t = PartialTree::<K>::cherry(m);
-        let mut mx = vec![f64::NAN; t.arena_len()];
+        let h = half_distances(m);
+        let mut t = PartialTree::<K>::cherry(m, &h);
         let mut order = vec![f64::NAN; n];
         while !t.is_complete() {
-            t.fill_site_heights(m, &mut mx);
             let sites: Vec<u32> = t.insertion_sites().collect();
             for &site in &sites {
-                let child = t.insert_next(m, site);
-                let est = t.site_weight(&mx, site);
+                let child = t.insert_next(&h, site);
+                let est = t.site_weight(&h, site);
                 let margin = t.site_weight_margin(est);
                 assert!(
                     (child.weight() - est).abs() <= margin,
@@ -1229,7 +1268,7 @@ mod tests {
                 let built: Vec<f64> = child.root_path_orders().iter().map(|&o| o as f64).collect();
                 assert_eq!(&order[..t.leaves_inserted()], &built[..], "site {site}");
             }
-            t = t.insert_next(m, sites[rng.gen_range(0..sites.len())]);
+            t = t.insert_next(&h, sites[rng.gen_range(0..sites.len())]);
         }
     }
 
@@ -1237,36 +1276,30 @@ mod tests {
     /// the tree's own `min_insertions` must equal the cheapest site score
     /// of that future leaf, found by swapping it into the next slot of
     /// the matrix and scoring every site; and each child's lanes, folded
-    /// from the parent's rows, must equal a fresh pass over the built
-    /// child bit for bit.
+    /// from the parent's rows, must equal the lanes the built child's
+    /// carried rows give, bit for bit.
     fn check_look_ahead<const K: usize>(m: &DistanceMatrix, rng: &mut StdRng) {
         use rand::Rng;
         let n = m.len();
-        let half: Vec<f64> = (0..n * n)
-            .map(|i| 0f64.max(m.get(i / n, i % n)) / 2.0)
-            .collect();
-        let mut t = PartialTree::<K>::cherry(m);
+        let half = half_distances(m);
+        let mut t = PartialTree::<K>::cherry(m, &half);
         let mut path = Vec::new();
-        let mut mx = vec![f64::NAN; t.arena_len()];
         while !t.is_complete() {
             let s = t.leaves_inserted();
-            let mut rows = vec![f64::NAN; t.look_ahead_rows_len(s)];
             let mut own = vec![f64::NAN; n - s];
-            t.fill_look_ahead(&half, s, &mut rows);
-            t.min_insertions(&half, &rows, &mut own);
+            t.min_insertions(&half, &mut own);
             for f in s..n {
                 let mut perm: Vec<usize> = (0..n).collect();
                 perm.swap(s, f);
                 let mp = m.permute(&perm);
-                let mut u = PartialTree::<K>::cherry(&mp);
+                let hp = half_distances(&mp);
+                let mut u = PartialTree::<K>::cherry(&mp, &hp);
                 for &site in &path {
-                    u = u.insert_next(&mp, site);
+                    u = u.insert_next(&hp, site);
                 }
-                let mut umx = vec![f64::NAN; u.arena_len()];
-                u.fill_site_heights(&mp, &mut umx);
                 let cheapest = u
                     .insertion_sites()
-                    .map(|e| u.site_weight(&umx, e))
+                    .map(|e| u.site_weight(&hp, e))
                     .fold(f64::INFINITY, f64::min);
                 let brute = cheapest - u.weight();
                 assert!(
@@ -1277,32 +1310,64 @@ mod tests {
             }
 
             let lo = s + 1;
-            t.fill_site_heights(m, &mut mx);
-            t.fill_look_ahead(&half, lo, &mut rows);
             let sites: Vec<u32> = t.insertion_sites().collect();
             for &site in &sites {
                 let mut lanes = vec![f64::NAN; n - lo];
-                t.child_min_insertions(&half, &mx, &rows, site, &mut lanes);
-                let child = t.insert_next(m, site);
-                let mut child_rows = vec![f64::NAN; child.look_ahead_rows_len(lo)];
-                let mut fresh = vec![f64::NAN; n - lo];
-                child.fill_look_ahead(&half, lo, &mut child_rows);
-                child.min_insertions(&half, &child_rows, &mut fresh);
+                t.child_min_insertions(&half, site, &mut lanes);
+                let child = t.insert_next(&half, site);
+                let mut carried = vec![f64::NAN; n - lo];
+                child.min_insertions(&half, &mut carried);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&lanes), bits(&fresh), "K = {K}, k = {s}, site {site}");
+                assert_eq!(
+                    bits(&lanes),
+                    bits(&carried),
+                    "K = {K}, k = {s}, site {site}"
+                );
             }
             let site = sites[rng.gen_range(0..sites.len())];
             path.push(site);
-            t = t.insert_next(m, site);
+            t = t.insert_next(&half, site);
         }
+    }
+
+    #[test]
+    fn heap_bytes_counts_arena_rows_and_masks() {
+        // n = 24 at K = 1: 47 slots of 12 + 8 + 8 bytes; the cherry
+        // carries 2·1·22 row lanes, a 12-leaf tree 2·11·12.
+        let m = family_matrix(0, 24, &mut StdRng::seed_from_u64(7));
+        let h = half_distances(&m);
+        let mut t = PartialTree::<1>::cherry(&m, &h);
+        assert_eq!(t.heap_bytes(), 47 * 28 + 44 * 8);
+        while t.leaves_inserted() < 12 {
+            t = t.insert_next(&h, t.root);
+        }
+        assert_eq!(t.heap_bytes(), 47 * 28 + 264 * 8);
+        // Propagation adds two 8-byte masks per taxon.
+        t.prop_activate();
+        assert_eq!(t.heap_bytes(), 47 * 28 + 264 * 8 + 2 * 24 * 8);
+
+        // n = 256 at K = 4: 511 slots of 12 + 8 + 32 bytes; at k = 128
+        // the rows peak at 2·127·128 lanes.
+        let m = family_matrix(0, 256, &mut StdRng::seed_from_u64(7));
+        let h = half_distances(&m);
+        let mut t = PartialTree::<4>::cherry(&m, &h);
+        assert_eq!(t.heap_bytes(), 511 * 52 + 2 * 254 * 8);
+        while t.leaves_inserted() < 128 {
+            t = t.insert_next(&h, t.root);
+        }
+        assert_eq!(t.heap_bytes(), 511 * 52 + 2 * 127 * 128 * 8);
+        while !t.is_complete() {
+            t = t.insert_next(&h, t.root);
+        }
+        assert_eq!(t.heap_bytes(), 511 * 52);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The look-ahead lanes are the exact cheapest insertions, and a
-        /// child's lanes folded from its parent equal a fresh pass, over
-        /// random, clustered and tie-heavy matrices at two widths.
+        /// child's lanes folded from its parent equal its carried rows',
+        /// over random, clustered and tie-heavy matrices at two widths.
         #[test]
         fn look_ahead_lanes_are_the_cheapest_insertions(
             n in 3usize..=24,
@@ -1341,11 +1406,12 @@ mod tests {
             use rand::Rng;
             let mut rng = StdRng::seed_from_u64(seed);
             let m = mutree_distmat::gen::uniform_metric(n, 1.0, 50.0, &mut rng);
-            let mut t = PartialTree::<2>::cherry(&m);
+            let h = half_distances(&m);
+            let mut t = PartialTree::<2>::cherry(&m, &h);
             while !t.is_complete() {
                 let sites: Vec<u32> = t.insertion_sites().collect();
                 let site = sites[rng.gen_range(0..sites.len())];
-                t = t.insert_next(&m, site);
+                t = t.insert_next(&h, site);
 
                 // Check the consistency invariants on the whole arena.
                 let s = t.leaves_inserted() - 1;

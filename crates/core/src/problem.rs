@@ -5,7 +5,7 @@ use mutree_tree::{cluster, Linkage, UltrametricTree};
 
 use mutree_engine::ThreeThree;
 
-use crate::node::ArmIndex;
+use crate::node::{half_distances, ArmIndex};
 use crate::PartialTree;
 
 /// The metric minimum ultrametric tree problem as a branch-and-bound
@@ -35,10 +35,13 @@ use crate::PartialTree;
 ///   pendant suffix. Each `f` is admissible, and the `f = k` term is at
 ///   least the static `ω + suffix[k]`, which the cached bound never
 ///   falls below. The `half` and `adj` tables are precomputed in
-///   `O(n²)`. Branching computes every child's bound from the parent,
-///   before building the child: one pass fills the parent's lanes
-///   ([`PartialTree::fill_look_ahead`]), then each child folds its root
-///   path ([`PartialTree::child_min_insertions`]).
+///   `O(n²)`. Every node carries its look-ahead rows (see
+///   [`PartialTree`]): the root fills them once, and a built child
+///   refreshes only the new leaf's root path. Branching computes every
+///   child's bound from the parent's rows, before building the child,
+///   by folding the child's root path
+///   ([`PartialTree::child_min_insertions`]); no step passes over the
+///   whole tree.
 /// * **Initial incumbent** — the UPGMM tree (complete-linkage
 ///   agglomeration) with its own linkage heights, whose distances
 ///   dominate the matrix — exactly the paper's Step 3 upper bound.
@@ -48,9 +51,9 @@ pub struct MutProblem<const K: usize = 1> {
     m: DistanceMatrix,
     /// `suffix[k]` = Σ_{t=k}^{n−1} min_{i<t} M[i,t] / 2; `suffix[n]` = 0.
     suffix: Vec<f64>,
-    /// `half[y·n + f] = max(M[y,f], 0) / 2`: row `y` (a placed leaf)
-    /// holds the half-distances to every future leaf `f` contiguously,
-    /// the lanes [`PartialTree::fill_look_ahead`] works in.
+    /// `half[y·n + f] = max(M[y,f], 0) / 2` ([`half_distances`]): row
+    /// `y` (a placed leaf) holds the half-distances to every future leaf
+    /// `f` contiguously, a leaf's pendant heights and look-ahead rows.
     half: Vec<f64>,
     /// `adj[k·n + f]` for `2 ≤ k ≤ f < n`: the pendant suffix of a tree
     /// over `k` leaves once future leaf `f` is inserted first (see the
@@ -109,12 +112,7 @@ impl<const K: usize> MutProblem<K> {
             *slot = (0..t).map(|i| m.get(i, t)).fold(f64::INFINITY, f64::min);
         }
         let suffix = bound::pendant_suffix(&minrow);
-        let mut half = vec![0.0; n * n];
-        for (y, row) in half.chunks_exact_mut(n).enumerate() {
-            for (f, h) in row.iter_mut().enumerate() {
-                *h = 0f64.max(m.get(y, f)) / 2.0;
-            }
-        }
+        let half = half_distances(m);
         // adj[k][f] = adj[k + 1][f] + ½ min(minrow[k], M[f,k]), from
         // adj[f][f] = suffix[f + 1] down to k = 2.
         let mut adj = vec![0.0; n * n];
@@ -237,13 +235,10 @@ impl<const K: usize> Problem for MutProblem<K> {
     type Solution = UltrametricTree;
 
     fn root(&self) -> PartialTree<K> {
-        let mut t = PartialTree::<K>::cherry(&self.m);
-        let rows_len = t.look_ahead_rows_len(2);
-        let mut scratch = vec![0.0; rows_len + self.m.len() - 2];
-        let (rows, lanes) = scratch.split_at_mut(rows_len);
-        t.fill_look_ahead(&self.half, 2, rows);
-        t.min_insertions(&self.half, rows, lanes);
-        let look_ahead = self.less_margin(t.weight() + self.look_ahead_gain(2, lanes));
+        let mut t = PartialTree::<K>::cherry(&self.m, &self.half);
+        let mut lanes = vec![0.0; self.m.len() - 2];
+        t.min_insertions(&self.half, &mut lanes);
+        let look_ahead = self.less_margin(t.weight() + self.look_ahead_gain(2, &lanes));
         t.set_lower_bound(look_ahead.max(t.weight() + self.suffix[2]));
         if !self.arms.is_empty() {
             t.prop_activate();
@@ -262,7 +257,7 @@ impl<const K: usize> Problem for MutProblem<K> {
     }
 
     fn branch(&self, node: &PartialTree<K>, out: &mut ChildBuf<PartialTree<K>>) {
-        let m = &self.m;
+        let half = &self.half;
         let filter = match self.three_three {
             ThreeThree::Off => false,
             ThreeThree::InitialOnly => node.leaves_inserted() == 2,
@@ -277,22 +272,14 @@ impl<const K: usize> Problem for MutProblem<K> {
         let suffix = self.suffix[s + 1];
         // Future leaves of the children: `s + 1..n`, one lane each.
         let lo = s + 1;
-        let w = m.len() - lo;
-        // One borrowed buffer, no per-branch allocation once warm: the
-        // per-node pendant maxima, (under the rule) the at-site root-path
-        // orders, this node's look-ahead rows, then one child's lanes.
-        let arena = node.arena_len();
+        let w = self.m.len() - lo;
+        // One borrowed buffer, no per-branch allocation once warm: (under
+        // the rule) the at-site root-path orders, then one child's lanes.
+        // The pendant heights and look-ahead rows live on the node.
         let order_len = if filter { s } else { 0 };
-        let rows_len = node.look_ahead_rows_len(lo);
         let mut scratch = out.take_scratch();
-        scratch.resize(arena + order_len + rows_len + w, 0.0);
-        let (mx, rest) = scratch.split_at_mut(arena);
-        let (order, rest) = rest.split_at_mut(order_len);
-        let (rows, lanes) = rest.split_at_mut(rows_len);
-        node.fill_site_heights(m, mx);
-        // The rows are shared by every child; fill them on the first
-        // site that survives the site score.
-        let mut rows_filled = false;
+        scratch.resize(order_len + w, 0.0);
+        let (order, lanes) = scratch.split_at_mut(order_len);
         for site in node.insertion_sites() {
             if confine && !node.prop_allows(site) {
                 continue;
@@ -307,7 +294,7 @@ impl<const K: usize> Problem for MutProblem<K> {
             // the kernel's child prune. The margin keeps the estimate at
             // or below the built child's weight, so a skipped child is one
             // the kernel would have pruned.
-            let est = node.site_weight(mx, site);
+            let est = node.site_weight(half, site);
             let margin = node.site_weight_margin(est);
             if !out.admits(est - margin + suffix) {
                 out.skip();
@@ -317,11 +304,7 @@ impl<const K: usize> Problem for MutProblem<K> {
             let look_ahead = if w == 0 {
                 f64::NEG_INFINITY
             } else {
-                if !rows_filled {
-                    node.fill_look_ahead(&self.half, lo, rows);
-                    rows_filled = true;
-                }
-                node.child_min_insertions(&self.half, mx, rows, site, lanes);
+                node.child_min_insertions(half, site, lanes);
                 self.less_margin(est + self.look_ahead_gain(lo, lanes))
             };
             if !out.admits(look_ahead) {
@@ -332,16 +315,30 @@ impl<const K: usize> Problem for MutProblem<K> {
             // pool warms up, branching allocates nothing.
             let mut child = match out.recycle() {
                 Some(mut spare) => {
-                    node.insert_next_into(m, site, &mut spare);
+                    node.insert_next_into(half, site, &mut spare);
                     spare
                 }
-                None => node.insert_next(m, site),
+                None => node.insert_next(half, site),
             };
             debug_assert!(
                 !est.is_finite() || (child.weight() - est).abs() <= margin,
                 "site {site}: estimate {est} vs built weight {}",
                 child.weight()
             );
+            // The refreshed rows must be the ones a fresh pass over the
+            // child computes, and give the lanes it was admitted on.
+            #[cfg(debug_assertions)]
+            {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(child.rows()),
+                    bits(&child.fresh_rows(half)),
+                    "site {site}: carried rows differ from a fresh pass"
+                );
+                let mut carried = vec![0.0; w];
+                child.min_insertions(half, &mut carried);
+                assert_eq!(bits(&carried), bits(&lanes[..]), "site {site}: lanes");
+            }
             child.set_lower_bound(look_ahead.max(child.weight() + suffix));
             if child.prop_is_active() {
                 child.prop_advance(&self.arms);
@@ -422,7 +419,7 @@ mod tests {
                 continue;
             }
             for site in t.insertion_sites().collect::<Vec<_>>() {
-                stack.push(t.insert_next(m, site));
+                stack.push(t.insert_next(&p.half, site));
             }
         }
         best
@@ -512,6 +509,83 @@ mod tests {
             let best = lightest_checking_bounds(&p, &root);
             prop_assert!(root.lower_bound() <= best);
             prop_assert!(root.lower_bound() >= root.weight() + p.suffix[2]);
+        }
+    }
+
+    /// A `family` test matrix over `n` taxa: 0 = uniform random metric,
+    /// 1 = four tight clusters at one common distance, 2 = integer
+    /// distances in `1..=3` (ties everywhere).
+    fn family_matrix(family: usize, n: usize, rng: &mut StdRng) -> DistanceMatrix {
+        if family == 0 {
+            return mutree_distmat::gen::uniform_metric(n, 1.0, 100.0, rng);
+        }
+        let mut m = DistanceMatrix::zeros(n).unwrap();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d = match family {
+                    1 if i % 4 == j % 4 => rng.gen_range(2.0..8.0),
+                    1 => 100.0,
+                    _ => rng.gen_range(1..=3u32) as f64,
+                };
+                m.set(i, j, d);
+            }
+        }
+        m
+    }
+
+    /// Walks two random insertion paths and branches every node of the
+    /// second; every child `branch` builds must carry rows bit-identical
+    /// to a fresh pass over it. Before each branch, a node from the first
+    /// path that is deeper, and one that is shallower, go into the spare
+    /// pool, so the first two children are written over stale rows of
+    /// both shapes.
+    fn check_branch_rows<const K: usize>(m: &DistanceMatrix, rng: &mut StdRng) {
+        let n = m.len();
+        let p = MutProblem::<K>::new(m, ThreeThree::Off, false);
+        let mut first = vec![p.root()];
+        while !first.last().unwrap().is_complete() {
+            let t = first.last().unwrap();
+            let sites: Vec<u32> = t.insertion_sites().collect();
+            first.push(t.insert_next(&p.half, sites[rng.gen_range(0..sites.len())]));
+        }
+        let mut t = p.root();
+        let mut kids = ChildBuf::new();
+        while !t.is_complete() {
+            let k = t.leaves_inserted();
+            kids.clear();
+            kids.retire(first[n - 2 - (n - 1 - k) / 2].clone());
+            kids.retire(first[(k - 2) / 2].clone());
+            p.branch(&t, &mut kids);
+            assert_eq!(kids.len(), 2 * k - 1);
+            for c in kids.as_slice() {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(c.rows()),
+                    bits(&c.fresh_rows(&p.half)),
+                    "K = {K}, n = {n}, k = {k}"
+                );
+            }
+            t = kids.as_slice()[rng.gen_range(0..kids.len())].clone();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Branching's row refresh is exact: each built child's carried
+        /// rows equal a fresh pass over it, recycled spares included, on
+        /// random, clustered and tie-heavy matrices at every width.
+        #[test]
+        fn branch_children_carry_fresh_rows(
+            n in 3usize..=24,
+            family in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = family_matrix(family, n, &mut rng);
+            check_branch_rows::<1>(&m, &mut rng);
+            check_branch_rows::<2>(&m, &mut rng);
+            check_branch_rows::<4>(&m, &mut rng);
         }
     }
 

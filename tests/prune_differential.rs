@@ -13,7 +13,7 @@
 //! them.
 
 use mutree::clustersim::ClusterSpec;
-use mutree::core::{MutSolver, PartialTree, SearchBackend, ThreeThree};
+use mutree::core::{half_distances, MutSolver, PartialTree, SearchBackend, ThreeThree};
 use mutree::distmat::{gen, DistanceMatrix};
 use mutree::seqgen;
 use mutree::tree::triples;
@@ -46,7 +46,8 @@ fn oracle(m: &DistanceMatrix) -> Option<f64> {
     let n = m.len();
     let mut visited = 0;
     let mut best: Option<f64> = None;
-    let mut stack = vec![PartialTree::<1>::cherry(m)];
+    let half = half_distances(m);
+    let mut stack = vec![PartialTree::<1>::cherry(m, &half)];
     while let Some(t) = stack.pop() {
         if t.leaves_inserted() > 2 && !newest_leaf_consistent(&t, m) {
             visited += completions(t.leaves_inserted(), n);
@@ -59,7 +60,7 @@ fn oracle(m: &DistanceMatrix) -> Option<f64> {
             continue;
         }
         for site in t.insertion_sites() {
-            stack.push(t.insert_next(m, site));
+            stack.push(t.insert_next(&half, site));
         }
     }
     assert_eq!(visited, completions(2, n));
