@@ -7,6 +7,12 @@ use crate::leafset::LeafWords;
 
 const NONE: u32 = u32::MAX;
 
+/// What [`PartialTree::site_weights`] writes for a cut site. Every score
+/// is a sum of non-negative terms, so the mark cannot be mistaken for
+/// one; `∞` could not serve, as `∞ − margin(∞)` is NaN, which a bound
+/// check admits.
+pub(crate) const SITE_CUT: f64 = -1.0;
+
 /// The `n × n` table `max(M[y, f], 0) / 2`, in rows of `n`: row `y`
 /// holds leaf `y`'s half-distances to every other leaf contiguously. A
 /// leaf's pendant heights and its look-ahead rows (see
@@ -21,6 +27,35 @@ pub fn half_distances(m: &DistanceMatrix) -> Vec<f64> {
         }
     }
     half
+}
+
+/// `min(a, b)` by one plain comparison. `f64::min` also returns the
+/// non-NaN operand when one of them is NaN, which costs every lane a NaN
+/// fix-up after the `minpd`; this lowers to the bare `minpd`. The lanes
+/// never see a NaN: [`DistanceMatrix`] rejects NaN and infinite entries,
+/// so every half-distance, height and row lane is finite and
+/// non-negative (and `m − h` of two finite heights is finite). For
+/// non-NaN operands the two functions differ at most in the sign of a
+/// zero, which no comparison distinguishes and which leaves every sum
+/// with a non-zero term unchanged.
+#[inline(always)]
+pub(crate) fn fmin(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// `max(a, b)` by one plain comparison; exact on the lanes for the
+/// reasons given at [`fmin`].
+#[inline(always)]
+pub(crate) fn fmax(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
+    }
 }
 
 /// Row `v` of `table` (rows of width `w`), mutable, and a reader for
@@ -55,9 +90,9 @@ fn join_rows(out: &mut [f64], h: f64, l: (&[f64], &[f64]), r: (&[f64], &[f64])) 
     let (mx, sub) = out.split_at_mut(out.len() / 2);
     let lanes = mx.iter_mut().zip(sub).zip(l.0).zip(r.0).zip(l.1).zip(r.1);
     for (((((x, d), &ml), &mr), &sl), &sr) in lanes {
-        *x = ml.max(mr);
-        let m = h.max(*x);
-        *d = m.min((m - h) + sl.min(sr));
+        *x = fmax(ml, mr);
+        let m = fmax(h, *x);
+        *d = fmin(m, (m - h) + fmin(sl, sr));
     }
 }
 
@@ -74,13 +109,13 @@ fn child_path_step(out: &mut [f64], h: f64, mx: &[f64], hs: &[f64], other: &[f64
     let lanes = out.iter_mut().zip(mx).zip(hs).zip(other);
     if root {
         for (((o, &x), &y), &b) in lanes {
-            let m = h.max(x.max(y));
-            *o = (m - h) + m.min((m - h) + o.min(b));
+            let m = fmax(h, fmax(x, y));
+            *o = (m - h) + fmin(m, (m - h) + fmin(*o, b));
         }
     } else {
         for (((o, &x), &y), &b) in lanes {
-            let m = h.max(x.max(y));
-            *o = m.min((m - h) + o.min(b));
+            let m = fmax(h, fmax(x, y));
+            *o = fmin(m, (m - h) + fmin(*o, b));
         }
     }
 }
@@ -167,7 +202,7 @@ impl<const K: usize> ArmIndex<K> {
 /// The encoding is a flat arena sized for the complete tree, plus the
 /// node's look-ahead rows, so that the copy behind every built child is
 /// a straight `memcpy` of the arena and one of each row (branching scores
-/// each insertion site from the parent first — see
+/// every insertion site from the parent first, in one pass — see
 /// [`site_weight`](PartialTree::site_weight) — and copies only the
 /// children that survive the bound):
 ///
@@ -398,6 +433,14 @@ impl<const K: usize> PartialTree<K> {
         }
     }
 
+    /// `max(h_v, mx_k[v])`: the height node `v` rises to when the next
+    /// species inserts below it, and the height of the joint node when
+    /// it inserts right above `v`.
+    #[inline]
+    fn raised_height(&self, half: &[f64], v: usize) -> f64 {
+        fmax(self.height[v], self.site_height(half, v))
+    }
+
     /// Overwrites `self` with the child of `from` that inserting the next
     /// species above `site` produces. The arena and the confinement masks
     /// copy as they are, a handful of `memcpy`s that reuse `self`'s
@@ -437,7 +480,7 @@ impl<const K: usize> PartialTree<K> {
         self.parent[e] = j as u32;
         self.parent[s] = j as u32;
         self.leafset[j] = self.leafset[e].union(sbit);
-        self.height[j] = self.height[e].max(from.site_height(half, e));
+        self.height[j] = from.raised_height(half, e);
         if p == NONE {
             self.root = j as u32;
         } else {
@@ -457,7 +500,7 @@ impl<const K: usize> PartialTree<K> {
         while a != NONE {
             let ai = a as usize;
             self.leafset[ai] |= sbit;
-            self.height[ai] = self.height[ai].max(from.site_height(half, ai));
+            self.height[ai] = from.raised_height(half, ai);
             a = self.parent[ai];
         }
 
@@ -536,33 +579,119 @@ impl<const K: usize> PartialTree<K> {
     /// The weight of the child that inserting the next species above
     /// `site` would produce, computed from this tree's heights and the
     /// pendant heights in lane `k` of its rows — without building the
-    /// child.
+    /// child. One root walk per call: the single-site reference that
+    /// branching's one-pass `site_weights`, which scores every site at
+    /// once, must equal bit for bit.
     ///
     /// `ω = Σ internal heights + root height`. The insertion adds the new
     /// internal node `j` at `h_j = max(h_site, mx[site])` and raises each
-    /// ancestor `a` of the site to `max(h_a, mx[a])`, so the child weighs
-    /// `ω + h_j + Σ Δh_a` along the root path, plus the root's `Δh` once
-    /// more; above the root it weighs `ω − h_site + 2h_j`. Every height is
-    /// bit-identical to the built child's, but the summation order is not
-    /// the one [`weight`](Self::weight) uses, so the two can differ by a
-    /// few ulps (see [`site_weight_margin`](Self::site_weight_margin)).
+    /// ancestor `a` of the site by `Δh_a = max(h_a, mx[a]) − h_a`, so the
+    /// child weighs `(ω + c) + h_j`, where `c = Σ Δh_a` over the site's
+    /// ancestors, summed from the root down with the root's `Δh` counted
+    /// twice (`ω` counts the root height twice); above the root it weighs
+    /// `ω − h_site + 2h_j`. This is the summation order of the top-down
+    /// pass. Every height is bit-identical to the built child's, but the
+    /// order is not the one [`weight`](Self::weight) uses, so the two can
+    /// differ by a few ulps (see
+    /// [`site_weight_margin`](Self::site_weight_margin)).
     pub fn site_weight(&self, half: &[f64], site: u32) -> f64 {
         let e = site as usize;
-        let hj = self.height[e].max(self.site_height(half, e));
-        let mut a = self.parent[e];
-        if a == NONE {
+        let hj = self.raised_height(half, e);
+        if self.parent[e] == NONE {
             return self.weight - self.height[e] + 2.0 * hj;
         }
-        let mut w = self.weight + hj;
-        let mut dh = 0.0;
-        while a != NONE {
-            let ai = a as usize;
-            dh = self.height[ai].max(self.site_height(half, ai)) - self.height[ai];
-            w += dh;
-            a = self.parent[ai];
+        (self.weight + self.raise_sum(half, e)) + hj
+    }
+
+    /// `c` of non-root node `v`: the raises of its ancestors, summed from
+    /// the root down, the root's counted twice.
+    fn raise_sum(&self, half: &[f64], v: usize) -> f64 {
+        let p = self.parent[v] as usize;
+        let dh = self.raised_height(half, p) - self.height[p];
+        if self.parent[p] == NONE {
+            2.0 * dh
+        } else {
+            self.raise_sum(half, p) + dh
         }
-        // The loop ended on the root, which ω counts twice.
-        w + dh
+    }
+
+    /// [`site_weight`](Self::site_weight) of every insertion site, in one
+    /// pre-order walk from the root: `scores[i]` belongs to the `i`-th
+    /// site of [`insertion_sites`](Self::insertion_sites), so `scores`
+    /// needs `2k − 1` entries. The walk carries `c`, the raise sum of a
+    /// node's ancestors, down the tree, so each site costs `O(1)` and the
+    /// scores equal the reference's bit for bit.
+    ///
+    /// `keep` decides whether a site's score is worth having, and must be
+    /// monotone: a score it rejects, it rejects for every larger one. A
+    /// site scores `(ω + c) + h_j`, and every site below it adds more
+    /// non-negative raises to its `c`, so all of them score at least the
+    /// prefix `ω + c`. When `keep` rejects the prefix, the walk marks the
+    /// site and its whole subtree [`SITE_CUT`] without scoring them; each
+    /// of them `keep` rejects on its own score too. The root's site,
+    /// scored by its own formula, is never cut. The walk keeps no stack:
+    /// it descends left first and climbs parent links to the next right
+    /// subtree.
+    pub(crate) fn site_weights(
+        &self,
+        half: &[f64],
+        keep: impl Fn(f64) -> bool,
+        scores: &mut [f64],
+    ) {
+        let n = self.n as usize;
+        let k = self.k as usize;
+        let slot = |v: u32| {
+            let v = v as usize;
+            if v < n {
+                v
+            } else {
+                v - n + k
+            }
+        };
+        let root = self.root;
+        let r = root as usize;
+        let hj = self.raised_height(half, r);
+        scores[slot(root)] = self.weight - self.height[r] + 2.0 * hj;
+        // Until a node is visited, its slot holds its `c` (or the cut
+        // mark), written by its parent.
+        let c = 2.0 * (hj - self.height[r]);
+        scores[slot(self.left[r])] = c;
+        scores[slot(self.right[r])] = c;
+        let mut v = self.left[r];
+        loop {
+            let vi = v as usize;
+            let at = slot(v);
+            let c = scores[at];
+            let prefix = self.weight + c;
+            let below = if c != SITE_CUT && keep(prefix) {
+                let hj = self.raised_height(half, vi);
+                scores[at] = prefix + hj;
+                c + (hj - self.height[vi])
+            } else {
+                scores[at] = SITE_CUT;
+                SITE_CUT
+            };
+            if vi >= n {
+                scores[slot(self.left[vi])] = below;
+                scores[slot(self.right[vi])] = below;
+                v = self.left[vi];
+                continue;
+            }
+            // A leaf ends a left-first descent: climb to the nearest
+            // ancestor whose right subtree is still unwalked.
+            loop {
+                let p = self.parent[v as usize];
+                let pi = p as usize;
+                if self.left[pi] == v {
+                    v = self.right[pi];
+                    break;
+                }
+                if p == root {
+                    return;
+                }
+                v = p;
+            }
+        }
     }
 
     /// How far [`site_weight`](Self::site_weight)'s `est` may sit from
@@ -625,7 +754,7 @@ impl<const K: usize> PartialTree<K> {
         let h = self.height[self.root as usize];
         let (mx_r, sub_r) = self.rows[at..at + 2 * w].split_at(w);
         for ((o, &x), &b) in out[..w].iter_mut().zip(mx_r).zip(sub_r) {
-            *o = (h.max(x) - h) + b;
+            *o = (fmax(h, x) - h) + b;
         }
         debug_assert_lanes_reach_static_term(half, n, self.k as usize, &out[..w]);
     }
@@ -663,7 +792,7 @@ impl<const K: usize> PartialTree<K> {
         let e = site as usize;
         out.copy_from_slice(row(e, 1));
         let mut a = self.parent[e];
-        let h = self.height[e].max(self.site_height(half, e));
+        let h = self.raised_height(half, e);
         child_path_step(out, h, row(e, 0), hs, hs, a == NONE);
         let mut child = site;
         while a != NONE {
@@ -674,7 +803,7 @@ impl<const K: usize> PartialTree<K> {
                 self.left[ai]
             } as usize;
             let up = self.parent[ai];
-            let h = self.height[ai].max(self.site_height(half, ai));
+            let h = self.raised_height(half, ai);
             child_path_step(out, h, row(ai, 0), hs, row(sibling, 1), up == NONE);
             child = a;
             a = up;
@@ -1330,6 +1459,87 @@ mod tests {
         }
     }
 
+    /// Scores every site of `t` with the top-down pass, once keeping
+    /// every score and once under a random cutoff: each kept score must
+    /// equal the single-site reference bit for bit, and each cut site's
+    /// own reference score must fail the cutoff. Returns how many sites
+    /// the pass cut.
+    fn check_site_weights_at<const K: usize>(
+        t: &PartialTree<K>,
+        h: &[f64],
+        rng: &mut StdRng,
+    ) -> usize {
+        use rand::Rng;
+        let sites: Vec<u32> = t.insertion_sites().collect();
+        let reference: Vec<f64> = sites.iter().map(|&e| t.site_weight(h, e)).collect();
+        let mut scores = vec![f64::NAN; sites.len()];
+        t.site_weights(h, |_| true, &mut scores);
+        for (i, &site) in sites.iter().enumerate() {
+            assert_eq!(
+                scores[i].to_bits(),
+                reference[i].to_bits(),
+                "K = {K}, k = {}, site {site}: pass {:e} vs reference {:e}",
+                t.leaves_inserted(),
+                scores[i],
+                reference[i]
+            );
+        }
+        // Cutoffs between the parent weight and the dearest site, so that
+        // some subtrees are cut and some are not.
+        let top = reference.iter().fold(t.weight(), |a, &b| a.max(b));
+        let cutoff = t.weight() + rng.gen_range(0.0..=1.0) * (top - t.weight());
+        let keep = |est: f64| est < cutoff;
+        let mut scores = vec![f64::NAN; sites.len()];
+        t.site_weights(h, keep, &mut scores);
+        let mut cut = 0;
+        for (i, &site) in sites.iter().enumerate() {
+            if scores[i] == SITE_CUT {
+                cut += 1;
+                assert!(
+                    !keep(reference[i]),
+                    "K = {K}, site {site} cut at {cutoff:e} but scores {:e}",
+                    reference[i]
+                );
+            } else {
+                assert_eq!(scores[i].to_bits(), reference[i].to_bits(), "site {site}");
+            }
+        }
+        cut
+    }
+
+    /// [`check_site_weights_at`] at every node of one random insertion
+    /// path.
+    fn check_site_weights<const K: usize>(m: &DistanceMatrix, rng: &mut StdRng) {
+        use rand::Rng;
+        let h = half_distances(m);
+        let mut t = PartialTree::<K>::cherry(m, &h);
+        while !t.is_complete() {
+            check_site_weights_at(&t, &h, rng);
+            let sites: Vec<u32> = t.insertion_sites().collect();
+            t = t.insert_next(&h, sites[rng.gen_range(0..sites.len())]);
+        }
+    }
+
+    /// A caterpillar 220 leaves deep: each leaf inserts above the one
+    /// before it, so the pass descends and climbs root paths of every
+    /// length up to `n − 1`, at the widest leaf bitsets.
+    #[test]
+    fn site_pass_matches_reference_on_a_deep_caterpillar() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut cut = 0;
+        for family in 0..3 {
+            let m = family_matrix(family, 220, &mut rng);
+            let h = half_distances(&m);
+            let mut t = PartialTree::<4>::cherry(&m, &h);
+            while !t.is_complete() {
+                cut += check_site_weights_at(&t, &h, &mut rng);
+                let newest = t.leaves_inserted() as u32 - 1;
+                t = t.insert_next(&h, newest);
+            }
+        }
+        assert!(cut > 0, "no cutoff ever cut a subtree");
+    }
+
     #[test]
     fn heap_bytes_counts_arena_rows_and_masks() {
         // n = 24 at K = 1: 47 slots of 12 + 8 + 8 bytes; the cherry
@@ -1394,6 +1604,23 @@ mod tests {
             check_site_scores::<1>(&m, &mut rng);
             check_site_scores::<2>(&m, &mut rng);
             check_site_scores::<4>(&m, &mut rng);
+        }
+
+        /// The top-down site pass equals the single-site reference bit
+        /// for bit, and cuts only sites the cutoff rejects on their own
+        /// scores, over random, clustered and tie-heavy matrices at every
+        /// leaf-bitset width.
+        #[test]
+        fn site_pass_matches_reference_and_cuts_soundly(
+            n in 3usize..=40,
+            family in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = family_matrix(family, n, &mut rng);
+            check_site_weights::<1>(&m, &mut rng);
+            check_site_weights::<2>(&m, &mut rng);
+            check_site_weights::<4>(&m, &mut rng);
         }
 
         /// The invariant `root_path_orders` relies on (noted at the sibling

@@ -5,7 +5,7 @@ use mutree_tree::{cluster, Linkage, UltrametricTree};
 
 use mutree_engine::ThreeThree;
 
-use crate::node::{half_distances, ArmIndex};
+use crate::node::{fmax, half_distances, ArmIndex, SITE_CUT};
 use crate::PartialTree;
 
 /// The metric minimum ultrametric tree problem as a branch-and-bound
@@ -37,11 +37,14 @@ use crate::PartialTree;
 ///   falls below. The `half` and `adj` tables are precomputed in
 ///   `O(n²)`. Every node carries its look-ahead rows (see
 ///   [`PartialTree`]): the root fills them once, and a built child
-///   refreshes only the new leaf's root path. Branching computes every
-///   child's bound from the parent's rows, before building the child,
-///   by folding the child's root path
-///   ([`PartialTree::child_min_insertions`]); no step passes over the
-///   whole tree.
+///   refreshes only the new leaf's root path. Branching makes one `O(k)`
+///   top-down pass over the parent that scores all `2k − 1` sites (the
+///   scores of [`PartialTree::site_weight`]) and cuts every subtree of sites
+///   whose common score prefix the incumbent already rejects. Each
+///   surviving site's child is then bounded from the parent's rows,
+///   before it is built, by folding the child's root path
+///   ([`PartialTree::child_min_insertions`]). The site pass is the only
+///   step of a branch that visits the whole tree.
 /// * **Initial incumbent** — the UPGMM tree (complete-linkage
 ///   agglomeration) with its own linkage heights, whose distances
 ///   dominate the matrix — exactly the paper's Step 3 upper bound.
@@ -104,6 +107,13 @@ impl<const K: usize> MutProblem<K> {
             n <= PartialTree::<K>::MAX_TAXA,
             "MutProblem with {K} leaf words supports at most {} taxa, got {n}",
             PartialTree::<K>::MAX_TAXA
+        );
+        // The node's lane kernels compare without a NaN guard (see
+        // `node::fmin`), which is exact only on what `DistanceMatrix`
+        // promises: finite, non-negative entries.
+        debug_assert!(
+            m.pairs().all(|(_, _, d)| d.is_finite() && d >= 0.0),
+            "distances must be finite and non-negative"
         );
         // minrow[t] = min_{i<t} M[i,t]; entries below t = 2 stay 0 and are
         // never read by the suffix recurrence.
@@ -193,7 +203,7 @@ impl<const K: usize> MutProblem<K> {
         lanes
             .iter()
             .zip(adj)
-            .fold(0.0, |acc, (&d, &a)| acc.max(d + a))
+            .fold(0.0, |acc, (&d, &a)| fmax(acc, d + a))
     }
 
     /// `lb` less `8n·ε·lb`. The look-ahead bound adds `ω` (or the site
@@ -274,13 +284,24 @@ impl<const K: usize> Problem for MutProblem<K> {
         let lo = s + 1;
         let w = self.m.len() - lo;
         // One borrowed buffer, no per-branch allocation once warm: (under
-        // the rule) the at-site root-path orders, then one child's lanes.
-        // The pendant heights and look-ahead rows live on the node.
+        // the rule) the at-site root-path orders, one child's lanes, then
+        // every site's score. The pendant heights and look-ahead rows live
+        // on the node.
         let order_len = if filter { s } else { 0 };
         let mut scratch = out.take_scratch();
-        scratch.resize(order_len + w, 0.0);
-        let (order, lanes) = scratch.split_at_mut(order_len);
-        for site in node.insertion_sites() {
+        scratch.resize(order_len + w + 2 * s - 1, 0.0);
+        let (order, rest) = scratch.split_at_mut(order_len);
+        let (lanes, scores) = rest.split_at_mut(w);
+        // Score every site from the parent in one pass; build only what
+        // can survive the kernel's child prune. The margin keeps a score
+        // at or below the built child's weight, so a skipped child is one
+        // the kernel would have pruned, and the test is monotone in the
+        // score, so the pass may cut whole subtrees of sites on a prefix.
+        let admits = |out: &ChildBuf<PartialTree<K>>, est: f64| {
+            out.admits(est - node.site_weight_margin(est) + suffix)
+        };
+        node.site_weights(half, |est| admits(out, est), scores);
+        for (site, &est) in node.insertion_sites().zip(scores.iter()) {
             if confine && !node.prop_allows(site) {
                 continue;
             }
@@ -290,13 +311,16 @@ impl<const K: usize> Problem for MutProblem<K> {
                     continue;
                 }
             }
-            // Score the site from the parent; build only what can survive
-            // the kernel's child prune. The margin keeps the estimate at
-            // or below the built child's weight, so a skipped child is one
-            // the kernel would have pruned.
-            let est = node.site_weight(half, site);
-            let margin = node.site_weight_margin(est);
-            if !out.admits(est - margin + suffix) {
+            debug_assert!(
+                if est == SITE_CUT {
+                    !admits(out, node.site_weight(half, site))
+                } else {
+                    est.to_bits() == node.site_weight(half, site).to_bits()
+                },
+                "site {site}: pass score {est} vs reference {}",
+                node.site_weight(half, site)
+            );
+            if est == SITE_CUT || !admits(out, est) {
                 out.skip();
                 continue;
             }
@@ -321,7 +345,7 @@ impl<const K: usize> Problem for MutProblem<K> {
                 None => node.insert_next(half, site),
             };
             debug_assert!(
-                !est.is_finite() || (child.weight() - est).abs() <= margin,
+                (child.weight() - est).abs() <= node.site_weight_margin(est),
                 "site {site}: estimate {est} vs built weight {}",
                 child.weight()
             );
