@@ -93,3 +93,25 @@ fn full_rule_instance_reproduces_its_pinned_counts_and_weight() {
         &[(88, 169, 15, 0x406c67a1ab55121a)],
     );
 }
+
+/// The full 3-3 rule is a heuristic, not an exact restriction: on these
+/// n = 20 random-species instances it branches only the search root and
+/// returns the UPGMM incumbent, heavier than the proven optimum. Pinned
+/// so no document can claim the rule preserves the optimum.
+#[test]
+fn full_rule_loses_the_optimum_on_random_species_at_n_20() {
+    for seed in [5, 62] {
+        let m = data::random_species_matrix(20, seed);
+        let (_, _, exact) = solve(&m, ThreeThree::Off, 1);
+        let (branched, _, full) = solve(&m, ThreeThree::Full, 1);
+        let (exact, full) = (f64::from_bits(exact), f64::from_bits(full));
+        assert!(
+            full > exact,
+            "seed {seed}: full 3-3 weight {full} is not heavier than the optimum {exact}"
+        );
+        assert_eq!(
+            branched, 1,
+            "seed {seed}: full 3-3 branched more than the root"
+        );
+    }
+}

@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod hex;
 pub mod plan;
 pub mod report;
 pub mod request;

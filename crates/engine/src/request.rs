@@ -13,12 +13,15 @@
 //! would silently change the optimum), so round-tripping a request is
 //! lossless.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use mutree_bnb::{CheckpointPolicy, MemoryBudget, SearchMode, TraceLevel};
 use mutree_distmat::{DistanceMatrix, MatrixError};
 use mutree_tree::Linkage;
+
+use crate::hex;
 
 /// How aggressively to apply the 3-3 relationship rule during branching.
 ///
@@ -37,6 +40,11 @@ pub enum ThreeThree {
     InitialOnly,
     /// Apply it at every insertion, checking all triples involving the new
     /// species — the companion paper's proposed future-work extension.
+    ///
+    /// A heuristic that can lose the optimum: on n = 20 random-species
+    /// matrices it often branches only the search root and returns the
+    /// UPGMM incumbent, heavier than the optimum (for
+    /// `random_species_matrix(20, 5)`, 518.974 against 518.696).
     Full,
 }
 
@@ -313,115 +321,132 @@ impl SolveRequest {
     /// [`decode`](SolveRequest::decode) reproduces the same solve to the
     /// bit.
     pub fn encode(&self) -> String {
-        let mut out = String::from("mutree-request v1\n");
-        let mut line = |s: String| {
-            out.push_str(&s);
-            out.push('\n');
+        // A capacity hint: the matrix rows dominate an inline request.
+        let entries = match &self.source {
+            MatrixSource::Inline(m) => m.len() * m.len().saturating_sub(1) / 2,
+            MatrixSource::PhylipPath(_) => 0,
         };
-        line(format!(
+        let mut out = String::with_capacity(1024 + 17 * entries);
+        self.write_lines(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// The body of [`encode`](SolveRequest::encode).
+    fn write_lines(&self, out: &mut String) -> std::fmt::Result {
+        out.push_str("mutree-request v1\n");
+        writeln!(
+            out,
             "kind {}",
             match self.kind {
                 SolveKind::Exact => "exact",
                 SolveKind::Decompose => "decompose",
             }
-        ));
-        line(format!(
+        )?;
+        writeln!(
+            out,
             "mode {}",
             match self.mode {
                 SearchMode::BestOne => "best-one",
                 SearchMode::AllOptimal => "all-optimal",
             }
-        ));
-        line(format!(
+        )?;
+        writeln!(
+            out,
             "three-three {}",
             match self.three_three {
                 ThreeThree::Off => "off",
                 ThreeThree::InitialOnly => "initial",
                 ThreeThree::Full => "full",
             }
-        ));
-        line(match self.backend {
-            BackendSpec::Sequential => "backend seq".into(),
-            BackendSpec::Parallel { workers } => format!("backend par {workers}"),
-            BackendSpec::SimulatedCluster { slaves } => format!("backend sim {slaves}"),
-        });
-        line(format!("tol {:016x}", self.tol.to_bits()));
-        line(format!("max-branches {}", self.max_branches));
-        if let Some(t) = self.timeout {
-            line(format!("timeout-ns {}", t.as_nanos()));
+        )?;
+        match self.backend {
+            BackendSpec::Sequential => writeln!(out, "backend seq")?,
+            BackendSpec::Parallel { workers } => writeln!(out, "backend par {workers}")?,
+            BackendSpec::SimulatedCluster { slaves } => writeln!(out, "backend sim {slaves}")?,
         }
-        line(format!("maxmin {}", self.use_maxmin));
-        line(format!("upgmm {}", self.use_upgmm));
+        out.push_str("tol ");
+        hex::push_u64(out, self.tol.to_bits());
+        writeln!(out, "\nmax-branches {}", self.max_branches)?;
+        if let Some(t) = self.timeout {
+            writeln!(out, "timeout-ns {}", t.as_nanos())?;
+        }
+        writeln!(out, "maxmin {}", self.use_maxmin)?;
+        writeln!(out, "upgmm {}", self.use_upgmm)?;
         if let Some(t) = self.threads {
-            line(format!("threads {t}"));
+            writeln!(out, "threads {t}")?;
         }
         if let Some(w) = self.leaf_words {
-            line(format!("leaf-words {w}"));
+            writeln!(out, "leaf-words {w}")?;
         }
         if let Some(m) = self.memory {
-            line(format!("memory-nodes {}", m.max_open_nodes));
+            writeln!(out, "memory-nodes {}", m.max_open_nodes)?;
         }
         if let Some(cp) = &self.checkpoint {
-            line(format!("checkpoint {} {}", cp.interval, cp.path.display()));
+            writeln!(out, "checkpoint {} {}", cp.interval, cp.path.display())?;
         }
         if let Some(p) = &self.resume {
-            line(format!("resume {}", p.display()));
+            writeln!(out, "resume {}", p.display())?;
         }
         if let Some(r) = &self.retry {
-            line(format!(
+            writeln!(
+                out,
                 "retry {} {} {} {}",
                 r.max_attempts,
                 r.base_backoff.as_nanos(),
                 r.seed,
                 r.budget
-            ));
+            )?;
         }
-        line(format!("threshold {}", self.threshold));
-        line(format!(
+        writeln!(out, "threshold {}", self.threshold)?;
+        writeln!(
+            out,
             "linkage {}",
             match self.linkage {
                 Linkage::Maximum => "maximum",
                 Linkage::Minimum => "minimum",
                 Linkage::Average => "average",
             }
-        ));
-        line(format!("max-depth {}", self.max_depth));
+        )?;
+        writeln!(out, "max-depth {}", self.max_depth)?;
         if let Some(c) = self.cache {
-            line(format!("cache {}", if c { "on" } else { "off" }));
+            writeln!(out, "cache {}", if c { "on" } else { "off" })?;
         }
         if let Some(t) = self.trace {
-            line(format!(
+            writeln!(
+                out,
                 "trace {}",
                 match t {
                     TraceLevel::Incumbents => "incumbents",
                     TraceLevel::All => "all",
                 }
-            ));
+            )?;
         }
         match &self.source {
-            MatrixSource::PhylipPath(p) => line(format!("matrix phylip {}", p.display())),
+            MatrixSource::PhylipPath(p) => writeln!(out, "matrix phylip {}", p.display())?,
             MatrixSource::Inline(m) => {
                 let n = m.len();
-                line(format!("matrix inline {n}"));
+                writeln!(out, "matrix inline {n}")?;
                 if m.labels().is_some() {
                     for i in 0..n {
-                        line(format!("label {}", m.label(i)));
+                        writeln!(out, "label {}", m.label(i))?;
                     }
                 }
                 // Strict lower triangle, one row per line, exact bits.
                 let packed = m.condensed();
                 let mut at = 0;
                 for i in 1..n {
-                    let row: Vec<String> = packed[at..at + i]
-                        .iter()
-                        .map(|d| format!("{:016x}", d.to_bits()))
-                        .collect();
+                    out.push_str("row");
+                    for d in &packed[at..at + i] {
+                        out.push(' ');
+                        hex::push_u64(out, d.to_bits());
+                    }
+                    out.push('\n');
                     at += i;
-                    line(format!("row {}", row.join(" ")));
                 }
             }
         }
-        out
+        Ok(())
     }
 
     /// Parses the text form produced by [`encode`](SolveRequest::encode).
@@ -459,9 +484,9 @@ impl SolveRequest {
                     .map_err(|_| fail(ln, format!("{keyword}: bad count {rest:?}")))
             };
             let bits_of = |tok: &str| -> Result<f64, RequestError> {
-                u64::from_str_radix(tok, 16)
+                hex::parse_u64(tok)
                     .map(f64::from_bits)
-                    .map_err(|_| fail(ln, format!("bad hex float {tok:?}")))
+                    .ok_or_else(|| fail(ln, format!("bad hex float {tok:?}")))
             };
             let bool_arg = || match rest.trim() {
                 "true" => Ok(true),
@@ -653,7 +678,7 @@ impl SolveRequest {
                                     ));
                                 };
                                 toks.clear();
-                                toks.extend(row.split_whitespace());
+                                toks.extend(row.split_ascii_whitespace());
                                 if toks.len() != i {
                                     return Err(fail(
                                         ln,
@@ -661,11 +686,10 @@ impl SolveRequest {
                                     ));
                                 }
                                 for tok in &toks {
-                                    let d =
-                                        u64::from_str_radix(tok, 16).map(f64::from_bits).map_err(
-                                            |_| fail(ln, format!("bad hex distance {tok:?}")),
-                                        )?;
-                                    packed.push(d);
+                                    let bits = hex::parse_u64(tok).ok_or_else(|| {
+                                        fail(ln, format!("bad hex distance {tok:?}"))
+                                    })?;
+                                    packed.push(f64::from_bits(bits));
                                 }
                                 i += 1;
                                 if i == n {
@@ -802,6 +826,31 @@ mod tests {
         assert_eq!(err.line, 2);
         let truncated = "mutree-request v1\nmatrix inline 4\nrow 0000000000000000\n";
         assert!(SolveRequest::decode(truncated).is_err());
+    }
+
+    #[test]
+    fn hex_floats_must_be_the_canonical_sixteen_digits() {
+        // The encoder writes `{:016x}`: a short, long, signed or
+        // uppercase token is corruption, rejected by its line.
+        for tok in [
+            "3ff",
+            "+3ff000000000000",
+            "+3ff0000000000000",
+            "3FF0000000000000",
+            "03ff0000000000000",
+        ] {
+            let text = format!(
+                "mutree-request v1\nmatrix inline 3\nrow 4000000000000000\n\
+                 row 4000000000000000 {tok}\n"
+            );
+            let err = SolveRequest::decode(&text).unwrap_err();
+            assert_eq!(err.line, 4, "{tok}: {err}");
+            assert_eq!(err.message, format!("bad hex distance {tok:?}"));
+            let text = format!("mutree-request v1\ntol {tok}\nmatrix phylip x.phy\n");
+            let err = SolveRequest::decode(&text).unwrap_err();
+            assert_eq!(err.line, 2, "{tok}: {err}");
+            assert_eq!(err.message, format!("bad hex float {tok:?}"));
+        }
     }
 
     #[test]

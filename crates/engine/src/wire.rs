@@ -26,9 +26,12 @@
 //!
 //! [`SolveRequest`]: crate::SolveRequest
 
+use std::fmt::Write as _;
+
 use mutree_bnb::{SearchStats, StopReason};
 use mutree_tree::codec as tree_codec;
 
+use crate::hex;
 use crate::report::{DegradeReason, DegradedGroup, SolveReport, StageProvenance, StageTiming};
 
 /// First line of every serialized request (the codec in
@@ -165,29 +168,16 @@ fn set_stat(s: &mut SearchStats, name: &str, v: u64) -> bool {
     true
 }
 
-fn hex_of(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn bytes_of(hex: &str) -> Option<Vec<u8>> {
-    if !hex.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).ok())
-        .collect()
-}
-
-/// One line with a newline-free free-text tail: embedded newlines would
+/// Appends a newline-free free-text tail: embedded newlines would
 /// smuggle extra protocol lines into the document, so they are flattened
-/// to spaces on encode.
-fn sanitize(text: &str) -> String {
-    text.replace(['\n', '\r'], " ")
+/// to spaces.
+fn push_flat(out: &mut String, text: &str) {
+    for (i, piece) in text.split(['\n', '\r']).enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        out.push_str(piece);
+    }
 }
 
 impl SolveReport {
@@ -198,60 +188,79 @@ impl SolveReport {
     /// bit — weights and stage seconds as IEEE-754 bit patterns, tree
     /// heights through the checkpoint byte codec.
     pub fn encode(&self) -> String {
-        let mut out = String::from(REPORT_HEADER);
-        out.push('\n');
-        let mut line = |s: String| {
-            out.push_str(&s);
-            out.push('\n');
-        };
-        line(format!("weight {:016x}", self.weight.to_bits()));
-        line(format!("stop {}", stop_token(self.stop)));
+        let trees: Vec<Vec<u8>> = std::iter::once(&self.tree)
+            .chain(&self.trees)
+            .map(tree_codec::encode_tree)
+            .collect();
+        // A capacity hint: the tree lines dominate a report.
+        let tree_hex: usize = trees.iter().map(|t| 2 * t.len() + 6).sum();
+        let mut out = String::with_capacity(1024 + tree_hex);
+        self.write_lines(&trees, &mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// The body of [`encode`](SolveReport::encode): `trees` holds the codec
+    /// bytes of the best tree, then of every returned tree.
+    fn write_lines(&self, trees: &[Vec<u8>], out: &mut String) -> std::fmt::Result {
+        out.push_str(REPORT_HEADER);
+        out.push_str("\nweight ");
+        hex::push_u64(out, self.weight.to_bits());
+        writeln!(out, "\nstop {}", stop_token(self.stop))?;
         for (name, value) in STAT_FIELDS.iter().zip(stat_values(&self.stats)) {
-            line(format!("stat {name} {value}"));
+            writeln!(out, "stat {name} {value}")?;
         }
         if let Some(w) = self.leaf_words {
-            line(format!("leaf-words {w}"));
+            writeln!(out, "leaf-words {w}")?;
         }
         if let Some(c) = self.compact_sets {
-            line(format!("compact-sets {c}"));
+            writeln!(out, "compact-sets {c}")?;
         }
         if let Some(groups) = &self.groups {
-            line(format!("groups {}", groups.len()));
+            writeln!(out, "groups {}", groups.len())?;
             for g in groups {
-                let taxa: Vec<String> = g.iter().map(|t| t.to_string()).collect();
-                line(format!("group {}", taxa.join(" ")).trim_end().to_string());
+                out.push_str("group");
+                for taxon in g {
+                    write!(out, " {taxon}")?;
+                }
+                out.push('\n');
             }
         }
         for t in &self.timings {
-            line(format!(
-                "timing {} {} {:016x} {}",
+            write!(
+                out,
+                "timing {} {} ",
                 t.attempts,
-                provenance_token(t.provenance),
-                t.seconds.to_bits(),
-                sanitize(&t.stage)
-            ));
+                provenance_token(t.provenance)
+            )?;
+            hex::push_u64(out, t.seconds.to_bits());
+            out.push(' ');
+            push_flat(out, &t.stage);
+            out.push('\n');
         }
         for d in &self.degraded {
-            let group = d
-                .group
-                .map(|g| g.to_string())
-                .unwrap_or_else(|| "-".to_string());
-            let reason = match &d.reason {
-                DegradeReason::Stopped(r) => format!("stopped {}", stop_token(*r)),
-                DegradeReason::Error(msg) => format!("error {}", sanitize(msg)),
-                DegradeReason::Panicked => "panicked".to_string(),
-            };
-            line(format!("degraded {} {} {}", group, d.attempts, reason));
-            line(format!("degraded-stage {}", sanitize(&d.stage)));
+            match d.group {
+                Some(g) => write!(out, "degraded {g} {} ", d.attempts)?,
+                None => write!(out, "degraded - {} ", d.attempts)?,
+            }
+            match &d.reason {
+                DegradeReason::Stopped(r) => write!(out, "stopped {}", stop_token(*r))?,
+                DegradeReason::Error(msg) => {
+                    out.push_str("error ");
+                    push_flat(out, msg);
+                }
+                DegradeReason::Panicked => out.push_str("panicked"),
+            }
+            out.push_str("\ndegraded-stage ");
+            push_flat(out, &d.stage);
+            out.push('\n');
         }
-        line(format!(
-            "best {}",
-            hex_of(&tree_codec::encode_tree(&self.tree))
-        ));
-        for t in &self.trees {
-            line(format!("tree {}", hex_of(&tree_codec::encode_tree(t))));
+        for (i, bytes) in trees.iter().enumerate() {
+            out.push_str(if i == 0 { "best " } else { "tree " });
+            hex::push_bytes(out, bytes);
+            out.push('\n');
         }
-        out
+        Ok(())
     }
 
     /// Parses the text form produced by [`encode`](SolveReport::encode).
@@ -298,15 +307,12 @@ impl SolveReport {
             let bits_of = |tok: &str| -> Result<f64, ReportError> {
                 // Exactly 16 digits, matching the canonical `{:016x}`
                 // encoding — a short token is corruption, not leniency.
-                if tok.len() != 16 {
-                    return Err(fail(ln, format!("bad hex float {tok:?}")));
-                }
-                u64::from_str_radix(tok, 16)
+                hex::parse_u64(tok)
                     .map(f64::from_bits)
-                    .map_err(|_| fail(ln, format!("bad hex float {tok:?}")))
+                    .ok_or_else(|| fail(ln, format!("bad hex float {tok:?}")))
             };
             let tree_of = |tok: &str| -> Result<_, ReportError> {
-                bytes_of(tok)
+                hex::parse_bytes(tok)
                     .and_then(|b| tree_codec::decode_tree(&b))
                     .ok_or_else(|| fail(ln, format!("{keyword}: undecodable tree bytes")))
             };
@@ -440,20 +446,21 @@ impl SolveReport {
                 other => return Err(fail(ln, format!("unknown keyword {other:?}"))),
             }
         }
-        let total = text.lines().count();
+        // A whole-document error names the line after the last one; only
+        // a failing decode counts the lines.
+        let at_end = |message: String| fail(text.lines().count(), message);
         if stage_pending {
-            return Err(fail(
-                total,
+            return Err(at_end(
                 "degraded record is missing its degraded-stage line".to_string(),
             ));
         }
-        let missing = |what: &str| fail(total, format!("missing {what}"));
+        let missing = |what: &str| at_end(format!("missing {what}"));
         if let Some(groups) = &groups {
             if groups.len() != group_count {
-                return Err(fail(
-                    total,
-                    format!("groups: expected {group_count}, found {}", groups.len()),
-                ));
+                return Err(at_end(format!(
+                    "groups: expected {group_count}, found {}",
+                    groups.len()
+                )));
             }
         }
         if trees.is_empty() {
@@ -555,11 +562,10 @@ impl ServeError {
 
     /// Serializes to the `mutree-error v1` line form.
     pub fn encode(&self) -> String {
-        format!(
-            "{ERROR_HEADER}\ncode {}\nmessage {}\n",
-            self.code.token(),
-            sanitize(&self.message)
-        )
+        let mut out = format!("{ERROR_HEADER}\ncode {}\nmessage ", self.code.token());
+        push_flat(&mut out, &self.message);
+        out.push('\n');
+        out
     }
 
     /// Parses the text form produced by [`encode`](ServeError::encode).

@@ -3,10 +3,15 @@
 //! `encode → decode` with every bit intact — f64 weight and stage
 //! seconds as exact bit patterns, all 16 search counters, stop reasons,
 //! provenance and degradation records — and corrupted documents must be
-//! rejected with a line-numbered error, never mis-decoded.
+//! rejected with a line-numbered error, never mis-decoded. A hex token
+//! of a report or of a request's matrix rows that is anything but the
+//! canonical lowercase digits is rejected the same way, never a panic.
 
 use mutree_bnb::{SearchStats, StopReason};
-use mutree_engine::{DegradeReason, DegradedGroup, SolveReport, StageProvenance, StageTiming};
+use mutree_distmat::DistanceMatrix;
+use mutree_engine::{
+    DegradeReason, DegradedGroup, SolveReport, SolveRequest, StageProvenance, StageTiming,
+};
 use mutree_tree::{codec, UltrametricTree};
 use proptest::prelude::*;
 
@@ -252,6 +257,21 @@ fn corrupt_headers_and_structure_are_rejected() {
         good.lines().take(4).collect::<Vec<_>>().join("\n") + "\n",
         // Weight hex too short.
         good.replacen("weight 3ff0", "weight 3ff", 1),
+        // Weight hex with a sign: 16 characters, but not the canonical form.
+        good.replacen("weight 3ff0", "weight +ff0", 1),
+        // A multibyte character in the tree hex: an even byte count, but
+        // an odd one of its pairs straddles a char boundary.
+        good.lines()
+            .map(|l| {
+                if l.starts_with("best ") {
+                    "best 0é0"
+                } else {
+                    l
+                }
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+            + "\n",
         // Unknown stat counter name.
         good.replacen("stat branched", "stat branchiest", 1),
         // Unknown stop token.
@@ -306,5 +326,126 @@ fn huge_group_counts_are_rejected_without_allocating() {
             err.message.contains(&format!("expected {count}")),
             "{err:?}"
         );
+    }
+}
+
+/// Characters a hostile peer might splice into a hex token: none is a
+/// hex digit and none is whitespace a decoder could trim away, and each
+/// takes two to four bytes, so byte-indexed slicing would split it.
+const MULTIBYTE: [char; 4] = ['é', 'ß', '€', '😀'];
+
+/// Corrupts one even-length hex token: `kind` 0 splices a multibyte
+/// character in, 1 overwrites a digit with a `+` (a sign when it is the
+/// first), 2 cuts the token to an odd length; `at` picks where.
+fn corrupt_token(tok: &str, kind: usize, at: usize) -> String {
+    let i = at % tok.len();
+    match kind {
+        0 => format!(
+            "{}{}{}",
+            &tok[..i],
+            MULTIBYTE[at % MULTIBYTE.len()],
+            &tok[i..]
+        ),
+        1 => format!("{}+{}", &tok[..i], &tok[i + 1..]),
+        _ => tok[..2 * (at % (tok.len() / 2)) + 1].to_string(),
+    }
+}
+
+/// Corrupts token `index` of `line`'s space-separated tokens.
+fn corrupt_line(line: &str, index: usize, kind: usize, at: usize) -> String {
+    line.split(' ')
+        .enumerate()
+        .map(|(i, tok)| {
+            if i == index {
+                corrupt_token(tok, kind, at)
+            } else {
+                tok.to_string()
+            }
+        })
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// Replaces line `target` of `text` by `with`.
+fn replace_line(text: &str, target: usize, with: &str) -> String {
+    text.lines()
+        .enumerate()
+        .map(|(i, l)| if i == target { with } else { l })
+        .collect::<Vec<_>>()
+        .join("\n")
+        + "\n"
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A corrupted `best`, `tree`, `weight` or `timing` hex token makes
+    /// the report decoder fail on exactly that line.
+    #[test]
+    fn corrupt_report_hex_tokens_are_rejected_on_their_line(
+        steps in proptest::collection::vec(0.001f64..50.0, 1..6),
+        weight_bits in any::<u64>(),
+        timing_seconds in proptest::collection::vec(0.0f64..1e4, 1..4),
+        keyword in 0usize..4,
+        pick in any::<usize>(),
+        kind in 0usize..3,
+        at in any::<usize>(),
+    ) {
+        let mut report = build_report(
+            &steps, weight_bits, &[3; 16], 0, &timing_seconds, 0, false,
+        );
+        report.trees.push(caterpillar(&steps));
+        let text = report.encode();
+        let (prefix, token) = [("best ", 1), ("tree ", 1), ("weight ", 1), ("timing ", 3)][keyword];
+        let targets: Vec<usize> = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| l.starts_with(prefix))
+            .map(|(i, _)| i)
+            .collect();
+        let target = targets[pick % targets.len()];
+        let line = text.lines().nth(target).unwrap();
+        let corrupted = replace_line(&text, target, &corrupt_line(line, token, kind, at));
+        let err = SolveReport::decode(&corrupted).expect_err("a corrupted token must be rejected");
+        prop_assert_eq!(err.line, target + 1, "{}", err);
+    }
+
+    /// A corrupted distance token in an inline request's `row` lines
+    /// makes the request decoder fail on exactly that line.
+    #[test]
+    fn corrupt_request_row_tokens_are_rejected_on_their_line(
+        n in 2usize..9,
+        distances in proptest::collection::vec(0.0f64..1e3, 36..37),
+        pick in any::<usize>(),
+        kind in 0usize..3,
+        at in any::<usize>(),
+    ) {
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        let (hi, lo) = (i.max(j), i.min(j));
+                        if hi == lo {
+                            0.0
+                        } else {
+                            distances[hi * (hi - 1) / 2 + lo]
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let text = SolveRequest::exact(DistanceMatrix::from_rows(&rows).unwrap()).encode();
+        let targets: Vec<usize> = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| l.starts_with("row "))
+            .map(|(i, _)| i)
+            .collect();
+        let target = targets[pick % targets.len()];
+        let line = text.lines().nth(target).unwrap();
+        let token = 1 + pick / targets.len() % (line.split(' ').count() - 1);
+        let corrupted = replace_line(&text, target, &corrupt_line(line, token, kind, at));
+        let err = SolveRequest::decode(&corrupted).expect_err("a corrupted token must be rejected");
+        prop_assert_eq!(err.line, target + 1, "{}", err);
     }
 }

@@ -9,6 +9,13 @@
 //! a client that pipelines can match responses to requests without the
 //! protocol dictating ordering.
 //!
+//! A frame leaves in one write. Both ends set `TCP_NODELAY`, so the
+//! kernel sends each write at once rather than waiting to coalesce it,
+//! and every write on the raw `TcpStream` is its own `send(2)` and may be
+//! its own segment, each waking the peer's reader. [`write_frame`]
+//! therefore assembles header and payload in one buffer and hands the
+//! stream one `write_all`: one send per frame.
+//!
 //! The length prefix is validated **before** any payload allocation:
 //! a frame longer than [`MAX_FRAME_LEN`] is refused without reading it,
 //! so a hostile or buggy client cannot make the daemon allocate
@@ -54,16 +61,19 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Writes one frame and flushes the stream.
+/// Writes one frame with a single `write_all` (see the module docs) and
+/// flushes the stream.
 ///
 /// # Errors
 ///
 /// Any I/O error from the underlying writer.
 pub fn write_frame(w: &mut impl Write, tag: u32, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME_LEN);
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(&tag.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(8 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(&tag.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -123,6 +133,40 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), Some((7, b"hello".to_vec())));
         assert_eq!(read_frame(&mut r).unwrap(), Some((8, Vec::new())));
         assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_length_tag_and_payload() {
+        for payload in [&b""[..], b"mutree-report v1\n", &[0xa5; 70_000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, 0x0102_0304, payload).unwrap();
+            assert_eq!(w.writes.len(), 1, "{} payload bytes", payload.len());
+            assert_eq!(w.flushes, 1);
+            let frame = &w.writes[0];
+            assert_eq!(frame.len(), 8 + payload.len());
+            assert_eq!(frame[..4], (payload.len() as u32).to_be_bytes());
+            assert_eq!(frame[4..8], [1, 2, 3, 4]);
+            assert_eq!(&frame[8..], payload);
+        }
     }
 
     #[test]
