@@ -1,11 +1,11 @@
 //! Small dependency-free hashing shared across the workspace.
 //!
-//! Three call sites historically grew private copies of the same FNV-1a
-//! loop: the checkpoint checksum ([`crate::checkpoint`]), the pipeline's
-//! retry-jitter hash, and — the reason they finally merged — the
-//! content-addressed group-solve cache key, which must hash canonical
-//! matrix bytes with the *same* function everywhere or cache lookups
-//! would silently depend on which layer computed the key. One
+//! Two call sites historically grew private copies of the same FNV-1a
+//! loop: the checkpoint checksum ([`crate::checkpoint`]) and — the
+//! reason they finally merged — the content-addressed group-solve cache
+//! key, which must hash canonical matrix bytes with the *same* function
+//! everywhere or cache lookups would silently depend on which layer
+//! computed the key. One
 //! implementation now lives here; `mutree-core` re-exports this module
 //! as `mutree_core::hash`.
 
@@ -16,8 +16,8 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64-bit hash of `bytes` — small, dependency-free, and plenty
-/// for checksums, cache keys and deterministic jitter. Not
-/// collision-resistant against adversaries; never use it for security.
+/// for checksums and cache keys. Not collision-resistant against
+/// adversaries; never use it for security.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_continue(FNV_OFFSET, bytes)
@@ -37,25 +37,6 @@ pub fn fnv1a_continue(state: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// SplitMix64 finalizer: scrambles `x` into a well-mixed 64-bit value.
-/// FNV-1a alone mixes low bits poorly for short inputs; running its
-/// output through this finalizer makes the result usable as a jitter
-/// fraction or bucket index.
-#[must_use]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Maps a 64-bit value to a uniform fraction in `[0, 1)` using the top
-/// 53 bits (the full precision of an `f64` mantissa).
-#[must_use]
-pub fn unit_fraction(x: u64) -> f64 {
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,20 +54,5 @@ mod tests {
         let whole = fnv1a(b"hello world");
         let split = fnv1a_continue(fnv1a(b"hello "), b"world");
         assert_eq!(whole, split);
-    }
-
-    #[test]
-    fn splitmix_is_a_bijection_sample() {
-        // Distinct inputs must keep distinct outputs (spot check).
-        let outs: std::collections::HashSet<u64> = (0..1000u64).map(splitmix64).collect();
-        assert_eq!(outs.len(), 1000);
-    }
-
-    #[test]
-    fn unit_fraction_stays_in_range() {
-        for x in [0, 1, u64::MAX, 0x8000_0000_0000_0000] {
-            let f = unit_fraction(splitmix64(x));
-            assert!((0.0..1.0).contains(&f), "{f}");
-        }
     }
 }

@@ -345,9 +345,6 @@ pub struct SearchStats {
     /// Times a worker parked with every shard empty — high values mean
     /// the search is starved for parallelism, not compute.
     pub parks: u64,
-    /// Stage attempts re-run by the pipeline's retry supervisor (zero for
-    /// plain solves — retries happen at the pipeline layer, not here).
-    pub retries: u64,
     /// Open nodes dropped by the memory watchdog (see [`MemoryBudget`]).
     pub nodes_shed: u64,
     /// Checkpoint snapshots durably written (see
@@ -380,7 +377,6 @@ impl SearchStats {
         self.steals += other.steals;
         self.donations += other.donations;
         self.parks += other.parks;
-        self.retries += other.retries;
         self.nodes_shed += other.nodes_shed;
         self.checkpoints += other.checkpoints;
         self.cache_hits += other.cache_hits;

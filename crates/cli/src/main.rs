@@ -22,13 +22,13 @@
 //! | code | meaning                                                        |
 //! |------|----------------------------------------------------------------|
 //! | 0    | success (search ran to proven optimality where applicable)     |
-//! | 2    | usage error (bad subcommand, flag, or argument)                |
+//! | 2    | usage error (unknown subcommand or flag, or a bad argument)    |
 //! | 3    | input error (unreadable file, malformed matrix or tree)        |
 //! | 4    | solver error (no feasible output could be produced)            |
 //! | 5    | incomplete but usable: a `--timeout` (or branch budget)        |
 //! |      | stopped the search early, `--max-open-nodes` shed frontier     |
-//! |      | nodes, or a pipeline stage degraded (retries exhausted); a     |
-//! |      | feasible tree was still printed                                |
+//! |      | nodes, or a pipeline stage degraded; a feasible tree was still |
+//! |      | printed                                                        |
 
 use std::io::Read;
 use std::path::PathBuf;
@@ -37,8 +37,8 @@ use std::time::Duration;
 
 use mutree_core::{
     leaf_words_for, plan_pipeline, plan_solver, solve_plan, BackendSpec, CheckpointPolicy,
-    EnvOverrides, MemoryBudget, MutError, RetryPolicy, SearchMode, SolvePlan, SolveReport,
-    SolveRequest, ThreeThree, TraceLevel, MAX_EXACT_TAXA,
+    EnvOverrides, MemoryBudget, MutError, SearchMode, SolvePlan, SolveReport, SolveRequest,
+    ThreeThree, TraceLevel, MAX_EXACT_TAXA,
 };
 use mutree_distmat::{io as mio, DistanceMatrix};
 use mutree_graph::CompactSets;
@@ -88,8 +88,8 @@ USAGE:
                [--resume FILE] [--cache]
         Exact minimum ultrametric tree via branch-and-bound.
   mutree fast <matrix.phy> [--threshold K] [--linkage max|min|avg] [--timeout SECS]
-               [--threads N] [--trace-search incumbents|all] [--retries N]
-               [--max-open-nodes N] [--cache]
+               [--threads N] [--trace-search incumbents|all] [--max-open-nodes N]
+               [--cache]
         Near-optimal tree via compact-set decomposition (the fast technique).
   mutree sets <matrix.phy>
         List the compact sets of the distance graph.
@@ -130,10 +130,6 @@ USAGE:
   written atomically, checksummed); --checkpoint-interval sets the branch
   period (default 512). --resume warm-starts from such a snapshot, so an
   interrupted run picks up its incumbent instead of restarting cold.
-
-  --retries re-attempts a panicked or errored pipeline stage up to N
-  times (with deterministic exponential backoff) before it degrades to
-  the agglomerative fallback.
 
   --cache enables the content-addressed group-solve cache: a solve whose
   canonical matrix bytes match a stored solve is answered from the cache
@@ -290,7 +286,70 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// The flags a subcommand reads, each with whether it takes a value.
+type Flags = &'static [(&'static str, bool)];
+
+const SOLVE_FLAGS: Flags = &[
+    ("--backend", true),
+    ("--all", false),
+    ("--33", true),
+    ("--timeout", true),
+    ("--threads", true),
+    ("--trace-search", true),
+    ("--max-open-nodes", true),
+    ("--checkpoint", true),
+    ("--checkpoint-interval", true),
+    ("--resume", true),
+    ("--cache", false),
+];
+const FAST_FLAGS: Flags = &[
+    ("--threshold", true),
+    ("--linkage", true),
+    ("--timeout", true),
+    ("--threads", true),
+    ("--trace-search", true),
+    ("--max-open-nodes", true),
+    ("--cache", false),
+    ("--inject-panic-taxa", true),
+];
+const HEUR_FLAGS: Flags = &[("--linkage", true)];
+const GEN_FLAGS: Flags = &[("--seed", true)];
+const SERVE_FLAGS: Flags = &[
+    ("--queue-depth", true),
+    ("--serve-workers", true),
+    ("--threads", true),
+    ("--no-cache", false),
+];
+const SEND_FLAGS: Flags = &[
+    ("--send", true),
+    ("--decompose", false),
+    ("--timeout", true),
+    ("--no-cache", false),
+];
+const DRAIN_FLAGS: Flags = &[("--drain", true)];
+
+/// Rejects any `--flag` the subcommand does not read: a mistyped or
+/// retired flag must not be silently ignored. A flag that takes a value
+/// consumes the argument after it, as [`flag_value`] does.
+fn check_flags(args: &[String], known: Flags) -> Result<(), CliError> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        match known.iter().find(|(flag, _)| flag == arg) {
+            Some((_, true)) => {
+                rest.next();
+            }
+            Some((_, false)) => {}
+            None => return Err(usage(format!("unknown flag {arg:?}"))),
+        }
+    }
+    Ok(())
+}
+
 fn solve(args: &[String]) -> Result<ExitCode, CliError> {
+    check_flags(args, SOLVE_FLAGS)?;
     let path = args
         .first()
         .ok_or_else(|| usage("solve needs a matrix file"))?;
@@ -380,11 +439,10 @@ fn solve(args: &[String]) -> Result<ExitCode, CliError> {
         "steals: {}  donations: {}  parks: {}",
         report.stats.steals, report.stats.donations, report.stats.parks
     );
-    // Supervision counters: watchdog sheds and checkpoint snapshots
-    // (retries only move for pipeline runs; printed for line parity).
+    // Supervision counters: watchdog sheds and checkpoint snapshots.
     println!(
-        "retries: {}  nodes shed: {}  checkpoints: {}",
-        report.stats.retries, report.stats.nodes_shed, report.stats.checkpoints
+        "nodes shed: {}  checkpoints: {}",
+        report.stats.nodes_shed, report.stats.checkpoints
     );
     print_cache_stats(&report);
     if let Some(sim) = &report.sim {
@@ -420,6 +478,7 @@ fn print_cache_stats(report: &SolveReport) {
 }
 
 fn fast(args: &[String]) -> Result<ExitCode, CliError> {
+    check_flags(args, FAST_FLAGS)?;
     let path = args
         .first()
         .ok_or_else(|| usage("fast needs a matrix file"))?;
@@ -440,13 +499,6 @@ fn fast(args: &[String]) -> Result<ExitCode, CliError> {
     req.timeout = parse_timeout(args)?;
     req.trace = parse_trace(args)?;
     req.memory = parse_memory_budget(args)?;
-    if let Some(retries) = parse_count(args, "--retries")? {
-        if retries > 0 {
-            let retries = u32::try_from(retries)
-                .map_err(|_| usage(format!("--retries value {retries} is too large")))?;
-            req.retry = Some(RetryPolicy::new().max_attempts(retries + 1));
-        }
-    }
     if let Some(threads) = parse_threads(args)? {
         // One shared pool for everything: the pipeline fans its stage
         // tasks out on it, and each stage's thread-parallel search
@@ -460,9 +512,10 @@ fn fast(args: &[String]) -> Result<ExitCode, CliError> {
     }
     let plan = SolvePlan::resolve(req, &EnvOverrides::none());
     // Undocumented test hook for the exit-code contract tests: makes
-    // every n-taxon stage solve panic, exercising the retry/degrade
-    // path. A request cannot express it, so this path assembles the
-    // pipeline from the plan's own building blocks instead.
+    // every n-taxon stage solve panic, exercising the degrade path (the
+    // stage falls back to UPGMM and the run exits 5). A request cannot
+    // express it, so this path assembles the pipeline from the plan's
+    // own building blocks instead.
     let report: SolveReport = match parse_count(args, "--inject-panic-taxa")? {
         Some(n) => plan_pipeline(&plan)
             .solver(plan_solver(&plan).panic_on_taxa(n as usize))
@@ -485,8 +538,8 @@ fn fast(args: &[String]) -> Result<ExitCode, CliError> {
         .collect();
     println!("groups: {}", groups.join(" "));
     println!(
-        "retries: {}  nodes shed: {}  checkpoints: {}",
-        report.stats.retries, report.stats.nodes_shed, report.stats.checkpoints
+        "nodes shed: {}  checkpoints: {}",
+        report.stats.nodes_shed, report.stats.checkpoints
     );
     print_cache_stats(&report);
     println!("{}", newick::to_newick_with(&report.tree, |t| m.label(t)));
@@ -513,6 +566,7 @@ fn fast(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn sets(args: &[String]) -> Result<ExitCode, CliError> {
+    check_flags(args, &[])?;
     let path = args
         .first()
         .ok_or_else(|| usage("sets needs a matrix file"))?;
@@ -535,6 +589,7 @@ fn sets(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn heur(args: &[String]) -> Result<ExitCode, CliError> {
+    check_flags(args, HEUR_FLAGS)?;
     let path = args
         .first()
         .ok_or_else(|| usage("heur needs a matrix file"))?;
@@ -552,6 +607,7 @@ fn heur(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn nj(args: &[String]) -> Result<ExitCode, CliError> {
+    check_flags(args, &[])?;
     let path = args
         .first()
         .ok_or_else(|| usage("nj needs a matrix file"))?;
@@ -564,6 +620,7 @@ fn nj(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn rf(args: &[String]) -> Result<ExitCode, CliError> {
+    check_flags(args, &[])?;
     let (pa, pb) = match args {
         [a, b, ..] => (a, b),
         _ => return Err(usage("rf needs two Newick files")),
@@ -596,6 +653,7 @@ fn rf(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn gen(args: &[String]) -> Result<ExitCode, CliError> {
+    check_flags(args, GEN_FLAGS)?;
     let family = args
         .first()
         .ok_or_else(|| usage("gen needs a family (random|hmdna)"))?;
@@ -633,6 +691,7 @@ fn serve(args: &[String]) -> Result<ExitCode, CliError> {
         return serve_send(args);
     }
     if args.iter().any(|a| a == "--drain") {
+        check_flags(args, DRAIN_FLAGS)?;
         let addr = flag_value(args, "--drain")
             .ok_or_else(|| usage("--drain requires the daemon's address"))?;
         let mut client = mutree_serve::Client::connect(addr)
@@ -646,6 +705,7 @@ fn serve(args: &[String]) -> Result<ExitCode, CliError> {
         );
         return Ok(ExitCode::SUCCESS);
     }
+    check_flags(args, SERVE_FLAGS)?;
     let addr = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -682,6 +742,7 @@ fn serve(args: &[String]) -> Result<ExitCode, CliError> {
 /// the same shape as the in-process subcommands (same exit-code
 /// contract: 0 complete, 5 incomplete-but-feasible).
 fn serve_send(args: &[String]) -> Result<ExitCode, CliError> {
+    check_flags(args, SEND_FLAGS)?;
     let addr =
         flag_value(args, "--send").ok_or_else(|| usage("--send requires the daemon's address"))?;
     let path = args
@@ -761,5 +822,73 @@ fn parse_linkage(spec: &str) -> Result<Linkage, CliError> {
         other => Err(usage(format!(
             "unknown linkage {other:?} (max | min | avg)"
         ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The flag table each `mutree ...` line of [`USAGE`] is checked
+    /// against, chosen by the words after `mutree`.
+    fn table_for(line: &str) -> Flags {
+        let mut words = line.split_whitespace().skip(1);
+        match (words.next(), words.next()) {
+            (Some("solve"), _) => SOLVE_FLAGS,
+            (Some("fast"), _) => FAST_FLAGS,
+            (Some("heur"), _) => HEUR_FLAGS,
+            (Some("gen"), _) => GEN_FLAGS,
+            (Some("serve"), Some("--send")) => SEND_FLAGS,
+            (Some("serve"), Some("--drain")) => DRAIN_FLAGS,
+            (Some("serve"), _) => SERVE_FLAGS,
+            _ => &[],
+        }
+    }
+
+    #[test]
+    fn every_flag_usage_lists_is_accepted_with_its_arity() {
+        let mut table: Flags = &[];
+        let mut seen = 0;
+        for line in USAGE.lines() {
+            let trimmed = line.trim_start();
+            if trimmed.starts_with("mutree ") && line.starts_with("  mutree") {
+                table = table_for(trimmed);
+            } else if !trimmed.starts_with('[') {
+                continue;
+            }
+            // Bracketed options: `[--flag]` or `[--flag VALUE]`.
+            for option in trimmed.split('[').skip(1) {
+                let option = option.split(']').next().unwrap();
+                let mut parts = option.split_whitespace();
+                let flag = parts.next().unwrap();
+                let takes_value = parts.next().is_some();
+                let args: Vec<String> = std::iter::once(flag)
+                    .chain(takes_value.then_some("1"))
+                    .map(String::from)
+                    .collect();
+                assert!(
+                    check_flags(&args, table).is_ok(),
+                    "{flag} is listed in USAGE but rejected"
+                );
+                assert_eq!(
+                    table.iter().find(|(f, _)| *f == flag).map(|&(_, v)| v),
+                    Some(takes_value),
+                    "{flag}: USAGE and the flag table disagree on its value"
+                );
+                seen += 1;
+            }
+        }
+        assert!(seen >= 25, "parsed only {seen} flags from USAGE");
+    }
+
+    #[test]
+    fn a_flag_value_is_never_read_as_a_flag() {
+        let args: Vec<String> = ["-", "--resume", "--cache", "--all"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert!(check_flags(&args, SOLVE_FLAGS).is_ok());
+        let err = check_flags(&args[..2], FAST_FLAGS).unwrap_err();
+        assert_eq!(err.message(), "unknown flag \"--resume\"");
     }
 }

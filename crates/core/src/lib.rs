@@ -73,7 +73,7 @@ pub use mutree_bnb::{
     SearchMode, SearchStats, StopReason, TraceLevel, WorkerPool,
 };
 // The bit-exact tree codec (checkpoints, cache payloads) and the shared
-// FNV/splitmix hash primitives live downstack; re-export them at their
+// FNV hash primitives live downstack; re-export them at their
 // historical paths.
 pub use mutree_bnb::hash;
 pub use mutree_tree::codec;
@@ -81,6 +81,6 @@ pub use mutree_tree::Linkage;
 // The engine spine: requests, plans, reports, and the group-solve cache.
 pub use mutree_engine::{
     BackendSpec, CacheOutcome, CacheProbe, CacheQuery, DegradeReason, DegradedGroup, EnvOverrides,
-    GroupCache, MatrixSource, RetryPolicy, SolveKind, SolvePlan, SolveReport, SolveRequest,
-    StageProvenance, StageTiming, ThreeThree, LEAF_WIDTHS,
+    GroupCache, MatrixSource, SolveKind, SolvePlan, SolveReport, SolveRequest, StageProvenance,
+    StageTiming, ThreeThree, LEAF_WIDTHS,
 };

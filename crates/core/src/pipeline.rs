@@ -41,15 +41,12 @@
 
 use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use mutree_bnb::StopReason;
 use mutree_distmat::DistanceMatrix;
-use mutree_engine::{
-    DegradeReason, DegradedGroup, GroupCache, RetryPolicy, StageProvenance, StageTiming,
-};
+use mutree_engine::{DegradeReason, DegradedGroup, GroupCache, StageProvenance, StageTiming};
 use mutree_graph::CompactSets;
 use mutree_tree::{cluster, Linkage, UltrametricTree};
 
@@ -119,12 +116,7 @@ pub struct CompactPipeline {
     solver: MutSolver,
     max_depth: usize,
     executor: Option<Executor>,
-    retry: Option<RetryPolicy>,
     cache: Option<Arc<GroupCache>>,
-    /// Remaining pipeline-wide retry budget for the current run. Shared
-    /// (via `Clone`) with the recursive meta pipelines of the same run;
-    /// re-armed by [`solve`](CompactPipeline::solve).
-    retry_budget: Arc<AtomicU32>,
 }
 
 impl Default for CompactPipeline {
@@ -145,9 +137,7 @@ impl CompactPipeline {
             solver: MutSolver::new(),
             max_depth: 8,
             executor: None,
-            retry: None,
             cache: None,
-            retry_budget: Arc::new(AtomicU32::new(0)),
         }
     }
 
@@ -189,14 +179,6 @@ impl CompactPipeline {
     /// The attached executor, if any.
     pub fn executor_handle(&self) -> Option<&Executor> {
         self.executor.as_ref()
-    }
-
-    /// Retries panicked or errored stage solves under `policy` before
-    /// they degrade down the fallback ladder. Off by default: without a
-    /// policy every failure degrades immediately, exactly as before.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
     }
 
     /// Caps the recursive condensed-solve depth (the meta matrix recurses
@@ -245,16 +227,10 @@ impl CompactPipeline {
     /// 256 with the widest monomorphized leaf bitset), and any error from
     /// the underlying solver.
     pub fn solve(&self, m: &DistanceMatrix) -> Result<PipelineSolution, MutError> {
-        // Re-arm the pipeline-wide retry budget for this run; the clone
-        // shares the armed counter with every recursive meta pipeline.
-        let mut run = self.clone();
-        run.retry_budget = Arc::new(AtomicU32::new(
-            run.retry.as_ref().map_or(0, |policy| policy.budget),
-        ));
-        let cache = run
+        let cache = self
             .cache
             .as_deref()
-            .zip(run.solver.cache_sig().map(|sig| run.pipeline_sig(sig)));
+            .zip(self.solver.cache_sig().map(|sig| self.pipeline_sig(sig)));
         let started = Instant::now();
         // A near hit cannot seed a decomposed run (the stage lookups seed
         // per group), so it counts as a plain miss.
@@ -262,7 +238,7 @@ impl CompactPipeline {
             cache,
             m,
             false,
-            |_| run.solve_at_depth(m, 0, ""),
+            |_| self.solve_at_depth(m, 0, ""),
             |sol| sol.is_complete().then_some((&sol.tree, sol.weight)),
         )?;
         let mut sol = match memo.answer {
@@ -272,7 +248,7 @@ impl CompactPipeline {
                 PipelineSolution {
                     tree,
                     weight,
-                    groups: cs.partition(run.threshold),
+                    groups: cs.partition(self.threshold),
                     stats: SearchStats::default(),
                     compact_sets: cs.len(),
                     stop: StopReason::Completed,
@@ -280,7 +256,6 @@ impl CompactPipeline {
                     timings: vec![StageTiming {
                         stage: "cached".to_string(),
                         seconds: started.elapsed().as_secs_f64(),
-                        attempts: 1,
                         provenance: StageProvenance::Cached,
                     }],
                 }
@@ -333,19 +308,10 @@ impl CompactPipeline {
             }
             let stage = format!("{prefix}whole");
             let started = Instant::now();
-            let st = solve_stage(
-                &self.task_solver(),
-                m,
-                None,
-                &stage,
-                self.retry.as_ref(),
-                &self.retry_budget,
-                self.cache.as_deref(),
-            );
+            let st = solve_stage(&self.task_solver(), m, None, &stage, self.cache.as_deref());
             let timings = vec![StageTiming {
                 stage,
                 seconds: started.elapsed().as_secs_f64(),
-                attempts: st.attempts,
                 provenance: st.provenance,
             }];
             let mut tree = st.tree;
@@ -397,8 +363,6 @@ impl CompactPipeline {
                     let solver = task_solver.clone();
                     let task_group = group.clone();
                     let task_stage = stage.clone();
-                    let retry = self.retry.clone();
-                    let budget = Arc::clone(&self.retry_budget);
                     let task_cache = self.cache.clone();
                     jobs.push(Box::new(move || {
                         let mut st = solve_stage(
@@ -406,8 +370,6 @@ impl CompactPipeline {
                             &sub,
                             Some(gi),
                             &task_stage,
-                            retry.as_ref(),
-                            &budget,
                             task_cache.as_deref(),
                         );
                         // Solver taxa are submatrix-relative; map back.
@@ -449,9 +411,6 @@ impl CompactPipeline {
                             })
                             .collect(),
                         timings: rec.timings,
-                        // The recursion's own stages carry their attempt
-                        // counts; the wrapping meta job made one "attempt".
-                        attempts: 1,
                         provenance: StageProvenance::Solved,
                     }
                 }))
@@ -459,8 +418,6 @@ impl CompactPipeline {
         } else {
             let solver = task_solver.clone();
             let task_stage = meta_stage.clone();
-            let retry = self.retry.clone();
-            let budget = Arc::clone(&self.retry_budget);
             let task_cache = self.cache.clone();
             jobs.push(Box::new(move || {
                 let st = solve_stage(
@@ -468,8 +425,6 @@ impl CompactPipeline {
                     &condensed,
                     None,
                     &task_stage,
-                    retry.as_ref(),
-                    &budget,
                     task_cache.as_deref(),
                 );
                 StageData::Meta(Ok(MetaOut {
@@ -478,7 +433,6 @@ impl CompactPipeline {
                     stop: st.stop,
                     degraded: st.degraded,
                     timings: Vec::new(),
-                    attempts: st.attempts,
                     provenance: st.provenance,
                 }))
             }));
@@ -498,12 +452,10 @@ impl CompactPipeline {
             let mut timing = StageTiming {
                 stage,
                 seconds: elapsed.as_secs_f64(),
-                attempts: 1,
                 provenance: StageProvenance::Solved,
             };
             subtrees[gi] = Some(match result {
                 Some(StageData::Group(st)) => {
-                    timing.attempts = st.attempts;
                     timing.provenance = st.provenance;
                     stats.merge(&st.stats);
                     stop = stop.worst(st.stop);
@@ -519,7 +471,6 @@ impl CompactPipeline {
                         group: Some(gi),
                         stage: timing.stage.clone(),
                         reason: DegradeReason::Panicked,
-                        attempts: 1,
                     });
                     let mut t = cluster(&m.submatrix(&groups[gi])?, Linkage::Maximum);
                     t.map_taxa(|local| groups[gi][local]);
@@ -540,7 +491,6 @@ impl CompactPipeline {
         timings.push(StageTiming {
             stage: meta_stage,
             seconds: meta_elapsed.as_secs_f64(),
-            attempts: meta.attempts,
             provenance: meta.provenance,
         });
         stats.merge(&meta.stats);
@@ -563,7 +513,6 @@ impl CompactPipeline {
         timings.push(StageTiming {
             stage: format!("{prefix}merge"),
             seconds: started.elapsed().as_secs_f64(),
-            attempts: 1,
             provenance: StageProvenance::Solved,
         });
 
@@ -586,7 +535,6 @@ struct StageTree {
     stats: SearchStats,
     stop: StopReason,
     degraded: Vec<DegradedGroup>,
-    attempts: u32,
     provenance: StageProvenance,
 }
 
@@ -598,7 +546,6 @@ struct MetaOut {
     stop: StopReason,
     degraded: Vec<DegradedGroup>,
     timings: Vec<StageTiming>,
-    attempts: u32,
     provenance: StageProvenance,
 }
 
@@ -625,12 +572,9 @@ enum StageData {
 /// meta/whole-matrix stages, and `stage` as the depth-qualified path) and
 /// folded into the returned `stop` reason.
 ///
-/// With a [`RetryPolicy`], a panicked or errored attempt is re-run (after
-/// the policy's deterministic backoff) *before* step 3's agglomerative
-/// fallback, as long as the per-stage attempt cap and the shared
-/// pipeline-wide `budget` both permit. Deterministic stops — deadline,
-/// cancellation, branch budget — are never retried. A retried stage that
-/// eventually succeeds reports its attempt count but is **not** degraded.
+/// Each stage is solved once. Every solve is deterministic, so a stage
+/// that panicked or errored would fail the same way again: it degrades
+/// straight to step 3.
 ///
 /// With a [`GroupCache`] and a cacheable solver
 /// ([`MutSolver::cache_sig`] returns `Some`), the stage probes the cache
@@ -644,8 +588,6 @@ fn solve_stage(
     sub: &DistanceMatrix,
     group: Option<usize>,
     stage: &str,
-    retry: Option<&RetryPolicy>,
-    budget: &AtomicU32,
     cache: Option<&GroupCache>,
 ) -> StageTree {
     let memo = memoized(
@@ -656,9 +598,9 @@ fn solve_stage(
             Ok::<_, Infallible>(match seed {
                 Some(tree) => {
                     let seeded = solver.clone().seed_incumbent(tree);
-                    attempt_stage(&seeded, sub, group, stage, retry, budget)
+                    attempt_stage(&seeded, sub, group, stage)
                 }
-                None => attempt_stage(solver, sub, group, stage, retry, budget),
+                None => attempt_stage(solver, sub, group, stage),
             })
         },
         // The tree is still submatrix-local here, matching the probe's
@@ -676,7 +618,6 @@ fn solve_stage(
             stats: memo.stats,
             stop: StopReason::Completed,
             degraded: Vec::new(),
-            attempts: 1,
             provenance: StageProvenance::Cached,
         },
         Answer::Solved((mut st, _)) => {
@@ -687,97 +628,60 @@ fn solve_stage(
     }
 }
 
-/// [`solve_stage`]'s attempt loop, without the cache: the stage tree plus
-/// its proven-optimal weight (`None` unless an attempt completed).
+/// [`solve_stage`] without the cache: one contained solve, degraded on
+/// any failure. Returns the stage tree plus its proven-optimal weight
+/// (`None` unless the solve completed).
 fn attempt_stage(
     solver: &MutSolver,
     sub: &DistanceMatrix,
     group: Option<usize>,
     stage: &str,
-    retry: Option<&RetryPolicy>,
-    budget: &AtomicU32,
 ) -> (StageTree, Option<f64>) {
-    let mut stats = SearchStats::default();
-    let mut stop = StopReason::Completed;
-    let mut degraded = Vec::new();
-    let mut attempts: u32 = 0;
-    let mut solved_weight = None;
-    let tree = 'tree: loop {
-        // Re-checked every attempt: a deadline or cancellation that fires
-        // during backoff must not trigger another doomed solve.
-        if let Some(reason) = solver.stop_requested() {
-            stop = stop.worst(reason);
-            degraded.push(DegradedGroup {
-                group,
-                stage: stage.to_string(),
-                reason: DegradeReason::Stopped(reason),
-                attempts: attempts.max(1),
-            });
-            break 'tree cluster(sub, Linkage::Maximum);
-        }
-        attempts += 1;
-        let reason = match catch_unwind(AssertUnwindSafe(|| solver.solve(sub))) {
-            Ok(Ok(sol)) => {
-                stats.merge(&sol.stats);
-                if !sol.stop.is_complete() {
-                    stop = stop.worst(sol.stop);
-                    degraded.push(DegradedGroup {
-                        group,
-                        stage: stage.to_string(),
-                        reason: DegradeReason::Stopped(sol.stop),
-                        attempts,
-                    });
-                } else {
-                    solved_weight = Some(sol.weight);
-                }
-                break 'tree sol.tree;
-            }
-            // Stopped before any incumbent existed (UPGMM disabled):
-            // same deal as an early stop, minus a usable incumbent.
-            Ok(Err(MutError::Interrupted { reason })) => {
-                stop = stop.worst(reason);
-                DegradeReason::Stopped(reason)
-            }
-            Ok(Err(e)) => DegradeReason::Error(e.to_string()),
-            Err(_) => DegradeReason::Panicked,
-        };
-        // Panics and solver errors may be transient; deterministic stops
-        // are not. Retry the former — under both the per-stage cap and
-        // the pipeline-wide budget — before degrading.
-        if matches!(reason, DegradeReason::Panicked | DegradeReason::Error(_)) {
-            if let Some(policy) = retry {
-                let budgeted = || {
-                    budget
-                        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| b.checked_sub(1))
-                        .is_ok()
-                };
-                if attempts < policy.max_attempts && budgeted() {
-                    std::thread::sleep(policy.backoff(stage, attempts));
-                    continue;
-                }
-            }
-        }
-        if matches!(reason, DegradeReason::Panicked) {
-            stop = stop.worst(StopReason::WorkerPanicked);
-        }
-        degraded.push(DegradedGroup {
+    let degraded = |reason| {
+        vec![DegradedGroup {
             group,
             stage: stage.to_string(),
             reason,
-            attempts,
-        });
-        break 'tree cluster(sub, Linkage::Maximum);
+        }]
     };
-    stats.retries += u64::from(attempts.saturating_sub(1));
+    let reason = match solver.stop_requested() {
+        Some(reason) => DegradeReason::Stopped(reason),
+        None => match catch_unwind(AssertUnwindSafe(|| solver.solve(sub))) {
+            Ok(Ok(sol)) => {
+                let complete = sol.stop.is_complete();
+                let st = StageTree {
+                    tree: sol.tree,
+                    stats: sol.stats,
+                    stop: sol.stop,
+                    degraded: if complete {
+                        Vec::new()
+                    } else {
+                        degraded(DegradeReason::Stopped(sol.stop))
+                    },
+                    provenance: StageProvenance::Solved,
+                };
+                return (st, complete.then_some(sol.weight));
+            }
+            // Stopped before any incumbent existed (UPGMM disabled):
+            // same deal as an early stop, minus a usable incumbent.
+            Ok(Err(MutError::Interrupted { reason })) => DegradeReason::Stopped(reason),
+            Ok(Err(e)) => DegradeReason::Error(e.to_string()),
+            Err(_) => DegradeReason::Panicked,
+        },
+    };
+    let stop = match reason {
+        DegradeReason::Stopped(reason) => reason,
+        DegradeReason::Panicked => StopReason::WorkerPanicked,
+        DegradeReason::Error(_) => StopReason::Completed,
+    };
     let st = StageTree {
-        tree,
-        stats,
+        tree: cluster(sub, Linkage::Maximum),
+        stats: SearchStats::default(),
         stop,
-        degraded,
-        attempts: attempts.max(1),
+        degraded: degraded(reason),
         provenance: StageProvenance::Solved,
     };
-    (st, solved_weight)
+    (st, None)
 }
 
 /// Builds the condensed matrix: entry `(a, b)` is the maximum / minimum /
@@ -822,7 +726,6 @@ mod tests {
     use mutree_distmat::gen;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::time::Duration;
 
     /// The 6-taxon compact-structured instance from the graph crate tests.
     fn structured6() -> DistanceMatrix {
@@ -1067,136 +970,38 @@ mod tests {
     }
 
     #[test]
-    fn retried_stage_that_recovers_is_not_degraded() {
+    fn panicked_stage_falls_back_to_the_upgmm_tree() {
         let m = structured6();
         // threshold(4) splits structured6 into {0,1,2,4} and {3,5}: only
-        // the 4-taxon group solve hits the fueled fault. Two units of
-        // fuel, three attempts per stage: both panics are retried away
-        // and the third attempt succeeds.
-        let solver = MutSolver::new().panic_on_taxa_times(4, 2);
+        // the 4-taxon group solve hits the injected fault.
+        let sub = m.submatrix(&[0, 1, 2, 4]).unwrap();
+        let solver = MutSolver::new().panic_on_taxa(4);
+        let (st, weight) = attempt_stage(&solver, &sub, Some(0), "group 0");
+        let upgmm = cluster(&sub, Linkage::Maximum);
+        assert_eq!(
+            mutree_tree::codec::encode_tree(&st.tree),
+            mutree_tree::codec::encode_tree(&upgmm)
+        );
+        assert_eq!(weight, None);
+        assert_eq!(st.stop, StopReason::WorkerPanicked);
+        assert_eq!(
+            st.degraded,
+            vec![DegradedGroup {
+                group: Some(0),
+                stage: "group 0".to_string(),
+                reason: DegradeReason::Panicked,
+            }]
+        );
+        // The whole pipeline degrades that one stage and nothing else.
         let pipe = CompactPipeline::new()
             .threshold(4)
             .solver(solver)
-            .retry(RetryPolicy::new().base_backoff(Duration::from_micros(100)))
             .solve(&m)
             .unwrap();
-        assert!(pipe.is_complete(), "degraded: {:?}", pipe.degraded);
-        assert_eq!(pipe.stop, StopReason::Completed);
+        assert_eq!(pipe.stop, StopReason::WorkerPanicked);
+        assert_eq!(pipe.degraded.len(), 1);
+        assert_eq!(pipe.degraded[0].reason, DegradeReason::Panicked);
         assert!(pipe.tree.is_feasible_for(&m, 1e-9));
-        assert_eq!(pipe.stats.retries, 2, "both injected panics retried");
-        let extra: u32 = pipe.timings.iter().map(|t| t.attempts - 1).sum();
-        assert_eq!(extra, 2, "timings carry the attempt counts");
-        // And the result matches a fault-free run.
-        let clean = CompactPipeline::new().threshold(4).solve(&m).unwrap();
-        assert!((pipe.weight - clean.weight).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exhausted_attempts_degrade_exactly_like_no_retry() {
-        let m = structured6();
-        let faulty = || MutSolver::new().panic_on_taxa(4);
-        let with_retry = CompactPipeline::new()
-            .threshold(4)
-            .solver(faulty())
-            .retry(
-                RetryPolicy::new()
-                    .max_attempts(2)
-                    .base_backoff(Duration::from_micros(100)),
-            )
-            .solve(&m)
-            .unwrap();
-        let without = CompactPipeline::new()
-            .threshold(4)
-            .solver(faulty())
-            .solve(&m)
-            .unwrap();
-        // Same fallback trees, same degradation records (bar the attempt
-        // counts), same worst stop.
-        assert!((with_retry.weight - without.weight).abs() < 1e-9);
-        assert_eq!(with_retry.stop, StopReason::WorkerPanicked);
-        assert_eq!(with_retry.degraded.len(), without.degraded.len());
-        for (a, b) in with_retry.degraded.iter().zip(&without.degraded) {
-            assert_eq!(a.stage, b.stage);
-            assert_eq!(a.reason, b.reason);
-            assert_eq!(a.attempts, 2, "retry policy spent its attempt cap");
-            assert_eq!(b.attempts, 1, "no policy means a single attempt");
-        }
-        assert!(with_retry.tree.is_feasible_for(&m, 1e-9));
-    }
-
-    #[test]
-    fn retry_budget_caps_total_pipeline_retries() {
-        let m = structured6();
-        // Permanent fault, generous per-stage cap, but only one retry in
-        // the whole pipeline's budget.
-        let pipe = CompactPipeline::new()
-            .threshold(4)
-            .solver(MutSolver::new().panic_on_taxa(4))
-            .retry(
-                RetryPolicy::new()
-                    .max_attempts(5)
-                    .budget(1)
-                    .base_backoff(Duration::from_micros(100)),
-            )
-            .solve(&m)
-            .unwrap();
-        assert_eq!(pipe.stats.retries, 1, "budget bounds retries, not stages");
-        assert!(pipe.tree.is_feasible_for(&m, 1e-9));
-    }
-
-    #[test]
-    fn retry_runs_are_deterministic() {
-        let m = structured6();
-        let run = || {
-            CompactPipeline::new()
-                .threshold(4)
-                .solver(MutSolver::new().panic_on_taxa(4))
-                .retry(
-                    RetryPolicy::new()
-                        .seed(42)
-                        .base_backoff(Duration::from_micros(100)),
-                )
-                .solve(&m)
-                .unwrap()
-        };
-        let a = run();
-        let b = run();
-        assert!((a.weight - b.weight).abs() < 1e-12);
-        assert_eq!(a.degraded, b.degraded);
-        assert_eq!(a.stats.retries, b.stats.retries);
-    }
-
-    #[test]
-    fn stopped_outcomes_are_never_retried() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let m = gen::perturbed_ultrametric(16, 70.0, 0.08, &mut rng);
-        // Budget exhaustion is deterministic: re-running would stop at the
-        // same branch count, so the policy must not burn retries on it.
-        let pipe = CompactPipeline::new()
-            .threshold(6)
-            .solver(MutSolver::new().without_upgmm().max_branches(0))
-            .retry(RetryPolicy::new())
-            .solve(&m)
-            .unwrap();
-        assert_eq!(pipe.stats.retries, 0);
-        assert!(pipe
-            .degraded
-            .iter()
-            .all(|d| d.attempts == 1 && matches!(d.reason, DegradeReason::Stopped(_))));
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_exponential() {
-        let p = RetryPolicy::new()
-            .seed(7)
-            .base_backoff(Duration::from_millis(2));
-        assert_eq!(p.backoff("group 1", 1), p.backoff("group 1", 1));
-        assert_ne!(p.backoff("group 1", 1), p.backoff("group 2", 1));
-        for attempt in 1..4 {
-            let d = p.backoff("meta", attempt);
-            let base = Duration::from_millis(2) * (1 << (attempt - 1));
-            assert!(d >= base / 2 && d <= base, "attempt {attempt}: {d:?}");
-        }
     }
 
     #[test]

@@ -226,9 +226,6 @@ fn pipeline_with_solver(
         .linkage(req.linkage)
         .max_depth(req.max_depth)
         .solver(solver);
-    if let Some(policy) = &req.retry {
-        p = p.retry(policy.clone());
-    }
     if let Some(exec) = shared {
         p = p.executor(exec.clone());
     } else if let Some(threads) = req.threads {
@@ -312,7 +309,6 @@ pub fn solve_plan_hooked(plan: &SolvePlan, hooks: &SolveHooks) -> Result<SolveRe
             report.timings = vec![StageTiming {
                 stage: stage.to_string(),
                 seconds: started.elapsed().as_secs_f64(),
-                attempts: 1,
                 provenance: memo.provenance,
             }];
             report.leaf_words = leaf_words;

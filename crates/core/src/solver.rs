@@ -1,5 +1,4 @@
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -102,7 +101,6 @@ pub struct MutSolver {
     executor: Option<Executor>,
     trace: Option<LoggingObserver>,
     panic_on_taxa: Option<usize>,
-    panic_fuel: Option<(usize, Arc<AtomicU64>)>,
     leaf_words: Option<usize>,
     memory: Option<MemoryBudget>,
     checkpoint: Option<CheckpointPolicy>,
@@ -133,7 +131,6 @@ impl MutSolver {
             executor: None,
             trace: None,
             panic_on_taxa: None,
-            panic_fuel: None,
             leaf_words: None,
             memory: None,
             checkpoint: None,
@@ -305,17 +302,6 @@ impl MutSolver {
         self
     }
 
-    /// Test-only fault injection with *fuel*: the first `times` solves of
-    /// an `n`-taxon matrix panic, later ones succeed. The fuel counter is
-    /// shared across clones of this solver — exactly what a pipeline
-    /// stage sees — so retry tests can fail a stage a fixed number of
-    /// times and then let it recover.
-    #[doc(hidden)]
-    pub fn panic_on_taxa_times(mut self, n: usize, times: u64) -> Self {
-        self.panic_fuel = Some((n, Arc::new(AtomicU64::new(times))));
-        self
-    }
-
     /// Forces the leaf-bitset width to `words` 64-bit words (one of
     /// [`LEAF_WIDTHS`]) instead of the narrowest fit for the matrix. A
     /// forced width narrower than the matrix needs is ignored. The
@@ -393,8 +379,7 @@ impl MutSolver {
             && self.checkpoint.is_none()
             && self.resume.is_none()
             && self.trace.is_none()
-            && self.panic_on_taxa.is_none()
-            && self.panic_fuel.is_none();
+            && self.panic_on_taxa.is_none();
         if !unconstrained {
             return None;
         }
@@ -464,15 +449,6 @@ impl MutSolver {
         let n = m.len();
         if self.panic_on_taxa == Some(n) {
             panic!("injected fault: {n}-taxon solve");
-        }
-        if let Some((taxa, fuel)) = &self.panic_fuel {
-            if *taxa == n
-                && fuel
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |f| f.checked_sub(1))
-                    .is_ok()
-            {
-                panic!("injected fault: {n}-taxon solve (fueled)");
-            }
         }
 
         // Step 1: maxmin relabeling. When the permutation is the identity

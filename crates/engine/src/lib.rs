@@ -6,7 +6,7 @@
 //!
 //! 1. [`SolveRequest`] — an owned, serializable description of *what* to
 //!    solve: the matrix (inline or a PHYLIP path) plus every knob (mode,
-//!    budget, deadline, threads, forced leaf width, retry / checkpoint /
+//!    budget, deadline, threads, forced leaf width, checkpoint and
 //!    memory policies, pipeline depth and threshold). Nothing in a
 //!    request depends on the process environment. Its `tol` is only the
 //!    tolerance a caller checks answers against: the search and the
@@ -28,7 +28,7 @@
 //! ones.
 //!
 //! The [`wire`] module carries the spine over a socket: the
-//! `mutree-report v1` codec serializes a [`SolveReport`] in the same
+//! `mutree-report v2` codec serializes a [`SolveReport`] in the same
 //! bit-exact line style as the request codec, and [`ServeError`] is the
 //! structured error frame the `mutree serve` daemon answers with when a
 //! request is shed, malformed, cancelled or failed.
@@ -47,7 +47,6 @@ pub use cache::{CacheOutcome, CacheProbe, CacheQuery, GroupCache};
 pub use plan::{EnvOverrides, SolvePlan};
 pub use report::{DegradeReason, DegradedGroup, SolveReport, StageProvenance, StageTiming};
 pub use request::{
-    BackendSpec, MatrixSource, RequestError, RetryPolicy, SolveKind, SolveRequest, ThreeThree,
-    LEAF_WIDTHS,
+    BackendSpec, MatrixSource, RequestError, SolveKind, SolveRequest, ThreeThree, LEAF_WIDTHS,
 };
 pub use wire::{ReportError, ServeError, ServeErrorCode};

@@ -80,10 +80,6 @@ pub struct DegradedGroup {
     pub stage: String,
     /// What happened.
     pub reason: DegradeReason,
-    /// How many solve attempts the stage made before degrading (1 when
-    /// no [`RetryPolicy`](crate::RetryPolicy) was configured or the first
-    /// attempt's outcome was non-retryable).
-    pub attempts: u32,
 }
 
 /// Wall-clock time one pipeline stage took.
@@ -92,13 +88,8 @@ pub struct StageTiming {
     /// Depth-qualified stage path (same scheme as
     /// [`DegradedGroup::stage`]), plus `merge` for the join stage.
     pub stage: String,
-    /// Seconds the stage ran for (including any retry backoff).
+    /// Seconds the stage ran for.
     pub seconds: f64,
-    /// Solve attempts the stage made (1 unless a
-    /// [`RetryPolicy`](crate::RetryPolicy) re-attempted a panicked or
-    /// errored solve). Always 1 for the `merge` join, which is not a
-    /// solve.
-    pub attempts: u32,
     /// Whether the stage's tree was solved live, answered from the
     /// group-solve cache, or warm-seeded by it.
     pub provenance: StageProvenance,

@@ -48,93 +48,6 @@ pub enum ThreeThree {
     Full,
 }
 
-/// Retry-with-backoff for faulted pipeline stages.
-///
-/// A stage whose exact solve **panics** or **errors** may be transient
-/// (a poisoned worker thread, a flaky filesystem under a checkpoint); the
-/// pipeline can re-attempt it before dropping down the degradation
-/// ladder. Deterministic stops — deadline, cancellation, branch budget —
-/// are *never* retried: re-running them would fail identically and burn
-/// wall-clock the caller bounded on purpose.
-///
-/// Backoff between attempts is exponential with deterministic jitter:
-/// attempt `a` of stage `s` sleeps
-/// `base·2^(a−1) · (0.5 + 0.5·u(seed, s, a))` where `u` hashes the seed,
-/// the stage path and the attempt number — so a given configuration
-/// retries at identical times on every run, and no two stages thundering
-/// herd on the same schedule.
-///
-/// Retries are bounded twice: [`max_attempts`](RetryPolicy::max_attempts)
-/// per stage, and [`budget`](RetryPolicy::budget) total retries per
-/// pipeline run (shared across all stages, including recursive meta
-/// solves), so a systematically broken solver cannot multiply work
-/// unboundedly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts allowed per stage, including the first (≥ 1).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles each further attempt
-    /// (capped at 64× to keep sleeps sane).
-    pub base_backoff: Duration,
-    /// Seed for the deterministic backoff jitter.
-    pub seed: u64,
-    /// Total retries (not attempts) the whole pipeline run may spend.
-    pub budget: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::new()
-    }
-}
-
-impl RetryPolicy {
-    /// Three attempts per stage, 1 ms base backoff, a 32-retry pipeline
-    /// budget.
-    pub fn new() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-            seed: 0,
-            budget: 32,
-        }
-    }
-
-    /// Sets the per-stage attempt cap (clamped up to 1).
-    pub fn max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
-    /// Sets the base backoff duration.
-    pub fn base_backoff(mut self, base: Duration) -> Self {
-        self.base_backoff = base;
-        self
-    }
-
-    /// Sets the jitter seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the pipeline-wide retry budget.
-    pub fn budget(mut self, budget: u32) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// The deterministic backoff before retrying `stage` after `attempt`
-    /// failed attempts.
-    pub fn backoff(&self, stage: &str, attempt: u32) -> Duration {
-        let exp = attempt.saturating_sub(1).min(6);
-        let base = self.base_backoff.saturating_mul(1 << exp);
-        let h = mutree_bnb::hash::fnv1a(stage.as_bytes());
-        let z = mutree_bnb::hash::splitmix64(h ^ self.seed ^ u64::from(attempt));
-        base.mul_f64(0.5 + 0.5 * mutree_bnb::hash::unit_fraction(z))
-    }
-}
-
 /// Leaf-bitset widths (in 64-bit words) the exact search is
 /// monomorphized for, narrowest first. Each width `K` handles up to
 /// `64·K` taxa; the solver dispatches to the narrowest fit, and a
@@ -220,8 +133,6 @@ pub struct SolveRequest {
     pub checkpoint: Option<CheckpointPolicy>,
     /// Warm-start from a checkpoint written by a previous run.
     pub resume: Option<PathBuf>,
-    /// Retry faulted pipeline stages before degrading.
-    pub retry: Option<RetryPolicy>,
     /// Largest group the pipeline solves exactly.
     pub threshold: usize,
     /// Condensed-matrix linkage.
@@ -259,7 +170,6 @@ impl SolveRequest {
             memory: None,
             checkpoint: None,
             resume: None,
-            retry: None,
             threshold: 12,
             linkage: Linkage::Maximum,
             max_depth: 8,
@@ -387,16 +297,6 @@ impl SolveRequest {
         }
         if let Some(p) = &self.resume {
             writeln!(out, "resume {}", p.display())?;
-        }
-        if let Some(r) = &self.retry {
-            writeln!(
-                out,
-                "retry {} {} {} {}",
-                r.max_attempts,
-                r.base_backoff.as_nanos(),
-                r.seed,
-                r.budget
-            )?;
         }
         writeln!(out, "threshold {}", self.threshold)?;
         writeln!(
@@ -591,28 +491,6 @@ impl SolveRequest {
                     req.checkpoint = Some(CheckpointPolicy::new(path).interval(interval));
                 }
                 "resume" => req.resume = Some(PathBuf::from(rest)),
-                "retry" => {
-                    let parts: Vec<&str> = rest.split_whitespace().collect();
-                    let [attempts, backoff_ns, seed, budget] = parts[..] else {
-                        return Err(fail(ln, format!("bad retry spec {rest:?}")));
-                    };
-                    let num = |tok: &str| -> Result<u64, RequestError> {
-                        tok.parse()
-                            .map_err(|_| fail(ln, format!("bad retry field {tok:?}")))
-                    };
-                    // Attempt caps and budgets are `u32`: reject, never wrap.
-                    let count = |tok: &str| -> Result<u32, RequestError> {
-                        u32::try_from(num(tok)?)
-                            .map_err(|_| fail(ln, format!("retry field {tok:?} overflows u32")))
-                    };
-                    req.retry = Some(
-                        RetryPolicy::new()
-                            .max_attempts(count(attempts)?)
-                            .base_backoff(Duration::from_nanos(num(backoff_ns)?))
-                            .seed(num(seed)?)
-                            .budget(count(budget)?),
-                    );
-                }
                 "threshold" => {
                     req.threshold = usize_arg()?;
                     if req.threshold < 2 {
@@ -775,7 +653,6 @@ mod tests {
         req.memory = Some(MemoryBudget::new(9999));
         req.checkpoint = Some(CheckpointPolicy::new("/tmp/ck pt.bin").interval(64));
         req.resume = Some(PathBuf::from("/tmp/old.ckpt"));
-        req.retry = Some(RetryPolicy::new().max_attempts(5).seed(7).budget(11));
         req.threshold = 6;
         req.linkage = Linkage::Average;
         req.max_depth = 3;
@@ -900,7 +777,9 @@ mod tests {
     #[test]
     fn retired_search_knobs_are_rejected() {
         // Every request encoded before the node order was fixed carries
-        // this line; it still decodes.
+        // this line; it still decodes. The line that asked for stage
+        // re-runs is gone (a failed deterministic stage fails again), so
+        // it is refused.
         let old = "mutree-request v1\nstrategy depth-first\nmatrix phylip x.phy\n";
         assert!(SolveRequest::decode(old).is_ok());
         for (line, message) in [
@@ -908,6 +787,10 @@ mod tests {
             (
                 concat!("frontier", "-shards 8"),
                 concat!("unknown keyword \"frontier", "-shards\""),
+            ),
+            (
+                concat!("re", "try 3 0 0 1"),
+                concat!("unknown keyword \"re", "try\""),
             ),
         ] {
             let text = format!("mutree-request v1\nmode best-one\n{line}\nmatrix phylip x.phy\n");
@@ -954,27 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_counts_overflowing_u32_are_rejected() {
-        // An `as u32` cast would wrap 2^32 + 1 attempts to one.
-        for (spec, field) in [
-            ("4294967297 0 0 0", "4294967297"),
-            ("3 0 0 4294967296", "4294967296"),
-        ] {
-            let text = format!("mutree-request v1\nmode best-one\nretry {spec}\n");
-            let err = SolveRequest::decode(&text).unwrap_err();
-            assert_eq!(err.line, 3, "{spec}");
-            assert_eq!(
-                err.message,
-                format!("retry field \"{field}\" overflows u32")
-            );
-        }
-        let text = "mutree-request v1\nretry 4294967295 0 0 4294967295\nmatrix phylip x.phy\n";
-        let policy = SolveRequest::decode(text).unwrap().retry.unwrap();
-        assert_eq!(policy.max_attempts, u32::MAX);
-        assert_eq!(policy.budget, u32::MAX);
-    }
-
-    #[test]
     fn thresholds_below_two_and_unsupported_leaf_widths_are_rejected() {
         for (line, message) in [
             ("threshold 0", "threshold must be at least 2".to_string()),
@@ -1002,20 +864,6 @@ mod tests {
         for words in LEAF_WIDTHS {
             let text = format!("mutree-request v1\nleaf-words {words}\nmatrix phylip x.phy\n");
             assert_eq!(SolveRequest::decode(&text).unwrap().leaf_words, Some(words));
-        }
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_exponential() {
-        let p = RetryPolicy::new()
-            .seed(7)
-            .base_backoff(Duration::from_millis(2));
-        assert_eq!(p.backoff("group 1", 1), p.backoff("group 1", 1));
-        assert_ne!(p.backoff("group 1", 1), p.backoff("group 2", 1));
-        for attempt in 1..4 {
-            let d = p.backoff("meta", attempt);
-            let base = Duration::from_millis(2) * (1 << (attempt - 1));
-            assert!(d >= base / 2 && d <= base, "attempt {attempt}: {d:?}");
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Wire codecs for the serve daemon: `mutree-report v1` and
+//! Wire codecs for the serve daemon: `mutree-report v2` and
 //! `mutree-error v1`.
 //!
 //! The daemon (`crates/serve`) carries the existing [`SolveRequest`]
@@ -9,6 +9,11 @@
 //! identical** to the one the server computed: weights, per-stage
 //! seconds, tree heights, search statistics, stop reasons and
 //! degradation provenance all survive the round trip exactly.
+//!
+//! Version 2 dropped one `stat` counter and the per-stage count column
+//! of every `timing` and `degraded` line that v1 carried: each stage is
+//! solved once, so those counts were constant. A v1 document fails on
+//! its header.
 //!
 //! Trees ride along as the hex of the checkpoint byte codec
 //! ([`mutree_tree::codec`]), which already guarantees bit-exact heights
@@ -38,13 +43,13 @@ use crate::report::{DegradeReason, DegradedGroup, SolveReport, StageProvenance, 
 /// [`SolveRequest::encode`](crate::SolveRequest::encode)).
 pub const REQUEST_HEADER: &str = "mutree-request v1";
 /// First line of every serialized report.
-pub const REPORT_HEADER: &str = "mutree-report v1";
+pub const REPORT_HEADER: &str = "mutree-report v2";
 /// First line of every serialized error frame.
 pub const ERROR_HEADER: &str = "mutree-error v1";
 /// Payload a client sends to ask the daemon for a graceful drain.
 pub const SHUTDOWN_HEADER: &str = "mutree-shutdown v1";
 
-/// A malformed `mutree-report v1` document.
+/// A malformed `mutree-report v2` document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReportError {
     /// 1-based line number of the offending line.
@@ -105,7 +110,7 @@ fn parse_provenance(tok: &str) -> Option<StageProvenance> {
 /// wire; a new counter appended here stays decodable by older readers
 /// because unknown `stat` names are an explicit decode error (the codec
 /// is versioned, not sloppy) while *missing* ones default to zero.
-const STAT_FIELDS: [&str; 16] = [
+const STAT_FIELDS: [&str; 15] = [
     "branched",
     "pruned",
     "propagation-pruned",
@@ -115,7 +120,6 @@ const STAT_FIELDS: [&str; 16] = [
     "steals",
     "donations",
     "parks",
-    "retries",
     "nodes-shed",
     "checkpoints",
     "cache-hits",
@@ -124,7 +128,7 @@ const STAT_FIELDS: [&str; 16] = [
     "cache-poisoned",
 ];
 
-fn stat_values(s: &SearchStats) -> [u64; 16] {
+fn stat_values(s: &SearchStats) -> [u64; 15] {
     [
         s.branched,
         s.pruned,
@@ -135,7 +139,6 @@ fn stat_values(s: &SearchStats) -> [u64; 16] {
         s.steals,
         s.donations,
         s.parks,
-        s.retries,
         s.nodes_shed,
         s.checkpoints,
         s.cache_hits,
@@ -156,7 +159,6 @@ fn set_stat(s: &mut SearchStats, name: &str, v: u64) -> bool {
         "steals" => s.steals = v,
         "donations" => s.donations = v,
         "parks" => s.parks = v,
-        "retries" => s.retries = v,
         "nodes-shed" => s.nodes_shed = v,
         "checkpoints" => s.checkpoints = v,
         "cache-hits" => s.cache_hits = v,
@@ -181,7 +183,7 @@ fn push_flat(out: &mut String, text: &str) {
 }
 
 impl SolveReport {
-    /// Serializes the report to its `mutree-report v1` line form.
+    /// Serializes the report to its `mutree-report v2` line form.
     ///
     /// Everything except `sim` crosses the wire (see the module docs);
     /// [`decode`](SolveReport::decode) reproduces the same report to the
@@ -227,12 +229,7 @@ impl SolveReport {
             }
         }
         for t in &self.timings {
-            write!(
-                out,
-                "timing {} {} ",
-                t.attempts,
-                provenance_token(t.provenance)
-            )?;
+            write!(out, "timing {} ", provenance_token(t.provenance))?;
             hex::push_u64(out, t.seconds.to_bits());
             out.push(' ');
             push_flat(out, &t.stage);
@@ -240,8 +237,8 @@ impl SolveReport {
         }
         for d in &self.degraded {
             match d.group {
-                Some(g) => write!(out, "degraded {g} {} ", d.attempts)?,
-                None => write!(out, "degraded - {} ", d.attempts)?,
+                Some(g) => write!(out, "degraded {g} ")?,
+                None => out.push_str("degraded - "),
             }
             match &d.reason {
                 DegradeReason::Stopped(r) => write!(out, "stopped {}", stop_token(*r))?,
@@ -379,11 +376,7 @@ impl SolveReport {
                     list.push(taxa);
                 }
                 "timing" => {
-                    let mut toks = rest.splitn(4, ' ');
-                    let attempts = toks
-                        .next()
-                        .and_then(|t| t.parse::<u32>().ok())
-                        .ok_or_else(|| fail(ln, format!("timing: bad attempts in {rest:?}")))?;
+                    let mut toks = rest.splitn(3, ' ');
                     let provenance = toks
                         .next()
                         .and_then(parse_provenance)
@@ -393,12 +386,11 @@ impl SolveReport {
                     timings.push(StageTiming {
                         stage,
                         seconds,
-                        attempts,
                         provenance,
                     });
                 }
                 "degraded" => {
-                    let mut toks = rest.splitn(3, ' ');
+                    let mut toks = rest.splitn(2, ' ');
                     let group = match toks.next() {
                         Some("-") => None,
                         Some(g) => Some(
@@ -407,10 +399,6 @@ impl SolveReport {
                         ),
                         None => return Err(fail(ln, "degraded: missing group".to_string())),
                     };
-                    let attempts = toks
-                        .next()
-                        .and_then(|t| t.parse::<u32>().ok())
-                        .ok_or_else(|| fail(ln, format!("degraded: bad attempts in {rest:?}")))?;
                     let reason = match toks.next().map(|r| r.split_once(' ').unwrap_or((r, ""))) {
                         Some(("stopped", tok)) => {
                             DegradeReason::Stopped(parse_stop(tok.trim()).ok_or_else(|| {
@@ -427,7 +415,6 @@ impl SolveReport {
                         group,
                         stage: String::new(),
                         reason,
-                        attempts,
                     });
                     stage_pending = true;
                 }
@@ -651,19 +638,16 @@ mod tests {
                     group: Some(3),
                     stage: "meta[1]/group 0".to_string(),
                     reason: DegradeReason::Stopped(StopReason::Cancelled),
-                    attempts: 2,
                 },
                 DegradedGroup {
                     group: None,
                     stage: "meta".to_string(),
                     reason: DegradeReason::Error("solver error: bad matrix".to_string()),
-                    attempts: 1,
                 },
             ],
             timings: vec![StageTiming {
                 stage: "group 0".to_string(),
                 seconds: 0.001953125,
-                attempts: 3,
                 provenance: StageProvenance::WarmSeeded,
             }],
             groups: Some(vec![vec![0, 1], vec![2, 3, 4], vec![]]),
@@ -694,8 +678,10 @@ mod tests {
 
     #[test]
     fn header_is_mandatory() {
-        let err = SolveReport::decode("mutree-report v2\nweight 0\n").unwrap_err();
-        assert_eq!(err.line, 1);
+        for header in ["mutree-report v1", "mutree-report v3"] {
+            let err = SolveReport::decode(&format!("{header}\nweight 0\n")).unwrap_err();
+            assert_eq!(err.line, 1, "{header}");
+        }
         assert!(ServeError::decode("not an error frame").is_err());
     }
 
@@ -723,7 +709,7 @@ mod tests {
     #[test]
     fn dangling_degraded_record_is_rejected() {
         let text = format!(
-            "{REPORT_HEADER}\nweight 3ff0000000000000\nstop completed\ndegraded - 1 panicked\n"
+            "{REPORT_HEADER}\nweight 3ff0000000000000\nstop completed\ndegraded - panicked\n"
         );
         let err = SolveReport::decode(&text).unwrap_err();
         assert!(err.message.contains("degraded-stage"), "{err}");

@@ -1,7 +1,7 @@
-//! Property tests of the `mutree-report v1` wire codec, mirroring the
+//! Property tests of the `mutree-report v2` wire codec, mirroring the
 //! request codec's round-trip suite: a randomized report must survive
 //! `encode → decode` with every bit intact — f64 weight and stage
-//! seconds as exact bit patterns, all 16 search counters, stop reasons,
+//! seconds as exact bit patterns, all 15 search counters, stop reasons,
 //! provenance and degradation records — and corrupted documents must be
 //! rejected with a line-numbered error, never mis-decoded. A hex token
 //! of a report or of a request's matrix rows that is anything but the
@@ -54,13 +54,12 @@ fn stats_from(c: &[u64]) -> SearchStats {
         steals: c[6],
         donations: c[7],
         parks: c[8],
-        retries: c[9],
-        nodes_shed: c[10],
-        checkpoints: c[11],
-        cache_hits: c[12],
-        cache_misses: c[13],
-        cache_warm_seeds: c[14],
-        cache_poisoned: c[15],
+        nodes_shed: c[9],
+        checkpoints: c[10],
+        cache_hits: c[11],
+        cache_misses: c[12],
+        cache_warm_seeds: c[13],
+        cache_poisoned: c[14],
     }
 }
 
@@ -88,7 +87,6 @@ fn build_report(
                 format!("meta[{i}]/group {i}")
             },
             seconds: s,
-            attempts: (i as u32 % 3) + 1,
             provenance: PROVENANCES[i % PROVENANCES.len()],
         })
         .collect();
@@ -107,7 +105,6 @@ fn build_report(
                 1 => DegradeReason::Error(format!("stage error #{degrade_idx}")),
                 _ => DegradeReason::Panicked,
             },
-            attempts: degrade_idx as u32,
         }]
     };
     SolveReport {
@@ -144,7 +141,6 @@ fn assert_reports_identical(a: &SolveReport, b: &SolveReport) {
     for (x, y) in a.timings.iter().zip(&b.timings) {
         assert_eq!(x.stage, y.stage);
         assert_eq!(x.seconds.to_bits(), y.seconds.to_bits());
-        assert_eq!(x.attempts, y.attempts);
         assert_eq!(x.provenance, y.provenance);
     }
 }
@@ -158,7 +154,7 @@ proptest! {
     fn report_round_trips_bit_exactly(
         steps in proptest::collection::vec(0.001f64..50.0, 1..7),
         weight_bits in any::<u64>(),
-        counters in proptest::collection::vec(any::<u64>(), 16..17),
+        counters in proptest::collection::vec(any::<u64>(), 15..16),
         stop_idx in 0usize..6,
         timing_seconds in proptest::collection::vec(0.0f64..1e4, 1..5),
         degrade_idx in 0usize..8,
@@ -187,7 +183,7 @@ proptest! {
         line_idx in 0usize..64,
     ) {
         let report = build_report(
-            &steps, 0x400921fb54442d18, &[7u64; 16], 0, &[0.25], 0, false,
+            &steps, 0x400921fb54442d18, &[7u64; 15], 0, &[0.25], 0, false,
         );
         let text = report.encode();
         let lines: Vec<&str> = text.lines().collect();
@@ -225,7 +221,7 @@ fn odd_weight_bit_patterns_survive() {
         f64::MIN_POSITIVE.to_bits() >> 1,
         f64::MAX.to_bits(),
     ] {
-        let report = build_report(&[1.0, 2.0], bits, &[0; 16], 0, &[0.5], 0, false);
+        let report = build_report(&[1.0, 2.0], bits, &[0; 15], 0, &[0.5], 0, false);
         let back = SolveReport::decode(&report.encode()).expect("decode");
         assert_eq!(back.weight.to_bits(), bits);
     }
@@ -237,7 +233,7 @@ fn corrupt_headers_and_structure_are_rejected() {
     let report = build_report(
         &[1.0, 2.0, 3.0],
         0x3ff0_0000_0000_0000,
-        &[1; 16],
+        &[1; 15],
         2,
         &[0.125],
         3,
@@ -248,9 +244,9 @@ fn corrupt_headers_and_structure_are_rejected() {
 
     let cases: Vec<String> = vec![
         // Wrong protocol version.
-        good.replacen("mutree-report v1", "mutree-report v2", 1),
+        good.replacen("mutree-report v2", "mutree-report v1", 1),
         // Wrong document kind entirely.
-        good.replacen("mutree-report v1", "mutree-request v1", 1),
+        good.replacen("mutree-report v2", "mutree-request v1", 1),
         // Missing header.
         good.lines().skip(1).collect::<Vec<_>>().join("\n"),
         // Truncated mid-document: the mandatory best/tree lines are gone.
@@ -311,7 +307,7 @@ fn huge_group_counts_are_rejected_without_allocating() {
     let good = build_report(
         &[1.0, 2.0, 3.0],
         0x3ff0_0000_0000_0000,
-        &[1; 16],
+        &[1; 15],
         2,
         &[0.125],
         3,
@@ -392,11 +388,11 @@ proptest! {
         at in any::<usize>(),
     ) {
         let mut report = build_report(
-            &steps, weight_bits, &[3; 16], 0, &timing_seconds, 0, false,
+            &steps, weight_bits, &[3; 15], 0, &timing_seconds, 0, false,
         );
         report.trees.push(caterpillar(&steps));
         let text = report.encode();
-        let (prefix, token) = [("best ", 1), ("tree ", 1), ("weight ", 1), ("timing ", 3)][keyword];
+        let (prefix, token) = [("best ", 1), ("tree ", 1), ("weight ", 1), ("timing ", 2)][keyword];
         let targets: Vec<usize> = text
             .lines()
             .enumerate()

@@ -1,9 +1,15 @@
 //! Golden documents of the two wire codecs. A fixed request and a fixed
-//! report must encode to exactly the bytes recorded here, which are the
-//! bytes the codecs have always written: a client and a daemon built
-//! from different revisions interoperate only if neither side's encoder
-//! moves. Each golden also decodes back to its own bytes, so the decoders
-//! accept everything the encoders have ever produced.
+//! report must encode to exactly the bytes recorded here: a client and a
+//! daemon built from different revisions interoperate only if neither
+//! side's encoder moves within a header version. Each golden also decodes
+//! back to its own bytes, so the decoders accept everything the encoders
+//! produce.
+//!
+//! The report golden is `mutree-report v2`: the v1 golden minus one
+//! `stat` line and the per-stage count column of each `timing` and
+//! `degraded` line, and no other byte. The request golden is still
+//! `mutree-request v1`; it lost only the optional line that asked for
+//! stage re-runs, so every request without one encodes as before.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -11,8 +17,8 @@ use std::time::Duration;
 use mutree_bnb::{CheckpointPolicy, MemoryBudget, SearchMode, SearchStats, StopReason, TraceLevel};
 use mutree_distmat::DistanceMatrix;
 use mutree_engine::{
-    BackendSpec, DegradeReason, DegradedGroup, RetryPolicy, SolveReport, SolveRequest,
-    StageProvenance, StageTiming, ThreeThree,
+    BackendSpec, DegradeReason, DegradedGroup, SolveReport, SolveRequest, StageProvenance,
+    StageTiming, ThreeThree,
 };
 use mutree_tree::{Linkage, UltrametricTree};
 
@@ -40,7 +46,6 @@ fn golden_request() -> SolveRequest {
     req.memory = Some(MemoryBudget::new(9999));
     req.checkpoint = Some(CheckpointPolicy::new("/tmp/ck pt.bin").interval(64));
     req.resume = Some(PathBuf::from("/tmp/old.ckpt"));
-    req.retry = Some(RetryPolicy::new().max_attempts(5).seed(7).budget(11));
     req.threshold = 6;
     req.linkage = Linkage::Average;
     req.max_depth = 3;
@@ -64,7 +69,6 @@ const GOLDEN_REQUEST: &str = concat!(
     "memory-nodes 9999\n",
     "checkpoint 64 /tmp/ck pt.bin\n",
     "resume /tmp/old.ckpt\n",
-    "retry 5 1000000 7 11\n",
     "threshold 6\n",
     "linkage average\n",
     "max-depth 3\n",
@@ -118,32 +122,27 @@ fn golden_report() -> SolveReport {
                 group: Some(3),
                 stage: "meta[1]/group 0".to_string(),
                 reason: DegradeReason::Stopped(StopReason::Cancelled),
-                attempts: 2,
             },
             DegradedGroup {
                 group: None,
                 stage: "meta".to_string(),
                 reason: DegradeReason::Error("solver error: bad matrix".to_string()),
-                attempts: 1,
             },
             DegradedGroup {
                 group: Some(0),
                 stage: "group 1".to_string(),
                 reason: DegradeReason::Panicked,
-                attempts: 3,
             },
         ],
         timings: vec![
             StageTiming {
                 stage: "group 0".to_string(),
                 seconds: 0.001953125,
-                attempts: 3,
                 provenance: StageProvenance::WarmSeeded,
             },
             StageTiming {
                 stage: "meta".to_string(),
                 seconds: 1.0e-6,
-                attempts: 1,
                 provenance: StageProvenance::Cached,
             },
         ],
@@ -155,7 +154,7 @@ fn golden_report() -> SolveReport {
 }
 
 const GOLDEN_REPORT: &str = concat!(
-    "mutree-report v1\n",
+    "mutree-report v2\n",
     "weight 403ab80000000001\n",
     "stop deadline\n",
     "stat branched 11\n",
@@ -167,7 +166,6 @@ const GOLDEN_REPORT: &str = concat!(
     "stat steals 0\n",
     "stat donations 0\n",
     "stat parks 0\n",
-    "stat retries 0\n",
     "stat nodes-shed 18446744073709551615\n",
     "stat checkpoints 0\n",
     "stat cache-hits 2\n",
@@ -180,13 +178,13 @@ const GOLDEN_REPORT: &str = concat!(
     "group 0 1\n",
     "group 2 3\n",
     "group\n",
-    "timing 3 warm-seeded 3f60000000000000 group 0\n",
-    "timing 1 cached 3eb0c6f7a0b5ed8d meta\n",
-    "degraded 3 2 stopped cancelled\n",
+    "timing warm-seeded 3f60000000000000 group 0\n",
+    "timing cached 3eb0c6f7a0b5ed8d meta\n",
+    "degraded 3 stopped cancelled\n",
     "degraded-stage meta[1]/group 0\n",
-    "degraded - 1 error solver error: bad matrix\n",
+    "degraded - error solver error: bad matrix\n",
     "degraded-stage meta\n",
-    "degraded 0 3 panicked\n",
+    "degraded 0 panicked\n",
     "degraded-stage group 1\n",
     "best 01000000000040224001000000000000f83f000000000000000000000100000000000000010000000000000640000200000000000000000300000000000000\n",
     "tree 01000000000040224001000000000000f83f000000000000000000000100000000000000010000000000000640000200000000000000000300000000000000\n",

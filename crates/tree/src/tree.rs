@@ -53,6 +53,65 @@ pub struct UltrametricTree {
     leaf_of_taxon: BTreeMap<usize, NodeId>,
 }
 
+/// Builds an [`UltrametricTree`] one node at a time, children before
+/// parents, refusing what [`UltrametricTree::join`] would panic on. Fed a
+/// post-order walk (left subtree, right subtree, parent), it lays the
+/// nodes out exactly as nested `join`s do, so every [`NodeId`] matches.
+pub(crate) struct PostOrder {
+    nodes: Vec<NodeData>,
+    leaf_of_taxon: BTreeMap<usize, NodeId>,
+}
+
+impl PostOrder {
+    /// An empty builder with room for `nodes` nodes.
+    pub(crate) fn with_capacity(nodes: usize) -> Self {
+        PostOrder {
+            nodes: Vec::with_capacity(nodes),
+            leaf_of_taxon: BTreeMap::new(),
+        }
+    }
+
+    /// Appends a leaf; `None` when `taxon` is already in the tree.
+    pub(crate) fn leaf(&mut self, taxon: usize) -> Option<NodeId> {
+        let id = NodeId(self.nodes.len());
+        if self.leaf_of_taxon.insert(taxon, id).is_some() {
+            return None;
+        }
+        self.nodes.push(NodeData {
+            kind: NodeKind::Leaf(taxon),
+            parent: None,
+            height: 0.0,
+        });
+        Some(id)
+    }
+
+    /// Appends the parent of two finished subtree roots; `None` when
+    /// `height` is below either child's height (or is NaN).
+    pub(crate) fn join(&mut self, left: NodeId, right: NodeId, height: f64) -> Option<NodeId> {
+        if !(height >= self.nodes[left.0].height && height >= self.nodes[right.0].height) {
+            return None;
+        }
+        let id = NodeId(self.nodes.len());
+        self.nodes[left.0].parent = Some(id);
+        self.nodes[right.0].parent = Some(id);
+        self.nodes.push(NodeData {
+            kind: NodeKind::Internal(left, right),
+            parent: None,
+            height,
+        });
+        Some(id)
+    }
+
+    /// The finished tree, rooted at the last node appended.
+    pub(crate) fn finish(self) -> UltrametricTree {
+        UltrametricTree {
+            root: NodeId(self.nodes.len() - 1),
+            nodes: self.nodes,
+            leaf_of_taxon: self.leaf_of_taxon,
+        }
+    }
+}
+
 impl UltrametricTree {
     /// A single-leaf tree (height zero). Useful as the degenerate case of
     /// the decomposition pipeline.

@@ -11,9 +11,10 @@
 //! frontier shards), the types that selected between bound kernels and
 //! prune strategies, the global-mutex parallel driver, best-first node
 //! selection with the ablation that priced it, the forced frontier
-//! shard count (the builder and the request keyword), and the task-DAG
-//! runner the fork-join pipeline replaced must not reappear in any Rust
-//! source or in the CI workflow.
+//! shard count (the builder and the request keyword), the task-DAG
+//! runner the fork-join pipeline replaced, and the stage re-run policy
+//! with its CLI flag, its jitter helper and its recovering test fault
+//! must not reappear in any Rust source or in the CI workflow.
 
 use std::path::{Path, PathBuf};
 
@@ -68,7 +69,7 @@ fn only_plan_resolution_reads_mutree_env_vars() {
 
 /// Names of retired search paths and the knobs that forced them. Each is
 /// split in two so this file's own source never matches.
-const RETIRED: [[&str; 2]; 18] = [
+const RETIRED: [[&str; 2]; 22] = [
     ["MUTREE_FORCE_", "BOUND_KERNEL"],
     ["MUTREE_FORCE_", "PRUNE"],
     ["MUTREE_", "CACHE"],
@@ -87,6 +88,10 @@ const RETIRED: [[&str; 2]; 18] = [
     ["abl_", "strategy"],
     ["Task", "Dag"],
     ["run_", "inline"],
+    ["Retry", "Policy"],
+    ["--re", "tries"],
+    ["unit_", "fraction"],
+    ["panic_on_taxa_", "times"],
 ];
 
 #[test]

@@ -17,6 +17,7 @@ use mutree::core::{
     CompactPipeline, DegradeReason, Executor, MutSolver, PipelineSolution, SearchBackend,
 };
 use mutree::distmat::{gen, DistanceMatrix};
+use mutree::tree::compare::robinson_foulds;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -163,18 +164,34 @@ fn panicking_group_degrades_alone_on_shared_pool() {
 }
 
 /// The same injected fault without an executor (inline jobs) behaves
-/// identically — the degradation ladder is executor-independent.
+/// identically — the degradation ladder is executor-independent: the
+/// inline run and the pooled runs agree on the weight to the bit, on the
+/// topology (Robinson–Foulds distance 0) and on the degraded records.
 #[test]
 fn panicking_group_degrades_alone_inline() {
     let m = three_cluster_matrix();
-    let pipe = CompactPipeline::new()
-        .threshold(6)
-        .solver(MutSolver::new().panic_on_taxa(4))
-        .solve(&m)
-        .unwrap();
+    let poisoned = || {
+        CompactPipeline::new()
+            .threshold(6)
+            .solver(MutSolver::new().panic_on_taxa(4))
+    };
+    let pipe = poisoned().solve(&m).unwrap();
     assert_eq!(pipe.degraded.len(), 1);
     assert_eq!(pipe.degraded[0].reason, DegradeReason::Panicked);
     assert!(pipe.tree.is_feasible_for(&m, 1e-9));
+    for workers in POOLS {
+        let pooled = poisoned()
+            .executor(Executor::new(workers))
+            .solve(&m)
+            .unwrap();
+        assert_eq!(
+            pipe.weight.to_bits(),
+            pooled.weight.to_bits(),
+            "{workers} workers"
+        );
+        assert_eq!(robinson_foulds(&pipe.tree, &pooled.tree).unwrap(), 0);
+        assert_eq!(pipe.degraded, pooled.degraded, "{workers} workers");
+    }
 }
 
 /// Creating and dropping executors must never hang. Dropping one joins

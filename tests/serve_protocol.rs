@@ -333,7 +333,7 @@ fn requests_racing_a_drain_get_clean_draining_frames() {
 /// codec rename cannot silently change the wire.
 #[test]
 fn response_headers_are_the_documented_constants() {
-    assert_eq!(REPORT_HEADER, "mutree-report v1");
+    assert_eq!(REPORT_HEADER, "mutree-report v2");
     assert_eq!(ERROR_HEADER, "mutree-error v1");
     assert_eq!(mutree::serve::DRAIN_HEADER, "mutree-drain v1");
 }
