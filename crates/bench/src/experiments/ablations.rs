@@ -227,34 +227,60 @@ pub fn abl_threshold() -> Table {
     t
 }
 
-/// `abl_bound` — Algorithm BBU's two bound ingredients: the maxmin
-/// relabeling (tightens the suffix lower bound) and the UPGMM initial
+/// Seeds per size in [`abl_bound`].
+const ABL_BOUND_SEEDS: u64 = 12;
+
+/// `abl_bound` — Algorithm BBU's two bound ingredients: the search
+/// order (tightens the suffix lower bound) and the UPGMM initial
 /// incumbent (tightens the upper bound before the search starts),
 /// ablated per node size on random matrices with `ThreeThree::Off`.
-/// Measured in branch operations, the machine-independent cost.
+/// `full` searches in the solver's own order, maxmin improved by pair
+/// swaps; `maxmin_only` permutes the matrix into its plain maxmin order
+/// by hand and turns the solver's relabeling off. Each cell is the total
+/// over seeds `0..ABL_BOUND_SEEDS`, in branch operations, the
+/// machine-independent cost.
 pub fn abl_bound() -> Table {
     let mut t = Table::new(
         "abl_bound",
-        "branch operations by bound configuration (random)",
-        &["species", "full", "no_maxmin", "no_upgmm", "neither"],
+        &format!(
+            "branch operations by bound configuration, total over {ABL_BOUND_SEEDS} seeds (random)"
+        ),
+        &[
+            "species",
+            "full",
+            "maxmin_only",
+            "no_maxmin",
+            "no_upgmm",
+            "neither",
+        ],
     );
+    let branched = |m: &_, solver: MutSolver| {
+        solver
+            .max_branches(BUDGET)
+            .solve(m)
+            .expect("solve")
+            .stats
+            .branched
+    };
     for n in [9usize, 12, 16] {
-        let m = data::random_species_matrix(n, 2);
-        let branched = |m: &_, solver: MutSolver| {
-            solver
-                .max_branches(BUDGET)
-                .solve(m)
-                .expect("solve")
-                .stats
-                .branched
-        };
-        t.push(vec![
-            n.to_string(),
-            branched(&m, MutSolver::new()).to_string(),
-            branched(&m, MutSolver::new().without_maxmin()).to_string(),
-            branched(&m, MutSolver::new().without_upgmm()).to_string(),
-            branched(&m, MutSolver::new().without_maxmin().without_upgmm()).to_string(),
-        ]);
+        let mut totals = [0u64; 5];
+        for seed in 0..ABL_BOUND_SEEDS {
+            let m = data::random_species_matrix(n, seed);
+            let maxmin = m.maxmin_permutation().apply(&m);
+            let runs = [
+                branched(&m, MutSolver::new()),
+                branched(&maxmin, MutSolver::new().without_maxmin()),
+                branched(&m, MutSolver::new().without_maxmin()),
+                branched(&m, MutSolver::new().without_upgmm()),
+                branched(&m, MutSolver::new().without_maxmin().without_upgmm()),
+            ];
+            for (total, b) in totals.iter_mut().zip(runs) {
+                *total += b;
+            }
+        }
+        let mut row = vec![n.to_string()];
+        row.extend(totals.iter().map(u64::to_string));
+        t.push(row);
     }
     t
 }

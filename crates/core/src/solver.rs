@@ -115,9 +115,10 @@ impl Default for MutSolver {
 }
 
 impl MutSolver {
-    /// A sequential, best-one solver with maxmin relabeling, the UPGMM
-    /// initial bound and no 3-3 rule — Algorithm BBU's published
-    /// configuration.
+    /// A sequential, best-one solver that relabels into the search order
+    /// (maxmin improved by pair swaps), with the UPGMM initial bound and
+    /// no 3-3 rule — Algorithm BBU's published configuration, with the
+    /// order's swaps added.
     pub fn new() -> Self {
         MutSolver {
             backend: SearchBackend::Sequential,
@@ -405,7 +406,10 @@ impl MutSolver {
         Some(h)
     }
 
-    /// Disables the maxmin relabeling (ablation; hurts the lower bound).
+    /// Disables the relabeling into the search order, maxmin improved by
+    /// pair swaps ([`SearchOrder`](mutree_distmat::SearchOrder)): the
+    /// search inserts taxa in input order (ablation; hurts the lower
+    /// bound).
     pub fn without_maxmin(mut self) -> Self {
         self.use_maxmin = false;
         self
@@ -443,21 +447,22 @@ impl MutSolver {
         }
     }
 
-    /// The width-monomorphized search body: everything from maxmin
-    /// relabeling to topology dedup runs with `K`-word leaf bitsets.
+    /// The width-monomorphized search body: everything from relabeling
+    /// to topology dedup runs with `K`-word leaf bitsets.
     fn solve_width<const K: usize>(&self, m: &DistanceMatrix) -> Result<MutSolution, MutError> {
         let n = m.len();
         if self.panic_on_taxa == Some(n) {
             panic!("injected fault: {n}-taxon solve");
         }
 
-        // Step 1: maxmin relabeling. When the permutation is the identity
-        // (the matrix is already in maxmin order) there is nothing to
-        // relabel: search `m` directly — no matrix clone going in, no
-        // taxon remap coming out. `order = None` encodes the identity.
+        // Step 1: relabel into the search order, maxmin improved by pair
+        // swaps (`SearchOrder`). When the order is the identity there is
+        // nothing to relabel: search `m` directly — no matrix clone going
+        // in, no taxon remap coming out. `order = None` encodes the
+        // identity.
         let pm_owned: DistanceMatrix;
         let (pm, order): (&DistanceMatrix, Option<Vec<usize>>) = if self.use_maxmin {
-            let perm = m.maxmin_permutation();
+            let perm = m.search_order();
             if perm.order().iter().enumerate().all(|(i, &o)| i == o) {
                 (m, None)
             } else {
@@ -712,16 +717,15 @@ mod tests {
         assert!(!seq.is_empty());
     }
 
-    /// A matrix already in maxmin order takes the identity fast path (no
+    /// A matrix already in search order takes the identity fast path (no
     /// clone, no output remap) and must still solve identically.
     #[test]
     fn already_relabeled_matrix_takes_identity_fast_path() {
         let m = m5();
-        let perm = m.maxmin_permutation();
-        let pm = perm.apply(&m);
-        // Relabeling is idempotent: the permuted matrix's own maxmin
-        // order is the identity, which is what triggers the fast path.
-        let again = pm.maxmin_permutation();
+        let pm = m.search_order().apply(&m);
+        // The search order of the relabeled matrix is the identity, which
+        // is what triggers the fast path.
+        let again = pm.search_order();
         assert!(again.order().iter().enumerate().all(|(i, &o)| i == o));
         let direct = MutSolver::new().solve(&pm).unwrap();
         let via_original = MutSolver::new().solve(&m).unwrap();

@@ -8,7 +8,10 @@
 //! * repair — [`DistanceMatrix::metric_closure`] (Floyd–Warshall shortest
 //!   paths, turning an arbitrary non-negative symmetric matrix into a metric),
 //! * orderings — [`DistanceMatrix::maxmin_permutation`], the species
-//!   relabeling required by the Wu–Chao–Tang branch-and-bound lower bound,
+//!   relabeling of the Wu–Chao–Tang branch-and-bound, and
+//!   [`DistanceMatrix::search_order`], maxmin improved by pair swaps until
+//!   no swap raises the static root bound [`DistanceMatrix::root_bound`]:
+//!   the order the exact search uses,
 //! * slicing — [`DistanceMatrix::submatrix`] and
 //!   [`DistanceMatrix::permute`], used by the compact-set decomposition,
 //! * blocked layout — [`SolverMatrix`], a row-major, padded,
@@ -47,5 +50,5 @@ pub mod io;
 
 pub use error::MatrixError;
 pub use matrix::DistanceMatrix;
-pub use ops::MaxminPermutation;
+pub use ops::{MaxminPermutation, SearchOrder};
 pub use solver::{SolverMatrix, LANE_BLOCK, WORD_LANES};

@@ -1,6 +1,6 @@
 //! Property tests of the distance-matrix invariants.
 
-use mutree_distmat::{gen, io, DistanceMatrix, MaxminPermutation, SolverMatrix};
+use mutree_distmat::{gen, io, DistanceMatrix, MaxminPermutation, SearchOrder, SolverMatrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,6 +16,35 @@ fn arb_matrix(max_n: usize) -> impl Strategy<Value = DistanceMatrix> {
         }
         m
     })
+}
+
+/// Whether no two off-diagonal distances of `m` are equal.
+fn tie_free(m: &DistanceMatrix) -> bool {
+    let mut bits: Vec<u64> = m.condensed().iter().map(|d| d.to_bits()).collect();
+    bits.sort_unstable();
+    bits.windows(2).all(|w| w[0] != w[1])
+}
+
+/// `m` with every distance rounded up to a multiple of 10: a matrix full
+/// of ties, as integer HMDNA distances are.
+fn with_ties(m: &DistanceMatrix) -> DistanceMatrix {
+    let mut tied = m.clone();
+    for (i, j, d) in m.pairs() {
+        tied.set(i, j, (d / 10.0).ceil() * 10.0);
+    }
+    tied
+}
+
+/// `m` with its taxa relabeled by a seeded Fisher–Yates permutation,
+/// and the permutation (`perm[k]` = the taxon of `m` that `k` names).
+fn relabeled(m: &DistanceMatrix, seed: u64) -> (DistanceMatrix, Vec<usize>) {
+    let mut perm: Vec<usize> = (0..m.len()).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..perm.len()).rev() {
+        let j = rand::Rng::gen_range(&mut rng, 0..=i);
+        perm.swap(i, j);
+    }
+    (m.permute(&perm), perm)
 }
 
 proptest! {
@@ -135,5 +164,59 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn search_order_is_a_permutation(m in arb_matrix(40)) {
+        let mut sorted = SearchOrder::compute(&m).order().to_vec();
+        sorted.sort_unstable();
+        prop_assert_eq!(sorted, (0..m.len()).collect::<Vec<_>>());
+    }
+
+    /// The swaps only ever raise the static root bound, so the order
+    /// starts the search at least as high as maxmin does.
+    #[test]
+    fn search_order_bound_is_at_least_maxmins(m in arb_matrix(40)) {
+        for m in [with_ties(&m), m] {
+            let swapped = m.root_bound(SearchOrder::compute(&m).order());
+            let maxmin = m.root_bound(MaxminPermutation::compute(&m).order());
+            prop_assert!(swapped >= maxmin, "{} < {}", swapped, maxmin);
+        }
+    }
+
+    /// The order is a local optimum: swapping any two positions, the
+    /// leading pair included, raises the bound by no more than the
+    /// relative 1e-9 a swap must beat (plus rounding of the direct sum).
+    #[test]
+    fn no_pair_swap_raises_the_search_order_bound(m in arb_matrix(16)) {
+        for m in [with_ties(&m), m] {
+            let order = SearchOrder::compute(&m).order().to_vec();
+            let b = m.root_bound(&order);
+            for i in 0..order.len() {
+                for j in i + 1..order.len() {
+                    let mut o = order.clone();
+                    o.swap(i, j);
+                    let swapped = m.root_bound(&o);
+                    prop_assert!(
+                        swapped <= b * (1.0 + 1e-9 + 1e-12),
+                        "swap ({}, {}): {} > {}", i, j, swapped, b
+                    );
+                }
+            }
+        }
+    }
+
+    /// On a matrix without tied distances, the order depends on the
+    /// distances alone: a relabeled copy's order names the same taxa, in
+    /// the same order. (Two taxa have no third to orient the pair by.)
+    #[test]
+    fn search_order_names_the_same_taxa_after_relabeling(m in arb_matrix(40), seed in any::<u64>()) {
+        if m.len() < 3 || !tie_free(&m) {
+            return Ok(());
+        }
+        let (r, perm) = relabeled(&m, seed);
+        let original = SearchOrder::compute(&m).order().to_vec();
+        let via_copy: Vec<usize> = SearchOrder::compute(&r).order().iter().map(|&k| perm[k]).collect();
+        prop_assert_eq!(via_copy, original);
     }
 }

@@ -10,12 +10,14 @@
 //!
 //! # Key derivation
 //!
-//! A sub-matrix is first **canonicalized** by its maxmin permutation —
-//! the same relabeling the solver itself applies — so two groups that
-//! are permutations of each other canonicalize to identical matrices
-//! whenever the maxmin order is tie-free (tied distances may split
-//! permuted copies across entries: a missed dedup, never a wrong
-//! answer). The
+//! A sub-matrix is first **canonicalized** by its maxmin permutation,
+//! so two groups that are permutations of each other canonicalize to
+//! identical matrices whenever the maxmin order is tie-free (tied
+//! distances may split permuted copies across entries: a missed dedup,
+//! never a wrong answer). Maxmin here is a hashing convention, not the
+//! search order: the solver searches in its own order (maxmin improved
+//! by pair swaps, `mutree_distmat::SearchOrder`), which costs more to
+//! compute and would make no better key. The
 //! canonical strict-lower-triangle distances are then **quantized** to
 //! the search tolerance [`mutree_bnb::TOL`] (`floor(d / quantum)` per
 //! entry; a request's `tol` plays no part) and hashed with FNV-1a,
@@ -69,6 +71,11 @@ struct Entry {
 /// Canonicalizes `m`: maxmin-relabels it and returns the canonical
 /// strict-lower-triangle distances plus the relabeling order
 /// (`order[k]` = the taxon of `m` that canonical taxon `k` names).
+///
+/// This is work of its own, not a by-product of the solve: the solver
+/// relabels by its search order, which only starts from maxmin. Plain
+/// maxmin is kept here because it is the cheaper of the two, `O(n²)`,
+/// and any fixed relabeling rule keys the cache equally well.
 ///
 /// The maxmin definition leaves the *orientation* of the leading max
 /// pair free — `(a, b, …)` and `(b, a, …)` are both maxmin — and which

@@ -115,7 +115,10 @@ pub struct SolveRequest {
     pub max_branches: u64,
     /// Wall-clock budget, applied from the moment the solve starts.
     pub timeout: Option<Duration>,
-    /// Maxmin relabeling (off only for ablations).
+    /// Relabel the taxa into the search order before searching: maxmin
+    /// improved by pair swaps (`mutree_distmat::SearchOrder`). Off only
+    /// for ablations and for callers that supply their own order; the
+    /// search then inserts taxa in input order.
     pub use_maxmin: bool,
     /// UPGMM initial incumbent (off only for ablations).
     pub use_upgmm: bool,

@@ -22,8 +22,13 @@ const TAG_LEAF: u8 = 0;
 const TAG_INTERNAL: u8 = 1;
 
 /// Serializes `tree` into the checkpoint payload byte layout.
+///
+/// Walks the tree in pre-order on an explicit stack, so a caterpillar of
+/// any depth encodes without exhausting the call stack.
 pub fn encode_tree(tree: &UltrametricTree) -> Vec<u8> {
-    fn enc(tree: &UltrametricTree, id: NodeId, out: &mut Vec<u8>) {
+    let mut out = Vec::with_capacity(9 * tree.node_count());
+    let mut todo = vec![tree.root()];
+    while let Some(id) = todo.pop() {
         match tree.kind(id) {
             NodeKind::Leaf(taxon) => {
                 out.push(TAG_LEAF);
@@ -32,13 +37,10 @@ pub fn encode_tree(tree: &UltrametricTree) -> Vec<u8> {
             NodeKind::Internal(a, b) => {
                 out.push(TAG_INTERNAL);
                 out.extend_from_slice(&tree.height_of(id).to_bits().to_le_bytes());
-                enc(tree, a, out);
-                enc(tree, b, out);
+                todo.extend([b, a]);
             }
         }
     }
-    let mut out = Vec::new();
-    enc(tree, tree.root(), &mut out);
     out
 }
 
@@ -175,6 +177,7 @@ mod tests {
             let bytes = encode_tree(&random_tree(&joins));
             let decoded = decode_tree(&bytes).expect("a valid payload decodes");
             assert_same_nodes(&decoded, &reference_decode(&bytes).unwrap());
+            prop_assert_eq!(encode_tree(&decoded), bytes.clone());
             let at = at as usize % bytes.len();
             let mut flipped = bytes.clone();
             flipped[at] ^= mask;
@@ -210,6 +213,28 @@ mod tests {
         let tree = decode_tree(&bytes).expect("a deep caterpillar decodes");
         assert_eq!(tree.leaf_count(), DEPTH + 1);
         assert_eq!(tree.height(), DEPTH as f64);
+    }
+
+    #[test]
+    fn deep_caterpillar_encodes_and_prints_without_recursion() {
+        // The 200 001-taxon caterpillar the decoder accepts above: a
+        // recursive walker overflows a test thread's stack on it.
+        const DEPTH: usize = 200_000;
+        let mut bytes = Vec::with_capacity(9 * (2 * DEPTH + 1));
+        for i in 0..DEPTH {
+            bytes.push(TAG_INTERNAL);
+            bytes.extend_from_slice(&((DEPTH - i) as f64).to_bits().to_le_bytes());
+        }
+        for taxon in 0..=DEPTH as u64 {
+            bytes.push(TAG_LEAF);
+            bytes.extend_from_slice(&taxon.to_le_bytes());
+        }
+        let tree = decode_tree(&bytes).expect("a deep caterpillar decodes");
+        assert_eq!(encode_tree(&tree), bytes);
+        let text = crate::newick::to_newick(&tree);
+        assert_eq!(text.matches('(').count(), DEPTH);
+        assert!(text.starts_with("(((") && text.contains("(t0:1,t1:1):1,t2:2):1,t3:3)"));
+        assert!(text.ends_with(",t200000:200000);"));
     }
 
     fn sample() -> UltrametricTree {

@@ -10,25 +10,52 @@ use crate::{NodeId, NodeKind, TreeError, UltrametricTree};
 
 /// Formats the tree in Newick notation. `name` maps a taxon id to its
 /// printed label.
+///
+/// Walks the tree on an explicit stack, so a caterpillar of any depth
+/// prints without exhausting the call stack.
 pub fn to_newick_with<F: Fn(usize) -> String>(tree: &UltrametricTree, name: F) -> String {
-    fn rec<F: Fn(usize) -> String>(tree: &UltrametricTree, id: NodeId, name: &F, out: &mut String) {
-        match tree.kind(id) {
-            NodeKind::Leaf(t) => out.push_str(&name(t)),
-            NodeKind::Internal(a, b) => {
-                out.push('(');
-                rec(tree, a, name, out);
-                out.push(',');
-                rec(tree, b, name, out);
-                out.push(')');
-            }
-        }
+    /// What is left to write, innermost last.
+    enum Step {
+        /// A whole subtree, with its branch length.
+        Subtree(NodeId),
+        /// The comma between two siblings.
+        Comma,
+        /// The closing parenthesis of an internal node, and its branch
+        /// length.
+        Close(NodeId),
+    }
+    let branch_length = |id: NodeId, out: &mut String| {
         if let Some(p) = tree.parent(id) {
             let len = tree.height_of(p) - tree.height_of(id);
             out.push_str(&format!(":{len}"));
         }
-    }
+    };
     let mut out = String::new();
-    rec(tree, tree.root(), &name, &mut out);
+    let mut todo = vec![Step::Subtree(tree.root())];
+    while let Some(step) = todo.pop() {
+        match step {
+            Step::Subtree(id) => match tree.kind(id) {
+                NodeKind::Leaf(t) => {
+                    out.push_str(&name(t));
+                    branch_length(id, &mut out);
+                }
+                NodeKind::Internal(a, b) => {
+                    out.push('(');
+                    todo.extend([
+                        Step::Close(id),
+                        Step::Subtree(b),
+                        Step::Comma,
+                        Step::Subtree(a),
+                    ]);
+                }
+            },
+            Step::Comma => out.push(','),
+            Step::Close(id) => {
+                out.push(')');
+                branch_length(id, &mut out);
+            }
+        }
+    }
     out.push(';');
     out
 }
@@ -252,6 +279,23 @@ mod tests {
     fn formats_with_branch_lengths() {
         let t = UltrametricTree::cherry(0, 1, 2.0);
         assert_eq!(to_newick(&t), "(t0:2,t1:2);");
+    }
+
+    #[test]
+    fn formats_nested_subtrees_left_to_right() {
+        let t = UltrametricTree::join(
+            UltrametricTree::cherry(0, 3, 1.5),
+            UltrametricTree::join(
+                UltrametricTree::cherry(1, 4, 0.25),
+                UltrametricTree::leaf(2),
+                2.0,
+            ),
+            7.125,
+        );
+        assert_eq!(
+            to_newick(&t),
+            "((t0:1.5,t3:1.5):5.625,((t1:0.25,t4:0.25):1.75,t2:2):5.125);"
+        );
     }
 
     #[test]
