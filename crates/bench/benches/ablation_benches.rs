@@ -90,7 +90,6 @@ fn bench_abl_33(c: &mut Criterion) {
     for (name, rule) in [
         ("off", ThreeThree::Off),
         ("initial", ThreeThree::InitialOnly),
-        ("full", ThreeThree::Full),
     ] {
         g.bench_function(name, |b| {
             b.iter(|| MutSolver::new().three_three(rule).solve(&m).unwrap().weight)

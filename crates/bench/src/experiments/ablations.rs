@@ -285,10 +285,9 @@ pub fn abl_bound() -> Table {
     t
 }
 
-/// `abl_33` — the 3-3 relationship at its three strengths: off, the
-/// paper's initial-step use, and the proposed full-insertion extension.
-/// Reports branch operations and the optimum (to confirm the heuristic
-/// preserved it).
+/// `abl_33` — the 3-3 relationship off and at the paper's initial-step
+/// use. Reports branch operations and the optimum (to show whether the
+/// heuristic preserved it).
 pub fn abl_33() -> Table {
     let mut t = Table::new(
         "abl_33",
@@ -297,10 +296,8 @@ pub fn abl_33() -> Table {
             "species",
             "off_branched",
             "initial_branched",
-            "full_branched",
             "off_w",
             "initial_w",
-            "full_w",
         ],
     );
     for n in [10usize, 12, 14] {
@@ -315,15 +312,12 @@ pub fn abl_33() -> Table {
         };
         let (b_off, w_off) = run(ThreeThree::Off);
         let (b_ini, w_ini) = run(ThreeThree::InitialOnly);
-        let (b_ful, w_ful) = run(ThreeThree::Full);
         t.push(vec![
             n.to_string(),
             b_off.to_string(),
             b_ini.to_string(),
-            b_ful.to_string(),
             format!("{w_off:.1}"),
             format!("{w_ini:.1}"),
-            format!("{w_ful:.1}"),
         ]);
     }
     t

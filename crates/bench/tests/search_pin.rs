@@ -8,16 +8,20 @@
 //! Each instance is pinned twice. The *default* pins solve the matrix as
 //! given, so they follow the search order (maxmin improved by pair
 //! swaps). The *maxmin* pins solve the matrix permuted into its maxmin
-//! order with relabeling off: the search the kernel ran before the swaps
-//! existed, so those pins still prove that the kernel itself did not
-//! change when the order does.
+//! order with relabeling off: the static order fixes only the root pair
+//! and the order in which the pendant terms count the remaining species,
+//! as each node picks the leaf its children insert, so those pins prove
+//! that the kernel itself did not change when the static order does.
 //!
-//! The node counts are this test's own: they are the look-ahead bound's,
-//! and the `branched` column of `perfbench/catalog.txt` still records the
-//! static bound and maxmin order the catalog was screened under. The
-//! weight bits still equal the catalog's — a tighter bound or a better
-//! order may only prove the same optimum sooner. Neither follows the
-//! catalog if it is regenerated.
+//! The node counts are this test's own: they are the look-ahead bound's
+//! with the per-node leaf choice, and the `branched` column of
+//! `perfbench/catalog.txt` still records the static bound and maxmin
+//! order the catalog was screened under. The weight bits equal the
+//! catalog's, or sit one ulp from them (`exact 20` seed 62 in the search
+//! order: a different insertion order sums the same heights in a
+//! different order) — a tighter bound or a better order may only prove
+//! the same optimum sooner. Neither follows the catalog if it is
+//! regenerated.
 //!
 //! Every pin holds at every leaf-bitset width: widening the per-node
 //! leaf masks may not change a single search decision.
@@ -88,8 +92,8 @@ fn exact_instances_reproduce_their_pinned_counts_and_weights() {
         ThreeThree::Off,
         Order::Default,
         &[
-            (48, 459, 8185, 0x407e23b3ff858ef9),
-            (62, 608, 9102, 0x40800e9bc424575c),
+            (48, 120, 1593, 0x407e23b3ff858ef9),
+            (62, 466, 6420, 0x40800e9bc424575b),
         ],
     );
 }
@@ -102,8 +106,8 @@ fn exact_instances_in_maxmin_order_reproduce_their_pinned_counts_and_weights() {
         ThreeThree::Off,
         Order::Maxmin,
         &[
-            (48, 459, 8185, 0x407e23b3ff858ef9),
-            (62, 782, 12007, 0x40800e9bc424575c),
+            (48, 120, 1593, 0x407e23b3ff858ef9),
+            (62, 514, 7543, 0x40800e9bc424575c),
         ],
     );
 }
@@ -130,56 +134,19 @@ fn clustered_instances_in_maxmin_order_reproduce_their_pinned_counts_and_weights
         ThreeThree::Off,
         Order::Maxmin,
         &[
-            (47, 64, 555, 0x406c37d7185f2ee0),
-            (43, 49, 375, 0x406c76c04c18b908),
+            (47, 22, 153, 0x406c37d7185f2ee0),
+            (43, 64, 555, 0x406c76c04c18b908),
         ],
     );
 }
 
-/// Under the full 3-3 rule, branching filters a site by the rule (and
-/// the confinement masks) before the bound may skip it: a filtered child
-/// is never counted, a skipped one is counted as pruned. Swapping the two
-/// moves `pruned`.
+/// The full 3-3 rule is retired: a request that asks for it is refused
+/// by line, not solved under another rule.
 #[test]
-fn full_rule_instance_reproduces_its_pinned_counts_and_weight() {
-    check(
-        "clustered 16",
-        |seed| data::clustered_matrix(4, 4, seed),
-        ThreeThree::Full,
-        Order::Default,
-        &[(88, 139, 15, 0x406c67a1ab55121a)],
-    );
-}
-
-#[test]
-fn full_rule_instance_in_maxmin_order_reproduces_its_pinned_counts_and_weight() {
-    check(
-        "clustered 16",
-        |seed| data::clustered_matrix(4, 4, seed),
-        ThreeThree::Full,
-        Order::Maxmin,
-        &[(88, 169, 15, 0x406c67a1ab55121a)],
-    );
-}
-
-/// The full 3-3 rule is a heuristic, not an exact restriction: on these
-/// n = 20 random-species instances it branches only the search root and
-/// returns the UPGMM incumbent, heavier than the proven optimum. Pinned
-/// so no document can claim the rule preserves the optimum.
-#[test]
-fn full_rule_loses_the_optimum_on_random_species_at_n_20() {
-    for seed in [5, 62] {
-        let m = data::random_species_matrix(20, seed);
-        let (_, _, exact) = solve(&m, ThreeThree::Off, 1, Order::Default);
-        let (branched, _, full) = solve(&m, ThreeThree::Full, 1, Order::Default);
-        let (exact, full) = (f64::from_bits(exact), f64::from_bits(full));
-        assert!(
-            full > exact,
-            "seed {seed}: full 3-3 weight {full} is not heavier than the optimum {exact}"
-        );
-        assert_eq!(
-            branched, 1,
-            "seed {seed}: full 3-3 branched more than the root"
-        );
-    }
+fn a_request_for_the_full_three_three_rule_is_refused() {
+    let text = "mutree-request v1\nkind exact\nthree-three full\nmatrix phylip x.phy\n";
+    let err = SolveRequest::decode(text).unwrap_err();
+    assert_eq!(err.line, 3);
+    assert!(err.to_string().contains("request line 3"), "{err}");
+    assert!(err.message.contains("\"full\""), "{err}");
 }

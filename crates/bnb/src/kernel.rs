@@ -267,10 +267,6 @@ pub enum PruneReason {
     /// A complete node reported a NaN objective value (unorderable; the
     /// solution is dropped rather than poisoning the bound).
     NanObjective,
-    /// The constraint-propagation stage ([`Problem::propagate`]) proved
-    /// the node dominated (e.g. a triple-domain wipeout) before the
-    /// weight bound could.
-    Propagation,
 }
 
 /// A structured event emitted by the kernel as the search runs.
@@ -845,19 +841,6 @@ impl<'a, P: Problem> Expander<'a, P> {
             self.stats.pruned += 1;
             observer.on_event(SearchEvent::Pruned {
                 reason: PruneReason::Node,
-            });
-            return Step::Pruned;
-        }
-        // Second prune stage: constraint propagation. Runs only on nodes
-        // the weight bound kept, so a NaN-sanitized (never-pruning) first
-        // stage cannot be overridden into a prune by accident — the hook
-        // sees the same sanitized incumbent and must apply its own
-        // sanitize_lb before comparing any bound of its own.
-        if self.problem.propagate(node, ub, self.opts) {
-            self.stats.pruned += 1;
-            self.stats.propagation_pruned += 1;
-            observer.on_event(SearchEvent::Pruned {
-                reason: PruneReason::Propagation,
             });
             return Step::Pruned;
         }

@@ -101,7 +101,6 @@ pub mod kernel;
 mod parallel;
 mod pool;
 mod problem;
-pub mod propagate;
 mod sequential;
 mod shared_bound;
 mod trace;
@@ -115,7 +114,6 @@ pub use pool::{PoolJob, SpawnPool, WorkerPool};
 pub use problem::{
     MemoryBudget, Problem, SearchMode, SearchOptions, SearchOutcome, SearchStats, StopReason, TOL,
 };
-pub use propagate::TripleDomains;
 pub use sequential::{solve_sequential, solve_sequential_observed};
 pub use shared_bound::SharedBound;
 pub use trace::{LoggingObserver, TraceLevel};

@@ -71,22 +71,6 @@ pub trait Problem: Sync {
     fn encode_solution(&self, _solution: &Self::Solution) -> Option<Vec<u8>> {
         None
     }
-
-    /// Second prune stage: constraint propagation (see
-    /// [`propagate`](crate::propagate)). Called by the expansion kernel
-    /// on every node that survived the weight-bound prune, with the
-    /// incumbent value `ub` current at that moment. Returning `true`
-    /// prunes the node (counted in
-    /// [`SearchStats::propagation_pruned`] and reported as
-    /// [`PruneReason::Propagation`](crate::PruneReason::Propagation)).
-    ///
-    /// Implementations must be *sound*: prune only nodes provably unable
-    /// to change the search's answer under `opts.mode`. The default
-    /// never prunes, so problems without a propagation stage are
-    /// unaffected.
-    fn propagate(&self, _node: &Self::Node, _ub: f64, _opts: &SearchOptions) -> bool {
-        false
-    }
 }
 
 /// What to collect during the search.
@@ -178,10 +162,10 @@ impl std::fmt::Display for StopReason {
 /// (`mutree_core::MutProblem<K>`), a node over `k` of `n` taxa holds
 /// `PartialTree::heap_bytes` of heap: `(2n − 1)(20 + 8K)` bytes of
 /// arena, `16(k − 1)(n − k)` of look-ahead rows (at most about `4n²`,
-/// at `k ≈ n/2`), and `16nK` of confinement masks under the full 3-3
-/// rule. At `n = 80` (`K = 2`) that is at most about 33 KB a node, at
-/// `n = 200` (`K = 4`) about 192 KB, so a byte budget `B` allows at
-/// least `B / (4n² + 40n + 32nK)` open nodes.
+/// at `k ≈ n/2`), and `12(n − k)` of lane taxa and pendant terms. At
+/// `n = 80` (`K = 2`) that is at most about 32 KB a node, at `n = 200`
+/// (`K = 4`) about 183 KB, so a byte budget `B` allows at least
+/// `B / (4n² + 52n + 16nK)` open nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBudget {
     /// Maximum open nodes allowed at once (at least 1).
@@ -324,11 +308,8 @@ pub struct SearchStats {
     /// Children discarded because their lower bound could not beat the
     /// incumbent.
     pub pruned: u64,
-    /// Nodes discarded by the constraint-propagation stage
-    /// ([`Problem::propagate`]), e.g. a triple-domain wipeout that beat
-    /// the weight bound to the prune. Counted in
-    /// [`pruned`](SearchStats::pruned) as well — this field attributes
-    /// the subset the second stage caught.
+    /// Always zero: the constraint-propagation prune stage it counted is
+    /// retired. Kept, with its report line, for readers of the field.
     pub propagation_pruned: u64,
     /// Complete solutions encountered (including non-improving ones).
     pub solutions_seen: u64,

@@ -60,7 +60,6 @@ fn prune_reason_str(reason: PruneReason) -> &'static str {
         PruneReason::Node => "node",
         PruneReason::Child => "child",
         PruneReason::NanObjective => "nan-objective",
-        PruneReason::Propagation => "propagation",
     }
 }
 

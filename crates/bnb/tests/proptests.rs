@@ -6,8 +6,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mutree_bnb::{
-    kernel::prunable, sanitize_lb, solve_parallel, solve_sequential, CancelToken, ChildBuf,
-    Problem, SearchMode, SearchOptions, SpawnPool, StopReason,
+    solve_parallel, solve_sequential, CancelToken, ChildBuf, Problem, SearchMode, SearchOptions,
+    SpawnPool, StopReason,
 };
 use proptest::prelude::*;
 
@@ -173,152 +173,6 @@ fn nan_lower_bounds_never_prune_in_any_driver() {
     assert_eq!(par.best_value, Some(optimum), "parallel");
     assert!(par.is_complete(), "parallel");
     assert_eq!(par.stats.pruned, 0, "parallel: NaN bound pruned a node");
-}
-
-/// `NanBound` plus a propagation hook following the engine recipe —
-/// lift the node bound, sanitize, compare via [`prunable`]. With both
-/// the bound and the lift NaN, the NaN→−∞ policy must flow through the
-/// *second* prune stage exactly as it does through the first: a
-/// NaN-lifted bound sanitizes to −∞ and can never reach the incumbent,
-/// so nothing is pruned and the search stays exhaustive in every driver.
-struct NanLiftPropagate(SubsetCost);
-
-impl Problem for NanLiftPropagate {
-    type Node = Vec<bool>;
-    type Solution = Vec<bool>;
-
-    fn root(&self) -> Vec<bool> {
-        self.0.root()
-    }
-    fn lower_bound(&self, _: &Vec<bool>) -> f64 {
-        f64::NAN
-    }
-    fn solution(&self, n: &Vec<bool>) -> Option<(Vec<bool>, f64)> {
-        self.0.solution(n)
-    }
-    fn branch(&self, n: &Vec<bool>, out: &mut ChildBuf<Vec<bool>>) {
-        self.0.branch(n, out)
-    }
-    fn propagate(&self, n: &Vec<bool>, ub: f64, opts: &SearchOptions) -> bool {
-        prunable(sanitize_lb(self.lower_bound(n) + f64::NAN), ub, opts.mode)
-    }
-}
-
-#[test]
-fn nan_propagation_lifts_never_prune_in_any_driver() {
-    let weights = vec![1.0, 2.0, 3.0, 1.5, 0.5, 2.5];
-    let optimum = exhaustive_min(&weights);
-    let opts = SearchOptions::new(SearchMode::BestOne);
-    let p = NanLiftPropagate(SubsetCost {
-        weights: weights.clone(),
-    });
-    let out = solve_sequential(&p, &opts);
-    assert_eq!(out.best_value, Some(optimum), "sequential");
-    assert!(out.is_complete(), "sequential");
-    assert_eq!(
-        out.stats.propagation_pruned, 0,
-        "sequential: NaN lift pruned a node"
-    );
-    assert_eq!(out.stats.branched, (1 << weights.len()) - 1, "sequential");
-    let p = Arc::new(NanLiftPropagate(SubsetCost { weights }));
-    let par = solve_parallel(p, &opts, 4, &SpawnPool, ());
-    assert_eq!(par.best_value, Some(optimum), "parallel");
-    assert_eq!(
-        par.stats.propagation_pruned, 0,
-        "parallel: NaN lift pruned a node"
-    );
-}
-
-/// Choose exactly `m` of the weights, minimizing their sum. The node
-/// bound is the chosen-so-far sum; the propagation hook adds the sound
-/// look-ahead the bound omits — the cheapest completion of the remaining
-/// quota — so it prunes nodes the weight stage keeps. With `lift` off
-/// the hook is inert, giving a same-problem baseline.
-struct PickM {
-    weights: Vec<f64>,
-    m: usize,
-    lift: bool,
-}
-
-impl Problem for PickM {
-    type Node = Vec<bool>;
-    type Solution = Vec<bool>;
-
-    fn root(&self) -> Vec<bool> {
-        Vec::new()
-    }
-    fn lower_bound(&self, n: &Vec<bool>) -> f64 {
-        n.iter()
-            .zip(&self.weights)
-            .map(|(&b, &w)| if b { w } else { 0.0 })
-            .sum()
-    }
-    fn solution(&self, n: &Vec<bool>) -> Option<(Vec<bool>, f64)> {
-        (n.len() == self.weights.len() && n.iter().filter(|&&b| b).count() == self.m)
-            .then(|| (n.clone(), self.lower_bound(n)))
-    }
-    fn branch(&self, n: &Vec<bool>, out: &mut ChildBuf<Vec<bool>>) {
-        if n.len() == self.weights.len() {
-            return;
-        }
-        for b in [true, false] {
-            let mut c = n.clone();
-            c.push(b);
-            out.push(c);
-        }
-    }
-    fn propagate(&self, n: &Vec<bool>, ub: f64, opts: &SearchOptions) -> bool {
-        if !self.lift {
-            return false;
-        }
-        let chosen = n.iter().filter(|&&b| b).count();
-        let Some(need) = self.m.checked_sub(chosen) else {
-            return false;
-        };
-        let mut rest: Vec<f64> = self.weights[n.len()..].to_vec();
-        if rest.len() < need {
-            return false;
-        }
-        rest.sort_by(f64::total_cmp);
-        let lift: f64 = rest[..need].iter().sum();
-        prunable(sanitize_lb(self.lower_bound(n) + lift), ub, opts.mode)
-    }
-}
-
-#[test]
-fn propagation_prunes_are_counted_and_sound() {
-    // Cheap pair up front, expensive tail: depth-first exploration finds
-    // an expensive incumbent first, so the lifted bound has prefixes to
-    // cut (cheap-so-far, forced into the expensive tail) that the plain
-    // weight bound keeps.
-    let weights = vec![1.0, 2.0, 10.0, 10.0, 10.0];
-    let mk = |lift| PickM {
-        weights: weights.clone(),
-        m: 2,
-        lift,
-    };
-    let with = solve_sequential(&mk(true), &SearchOptions::new(SearchMode::BestOne));
-    let without = solve_sequential(&mk(false), &SearchOptions::new(SearchMode::BestOne));
-    assert_eq!(with.best_value, Some(3.0));
-    assert_eq!(without.best_value, Some(3.0));
-    assert!(with.is_complete() && without.is_complete());
-    assert!(
-        with.stats.propagation_pruned > 0,
-        "the hook must have fired: {:?}",
-        with.stats
-    );
-    assert!(
-        with.stats.propagation_pruned <= with.stats.pruned,
-        "propagation prunes are a subset of all prunes: {:?}",
-        with.stats
-    );
-    assert_eq!(without.stats.propagation_pruned, 0);
-    assert!(
-        with.stats.branched < without.stats.branched,
-        "propagation must shrink the search: {} vs {}",
-        with.stats.branched,
-        without.stats.branched
-    );
 }
 
 fn exhaustive_min(weights: &[f64]) -> f64 {

@@ -2,7 +2,7 @@
 //! distance matrices (the project report's "user-friendly tool system").
 //!
 //! ```text
-//! mutree solve  <matrix.phy> [--backend seq|par:N|sim:N] [--all] [--33 off|initial|full]
+//! mutree solve  <matrix.phy> [--backend seq|par:N|sim:N] [--all] [--33 off|initial]
 //! mutree fast   <matrix.phy> [--threshold K] [--linkage max|min|avg]
 //! mutree sets   <matrix.phy>
 //! mutree heur   <matrix.phy> [--linkage max|avg|min]
@@ -82,7 +82,7 @@ const USAGE: &str = "\
 mutree — minimum ultrametric evolutionary trees (PaCT 2005 reproduction)
 
 USAGE:
-  mutree solve <matrix.phy> [--backend seq|par:N|sim:N] [--all] [--33 off|initial|full]
+  mutree solve <matrix.phy> [--backend seq|par:N|sim:N] [--all] [--33 off|initial]
                [--timeout SECS] [--threads N] [--trace-search incumbents|all]
                [--max-open-nodes N] [--checkpoint FILE] [--checkpoint-interval B]
                [--resume FILE] [--cache]
@@ -135,10 +135,6 @@ USAGE:
   canonical matrix bytes match a stored solve is answered from the cache
   bit for bit, and a near-miss (same quantization bucket) warm-starts
   the search from the stored tree.
-
-  --33 full also propagates the fixed triple relations: a node whose
-  future leaves have contradictory confinements is pruned early, and
-  the count is reported as 'propagation pruned'.
 
   serve runs requests on one shared worker pool behind a bounded
   earliest-deadline-first queue (--queue-depth, default 64, or
@@ -374,8 +370,7 @@ fn solve(args: &[String]) -> Result<ExitCode, CliError> {
         req.three_three = match rule {
             "off" => ThreeThree::Off,
             "initial" => ThreeThree::InitialOnly,
-            "full" => ThreeThree::Full,
-            other => return Err(usage(format!("unknown 3-3 mode {other:?}"))),
+            other => return Err(usage(format!("--33: unknown 3-3 mode {other:?}"))),
         };
     }
     req.timeout = parse_timeout(args)?;
@@ -424,10 +419,9 @@ fn solve(args: &[String]) -> Result<ExitCode, CliError> {
         64 * words,
     );
     println!(
-        "branched: {}  pruned: {}  propagation pruned: {}  solutions seen: {}  incumbent updates: {}  peak pool: {}",
+        "branched: {}  pruned: {}  solutions seen: {}  incumbent updates: {}  peak pool: {}",
         report.stats.branched,
         report.stats.pruned,
-        report.stats.propagation_pruned,
         report.stats.solutions_seen,
         report.stats.incumbent_updates,
         report.stats.peak_pool

@@ -70,10 +70,9 @@ fn solve_reads_stdin_and_prints_newick() {
     assert!(stdout.contains("weight: 11"));
     assert!(stdout.contains("alpha"));
     assert!(stdout.contains(";"));
-    // Diagnostics name the leaf width in play and the propagation
-    // stage's prune count.
+    // Diagnostics name the leaf width in play and the search's counts.
     assert!(stdout.contains("leaf words: 1 "), "{stdout}");
-    assert!(stdout.contains("propagation pruned: "), "{stdout}");
+    assert!(stdout.contains("branched: "), "{stdout}");
 }
 
 #[test]
@@ -99,14 +98,24 @@ fn former_environment_knobs_are_inert() {
 }
 
 #[test]
-fn solve_full_three_three_agrees_with_default() {
+fn solve_initial_three_three_agrees_with_default() {
     let (base, ok) = run_with_stdin(&["solve", "-"], MATRIX);
     assert!(ok);
     let weight = base.lines().find(|l| l.starts_with("weight:")).unwrap();
-    let (stdout, ok) = run_with_stdin(&["solve", "-", "--33", "full"], MATRIX);
+    let (stdout, ok) = run_with_stdin(&["solve", "-", "--33", "initial"], MATRIX);
     assert!(ok, "{stdout}");
     assert!(stdout.contains(weight), "{stdout}");
-    assert!(stdout.contains("propagation pruned: "), "{stdout}");
+}
+
+#[test]
+fn the_retired_full_three_three_rule_is_refused() {
+    let (stdout, stderr, code) = run_full(&["solve", "-", "--33", "full"], MATRIX);
+    assert_eq!(code, Some(2), "{stdout}");
+    assert!(
+        stderr.contains("--33: unknown 3-3 mode \"full\""),
+        "{stderr}"
+    );
+    assert!(!stdout.contains("weight:"), "{stdout}");
 }
 
 #[test]
@@ -199,6 +208,39 @@ fn rf_compares_two_trees() {
     let (stdout, _, ok) = run(&["rf", a.to_str().unwrap(), a.to_str().unwrap()]);
     assert!(ok);
     assert!(stdout.contains("robinson-foulds: 0"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A deep caterpillar file compares instead of killing the process: the
+/// parser walks on explicit stacks, and the comparison never lists a
+/// clade's taxa, so neither the stack nor the memory grows with depth².
+#[test]
+fn rf_compares_deep_caterpillars() {
+    const DEPTH: usize = 100_000;
+    let caterpillar = |name: &dyn Fn(usize) -> String| {
+        let mut text = "(".repeat(DEPTH);
+        text.push_str(&format!("{}:1,{}:1)", name(0), name(1)));
+        for i in 2..=DEPTH {
+            text.push_str(&format!(":1,{}:{i})", name(i)));
+        }
+        text + ";"
+    };
+    let dir = std::env::temp_dir().join(format!("mutree-rf3-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let a = dir.join("a.nwk");
+    let b = dir.join("b.nwk");
+    std::fs::write(&a, caterpillar(&|i| format!("t{i}"))).unwrap();
+    std::fs::write(&b, caterpillar(&|i| format!("t{}", DEPTH - i))).unwrap();
+    let (stdout, stderr, ok) = run(&["rf", a.to_str().unwrap(), b.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    // Reversed, the two caterpillars share no clade but the root's.
+    assert!(
+        stdout.contains(&format!("robinson-foulds: {}", 2 * (DEPTH - 1))),
+        "{stdout}"
+    );
+    let (stdout, _, ok) = run(&["rf", a.to_str().unwrap(), a.to_str().unwrap()]);
+    assert!(ok);
+    assert!(stdout.contains("robinson-foulds: 0"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

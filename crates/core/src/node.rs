@@ -1,5 +1,3 @@
-use mutree_bnb::bound::triple_index;
-use mutree_bnb::propagate::{Arm, TripleDomains};
 use mutree_distmat::DistanceMatrix;
 use mutree_tree::UltrametricTree;
 
@@ -16,7 +14,7 @@ pub(crate) const SITE_CUT: f64 = -1.0;
 /// The `n × n` table `max(M[y, f], 0) / 2`, in rows of `n`: row `y`
 /// holds leaf `y`'s half-distances to every other leaf contiguously. A
 /// leaf's pendant heights and its look-ahead rows (see
-/// [`PartialTree`]) are slices of its row; every tree operation that
+/// [`PartialTree`]) are read from its row; every tree operation that
 /// inserts a leaf or bounds a node takes this table.
 pub fn half_distances(m: &DistanceMatrix) -> Vec<f64> {
     let n = m.len();
@@ -58,6 +56,16 @@ pub(crate) fn fmax(a: f64, b: f64) -> f64 {
     }
 }
 
+/// Leaf `y`'s look-ahead row over the lanes `taxa`: `out[i] =
+/// half[y][taxa[i]]`.
+#[inline]
+fn gather(half: &[f64], n: usize, y: usize, taxa: &[u32], out: &mut [f64]) {
+    let row = &half[y * n..(y + 1) * n];
+    for (o, &t) in out.iter_mut().zip(taxa) {
+        *o = row[t as usize];
+    }
+}
+
 /// Row `v` of `table` (rows of width `w`), mutable, and a reader for
 /// every other row.
 #[inline]
@@ -82,9 +90,9 @@ fn row_and_rest<'a>(
 
 /// One internal node's look-ahead rows from its children's. `out` holds
 /// the node's `mx_f` row then its `sub_f` row; `l` and `r` are the
-/// children's `(mx_f, sub_f)` rows (a leaf passes its `half` row for
-/// both). With `m = max(h, mx_f)`: `mx_f` is the larger child `mx_f`,
-/// and `sub_f = min(m, (m − h) + min(sub_l, sub_r))`.
+/// children's `(mx_f, sub_f)` rows (a leaf passes its gathered `half`
+/// row for both). With `m = max(h, mx_f)`: `mx_f` is the larger child
+/// `mx_f`, and `sub_f = min(m, (m − h) + min(sub_l, sub_r))`.
 #[inline]
 fn join_rows(out: &mut [f64], h: f64, l: (&[f64], &[f64]), r: (&[f64], &[f64])) {
     let (mx, sub) = out.split_at_mut(out.len() / 2);
@@ -121,14 +129,21 @@ fn child_path_step(out: &mut [f64], h: f64, mx: &[f64], hs: &[f64], other: &[f64
 }
 
 /// Debug check that every lane's cheapest insertion is at least the
-/// static pendant term it replaces: half the distance from future leaf
-/// `lo + i` to the nearest placed leaf, `0..lo`.
+/// static pendant term it replaces: half the distance from the lane's
+/// taxon to the nearest leaf of `placed`. `lanes` yields `(taxon,
+/// cheapest)` pairs.
 #[inline]
-fn debug_assert_lanes_reach_static_term(half: &[f64], n: usize, lo: usize, lanes: &[f64]) {
+fn debug_assert_lanes_reach_static_term<const K: usize>(
+    half: &[f64],
+    n: usize,
+    placed: LeafWords<K>,
+    mut lanes: impl Iterator<Item = (usize, f64)>,
+) {
     debug_assert!(
-        lanes.iter().enumerate().all(|(i, &cheapest)| {
-            let nearest = (0..lo)
-                .map(|y| half[y * n + lo + i])
+        lanes.all(|(f, cheapest)| {
+            let nearest = placed
+                .iter()
+                .map(|y| half[y * n + f])
                 .fold(f64::INFINITY, f64::min);
             cheapest >= nearest
         }),
@@ -136,68 +151,9 @@ fn debug_assert_lanes_reach_static_term(half: &[f64], n: usize, lo: usize, lanes
     );
 }
 
-/// The triple-domain arm index: for every leaf pair `(s, u)` with
-/// `s < u`, the partition of the earlier leaves `i < s` by the fixed arm
-/// of triple `(i, s, u)` — one `[Earlier, WithLow, WithHigh]` mask trio
-/// per pair, decoded once per problem from the packed
-/// [`TripleDomains`]. [`prop_advance`](PartialTree::prop_advance) folds
-/// constraints level by level along the new leaf's root path, and every
-/// leaf at one level contributes the *same* region mask per arm, so
-/// three `intersects` tests per level replace a per-triple arm decode
-/// (folding a region twice is idempotent, see the laminar argument at
-/// the fold).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ArmIndex<const K: usize> {
-    masks: Vec<[LeafWords<K>; 3]>,
-}
-
-impl<const K: usize> ArmIndex<K> {
-    /// Decodes the packed domain into per-pair arm masks. An empty
-    /// domain yields an empty (inactive) index.
-    pub(crate) fn build(n: usize, domains: &TripleDomains) -> Self {
-        if domains.is_empty() {
-            return ArmIndex::default();
-        }
-        let mut masks = vec![[LeafWords::EMPTY; 3]; n * n.saturating_sub(1) / 2];
-        for u in 2..n {
-            for s in 1..u {
-                // triple_index is linear in its first argument, so the
-                // codes for fixed (s, u) are contiguous from base.
-                let base = triple_index(0, s, u);
-                let slot = &mut masks[Self::pair(s, u)];
-                for i in 0..s {
-                    match domains.arm(base + i) {
-                        Arm::Open => {}
-                        Arm::Earlier => slot[0].insert(i),
-                        Arm::WithLow => slot[1].insert(i),
-                        Arm::WithHigh => slot[2].insert(i),
-                    }
-                }
-            }
-        }
-        ArmIndex { masks }
-    }
-
-    /// Whether the index carries no pairs (propagation inactive).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.masks.is_empty()
-    }
-
-    #[inline]
-    fn pair(s: usize, u: usize) -> usize {
-        debug_assert!(s < u);
-        u * (u - 1) / 2 + s
-    }
-
-    /// The `[Earlier, WithLow, WithHigh]` masks of pair `(s, u)`.
-    #[inline]
-    fn masks(&self, s: usize, u: usize) -> &[LeafWords<K>; 3] {
-        &self.masks[Self::pair(s, u)]
-    }
-}
-
-/// A node of the branch-and-bound tree (BBT): an ultrametric tree over the
-/// first `k` species of a (maxmin-relabeled) matrix, with minimal heights.
+/// A node of the branch-and-bound tree (BBT): an ultrametric tree over
+/// the *placed* species of a (search-order-relabeled) matrix, with
+/// minimal heights, and the species its children insert next.
 ///
 /// The encoding is a flat arena sized for the complete tree, plus the
 /// node's look-ahead rows, so that the copy behind every built child is
@@ -207,8 +163,8 @@ impl<const K: usize> ArmIndex<K> {
 /// children that survive the bound):
 ///
 /// * node ids `0..n` are the leaves (id = taxon); ids `n..2n-1` are
-///   internal nodes, allocated in insertion order (inserting taxon `s`
-///   creates internal node `n + s − 1`);
+///   internal nodes, allocated in insertion order (the `k`-th leaf to
+///   insert creates internal node `n + k − 2`, the cherry node `n`);
 /// * each node stores its parent, children, height, and the
 ///   [`LeafWords<K>`] bitset of leaves below it. `K` fixes the taxa
 ///   ceiling at `64·K`; the solver monomorphizes K = 1, 2, 4 and
@@ -216,28 +172,43 @@ impl<const K: usize> ArmIndex<K> {
 ///   [`leaf_words_for`](crate::leaf_words_for)), so the default `K = 1`
 ///   compiles to the historical single-`u64` arena.
 ///
+/// The placed set is the root's leafset. The *remaining* taxa, in
+/// ascending order of the matrix, are the node's lanes: lane `i` is the
+/// `i`-th remaining taxon. One lane is the *next* leaf, the one every
+/// child of this node inserts. A cherry or a built child defaults it to
+/// its smallest remaining taxon, so a tree grown by
+/// [`insert_next`](PartialTree::insert_next) alone inserts the taxa in
+/// matrix order; [`MutProblem`](crate::MutProblem) sets it per node to
+/// the leaf that attains the look-ahead bound.
+///
 /// Heights are kept *minimal* for the topology at all times: inserting a
 /// leaf only updates heights along its root path, each ancestor rising to
-/// the pendant height of the new leaf over its leaves (lane `k` of its
-/// look-ahead rows).
+/// the pendant height of the new leaf over its leaves (the next leaf's
+/// lane of its look-ahead rows).
 ///
-/// The look-ahead rows hold, for each internal node `v` and each future
-/// leaf `f ∈ k..n` (one `f64` lane per leaf, stride `n − k`):
+/// The look-ahead rows hold, for each internal node `v` and each
+/// remaining taxon `f` (one `f64` lane per taxon, stride `n − k`):
 ///
 /// * `mx_f[v] = max_{y ∈ L(v)} M[f, y] / 2`, the height a node joining
-///   `f` to `v`'s leaves needs at least — lane `f = k` is the pendant
-///   height of the next leaf at `v`;
+///   `f` to `v`'s leaves needs at least — the next leaf's lane is its
+///   pendant height at `v`;
 /// * `sub_f[v]`, the cheapest insertion of `f` at a site in `v`'s
 ///   subtree, counting the height raises inside the subtree only: with
 ///   `m = max(h_v, mx_f[v])`, it is `m` for the site above `v` and
 ///   `m − h_v` plus a child's `sub_f` for a site below it.
 ///
-/// A leaf's row of either kind is its row of the
-/// [`half_distances`] table, so only internal nodes store rows: `mx_f`
+/// A leaf's row of either kind is its [`half_distances`] row gathered
+/// over the remaining taxa, so only internal nodes store rows: `mx_f`
 /// then `sub_f` for node `n + i` at offset `2i·(n − k)`, `2(k − 1)(n − k)`
 /// `f64`s in all (see [`heap_bytes`](PartialTree::heap_bytes)). An
 /// insertion changes them only on the new leaf's root path: the child
-/// copies the rest without lane `k` and recomputes that path alone.
+/// copies the rest without the inserted leaf's lane and recomputes that
+/// path alone.
+///
+/// Each lane also carries its *pendant term* `base[t]`: half the
+/// distance from taxon `t` to the nearest placed taxon or remaining taxon
+/// before it. Summed over the lanes they are Wu–Chao–Tang's static bound
+/// on what the remaining taxa add, inserted in ascending order.
 #[derive(Debug)]
 pub struct PartialTree<const K: usize = 1> {
     parent: Vec<u32>,
@@ -248,29 +219,20 @@ pub struct PartialTree<const K: usize = 1> {
     root: u32,
     k: u32,
     n: u32,
+    /// The next leaf's lane.
+    next: u32,
     weight: f64,
     lb: f64,
+    /// The remaining taxa, ascending: lane `i` is taxon `rem[i]`.
+    rem: Vec<u32>,
+    /// The pendant term of each lane (see above).
+    base: Vec<f64>,
     /// The look-ahead rows of the internal nodes (layout above).
     rows: Vec<f64>,
-    /// Future-leaf confinement masks for the propagation stage, indexed
-    /// by taxon: `prop_inside[u]` is the leafset of the current subtree
-    /// `u` must insert into (its edge included), `prop_outside[u]` the
-    /// leafset of the current subtree `u` must not insert strictly
-    /// inside. `EMPTY` means unconstrained; the vectors are empty — no
-    /// per-node cost at all — unless the problem propagates (the full
-    /// 3-3 rule).
-    prop_inside: Vec<LeafWords<K>>,
-    prop_outside: Vec<LeafWords<K>>,
-    /// Some future leaf's confinements contradict: every completion of
-    /// this node dies in a later 3-3 check, so the kernel prunes it.
-    prop_wiped: bool,
-    /// Per-level (sibling, ancestor) leafsets along the newest leaf's
-    /// root path — scratch for [`prop_advance`](Self::prop_advance),
-    /// kept on the node so a recycled tree re-fills it without
-    /// allocating. Contents are meaningless between calls, so clones
-    /// don't copy it (and an insertion into a recycled tree leaves the
-    /// capacity in place).
-    prop_scratch: Vec<(LeafWords<K>, LeafWords<K>)>,
+    /// Two gathered leaf rows, scratch for the row refresh of an
+    /// insertion. Kept on the node so a recycled tree re-fills it without
+    /// allocating; clones do not copy it.
+    gathered: Vec<f64>,
 }
 
 impl<const K: usize> Clone for PartialTree<K> {
@@ -284,13 +246,13 @@ impl<const K: usize> Clone for PartialTree<K> {
             root: self.root,
             k: self.k,
             n: self.n,
+            next: self.next,
             weight: self.weight,
             lb: self.lb,
+            rem: self.rem.clone(),
+            base: self.base.clone(),
             rows: self.rows.clone(),
-            prop_inside: self.prop_inside.clone(),
-            prop_outside: self.prop_outside.clone(),
-            prop_wiped: self.prop_wiped,
-            prop_scratch: Vec::new(),
+            gathered: Vec::new(),
         }
     }
 }
@@ -301,8 +263,9 @@ impl<const K: usize> PartialTree<K> {
     pub const MAX_TAXA: usize = LeafWords::<K>::CAPACITY;
 
     /// The root BBT node: the unique topology over taxa `{0, 1}`, with
-    /// height `M[0,1] / 2`, and its look-ahead rows. `half` is `m`'s
-    /// [`half_distances`] table.
+    /// height `M[0,1] / 2`, its look-ahead rows and pendant terms, and
+    /// taxon `2` as its next leaf. `half` is `m`'s [`half_distances`]
+    /// table.
     ///
     /// # Panics
     ///
@@ -317,6 +280,14 @@ impl<const K: usize> PartialTree<K> {
             Self::MAX_TAXA
         );
         let cap = 2 * n - 1;
+        let rem: Vec<u32> = (2..n as u32).collect();
+        let base = rem
+            .iter()
+            .map(|&t| {
+                let t = t as usize;
+                (0..t).map(|i| half[i * n + t]).fold(f64::INFINITY, fmin)
+            })
+            .collect();
         let mut t = PartialTree {
             parent: vec![NONE; cap],
             left: vec![NONE; cap],
@@ -326,13 +297,13 @@ impl<const K: usize> PartialTree<K> {
             root: n as u32,
             k: 2,
             n: n as u32,
+            next: 0,
             weight: 0.0,
             lb: 0.0,
+            rem,
+            base,
             rows: vec![0.0; 2 * (n - 2)],
-            prop_inside: Vec::new(),
-            prop_outside: Vec::new(),
-            prop_wiped: false,
-            prop_scratch: Vec::new(),
+            gathered: Vec::new(),
         };
         for leaf in 0..n {
             t.leafset[leaf] = LeafWords::singleton(leaf);
@@ -345,8 +316,12 @@ impl<const K: usize> PartialTree<K> {
         t.leafset[r] = LeafWords::singleton(0).union(LeafWords::singleton(1));
         t.height[r] = m.get(0, 1) / 2.0;
         t.weight = m.get(0, 1);
-        let leaf = |y: usize| (&half[y * n + 2..y * n + n], &half[y * n + 2..y * n + n]);
-        join_rows(&mut t.rows, t.height[r], leaf(0), leaf(1));
+        let w = n - 2;
+        let mut leaves = vec![0.0; 2 * w];
+        let (l0, l1) = leaves.split_at_mut(w);
+        gather(half, n, 0, &t.rem, l0);
+        gather(half, n, 1, &t.rem, l1);
+        join_rows(&mut t.rows, t.height[r], (l0, l0), (l1, l1));
         t
     }
 
@@ -370,9 +345,67 @@ impl<const K: usize> PartialTree<K> {
         self.weight
     }
 
+    /// The placed species: the root's leafset.
+    pub fn placed(&self) -> LeafWords<K> {
+        self.leafset[self.root as usize]
+    }
+
+    /// The species this node's children insert.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the tree is complete.
+    pub fn next_leaf(&self) -> usize {
+        self.rem[self.next as usize] as usize
+    }
+
+    /// The remaining species, ascending: the taxa of the lanes.
+    pub(crate) fn remaining(&self) -> &[u32] {
+        &self.rem
+    }
+
+    /// The next leaf's lane.
+    pub(crate) fn next_lane(&self) -> usize {
+        self.next as usize
+    }
+
+    /// Makes the remaining taxon of lane `lane` the next leaf.
+    pub(crate) fn set_next_lane(&mut self, lane: usize) {
+        debug_assert!(lane < self.rem.len());
+        self.next = lane as u32;
+    }
+
+    /// The pendant term of each lane.
+    pub(crate) fn pendant_terms(&self) -> &[f64] {
+        &self.base
+    }
+
+    /// The pendant terms every child of this node carries, one per lane
+    /// but the next leaf's, into `out[..n − k − 1]`. All children insert
+    /// the next leaf `s`: each lane before it is lowered to `half[s][t]`
+    /// when that is smaller (`s` now precedes every remaining taxon), and
+    /// the lanes after it already counted `s`.
+    pub(crate) fn child_pendant_terms(&self, half: &[f64], out: &mut [f64]) {
+        let n = self.n as usize;
+        let (i, s) = (self.next_lane(), self.next_leaf());
+        let hs = &half[s * n..(s + 1) * n];
+        let lower = out[..i].iter_mut().zip(&self.base[..i]).zip(&self.rem[..i]);
+        for ((o, &b), &t) in lower {
+            *o = fmin(b, hs[t as usize]);
+        }
+        out[i..self.base.len() - 1].copy_from_slice(&self.base[i + 1..]);
+    }
+
+    /// The most recently inserted species: the leaf child of the newest
+    /// internal node.
+    #[cfg(test)]
+    pub(crate) fn newest_leaf(&self) -> usize {
+        self.right[self.n as usize + self.k as usize - 2] as usize
+    }
+
     /// The cached lower bound on every completion: the look-ahead bound
     /// built from [`min_insertions`](Self::min_insertions), never below
-    /// the weight plus the static pendant suffix (maintained by
+    /// the weight plus the pendant terms (maintained by
     /// [`MutProblem`](crate::MutProblem)).
     pub fn lower_bound(&self) -> f64 {
         self.lb
@@ -385,16 +418,19 @@ impl<const K: usize> PartialTree<K> {
     /// All current insertion sites: inserting "above node `v`" splits the
     /// edge from `v` to its parent (or roots a new node above the whole
     /// tree when `v` is the root). A tree over `k` leaves has `2k − 1`
-    /// sites.
+    /// sites: the placed leaves in ascending order, then the internal
+    /// nodes in the order they were made.
     pub fn insertion_sites(&self) -> impl Iterator<Item = u32> + '_ {
         let n = self.n as usize;
         let k = self.k as usize;
-        (0..k).chain(n..n + k - 1).map(|v| v as u32)
+        self.placed().iter().chain(n..n + k - 1).map(|v| v as u32)
     }
 
-    /// Returns a copy of this tree with the next species (`taxon = k`)
-    /// inserted above node `site`, with heights, weight and look-ahead
-    /// rows updated. `half` is the matrix's [`half_distances`] table.
+    /// Returns a copy of this tree with the next species
+    /// ([`next_leaf`](Self::next_leaf)) inserted above node `site`, with
+    /// heights, weight, look-ahead rows and pendant terms updated; the
+    /// copy's next leaf is its smallest remaining taxon. `half` is the
+    /// matrix's [`half_distances`] table.
     ///
     /// # Panics
     ///
@@ -415,25 +451,25 @@ impl<const K: usize> PartialTree<K> {
         scratch.insert_from(self, half, site);
     }
 
-    /// The look-ahead lanes of this tree: one per future leaf `k..n`.
+    /// The look-ahead lanes of this tree: one per remaining taxon.
     fn lanes(&self) -> usize {
-        (self.n - self.k) as usize
+        self.rem.len()
     }
 
-    /// Lane `k` of node `v`'s `mx` row: `max_{y ∈ L(v)} M[k, y] / 2`,
-    /// the height the next species needs to join `v`'s leaves — read
-    /// from `half` for a leaf.
+    /// The next leaf's lane of node `v`'s `mx` row: `max_{y ∈ L(v)}
+    /// M[s, y] / 2` for next leaf `s`, the height it needs to join `v`'s
+    /// leaves — read from `half` for a leaf.
     #[inline]
     fn site_height(&self, half: &[f64], v: usize) -> f64 {
         let n = self.n as usize;
         if v < n {
-            half[v * n + self.k as usize]
+            half[v * n + self.next_leaf()]
         } else {
-            self.rows[2 * (v - n) * self.lanes()]
+            self.rows[2 * (v - n) * self.lanes() + self.next_lane()]
         }
     }
 
-    /// `max(h_v, mx_k[v])`: the height node `v` rises to when the next
+    /// `max(h_v, mx_s[v])`: the height node `v` rises to when the next
     /// species inserts below it, and the height of the joint node when
     /// it inserts right above `v`.
     #[inline]
@@ -441,12 +477,9 @@ impl<const K: usize> PartialTree<K> {
         fmax(self.height[v], self.site_height(half, v))
     }
 
-    /// Overwrites `self` with the child of `from` that inserting the next
-    /// species above `site` produces. The arena and the confinement masks
-    /// copy as they are, a handful of `memcpy`s that reuse `self`'s
-    /// buffers; `prop_scratch` is left alone, as its contents are dead
-    /// between [`prop_advance`](Self::prop_advance) calls and its
-    /// capacity is the point of recycling.
+    /// Overwrites `self` with the child of `from` that inserting its next
+    /// species above `site` produces. The arena copies as it is, a
+    /// handful of `memcpy`s that reuse `self`'s buffers.
     fn insert_from(&mut self, from: &Self, half: &[f64], site: u32) {
         debug_assert!(!from.is_complete(), "tree is already complete");
         self.parent.clone_from(&from.parent);
@@ -459,18 +492,16 @@ impl<const K: usize> PartialTree<K> {
         self.n = from.n;
         self.weight = from.weight;
         self.lb = from.lb;
-        self.prop_inside.clone_from(&from.prop_inside);
-        self.prop_outside.clone_from(&from.prop_outside);
-        self.prop_wiped = from.prop_wiped;
 
-        let s = self.k as usize; // the taxon being inserted
+        let i = from.next_lane();
+        let s = from.next_leaf(); // the taxon being inserted
         let n = self.n as usize;
         let e = site as usize;
+        let j = n + self.k as usize - 1; // the new internal node
         debug_assert!(
-            e < s || (n..n + s - 1).contains(&e),
+            (e < n && from.placed().contains(e)) || (n..j).contains(&e),
             "site {e} is not a live node"
         );
-        let j = n + s - 1; // the new internal node
         let p = self.parent[e];
         let sbit = LeafWords::singleton(s);
 
@@ -506,15 +537,19 @@ impl<const K: usize> PartialTree<K> {
 
         self.k += 1;
         self.weight = self.recompute_weight();
-        self.refresh_rows(from, half, s);
+        self.rem.clone_from(&from.rem);
+        self.rem.remove(i);
+        self.base.resize(self.rem.len(), 0.0);
+        from.child_pendant_terms(half, &mut self.base);
+        self.next = 0;
+        self.refresh_rows(from, half, i, s);
     }
 
-    /// Fills this child's look-ahead rows, lanes `s + 1..n`, from the
-    /// parent's, lanes `s..n`, after leaf `s` inserted: copies every row
-    /// without lane `s`, then recomputes the rows of `s`'s root path,
-    /// joint node first. Every other subtree is unchanged, and so are its
-    /// rows.
-    fn refresh_rows(&mut self, from: &Self, half: &[f64], s: usize) {
+    /// Fills this child's look-ahead rows from the parent's after leaf
+    /// `s`, the parent's lane `i`, inserted: copies every row without
+    /// lane `i`, then recomputes the rows of `s`'s root path, joint node
+    /// first. Every other subtree is unchanged, and so are its rows.
+    fn refresh_rows(&mut self, from: &Self, half: &[f64], i: usize, s: usize) {
         let n = self.n as usize;
         let w = self.lanes();
         self.rows.clear();
@@ -522,38 +557,48 @@ impl<const K: usize> PartialTree<K> {
             return;
         }
         for row in from.rows.chunks_exact(w + 1) {
-            self.rows.extend_from_slice(&row[1..]);
+            self.rows.extend_from_slice(&row[..i]);
+            self.rows.extend_from_slice(&row[i + 1..]);
         }
-        self.rows.resize(2 * s * w, 0.0);
-        let lo = s + 1;
-        let leaf = |y: usize| (&half[y * n + lo..y * n + n], &half[y * n + lo..y * n + n]);
+        self.rows.resize(2 * (self.k as usize - 1) * w, 0.0);
+        // Leaf s's row, and one slot for the other leaf a path node may
+        // have as a child.
+        let mut gathered = std::mem::take(&mut self.gathered);
+        gathered.clear();
+        gathered.resize(2 * w, 0.0);
+        let (hs, hy) = gathered.split_at_mut(w);
+        gather(half, n, s, &self.rem, hs);
         let mut v = self.parent[s];
         while v != NONE {
             let vi = v as usize;
+            let (l, r) = (self.left[vi] as usize, self.right[vi] as usize);
+            for c in [l, r] {
+                if c < n && c != s {
+                    gather(half, n, c, &self.rem, hy);
+                }
+            }
+            let (hs, hy) = (&*hs, &*hy);
             let (out, other) = row_and_rest(&mut self.rows, 2 * w, vi - n);
-            let pick = |c: u32| {
-                let c = c as usize;
-                if c < n {
-                    leaf(c)
+            let pick = |c: usize| {
+                if c == s {
+                    (hs, hs)
+                } else if c < n {
+                    (hy, hy)
                 } else {
                     other(c - n).split_at(w)
                 }
             };
-            join_rows(
-                out,
-                self.height[vi],
-                pick(self.left[vi]),
-                pick(self.right[vi]),
-            );
+            join_rows(out, self.height[vi], pick(l), pick(r));
             v = self.parent[vi];
         }
+        self.gathered = gathered;
     }
 
     fn recompute_weight(&self) -> f64 {
         let n = self.n as usize;
         let k = self.k as usize;
         let mut w = 0.0;
-        for v in (0..k).chain(n..n + k - 1) {
+        for v in self.placed().iter().chain(n..n + k - 1) {
             let p = self.parent[v];
             if p != NONE {
                 w += self.height[p as usize] - self.height[v];
@@ -565,23 +610,22 @@ impl<const K: usize> PartialTree<K> {
     /// The bytes of heap this node's contents occupy: the arena's
     /// `2n − 1` slots (three `u32` links, an `f64` height and a
     /// `LeafWords<K>` each), the `2(k − 1)(n − k)` `f64`s of look-ahead
-    /// rows, and, when propagation is on, two `LeafWords<K>` confinement
-    /// masks per taxon. A recycled node may hold spare capacity beyond
-    /// this.
+    /// rows, and a `u32` taxon and an `f64` pendant term per lane. A
+    /// recycled node may hold spare capacity beyond this.
     pub fn heap_bytes(&self) -> u64 {
         let words = std::mem::size_of::<LeafWords<K>>();
         let bytes = self.parent.len() * (3 * 4 + 8 + words)
             + self.rows.len() * 8
-            + (self.prop_inside.len() + self.prop_outside.len()) * words;
+            + self.rem.len() * (4 + 8);
         bytes as u64
     }
 
     /// The weight of the child that inserting the next species above
     /// `site` would produce, computed from this tree's heights and the
-    /// pendant heights in lane `k` of its rows — without building the
-    /// child. One root walk per call: the single-site reference that
-    /// branching's one-pass `site_weights`, which scores every site at
-    /// once, must equal bit for bit.
+    /// pendant heights in the next leaf's lane of its rows — without
+    /// building the child. One root walk per call: the single-site
+    /// reference that branching's one-pass `site_weights`, which scores
+    /// every site at once, must equal bit for bit.
     ///
     /// `ω = Σ internal heights + root height`. The insertion adds the new
     /// internal node `j` at `h_j = max(h_site, mx[site])` and raises each
@@ -616,11 +660,11 @@ impl<const K: usize> PartialTree<K> {
     }
 
     /// [`site_weight`](Self::site_weight) of every insertion site, in one
-    /// pre-order walk from the root: `scores[i]` belongs to the `i`-th
-    /// site of [`insertion_sites`](Self::insertion_sites), so `scores`
-    /// needs `2k − 1` entries. The walk carries `c`, the raise sum of a
-    /// node's ancestors, down the tree, so each site costs `O(1)` and the
-    /// scores equal the reference's bit for bit.
+    /// pre-order walk from the root: `scores[v]` belongs to the site above
+    /// node `v`, so `scores` needs `n + k − 1` entries (the slots of
+    /// remaining leaves are left alone). The walk carries `c`, the raise
+    /// sum of a node's ancestors, down the tree, so each site costs
+    /// `O(1)` and the scores equal the reference's bit for bit.
     ///
     /// `keep` decides whether a site's score is worth having, and must be
     /// monotone: a score it rejects, it rejects for every larger one. A
@@ -639,41 +683,31 @@ impl<const K: usize> PartialTree<K> {
         scores: &mut [f64],
     ) {
         let n = self.n as usize;
-        let k = self.k as usize;
-        let slot = |v: u32| {
-            let v = v as usize;
-            if v < n {
-                v
-            } else {
-                v - n + k
-            }
-        };
         let root = self.root;
         let r = root as usize;
         let hj = self.raised_height(half, r);
-        scores[slot(root)] = self.weight - self.height[r] + 2.0 * hj;
+        scores[r] = self.weight - self.height[r] + 2.0 * hj;
         // Until a node is visited, its slot holds its `c` (or the cut
         // mark), written by its parent.
         let c = 2.0 * (hj - self.height[r]);
-        scores[slot(self.left[r])] = c;
-        scores[slot(self.right[r])] = c;
+        scores[self.left[r] as usize] = c;
+        scores[self.right[r] as usize] = c;
         let mut v = self.left[r];
         loop {
             let vi = v as usize;
-            let at = slot(v);
-            let c = scores[at];
+            let c = scores[vi];
             let prefix = self.weight + c;
             let below = if c != SITE_CUT && keep(prefix) {
                 let hj = self.raised_height(half, vi);
-                scores[at] = prefix + hj;
+                scores[vi] = prefix + hj;
                 c + (hj - self.height[vi])
             } else {
-                scores[at] = SITE_CUT;
+                scores[vi] = SITE_CUT;
                 SITE_CUT
             };
             if vi >= n {
-                scores[slot(self.left[vi])] = below;
-                scores[slot(self.right[vi])] = below;
+                scores[self.left[vi] as usize] = below;
+                scores[self.right[vi] as usize] = below;
                 v = self.left[vi];
                 continue;
             }
@@ -717,16 +751,26 @@ impl<const K: usize> PartialTree<K> {
                     fill(t, half, c, rows);
                 }
             }
-            let lo = t.k as usize;
-            let (out, other) = row_and_rest(rows, 2 * w, v - n);
-            let pick = |c: usize| {
+            let leaf = |c: usize| {
+                let mut row = vec![0.0; w];
                 if c < n {
-                    (&half[c * n + lo..c * n + n], &half[c * n + lo..c * n + n])
-                } else {
-                    other(c - n).split_at(w)
+                    gather(half, n, c, &t.rem, &mut row);
                 }
+                row
             };
-            join_rows(out, t.height[v], pick(l), pick(r));
+            let (lrow, rrow) = (leaf(l), leaf(r));
+            let (out, other) = row_and_rest(rows, 2 * w, v - n);
+            let lr = if l < n {
+                (&lrow[..], &lrow[..])
+            } else {
+                other(l - n).split_at(w)
+            };
+            let rr = if r < n {
+                (&rrow[..], &rrow[..])
+            } else {
+                other(r - n).split_at(w)
+            };
+            join_rows(out, t.height[v], lr, rr);
         }
         let mut rows = vec![f64::NAN; self.rows.len()];
         if self.lanes() > 0 {
@@ -742,11 +786,11 @@ impl<const K: usize> PartialTree<K> {
         &self.rows
     }
 
-    /// `min_site Δ_f` of this tree for every future leaf `f ≥ k`, written
-    /// to `out[f − k]`, from the root's look-ahead rows. `Δ_f` at a site
-    /// is the exact weight increase of inserting `f` there, height raises
-    /// included; the root's raise counts twice, as `ω` counts the root
-    /// height twice.
+    /// `min_site Δ_f` of this tree for every remaining taxon `f`, written
+    /// to `out[i]` for lane `i`, from the root's look-ahead rows. `Δ_f` at
+    /// a site is the exact weight increase of inserting `f` there, height
+    /// raises included; the root's raise counts twice, as `ω` counts the
+    /// root height twice.
     pub fn min_insertions(&self, half: &[f64], out: &mut [f64]) {
         let n = self.n as usize;
         let w = self.lanes();
@@ -756,13 +800,21 @@ impl<const K: usize> PartialTree<K> {
         for ((o, &x), &b) in out[..w].iter_mut().zip(mx_r).zip(sub_r) {
             *o = (fmax(h, x) - h) + b;
         }
-        debug_assert_lanes_reach_static_term(half, n, self.k as usize, &out[..w]);
+        let lanes = self
+            .rem
+            .iter()
+            .map(|&f| f as usize)
+            .zip(out[..w].iter().copied());
+        debug_assert_lanes_reach_static_term(half, n, self.placed(), lanes);
     }
 
     /// `min_site Δ_f` of the child that inserting the next species `s`
-    /// above `site` would produce, for every future leaf `f > s`, written
-    /// to `out[f − s − 1]` — without building the child, from this tree's
-    /// rows past lane `s`.
+    /// above `site` would produce, for every remaining taxon `f` of the
+    /// child, written to `out[..n − k − 1]` in the child's lanes —
+    /// without building the child, from this tree's rows. `out` takes
+    /// `n − k` entries, as the fold runs over this tree's lanes and drops
+    /// `s`'s afterwards; `scratch` takes `2(n − k)`, for gathered leaf
+    /// rows.
     ///
     /// The child differs from this tree only on its root path `j` (the
     /// new joint node), then the site's ancestors: each gets `s` in its
@@ -770,30 +822,39 @@ impl<const K: usize> PartialTree<K> {
     /// to `max(h_a, mx_s[a])` (bit-identical to the built child's, see
     /// [`site_weight`](Self::site_weight)). Every subtree hanging off
     /// that path is unchanged, and so is its `sub_f` row. So one walk up
-    /// the path folds `sub_f` of the child's root, `O(depth · (n − s))`
+    /// the path folds `sub_f` of the child's root, `O(depth · (n − k))`
     /// per child — the walk the built child's own row refresh repeats.
-    pub fn child_min_insertions(&self, half: &[f64], site: u32, out: &mut [f64]) {
+    pub fn child_min_insertions(
+        &self,
+        half: &[f64],
+        site: u32,
+        scratch: &mut [f64],
+        out: &mut [f64],
+    ) {
         let n = self.n as usize;
-        let s = self.k as usize;
-        let lo = s + 1;
-        let w = n - s;
-        let out = &mut out[..w - 1];
-        // Lanes `s + 1..n` of node `v`'s `mx` (`kind` 0) or `sub` (1) row.
+        let w = self.lanes();
+        let i = self.next_lane();
+        let s = self.next_leaf();
+        let out = &mut out[..w];
+        let (hs, hy) = scratch[..2 * w].split_at_mut(w);
+        gather(half, n, s, &self.rem, hs);
+        // Node `v`'s `mx` (`kind` 0) or `sub` (1) row, for an internal `v`.
         let row = |v: usize, kind: usize| {
-            if v < n {
-                &half[v * n + lo..v * n + n]
-            } else {
-                let at = (2 * (v - n) + kind) * w;
-                &self.rows[at + 1..at + w]
-            }
+            let at = (2 * (v - n) + kind) * w;
+            &self.rows[at..at + w]
         };
-        let hs = &half[s * n + lo..s * n + n];
         // The joint node: the site's subtree and leaf `s` below it.
         let e = site as usize;
-        out.copy_from_slice(row(e, 1));
         let mut a = self.parent[e];
         let h = self.raised_height(half, e);
-        child_path_step(out, h, row(e, 0), hs, hs, a == NONE);
+        if e < n {
+            gather(half, n, e, &self.rem, hy);
+            out.copy_from_slice(hy);
+            child_path_step(out, h, hy, hs, hs, a == NONE);
+        } else {
+            out.copy_from_slice(row(e, 1));
+            child_path_step(out, h, row(e, 0), hs, hs, a == NONE);
+        }
         let mut child = site;
         while a != NONE {
             let ai = a as usize;
@@ -804,268 +865,25 @@ impl<const K: usize> PartialTree<K> {
             } as usize;
             let up = self.parent[ai];
             let h = self.raised_height(half, ai);
-            child_path_step(out, h, row(ai, 0), hs, row(sibling, 1), up == NONE);
+            let other = if sibling < n {
+                gather(half, n, sibling, &self.rem, hy);
+                &*hy
+            } else {
+                row(sibling, 1)
+            };
+            child_path_step(out, h, row(ai, 0), hs, other, up == NONE);
             child = a;
             a = up;
         }
-        debug_assert_lanes_reach_static_term(half, n, lo, out);
-    }
-
-    /// [`root_path_orders`](Self::root_path_orders) of the child that
-    /// inserting the next species above `site` would produce, written
-    /// into `order[..k]` without building the child. Leaves under `site`
-    /// share the new joint node (order `0`); the sibling subtree at the
-    /// site's `ℓ`-th ancestor gets order `ℓ`. Orders are small integers,
-    /// exact in `f64` — which lets them share the `f64` scratch the
-    /// branching borrows.
-    pub fn site_orders(&self, site: u32, order: &mut [f64]) {
-        let e = site as usize;
-        for y in self.leafset[e].iter() {
-            order[y] = 0.0;
-        }
-        let mut level = 1.0;
-        let mut child = site;
-        let mut a = self.parent[e];
-        while a != NONE {
-            let ai = a as usize;
-            let sibling = if self.left[ai] == child {
-                self.right[ai]
-            } else {
-                self.left[ai]
-            };
-            for y in self.leafset[sibling as usize].iter() {
-                order[y] = level;
-            }
-            level += 1.0;
-            child = a;
-            a = self.parent[ai];
-        }
-    }
-
-    /// For the freshly inserted leaf `s = k − 1`, computes each earlier
-    /// leaf's position along `s`'s root path: `order[y]` is `0` for leaves
-    /// sharing `s`'s deepest ancestor, `1` for the next ancestor up, and so
-    /// on. Two leaves share their LCA with `s` iff their orders are equal,
-    /// and `LCA(y1, s)` is strictly below `LCA(y2, s)` iff
-    /// `order[y1] < order[y2]` — which is all the 3-3 rule needs.
-    ///
-    /// The search checks the rule before building a child, with
-    /// [`site_orders`](Self::site_orders) on the parent; this built-child
-    /// form is the reference that is tested against.
-    pub fn root_path_orders(&self) -> Vec<u32> {
-        let s = (self.k - 1) as usize;
-        let mut order = vec![0u32; s];
-        let mut level = 0u32;
-        let mut child = self.parent[s]; // the joint node above s
-        debug_assert_ne!(child, NONE);
-        // At the joint node, the sibling subtree is everything under the
-        // joint except s itself.
-        let mut a = child;
-        while a != NONE {
-            let ai = a as usize;
-            let mut sib_mask = self.leafset[ai].without(s);
-            if child != a {
-                let sibling = if self.left[ai] == child {
-                    self.right[ai]
-                } else {
-                    self.left[ai]
-                } as usize;
-                sib_mask = self.leafset[sibling];
-            }
-            for y in sib_mask.iter() {
-                if y < s {
-                    order[y] = level;
-                }
-            }
-            // Only count leaves not yet assigned at deeper levels: the
-            // masks above are disjoint by construction (each ancestor
-            // contributes exactly its sibling subtree), except the joint
-            // node which contributes s's first siblings.
-            child = a;
-            a = self.parent[ai];
-            level += 1;
-        }
-        order
-    }
-
-    /// Whether confinement masks are maintained on this node.
-    pub(crate) fn prop_is_active(&self) -> bool {
-        !self.prop_inside.is_empty()
-    }
-
-    /// Whether a confinement contradiction was detected — every
-    /// completion of this node dies in a later 3-3 check, so the
-    /// kernel's propagation stage prunes it.
-    pub fn prop_wiped(&self) -> bool {
-        self.prop_wiped
-    }
-
-    /// Starts maintaining confinement masks on this node (the search
-    /// root). Masks start unset; [`prop_advance`](Self::prop_advance)
-    /// fills them in as leaves insert.
-    pub(crate) fn prop_activate(&mut self) {
-        self.prop_inside.clear();
-        self.prop_inside.resize(self.n as usize, LeafWords::EMPTY);
-        self.prop_outside.clear();
-        self.prop_outside.resize(self.n as usize, LeafWords::EMPTY);
-        self.prop_wiped = false;
-    }
-
-    /// Whether the confinement masks of the *next* leaf to insert allow
-    /// placing it above arena node `site`. By the time leaf `u` inserts,
-    /// every triple `(i, j, u)` has both earlier leaves placed, so `u`'s
-    /// masks are a complete fold of all its arm constraints — a rejected
-    /// site is a pure look-ahead of the child's own 3-3 check, letting
-    /// the branching skip the arena copy for children the filter would
-    /// discard anyway. (The converse need not hold: an allowed site can
-    /// still fail the check, so the filter keeps running on survivors.)
-    pub(crate) fn prop_allows(&self, site: u32) -> bool {
-        let u = self.k as usize;
-        let lx = self.leafset[site as usize];
-        // Inside: u must insert within the `ins` subtree, its top edge
-        // included — the site's leafset must not escape it.
-        let ins = self.prop_inside[u];
-        if !ins.is_empty() && !lx.is_subset(&ins) {
-            return false;
-        }
-        // Outside: u must not insert strictly inside the `outs`
-        // subtree; its own top edge stays legal.
-        let outs = self.prop_outside[u];
-        !(!outs.is_empty() && lx.is_subset(&outs) && lx != outs)
-    }
-
-    /// Advances the confinement masks after the newest leaf's insertion:
-    /// refreshes the subtree each stored mask names, then folds in the
-    /// constraints of the triples `(i, s, u)` this insertion fixed —
-    /// `s = k − 1` just placed, `i < s` placed earlier, `u > s` future.
-    /// Sets the wiped flag the moment some `u` has no legal region left.
-    ///
-    /// Each mask is the leafset of a *current* node, so the family is
-    /// laminar: two masks are nested or disjoint, which is what the
-    /// intersection (inside) and keep-the-largest (outside) rules and
-    /// the `inside ⊊ outside` wipe test rely on. On insertion of `s`
-    /// above node `e`, exactly the subtrees whose leafsets contain
-    /// `leafset(e)` gain the new leaf. An inside mask names "the i-side
-    /// child of the triple's LCA", a node the insertion *replaces* when
-    /// `e` is that child itself, so inside masks refresh on
-    /// `leafset(e) ⊆ M`; an outside mask names the LCA node, whose
-    /// identity survives an insertion directly above it, so outside
-    /// masks refresh only on the strict `leafset(e) ⊊ M`.
-    pub(crate) fn prop_advance(&mut self, arms: &ArmIndex<K>) {
-        debug_assert!(self.prop_is_active() && !self.prop_wiped);
-        let s = (self.k - 1) as usize;
-        let n = self.n as usize;
-        let joint = self.parent[s] as usize;
-        let e = if self.left[joint] == s as u32 {
-            self.right[joint]
-        } else {
-            self.left[joint]
-        } as usize;
-        let sb = self.leafset[e];
-        let sbit = LeafWords::singleton(s);
-
-        // The new constraints need, per root-path level of s, the
-        // ancestor's leafset and its off-path child subtree: all i at
-        // the same level share LCA(i, s) and therefore the same region
-        // masks. The walk fills the node-recycled scratch, so after the
-        // child pool warms up this whole routine allocates nothing.
-        let mut levels = std::mem::take(&mut self.prop_scratch);
-        levels.clear();
-        levels.push((sb, self.leafset[joint]));
-        let mut child = joint as u32;
-        let mut a = self.parent[joint];
-        while a != NONE {
-            let ai = a as usize;
-            let sibling = if self.left[ai] == child {
-                self.right[ai]
-            } else {
-                self.left[ai]
-            } as usize;
-            levels.push((self.leafset[sibling], self.leafset[ai]));
-            child = a;
-            a = self.parent[ai];
-        }
-
-        // The sibling masks partition the placed leaves `0..s`, and
-        // every leaf at one level contributes the same region mask per
-        // arm, so three intersection tests per level fold exactly what
-        // the per-triple walk would; the fold outcome is
-        // order-independent (the inside chain keeps its minimum, the
-        // outside chain its maximum, a disjoint pair wipes under any
-        // order, and re-folding a region is idempotent).
-        'future: for u in (s + 1)..n {
-            let mut ins = self.prop_inside[u];
-            let mut outs = self.prop_outside[u];
-            // Refresh first: inserting s grew exactly the subtrees whose
-            // leafsets contain `leafset(e)`. An inside mask names a node
-            // the insertion may *replace* (the e-side child of the
-            // triple's LCA), so it refreshes on the non-strict subset;
-            // an outside mask names the LCA itself, whose identity
-            // survives an insertion directly above it, so it refreshes
-            // only on the strict one. Masks of already-placed leaves
-            // (`u ≤ s`) are dead and deliberately skipped.
-            let mut touched = false;
-            if !ins.is_empty() && sb.is_subset(&ins) {
-                ins |= sbit;
-                touched = true;
-            }
-            if !outs.is_empty() && sb.is_subset(&outs) && outs != sb {
-                outs |= sbit;
-                touched = true;
-            }
-
-            let &[earlier, with_low, with_high] = arms.masks(s, u);
-            let constrained = earlier.union(with_low).union(with_high);
-            let mut folded = false;
-            if !constrained.is_empty() {
-                for (lvl, &(sib, anc)) in levels.iter().enumerate() {
-                    if !sib.intersects(&constrained) {
-                        continue;
-                    }
-                    // (i, s) close and both placed: u must not insert
-                    // strictly inside their LCA's subtree. Keep the
-                    // largest such region — it subsumes nested ones.
-                    if sib.intersects(&earlier) && (outs.is_empty() || outs.is_subset(&anc)) {
-                        outs = anc;
-                        folded = true;
-                    }
-                    // (i, u) close ⇒ u inside the i-side child of
-                    // LCA(i, s); (s, u) close ⇒ inside the s-side child.
-                    // Inside regions intersect: laminar, so either
-                    // nested (keep the smaller) or disjoint (wipeout).
-                    let below = if lvl == 0 { sbit } else { levels[lvl - 1].1 };
-                    let folds = [
-                        sib.intersects(&with_low).then_some(sib),
-                        sib.intersects(&with_high).then_some(below),
-                    ];
-                    for m in folds.into_iter().flatten() {
-                        if ins.is_empty() || m.is_subset(&ins) {
-                            ins = m;
-                            folded = true;
-                        } else if !ins.is_subset(&m) {
-                            self.prop_wiped = true;
-                            break 'future;
-                        }
-                    }
-                }
-            }
-            if folded {
-                // Wipe when the required region sits strictly inside
-                // the forbidden one; equality still leaves the site on
-                // the region's own top edge. A refresh alone cannot
-                // create the strict containment, so only a fold needs
-                // the test.
-                if !ins.is_empty() && !outs.is_empty() && ins.is_subset(&outs) && ins != outs {
-                    self.prop_wiped = true;
-                    break 'future;
-                }
-            }
-            if touched || folded {
-                self.prop_inside[u] = ins;
-                self.prop_outside[u] = outs;
-            }
-        }
-        self.prop_scratch = levels;
+        out.copy_within(i + 1.., i);
+        let taxa = self.rem.iter().enumerate().filter(|&(l, _)| l != i);
+        let lanes = taxa.map(|(_, &f)| f as usize).zip(out.iter().copied());
+        debug_assert_lanes_reach_static_term(
+            half,
+            n,
+            self.placed().union(LeafWords::singleton(s)),
+            lanes,
+        );
     }
 
     /// Converts to a full [`UltrametricTree`] (taxa keep their ids in the
@@ -1204,26 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn root_path_orders_reflect_topology() {
-        let m = m5();
-        let h = half_distances(&m);
-        // Build ((0,2),1): insert 2 above leaf 0.
-        let t = PartialTree::<1>::cherry(&m, &h).insert_next(&h, 0);
-        // s = 2; path: joint above {0,2}, then root. 0 shares the joint
-        // (order 0); 1 hangs off the root (order 1).
-        let order = t.root_path_orders();
-        assert_eq!(order, vec![0, 1]);
-
-        // Build (0,(1,2)): insert 2 above leaf 1.
-        let t = PartialTree::<1>::cherry(&m, &h).insert_next(&h, 1);
-        assert_eq!(t.root_path_orders(), vec![1, 0]);
-
-        // Insert 2 above the root: both 0 and 1 are one level up.
-        let t = PartialTree::<1>::cherry(&m, &h).insert_next(&h, 5);
-        assert_eq!(t.root_path_orders(), vec![0, 0]);
-    }
-
-    #[test]
     fn heights_are_minimal_after_each_insertion() {
         let m = m5();
         let h = half_distances(&m);
@@ -1268,80 +1066,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn prop_masks_track_confinements_across_insertions() {
-        use mutree_bnb::bound::{close_pair_table_len, CLOSE_WITH_HIGH, CLOSE_WITH_LOW};
-        let m = m5();
-        let h = half_distances(&m);
-        // Hand-built domains: only the (0, 1, u) triples constrain.
-        let mut codes = vec![0u8; close_pair_table_len(5)];
-        codes[triple_index(0, 1, 2)] = CLOSE_WITH_LOW; // 2 inside the 0-side of LCA(0,1)
-        codes[triple_index(0, 1, 3)] = CLOSE_WITH_HIGH; // 3 inside the 1-side of LCA(0,1)
-        let dom = ArmIndex::<1>::build(5, &TripleDomains::pack(&codes));
-
-        let mut t = PartialTree::<1>::cherry(&m, &h);
-        t.prop_activate();
-        t.prop_advance(&dom);
-        assert!(!t.prop_wiped());
-        assert_eq!(t.prop_inside[2], LeafWords::singleton(0));
-        assert_eq!(t.prop_inside[3], LeafWords::singleton(1));
-        assert!(t.prop_inside[4].is_empty());
-
-        // Inserting 2 above leaf 1 replaces leaf 1 — the subtree 3 is
-        // confined to — with the node {1, 2}: the mask must follow.
-        let mut above_leaf = t.insert_next(&h, 1);
-        above_leaf.prop_advance(&dom);
-        assert!(!above_leaf.prop_wiped());
-        let grown = LeafWords::singleton(1).union(LeafWords::singleton(2));
-        assert_eq!(above_leaf.prop_inside[3], grown);
-        assert_eq!(above_leaf.prop_inside[2], LeafWords::singleton(0));
-
-        // Inserting 2 above the root leaves both LCA children intact:
-        // no mask moves.
-        let mut above_root = t.insert_next(&h, 5);
-        above_root.prop_advance(&dom);
-        assert!(!above_root.prop_wiped());
-        assert_eq!(above_root.prop_inside[3], LeafWords::singleton(1));
-        assert_eq!(above_root.prop_inside[2], LeafWords::singleton(0));
-    }
-
-    #[test]
-    fn prop_wipes_on_disjoint_confinements() {
-        use mutree_bnb::bound::{close_pair_table_len, CLOSE_WITH_HIGH, CLOSE_WITH_LOW};
-        let m = m5();
-        let h = half_distances(&m);
-        let mut codes = vec![0u8; close_pair_table_len(5)];
-        // 3 inside the 0-side of LCA(0,1) = {0} ...
-        codes[triple_index(0, 1, 3)] = CLOSE_WITH_LOW;
-        // ... but also inside the 2-side of LCA(0,2), which after
-        // inserting 2 above leaf 1 is the node {1, 2}: disjoint regions.
-        codes[triple_index(0, 2, 3)] = CLOSE_WITH_HIGH;
-        let dom = ArmIndex::<1>::build(5, &TripleDomains::pack(&codes));
-
-        let mut t = PartialTree::<1>::cherry(&m, &h);
-        t.prop_activate();
-        t.prop_advance(&dom);
-        assert!(!t.prop_wiped());
-        assert_eq!(t.prop_inside[3], LeafWords::singleton(0));
-
-        let mut child = t.insert_next(&h, 1);
-        child.prop_advance(&dom);
-        assert!(child.prop_wiped());
-    }
-
-    #[test]
-    fn prop_activation_survives_clones() {
-        let m = m5();
-        let h = half_distances(&m);
-        let mut t = PartialTree::<1>::cherry(&m, &h);
-        assert!(!t.prop_is_active());
-        t.prop_activate();
-        assert!(t.prop_is_active());
-        let cloned = t.clone();
-        assert!(cloned.prop_is_active());
-        assert!(!cloned.prop_wiped());
-    }
-
     /// A test matrix of family `family`: 0 = uniform random metric,
     /// 1 = four tight clusters at a common distance (ties across
     /// clusters), 2 = integer distances in 1..=3 (ties everywhere). The
@@ -1371,17 +1095,24 @@ mod tests {
         m
     }
 
-    /// Walks one random insertion sequence and, at every step, scores
-    /// every site from the parent and builds its child: the estimate must
-    /// sit within the margin of the stored weight, and the at-site orders
-    /// must equal the built child's.
+    /// Makes a random remaining taxon `t`'s next leaf, so the walks below
+    /// insert the taxa in a random order rather than the default one.
+    fn pick_next<const K: usize>(t: &mut PartialTree<K>, rng: &mut StdRng) {
+        use rand::Rng;
+        let lanes = t.remaining().len();
+        t.set_next_lane(rng.gen_range(0..lanes));
+    }
+
+    /// Walks one random insertion sequence, in a random leaf order, and,
+    /// at every step, scores every site from the parent and builds its
+    /// child: the estimate must sit within the margin of the stored
+    /// weight, and the weight must be the refit weight of the topology.
     fn check_site_scores<const K: usize>(m: &DistanceMatrix, rng: &mut StdRng) {
         use rand::Rng;
-        let n = m.len();
         let h = half_distances(m);
         let mut t = PartialTree::<K>::cherry(m, &h);
-        let mut order = vec![f64::NAN; n];
         while !t.is_complete() {
+            pick_next(&mut t, rng);
             let sites: Vec<u32> = t.insertion_sites().collect();
             for &site in &sites {
                 let child = t.insert_next(&h, site);
@@ -1393,69 +1124,105 @@ mod tests {
                     t.leaves_inserted(),
                     child.weight()
                 );
-                t.site_orders(site, &mut order);
-                let built: Vec<f64> = child.root_path_orders().iter().map(|&o| o as f64).collect();
-                assert_eq!(&order[..t.leaves_inserted()], &built[..], "site {site}");
+                assert_eq!(child.newest_leaf(), t.next_leaf());
             }
             t = t.insert_next(&h, sites[rng.gen_range(0..sites.len())]);
         }
+        let mut ut = t.to_ultrametric();
+        let refit = ut.fit_heights(m);
+        assert!(
+            (refit - t.weight()).abs() <= 1e-9 * refit.max(1.0),
+            "K = {K}"
+        );
     }
 
-    /// Walks one random insertion sequence. At every step, each lane of
-    /// the tree's own `min_insertions` must equal the cheapest site score
-    /// of that future leaf, found by swapping it into the next slot of
-    /// the matrix and scoring every site; and each child's lanes, folded
-    /// from the parent's rows, must equal the lanes the built child's
-    /// carried rows give, bit for bit.
+    /// Walks one random insertion sequence in a random leaf order. At
+    /// every step, each lane of the tree's own `min_insertions` must equal
+    /// the cheapest site score of that remaining taxon, found by making it
+    /// the next leaf and scoring every site; and each child's lanes,
+    /// folded from the parent's rows, must equal the lanes the built
+    /// child's carried rows give, bit for bit.
     fn check_look_ahead<const K: usize>(m: &DistanceMatrix, rng: &mut StdRng) {
         use rand::Rng;
         let n = m.len();
         let half = half_distances(m);
         let mut t = PartialTree::<K>::cherry(m, &half);
-        let mut path = Vec::new();
+        let mut scratch = vec![f64::NAN; 2 * n];
         while !t.is_complete() {
-            let s = t.leaves_inserted();
-            let mut own = vec![f64::NAN; n - s];
+            let w = t.remaining().len();
+            let mut own = vec![f64::NAN; w];
             t.min_insertions(&half, &mut own);
-            for f in s..n {
-                let mut perm: Vec<usize> = (0..n).collect();
-                perm.swap(s, f);
-                let mp = m.permute(&perm);
-                let hp = half_distances(&mp);
-                let mut u = PartialTree::<K>::cherry(&mp, &hp);
-                for &site in &path {
-                    u = u.insert_next(&hp, site);
-                }
+            for (lane, &lanes_own) in own.iter().enumerate() {
+                let mut u = t.clone();
+                u.set_next_lane(lane);
                 let cheapest = u
                     .insertion_sites()
-                    .map(|e| u.site_weight(&hp, e))
+                    .map(|e| u.site_weight(&half, e))
                     .fold(f64::INFINITY, f64::min);
                 let brute = cheapest - u.weight();
                 assert!(
-                    (brute - own[f - s]).abs() <= 16.0 * n as f64 * f64::EPSILON * cheapest,
-                    "K = {K}, k = {s}, f = {f}: lane {:e} vs scored {brute:e}",
-                    own[f - s]
+                    (brute - lanes_own).abs() <= 16.0 * n as f64 * f64::EPSILON * cheapest,
+                    "K = {K}, k = {}, lane {lane}: lane {lanes_own:e} vs scored {brute:e}",
+                    t.leaves_inserted()
                 );
             }
 
-            let lo = s + 1;
+            pick_next(&mut t, rng);
             let sites: Vec<u32> = t.insertion_sites().collect();
             for &site in &sites {
-                let mut lanes = vec![f64::NAN; n - lo];
-                t.child_min_insertions(&half, site, &mut lanes);
+                let mut lanes = vec![f64::NAN; w];
+                t.child_min_insertions(&half, site, &mut scratch, &mut lanes);
                 let child = t.insert_next(&half, site);
-                let mut carried = vec![f64::NAN; n - lo];
+                let mut carried = vec![f64::NAN; w - 1];
                 child.min_insertions(&half, &mut carried);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
-                    bits(&lanes),
+                    bits(&lanes[..w - 1]),
                     bits(&carried),
-                    "K = {K}, k = {s}, site {site}"
+                    "K = {K}, k = {}, site {site}",
+                    t.leaves_inserted()
+                );
+                assert_eq!(
+                    bits(child.rows()),
+                    bits(&child.fresh_rows(&half)),
+                    "K = {K}, k = {}, site {site}: rows",
+                    t.leaves_inserted()
                 );
             }
-            let site = sites[rng.gen_range(0..sites.len())];
-            path.push(site);
-            t = t.insert_next(&half, site);
+            t = t.insert_next(&half, sites[rng.gen_range(0..sites.len())]);
+        }
+    }
+
+    /// The pendant terms a built child carries are the definition's:
+    /// half the distance from each remaining taxon to the nearest placed
+    /// taxon or remaining taxon before it, along a random leaf order.
+    #[test]
+    fn pendant_terms_follow_the_placed_set() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(5);
+        for family in 0..3 {
+            let m = family_matrix(family, 14, &mut rng);
+            let n = m.len();
+            let h = half_distances(&m);
+            let mut t = PartialTree::<1>::cherry(&m, &h);
+            while !t.is_complete() {
+                let placed = t.placed();
+                for (lane, &f) in t.remaining().iter().enumerate() {
+                    let f = f as usize;
+                    let want = (0..n)
+                        .filter(|&y| placed.contains(y) || (y < f && !placed.contains(y)))
+                        .map(|y| h[y * n + f])
+                        .fold(f64::INFINITY, f64::min);
+                    assert_eq!(
+                        t.pendant_terms()[lane].to_bits(),
+                        want.to_bits(),
+                        "taxon {f}"
+                    );
+                }
+                pick_next(&mut t, &mut rng);
+                let sites: Vec<u32> = t.insertion_sites().collect();
+                t = t.insert_next(&h, sites[rng.gen_range(0..sites.len())]);
+            }
         }
     }
 
@@ -1472,15 +1239,17 @@ mod tests {
         use rand::Rng;
         let sites: Vec<u32> = t.insertion_sites().collect();
         let reference: Vec<f64> = sites.iter().map(|&e| t.site_weight(h, e)).collect();
-        let mut scores = vec![f64::NAN; sites.len()];
+        let slots = t.taxon_count() + t.leaves_inserted() - 1;
+        let mut scores = vec![f64::NAN; slots];
         t.site_weights(h, |_| true, &mut scores);
         for (i, &site) in sites.iter().enumerate() {
+            let s = site as usize;
             assert_eq!(
-                scores[i].to_bits(),
+                scores[s].to_bits(),
                 reference[i].to_bits(),
                 "K = {K}, k = {}, site {site}: pass {:e} vs reference {:e}",
                 t.leaves_inserted(),
-                scores[i],
+                scores[s],
                 reference[i]
             );
         }
@@ -1489,11 +1258,12 @@ mod tests {
         let top = reference.iter().fold(t.weight(), |a, &b| a.max(b));
         let cutoff = t.weight() + rng.gen_range(0.0..=1.0) * (top - t.weight());
         let keep = |est: f64| est < cutoff;
-        let mut scores = vec![f64::NAN; sites.len()];
+        let mut scores = vec![f64::NAN; slots];
         t.site_weights(h, keep, &mut scores);
         let mut cut = 0;
         for (i, &site) in sites.iter().enumerate() {
-            if scores[i] == SITE_CUT {
+            let s = site as usize;
+            if scores[s] == SITE_CUT {
                 cut += 1;
                 assert!(
                     !keep(reference[i]),
@@ -1501,19 +1271,20 @@ mod tests {
                     reference[i]
                 );
             } else {
-                assert_eq!(scores[i].to_bits(), reference[i].to_bits(), "site {site}");
+                assert_eq!(scores[s].to_bits(), reference[i].to_bits(), "site {site}");
             }
         }
         cut
     }
 
     /// [`check_site_weights_at`] at every node of one random insertion
-    /// path.
+    /// path, in a random leaf order.
     fn check_site_weights<const K: usize>(m: &DistanceMatrix, rng: &mut StdRng) {
         use rand::Rng;
         let h = half_distances(m);
         let mut t = PartialTree::<K>::cherry(m, &h);
         while !t.is_complete() {
+            pick_next(&mut t, rng);
             check_site_weights_at(&t, &h, rng);
             let sites: Vec<u32> = t.insertion_sites().collect();
             t = t.insert_next(&h, sites[rng.gen_range(0..sites.len())]);
@@ -1541,31 +1312,29 @@ mod tests {
     }
 
     #[test]
-    fn heap_bytes_counts_arena_rows_and_masks() {
+    fn heap_bytes_counts_arena_rows_and_lanes() {
         // n = 24 at K = 1: 47 slots of 12 + 8 + 8 bytes; the cherry
-        // carries 2·1·22 row lanes, a 12-leaf tree 2·11·12.
+        // carries 2·1·22 row lanes, a 12-leaf tree 2·11·12, and each
+        // lane a 4-byte taxon and an 8-byte pendant term.
         let m = family_matrix(0, 24, &mut StdRng::seed_from_u64(7));
         let h = half_distances(&m);
         let mut t = PartialTree::<1>::cherry(&m, &h);
-        assert_eq!(t.heap_bytes(), 47 * 28 + 44 * 8);
+        assert_eq!(t.heap_bytes(), 47 * 28 + 44 * 8 + 22 * 12);
         while t.leaves_inserted() < 12 {
             t = t.insert_next(&h, t.root);
         }
-        assert_eq!(t.heap_bytes(), 47 * 28 + 264 * 8);
-        // Propagation adds two 8-byte masks per taxon.
-        t.prop_activate();
-        assert_eq!(t.heap_bytes(), 47 * 28 + 264 * 8 + 2 * 24 * 8);
+        assert_eq!(t.heap_bytes(), 47 * 28 + 264 * 8 + 12 * 12);
 
         // n = 256 at K = 4: 511 slots of 12 + 8 + 32 bytes; at k = 128
         // the rows peak at 2·127·128 lanes.
         let m = family_matrix(0, 256, &mut StdRng::seed_from_u64(7));
         let h = half_distances(&m);
         let mut t = PartialTree::<4>::cherry(&m, &h);
-        assert_eq!(t.heap_bytes(), 511 * 52 + 2 * 254 * 8);
+        assert_eq!(t.heap_bytes(), 511 * 52 + 2 * 254 * 8 + 254 * 12);
         while t.leaves_inserted() < 128 {
             t = t.insert_next(&h, t.root);
         }
-        assert_eq!(t.heap_bytes(), 511 * 52 + 2 * 127 * 128 * 8);
+        assert_eq!(t.heap_bytes(), 511 * 52 + 2 * 127 * 128 * 8 + 128 * 12);
         while !t.is_complete() {
             t = t.insert_next(&h, t.root);
         }
@@ -1623,11 +1392,10 @@ mod tests {
             check_site_weights::<4>(&m, &mut rng);
         }
 
-        /// The invariant `root_path_orders` relies on (noted at the sibling
-        /// walk above): after any insertion sequence, the sibling masks
-        /// along the new leaf's root path are pairwise disjoint, every
-        /// node's leafset is the union of its children's, and popcounts add
-        /// up.
+        /// After any insertion sequence, in a random leaf order: the
+        /// sibling masks along the newest leaf's root path are pairwise
+        /// disjoint and cover the other placed leaves, every node's
+        /// leafset is the union of its children's, and popcounts add up.
         #[test]
         fn sibling_masks_stay_disjoint(n in 4usize..12, seed in any::<u64>()) {
             use rand::Rng;
@@ -1636,13 +1404,16 @@ mod tests {
             let h = half_distances(&m);
             let mut t = PartialTree::<2>::cherry(&m, &h);
             while !t.is_complete() {
+                pick_next(&mut t, &mut rng);
                 let sites: Vec<u32> = t.insertion_sites().collect();
                 let site = sites[rng.gen_range(0..sites.len())];
                 t = t.insert_next(&h, site);
 
                 // Check the consistency invariants on the whole arena.
-                let s = t.leaves_inserted() - 1;
-                let live: Vec<usize> = (0..=s).chain(n..n + s).collect();
+                let k = t.leaves_inserted();
+                let s = t.newest_leaf();
+                prop_assert_eq!(t.placed().count() as usize, k);
+                let live: Vec<usize> = t.placed().iter().chain(n..n + k - 1).collect();
                 for &v in &live {
                     if v < n {
                         prop_assert_eq!(t.leafset[v], LeafWords::singleton(v));
@@ -1655,9 +1426,8 @@ mod tests {
                     prop_assert_eq!(l.count() + r.count(), t.leafset[v].count());
                 }
 
-                // Walk s's root path and collect the sibling masks the 3-3
-                // order computation consumes: pairwise disjoint, union =
-                // all earlier leaves.
+                // Walk s's root path and collect the sibling masks: pairwise
+                // disjoint, union = every other placed leaf.
                 let mut masks: Vec<LeafWords<2>> = Vec::new();
                 let joint = t.parent[s] as usize;
                 masks.push(t.leafset[joint].without(s));
@@ -1676,7 +1446,7 @@ mod tests {
                     }
                 }
                 let all = masks.iter().fold(LeafWords::EMPTY, |acc, &mk| acc.union(mk));
-                prop_assert_eq!(all.count() as usize, s);
+                prop_assert_eq!(all, t.placed().without(s));
             }
         }
     }

@@ -1,50 +1,54 @@
-use mutree_bnb::bound::{self, triple_index, CLOSE_EARLIER, CLOSE_NONE, CLOSE_WITH_LOW};
-use mutree_bnb::{ChildBuf, Problem, SearchOptions, TripleDomains};
+use mutree_bnb::bound::{close_pair_code, CLOSE_EARLIER, CLOSE_NONE, CLOSE_WITH_LOW};
+use mutree_bnb::{ChildBuf, Problem};
 use mutree_distmat::DistanceMatrix;
 use mutree_tree::{cluster, Linkage, UltrametricTree};
 
 use mutree_engine::ThreeThree;
 
-use crate::node::{fmax, half_distances, ArmIndex, SITE_CUT};
+use crate::node::{fmin, half_distances, SITE_CUT};
 use crate::PartialTree;
 
 /// The metric minimum ultrametric tree problem as a branch-and-bound
 /// [`Problem`], following Wu–Chao–Tang's Algorithm BBU.
 ///
-/// The matrix **must already be maxmin-relabeled** for the lower bound to
-/// prune well (the bound stays admissible for any species order);
-/// [`MutSolver`](crate::MutSolver) handles the relabeling.
+/// The matrix **should already be relabeled into the search order** for
+/// the lower bound to prune well (the bound stays admissible for any
+/// species order); [`MutSolver`](crate::MutSolver) handles the
+/// relabeling. The order fixes the root pair `{0, 1}` and the order in
+/// which the pendant terms below count the remaining species.
 ///
-/// * **Nodes** — [`PartialTree`]s over the first `k` species, with minimal
-///   heights for their topology.
-/// * **Branching** — insert species `k` at each of the `2k − 1` sites,
-///   optionally filtered by the [`ThreeThree`] rule. Under
-///   [`ThreeThree::Full`] the fixed triple relations also propagate:
-///   each node carries future-leaf confinement masks that pre-filter
-///   insertion sites and prune the node when two confinements
-///   contradict (see [`Problem::propagate`]).
+/// * **Nodes** — [`PartialTree`]s over the placed species, with minimal
+///   heights for their topology, each naming the next leaf its children
+///   insert.
+/// * **Branching** — insert the node's next leaf at each of the `2k − 1`
+///   sites; under [`ThreeThree::InitialOnly`] the root's three sites are
+///   filtered by the 3-3 rule on the triple `(0, 1, next)`.
 /// * **Lower bound** — the look-ahead bound
-///   `ω(partial) + max_{f ≥ k} [min_site Δ_f + adj[k][f]]`, less a
-///   rounding margin. Insert future leaf `f` first:
-///   the completion restricted to the placed leaves plus `f` weighs at
-///   least `ω + min_site Δ_f`, the cheapest exact insertion of `f`. Every
-///   other remaining leaf `t` then adds at least half its distance to
-///   the nearest leaf already present, and `f` now counts as present:
-///   `adj[k][f] = Σ_{k ≤ t < f} ½ min(minrow[t], M[f,t]) + suffix[f+1]`,
-///   where `minrow[t] = min_{i<t} M[i,t]` and `suffix` is Wu–Chao–Tang's
-///   pendant suffix. Each `f` is admissible, and the `f = k` term is at
-///   least the static `ω + suffix[k]`, which the cached bound never
-///   falls below. The `half` and `adj` tables are precomputed in
-///   `O(n²)`. Every node carries its look-ahead rows (see
-///   [`PartialTree`]): the root fills them once, and a built child
-///   refreshes only the new leaf's root path. Branching makes one `O(k)`
-///   top-down pass over the parent that scores all `2k − 1` sites (the
-///   scores of [`PartialTree::site_weight`]) and cuts every subtree of sites
-///   whose common score prefix the incumbent already rejects. Each
-///   surviving site's child is then bounded from the parent's rows,
+///   `ω(partial) + max_f [min_site Δ_f + adj(f)]` over the remaining
+///   species `f`, less a rounding margin. Insert `f` first: the
+///   completion restricted to the placed leaves plus `f` weighs at least
+///   `ω + min_site Δ_f`, the cheapest exact insertion of `f`. Every other
+///   remaining leaf `t`, taken in ascending order, then adds at least half
+///   its distance to the nearest leaf already present, and `f` now counts
+///   as present: with the node's pendant terms `base[t]` (see
+///   [`PartialTree`]), `adj(f) = Σ_{t<f} min(base[t], ½M[f,t]) +
+///   Σ_{t>f} base[t]`. Each `f` is admissible for any placed set, and
+///   the term of the first remaining `f` is at least the static
+///   `ω + Σ base`, which the cached bound never falls below. Branching
+///   computes `adj` once for all children of a node (they share their
+///   placed set), in `O(m²)` over the `m` remaining species. Every node
+///   carries its look-ahead rows: the root fills them once, and a built
+///   child refreshes only the new leaf's root path. Branching makes one
+///   `O(k)` top-down pass over the parent that scores all `2k − 1` sites
+///   (the scores of [`PartialTree::site_weight`]) and cuts every subtree
+///   of sites whose common score prefix the incumbent already rejects.
+///   Each surviving site's child is then bounded from the parent's rows,
 ///   before it is built, by folding the child's root path
 ///   ([`PartialTree::child_min_insertions`]). The site pass is the only
 ///   step of a branch that visits the whole tree.
+/// * **Next leaf** — the fold that bounds a child also picks the child's
+///   next leaf: the first remaining species, in lane order, that attains
+///   the maximum (fail-first). The root picks its own the same way.
 /// * **Initial incumbent** — the UPGMM tree (complete-linkage
 ///   agglomeration) with its own linkage heights, whose distances
 ///   dominate the matrix — exactly the paper's Step 3 upper bound.
@@ -52,44 +56,64 @@ pub struct MutProblem<const K: usize = 1> {
     /// Owned so a problem can be `Arc`-shared across executor tasks whose
     /// lifetimes outlive the caller's stack frame (see `mutree_core::exec`).
     m: DistanceMatrix,
-    /// `suffix[k]` = Σ_{t=k}^{n−1} min_{i<t} M[i,t] / 2; `suffix[n]` = 0.
-    suffix: Vec<f64>,
     /// `half[y·n + f] = max(M[y,f], 0) / 2` ([`half_distances`]): row
-    /// `y` (a placed leaf) holds the half-distances to every future leaf
-    /// `f` contiguously, a leaf's pendant heights and look-ahead rows.
+    /// `y` holds leaf `y`'s half-distances to every other leaf
+    /// contiguously, a leaf's pendant heights and look-ahead rows.
     half: Vec<f64>,
-    /// `adj[k·n + f]` for `2 ≤ k ≤ f < n`: the pendant suffix of a tree
-    /// over `k` leaves once future leaf `f` is inserted first (see the
-    /// lower bound above); other entries are unused.
-    adj: Vec<f64>,
-    /// Memoized 3-3 close pairs, one byte per triple `i < j < s` at index
-    /// `C(s,3) + C(j,2) + i` (see [`triple_index`]); empty when the rule
-    /// is [`ThreeThree::Off`]. The matrix never changes after
-    /// construction, so `close_pair_in_matrix` is pure — one `O(n³)`
-    /// precompute here replaces a distance-comparison triple per checked
-    /// topology per node expansion.
-    close_pairs: Vec<u8>,
     three_three: ThreeThree,
     use_upgmm: bool,
-    /// Per-pair `[Earlier, WithLow, WithHigh]` arm masks for the
-    /// propagation stage's future-leaf confinements, decoded from the
-    /// packed 2-bit [`TripleDomains`] at construction — the form
-    /// [`PartialTree::prop_advance`] folds with three intersection tests
-    /// per root-path level instead of a per-triple decode. Empty unless
-    /// the 3-3 rule is [`ThreeThree::Full`] — only then is the arm set
-    /// part of the problem semantics, making a confinement wipeout a
-    /// pure look-ahead of checks the filter applies anyway.
-    arms: ArmIndex<K>,
     /// Permuted-index → original-index taxon map for checkpoint payloads;
-    /// `None` means the identity (no maxmin relabeling was applied).
-    /// Checkpoints always store original indexing so a resumed run is
-    /// independent of the relabeling that produced the snapshot.
+    /// `None` means the identity (no relabeling was applied). Checkpoints
+    /// always store original indexing so a resumed run is independent of
+    /// the relabeling that produced the snapshot.
     taxon_map: Option<Vec<usize>>,
     /// A warm-start incumbent recovered from a checkpoint, already in
     /// *permuted* indexing. Competes with the UPGMM tree in
     /// [`initial_incumbent`](Problem::initial_incumbent); the better
     /// bound wins.
     resume: Option<(UltrametricTree, f64)>,
+}
+
+/// `adj(g)` of every lane `g` of a node with pendant terms `base`, whose
+/// lane `g` is taxon `taxon(g)`, into `adj[..base.len()]`; returns
+/// `Σ base`. Both sum from the last lane down, the order of
+/// Wu–Chao–Tang's pendant suffix.
+fn pendant_adj(
+    half: &[f64],
+    n: usize,
+    taxon: impl Fn(usize) -> usize,
+    base: &[f64],
+    adj: &mut [f64],
+) -> f64 {
+    let mut tail = 0.0;
+    for g in (0..base.len()).rev() {
+        let hg = &half[taxon(g) * n..(taxon(g) + 1) * n];
+        let mut acc = tail;
+        for t in (0..g).rev() {
+            acc += fmin(base[t], hg[taxon(t)]);
+        }
+        adj[g] = acc;
+        tail += base[g];
+    }
+    tail
+}
+
+/// `Σ base`, summed as [`pendant_adj`] sums it.
+fn pendant_sum(base: &[f64]) -> f64 {
+    base.iter().rev().fold(0.0, |acc, &b| acc + b)
+}
+
+/// `max_g [lanes[g] + adj[g]]`, what the look-ahead adds to `ω`, and the
+/// first lane that attains it. Every term is non-negative, so `0` is a
+/// safe start, and it is the answer for a complete tree.
+fn look_ahead_gain(lanes: &[f64], adj: &[f64]) -> (f64, usize) {
+    let mut best = (0.0, 0);
+    for (g, (&d, &a)) in lanes.iter().zip(adj).enumerate() {
+        if d + a > best.0 {
+            best = (d + a, g);
+        }
+    }
+    best
 }
 
 impl<const K: usize> MutProblem<K> {
@@ -115,55 +139,11 @@ impl<const K: usize> MutProblem<K> {
             m.pairs().all(|(_, _, d)| d.is_finite() && d >= 0.0),
             "distances must be finite and non-negative"
         );
-        // minrow[t] = min_{i<t} M[i,t]; entries below t = 2 stay 0 and are
-        // never read by the suffix recurrence.
-        let mut minrow = vec![0.0; n];
-        for (t, slot) in minrow.iter_mut().enumerate().skip(2) {
-            *slot = (0..t).map(|i| m.get(i, t)).fold(f64::INFINITY, f64::min);
-        }
-        let suffix = bound::pendant_suffix(&minrow);
-        let half = half_distances(m);
-        // adj[k][f] = adj[k + 1][f] + ½ min(minrow[k], M[f,k]), from
-        // adj[f][f] = suffix[f + 1] down to k = 2.
-        let mut adj = vec![0.0; n * n];
-        for f in 2..n {
-            adj[f * n + f] = suffix[f + 1];
-            for k in (2..f).rev() {
-                adj[k * n + f] = adj[(k + 1) * n + f] + minrow[k].min(m.get(f, k)) / 2.0;
-            }
-        }
-        let close_pairs = if matches!(three_three, ThreeThree::Off) {
-            Vec::new()
-        } else {
-            let mut table = vec![CLOSE_NONE; bound::close_pair_table_len(n)];
-            for s in 2..n {
-                for j in 1..s {
-                    let d_js = m.get(j, s);
-                    for i in 0..j {
-                        table[triple_index(i, j, s)] =
-                            bound::close_pair_code(m.get(i, j), m.get(i, s), d_js);
-                    }
-                }
-            }
-            table
-        };
-        // The confinement domains reuse the close-pair table verbatim —
-        // they are the same arm codes, packed — but only under the Full
-        // rule is pruning on them answer-preserving.
-        let arms = if matches!(three_three, ThreeThree::Full) {
-            ArmIndex::build(n, &TripleDomains::pack(&close_pairs))
-        } else {
-            ArmIndex::default()
-        };
         MutProblem {
             m: m.clone(),
-            suffix,
-            half,
-            adj,
-            close_pairs,
+            half: half_distances(m),
             three_three,
             use_upgmm,
-            arms,
             taxon_map: None,
             resume: None,
         }
@@ -190,22 +170,6 @@ impl<const K: usize> MutProblem<K> {
         self.resume = Some((tree, weight));
     }
 
-    /// `max_{f ≥ k} [lanes[f − k] + adj[k][f]]`: what the look-ahead
-    /// adds to `ω` for a tree over `k` leaves whose `min_site Δ_f` are
-    /// `lanes`. Every term is non-negative, so `0` is a safe start, and it
-    /// is the answer for a complete tree.
-    fn look_ahead_gain(&self, k: usize, lanes: &[f64]) -> f64 {
-        let n = self.m.len();
-        if k == n {
-            return 0.0;
-        }
-        let adj = &self.adj[k * n + k..k * n + n];
-        lanes
-            .iter()
-            .zip(adj)
-            .fold(0.0, |acc, (&d, &a)| fmax(acc, d + a))
-    }
-
     /// `lb` less `8n·ε·lb`. The look-ahead bound adds `ω` (or the site
     /// score standing in for it), a root-path sum of raises and an `adj`
     /// entry: at most `4n` non-negative terms between them, and a
@@ -216,27 +180,20 @@ impl<const K: usize> MutProblem<K> {
         lb - 8.0 * self.m.len() as f64 * f64::EPSILON * lb
     }
 
-    /// Checks the 3-3 rule for species `s` placed with root-path `order`
-    /// (see [`PartialTree::site_orders`]): every triple `(i, j, s)` with a
-    /// strict matrix close pair must be resolved the same way by the
-    /// topology. `O(s²)` table lookups — the close pairs themselves were
-    /// memoized at construction, so no distance comparison runs per node
-    /// expansion.
-    fn three_three_ok(&self, s: usize, order: &[f64]) -> bool {
-        for i in 0..s {
-            for j in (i + 1)..s {
-                let ok = match self.close_pairs[triple_index(i, j, s)] {
-                    CLOSE_NONE => continue,
-                    CLOSE_EARLIER => order[i] == order[j],
-                    CLOSE_WITH_LOW => order[i] < order[j],
-                    _ => order[j] < order[i],
-                };
-                if !ok {
-                    return false;
-                }
-            }
+    /// Whether inserting leaf `s` above `site` of the search root, the
+    /// cherry `(0, 1)`, resolves the triple `(0, 1, s)` the way the matrix
+    /// nominates: the 3-3 rule of the companion paper's Step 4. Above
+    /// leaf 0 the close pair is `(0, s)`, above leaf 1 it is `(1, s)`,
+    /// above the root `(0, 1)`; a triple without a strict close pair
+    /// admits every site.
+    fn three_three_ok(&self, s: usize, site: u32) -> bool {
+        let m = &self.m;
+        match close_pair_code(m.get(0, 1), m.get(0, s), m.get(1, s)) {
+            CLOSE_NONE => true,
+            CLOSE_EARLIER => site as usize == m.len(),
+            CLOSE_WITH_LOW => site == 0,
+            _ => site == 1,
         }
-        true
     }
 }
 
@@ -245,15 +202,20 @@ impl<const K: usize> Problem for MutProblem<K> {
     type Solution = UltrametricTree;
 
     fn root(&self) -> PartialTree<K> {
+        let n = self.m.len();
         let mut t = PartialTree::<K>::cherry(&self.m, &self.half);
-        let mut lanes = vec![0.0; self.m.len() - 2];
-        t.min_insertions(&self.half, &mut lanes);
-        let look_ahead = self.less_margin(t.weight() + self.look_ahead_gain(2, &lanes));
-        t.set_lower_bound(look_ahead.max(t.weight() + self.suffix[2]));
-        if !self.arms.is_empty() {
-            t.prop_activate();
-            t.prop_advance(&self.arms);
+        let w = n - 2;
+        let mut lanes = vec![0.0; 2 * w];
+        let (lanes, adj) = lanes.split_at_mut(w);
+        t.min_insertions(&self.half, lanes);
+        let rem = t.remaining();
+        let floor = pendant_adj(&self.half, n, |g| rem[g] as usize, t.pendant_terms(), adj);
+        let (gain, next) = look_ahead_gain(lanes, adj);
+        if w > 0 {
+            t.set_next_lane(next);
         }
+        let look_ahead = self.less_margin(t.weight() + gain);
+        t.set_lower_bound(look_ahead.max(t.weight() + floor));
         t
     }
 
@@ -268,49 +230,44 @@ impl<const K: usize> Problem for MutProblem<K> {
 
     fn branch(&self, node: &PartialTree<K>, out: &mut ChildBuf<PartialTree<K>>) {
         let half = &self.half;
-        let filter = match self.three_three {
-            ThreeThree::Off => false,
-            ThreeThree::InitialOnly => node.leaves_inserted() == 2,
-            ThreeThree::Full => true,
-        };
-        // With live confinement masks, the next leaf's fold is complete
-        // (every triple it joins has both earlier leaves placed), so a
-        // mask-rejected site's child is guaranteed to fail its own 3-3
-        // check — skip it before scoring it.
-        let confine = filter && node.prop_is_active() && !node.prop_wiped();
-        let s = node.leaves_inserted();
-        let suffix = self.suffix[s + 1];
-        // Future leaves of the children: `s + 1..n`, one lane each.
-        let lo = s + 1;
-        let w = self.m.len() - lo;
-        // One borrowed buffer, no per-branch allocation once warm: (under
-        // the rule) the at-site root-path orders, one child's lanes, then
-        // every site's score. The pendant heights and look-ahead rows live
+        let n = self.m.len();
+        let k = node.leaves_inserted();
+        let s = node.next_leaf();
+        let filter = matches!(self.three_three, ThreeThree::InitialOnly) && k == 2;
+        // The node's lanes, and its children's: all but the next leaf's.
+        let w = n - k;
+        let wc = w - 1;
+        // One borrowed buffer, no per-branch allocation once warm: the
+        // children's pendant terms and `adj`, one child's lanes, leaf rows
+        // for the fold, then every site's score. The look-ahead rows live
         // on the node.
-        let order_len = if filter { s } else { 0 };
         let mut scratch = out.take_scratch();
-        scratch.resize(order_len + w + 2 * s - 1, 0.0);
-        let (order, rest) = scratch.split_at_mut(order_len);
-        let (lanes, scores) = rest.split_at_mut(w);
+        scratch.resize(2 * wc + 3 * w + n + k - 1, 0.0);
+        let (base, rest) = scratch.split_at_mut(wc);
+        let (adj, rest) = rest.split_at_mut(wc);
+        let (lanes, rest) = rest.split_at_mut(w);
+        let (rows, scores) = rest.split_at_mut(2 * w);
+        node.child_pendant_terms(half, base);
+        let floor = pendant_sum(base);
+        // `adj` is the same for every child; fill it for the first child
+        // that gets as far as its look-ahead.
+        let mut adj_ready = false;
+        let (rem, i) = (node.remaining(), node.next_lane());
+        let child_taxon = |g: usize| rem[g + usize::from(g >= i)] as usize;
         // Score every site from the parent in one pass; build only what
         // can survive the kernel's child prune. The margin keeps a score
         // at or below the built child's weight, so a skipped child is one
         // the kernel would have pruned, and the test is monotone in the
         // score, so the pass may cut whole subtrees of sites on a prefix.
         let admits = |out: &ChildBuf<PartialTree<K>>, est: f64| {
-            out.admits(est - node.site_weight_margin(est) + suffix)
+            out.admits(est - node.site_weight_margin(est) + floor)
         };
         node.site_weights(half, |est| admits(out, est), scores);
-        for (site, &est) in node.insertion_sites().zip(scores.iter()) {
-            if confine && !node.prop_allows(site) {
+        for site in node.insertion_sites() {
+            if filter && !self.three_three_ok(s, site) {
                 continue;
             }
-            if filter {
-                node.site_orders(site, order);
-                if !self.three_three_ok(s, order) {
-                    continue;
-                }
-            }
+            let est = scores[site as usize];
             debug_assert!(
                 if est == SITE_CUT {
                     !admits(out, node.site_weight(half, site))
@@ -324,12 +281,18 @@ impl<const K: usize> Problem for MutProblem<K> {
                 out.skip();
                 continue;
             }
-            // Then the look-ahead bound, still without building the child.
-            let look_ahead = if w == 0 {
-                f64::NEG_INFINITY
+            // Then the look-ahead bound, still without building the child,
+            // and the child's next leaf with it.
+            let (look_ahead, next) = if wc == 0 {
+                (f64::NEG_INFINITY, 0)
             } else {
-                node.child_min_insertions(half, site, lanes);
-                self.less_margin(est + self.look_ahead_gain(lo, lanes))
+                if !adj_ready {
+                    pendant_adj(half, n, child_taxon, base, adj);
+                    adj_ready = true;
+                }
+                node.child_min_insertions(half, site, rows, lanes);
+                let (gain, next) = look_ahead_gain(&lanes[..wc], adj);
+                (self.less_margin(est + gain), next)
             };
             if !out.admits(look_ahead) {
                 out.skip();
@@ -350,7 +313,8 @@ impl<const K: usize> Problem for MutProblem<K> {
                 child.weight()
             );
             // The refreshed rows must be the ones a fresh pass over the
-            // child computes, and give the lanes it was admitted on.
+            // child computes, and give the lanes it was admitted on; its
+            // pendant terms must be the ones its bound was built from.
             #[cfg(debug_assertions)]
             {
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -359,24 +323,18 @@ impl<const K: usize> Problem for MutProblem<K> {
                     bits(&child.fresh_rows(half)),
                     "site {site}: carried rows differ from a fresh pass"
                 );
-                let mut carried = vec![0.0; w];
+                let mut carried = vec![0.0; wc];
                 child.min_insertions(half, &mut carried);
-                assert_eq!(bits(&carried), bits(&lanes[..]), "site {site}: lanes");
+                assert_eq!(bits(&carried), bits(&lanes[..wc]), "site {site}: lanes");
+                assert_eq!(bits(child.pendant_terms()), bits(base), "site {site}: base");
             }
-            child.set_lower_bound(look_ahead.max(child.weight() + suffix));
-            if child.prop_is_active() {
-                child.prop_advance(&self.arms);
+            if wc > 0 {
+                child.set_next_lane(next);
             }
+            child.set_lower_bound(look_ahead.max(child.weight() + floor));
             out.push(child);
         }
         out.restore_scratch(scratch);
-    }
-
-    fn propagate(&self, node: &PartialTree<K>, _ub: f64, _opts: &SearchOptions) -> bool {
-        // A confinement wipeout is ub-independent: every completion of
-        // the node dies in a later 3-3 check, so pruning it now only
-        // skips work, never a solution.
-        node.prop_wiped()
     }
 
     fn initial_incumbent(&self) -> Option<(UltrametricTree, f64)> {
@@ -399,7 +357,7 @@ impl<const K: usize> Problem for MutProblem<K> {
 
     fn encode_solution(&self, solution: &UltrametricTree) -> Option<Vec<u8>> {
         // Checkpoints store original taxon indexing: remap before
-        // serializing when the matrix was maxmin-relabeled.
+        // serializing when the matrix was relabeled.
         match &self.taxon_map {
             Some(map) => {
                 let mut t = solution.clone();
@@ -414,7 +372,6 @@ impl<const K: usize> Problem for MutProblem<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mutree_bnb::bound::CLOSE_WITH_HIGH;
     use mutree_bnb::{solve_sequential, SearchMode, SearchOptions};
     use mutree_tree::triples;
     use proptest::prelude::*;
@@ -490,7 +447,7 @@ mod tests {
     /// Enumerates every completion of `t` through `branch` (no incumbent,
     /// so every child is built) and returns the lightest. On the way back
     /// up, each child's cached bound must sit at or below its lightest
-    /// completion and at or above the static `ω + suffix[k]`.
+    /// completion and at or above the static `ω + Σ base`.
     fn lightest_checking_bounds(p: &MutProblem, t: &PartialTree) -> f64 {
         if t.is_complete() {
             return t.weight();
@@ -502,7 +459,7 @@ mod tests {
         for c in kids.as_slice() {
             let lightest = lightest_checking_bounds(p, c);
             let lb = c.lower_bound();
-            let static_lb = c.weight() + p.suffix[c.leaves_inserted()];
+            let static_lb = c.weight() + pendant_sum(c.pendant_terms());
             assert!(
                 lb <= lightest,
                 "k = {}: LB {lb} above completion {lightest}",
@@ -532,7 +489,7 @@ mod tests {
             let root = p.root();
             let best = lightest_checking_bounds(&p, &root);
             prop_assert!(root.lower_bound() <= best);
-            prop_assert!(root.lower_bound() >= root.weight() + p.suffix[2]);
+            prop_assert!(root.lower_bound() >= root.weight() + pendant_sum(root.pendant_terms()));
         }
     }
 
@@ -629,26 +586,24 @@ mod tests {
             &MutProblem::<1>::new(&m, ThreeThree::Off, true),
             &SearchOptions::new(SearchMode::BestOne),
         );
-        for mode in [ThreeThree::InitialOnly, ThreeThree::Full] {
-            let constrained = solve_sequential(
-                &MutProblem::<1>::new(&m, mode, true),
-                &SearchOptions::new(SearchMode::BestOne),
-            );
-            assert_eq!(base.best_value, constrained.best_value, "{mode:?}");
-        }
+        let constrained = solve_sequential(
+            &MutProblem::<1>::new(&m, ThreeThree::InitialOnly, true),
+            &SearchOptions::new(SearchMode::BestOne),
+        );
+        assert_eq!(base.best_value, constrained.best_value);
     }
 
     #[test]
     fn three_three_reduces_branching() {
         let m = m5();
         let p_off = MutProblem::<1>::new(&m, ThreeThree::Off, false);
-        let p_full = MutProblem::<1>::new(&m, ThreeThree::Full, false);
+        let p_initial = MutProblem::<1>::new(&m, ThreeThree::InitialOnly, false);
         let node = p_off.root();
         let mut kids_off = ChildBuf::new();
-        let mut kids_full = ChildBuf::new();
+        let mut kids_initial = ChildBuf::new();
         // Expand two levels and compare the generated child counts.
         p_off.branch(&node, &mut kids_off);
-        p_full.branch(&node, &mut kids_full);
+        p_initial.branch(&node, &mut kids_initial);
         let count = |kids: &ChildBuf<PartialTree>, p: &MutProblem| -> usize {
             let mut total = kids.len();
             let mut grand = ChildBuf::new();
@@ -659,7 +614,7 @@ mod tests {
             }
             total
         };
-        assert!(count(&kids_full, &p_full) < count(&kids_off, &p_off));
+        assert!(count(&kids_initial, &p_initial) < count(&kids_off, &p_off));
     }
 
     #[test]
@@ -682,9 +637,11 @@ mod tests {
         assert!((out.best_value.unwrap() - 9.0).abs() < 1e-9);
     }
 
+    /// The root's 3-3 filter keeps exactly the sites whose child
+    /// resolves the triple `(0, 1, s)` as the matrix nominates, for every
+    /// possible next leaf `s`, ties included.
     #[test]
-    fn close_pair_table_matches_direct_computation() {
-        // Include a matrix with ties so the CLOSE_NONE arm is exercised.
+    fn initial_three_three_keeps_the_consistent_root_sites() {
         let tied = DistanceMatrix::from_rows(&[
             vec![0.0, 6.0, 6.0, 2.0],
             vec![6.0, 0.0, 6.0, 7.0],
@@ -693,46 +650,83 @@ mod tests {
         ])
         .unwrap();
         for m in [m5(), tied] {
-            let p = MutProblem::<1>::new(&m, ThreeThree::Full, false);
-            for s in 2..m.len() {
-                for j in 1..s {
-                    for i in 0..j {
-                        let expected = match triples::close_pair_in_matrix(&m, i, j, s) {
-                            None => CLOSE_NONE,
-                            Some(cp) if cp == (i, j) => CLOSE_EARLIER,
-                            Some(cp) if cp == (i, s) => CLOSE_WITH_LOW,
-                            Some(_) => CLOSE_WITH_HIGH,
-                        };
-                        assert_eq!(
-                            p.close_pairs[triple_index(i, j, s)],
-                            expected,
-                            "triple ({i},{j},{s})"
-                        );
-                    }
+            let p = MutProblem::<1>::new(&m, ThreeThree::InitialOnly, false);
+            for lane in 0..m.len() - 2 {
+                let mut root = p.root();
+                root.set_next_lane(lane);
+                let s = root.next_leaf();
+                for site in root.insertion_sites() {
+                    let child = root.insert_next(&p.half, site);
+                    let consistent = triples::is_consistent(&child.to_ultrametric(), &m, 0, 1, s);
+                    assert_eq!(
+                        p.three_three_ok(s, site),
+                        consistent,
+                        "s = {s}, site {site}"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn suffix_bound_matches_definition() {
+    fn root_bound_and_next_leaf_match_the_definition() {
         let m = m5();
         let p = MutProblem::<1>::new(&m, ThreeThree::Off, false);
-        // minrow[2] = min(4,7) = 4; minrow[3] = min(6,8,3) = 3;
-        // minrow[4] = min(5,6,5,5) = 5. suffix[2] = (4+3+5)/2 = 6.
-        assert!((p.suffix[2] - 6.0).abs() < 1e-12);
-        assert!((p.suffix[4] - 2.5).abs() < 1e-12);
-        assert_eq!(p.suffix[5], 0.0);
+        let root = p.root();
+        // base[t] = ½ min_{i<t} M[i,t]: ½ min(4,7) = 2, ½ min(6,8,3) = 1.5,
+        // ½ min(5,6,5,5) = 2.5; Σ = 6.
+        let base: Vec<f64> = root.pendant_terms().to_vec();
+        assert_eq!(base, vec![2.0, 1.5, 2.5]);
         // The static root bound would be 9 + 6 = 15. Look-ahead at the
         // cherry (0, 1), root height 4.5: a future leaf's cheapest site
         // is above leaf 0 (half-distance, no root raise), so
-        //   f = 2: min Δ = 4/2 = 2,   adj = suffix[3] = 4          → 6;
-        //   f = 3: min Δ = 6/2 = 3,   adj = min(4, 3)/2 + 2.5 = 4  → 7;
-        //   f = 4: min Δ = 5/2 = 2.5, adj = 4/2 + 3/2 = 3.5        → 6.
-        // Root LB = 9 + 7.
-        assert!((p.adj[2 * 5 + 3] - 4.0).abs() < 1e-12);
-        assert!((p.adj[2 * 5 + 4] - 3.5).abs() < 1e-12);
-        assert!((p.root().lower_bound() - 16.0).abs() < 1e-12);
-        assert!(p.root().lower_bound() <= brute_force(&m));
+        //   f = 2: min Δ = 4/2 = 2,   adj = 1.5 + 2.5 = 4              → 6;
+        //   f = 3: min Δ = 6/2 = 3,   adj = min(2, 1.5) + 2.5 = 4      → 7;
+        //   f = 4: min Δ = 5/2 = 2.5, adj = min(2, 2.5) + min(1.5, 2.5) → 6.
+        // Root LB = 9 + 7, and f = 3 attains it.
+        let mut adj = vec![0.0; 3];
+        let sum = pendant_adj(&p.half, 5, |g| g + 2, &base, &mut adj);
+        assert_eq!(sum, 6.0);
+        assert_eq!(adj, vec![4.0, 4.0, 3.5]);
+        assert!((root.lower_bound() - 16.0).abs() < 1e-12);
+        assert_eq!(root.next_leaf(), 3);
+        assert!(root.lower_bound() <= brute_force(&m));
+        // A child of the root inserts 3: taxon 2's term drops to
+        // min(2, ½M[3,2]) = 1.5, taxon 4's stays.
+        let mut kids = ChildBuf::new();
+        p.branch(&root, &mut kids);
+        for c in kids.as_slice() {
+            assert_eq!(c.newest_leaf(), 3);
+            assert_eq!(c.pendant_terms(), &[1.5, 2.5]);
+        }
+    }
+
+    /// On a tie-free matrix, the search's node counts and optimum do not
+    /// depend on how the taxa are labeled: the solver relabels into the
+    /// same search order, and ties between lanes break by lane order.
+    #[test]
+    fn relabeled_copies_search_the_same_tree() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let m = mutree_distmat::gen::uniform_metric(11, 1.0, 100.0, &mut rng);
+        let solve = |m: &DistanceMatrix| {
+            let pm = m.search_order().apply(m);
+            let out = solve_sequential(
+                &MutProblem::<1>::new(&pm, ThreeThree::Off, true),
+                &SearchOptions::new(SearchMode::BestOne),
+            );
+            (
+                out.stats.branched,
+                out.stats.pruned,
+                out.best_value.unwrap().to_bits(),
+            )
+        };
+        let want = solve(&m);
+        for _ in 0..4 {
+            let mut perm: Vec<usize> = (0..m.len()).collect();
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, rng.gen_range(0..=i));
+            }
+            assert_eq!(solve(&m.permute(&perm)), want);
+        }
     }
 }

@@ -392,7 +392,6 @@ impl MutSolver {
                 match self.three_three {
                     ThreeThree::Off => 0u8,
                     ThreeThree::InitialOnly => 1,
-                    ThreeThree::Full => 2,
                 },
                 u8::from(self.use_maxmin),
                 u8::from(self.use_upgmm),
@@ -408,8 +407,8 @@ impl MutSolver {
 
     /// Disables the relabeling into the search order, maxmin improved by
     /// pair swaps ([`SearchOrder`](mutree_distmat::SearchOrder)): the
-    /// search inserts taxa in input order (ablation; hurts the lower
-    /// bound).
+    /// root pair and the order of the pendant terms follow the input
+    /// order (ablation; hurts the lower bound).
     pub fn without_maxmin(mut self) -> Self {
         self.use_maxmin = false;
         self

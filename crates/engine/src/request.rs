@@ -29,23 +29,17 @@ use crate::hex;
 /// (one distance smaller than both others); the rule discards topologies
 /// that resolve the triple differently. It is a heuristic: in the
 /// companion paper's experiments the surviving optima coincide with the
-/// unconstrained ones, but no proof guarantees it in general.
+/// unconstrained ones, but no proof guarantees it in general, and on
+/// clock-violating matrices it can prune every optimum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ThreeThree {
     /// Do not use the rule (the PaCT paper's baseline configuration).
     #[default]
     Off,
-    /// Apply it only when inserting the third species — the companion
-    /// paper's Step 4.
+    /// Apply it only when inserting the third species, to the triple of
+    /// the root pair and the root's next leaf — the companion paper's
+    /// Step 4.
     InitialOnly,
-    /// Apply it at every insertion, checking all triples involving the new
-    /// species — the companion paper's proposed future-work extension.
-    ///
-    /// A heuristic that can lose the optimum: on n = 20 random-species
-    /// matrices it often branches only the search root and returns the
-    /// UPGMM incumbent, heavier than the optimum (for
-    /// `random_species_matrix(20, 5)`, 518.974 against 518.696).
-    Full,
 }
 
 /// Leaf-bitset widths (in 64-bit words) the exact search is
@@ -270,7 +264,6 @@ impl SolveRequest {
             match self.three_three {
                 ThreeThree::Off => "off",
                 ThreeThree::InitialOnly => "initial",
-                ThreeThree::Full => "full",
             }
         )?;
         match self.backend {
@@ -424,7 +417,6 @@ impl SolveRequest {
                     req.three_three = match rest.trim() {
                         "off" => ThreeThree::Off,
                         "initial" => ThreeThree::InitialOnly,
-                        "full" => ThreeThree::Full,
                         other => return Err(fail(ln, format!("unknown 3-3 strength {other:?}"))),
                     }
                 }
@@ -648,7 +640,7 @@ mod tests {
             .threads(8)
             .leaf_words(2)
             .cache(true);
-        req.three_three = ThreeThree::Full;
+        req.three_three = ThreeThree::InitialOnly;
         req.tol = 1e-7;
         req.max_branches = 123_456;
         req.timeout = Some(Duration::from_millis(1500));
@@ -782,7 +774,8 @@ mod tests {
         // Every request encoded before the node order was fixed carries
         // this line; it still decodes. The line that asked for stage
         // re-runs is gone (a failed deterministic stage fails again), so
-        // it is refused.
+        // it is refused, and so is a request for the retired full 3-3
+        // rule.
         let old = "mutree-request v1\nstrategy depth-first\nmatrix phylip x.phy\n";
         assert!(SolveRequest::decode(old).is_ok());
         for (line, message) in [
@@ -795,6 +788,7 @@ mod tests {
                 concat!("re", "try 3 0 0 1"),
                 concat!("unknown keyword \"re", "try\""),
             ),
+            ("three-three full", "unknown 3-3 strength \"full\""),
         ] {
             let text = format!("mutree-request v1\nmode best-one\n{line}\nmatrix phylip x.phy\n");
             let err = SolveRequest::decode(&text).unwrap_err();

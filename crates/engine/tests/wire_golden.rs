@@ -9,7 +9,8 @@
 //! `stat` line and the per-stage count column of each `timing` and
 //! `degraded` line, and no other byte. The request golden is still
 //! `mutree-request v1`; it lost only the optional line that asked for
-//! stage re-runs, so every request without one encodes as before.
+//! stage re-runs, so every request without one encodes as before, and
+//! it asks for the initial 3-3 rule since the full rule was retired.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -38,7 +39,7 @@ fn golden_request() -> SolveRequest {
         .threads(8)
         .leaf_words(2)
         .cache(true);
-    req.three_three = ThreeThree::Full;
+    req.three_three = ThreeThree::InitialOnly;
     req.tol = 1e-7;
     req.max_branches = 123_456;
     req.timeout = Some(Duration::from_millis(1500));
@@ -57,7 +58,7 @@ const GOLDEN_REQUEST: &str = concat!(
     "mutree-request v1\n",
     "kind decompose\n",
     "mode all-optimal\n",
-    "three-three full\n",
+    "three-three initial\n",
     "backend par 3\n",
     "tol 3e7ad7f29abcaf48\n",
     "max-branches 123456\n",

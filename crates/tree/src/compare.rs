@@ -6,36 +6,44 @@
 //! `n` shared leaves is `2(n − 2)`. It is the standard way to score a
 //! reconstructed phylogeny against the true genealogy.
 
-use std::collections::BTreeSet;
+use std::collections::{HashMap, HashSet};
 
 use crate::{NodeKind, TreeError, UltrametricTree};
 
-/// Collects the nontrivial clades of a tree: for every internal node
-/// except the root, the sorted set of taxa below it, excluding singleton
-/// leaves. Each clade is a sorted taxon list.
-fn clades(tree: &UltrametricTree) -> BTreeSet<Vec<usize>> {
-    let mut leafsets: Vec<Vec<usize>> = vec![Vec::new(); tree.node_count()];
-    let mut out = BTreeSet::new();
+/// Visits the nontrivial clades of `tree`, the leaf sets of its internal
+/// nodes other than the root, as `(lo, hi, size)`: the least and greatest
+/// rank of their taxa under `rank`, and how many taxa they hold. One
+/// post-order pass, `O(n)` besides the ranks.
+fn clade_spans(
+    tree: &UltrametricTree,
+    rank: impl Fn(usize) -> usize,
+    mut visit: impl FnMut(usize, usize, usize),
+) {
+    let mut span = vec![(0, 0, 0); tree.node_count()];
     let root = tree.root();
     for id in tree.post_order() {
-        match tree.kind(id) {
-            NodeKind::Leaf(t) => leafsets[id.index()].push(t),
+        span[id.index()] = match tree.kind(id) {
+            NodeKind::Leaf(t) => (rank(t), rank(t), 1),
             NodeKind::Internal(a, b) => {
-                let mut set = std::mem::take(&mut leafsets[a.index()]);
-                set.extend(std::mem::take(&mut leafsets[b.index()]));
-                set.sort_unstable();
-                if id != root && set.len() >= 2 {
-                    out.insert(set.clone());
+                let (a, b) = (span[a.index()], span[b.index()]);
+                let s = (a.0.min(b.0), a.1.max(b.1), a.2 + b.2);
+                if id != root {
+                    visit(s.0, s.1, s.2);
                 }
-                leafsets[id.index()] = set;
+                s
             }
-        }
+        };
     }
-    out
 }
 
 /// The Robinson–Foulds distance between two trees on the same taxa: the
 /// size of the symmetric difference of their nontrivial clade sets.
+///
+/// Day's algorithm, in linear time and space: ranked by their order in
+/// `a`'s post-order, the taxa of each clade of `a` form an interval, so a
+/// clade of `b` is one of `a`'s exactly when its taxa fill an interval
+/// that `a` has as a clade. No clade is listed taxon by taxon, so a
+/// caterpillar of any size compares in `O(n)`.
 ///
 /// # Errors
 ///
@@ -53,9 +61,34 @@ pub fn robinson_foulds(a: &UltrametricTree, b: &UltrametricTree) -> Result<usize
             .unwrap_or(0);
         return Err(TreeError::UnknownTaxon { taxon: missing });
     }
-    let ca = clades(a);
-    let cb = clades(b);
-    Ok(ca.symmetric_difference(&cb).count())
+    let order = a
+        .post_order()
+        .into_iter()
+        .filter_map(|id| match a.kind(id) {
+            NodeKind::Leaf(t) => Some(t),
+            NodeKind::Internal(..) => None,
+        });
+    let rank: HashMap<usize, usize> = order.enumerate().map(|(r, t)| (t, r)).collect();
+    let mut in_a = HashSet::new();
+    clade_spans(
+        a,
+        |t| rank[&t],
+        |lo, hi, _| {
+            in_a.insert((lo, hi));
+        },
+    );
+    let (mut in_b, mut shared) = (0, 0);
+    clade_spans(
+        b,
+        |t| rank[&t],
+        |lo, hi, size| {
+            in_b += 1;
+            if hi - lo + 1 == size && in_a.contains(&(lo, hi)) {
+                shared += 1;
+            }
+        },
+    );
+    Ok(in_a.len() + in_b - 2 * shared)
 }
 
 /// The Robinson–Foulds distance normalized by its maximum `2(n − 2)`,
@@ -145,6 +178,70 @@ mod tests {
             robinson_foulds(&a, &b),
             Err(TreeError::UnknownTaxon { .. })
         ));
+    }
+
+    /// The clade-set definition, listing each clade's taxa: the
+    /// reference the linear algorithm must agree with.
+    fn reference_rf(a: &UltrametricTree, b: &UltrametricTree) -> usize {
+        fn clades(tree: &UltrametricTree) -> std::collections::BTreeSet<Vec<usize>> {
+            let mut sets: Vec<Vec<usize>> = vec![Vec::new(); tree.node_count()];
+            let mut out = std::collections::BTreeSet::new();
+            for id in tree.post_order() {
+                sets[id.index()] = match tree.kind(id) {
+                    NodeKind::Leaf(t) => vec![t],
+                    NodeKind::Internal(l, r) => {
+                        let mut set = [sets[l.index()].clone(), sets[r.index()].clone()].concat();
+                        set.sort_unstable();
+                        if id != tree.root() {
+                            out.insert(set.clone());
+                        }
+                        set
+                    }
+                };
+            }
+            out
+        }
+        clades(a).symmetric_difference(&clades(b)).count()
+    }
+
+    #[test]
+    fn linear_rf_matches_the_clade_set_definition() {
+        // Random trees over scattered taxon ids, by random joins.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in 2..=12usize {
+            for _ in 0..20 {
+                let mut trees = Vec::new();
+                for _ in 0..2 {
+                    let mut forest: Vec<UltrametricTree> =
+                        (0..n).map(|i| UltrametricTree::leaf(5 * i + 2)).collect();
+                    while forest.len() > 1 {
+                        let x = forest.swap_remove(next() as usize % forest.len());
+                        let y = forest.swap_remove(next() as usize % forest.len());
+                        let h = x.height().max(y.height()) + 1.0;
+                        forest.push(UltrametricTree::join(x, y, h));
+                    }
+                    trees.push(forest.pop().unwrap());
+                }
+                let (a, b) = (&trees[0], &trees[1]);
+                assert_eq!(
+                    robinson_foulds(a, b).unwrap(),
+                    reference_rf(a, b),
+                    "n = {n}"
+                );
+                assert_eq!(
+                    robinson_foulds(b, a).unwrap(),
+                    reference_rf(b, a),
+                    "n = {n}"
+                );
+                assert_eq!(robinson_foulds(a, a).unwrap(), 0);
+            }
+        }
     }
 
     #[test]

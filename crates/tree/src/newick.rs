@@ -6,6 +6,7 @@
 //! from the root (the ultrametric property); taxon ids are assigned in
 //! order of appearance and the leaf names are returned alongside.
 
+use crate::tree::PostOrder;
 use crate::{NodeId, NodeKind, TreeError, UltrametricTree};
 
 /// Formats the tree in Newick notation. `name` maps a taxon id to its
@@ -71,126 +72,21 @@ pub fn to_newick(tree: &UltrametricTree) -> String {
 /// vector holds the original leaf names in taxon order. Branch lengths are
 /// required everywhere except above the root.
 ///
+/// The parser, the depth pass and the build all run on flat arrays and
+/// explicit stacks, so nesting of any depth parses without exhausting the
+/// call stack.
+///
 /// # Errors
 ///
 /// [`TreeError::Parse`] on syntax errors, [`TreeError::NotUltrametric`]
 /// when the tree is not binary or leaf depths differ by more than `1e-6`
 /// relative.
 pub fn parse_newick(input: &str) -> Result<(UltrametricTree, Vec<String>), TreeError> {
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    enum Parsed {
-        Leaf { name: String },
-        Internal { children: Vec<(Parsed, f64)> },
-    }
-
-    impl<'a> Parser<'a> {
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b) if b.is_ascii_whitespace()) {
-                self.pos += 1;
-            }
-        }
-        fn expect(&mut self, b: u8) -> Result<(), TreeError> {
-            self.skip_ws();
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(TreeError::Parse {
-                    at: self.pos,
-                    message: format!("expected {:?}", b as char),
-                })
-            }
-        }
-        fn name(&mut self) -> String {
-            self.skip_ws();
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if matches!(b, b'(' | b')' | b',' | b':' | b';') || b.is_ascii_whitespace() {
-                    break;
-                }
-                self.pos += 1;
-            }
-            String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned()
-        }
-        fn length(&mut self) -> Result<f64, TreeError> {
-            self.skip_ws();
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') || b.is_ascii_digit() {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .ok_or(TreeError::Parse {
-                    at: start,
-                    message: "expected a branch length".into(),
-                })
-        }
-        fn node(&mut self) -> Result<Parsed, TreeError> {
-            self.skip_ws();
-            if self.peek() == Some(b'(') {
-                self.pos += 1;
-                let mut children = Vec::new();
-                loop {
-                    let child = self.node()?;
-                    self.expect(b':')?;
-                    let len = self.length()?;
-                    if !len.is_finite() || len < 0.0 {
-                        return Err(TreeError::Parse {
-                            at: self.pos,
-                            message: format!("invalid branch length {len}"),
-                        });
-                    }
-                    children.push((child, len));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b')') => {
-                            self.pos += 1;
-                            break;
-                        }
-                        _ => {
-                            return Err(TreeError::Parse {
-                                at: self.pos,
-                                message: "expected ',' or ')'".into(),
-                            })
-                        }
-                    }
-                }
-                // An internal node may carry a (ignored) label.
-                let _ = self.name();
-                Ok(Parsed::Internal { children })
-            } else {
-                let name = self.name();
-                if name.is_empty() {
-                    return Err(TreeError::Parse {
-                        at: self.pos,
-                        message: "expected a leaf name or '('".into(),
-                    });
-                }
-                Ok(Parsed::Leaf { name })
-            }
-        }
-    }
-
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
     };
-    let root = p.node()?;
+    let nodes = p.tree()?;
     // Optional root branch length, then the mandatory semicolon.
     p.skip_ws();
     if p.peek() == Some(b':') {
@@ -206,57 +102,224 @@ pub fn parse_newick(input: &str) -> Result<(UltrametricTree, Vec<String>), TreeE
         });
     }
 
-    // First pass: leaf depths (distance from root) to find the tree height.
-    fn max_depth(node: &Parsed, acc: f64) -> f64 {
-        match node {
-            Parsed::Leaf { .. } => acc,
-            Parsed::Internal { children } => children
-                .iter()
-                .map(|(c, len)| max_depth(c, acc + len))
-                .fold(0.0, f64::max),
-        }
+    // Leaf depths (distance from the root) give the tree height. Nodes are
+    // stored in pre-order, so a parent's depth is known before its
+    // children's.
+    let mut depth = vec![0.0; nodes.len()];
+    for (i, node) in nodes.iter().enumerate().skip(1) {
+        depth[i] = depth[node.parent] + node.len;
     }
-    let height = max_depth(&root, 0.0);
+    let height = nodes
+        .iter()
+        .zip(&depth)
+        .filter(|(node, _)| node.kids.is_none())
+        .map(|(_, &d)| d)
+        .fold(0.0, f64::max);
 
-    // Second pass: build, checking binarity and equal leaf depths.
-    fn build(
-        node: &Parsed,
-        depth: f64,
-        height: f64,
-        names: &mut Vec<String>,
-    ) -> Result<UltrametricTree, TreeError> {
-        match node {
-            Parsed::Leaf { name } => {
-                let tol = 1e-6 * (1.0 + height.abs());
-                if (height - depth).abs() > tol {
-                    return Err(TreeError::NotUltrametric {
-                        message: format!("leaf {name:?} at depth {depth}, expected {height}"),
-                    });
-                }
-                let taxon = names.len();
-                names.push(name.clone());
-                Ok(UltrametricTree::leaf(taxon))
+    // Check binarity and equal leaf depths in pre-order, so the first
+    // fault reported is the leftmost outermost one.
+    let tol = 1e-6 * (1.0 + height.abs());
+    for (node, &d) in nodes.iter().zip(&depth) {
+        match &node.kids {
+            Some(kids) if kids.len() != 2 => {
+                return Err(TreeError::NotUltrametric {
+                    message: format!("internal node has {} children, expected 2", kids.len()),
+                })
             }
-            Parsed::Internal { children } => {
-                if children.len() != 2 {
-                    return Err(TreeError::NotUltrametric {
-                        message: format!(
-                            "internal node has {} children, expected 2",
-                            children.len()
-                        ),
+            Some(_) => {}
+            None if (height - d).abs() > tol => {
+                return Err(TreeError::NotUltrametric {
+                    message: format!("leaf {:?} at depth {d}, expected {height}", node.name),
+                })
+            }
+            None => {}
+        }
+    }
+
+    // Build in post-order, on an explicit stack: each join takes the two
+    // subtrees finished last, and leaves are numbered left to right. The
+    // nodes come out numbered in post-order, as nested joins number them.
+    let mut post = Vec::with_capacity(nodes.len());
+    let mut todo = vec![(0usize, false)];
+    while let Some((i, expanded)) = todo.pop() {
+        match &nodes[i].kids {
+            Some(kids) if !expanded => {
+                todo.push((i, true));
+                todo.extend(kids.iter().rev().map(|&c| (c, false)));
+            }
+            _ => post.push(i),
+        }
+    }
+    let mut tree = PostOrder::with_capacity(nodes.len());
+    let mut names = Vec::new();
+    let mut done: Vec<(NodeId, f64)> = Vec::new();
+    for i in post {
+        let node = &nodes[i];
+        let finished = if node.kids.is_some() {
+            let (right, hr) = done.pop().expect("a join has two children");
+            let (left, hl) = done.pop().expect("a join has two children");
+            let h = (height - depth[i]).max(hl).max(hr);
+            let id = tree
+                .join(left, right, h)
+                .expect("the height dominates both children");
+            (id, h)
+        } else {
+            let id = tree.leaf(names.len()).expect("leaves are numbered once");
+            names.push(node.name.clone());
+            (id, 0.0)
+        };
+        done.push(finished);
+    }
+    Ok((tree.finish(), names))
+}
+
+/// A parsed node: its parent (itself for the root), the branch length
+/// above it, and its children for an internal node or its name for a
+/// leaf.
+struct Parsed {
+    parent: usize,
+    len: f64,
+    kids: Option<Vec<usize>>,
+    name: String,
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b) if b.is_ascii_whitespace()) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), TreeError> {
+        self.skip_ws();
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(TreeError::Parse {
+                at: self.pos,
+                message: format!("expected {:?}", b as char),
+            })
+        }
+    }
+
+    fn name(&mut self) -> String {
+        self.skip_ws();
+        let start = self.pos;
+        while let Some(b) = self.peek() {
+            if matches!(b, b'(' | b')' | b',' | b':' | b';') || b.is_ascii_whitespace() {
+                break;
+            }
+            self.pos += 1;
+        }
+        String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned()
+    }
+
+    fn length(&mut self) -> Result<f64, TreeError> {
+        self.skip_ws();
+        let start = self.pos;
+        while let Some(b) = self.peek() {
+            if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') || b.is_ascii_digit() {
+                self.pos += 1;
+            } else {
+                break;
+            }
+        }
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .ok_or(TreeError::Parse {
+                at: start,
+                message: "expected a branch length".into(),
+            })
+    }
+
+    /// The whole tree up to (not including) the root's branch length and
+    /// `;`, in pre-order. `open` holds the internal nodes whose `)` is
+    /// still ahead.
+    fn tree(&mut self) -> Result<Vec<Parsed>, TreeError> {
+        let mut nodes: Vec<Parsed> = Vec::new();
+        let mut open: Vec<usize> = Vec::new();
+        loop {
+            // A node starts here: open an internal node, or read a leaf.
+            self.skip_ws();
+            let parent = open.last().copied().unwrap_or(0);
+            let at = nodes.len();
+            if self.peek() == Some(b'(') {
+                self.pos += 1;
+                nodes.push(Parsed {
+                    parent,
+                    len: 0.0,
+                    kids: Some(Vec::new()),
+                    name: String::new(),
+                });
+                open.push(at);
+                continue;
+            }
+            let name = self.name();
+            if name.is_empty() {
+                return Err(TreeError::Parse {
+                    at: self.pos,
+                    message: "expected a leaf name or '('".into(),
+                });
+            }
+            nodes.push(Parsed {
+                parent,
+                len: 0.0,
+                kids: None,
+                name,
+            });
+            // The node just read is complete: attach it, with its branch
+            // length, to the open node, and close every node a `)` ends.
+            let mut child = at;
+            loop {
+                let Some(&up) = open.last() else {
+                    return Ok(nodes);
+                };
+                self.expect(b':')?;
+                let len = self.length()?;
+                if !len.is_finite() || len < 0.0 {
+                    return Err(TreeError::Parse {
+                        at: self.pos,
+                        message: format!("invalid branch length {len}"),
                     });
                 }
-                let left = build(&children[0].0, depth + children[0].1, height, names)?;
-                let right = build(&children[1].0, depth + children[1].1, height, names)?;
-                let h = height - depth;
-                let h = h.max(left.height()).max(right.height());
-                Ok(UltrametricTree::join(left, right, h))
+                nodes[child].len = len;
+                if let Some(kids) = nodes[up].kids.as_mut() {
+                    kids.push(child);
+                }
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    Some(b')') => {
+                        self.pos += 1;
+                        // An internal node may carry an (ignored) label.
+                        let _ = self.name();
+                        open.pop();
+                        child = up;
+                    }
+                    _ => {
+                        return Err(TreeError::Parse {
+                            at: self.pos,
+                            message: "expected ',' or ')'".into(),
+                        })
+                    }
+                }
             }
         }
     }
-    let mut names = Vec::new();
-    let tree = build(&root, 0.0, height, &mut names)?;
-    Ok((tree, names))
 }
 
 #[cfg(test)]
@@ -358,6 +421,42 @@ mod tests {
         ] {
             assert!(parse_newick(bad).is_err(), "{bad:?}");
         }
+    }
+
+    /// A caterpillar `depth` levels deep, in the shape [`to_newick`]
+    /// prints: `((t0:1,t1:1):1,t2:2):1,…`.
+    fn caterpillar(depth: usize) -> String {
+        let mut text = "(".repeat(depth);
+        text.push_str("t0:1,t1:1)");
+        for i in 2..=depth {
+            text.push_str(&format!(":1,t{i}:{i})"));
+        }
+        text.push(';');
+        text
+    }
+
+    #[test]
+    fn small_caterpillar_round_trips() {
+        let (t, names) = parse_newick(&caterpillar(3)).unwrap();
+        assert_eq!(names, vec!["t0", "t1", "t2", "t3"]);
+        assert_eq!(to_newick(&t), caterpillar(3));
+    }
+
+    #[test]
+    fn deep_caterpillar_parses_without_recursion() {
+        // 100 000 levels: a parser, depth pass or build that recursed
+        // once per level would overflow a test thread's stack here.
+        const DEPTH: usize = 100_000;
+        let text = caterpillar(DEPTH);
+        let (t, names) = parse_newick(&text).expect("a deep caterpillar parses");
+        assert_eq!(t.leaf_count(), DEPTH + 1);
+        assert_eq!(names.len(), DEPTH + 1);
+        assert_eq!(t.height(), DEPTH as f64);
+        assert_eq!(to_newick(&t), text);
+        // Unbalanced nesting of the same depth is an error, not a crash.
+        let open = "(".repeat(DEPTH);
+        assert!(parse_newick(&open).is_err());
+        assert!(parse_newick(&text[..text.len() - 2]).is_err());
     }
 
     #[test]

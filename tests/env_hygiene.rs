@@ -69,7 +69,7 @@ fn only_plan_resolution_reads_mutree_env_vars() {
 
 /// Names of retired search paths and the knobs that forced them. Each is
 /// split in two so this file's own source never matches.
-const RETIRED: [[&str; 2]; 22] = [
+const RETIRED: [[&str; 2]; 27] = [
     ["MUTREE_FORCE_", "BOUND_KERNEL"],
     ["MUTREE_FORCE_", "PRUNE"],
     ["MUTREE_", "CACHE"],
@@ -92,6 +92,11 @@ const RETIRED: [[&str; 2]; 22] = [
     ["--re", "tries"],
     ["unit_", "fraction"],
     ["panic_on_taxa_", "times"],
+    ["ThreeThree::", "Full"],
+    ["Triple", "Domains"],
+    ["Arm", "Index"],
+    ["prop_", "advance"],
+    ["prune_", "differential"],
 ];
 
 #[test]
