@@ -1,14 +1,14 @@
 //! Criterion benches for the ablation studies, plus micro-benches of the
-//! individual substrates (compact-set detection, UPGMM, edit distance,
-//! Kruskal) so substrate regressions are visible independently of the
-//! full pipelines.
+//! individual substrates (compact-set detection, UPGMM, edit distance)
+//! so substrate regressions are visible independently of the full
+//! pipelines.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mutree_bench::data;
 use mutree_core::{CompactPipeline, Linkage, MutSolver, ThreeThree};
-use mutree_graph::{kruskal, CompactSets, WeightedGraph};
+use mutree_graph::CompactSets;
 use mutree_seqgen::{edit_distance, random_root_sequence};
 use mutree_tree::cluster;
 use rand::rngs::StdRng;
@@ -104,9 +104,6 @@ fn bench_substrates(c: &mut Criterion) {
     let mut g = quick(c, "substrates");
     g.bench_function("compact_sets_n32", |b| {
         b.iter(|| CompactSets::find(&m).len())
-    });
-    g.bench_function("kruskal_n32", |b| {
-        b.iter(|| kruskal(&WeightedGraph::from_matrix(&m)).unwrap().weight())
     });
     g.bench_function("upgmm_n32", |b| {
         b.iter(|| cluster(&m, Linkage::Maximum).weight())

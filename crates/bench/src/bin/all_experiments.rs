@@ -1,5 +1,5 @@
 //! Runs every experiment in sequence (the full evaluation).
-use mutree_bench::experiments::{ablations, hpcasia, leafwords, pact};
+use mutree_bench::experiments::{ablations, hpcasia, pact};
 
 fn main() {
     let tables = [
@@ -25,7 +25,6 @@ fn main() {
         ablations::exp_grid(),
         ablations::exp_baselines(),
         ablations::exp_taskgraph(),
-        leafwords::exp_leafwords(),
     ];
     for t in tables {
         t.emit(None).expect("write results");

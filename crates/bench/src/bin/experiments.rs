@@ -11,7 +11,7 @@
 
 use std::process::ExitCode;
 
-use mutree_bench::experiments::{ablations, hpcasia, leafwords, pact, serve};
+use mutree_bench::experiments::{ablations, hpcasia, pact, serve};
 use mutree_bench::report::{results_dir, Table};
 
 /// Builds the `NAMES` table and the dispatch function in one place, so a
@@ -52,7 +52,6 @@ experiments! {
     "exp_grid" => ablations::exp_grid,
     "exp_baselines" => ablations::exp_baselines,
     "exp_taskgraph" => ablations::exp_taskgraph,
-    "exp_leafwords" => leafwords::exp_leafwords,
     "exp_serve" => serve::exp_serve,
 }
 

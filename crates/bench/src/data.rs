@@ -15,7 +15,7 @@
 //!   mtDNA matrices these are integer-valued, near-ultrametric and
 //!   strongly clustered.
 
-use mutree_distmat::{gen, DistanceMatrix};
+use mutree_distmat::DistanceMatrix;
 use mutree_seqgen::{
     distance_matrix, evolve, random_coalescent, random_root_sequence, DistanceKind,
     EvolutionParams, SubstitutionModel,
@@ -84,26 +84,6 @@ pub fn clustered_matrix(clusters: usize, size: usize, seed: u64) -> DistanceMatr
         }
     }
     m
-}
-
-/// An `n`-taxon workload for a single *undecomposed* exact solve — the
-/// wide-leafset configurations (`n > 64`) the solver's width dispatcher
-/// unlocked. Ultrametric by construction, so exact search stays tractable
-/// even at widths beyond one word. Deterministic in `(n, seed)`.
-///
-/// # Panics
-///
-/// Panics beyond the engine ceiling ([`mutree_core::MAX_EXACT_TAXA`]):
-/// no single exact solve can accept such a matrix, so a workload that
-/// size is a bug in the experiment, not a measurement.
-pub fn wide_exact_matrix(n: usize, seed: u64) -> DistanceMatrix {
-    assert!(
-        n <= mutree_core::MAX_EXACT_TAXA,
-        "wide_exact_matrix is for single exact solves (engine limit {} taxa, got {n})",
-        mutree_core::MAX_EXACT_TAXA
-    );
-    let mut rng = StdRng::seed_from_u64(0x71de_0000u64 ^ seed);
-    gen::random_ultrametric(n, 100.0, &mut rng)
 }
 
 #[cfg(test)]

@@ -8,15 +8,11 @@
 //! * [`ablations`] — design-choice studies: condensed-matrix linkage,
 //!   group-size threshold, bound ingredients (maxmin, UPGMM), and the
 //!   3-3 rule's strength.
-//! * [`leafwords`] — the const-generic leaf-bitset widths: K=1 vs K=2 on
-//!   the 400-solve clustered batch (hot-path regression watch), plus the
-//!   80-taxon wide solve the width dispatcher unlocked.
 //! * [`serve`] — the solve daemon replaying the clustered batch over a
 //!   real TCP socket at increasing client concurrency: sustained req/s,
 //!   p50/p99 latency, cache hit rate, and shed count under overload.
 
 pub mod ablations;
 pub mod hpcasia;
-pub mod leafwords;
 pub mod pact;
 pub mod serve;

@@ -4,9 +4,9 @@
 //! costs framing and scheduling, not answers: a daemon report is
 //! bit-identical to the in-process one, and the process-wide cache makes
 //! a replayed batch as cheap over TCP as it is in memory. This
-//! experiment prices that promise on the 400-solve clustered batch of
-//! `exp_leafwords`, driven over a real socket by concurrent replay
-//! clients:
+//! experiment prices that promise on a 400-solve clustered batch (20
+//! sixteen-taxon and 380 twelve-taxon matrices), driven over a real
+//! socket by concurrent replay clients:
 //!
 //! * **cold** — first full pass at concurrency 1 (files every solve
 //!   into the shared cache).
@@ -30,8 +30,7 @@ use mutree_serve::{Client, ClientError, ServeConfig, Server};
 use crate::data;
 use crate::report::{fmt_secs, Table};
 
-/// Instances per batch — identical mix to `exp_leafwords` (20
-/// sixteen-taxon + 380 twelve-taxon).
+/// Instances per batch: 20 sixteen-taxon + 380 twelve-taxon.
 const BATCH: usize = 400;
 
 fn workload() -> Vec<SolveRequest> {

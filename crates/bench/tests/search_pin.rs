@@ -22,12 +22,9 @@
 //! different order) — a tighter bound or a better order may only prove
 //! the same optimum sooner. Neither follows the catalog if it is
 //! regenerated.
-//!
-//! Every pin holds at every leaf-bitset width: widening the per-node
-//! leaf masks may not change a single search decision.
 
 use mutree_bench::data;
-use mutree_core::{solve_plan, EnvOverrides, SolvePlan, SolveRequest, ThreeThree, LEAF_WIDTHS};
+use mutree_core::{solve_plan, EnvOverrides, SolvePlan, SolveRequest, ThreeThree};
 use mutree_distmat::DistanceMatrix;
 
 /// Which order a pinned solve searches in.
@@ -40,8 +37,8 @@ enum Order {
 }
 
 /// `(branched, pruned, weight bits)` of an exact solve of `m` under
-/// `rule` on `words`-word leaf bitsets, searched in `order`.
-fn solve(m: &DistanceMatrix, rule: ThreeThree, words: usize, order: Order) -> (u64, u64, u64) {
+/// `rule`, searched in `order`.
+fn solve(m: &DistanceMatrix, rule: ThreeThree, order: Order) -> (u64, u64, u64) {
     let mut request = match order {
         Order::Default => SolveRequest::exact(m.clone()),
         Order::Maxmin => {
@@ -49,13 +46,11 @@ fn solve(m: &DistanceMatrix, rule: ThreeThree, words: usize, order: Order) -> (u
             request.use_maxmin = false;
             request
         }
-    }
-    .leaf_words(words);
+    };
     request.three_three = rule;
     let report =
         solve_plan(&SolvePlan::resolve(request, &EnvOverrides::none())).expect("exact solve");
     assert!(report.is_complete());
-    assert_eq!(report.leaf_words, Some(words));
     (
         report.stats.branched,
         report.stats.pruned,
@@ -63,8 +58,7 @@ fn solve(m: &DistanceMatrix, rule: ThreeThree, words: usize, order: Order) -> (u
     )
 }
 
-/// Checks every pin of `pins`, `(seed, branched, pruned, weight bits)`,
-/// at every width.
+/// Checks every pin of `pins`, `(seed, branched, pruned, weight bits)`.
 fn check(
     family: &str,
     matrix: impl Fn(u64) -> DistanceMatrix,
@@ -73,14 +67,11 @@ fn check(
     pins: &[(u64, u64, u64, u64)],
 ) {
     for &(seed, branched, pruned, bits) in pins {
-        let m = matrix(seed);
-        for words in LEAF_WIDTHS {
-            assert_eq!(
-                solve(&m, rule, words, order),
-                (branched, pruned, bits),
-                "{family} {seed} {rule:?} {order:?}, K = {words}: (branched, pruned, weight bits)"
-            );
-        }
+        assert_eq!(
+            solve(&matrix(seed), rule, order),
+            (branched, pruned, bits),
+            "{family} {seed} {rule:?} {order:?}: (branched, pruned, weight bits)"
+        );
     }
 }
 

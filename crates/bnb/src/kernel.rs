@@ -54,9 +54,9 @@ use crate::{Problem, SearchMode, SearchOptions, SearchOutcome, SearchStats, Stop
 pub(crate) const TIME_CHECK_INTERVAL: u64 = 128;
 
 /// How many retired nodes a [`ChildBuf`] keeps for reuse. Enough for the
-/// widest expansions we see (a 256-taxon tree — the widest leaf-bitset
-/// monomorphization — branches 511 ways) while bounding memory held by
-/// idle buffers.
+/// widest expansions we see (a 256-taxon tree — the exact solver's
+/// ceiling — branches 511 ways) while bounding memory held by idle
+/// buffers.
 const SPARE_CAP: usize = 1024;
 
 /// Normalizes a lower bound coming from [`Problem::lower_bound`] so a

@@ -159,13 +159,13 @@ impl std::fmt::Display for StopReason {
 /// the result is an anytime upper bound, not a proven optimum.
 ///
 /// What an open node costs depends on the problem. For the MUT search
-/// (`mutree_core::MutProblem<K>`), a node over `k` of `n` taxa holds
-/// `PartialTree::heap_bytes` of heap: `(2n − 1)(20 + 8K)` bytes of
-/// arena, `16(k − 1)(n − k)` of look-ahead rows (at most about `4n²`,
-/// at `k ≈ n/2`), and `12(n − k)` of lane taxa and pendant terms. At
-/// `n = 80` (`K = 2`) that is at most about 32 KB a node, at `n = 200`
-/// (`K = 4`) about 183 KB, so a byte budget `B` allows at least
-/// `B / (4n² + 52n + 16nK)` open nodes.
+/// (`mutree_core::MutProblem`), a node over `k` of `n` taxa holds
+/// `PartialTree::heap_bytes` of heap: `20(2n − 1)` bytes of arena,
+/// `16(k − 1)(n − k)` of look-ahead rows (at most about `4n²`, at
+/// `k ≈ n/2`), and `12(n − k)` of lane taxa and pendant terms. At
+/// `n = 80` that is at most about 29 KB a node, at `n = 200` about
+/// 168 KB, so a byte budget `B` allows at least `B / (4n² + 52n)` open
+/// nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBudget {
     /// Maximum open nodes allowed at once (at least 1).

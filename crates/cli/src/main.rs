@@ -36,9 +36,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use mutree_core::{
-    leaf_words_for, plan_pipeline, plan_solver, solve_plan, BackendSpec, CheckpointPolicy,
-    EnvOverrides, MemoryBudget, MutError, SearchMode, SolvePlan, SolveReport, SolveRequest,
-    ThreeThree, TraceLevel, MAX_EXACT_TAXA,
+    plan_pipeline, plan_solver, solve_plan, BackendSpec, CheckpointPolicy, EnvOverrides,
+    MemoryBudget, MutError, SearchMode, SolvePlan, SolveReport, SolveRequest, ThreeThree,
+    TraceLevel, MAX_EXACT_TAXA,
 };
 use mutree_distmat::{io as mio, DistanceMatrix};
 use mutree_graph::CompactSets;
@@ -396,12 +396,12 @@ fn solve(args: &[String]) -> Result<ExitCode, CliError> {
     }
     // Refuse matrices beyond the engine's taxa ceiling up front, with a
     // pointer to the pipeline.
-    let needed = leaf_words_for(m.len()).ok_or_else(|| {
-        CliError::Solver(format!(
+    if m.len() > MAX_EXACT_TAXA {
+        return Err(CliError::Solver(format!(
             "matrix has {} taxa; engine limit is {MAX_EXACT_TAXA} (use the pipeline: mutree fast)",
             m.len()
-        ))
-    })?;
+        )));
+    }
     // The request is the whole configuration; execute it through the
     // engine spine.
     let plan = SolvePlan::resolve(req, &EnvOverrides::none());
@@ -410,14 +410,7 @@ fn solve(args: &[String]) -> Result<ExitCode, CliError> {
         MutError::Checkpoint { .. } | MutError::Input { .. } => CliError::Input(e.to_string()),
         e => CliError::Solver(e.to_string()),
     })?;
-    // The leaf-bitset width the dispatcher picked.
-    let words = report.leaf_words.unwrap_or(needed);
     println!("weight: {}", report.weight);
-    println!(
-        "leaf words: {words}  ({} of {} taxa, engine limit {MAX_EXACT_TAXA})",
-        m.len(),
-        64 * words,
-    );
     println!(
         "branched: {}  pruned: {}  solutions seen: {}  incumbent updates: {}  peak pool: {}",
         report.stats.branched,

@@ -55,7 +55,7 @@ pub trait SimCost: Problem {
     fn node_bytes(&self, node: &Self::Node) -> u64;
 }
 
-impl<const K: usize> SimCost for MutProblem<K> {
+impl SimCost for MutProblem {
     fn branch_ops(&self, node: &Self::Node) -> f64 {
         // 2k−1 children, each an O(k) height-path update, plus the
         // look-ahead rows a branch copies and refreshes: 2(k−1) rows of
@@ -494,7 +494,7 @@ mod tests {
     #[test]
     fn cost_model_charges_tree_work_and_look_ahead_rows() {
         let m = m6();
-        let p = MutProblem::<1>::new(&m, ThreeThree::Off, true);
+        let p = MutProblem::new(&m, ThreeThree::Off, true);
         let root = p.root();
         // k = 2, n = 6: 3 children of a 2-node path, plus 2·1·4 lanes.
         assert_eq!(p.branch_ops(&root), 3.0 * 2.0 + 8.0);
@@ -510,7 +510,7 @@ mod tests {
     fn simulated_matches_sequential_value() {
         let m = m6();
         let pm = m.maxmin_permutation().apply(&m);
-        let p = MutProblem::<1>::new(&pm, ThreeThree::Off, true);
+        let p = MutProblem::new(&pm, ThreeThree::Off, true);
         let opts = SearchOptions::new(SearchMode::BestOne);
         let seq = solve_sequential(&p, &opts);
         for slaves in [1, 2, 4, 16] {
@@ -525,7 +525,7 @@ mod tests {
     fn simulation_is_deterministic() {
         let m = m6();
         let pm = m.maxmin_permutation().apply(&m);
-        let p = MutProblem::<1>::new(&pm, ThreeThree::Off, true);
+        let p = MutProblem::new(&pm, ThreeThree::Off, true);
         let opts = SearchOptions::new(SearchMode::BestOne);
         let spec = ClusterSpec::with_slaves(4);
         let a = solve_simulated(&p, &opts, &spec);
@@ -539,7 +539,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let m = gen::perturbed_ultrametric(8, 40.0, 0.1, &mut rng);
         let pm = m.maxmin_permutation().apply(&m);
-        let p = MutProblem::<1>::new(&pm, ThreeThree::Off, true);
+        let p = MutProblem::new(&pm, ThreeThree::Off, true);
         let opts = SearchOptions::new(SearchMode::BestOne);
         let base = solve_simulated(&p, &opts, &ClusterSpec::with_slaves(1));
         for slaves in [3, 8] {
@@ -555,7 +555,7 @@ mod tests {
         let pm = m.maxmin_permutation().apply(&m);
         // Without the UPGMM hint the search cannot collapse during the
         // master's seeding phase, so the slaves really run.
-        let p = MutProblem::<1>::new(&pm, ThreeThree::Off, false);
+        let p = MutProblem::new(&pm, ThreeThree::Off, false);
         let opts = SearchOptions::new(SearchMode::BestOne);
         let t1 = solve_simulated(&p, &opts, &ClusterSpec::with_slaves(1))
             .report
@@ -573,7 +573,7 @@ mod tests {
     fn metrics_account_messages() {
         let m = m6();
         let pm = m.maxmin_permutation().apply(&m);
-        let p = MutProblem::<1>::new(&pm, ThreeThree::Off, false);
+        let p = MutProblem::new(&pm, ThreeThree::Off, false);
         let opts = SearchOptions::new(SearchMode::BestOne);
         let sim = solve_simulated(&p, &opts, &ClusterSpec::with_slaves(4));
         // Slaves at least request more work once they drain.
@@ -587,7 +587,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let m = gen::uniform_metric(12, 0.0, 100.0, &mut rng);
         let pm = m.maxmin_permutation().apply(&m);
-        let p = MutProblem::<1>::new(&pm, ThreeThree::Off, false);
+        let p = MutProblem::new(&pm, ThreeThree::Off, false);
         let opts = SearchOptions::new(SearchMode::BestOne).max_branches(20);
         let sim = solve_simulated(&p, &opts, &ClusterSpec::with_slaves(4));
         assert_eq!(sim.outcome.stop, StopReason::BudgetExhausted);
@@ -598,7 +598,7 @@ mod tests {
     fn pre_cancelled_token_stops_the_simulation() {
         let m = m6();
         let pm = m.maxmin_permutation().apply(&m);
-        let p = MutProblem::<1>::new(&pm, ThreeThree::Off, true);
+        let p = MutProblem::new(&pm, ThreeThree::Off, true);
         let token = mutree_bnb::CancelToken::new();
         token.cancel();
         let opts = SearchOptions::new(SearchMode::BestOne).cancel_token(token);
@@ -616,7 +616,7 @@ mod tests {
             vec![6.0, 6.0, 0.0],
         ])
         .unwrap();
-        let p = MutProblem::<1>::new(&m, ThreeThree::Off, false);
+        let p = MutProblem::new(&m, ThreeThree::Off, false);
         let opts = SearchOptions::new(SearchMode::AllOptimal);
         let seq = solve_sequential(&p, &opts);
         let sim = solve_simulated(&p, &opts, &ClusterSpec::with_slaves(2));
@@ -663,8 +663,8 @@ mod tests {
     fn nan_lower_bounds_never_prune_in_the_simulated_driver() {
         let m = m6();
         let pm = m.maxmin_permutation().apply(&m);
-        let exact = MutProblem::<1>::new(&pm, ThreeThree::Off, false);
-        let nan = NanLb(MutProblem::<1>::new(&pm, ThreeThree::Off, false));
+        let exact = MutProblem::new(&pm, ThreeThree::Off, false);
+        let nan = NanLb(MutProblem::new(&pm, ThreeThree::Off, false));
         let opts = SearchOptions::new(SearchMode::BestOne);
         let reference = solve_sequential(&exact, &opts);
         let sim = solve_simulated(&nan, &opts, &ClusterSpec::with_slaves(3));
@@ -680,7 +680,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let m = gen::uniform_metric(7, 0.0, 50.0, &mut rng);
             let pm = m.maxmin_permutation().apply(&m);
-            let p = Arc::new(MutProblem::<1>::new(&pm, ThreeThree::Off, true));
+            let p = Arc::new(MutProblem::new(&pm, ThreeThree::Off, true));
             let opts = SearchOptions::new(SearchMode::BestOne);
             let seq = solve_sequential(&*p, &opts);
             let par = solve_parallel(Arc::clone(&p), &opts, 4, &SpawnPool, ());

@@ -18,8 +18,7 @@
 //!   cluster simulation** ([`SearchBackend::SimulatedCluster`]) that
 //!   reproduces the paper's 16-node speedup experiments on any host;
 //! * [`ThreeThree`] — the 3-3 relationship pruning rule (companion paper,
-//!   Step 4), at the paper's initial-step strength or the proposed
-//!   full-insertion extension;
+//!   Step 4), at the paper's initial-step strength;
 //! * [`CompactPipeline`] — the PaCT 2005 technique: split `M` into small
 //!   matrices along its [compact sets](mutree_graph::CompactSets), solve
 //!   each exactly, and graft the subtrees back together, obtaining a
@@ -46,7 +45,6 @@
 mod cluster;
 mod error;
 pub mod exec;
-mod leafset;
 mod memo;
 mod node;
 mod pipeline;
@@ -57,16 +55,13 @@ mod solver;
 pub use cluster::{solve_simulated, solve_simulated_observed, SimCost, SimulatedOutcome};
 pub use error::MutError;
 pub use exec::{Executor, QueueStats};
-pub use leafset::{LeafIter, LeafWords};
 pub use node::{half_distances, PartialTree};
 pub use pipeline::{CompactPipeline, PipelineSolution};
 pub use problem::MutProblem;
 pub use run::{
     plan_pipeline, plan_solver, solve_plan, solve_plan_hooked, solve_request, SolveHooks,
 };
-pub use solver::{
-    leaf_words_for, solution_newick, MutSolution, MutSolver, SearchBackend, MAX_EXACT_TAXA,
-};
+pub use solver::{solution_newick, MutSolution, MutSolver, SearchBackend, MAX_EXACT_TAXA};
 
 pub use mutree_bnb::{
     CancelToken, CheckpointError, CheckpointFile, CheckpointPolicy, LoggingObserver, MemoryBudget,
@@ -82,5 +77,5 @@ pub use mutree_tree::Linkage;
 pub use mutree_engine::{
     BackendSpec, CacheOutcome, CacheProbe, CacheQuery, DegradeReason, DegradedGroup, EnvOverrides,
     GroupCache, MatrixSource, SolveKind, SolvePlan, SolveReport, SolveRequest, StageProvenance,
-    StageTiming, ThreeThree, LEAF_WIDTHS,
+    StageTiming, ThreeThree,
 };

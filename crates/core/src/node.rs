@@ -1,7 +1,7 @@
 use mutree_distmat::DistanceMatrix;
 use mutree_tree::UltrametricTree;
 
-use crate::leafset::LeafWords;
+use crate::MAX_EXACT_TAXA;
 
 const NONE: u32 = u32::MAX;
 
@@ -133,16 +133,16 @@ fn child_path_step(out: &mut [f64], h: f64, mx: &[f64], hs: &[f64], other: &[f64
 /// taxon to the nearest leaf of `placed`. `lanes` yields `(taxon,
 /// cheapest)` pairs.
 #[inline]
-fn debug_assert_lanes_reach_static_term<const K: usize>(
+fn debug_assert_lanes_reach_static_term<P: Iterator<Item = usize> + Clone>(
     half: &[f64],
     n: usize,
-    placed: LeafWords<K>,
+    placed: P,
     mut lanes: impl Iterator<Item = (usize, f64)>,
 ) {
     debug_assert!(
         lanes.all(|(f, cheapest)| {
             let nearest = placed
-                .iter()
+                .clone()
                 .map(|y| half[y * n + f])
                 .fold(f64::INFINITY, f64::min);
             cheapest >= nearest
@@ -165,21 +165,17 @@ fn debug_assert_lanes_reach_static_term<const K: usize>(
 /// * node ids `0..n` are the leaves (id = taxon); ids `n..2n-1` are
 ///   internal nodes, allocated in insertion order (the `k`-th leaf to
 ///   insert creates internal node `n + k − 2`, the cherry node `n`);
-/// * each node stores its parent, children, height, and the
-///   [`LeafWords<K>`] bitset of leaves below it. `K` fixes the taxa
-///   ceiling at `64·K`; the solver monomorphizes K = 1, 2, 4 and
-///   dispatches on the matrix size (see
-///   [`leaf_words_for`](crate::leaf_words_for)), so the default `K = 1`
-///   compiles to the historical single-`u64` arena.
+/// * each node stores its parent, children and height. A leaf is placed
+///   iff it has a parent; a node's leaves are never stored, as no
+///   operation reads them.
 ///
-/// The placed set is the root's leafset. The *remaining* taxa, in
-/// ascending order of the matrix, are the node's lanes: lane `i` is the
-/// `i`-th remaining taxon. One lane is the *next* leaf, the one every
-/// child of this node inserts. A cherry or a built child defaults it to
-/// its smallest remaining taxon, so a tree grown by
-/// [`insert_next`](PartialTree::insert_next) alone inserts the taxa in
-/// matrix order; [`MutProblem`](crate::MutProblem) sets it per node to
-/// the leaf that attains the look-ahead bound.
+/// The *remaining* taxa, in ascending order of the matrix, are the
+/// node's lanes: lane `i` is the `i`-th remaining taxon. One lane is the
+/// *next* leaf, the one every child of this node inserts. A cherry or a
+/// built child defaults it to its smallest remaining taxon, so a tree
+/// grown by [`insert_next`](PartialTree::insert_next) alone inserts the
+/// taxa in matrix order; [`MutProblem`](crate::MutProblem) sets it per
+/// node to the leaf that attains the look-ahead bound.
 ///
 /// Heights are kept *minimal* for the topology at all times: inserting a
 /// leaf only updates heights along its root path, each ancestor rising to
@@ -210,12 +206,11 @@ fn debug_assert_lanes_reach_static_term<const K: usize>(
 /// before it. Summed over the lanes they are Wu–Chao–Tang's static bound
 /// on what the remaining taxa add, inserted in ascending order.
 #[derive(Debug)]
-pub struct PartialTree<const K: usize = 1> {
+pub struct PartialTree {
     parent: Vec<u32>,
     left: Vec<u32>,
     right: Vec<u32>,
     height: Vec<f64>,
-    leafset: Vec<LeafWords<K>>,
     root: u32,
     k: u32,
     n: u32,
@@ -235,14 +230,13 @@ pub struct PartialTree<const K: usize = 1> {
     gathered: Vec<f64>,
 }
 
-impl<const K: usize> Clone for PartialTree<K> {
+impl Clone for PartialTree {
     fn clone(&self) -> Self {
         PartialTree {
             parent: self.parent.clone(),
             left: self.left.clone(),
             right: self.right.clone(),
             height: self.height.clone(),
-            leafset: self.leafset.clone(),
             root: self.root,
             k: self.k,
             n: self.n,
@@ -257,11 +251,7 @@ impl<const K: usize> Clone for PartialTree<K> {
     }
 }
 
-impl<const K: usize> PartialTree<K> {
-    /// Taxa ceiling of this leaf-bitset width: `64·K` leaves fit in the
-    /// per-node [`LeafWords<K>`] mask.
-    pub const MAX_TAXA: usize = LeafWords::<K>::CAPACITY;
-
+impl PartialTree {
     /// The root BBT node: the unique topology over taxa `{0, 1}`, with
     /// height `M[0,1] / 2`, its look-ahead rows and pendant terms, and
     /// taxon `2` as its next leaf. `half` is `m`'s [`half_distances`]
@@ -269,15 +259,14 @@ impl<const K: usize> PartialTree<K> {
     ///
     /// # Panics
     ///
-    /// Panics when the matrix exceeds [`MAX_TAXA`](Self::MAX_TAXA) taxa
-    /// (enforce via [`MutSolver`](crate::MutSolver), which dispatches to a
-    /// wide-enough width and returns an error beyond the widest).
+    /// Panics when the matrix exceeds [`MAX_EXACT_TAXA`] taxa (enforce
+    /// via [`MutSolver`](crate::MutSolver), which returns an error
+    /// instead).
     pub fn cherry(m: &DistanceMatrix, half: &[f64]) -> Self {
         let n = m.len();
         assert!(
-            n <= Self::MAX_TAXA,
-            "PartialTree with {K} leaf words supports at most {} taxa, got {n}",
-            Self::MAX_TAXA
+            n <= MAX_EXACT_TAXA,
+            "PartialTree supports at most {MAX_EXACT_TAXA} taxa, got {n}"
         );
         let cap = 2 * n - 1;
         let rem: Vec<u32> = (2..n as u32).collect();
@@ -293,7 +282,6 @@ impl<const K: usize> PartialTree<K> {
             left: vec![NONE; cap],
             right: vec![NONE; cap],
             height: vec![0.0; cap],
-            leafset: vec![LeafWords::EMPTY; cap],
             root: n as u32,
             k: 2,
             n: n as u32,
@@ -305,15 +293,11 @@ impl<const K: usize> PartialTree<K> {
             rows: vec![0.0; 2 * (n - 2)],
             gathered: Vec::new(),
         };
-        for leaf in 0..n {
-            t.leafset[leaf] = LeafWords::singleton(leaf);
-        }
         let r = n; // first internal node
         t.left[r] = 0;
         t.right[r] = 1;
         t.parent[0] = r as u32;
         t.parent[1] = r as u32;
-        t.leafset[r] = LeafWords::singleton(0).union(LeafWords::singleton(1));
         t.height[r] = m.get(0, 1) / 2.0;
         t.weight = m.get(0, 1);
         let w = n - 2;
@@ -345,9 +329,9 @@ impl<const K: usize> PartialTree<K> {
         self.weight
     }
 
-    /// The placed species: the root's leafset.
-    pub fn placed(&self) -> LeafWords<K> {
-        self.leafset[self.root as usize]
+    /// The placed species, ascending: the leaves with a parent.
+    pub fn placed(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        (0..self.n as usize).filter(|&y| self.parent[y] != NONE)
     }
 
     /// The species this node's children insert.
@@ -423,7 +407,7 @@ impl<const K: usize> PartialTree<K> {
     pub fn insertion_sites(&self) -> impl Iterator<Item = u32> + '_ {
         let n = self.n as usize;
         let k = self.k as usize;
-        self.placed().iter().chain(n..n + k - 1).map(|v| v as u32)
+        self.placed().chain(n..n + k - 1).map(|v| v as u32)
     }
 
     /// Returns a copy of this tree with the next species
@@ -436,7 +420,7 @@ impl<const K: usize> PartialTree<K> {
     ///
     /// Panics (in debug builds) when the tree is already complete or
     /// `site` is not a live node.
-    pub fn insert_next(&self, half: &[f64], site: u32) -> PartialTree<K> {
+    pub fn insert_next(&self, half: &[f64], site: u32) -> PartialTree {
         let mut t = self.clone();
         t.insert_from(self, half, site);
         t
@@ -447,7 +431,7 @@ impl<const K: usize> PartialTree<K> {
     /// instead of allocating a fresh tree. With a warmed-up scratch this is
     /// allocation-free: the copy reuses the arena and row vectors in
     /// place.
-    pub fn insert_next_into(&self, half: &[f64], site: u32, scratch: &mut PartialTree<K>) {
+    pub fn insert_next_into(&self, half: &[f64], site: u32, scratch: &mut PartialTree) {
         scratch.insert_from(self, half, site);
     }
 
@@ -486,7 +470,6 @@ impl<const K: usize> PartialTree<K> {
         self.left.clone_from(&from.left);
         self.right.clone_from(&from.right);
         self.height.clone_from(&from.height);
-        self.leafset.clone_from(&from.leafset);
         self.root = from.root;
         self.k = from.k;
         self.n = from.n;
@@ -499,18 +482,16 @@ impl<const K: usize> PartialTree<K> {
         let e = site as usize;
         let j = n + self.k as usize - 1; // the new internal node
         debug_assert!(
-            (e < n && from.placed().contains(e)) || (n..j).contains(&e),
+            (e < n && from.parent[e] != NONE) || (n..j).contains(&e),
             "site {e} is not a live node"
         );
         let p = self.parent[e];
-        let sbit = LeafWords::singleton(s);
 
         self.left[j] = e as u32;
         self.right[j] = s as u32;
         self.parent[j] = p;
         self.parent[e] = j as u32;
         self.parent[s] = j as u32;
-        self.leafset[j] = self.leafset[e].union(sbit);
         self.height[j] = from.raised_height(half, e);
         if p == NONE {
             self.root = j as u32;
@@ -530,7 +511,6 @@ impl<const K: usize> PartialTree<K> {
         let mut a = p;
         while a != NONE {
             let ai = a as usize;
-            self.leafset[ai] |= sbit;
             self.height[ai] = from.raised_height(half, ai);
             a = self.parent[ai];
         }
@@ -594,29 +574,28 @@ impl<const K: usize> PartialTree<K> {
         self.gathered = gathered;
     }
 
+    /// `Σ (h_parent − h_v)` over the live nodes with a parent, placed
+    /// leaves first, then the internal nodes in the order they were made.
+    /// The unplaced leaves and the root have no parent.
     fn recompute_weight(&self) -> f64 {
-        let n = self.n as usize;
-        let k = self.k as usize;
+        let live = self.n as usize + self.k as usize - 1;
         let mut w = 0.0;
-        for v in self.placed().iter().chain(n..n + k - 1) {
-            let p = self.parent[v];
+        for (&p, &h) in self.parent[..live].iter().zip(&self.height) {
             if p != NONE {
-                w += self.height[p as usize] - self.height[v];
+                w += self.height[p as usize] - h;
             }
         }
         w
     }
 
     /// The bytes of heap this node's contents occupy: the arena's
-    /// `2n − 1` slots (three `u32` links, an `f64` height and a
-    /// `LeafWords<K>` each), the `2(k − 1)(n − k)` `f64`s of look-ahead
-    /// rows, and a `u32` taxon and an `f64` pendant term per lane. A
-    /// recycled node may hold spare capacity beyond this.
+    /// `2n − 1` slots (three `u32` links and an `f64` height each), the
+    /// `2(k − 1)(n − k)` `f64`s of look-ahead rows, and a `u32` taxon and
+    /// an `f64` pendant term per lane. A recycled node may hold spare
+    /// capacity beyond this.
     pub fn heap_bytes(&self) -> u64 {
-        let words = std::mem::size_of::<LeafWords<K>>();
-        let bytes = self.parent.len() * (3 * 4 + 8 + words)
-            + self.rows.len() * 8
-            + self.rem.len() * (4 + 8);
+        let bytes =
+            self.parent.len() * (3 * 4 + 8) + self.rows.len() * 8 + self.rem.len() * (4 + 8);
         bytes as u64
     }
 
@@ -742,7 +721,7 @@ impl<const K: usize> PartialTree<K> {
     /// insertion refreshes must equal bit for bit.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn fresh_rows(&self, half: &[f64]) -> Vec<f64> {
-        fn fill<const K: usize>(t: &PartialTree<K>, half: &[f64], v: usize, rows: &mut [f64]) {
+        fn fill(t: &PartialTree, half: &[f64], v: usize, rows: &mut [f64]) {
             let n = t.n as usize;
             let w = t.lanes();
             let (l, r) = (t.left[v] as usize, t.right[v] as usize);
@@ -817,8 +796,8 @@ impl<const K: usize> PartialTree<K> {
     /// rows.
     ///
     /// The child differs from this tree only on its root path `j` (the
-    /// new joint node), then the site's ancestors: each gets `s` in its
-    /// leafset, so `mx_f` rises to at least `half[s][f]`, and its height
+    /// new joint node), then the site's ancestors: each gains leaf `s`,
+    /// so `mx_f` rises to at least `half[s][f]`, and its height
     /// to `max(h_a, mx_s[a])` (bit-identical to the built child's, see
     /// [`site_weight`](Self::site_weight)). Every subtree hanging off
     /// that path is unchanged, and so is its `sub_f` row. So one walk up
@@ -878,18 +857,14 @@ impl<const K: usize> PartialTree<K> {
         out.copy_within(i + 1.., i);
         let taxa = self.rem.iter().enumerate().filter(|&(l, _)| l != i);
         let lanes = taxa.map(|(_, &f)| f as usize).zip(out.iter().copied());
-        debug_assert_lanes_reach_static_term(
-            half,
-            n,
-            self.placed().union(LeafWords::singleton(s)),
-            lanes,
-        );
+        let placed = self.placed().chain(std::iter::once(s));
+        debug_assert_lanes_reach_static_term(half, n, placed, lanes);
     }
 
     /// Converts to a full [`UltrametricTree`] (taxa keep their ids in the
     /// matrix this tree was built against).
     pub fn to_ultrametric(&self) -> UltrametricTree {
-        fn build<const K: usize>(t: &PartialTree<K>, v: usize) -> UltrametricTree {
+        fn build(t: &PartialTree, v: usize) -> UltrametricTree {
             if v < t.n as usize {
                 UltrametricTree::leaf(v)
             } else {
@@ -924,7 +899,7 @@ mod tests {
     fn cherry_weight_and_sites() {
         let m = m5();
         let h = half_distances(&m);
-        let t = PartialTree::<1>::cherry(&m, &h);
+        let t = PartialTree::cherry(&m, &h);
         assert_eq!(t.leaves_inserted(), 2);
         assert_eq!(t.weight(), 9.0);
         assert_eq!(t.insertion_sites().count(), 3);
@@ -935,7 +910,7 @@ mod tests {
     fn insertion_site_count_grows_correctly() {
         let m = m5();
         let h = half_distances(&m);
-        let mut t = PartialTree::<1>::cherry(&m, &h);
+        let mut t = PartialTree::cherry(&m, &h);
         for expect in [3usize, 5, 7] {
             assert_eq!(t.insertion_sites().count(), expect);
             let site = t.insertion_sites().next().unwrap();
@@ -951,7 +926,7 @@ mod tests {
         let m = m5();
         let h = half_distances(&m);
         // Depth-first over all insertion sequences.
-        let mut stack = vec![PartialTree::<1>::cherry(&m, &h)];
+        let mut stack = vec![PartialTree::cherry(&m, &h)];
         let mut seen = 0;
         while let Some(t) = stack.pop() {
             if t.is_complete() {
@@ -980,7 +955,7 @@ mod tests {
     fn weight_never_decreases_with_insertions() {
         let m = m5();
         let h = half_distances(&m);
-        let t = PartialTree::<1>::cherry(&m, &h);
+        let t = PartialTree::cherry(&m, &h);
         for site in t.insertion_sites().collect::<Vec<_>>() {
             let t2 = t.insert_next(&h, site);
             assert!(t2.weight() >= t.weight() - 1e-12);
@@ -995,7 +970,7 @@ mod tests {
     fn to_ultrametric_is_valid() {
         let m = m5();
         let h = half_distances(&m);
-        let mut t = PartialTree::<1>::cherry(&m, &h);
+        let mut t = PartialTree::cherry(&m, &h);
         while !t.is_complete() {
             let site = t.insertion_sites().last().unwrap();
             t = t.insert_next(&h, site);
@@ -1012,8 +987,8 @@ mod tests {
     fn insert_next_into_matches_insert_next() {
         let m = m5();
         let h = half_distances(&m);
-        let base = PartialTree::<1>::cherry(&m, &h).insert_next(&h, 1);
-        let mut scratch = PartialTree::<1>::cherry(&m, &h); // deliberately stale state
+        let base = PartialTree::cherry(&m, &h).insert_next(&h, 1);
+        let mut scratch = PartialTree::cherry(&m, &h); // deliberately stale state
         for site in base.insertion_sites().collect::<Vec<_>>() {
             let fresh = base.insert_next(&h, site);
             base.insert_next_into(&h, site, &mut scratch);
@@ -1025,7 +1000,7 @@ mod tests {
     fn heights_are_minimal_after_each_insertion() {
         let m = m5();
         let h = half_distances(&m);
-        let mut stack = vec![PartialTree::<1>::cherry(&m, &h)];
+        let mut stack = vec![PartialTree::cherry(&m, &h)];
         while let Some(t) = stack.pop() {
             let mut ut = t.to_ultrametric();
             let refit = ut.fit_heights(&m);
@@ -1037,30 +1012,6 @@ mod tests {
             if t.leaves_inserted() < 4 {
                 for site in t.insertion_sites().collect::<Vec<_>>() {
                     stack.push(t.insert_next(&h, site));
-                }
-            }
-        }
-    }
-
-    /// Same matrix, different widths: each insertion must produce the
-    /// same topology, heights and weight regardless of K.
-    #[test]
-    fn widths_agree_on_every_insertion_path() {
-        let m = m5();
-        let h = half_distances(&m);
-        let mut stack = vec![(
-            PartialTree::<1>::cherry(&m, &h),
-            PartialTree::<2>::cherry(&m, &h),
-        )];
-        while let Some((t1, t2)) = stack.pop() {
-            assert_eq!(t1.weight(), t2.weight());
-            assert_eq!(
-                format!("{:?}", t1.to_ultrametric()),
-                format!("{:?}", t2.to_ultrametric())
-            );
-            if !t1.is_complete() {
-                for site in t1.insertion_sites().collect::<Vec<_>>() {
-                    stack.push((t1.insert_next(&h, site), t2.insert_next(&h, site)));
                 }
             }
         }
@@ -1097,7 +1048,7 @@ mod tests {
 
     /// Makes a random remaining taxon `t`'s next leaf, so the walks below
     /// insert the taxa in a random order rather than the default one.
-    fn pick_next<const K: usize>(t: &mut PartialTree<K>, rng: &mut StdRng) {
+    fn pick_next(t: &mut PartialTree, rng: &mut StdRng) {
         use rand::Rng;
         let lanes = t.remaining().len();
         t.set_next_lane(rng.gen_range(0..lanes));
@@ -1107,10 +1058,10 @@ mod tests {
     /// at every step, scores every site from the parent and builds its
     /// child: the estimate must sit within the margin of the stored
     /// weight, and the weight must be the refit weight of the topology.
-    fn check_site_scores<const K: usize>(m: &DistanceMatrix, rng: &mut StdRng) {
+    fn check_site_scores(m: &DistanceMatrix, rng: &mut StdRng) {
         use rand::Rng;
         let h = half_distances(m);
-        let mut t = PartialTree::<K>::cherry(m, &h);
+        let mut t = PartialTree::cherry(m, &h);
         while !t.is_complete() {
             pick_next(&mut t, rng);
             let sites: Vec<u32> = t.insertion_sites().collect();
@@ -1120,7 +1071,7 @@ mod tests {
                 let margin = t.site_weight_margin(est);
                 assert!(
                     (child.weight() - est).abs() <= margin,
-                    "K = {K}, k = {}, site {site}: estimate {est:e} vs weight {:e} (margin {margin:e})",
+                    "k = {}, site {site}: estimate {est:e} vs weight {:e} (margin {margin:e})",
                     t.leaves_inserted(),
                     child.weight()
                 );
@@ -1130,10 +1081,7 @@ mod tests {
         }
         let mut ut = t.to_ultrametric();
         let refit = ut.fit_heights(m);
-        assert!(
-            (refit - t.weight()).abs() <= 1e-9 * refit.max(1.0),
-            "K = {K}"
-        );
+        assert!((refit - t.weight()).abs() <= 1e-9 * refit.max(1.0));
     }
 
     /// Walks one random insertion sequence in a random leaf order. At
@@ -1142,11 +1090,11 @@ mod tests {
     /// the next leaf and scoring every site; and each child's lanes,
     /// folded from the parent's rows, must equal the lanes the built
     /// child's carried rows give, bit for bit.
-    fn check_look_ahead<const K: usize>(m: &DistanceMatrix, rng: &mut StdRng) {
+    fn check_look_ahead(m: &DistanceMatrix, rng: &mut StdRng) {
         use rand::Rng;
         let n = m.len();
         let half = half_distances(m);
-        let mut t = PartialTree::<K>::cherry(m, &half);
+        let mut t = PartialTree::cherry(m, &half);
         let mut scratch = vec![f64::NAN; 2 * n];
         while !t.is_complete() {
             let w = t.remaining().len();
@@ -1162,7 +1110,7 @@ mod tests {
                 let brute = cheapest - u.weight();
                 assert!(
                     (brute - lanes_own).abs() <= 16.0 * n as f64 * f64::EPSILON * cheapest,
-                    "K = {K}, k = {}, lane {lane}: lane {lanes_own:e} vs scored {brute:e}",
+                    "k = {}, lane {lane}: lane {lanes_own:e} vs scored {brute:e}",
                     t.leaves_inserted()
                 );
             }
@@ -1179,13 +1127,13 @@ mod tests {
                 assert_eq!(
                     bits(&lanes[..w - 1]),
                     bits(&carried),
-                    "K = {K}, k = {}, site {site}",
+                    "k = {}, site {site}",
                     t.leaves_inserted()
                 );
                 assert_eq!(
                     bits(child.rows()),
                     bits(&child.fresh_rows(&half)),
-                    "K = {K}, k = {}, site {site}: rows",
+                    "k = {}, site {site}: rows",
                     t.leaves_inserted()
                 );
             }
@@ -1204,13 +1152,13 @@ mod tests {
             let m = family_matrix(family, 14, &mut rng);
             let n = m.len();
             let h = half_distances(&m);
-            let mut t = PartialTree::<1>::cherry(&m, &h);
+            let mut t = PartialTree::cherry(&m, &h);
             while !t.is_complete() {
-                let placed = t.placed();
+                let placed: Vec<usize> = t.placed().collect();
                 for (lane, &f) in t.remaining().iter().enumerate() {
                     let f = f as usize;
                     let want = (0..n)
-                        .filter(|&y| placed.contains(y) || (y < f && !placed.contains(y)))
+                        .filter(|&y| placed.contains(&y) || y < f)
                         .map(|y| h[y * n + f])
                         .fold(f64::INFINITY, f64::min);
                     assert_eq!(
@@ -1231,11 +1179,7 @@ mod tests {
     /// equal the single-site reference bit for bit, and each cut site's
     /// own reference score must fail the cutoff. Returns how many sites
     /// the pass cut.
-    fn check_site_weights_at<const K: usize>(
-        t: &PartialTree<K>,
-        h: &[f64],
-        rng: &mut StdRng,
-    ) -> usize {
+    fn check_site_weights_at(t: &PartialTree, h: &[f64], rng: &mut StdRng) -> usize {
         use rand::Rng;
         let sites: Vec<u32> = t.insertion_sites().collect();
         let reference: Vec<f64> = sites.iter().map(|&e| t.site_weight(h, e)).collect();
@@ -1247,7 +1191,7 @@ mod tests {
             assert_eq!(
                 scores[s].to_bits(),
                 reference[i].to_bits(),
-                "K = {K}, k = {}, site {site}: pass {:e} vs reference {:e}",
+                "k = {}, site {site}: pass {:e} vs reference {:e}",
                 t.leaves_inserted(),
                 scores[s],
                 reference[i]
@@ -1267,7 +1211,7 @@ mod tests {
                 cut += 1;
                 assert!(
                     !keep(reference[i]),
-                    "K = {K}, site {site} cut at {cutoff:e} but scores {:e}",
+                    "site {site} cut at {cutoff:e} but scores {:e}",
                     reference[i]
                 );
             } else {
@@ -1279,10 +1223,10 @@ mod tests {
 
     /// [`check_site_weights_at`] at every node of one random insertion
     /// path, in a random leaf order.
-    fn check_site_weights<const K: usize>(m: &DistanceMatrix, rng: &mut StdRng) {
+    fn check_site_weights(m: &DistanceMatrix, rng: &mut StdRng) {
         use rand::Rng;
         let h = half_distances(m);
-        let mut t = PartialTree::<K>::cherry(m, &h);
+        let mut t = PartialTree::cherry(m, &h);
         while !t.is_complete() {
             pick_next(&mut t, rng);
             check_site_weights_at(&t, &h, rng);
@@ -1293,7 +1237,7 @@ mod tests {
 
     /// A caterpillar 220 leaves deep: each leaf inserts above the one
     /// before it, so the pass descends and climbs root paths of every
-    /// length up to `n − 1`, at the widest leaf bitsets.
+    /// length up to `n − 1`.
     #[test]
     fn site_pass_matches_reference_on_a_deep_caterpillar() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -1301,7 +1245,7 @@ mod tests {
         for family in 0..3 {
             let m = family_matrix(family, 220, &mut rng);
             let h = half_distances(&m);
-            let mut t = PartialTree::<4>::cherry(&m, &h);
+            let mut t = PartialTree::cherry(&m, &h);
             while !t.is_complete() {
                 cut += check_site_weights_at(&t, &h, &mut rng);
                 let newest = t.leaves_inserted() as u32 - 1;
@@ -1313,32 +1257,32 @@ mod tests {
 
     #[test]
     fn heap_bytes_counts_arena_rows_and_lanes() {
-        // n = 24 at K = 1: 47 slots of 12 + 8 + 8 bytes; the cherry
-        // carries 2·1·22 row lanes, a 12-leaf tree 2·11·12, and each
-        // lane a 4-byte taxon and an 8-byte pendant term.
+        // n = 24: 47 slots of 12 + 8 bytes; the cherry carries 2·1·22
+        // row lanes, a 12-leaf tree 2·11·12, and each lane a 4-byte taxon
+        // and an 8-byte pendant term.
         let m = family_matrix(0, 24, &mut StdRng::seed_from_u64(7));
         let h = half_distances(&m);
-        let mut t = PartialTree::<1>::cherry(&m, &h);
-        assert_eq!(t.heap_bytes(), 47 * 28 + 44 * 8 + 22 * 12);
+        let mut t = PartialTree::cherry(&m, &h);
+        assert_eq!(t.heap_bytes(), 47 * 20 + 44 * 8 + 22 * 12);
         while t.leaves_inserted() < 12 {
             t = t.insert_next(&h, t.root);
         }
-        assert_eq!(t.heap_bytes(), 47 * 28 + 264 * 8 + 12 * 12);
+        assert_eq!(t.heap_bytes(), 47 * 20 + 264 * 8 + 12 * 12);
 
-        // n = 256 at K = 4: 511 slots of 12 + 8 + 32 bytes; at k = 128
-        // the rows peak at 2·127·128 lanes.
+        // n = 256: 511 slots of 12 + 8 bytes; at k = 128 the rows peak at
+        // 2·127·128 lanes.
         let m = family_matrix(0, 256, &mut StdRng::seed_from_u64(7));
         let h = half_distances(&m);
-        let mut t = PartialTree::<4>::cherry(&m, &h);
-        assert_eq!(t.heap_bytes(), 511 * 52 + 2 * 254 * 8 + 254 * 12);
+        let mut t = PartialTree::cherry(&m, &h);
+        assert_eq!(t.heap_bytes(), 511 * 20 + 2 * 254 * 8 + 254 * 12);
         while t.leaves_inserted() < 128 {
             t = t.insert_next(&h, t.root);
         }
-        assert_eq!(t.heap_bytes(), 511 * 52 + 2 * 127 * 128 * 8 + 128 * 12);
+        assert_eq!(t.heap_bytes(), 511 * 20 + 2 * 127 * 128 * 8 + 128 * 12);
         while !t.is_complete() {
             t = t.insert_next(&h, t.root);
         }
-        assert_eq!(t.heap_bytes(), 511 * 52);
+        assert_eq!(t.heap_bytes(), 511 * 20);
     }
 
     proptest! {
@@ -1346,7 +1290,7 @@ mod tests {
 
         /// The look-ahead lanes are the exact cheapest insertions, and a
         /// child's lanes folded from its parent equal its carried rows',
-        /// over random, clustered and tie-heavy matrices at two widths.
+        /// over random, clustered and tie-heavy matrices.
         #[test]
         fn look_ahead_lanes_are_the_cheapest_insertions(
             n in 3usize..=24,
@@ -1355,13 +1299,12 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let m = family_matrix(family, n, &mut rng);
-            check_look_ahead::<1>(&m, &mut rng);
-            check_look_ahead::<2>(&m, &mut rng);
+            check_look_ahead(&m, &mut rng);
         }
 
         /// Site scoring agrees with building the child, for every site of
         /// random insertion paths over random, clustered and tie-heavy
-        /// matrices, at every leaf-bitset width.
+        /// matrices.
         #[test]
         fn site_scores_match_built_children(
             n in 3usize..=40,
@@ -1370,15 +1313,12 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let m = family_matrix(family, n, &mut rng);
-            check_site_scores::<1>(&m, &mut rng);
-            check_site_scores::<2>(&m, &mut rng);
-            check_site_scores::<4>(&m, &mut rng);
+            check_site_scores(&m, &mut rng);
         }
 
         /// The top-down site pass equals the single-site reference bit
         /// for bit, and cuts only sites the cutoff rejects on their own
-        /// scores, over random, clustered and tie-heavy matrices at every
-        /// leaf-bitset width.
+        /// scores, over random, clustered and tie-heavy matrices.
         #[test]
         fn site_pass_matches_reference_and_cuts_soundly(
             n in 3usize..=40,
@@ -1387,66 +1327,55 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let m = family_matrix(family, n, &mut rng);
-            check_site_weights::<1>(&m, &mut rng);
-            check_site_weights::<2>(&m, &mut rng);
-            check_site_weights::<4>(&m, &mut rng);
+            check_site_weights(&m, &mut rng);
         }
 
-        /// After any insertion sequence, in a random leaf order: the
-        /// sibling masks along the newest leaf's root path are pairwise
-        /// disjoint and cover the other placed leaves, every node's
-        /// leafset is the union of its children's, and popcounts add up.
+        /// After any insertion sequence, in a random leaf order, the arena
+        /// is consistent: parent and child links agree on every live node,
+        /// the inserted leaf and the `k` placed leaves all reach the root,
+        /// the unplaced leaves and the spare slots are unlinked, and the
+        /// tree converts to an ultrametric tree over `k` leaves.
         #[test]
-        fn sibling_masks_stay_disjoint(n in 4usize..12, seed in any::<u64>()) {
+        fn arena_links_stay_consistent(n in 4usize..12, seed in any::<u64>()) {
             use rand::Rng;
             let mut rng = StdRng::seed_from_u64(seed);
             let m = mutree_distmat::gen::uniform_metric(n, 1.0, 50.0, &mut rng);
             let h = half_distances(&m);
-            let mut t = PartialTree::<2>::cherry(&m, &h);
+            let mut t = PartialTree::cherry(&m, &h);
             while !t.is_complete() {
                 pick_next(&mut t, &mut rng);
                 let sites: Vec<u32> = t.insertion_sites().collect();
                 let site = sites[rng.gen_range(0..sites.len())];
                 t = t.insert_next(&h, site);
 
-                // Check the consistency invariants on the whole arena.
                 let k = t.leaves_inserted();
-                let s = t.newest_leaf();
-                prop_assert_eq!(t.placed().count() as usize, k);
-                let live: Vec<usize> = t.placed().iter().chain(n..n + k - 1).collect();
-                for &v in &live {
-                    if v < n {
-                        prop_assert_eq!(t.leafset[v], LeafWords::singleton(v));
-                        continue;
+                let root = t.root as usize;
+                let placed: Vec<usize> = t.placed().collect();
+                prop_assert_eq!(placed.len(), k);
+                prop_assert!(placed.contains(&t.newest_leaf()));
+                prop_assert_eq!(t.parent[root], NONE);
+                for v in n..n + k - 1 {
+                    for c in [t.left[v], t.right[v]] {
+                        prop_assert_eq!(t.parent[c as usize], v as u32, "child {} of {}", c, v);
                     }
-                    let l = t.leafset[t.left[v] as usize];
-                    let r = t.leafset[t.right[v] as usize];
-                    prop_assert!(l.is_disjoint(&r), "children of {} overlap", v);
-                    prop_assert_eq!(l.union(r), t.leafset[v]);
-                    prop_assert_eq!(l.count() + r.count(), t.leafset[v].count());
-                }
-
-                // Walk s's root path and collect the sibling masks: pairwise
-                // disjoint, union = every other placed leaf.
-                let mut masks: Vec<LeafWords<2>> = Vec::new();
-                let joint = t.parent[s] as usize;
-                masks.push(t.leafset[joint].without(s));
-                let mut child = joint;
-                let mut a = t.parent[joint];
-                while a != NONE {
-                    let ai = a as usize;
-                    let sib = if t.left[ai] == child as u32 { t.right[ai] } else { t.left[ai] };
-                    masks.push(t.leafset[sib as usize]);
-                    child = ai;
-                    a = t.parent[ai];
-                }
-                for (i, a) in masks.iter().enumerate() {
-                    for b in &masks[i + 1..] {
-                        prop_assert!(a.is_disjoint(b));
+                    if v != root {
+                        let p = t.parent[v] as usize;
+                        prop_assert!(t.left[p] == v as u32 || t.right[p] == v as u32);
                     }
                 }
-                let all = masks.iter().fold(LeafWords::EMPTY, |acc, &mk| acc.union(mk));
-                prop_assert_eq!(all, t.placed().without(s));
+                for &y in &placed {
+                    let (mut v, mut steps) = (y, 0);
+                    while t.parent[v] != NONE {
+                        v = t.parent[v] as usize;
+                        steps += 1;
+                        prop_assert!(steps < k, "leaf {} loops", y);
+                    }
+                    prop_assert_eq!(v, root, "leaf {} misses the root", y);
+                }
+                for v in n + k - 1..2 * n - 1 {
+                    prop_assert_eq!(t.parent[v], NONE);
+                }
+                prop_assert_eq!(t.to_ultrametric().leaf_count(), k);
             }
         }
     }

@@ -223,9 +223,8 @@ impl CompactPipeline {
     ///
     /// [`MutError::NotDecomposable`] when even recursive decomposition
     /// cannot bring every exact solve within the engine's taxa ceiling
-    /// (the solver dispatcher's [`MAX_EXACT_TAXA`](crate::MAX_EXACT_TAXA),
-    /// 256 with the widest monomorphized leaf bitset), and any error from
-    /// the underlying solver.
+    /// ([`MAX_EXACT_TAXA`](crate::MAX_EXACT_TAXA), 256), and any error
+    /// from the underlying solver.
     pub fn solve(&self, m: &DistanceMatrix) -> Result<PipelineSolution, MutError> {
         let cache = self
             .cache

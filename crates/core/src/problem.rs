@@ -6,7 +6,7 @@ use mutree_tree::{cluster, Linkage, UltrametricTree};
 use mutree_engine::ThreeThree;
 
 use crate::node::{fmin, half_distances, SITE_CUT};
-use crate::PartialTree;
+use crate::{PartialTree, MAX_EXACT_TAXA};
 
 /// The metric minimum ultrametric tree problem as a branch-and-bound
 /// [`Problem`], following Wu–Chao–Tang's Algorithm BBU.
@@ -52,7 +52,7 @@ use crate::PartialTree;
 /// * **Initial incumbent** — the UPGMM tree (complete-linkage
 ///   agglomeration) with its own linkage heights, whose distances
 ///   dominate the matrix — exactly the paper's Step 3 upper bound.
-pub struct MutProblem<const K: usize = 1> {
+pub struct MutProblem {
     /// Owned so a problem can be `Arc`-shared across executor tasks whose
     /// lifetimes outlive the caller's stack frame (see `mutree_core::exec`).
     m: DistanceMatrix,
@@ -116,21 +116,19 @@ fn look_ahead_gain(lanes: &[f64], adj: &[f64]) -> (f64, usize) {
     best
 }
 
-impl<const K: usize> MutProblem<K> {
+impl MutProblem {
     /// Wraps a (relabeled) matrix. `use_upgmm` controls whether the UPGMM
     /// heuristic seeds the upper bound (disable to ablate Step 3).
     ///
     /// # Panics
     ///
-    /// Panics when the matrix exceeds the `64·K` taxa this width's leaf
-    /// bitsets can hold ([`MutSolver`](crate::MutSolver) dispatches to a
-    /// wide-enough width automatically).
+    /// Panics when the matrix exceeds [`MAX_EXACT_TAXA`] taxa
+    /// ([`MutSolver`](crate::MutSolver) returns an error instead).
     pub fn new(m: &DistanceMatrix, three_three: ThreeThree, use_upgmm: bool) -> Self {
         let n = m.len();
         assert!(
-            n <= PartialTree::<K>::MAX_TAXA,
-            "MutProblem with {K} leaf words supports at most {} taxa, got {n}",
-            PartialTree::<K>::MAX_TAXA
+            n <= MAX_EXACT_TAXA,
+            "MutProblem supports at most {MAX_EXACT_TAXA} taxa, got {n}"
         );
         // The node's lane kernels compare without a NaN guard (see
         // `node::fmin`), which is exact only on what `DistanceMatrix`
@@ -197,13 +195,13 @@ impl<const K: usize> MutProblem<K> {
     }
 }
 
-impl<const K: usize> Problem for MutProblem<K> {
-    type Node = PartialTree<K>;
+impl Problem for MutProblem {
+    type Node = PartialTree;
     type Solution = UltrametricTree;
 
-    fn root(&self) -> PartialTree<K> {
+    fn root(&self) -> PartialTree {
         let n = self.m.len();
-        let mut t = PartialTree::<K>::cherry(&self.m, &self.half);
+        let mut t = PartialTree::cherry(&self.m, &self.half);
         let w = n - 2;
         let mut lanes = vec![0.0; 2 * w];
         let (lanes, adj) = lanes.split_at_mut(w);
@@ -219,16 +217,16 @@ impl<const K: usize> Problem for MutProblem<K> {
         t
     }
 
-    fn lower_bound(&self, node: &PartialTree<K>) -> f64 {
+    fn lower_bound(&self, node: &PartialTree) -> f64 {
         node.lower_bound()
     }
 
-    fn solution(&self, node: &PartialTree<K>) -> Option<(UltrametricTree, f64)> {
+    fn solution(&self, node: &PartialTree) -> Option<(UltrametricTree, f64)> {
         node.is_complete()
             .then(|| (node.to_ultrametric(), node.weight()))
     }
 
-    fn branch(&self, node: &PartialTree<K>, out: &mut ChildBuf<PartialTree<K>>) {
+    fn branch(&self, node: &PartialTree, out: &mut ChildBuf<PartialTree>) {
         let half = &self.half;
         let n = self.m.len();
         let k = node.leaves_inserted();
@@ -259,7 +257,7 @@ impl<const K: usize> Problem for MutProblem<K> {
         // at or below the built child's weight, so a skipped child is one
         // the kernel would have pruned, and the test is monotone in the
         // score, so the pass may cut whole subtrees of sites on a prefix.
-        let admits = |out: &ChildBuf<PartialTree<K>>, est: f64| {
+        let admits = |out: &ChildBuf<PartialTree>, est: f64| {
             out.admits(est - node.site_weight_margin(est) + floor)
         };
         node.site_weights(half, |est| admits(out, est), scores);
@@ -391,7 +389,7 @@ mod tests {
 
     /// Brute force: minimal weight over all 105 topologies.
     fn brute_force(m: &DistanceMatrix) -> f64 {
-        let p = MutProblem::<1>::new(m, ThreeThree::Off, false);
+        let p = MutProblem::new(m, ThreeThree::Off, false);
         let mut best = f64::INFINITY;
         let mut stack = vec![p.root()];
         while let Some(t) = stack.pop() {
@@ -409,7 +407,7 @@ mod tests {
     #[test]
     fn bbu_finds_the_brute_force_optimum() {
         let m = m5();
-        let p = MutProblem::<1>::new(&m, ThreeThree::Off, true);
+        let p = MutProblem::new(&m, ThreeThree::Off, true);
         let out = solve_sequential(&p, &SearchOptions::new(SearchMode::BestOne));
         assert!((out.best_value.unwrap() - brute_force(&m)).abs() < 1e-9);
         let tree = &out.solutions[0];
@@ -420,7 +418,7 @@ mod tests {
     #[test]
     fn lower_bound_is_admissible_along_paths() {
         let m = m5();
-        let p = MutProblem::<1>::new(&m, ThreeThree::Off, false);
+        let p = MutProblem::new(&m, ThreeThree::Off, false);
         let root = p.root();
         assert!(root.lower_bound() <= lightest_checking_bounds(&p, &root));
     }
@@ -485,7 +483,7 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let m = integer_matrix(family, n, &mut rng);
-            let p = MutProblem::<1>::new(&m, ThreeThree::Off, false);
+            let p = MutProblem::new(&m, ThreeThree::Off, false);
             let root = p.root();
             let best = lightest_checking_bounds(&p, &root);
             prop_assert!(root.lower_bound() <= best);
@@ -520,9 +518,9 @@ mod tests {
     /// path that is deeper, and one that is shallower, go into the spare
     /// pool, so the first two children are written over stale rows of
     /// both shapes.
-    fn check_branch_rows<const K: usize>(m: &DistanceMatrix, rng: &mut StdRng) {
+    fn check_branch_rows(m: &DistanceMatrix, rng: &mut StdRng) {
         let n = m.len();
-        let p = MutProblem::<K>::new(m, ThreeThree::Off, false);
+        let p = MutProblem::new(m, ThreeThree::Off, false);
         let mut first = vec![p.root()];
         while !first.last().unwrap().is_complete() {
             let t = first.last().unwrap();
@@ -543,7 +541,7 @@ mod tests {
                 assert_eq!(
                     bits(c.rows()),
                     bits(&c.fresh_rows(&p.half)),
-                    "K = {K}, n = {n}, k = {k}"
+                    "n = {n}, k = {k}"
                 );
             }
             t = kids.as_slice()[rng.gen_range(0..kids.len())].clone();
@@ -555,7 +553,7 @@ mod tests {
 
         /// Branching's row refresh is exact: each built child's carried
         /// rows equal a fresh pass over it, recycled spares included, on
-        /// random, clustered and tie-heavy matrices at every width.
+        /// random, clustered and tie-heavy matrices.
         #[test]
         fn branch_children_carry_fresh_rows(
             n in 3usize..=24,
@@ -564,16 +562,14 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let m = family_matrix(family, n, &mut rng);
-            check_branch_rows::<1>(&m, &mut rng);
-            check_branch_rows::<2>(&m, &mut rng);
-            check_branch_rows::<4>(&m, &mut rng);
+            check_branch_rows(&m, &mut rng);
         }
     }
 
     #[test]
     fn upgmm_incumbent_upper_bounds_optimum() {
         let m = m5();
-        let p = MutProblem::<1>::new(&m, ThreeThree::Off, true);
+        let p = MutProblem::new(&m, ThreeThree::Off, true);
         let (tree, w) = p.initial_incumbent().unwrap();
         assert!(tree.is_feasible_for(&m, 1e-9));
         assert!(w >= brute_force(&m) - 1e-9);
@@ -583,11 +579,11 @@ mod tests {
     fn three_three_preserves_the_optimum_here() {
         let m = m5();
         let base = solve_sequential(
-            &MutProblem::<1>::new(&m, ThreeThree::Off, true),
+            &MutProblem::new(&m, ThreeThree::Off, true),
             &SearchOptions::new(SearchMode::BestOne),
         );
         let constrained = solve_sequential(
-            &MutProblem::<1>::new(&m, ThreeThree::InitialOnly, true),
+            &MutProblem::new(&m, ThreeThree::InitialOnly, true),
             &SearchOptions::new(SearchMode::BestOne),
         );
         assert_eq!(base.best_value, constrained.best_value);
@@ -596,8 +592,8 @@ mod tests {
     #[test]
     fn three_three_reduces_branching() {
         let m = m5();
-        let p_off = MutProblem::<1>::new(&m, ThreeThree::Off, false);
-        let p_initial = MutProblem::<1>::new(&m, ThreeThree::InitialOnly, false);
+        let p_off = MutProblem::new(&m, ThreeThree::Off, false);
+        let p_initial = MutProblem::new(&m, ThreeThree::InitialOnly, false);
         let node = p_off.root();
         let mut kids_off = ChildBuf::new();
         let mut kids_initial = ChildBuf::new();
@@ -629,7 +625,7 @@ mod tests {
             vec![6.0, 6.0, 0.0],
         ])
         .unwrap();
-        let p = MutProblem::<1>::new(&m, ThreeThree::Off, false);
+        let p = MutProblem::new(&m, ThreeThree::Off, false);
         let out = solve_sequential(&p, &SearchOptions::new(SearchMode::AllOptimal));
         // All three resolutions of the triple cost the same: both internal
         // nodes sit at height 3, so ω = 3 + 3 + 3 + 0.
@@ -650,7 +646,7 @@ mod tests {
         ])
         .unwrap();
         for m in [m5(), tied] {
-            let p = MutProblem::<1>::new(&m, ThreeThree::InitialOnly, false);
+            let p = MutProblem::new(&m, ThreeThree::InitialOnly, false);
             for lane in 0..m.len() - 2 {
                 let mut root = p.root();
                 root.set_next_lane(lane);
@@ -671,7 +667,7 @@ mod tests {
     #[test]
     fn root_bound_and_next_leaf_match_the_definition() {
         let m = m5();
-        let p = MutProblem::<1>::new(&m, ThreeThree::Off, false);
+        let p = MutProblem::new(&m, ThreeThree::Off, false);
         let root = p.root();
         // base[t] = ½ min_{i<t} M[i,t]: ½ min(4,7) = 2, ½ min(6,8,3) = 1.5,
         // ½ min(5,6,5,5) = 2.5; Σ = 6.
@@ -711,7 +707,7 @@ mod tests {
         let solve = |m: &DistanceMatrix| {
             let pm = m.search_order().apply(m);
             let out = solve_sequential(
-                &MutProblem::<1>::new(&pm, ThreeThree::Off, true),
+                &MutProblem::new(&pm, ThreeThree::Off, true),
                 &SearchOptions::new(SearchMode::BestOne),
             );
             (

@@ -19,7 +19,7 @@ use mutree_clustersim::ClusterSpec;
 use mutree_distmat::DistanceMatrix;
 use mutree_engine::{
     BackendSpec, EnvOverrides, GroupCache, MatrixSource, SolveKind, SolvePlan, SolveReport,
-    SolveRequest, StageTiming, LEAF_WIDTHS,
+    SolveRequest, StageTiming,
 };
 
 use crate::memo::{memoized, Answer};
@@ -43,7 +43,6 @@ impl From<MutSolution> for SolveReport {
             groups: None,
             compact_sets: None,
             sim: sol.sim,
-            leaf_words: None,
         }
     }
 }
@@ -61,7 +60,6 @@ impl From<PipelineSolution> for SolveReport {
             groups: Some(sol.groups),
             compact_sets: Some(sol.compact_sets),
             sim: None,
-            leaf_words: None,
         }
     }
 }
@@ -165,11 +163,6 @@ fn hooked_solver(plan: &SolvePlan, hooks: &SolveHooks) -> MutSolver {
     if let Some(t) = req.timeout {
         s = s.timeout(t);
     }
-    // The decoder rejects an unsupported forced width; one set in code
-    // behaves as unset.
-    if let Some(w) = req.leaf_words.filter(|w| LEAF_WIDTHS.contains(w)) {
-        s = s.leaf_words(w);
-    }
     if let Some(budget) = req.memory {
         s = s.memory_budget(budget);
     }
@@ -270,7 +263,6 @@ pub fn solve_plan_hooked(plan: &SolvePlan, hooks: &SolveHooks) -> Result<SolveRe
     match req.kind {
         SolveKind::Exact => {
             let solver = hooked_solver(plan, hooks);
-            let leaf_words = solver.dispatch_leaf_words(m.len());
             // Whole-solve memoization; the signature gate keeps
             // constrained solves live.
             let sig = if hooks.is_empty() {
@@ -311,7 +303,6 @@ pub fn solve_plan_hooked(plan: &SolvePlan, hooks: &SolveHooks) -> Result<SolveRe
                 seconds: started.elapsed().as_secs_f64(),
                 provenance: memo.provenance,
             }];
-            report.leaf_words = leaf_words;
             Ok(report)
         }
         SolveKind::Decompose => {
@@ -359,7 +350,6 @@ mod tests {
         assert!(report.is_complete());
         assert_eq!(report.timings.len(), 1);
         assert_eq!(report.timings[0].stage, "exact");
-        assert!(report.leaf_words.is_some());
         assert!(report.groups.is_none());
     }
 
@@ -425,13 +415,16 @@ mod tests {
             (plan_solver(&plan), plan_pipeline(&plan))
         };
         let (solver, pipeline) = builders(
-            "mutree-request v1\nkind decompose\nthreads 3\nleaf-words 2\nmatrix phylip unread.phy\n",
+            "mutree-request v1\nkind decompose\nthreads 3\nmaxmin false\nmatrix phylip unread.phy\n",
         );
-        assert_eq!(solver.dispatch_leaf_words(10), Some(2));
+        assert_eq!(
+            solver.cache_sig(),
+            MutSolver::new().without_maxmin().cache_sig()
+        );
         assert!(pipeline.executor_handle().is_some());
         let (solver, pipeline) =
             builders("mutree-request v1\nkind decompose\nmatrix phylip unread.phy\n");
-        assert_eq!(solver.dispatch_leaf_words(10), Some(1));
+        assert_eq!(solver.cache_sig(), MutSolver::new().cache_sig());
         assert!(pipeline.executor_handle().is_none());
     }
 

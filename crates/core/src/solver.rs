@@ -11,19 +11,14 @@ use mutree_clustersim::{ClusterSpec, SimReport};
 use mutree_distmat::DistanceMatrix;
 use mutree_tree::{newick, UltrametricTree};
 
-use crate::{solve_simulated_observed, Executor, MutError, MutProblem, ThreeThree, LEAF_WIDTHS};
+use crate::{solve_simulated_observed, Executor, MutError, MutProblem, ThreeThree};
 
-/// Taxa ceiling of a single exact search: the widest monomorphized
-/// leaf-bitset width (`LeafWords<4>`) holds 256 leaves. Matrices beyond
-/// this must go through [`CompactPipeline`](crate::CompactPipeline).
-pub const MAX_EXACT_TAXA: usize = 64 * LEAF_WIDTHS[LEAF_WIDTHS.len() - 1];
-
-/// The leaf-bitset width (in 64-bit words) the engine dispatches an
-/// `n`-taxon exact solve to: the narrowest entry of [`LEAF_WIDTHS`] that
-/// fits, or `None` beyond [`MAX_EXACT_TAXA`].
-pub fn leaf_words_for(n: usize) -> Option<usize> {
-    LEAF_WIDTHS.iter().copied().find(|&k| n <= 64 * k)
-}
+/// Taxa ceiling of a single exact search, a memory policy: every open
+/// node carries look-ahead rows of `16(k − 1)(n − k)` bytes, which peak
+/// near `k = n/2` at about `4n²` bytes, 260 KB per node at 256 taxa.
+/// Nothing in a node's layout needs the ceiling. Matrices beyond it go
+/// through [`CompactPipeline`](crate::CompactPipeline).
+pub const MAX_EXACT_TAXA: usize = 256;
 
 /// Which execution backend runs the branch-and-bound search.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,7 +96,6 @@ pub struct MutSolver {
     executor: Option<Executor>,
     trace: Option<LoggingObserver>,
     panic_on_taxa: Option<usize>,
-    leaf_words: Option<usize>,
     memory: Option<MemoryBudget>,
     checkpoint: Option<CheckpointPolicy>,
     resume: Option<PathBuf>,
@@ -132,7 +126,6 @@ impl MutSolver {
             executor: None,
             trace: None,
             panic_on_taxa: None,
-            leaf_words: None,
             memory: None,
             checkpoint: None,
             resume: None,
@@ -303,38 +296,11 @@ impl MutSolver {
         self
     }
 
-    /// Forces the leaf-bitset width to `words` 64-bit words (one of
-    /// [`LEAF_WIDTHS`]) instead of the narrowest fit for the matrix. A
-    /// forced width narrower than the matrix needs is ignored. The
-    /// differential tests and the search pins solve at several widths
-    /// and assert identical results.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `words` is not a supported width.
-    pub fn leaf_words(mut self, words: usize) -> Self {
-        assert!(
-            LEAF_WIDTHS.contains(&words),
-            "supported leaf-word widths are {LEAF_WIDTHS:?}, got {words}"
-        );
-        self.leaf_words = Some(words);
-        self
-    }
-
-    /// The dispatcher's taxa ceiling for one exact solve
-    /// ([`MAX_EXACT_TAXA`]). The compact-set pipeline reads the limit from
-    /// here instead of hard-coding it.
+    /// The taxa ceiling for one exact solve ([`MAX_EXACT_TAXA`]). The
+    /// compact-set pipeline reads the limit from here instead of
+    /// hard-coding it.
     pub fn max_taxa(&self) -> usize {
         MAX_EXACT_TAXA
-    }
-
-    /// The leaf-bitset width [`solve`](MutSolver::solve) would dispatch an
-    /// `n`-taxon matrix to, accounting for a width forced via
-    /// [`leaf_words`](MutSolver::leaf_words); `None` beyond
-    /// [`MAX_EXACT_TAXA`]. The CLI reports this in its diagnostics.
-    pub fn dispatch_leaf_words(&self, n: usize) -> Option<usize> {
-        let needed = leaf_words_for(n)?;
-        Some(self.leaf_words.filter(|&w| w >= needed).unwrap_or(needed))
     }
 
     /// The content-addressing signature of this solver's *answer*, or
@@ -345,8 +311,8 @@ impl MutSolver {
     /// filed under one can answer the other. The signature hashes every
     /// knob that changes *which* answer comes back (the 3-3 rule, the
     /// maxmin/UPGMM heuristics, the backend family) and deliberately
-    /// omits knobs proven answer-neutral (leaf width and worker count —
-    /// the differential tests pin those as bit-identical).
+    /// omits the worker count, which the differential tests pin as
+    /// answer-neutral.
     ///
     /// `None` — no caching — whenever a solve is constrained or
     /// instrumented: anything but a plain unconstrained
@@ -421,9 +387,7 @@ impl MutSolver {
         self
     }
 
-    /// Solves the minimum ultrametric tree problem for `m`, dispatching
-    /// to the narrowest monomorphized leaf-bitset width that fits (see
-    /// [`LEAF_WIDTHS`] and [`MutSolver::leaf_words`]).
+    /// Solves the minimum ultrametric tree problem for `m`.
     ///
     /// # Errors
     ///
@@ -431,25 +395,12 @@ impl MutSolver {
     /// [`CompactPipeline`](crate::CompactPipeline) there.
     pub fn solve(&self, m: &DistanceMatrix) -> Result<MutSolution, MutError> {
         let n = m.len();
-        // A forced width may widen the dispatch but never narrow it below
-        // what the matrix needs.
-        let Some(width) = self.dispatch_leaf_words(n) else {
+        if n > MAX_EXACT_TAXA {
             return Err(MutError::TooManyTaxa {
                 n,
                 max: MAX_EXACT_TAXA,
             });
-        };
-        match width {
-            1 => self.solve_width::<1>(m),
-            2 => self.solve_width::<2>(m),
-            _ => self.solve_width::<4>(m),
         }
-    }
-
-    /// The width-monomorphized search body: everything from relabeling
-    /// to topology dedup runs with `K`-word leaf bitsets.
-    fn solve_width<const K: usize>(&self, m: &DistanceMatrix) -> Result<MutSolution, MutError> {
-        let n = m.len();
         if self.panic_on_taxa == Some(n) {
             panic!("injected fault: {n}-taxon solve");
         }
@@ -472,7 +423,7 @@ impl MutSolver {
             (m, None)
         };
 
-        let mut problem = MutProblem::<K>::new(pm, self.three_three, self.use_upgmm);
+        let mut problem = MutProblem::new(pm, self.three_three, self.use_upgmm);
         if let Some(order) = &order {
             problem.set_taxon_map(order.clone());
         }
@@ -759,8 +710,8 @@ mod tests {
 
     #[test]
     fn sixty_four_taxa_boundary_works() {
-        // The leaf-set bitmask uses all 64 bits at the engine limit; an
-        // ultrametric input keeps the search trivial so this stays fast.
+        // An ultrametric input keeps the search trivial so this stays
+        // fast.
         let mut rng = StdRng::seed_from_u64(64);
         let m = gen::random_ultrametric(64, 100.0, &mut rng);
         let sol = MutSolver::new().solve(&m).unwrap();
@@ -777,19 +728,7 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn leaf_width_dispatch_is_narrowest_fit() {
-        assert_eq!(leaf_words_for(2), Some(1));
-        assert_eq!(leaf_words_for(64), Some(1));
-        assert_eq!(leaf_words_for(65), Some(2));
-        assert_eq!(leaf_words_for(128), Some(2));
-        assert_eq!(leaf_words_for(129), Some(4));
-        assert_eq!(leaf_words_for(MAX_EXACT_TAXA), Some(4));
-        assert_eq!(leaf_words_for(MAX_EXACT_TAXA + 1), None);
-    }
-
-    /// 65 taxa used to be a hard error; now it dispatches to two-word
-    /// leaf bitsets and solves exactly.
+    /// 65 taxa used to be a hard error; it solves exactly.
     #[test]
     fn sixty_five_taxa_crosses_the_word_boundary() {
         let mut rng = StdRng::seed_from_u64(65);
@@ -798,18 +737,6 @@ mod tests {
         assert!(sol.is_complete());
         assert_eq!(sol.tree.leaf_count(), 65);
         assert_eq!(sol.tree.distance_matrix().max_relative_deviation(&m), 0.0);
-    }
-
-    /// Forcing a wider width than needed must not change the result.
-    #[test]
-    fn forced_wide_width_agrees_with_narrow() {
-        let m = m5();
-        let narrow = MutSolver::new().leaf_words(1).solve(&m).unwrap();
-        for words in [2usize, 4] {
-            let wide = MutSolver::new().leaf_words(words).solve(&m).unwrap();
-            assert_eq!(narrow.weight, wide.weight, "width {words}");
-            assert_eq!(narrow.stats.branched, wide.stats.branched, "width {words}");
-        }
     }
 
     #[test]

@@ -359,71 +359,6 @@ impl DistanceMatrix {
         }
         b
     }
-
-    /// The *subdominant ultrametric* of the matrix: the largest ultrametric
-    /// dominated by it, given by minimax path distances
-    /// `d'(i, j) = min over paths p from i to j of max edge on p`
-    /// (a Floyd–Warshall pass with `(max, min)` in place of `(+, min)`).
-    ///
-    /// This is exactly the leaf-distance matrix of the single-linkage
-    /// dendrogram, and it lower-bounds every ultrametric matrix below `M` —
-    /// the classical dual of the minimum ultrametric tree problem (which
-    /// asks for a cheap ultrametric *above* `M`).
-    pub fn subdominant_ultrametric(&self) -> DistanceMatrix {
-        let n = self.len();
-        let mut full: Vec<f64> = Vec::with_capacity(n * n);
-        for i in 0..n {
-            for j in 0..n {
-                full.push(self.get(i, j));
-            }
-        }
-        for k in 0..n {
-            for i in 0..n {
-                let dik = full[i * n + k];
-                for j in 0..n {
-                    let through = dik.max(full[k * n + j]);
-                    if through < full[i * n + j] {
-                        full[i * n + j] = through;
-                    }
-                }
-            }
-        }
-        let mut out = self.clone();
-        for i in 1..n {
-            for j in 0..i {
-                out.set(i, j, full[i * n + j]);
-            }
-        }
-        out
-    }
-
-    /// Whether the matrix satisfies the **four-point condition** — for
-    /// every quadruple, the two largest of the three pairings
-    /// `d(i,j)+d(k,l)`, `d(i,k)+d(j,l)`, `d(i,l)+d(j,k)` are equal within
-    /// `tol`. Additive matrices are exactly those realizable by an
-    /// edge-weighted tree (neighbor joining recovers them exactly);
-    /// every ultrametric matrix is additive. `O(n⁴)`.
-    pub fn is_additive(&self, tol: f64) -> bool {
-        let n = self.len();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                for k in (j + 1)..n {
-                    for l in (k + 1)..n {
-                        let mut s = [
-                            self.get(i, j) + self.get(k, l),
-                            self.get(i, k) + self.get(j, l),
-                            self.get(i, l) + self.get(j, k),
-                        ];
-                        s.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                        if (s[2] - s[1]).abs() > tol {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -509,59 +444,6 @@ mod tests {
         assert_eq!(order.order(), &[1, 4, 3, 2, 0]);
         assert_eq!(m.root_bound(order.order()), 15.5);
         assert_eq!(order.apply(&m), m.permute(order.order()));
-    }
-
-    #[test]
-    fn subdominant_is_ultrametric_and_dominated() {
-        let m = sample();
-        let u = m.subdominant_ultrametric();
-        assert!(u.is_ultrametric(1e-9));
-        for (i, j, d) in u.pairs() {
-            assert!(d <= m.get(i, j) + 1e-12);
-        }
-        // Idempotent on ultrametric input.
-        assert_eq!(u.subdominant_ultrametric(), u);
-    }
-
-    #[test]
-    fn subdominant_uses_minimax_paths() {
-        let mut m = DistanceMatrix::zeros(3).unwrap();
-        m.set(0, 1, 1.0);
-        m.set(1, 2, 2.0);
-        m.set(0, 2, 10.0); // the path 0-1-2 has max edge 2
-        let u = m.subdominant_ultrametric();
-        assert_eq!(u.get(0, 2), 2.0);
-        assert_eq!(u.get(0, 1), 1.0);
-    }
-
-    #[test]
-    fn four_point_condition() {
-        // An additive (tree-realizable) but non-ultrametric matrix.
-        let additive = DistanceMatrix::from_rows(&[
-            vec![0.0, 5.0, 9.0, 9.0],
-            vec![5.0, 0.0, 10.0, 10.0],
-            vec![9.0, 10.0, 0.0, 8.0],
-            vec![9.0, 10.0, 8.0, 0.0],
-        ])
-        .unwrap();
-        assert!(additive.is_additive(1e-9));
-        assert!(!additive.is_ultrametric(1e-9));
-
-        // Ultrametric ⊂ additive.
-        let um = DistanceMatrix::from_rows(&[
-            vec![0.0, 2.0, 8.0, 8.0],
-            vec![2.0, 0.0, 8.0, 8.0],
-            vec![8.0, 8.0, 0.0, 4.0],
-            vec![8.0, 8.0, 4.0, 0.0],
-        ])
-        .unwrap();
-        assert!(um.is_additive(1e-9));
-
-        // Perturbing a distance that participates in the two dominant
-        // pairing sums breaks the condition.
-        let mut bad = additive.clone();
-        bad.set(0, 2, 12.0);
-        assert!(!bad.is_additive(1e-9));
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //! the workspace's only reader of `MUTREE_*` environment variables.
 //!
 //! A solve is configured by its request alone. Every per-solve knob
-//! (threads, leaf-bitset width, frontier shards, cache) resolves by one
-//! rule, **request > default**: a field the request sets wins, and an
-//! unset field means the built-in default, decided downstream where the
-//! defaults live (inline execution, the narrowest fitting leaf width,
-//! the worker-derived shard policy, no cache). No environment variable
-//! reaches a [`SolvePlan`] or a builder.
+//! (threads, cache) resolves by one rule, **request > default**: a field
+//! the request sets wins, and an unset field means the built-in default,
+//! decided downstream where the defaults live (inline execution, no
+//! cache). The frontier shard count is no knob: it follows the worker
+//! count. No environment variable reaches a [`SolvePlan`] or a builder.
 //!
 //! The environment configures only the `mutree serve` deployment:
 //!

@@ -124,9 +124,6 @@ pub struct SolveReport {
     pub compact_sets: Option<usize>,
     /// Discrete-event statistics when the simulated-cluster backend ran.
     pub sim: Option<SimReport>,
-    /// The leaf-bitset width the solve dispatched to, in 64-bit words
-    /// (exact solves only).
-    pub leaf_words: Option<usize>,
 }
 
 impl SolveReport {

@@ -42,12 +42,6 @@ pub enum ThreeThree {
     InitialOnly,
 }
 
-/// Leaf-bitset widths (in 64-bit words) the exact search is
-/// monomorphized for, narrowest first. Each width `K` handles up to
-/// `64·K` taxa; the solver dispatches to the narrowest fit, and a
-/// request's `leaf-words` line must name one of these.
-pub const LEAF_WIDTHS: [usize; 3] = [1, 2, 4];
-
 /// Where the distance matrix comes from.
 #[derive(Debug, Clone)]
 pub enum MatrixSource {
@@ -121,9 +115,6 @@ pub struct SolveRequest {
     /// `None` means inline execution (and one spawned thread per worker
     /// for a parallel search).
     pub threads: Option<usize>,
-    /// Forced leaf-bitset width in 64-bit words, one of
-    /// [`LEAF_WIDTHS`]. `None` means the narrowest fit.
-    pub leaf_words: Option<usize>,
     /// Open-node cap for the memory watchdog.
     pub memory: Option<MemoryBudget>,
     /// Crash-safe incumbent snapshots while solving.
@@ -163,7 +154,6 @@ impl SolveRequest {
             use_maxmin: true,
             use_upgmm: true,
             threads: None,
-            leaf_words: None,
             memory: None,
             checkpoint: None,
             resume: None,
@@ -208,12 +198,6 @@ impl SolveRequest {
     /// Sets the executor thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Forces the leaf-bitset width.
-    pub fn leaf_words(mut self, words: usize) -> Self {
-        self.leaf_words = Some(words);
         self
     }
 
@@ -281,9 +265,6 @@ impl SolveRequest {
         writeln!(out, "upgmm {}", self.use_upgmm)?;
         if let Some(t) = self.threads {
             writeln!(out, "threads {t}")?;
-        }
-        if let Some(w) = self.leaf_words {
-            writeln!(out, "leaf-words {w}")?;
         }
         if let Some(m) = self.memory {
             writeln!(out, "memory-nodes {}", m.max_open_nodes)?;
@@ -459,16 +440,6 @@ impl SolveRequest {
                 "maxmin" => req.use_maxmin = bool_arg()?,
                 "upgmm" => req.use_upgmm = bool_arg()?,
                 "threads" => req.threads = Some(usize_arg()?),
-                "leaf-words" => {
-                    let words = usize_arg()?;
-                    if !LEAF_WIDTHS.contains(&words) {
-                        return Err(fail(
-                            ln,
-                            format!("leaf-words: {words} is not one of {LEAF_WIDTHS:?}"),
-                        ));
-                    }
-                    req.leaf_words = Some(words);
-                }
                 "memory-nodes" => {
                     let nodes: u64 = rest
                         .trim()
@@ -638,7 +609,6 @@ mod tests {
             .backend(BackendSpec::Parallel { workers: 3 })
             .mode(SearchMode::AllOptimal)
             .threads(8)
-            .leaf_words(2)
             .cache(true);
         req.three_three = ThreeThree::InitialOnly;
         req.tol = 1e-7;
@@ -774,8 +744,8 @@ mod tests {
         // Every request encoded before the node order was fixed carries
         // this line; it still decodes. The line that asked for stage
         // re-runs is gone (a failed deterministic stage fails again), so
-        // it is refused, and so is a request for the retired full 3-3
-        // rule.
+        // it is refused, and so are a request for the retired full 3-3
+        // rule and one that forces a width of the retired leaf bitsets.
         let old = "mutree-request v1\nstrategy depth-first\nmatrix phylip x.phy\n";
         assert!(SolveRequest::decode(old).is_ok());
         for (line, message) in [
@@ -789,6 +759,10 @@ mod tests {
                 concat!("unknown keyword \"re", "try\""),
             ),
             ("three-three full", "unknown 3-3 strength \"full\""),
+            (
+                concat!("leaf", "-words 2"),
+                concat!("unknown keyword \"leaf", "-words\""),
+            ),
         ] {
             let text = format!("mutree-request v1\nmode best-one\n{line}\nmatrix phylip x.phy\n");
             let err = SolveRequest::decode(&text).unwrap_err();
@@ -834,22 +808,10 @@ mod tests {
     }
 
     #[test]
-    fn thresholds_below_two_and_unsupported_leaf_widths_are_rejected() {
+    fn thresholds_below_two_are_rejected() {
         for (line, message) in [
-            ("threshold 0", "threshold must be at least 2".to_string()),
-            ("threshold 1", "threshold must be at least 2".to_string()),
-            (
-                "leaf-words 0",
-                format!("leaf-words: 0 is not one of {LEAF_WIDTHS:?}"),
-            ),
-            (
-                "leaf-words 3",
-                format!("leaf-words: 3 is not one of {LEAF_WIDTHS:?}"),
-            ),
-            (
-                "leaf-words 8",
-                format!("leaf-words: 8 is not one of {LEAF_WIDTHS:?}"),
-            ),
+            ("threshold 0", "threshold must be at least 2"),
+            ("threshold 1", "threshold must be at least 2"),
         ] {
             let text = format!("mutree-request v1\nmode best-one\n{line}\nmatrix phylip x.phy\n");
             let err = SolveRequest::decode(&text).unwrap_err();
@@ -858,9 +820,5 @@ mod tests {
         }
         let text = "mutree-request v1\nthreshold 2\nmatrix phylip x.phy\n";
         assert_eq!(SolveRequest::decode(text).unwrap().threshold, 2);
-        for words in LEAF_WIDTHS {
-            let text = format!("mutree-request v1\nleaf-words {words}\nmatrix phylip x.phy\n");
-            assert_eq!(SolveRequest::decode(&text).unwrap().leaf_words, Some(words));
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! Wire codecs for the serve daemon: `mutree-report v2` and
+//! Wire codecs for the serve daemon: `mutree-report v3` and
 //! `mutree-error v1`.
 //!
 //! The daemon (`crates/serve`) carries the existing [`SolveRequest`]
@@ -12,8 +12,9 @@
 //!
 //! Version 2 dropped one `stat` counter and the per-stage count column
 //! of every `timing` and `degraded` line that v1 carried: each stage is
-//! solved once, so those counts were constant. A v1 document fails on
-//! its header.
+//! solved once, so those counts were constant. Version 3 dropped the
+//! exact solve's leaf-bitset width line, as the search has one node
+//! layout. An older document fails on its header.
 //!
 //! Trees ride along as the hex of the checkpoint byte codec
 //! ([`mutree_tree::codec`]), which already guarantees bit-exact heights
@@ -43,13 +44,13 @@ use crate::report::{DegradeReason, DegradedGroup, SolveReport, StageProvenance, 
 /// [`SolveRequest::encode`](crate::SolveRequest::encode)).
 pub const REQUEST_HEADER: &str = "mutree-request v1";
 /// First line of every serialized report.
-pub const REPORT_HEADER: &str = "mutree-report v2";
+pub const REPORT_HEADER: &str = "mutree-report v3";
 /// First line of every serialized error frame.
 pub const ERROR_HEADER: &str = "mutree-error v1";
 /// Payload a client sends to ask the daemon for a graceful drain.
 pub const SHUTDOWN_HEADER: &str = "mutree-shutdown v1";
 
-/// A malformed `mutree-report v2` document.
+/// A malformed `mutree-report v3` document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReportError {
     /// 1-based line number of the offending line.
@@ -183,7 +184,7 @@ fn push_flat(out: &mut String, text: &str) {
 }
 
 impl SolveReport {
-    /// Serializes the report to its `mutree-report v2` line form.
+    /// Serializes the report to its `mutree-report v3` line form.
     ///
     /// Everything except `sim` crosses the wire (see the module docs);
     /// [`decode`](SolveReport::decode) reproduces the same report to the
@@ -211,9 +212,6 @@ impl SolveReport {
         writeln!(out, "\nstop {}", stop_token(self.stop))?;
         for (name, value) in STAT_FIELDS.iter().zip(stat_values(&self.stats)) {
             writeln!(out, "stat {name} {value}")?;
-        }
-        if let Some(w) = self.leaf_words {
-            writeln!(out, "leaf-words {w}")?;
         }
         if let Some(c) = self.compact_sets {
             writeln!(out, "compact-sets {c}")?;
@@ -286,7 +284,6 @@ impl SolveReport {
         let mut weight: Option<f64> = None;
         let mut stop: Option<StopReason> = None;
         let mut stats = SearchStats::default();
-        let mut leaf_words = None;
         let mut compact_sets = None;
         let mut groups: Option<Vec<Vec<usize>>> = None;
         let mut group_count = 0usize;
@@ -338,13 +335,6 @@ impl SolveReport {
                     if !set_stat(&mut stats, name, value) {
                         return Err(fail(ln, format!("unknown stat {name:?}")));
                     }
-                }
-                "leaf-words" => {
-                    leaf_words = Some(
-                        rest.trim()
-                            .parse::<usize>()
-                            .map_err(|_| fail(ln, format!("leaf-words: bad count {rest:?}")))?,
-                    )
                 }
                 "compact-sets" => {
                     compact_sets = Some(
@@ -464,7 +454,6 @@ impl SolveReport {
             groups,
             compact_sets,
             sim: None,
-            leaf_words,
         })
     }
 }
@@ -653,7 +642,6 @@ mod tests {
             groups: Some(vec![vec![0, 1], vec![2, 3, 4], vec![]]),
             compact_sets: Some(3),
             sim: None,
-            leaf_words: Some(2),
         }
     }
 
@@ -668,7 +656,6 @@ mod tests {
         assert_eq!(decoded.timings, r.timings);
         assert_eq!(decoded.groups, r.groups);
         assert_eq!(decoded.compact_sets, r.compact_sets);
-        assert_eq!(decoded.leaf_words, r.leaf_words);
         assert_eq!(decoded.trees.len(), r.trees.len());
         assert_eq!(
             tree_codec::encode_tree(&decoded.tree),
@@ -678,7 +665,7 @@ mod tests {
 
     #[test]
     fn header_is_mandatory() {
-        for header in ["mutree-report v1", "mutree-report v3"] {
+        for header in ["mutree-report v2", "mutree-report v4"] {
             let err = SolveReport::decode(&format!("{header}\nweight 0\n")).unwrap_err();
             assert_eq!(err.line, 1, "{header}");
         }

@@ -1,4 +1,4 @@
-//! Property tests of the `mutree-report v2` wire codec, mirroring the
+//! Property tests of the `mutree-report v3` wire codec, mirroring the
 //! request codec's round-trip suite: a randomized report must survive
 //! `encode → decode` with every bit intact — f64 weight and stage
 //! seconds as exact bit patterns, all 15 search counters, stop reasons,
@@ -118,7 +118,6 @@ fn build_report(
         groups: pipelineish.then(|| vec![(0..n / 2).collect(), (n / 2..n).collect()]),
         compact_sets: pipelineish.then_some(n / 2),
         sim: None,
-        leaf_words: (!pipelineish).then_some(1 + n / 64),
     }
 }
 
@@ -131,7 +130,6 @@ fn assert_reports_identical(a: &SolveReport, b: &SolveReport) {
     assert_eq!(a.degraded, b.degraded);
     assert_eq!(a.groups, b.groups);
     assert_eq!(a.compact_sets, b.compact_sets);
-    assert_eq!(a.leaf_words, b.leaf_words);
     assert_eq!(codec::encode_tree(&a.tree), codec::encode_tree(&b.tree));
     assert_eq!(a.trees.len(), b.trees.len());
     for (x, y) in a.trees.iter().zip(&b.trees) {
@@ -244,9 +242,9 @@ fn corrupt_headers_and_structure_are_rejected() {
 
     let cases: Vec<String> = vec![
         // Wrong protocol version.
-        good.replacen("mutree-report v2", "mutree-report v1", 1),
+        good.replacen("mutree-report v3", "mutree-report v2", 1),
         // Wrong document kind entirely.
-        good.replacen("mutree-report v2", "mutree-request v1", 1),
+        good.replacen("mutree-report v3", "mutree-request v1", 1),
         // Missing header.
         good.lines().skip(1).collect::<Vec<_>>().join("\n"),
         // Truncated mid-document: the mandatory best/tree lines are gone.

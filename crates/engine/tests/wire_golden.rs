@@ -5,12 +5,14 @@
 //! back to its own bytes, so the decoders accept everything the encoders
 //! produce.
 //!
-//! The report golden is `mutree-report v2`: the v1 golden minus one
-//! `stat` line and the per-stage count column of each `timing` and
-//! `degraded` line, and no other byte. The request golden is still
-//! `mutree-request v1`; it lost only the optional line that asked for
-//! stage re-runs, so every request without one encodes as before, and
-//! it asks for the initial 3-3 rule since the full rule was retired.
+//! The report golden is `mutree-report v3`: the v2 golden minus the
+//! exact solve's leaf-bitset width line, and no other byte (v2 was the
+//! v1 golden minus one `stat` line and the per-stage count column of
+//! each `timing` and `degraded` line). The request golden is still
+//! `mutree-request v1`; it lost only the optional lines that asked for
+//! stage re-runs and for a leaf-bitset width, so every request without
+//! them encodes as before, and it asks for the initial 3-3 rule since
+//! the full rule was retired.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -37,7 +39,6 @@ fn golden_request() -> SolveRequest {
         .backend(BackendSpec::Parallel { workers: 3 })
         .mode(SearchMode::AllOptimal)
         .threads(8)
-        .leaf_words(2)
         .cache(true);
     req.three_three = ThreeThree::InitialOnly;
     req.tol = 1e-7;
@@ -66,7 +67,6 @@ const GOLDEN_REQUEST: &str = concat!(
     "maxmin false\n",
     "upgmm true\n",
     "threads 8\n",
-    "leaf-words 2\n",
     "memory-nodes 9999\n",
     "checkpoint 64 /tmp/ck pt.bin\n",
     "resume /tmp/old.ckpt\n",
@@ -150,12 +150,11 @@ fn golden_report() -> SolveReport {
         groups: Some(vec![vec![0, 1], vec![2, 3], vec![]]),
         compact_sets: Some(3),
         sim: None,
-        leaf_words: Some(1),
     }
 }
 
 const GOLDEN_REPORT: &str = concat!(
-    "mutree-report v2\n",
+    "mutree-report v3\n",
     "weight 403ab80000000001\n",
     "stop deadline\n",
     "stat branched 11\n",
@@ -173,7 +172,6 @@ const GOLDEN_REPORT: &str = concat!(
     "stat cache-misses 0\n",
     "stat cache-warm-seeds 0\n",
     "stat cache-poisoned 1\n",
-    "leaf-words 1\n",
     "compact-sets 3\n",
     "groups 3\n",
     "group 0 1\n",

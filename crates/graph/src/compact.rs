@@ -2,7 +2,14 @@ use std::cmp::Ordering;
 
 use mutree_distmat::DistanceMatrix;
 
-use crate::Edge;
+/// An edge `(u, v)`, `u < v`, of the complete graph over a matrix,
+/// weighing the matrix entry.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    u: usize,
+    v: usize,
+    weight: f64,
+}
 
 /// A compact set: a vertex subset whose largest internal distance is smaller
 /// than its smallest escaping distance (`Max(C) < Min(C, V ∖ C)`).

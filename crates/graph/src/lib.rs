@@ -1,4 +1,4 @@
-//! Weighted graphs, minimum spanning trees, and compact sets.
+//! Compact sets of a distance matrix.
 //!
 //! A *compact set* of a complete weighted graph `G = (V, E, w)` is a vertex
 //! subset `C` whose largest internal distance is smaller than its smallest
@@ -43,11 +43,5 @@
 #![warn(missing_docs)]
 
 mod compact;
-mod graph;
-mod mst;
-mod union_find;
 
 pub use compact::{CompactSet, CompactSets, LaminarForest, LaminarNode};
-pub use graph::{Edge, GraphError, WeightedGraph};
-pub use mst::{kruskal, prim, Mst};
-pub use union_find::UnionFind;

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use mutree_distmat::{gen, DistanceMatrix};
-use mutree_graph::{kruskal, CompactSets, WeightedGraph};
+use mutree_graph::CompactSets;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,19 +27,32 @@ mod cubic {
         pub height: f64,
     }
 
-    /// Kruskal over the complete graph; after each merge `A`, rescan
-    /// `Min(A, !A)` and test `Max(A) < Min(A, !A)`. Sets come out in
-    /// detection order.
+    /// Every edge `(weight, u, v)`, `u < v`, of the complete graph over
+    /// `m`, by ascending weight, ties by `(u, v)`.
+    fn sorted_edges(m: &DistanceMatrix) -> Vec<(f64, usize, usize)> {
+        let n = m.len();
+        let mut edges: Vec<_> = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (m.get(u, v), u, v)))
+            .collect();
+        edges.sort_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+        edges
+    }
+
+    /// Kruskal over the complete graph: every edge in ascending order
+    /// whose endpoints lie in different components is a tree edge and
+    /// merges them. After each merge `A`, rescan `Min(A, !A)` and test
+    /// `Max(A) < Min(A, !A)`. Sets come out in detection order.
     pub fn find(m: &DistanceMatrix) -> Vec<Set> {
         let n = m.len();
-        let mst = kruskal(&WeightedGraph::from_matrix(m)).expect("complete graph is connected");
         let mut comp: Vec<usize> = (0..n).collect();
         let mut members: Vec<Vec<usize>> = (0..n).map(|v| vec![v]).collect();
         let mut max_internal: Vec<f64> = vec![0.0; n];
         let mut sets = Vec::new();
-        for e in mst.edges() {
-            let (ca, cb) = (comp[e.u], comp[e.v]);
-            assert_ne!(ca, cb, "MST edges join distinct components");
+        for (weight, u, v) in sorted_edges(m) {
+            let (ca, cb) = (comp[u], comp[v]);
+            if ca == cb {
+                continue;
+            }
             let (keep, drop) = if members[ca].len() >= members[cb].len() {
                 (ca, cb)
             } else {
@@ -77,7 +90,7 @@ mod cubic {
                         members: ms,
                         max_internal: max_internal[keep],
                         min_crossing,
-                        height: e.weight,
+                        height: weight,
                     });
                 }
             }

@@ -1,52 +1,34 @@
-//! Property tests: MST agreement, union-find vs a naive model, compact
-//! sets against their definition.
+//! Property tests: compact sets against their definition and against an
+//! independent minimum spanning tree.
 
 use mutree_distmat::{gen, DistanceMatrix};
-use mutree_graph::{kruskal, prim, CompactSets, UnionFind, WeightedGraph};
+use mutree_graph::CompactSets;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The edges of a minimum spanning tree of the complete graph over `m`,
+/// by Kruskal's rule: every edge in ascending order that joins two
+/// components, components kept as labels.
+fn mst(m: &DistanceMatrix) -> Vec<(usize, usize)> {
+    let n = m.len();
+    let mut edges: Vec<_> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .collect();
+    edges.sort_by(|a, b| m.get(a.0, a.1).total_cmp(&m.get(b.0, b.1)));
+    let mut comp: Vec<usize> = (0..n).collect();
+    edges.retain(|&(u, v)| {
+        let (cu, cv) = (comp[u], comp[v]);
+        for c in comp.iter_mut().filter(|c| **c == cv) {
+            *c = cu;
+        }
+        cu != cv
+    });
+    edges
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn kruskal_equals_prim_on_complete_graphs(n in 2usize..14, seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let m = gen::uniform_metric(n, 1.0, 100.0, &mut rng);
-        let g = WeightedGraph::from_matrix(&m);
-        let k = kruskal(&g).unwrap();
-        let p = prim(&g).unwrap();
-        prop_assert!((k.weight() - p.weight()).abs() < 1e-9);
-        prop_assert_eq!(k.edges().len(), n - 1);
-    }
-
-    #[test]
-    fn union_find_matches_naive_model(ops in proptest::collection::vec((0usize..12, 0usize..12), 0..40)) {
-        let n = 12;
-        let mut uf = UnionFind::new(n);
-        // Naive model: component label per element.
-        let mut label: Vec<usize> = (0..n).collect();
-        for (a, b) in ops {
-            let (la, lb) = (label[a], label[b]);
-            let expect_merge = la != lb;
-            prop_assert_eq!(uf.union(a, b).is_some(), expect_merge);
-            if expect_merge {
-                for l in label.iter_mut() {
-                    if *l == lb {
-                        *l = la;
-                    }
-                }
-            }
-        }
-        for a in 0..n {
-            for b in 0..n {
-                prop_assert_eq!(uf.same(a, b), label[a] == label[b]);
-            }
-        }
-        let labels: std::collections::HashSet<usize> = label.iter().copied().collect();
-        prop_assert_eq!(uf.components(), labels.len());
-    }
 
     /// Brute-force definition check: a set is compact iff its internal max
     /// is below its crossing min. Every set the algorithm reports must
@@ -102,17 +84,21 @@ proptest! {
         }
     }
 
+    /// Lemma 4: every compact set induces a subtree of a minimum
+    /// spanning tree — its members are joined by exactly `|C| − 1` tree
+    /// edges, as a cheaper tree would exist otherwise.
     #[test]
-    fn mst_weight_lower_bounds_any_spanning_tree(n in 3usize..9, seed in any::<u64>()) {
+    fn compact_sets_induce_subtrees_of_the_mst(n in 3usize..12, seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let m = gen::uniform_metric(n, 1.0, 100.0, &mut rng);
-        let g = WeightedGraph::from_matrix(&m);
-        let mst = kruskal(&g).unwrap();
-        // A star rooted at each vertex is a spanning tree; none may be
-        // lighter than the MST.
-        for center in 0..n {
-            let star: f64 = (0..n).filter(|&v| v != center).map(|v| m.get(center, v)).sum();
-            prop_assert!(mst.weight() <= star + 1e-9);
+        let m = gen::perturbed_ultrametric(n, 40.0, 0.15, &mut rng);
+        let mst = mst(&m);
+        prop_assert_eq!(mst.len(), n - 1);
+        for s in CompactSets::find(&m).iter() {
+            let inside = mst
+                .iter()
+                .filter(|&&(u, v)| s.members().contains(&u) && s.members().contains(&v))
+                .count();
+            prop_assert_eq!(inside, s.len() - 1, "{:?}", s.members());
         }
     }
 }

@@ -3,7 +3,7 @@
 //! This crate puts the engine spine behind a TCP socket. The wire
 //! format reuses the spine's existing text codecs — a request frame
 //! carries a `mutree-request v1` document, a response frame carries a
-//! `mutree-report v2` or `mutree-error v1` document — wrapped in
+//! `mutree-report v3` or `mutree-error v1` document — wrapped in
 //! minimal length-prefixed binary frames ([`frame`]). Because both
 //! codecs are bit-exact (f64s travel as `{:016x}` bit patterns, trees
 //! as the checkpoint codec's bytes), a report that crossed the socket

@@ -1,6 +1,6 @@
 //! A guided tour of the paper's §3 machinery on its running example:
-//! complete graph → minimum spanning tree → compact sets → condensed
-//! matrices → merged ultrametric tree.
+//! compact sets → laminar forest → condensed matrices → merged
+//! ultrametric tree.
 //!
 //! ```text
 //! cargo run --release --example compact_sets_tour
@@ -8,7 +8,7 @@
 
 use mutree::core::CompactPipeline;
 use mutree::distmat::DistanceMatrix;
-use mutree::graph::{kruskal, CompactSets, WeightedGraph};
+use mutree::graph::CompactSets;
 use mutree::tree::newick;
 
 fn main() {
@@ -25,18 +25,11 @@ fn main() {
     ])
     .expect("valid matrix");
 
-    // Step 1 (paper §3.1): the minimum spanning tree of the complete
-    // distance graph, Kruskal's algorithm — edges come out weight-sorted,
-    // the processing order of the compact-set algorithm.
-    let mst = kruskal(&WeightedGraph::from_matrix(&m)).expect("complete graph");
-    println!("minimum spanning tree (weight {}):", mst.weight());
-    for e in mst.edges() {
-        println!("  ({}, {})  weight {}", e.u, e.v, e.weight);
-    }
-
-    // Step 2: merge in ascending order, test Max(A) < Min(A, !A).
+    // Steps 1–2 (paper §3.1): `find` builds the minimum spanning tree of
+    // the complete distance graph, merges along its edges in ascending
+    // weight order and tests Max(A) < Min(A, !A) at each merge.
     let cs = CompactSets::find(&m);
-    println!("\ncompact sets (canonical order):");
+    println!("compact sets (canonical order):");
     for s in cs.iter() {
         println!(
             "  {:?}  Max = {}, Min(out) = {}",

@@ -3,7 +3,7 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`distmat`] — distance matrices, predicates, permutations, generators;
-//! * [`graph`] — weighted graphs, MSTs, union–find, **compact sets**;
+//! * [`graph`] — **compact sets** and their laminar forest;
 //! * [`tree`] — ultrametric trees, UPGMA/UPGMM, Newick, tree metrics;
 //! * [`bnb`] — the generic sequential / thread-parallel branch-and-bound
 //!   engine with global and local pools;

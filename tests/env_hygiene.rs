@@ -12,9 +12,13 @@
 //! prune strategies, the global-mutex parallel driver, best-first node
 //! selection with the ablation that priced it, the forced frontier
 //! shard count (the builder and the request keyword), the task-DAG
-//! runner the fork-join pipeline replaced, and the stage re-run policy
-//! with its CLI flag, its jitter helper and its recovering test fault
-//! must not reappear in any Rust source or in the CI workflow.
+//! runner the fork-join pipeline replaced, the stage re-run policy
+//! with its CLI flag, its jitter helper and its recovering test fault,
+//! the per-node leaf bitsets with the width knob, the request and report
+//! lines and the experiment that picked among their widths, and the
+//! graph library (Kruskal's MST and its disjoint-set forest) that no
+//! solve called must not reappear in any Rust source or in the CI
+//! workflow.
 
 use std::path::{Path, PathBuf};
 
@@ -69,7 +73,7 @@ fn only_plan_resolution_reads_mutree_env_vars() {
 
 /// Names of retired search paths and the knobs that forced them. Each is
 /// split in two so this file's own source never matches.
-const RETIRED: [[&str; 2]; 27] = [
+const RETIRED: [[&str; 2]; 34] = [
     ["MUTREE_FORCE_", "BOUND_KERNEL"],
     ["MUTREE_FORCE_", "PRUNE"],
     ["MUTREE_", "CACHE"],
@@ -97,6 +101,13 @@ const RETIRED: [[&str; 2]; 27] = [
     ["Arm", "Index"],
     ["prop_", "advance"],
     ["prune_", "differential"],
+    ["Leaf", "Words"],
+    ["leaf_", "words"],
+    ["leaf-", "words"],
+    ["LEAF_", "WIDTHS"],
+    ["exp_", "leafwords"],
+    ["krus", "kal"],
+    ["Union", "Find"],
 ];
 
 #[test]

@@ -5,14 +5,17 @@
 //! each one with [`UltrametricTree::join`] and weighs it with
 //! [`UltrametricTree::fit_heights`], the minimal heights of the topology.
 //! The lightest is the minimum ultrametric tree. Every exact solve, on
-//! every driver and leaf-bitset width, must return a tree of that weight.
+//! every driver, in the search order and in input order, and replayed
+//! from the solve cache, must return a tree of that weight.
 //!
 //! Nothing here touches the search's node type or its bound: the
 //! enumerator grows a topology by grafting each new taxon onto every edge
 //! of a tests-only arena of child pairs.
 
 use mutree::clustersim::ClusterSpec;
-use mutree::core::{MutSolver, SearchBackend};
+use mutree::core::{
+    solve_plan, EnvOverrides, MutSolver, SearchBackend, SolvePlan, SolveRequest, StageProvenance,
+};
 use mutree::distmat::{gen, DistanceMatrix};
 use mutree::tree::UltrametricTree;
 use proptest::prelude::*;
@@ -141,8 +144,25 @@ fn matrix(family: usize, n: usize, rng: &mut StdRng) -> DistanceMatrix {
     }
 }
 
-/// Solves `m` exactly on every driver and leaf-bitset width, and checks
-/// each answer against the oracle's weight.
+/// Checks one answer for `m` against the oracle's weight `want`: the
+/// weight, the tree's feasibility and the weight the tree refits to.
+fn check_answer(m: &DistanceMatrix, want: f64, weight: f64, tree: &UltrametricTree, at: &str) {
+    assert!(
+        (weight - want).abs() <= 1e-9 * want.max(1.0),
+        "{at}: search found {weight}, oracle {want}"
+    );
+    assert!(tree.is_feasible_for(m, 1e-9), "{at}");
+    let fitted = tree.clone().fit_heights(m);
+    assert!(
+        (fitted - want).abs() <= 1e-9 * want.max(1.0),
+        "{at}: tree refits to {fitted}"
+    );
+}
+
+/// Solves `m` exactly on every driver, in the search order and in input
+/// order, then twice through the solve cache, and checks each answer
+/// against the oracle's weight. The cached replay must come from the
+/// cache.
 fn check_every_driver(m: &DistanceMatrix, what: &str) {
     let want = oracle(m);
     let backends = [
@@ -153,25 +173,31 @@ fn check_every_driver(m: &DistanceMatrix, what: &str) {
         },
     ];
     for backend in &backends {
-        for words in [1usize, 2, 4] {
-            let sol = MutSolver::new()
-                .backend(backend.clone())
-                .leaf_words(words)
-                .solve(m)
-                .unwrap_or_else(|e| panic!("{what}, {backend:?}, K = {words}: {e}"));
-            let at = format!("{what}, {backend:?}, K = {words}");
+        for input_order in [false, true] {
+            let mut solver = MutSolver::new().backend(backend.clone());
+            if input_order {
+                solver = solver.without_maxmin();
+            }
+            let at = format!("{what}, {backend:?}, input order {input_order}");
+            let sol = solver.solve(m).unwrap_or_else(|e| panic!("{at}: {e}"));
             assert!(sol.is_complete(), "{at}");
-            assert!(
-                (sol.weight - want).abs() <= 1e-9 * want.max(1.0),
-                "{at}: search found {}, oracle {want}",
-                sol.weight
-            );
-            assert!(sol.tree.is_feasible_for(m, 1e-9), "{at}");
-            let mut refit = sol.tree.clone();
-            let fitted = refit.fit_heights(m);
-            assert!(
-                (fitted - want).abs() <= 1e-9 * want.max(1.0),
-                "{at}: tree refits to {fitted}"
+            check_answer(m, want, sol.weight, &sol.tree, &at);
+        }
+    }
+    let plan = SolvePlan::resolve(
+        SolveRequest::exact(m.clone()).cache(true),
+        &EnvOverrides::none(),
+    );
+    for pass in ["cold", "replay"] {
+        let at = format!("{what}, cache {pass}");
+        let report = solve_plan(&plan).unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert!(report.is_complete(), "{at}");
+        check_answer(m, want, report.weight, &report.tree, &at);
+        if pass == "replay" {
+            assert_eq!(
+                report.timings[0].provenance,
+                StageProvenance::Cached,
+                "{at}"
             );
         }
     }
@@ -198,8 +224,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The exact solve returns the brute-force minimum on the sequential,
-    /// parallel and simulated drivers at every leaf-bitset width, over
-    /// uniform, clock-like and tie-heavy matrices up to seven taxa.
+    /// parallel and simulated drivers, in the search order and in input
+    /// order, and from the solve cache, over uniform, clock-like and
+    /// tie-heavy matrices up to seven taxa.
     #[test]
     fn exact_solves_match_the_topology_oracle(
         n in 3usize..=7,

@@ -8,10 +8,6 @@
 //! follows the worker count, so 8 workers steal across 8 shards, and on
 //! a small host they oversubscribe the cores, which maximises donation,
 //! steal and park interleavings.
-//!
-//! The whole matrix additionally runs at both monomorphized leaf-bitset
-//! widths (K = 1 and forced K = 2): the sharded frontier must find the
-//! same optimum regardless of how wide the per-node leaf masks are.
 
 use mutree::clustersim::ClusterSpec;
 use mutree::core::{CompactPipeline, Executor, MutSolver, SearchBackend, SearchMode};
@@ -49,54 +45,41 @@ fn sequential_parallel_and_cluster_sim_agree() {
             .unwrap();
         assert!(seq.is_complete());
         branched += seq.stats.branched;
-        for words in [1usize, 2] {
-            let wseq = MutSolver::new()
-                .leaf_words(words)
-                .backend(SearchBackend::Sequential)
+        for workers in WORKERS {
+            let ctx = format!("matrix {mi}, workers {workers}");
+            let parallel = MutSolver::new().backend(SearchBackend::Parallel { workers });
+            // No executor attached: one spawned thread per worker.
+            let spawned = parallel.solve(m).unwrap();
+            assert!(spawned.is_complete(), "{ctx}");
+            assert!(
+                (spawned.weight - seq.weight).abs() < 1e-9,
+                "spawned parallel disagrees: {ctx}: {} vs {}",
+                spawned.weight,
+                seq.weight
+            );
+
+            let pooled = parallel.executor(Executor::new(workers)).solve(m).unwrap();
+            assert!(pooled.is_complete(), "{ctx}");
+            assert!(
+                (pooled.weight - seq.weight).abs() < 1e-9,
+                "pooled parallel disagrees: {ctx}: {} vs {}",
+                pooled.weight,
+                seq.weight
+            );
+
+            let sim = MutSolver::new()
+                .backend(SearchBackend::SimulatedCluster {
+                    spec: ClusterSpec::with_slaves(workers),
+                })
                 .solve(m)
                 .unwrap();
-            // The widths run the same search: same weight, same counters.
-            assert_eq!(wseq.stats.branched, seq.stats.branched, "matrix {mi}");
-            assert!((wseq.weight - seq.weight).abs() < 1e-9, "matrix {mi}");
-            for workers in WORKERS {
-                let ctx = format!("matrix {mi}, workers {workers}, width {words}");
-                let parallel = MutSolver::new()
-                    .leaf_words(words)
-                    .backend(SearchBackend::Parallel { workers });
-                // No executor attached: one spawned thread per worker.
-                let spawned = parallel.solve(m).unwrap();
-                assert!(spawned.is_complete(), "{ctx}");
-                assert!(
-                    (spawned.weight - seq.weight).abs() < 1e-9,
-                    "spawned parallel disagrees: {ctx}: {} vs {}",
-                    spawned.weight,
-                    seq.weight
-                );
-
-                let pooled = parallel.executor(Executor::new(workers)).solve(m).unwrap();
-                assert!(pooled.is_complete(), "{ctx}");
-                assert!(
-                    (pooled.weight - seq.weight).abs() < 1e-9,
-                    "pooled parallel disagrees: {ctx}: {} vs {}",
-                    pooled.weight,
-                    seq.weight
-                );
-
-                let sim = MutSolver::new()
-                    .leaf_words(words)
-                    .backend(SearchBackend::SimulatedCluster {
-                        spec: ClusterSpec::with_slaves(workers),
-                    })
-                    .solve(m)
-                    .unwrap();
-                assert!(sim.is_complete(), "{ctx}");
-                assert!(
-                    (sim.weight - seq.weight).abs() < 1e-9,
-                    "cluster sim disagrees: {ctx}: {} vs {}",
-                    sim.weight,
-                    seq.weight
-                );
-            }
+            assert!(sim.is_complete(), "{ctx}");
+            assert!(
+                (sim.weight - seq.weight).abs() < 1e-9,
+                "cluster sim disagrees: {ctx}: {} vs {}",
+                sim.weight,
+                seq.weight
+            );
         }
     }
     assert!(branched > 0, "no matrix sends work through the frontier");
@@ -117,21 +100,18 @@ fn all_optimal_sets_agree_across_drivers() {
         .mode(SearchMode::AllOptimal)
         .solve(&m)
         .unwrap();
-    for words in [1usize, 2] {
-        for workers in WORKERS {
-            let par = MutSolver::new()
-                .leaf_words(words)
-                .mode(SearchMode::AllOptimal)
-                .backend(SearchBackend::Parallel { workers })
-                .solve(&m)
-                .unwrap();
-            assert!((par.weight - seq.weight).abs() < 1e-9);
-            assert_eq!(
-                par.trees.len(),
-                seq.trees.len(),
-                "co-optimum count differs at {workers} workers, width {words}"
-            );
-        }
+    for workers in WORKERS {
+        let par = MutSolver::new()
+            .mode(SearchMode::AllOptimal)
+            .backend(SearchBackend::Parallel { workers })
+            .solve(&m)
+            .unwrap();
+        assert!((par.weight - seq.weight).abs() < 1e-9);
+        assert_eq!(
+            par.trees.len(),
+            seq.trees.len(),
+            "co-optimum count differs at {workers} workers"
+        );
     }
 }
 

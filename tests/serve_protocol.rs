@@ -233,9 +233,9 @@ fn client_disconnect_mid_solve_cancels_the_request() {
 
 #[test]
 fn eight_concurrent_clients_all_get_correct_answers() {
-    // An oversubscribed shared pool, and half the requests on the
-    // two-word leaf bitsets: every answer must still match the local
-    // reference bit for bit.
+    // An oversubscribed shared pool, and half the requests searching in
+    // input order: every answer must still match the local reference bit
+    // for bit.
     let config = ServeConfig {
         workers: 4,
         threads: 8,
@@ -250,14 +250,11 @@ fn eight_concurrent_clients_all_get_correct_answers() {
                 for k in 0..3u64 {
                     let seed = 0xc0_0000 + c * 100 + k;
                     let mut req = SolveRequest::exact(matrix(7, seed)).cache(false);
-                    if (c + k) % 2 == 1 {
-                        req = req.leaf_words(2);
-                    }
+                    req.use_maxmin = (c + k) % 2 == 0;
                     let local = solve_plan(&SolvePlan::resolve(req.clone(), &EnvOverrides::none()))
                         .expect("local solve");
                     let remote = client.solve(&req).expect("daemon solve");
                     assert_bit_identical(&remote, &local);
-                    assert_eq!(remote.leaf_words, local.leaf_words);
                     assert_eq!(remote.stats.branched, local.stats.branched);
                 }
             });
@@ -333,7 +330,7 @@ fn requests_racing_a_drain_get_clean_draining_frames() {
 /// codec rename cannot silently change the wire.
 #[test]
 fn response_headers_are_the_documented_constants() {
-    assert_eq!(REPORT_HEADER, "mutree-report v2");
+    assert_eq!(REPORT_HEADER, "mutree-report v3");
     assert_eq!(ERROR_HEADER, "mutree-error v1");
     assert_eq!(mutree::serve::DRAIN_HEADER, "mutree-drain v1");
 }
