@@ -305,10 +305,6 @@ impl<P: Problem> Problem for FaultyProblem<P> {
     fn initial_incumbent(&self) -> Option<(P::Solution, f64)> {
         self.inner.initial_incumbent()
     }
-
-    fn encode_solution(&self, solution: &P::Solution) -> Option<Vec<u8>> {
-        self.inner.encode_solution(solution)
-    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,10 @@
 //! Small dependency-free hashing shared across the workspace.
 //!
-//! Two call sites historically grew private copies of the same FNV-1a
-//! loop: the checkpoint checksum ([`crate::checkpoint`]) and — the
-//! reason they finally merged — the content-addressed group-solve cache
-//! key, which must hash canonical matrix bytes with the *same* function
+//! The content-addressed group-solve cache hashes canonical matrix bytes
+//! for its keys and its entry checksums, and must use the *same* function
 //! everywhere or cache lookups would silently depend on which layer
-//! computed the key. One
-//! implementation now lives here; `mutree-core` re-exports this module
-//! as `mutree_core::hash`.
+//! computed the key. One implementation lives here; `mutree-core`
+//! re-exports this module as `mutree_core::hash`.
 
 /// FNV-1a offset basis (64-bit).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -45,7 +45,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
-use crate::checkpoint::{self, CheckpointFile};
 use crate::problem::slack;
 use crate::{Problem, SearchMode, SearchOptions, SearchOutcome, SearchStats, StopReason, TOL};
 
@@ -318,11 +317,6 @@ pub enum SearchEvent {
     Shed {
         /// Open nodes dropped (whole subtrees abandoned).
         nodes: usize,
-    },
-    /// A crash-safe incumbent snapshot was durably written.
-    Checkpointed {
-        /// Open nodes at snapshot time (this driver thread's frontier).
-        open: usize,
     },
 }
 
@@ -684,17 +678,6 @@ pub struct Expander<'a, P: Problem> {
     staged: Vec<(f64, P::Node)>,
     poller: StopPoller,
     stats: SearchStats,
-    ckpt: Option<CkptState>,
-}
-
-/// Per-expander checkpoint bookkeeping: the destination and cadence from
-/// the policy, plus the best already-encoded incumbent this expander has
-/// seen (encoded at accept time, while the solution is still in hand).
-struct CkptState {
-    path: std::path::PathBuf,
-    interval: u64,
-    since: u64,
-    best: Option<(f64, Vec<u8>)>,
 }
 
 impl<'a, P: Problem> Expander<'a, P> {
@@ -707,12 +690,6 @@ impl<'a, P: Problem> Expander<'a, P> {
             staged: Vec::new(),
             poller: StopPoller::new(),
             stats: SearchStats::default(),
-            ckpt: opts.checkpoint.as_ref().map(|c| CkptState {
-                path: c.path.clone(),
-                interval: c.interval.max(1),
-                since: 0,
-                best: None,
-            }),
         }
     }
 
@@ -729,56 +706,9 @@ impl<'a, P: Problem> Expander<'a, P> {
             if v.is_nan() {
                 return;
             }
-            let encoded = self.encode_for_ckpt(&s);
             if sink.accept(v, s) {
                 self.stats.incumbent_updates += 1;
-                self.remember_ckpt(v, encoded);
             }
-        }
-    }
-
-    /// Pre-encodes a solution for checkpointing (no-op when checkpoints
-    /// are off), so acceptance can move the solution into the sink.
-    fn encode_for_ckpt(&self, s: &P::Solution) -> Option<Vec<u8>> {
-        if self.ckpt.is_some() {
-            self.problem.encode_solution(s)
-        } else {
-            None
-        }
-    }
-
-    /// Records an accepted incumbent's encoding as the snapshot payload
-    /// if it beats the best this expander has checkpoint-tracked so far.
-    fn remember_ckpt(&mut self, value: f64, encoded: Option<Vec<u8>>) {
-        if let (Some(c), Some(bytes)) = (&mut self.ckpt, encoded) {
-            if c.best.as_ref().is_none_or(|(bv, _)| value < *bv) {
-                c.best = Some((value, bytes));
-            }
-        }
-    }
-
-    /// Writes a snapshot if the cadence says so and an incumbent exists.
-    /// Write errors are swallowed: checkpointing is best-effort and must
-    /// never fail a search that would otherwise succeed.
-    fn maybe_checkpoint<O: SearchObserver>(&mut self, open: usize, observer: &mut O) {
-        let Some(c) = &mut self.ckpt else { return };
-        c.since += 1;
-        if c.since < c.interval {
-            return;
-        }
-        c.since = 0;
-        let Some((value, payload)) = &c.best else {
-            return;
-        };
-        let file = CheckpointFile {
-            best_value: *value,
-            open_nodes: open as u64,
-            branched: self.stats.branched,
-            payload: payload.clone(),
-        };
-        if checkpoint::write_atomic(&c.path, &file).is_ok() {
-            self.stats.checkpoints += 1;
-            observer.on_event(SearchEvent::Checkpointed { open });
         }
     }
 
@@ -857,12 +787,10 @@ impl<'a, P: Problem> Expander<'a, P> {
                     improved: false,
                 };
             }
-            let encoded = self.encode_for_ckpt(&s);
             let improved = sink.accept(v, s);
             if improved {
                 self.stats.incumbent_updates += 1;
                 observer.on_event(SearchEvent::IncumbentImproved { value: v });
-                self.remember_ckpt(v, encoded);
             }
             return Step::Solution { value: v, improved };
         }
@@ -913,7 +841,6 @@ impl<'a, P: Problem> Expander<'a, P> {
             children: generated,
             kept,
         });
-        self.maybe_checkpoint(frontier.len(), observer);
         Step::Branched { kept }
     }
 

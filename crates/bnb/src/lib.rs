@@ -93,7 +93,6 @@
 
 pub mod bound;
 mod cancel;
-pub mod checkpoint;
 pub mod fault;
 pub mod frontier;
 pub mod hash;
@@ -106,7 +105,6 @@ mod shared_bound;
 mod trace;
 
 pub use cancel::CancelToken;
-pub use checkpoint::{CheckpointError, CheckpointFile, CheckpointPolicy};
 pub use frontier::{ShardedFrontier, WorkerFrontier};
 pub use kernel::{sanitize_lb, ChildBuf, Incumbents, PruneReason, SearchEvent, SearchObserver};
 pub use parallel::solve_parallel;

@@ -1,6 +1,5 @@
 use std::time::{Duration, Instant};
 
-use crate::checkpoint::CheckpointPolicy;
 use crate::kernel::ChildBuf;
 use crate::CancelToken;
 
@@ -61,14 +60,6 @@ pub trait Problem: Sync {
     /// An optional heuristic incumbent used as the initial upper bound
     /// (the paper's UPGMM step). Defaults to none.
     fn initial_incumbent(&self) -> Option<(Self::Solution, f64)> {
-        None
-    }
-
-    /// Serializes a solution into an opaque payload for crash-safe
-    /// checkpointing (see [`SearchOptions::checkpoint`]). The default
-    /// returns `None`, which disables periodic snapshots for problems
-    /// that have no durable representation.
-    fn encode_solution(&self, _solution: &Self::Solution) -> Option<Vec<u8>> {
         None
     }
 }
@@ -211,10 +202,6 @@ pub struct SearchOptions {
     pub cancel: Option<CancelToken>,
     /// Open-node memory watchdog. `None` means unbounded (the default).
     pub memory: Option<MemoryBudget>,
-    /// Periodic crash-safe incumbent snapshots. `None` disables them (the
-    /// default). Requires the problem to implement
-    /// [`Problem::encode_solution`].
-    pub checkpoint: Option<CheckpointPolicy>,
 }
 
 impl SearchOptions {
@@ -227,7 +214,6 @@ impl SearchOptions {
             deadline: None,
             cancel: None,
             memory: None,
-            checkpoint: None,
         }
     }
 
@@ -258,13 +244,6 @@ impl SearchOptions {
     /// Caps the number of simultaneously open nodes (see [`MemoryBudget`]).
     pub fn memory_budget(mut self, budget: MemoryBudget) -> Self {
         self.memory = Some(budget);
-        self
-    }
-
-    /// Enables periodic crash-safe incumbent snapshots (see
-    /// [`CheckpointPolicy`]).
-    pub fn checkpoint(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint = Some(policy);
         self
     }
 
@@ -328,9 +307,6 @@ pub struct SearchStats {
     pub parks: u64,
     /// Open nodes dropped by the memory watchdog (see [`MemoryBudget`]).
     pub nodes_shed: u64,
-    /// Checkpoint snapshots durably written (see
-    /// [`SearchOptions::checkpoint`]).
-    pub checkpoints: u64,
     /// Group solves answered from the content-addressed cache without
     /// searching (always zero for plain solves — caching happens at the
     /// pipeline layer, not here).
@@ -359,7 +335,6 @@ impl SearchStats {
         self.donations += other.donations;
         self.parks += other.parks;
         self.nodes_shed += other.nodes_shed;
-        self.checkpoints += other.checkpoints;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_warm_seeds += other.cache_warm_seeds;

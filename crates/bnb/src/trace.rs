@@ -97,14 +97,11 @@ impl SearchObserver for LoggingObserver {
                     eprintln!("trace: event=park");
                 }
             }
-            // Shed and checkpoint events are rare and operationally
-            // significant (memory pressure, durability), so they log at
-            // every level, like incumbents and stops.
+            // Shed events are rare and operationally significant (memory
+            // pressure), so they log at every level, like incumbents and
+            // stops.
             SearchEvent::Shed { nodes } => {
                 eprintln!("trace: event=shed nodes={nodes}");
-            }
-            SearchEvent::Checkpointed { open } => {
-                eprintln!("trace: event=checkpoint open={open}");
             }
         }
     }

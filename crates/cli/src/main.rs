@@ -31,14 +31,12 @@
 //! |      | printed                                                        |
 
 use std::io::Read;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
 use mutree_core::{
-    plan_pipeline, plan_solver, solve_plan, BackendSpec, CheckpointPolicy, EnvOverrides,
-    MemoryBudget, MutError, SearchMode, SolvePlan, SolveReport, SolveRequest, ThreeThree,
-    TraceLevel, MAX_EXACT_TAXA,
+    plan_pipeline, plan_solver, solve_plan, BackendSpec, EnvOverrides, MemoryBudget, MutError,
+    SearchMode, SolvePlan, SolveReport, SolveRequest, ThreeThree, TraceLevel, MAX_EXACT_TAXA,
 };
 use mutree_distmat::{io as mio, DistanceMatrix};
 use mutree_graph::CompactSets;
@@ -84,8 +82,7 @@ mutree — minimum ultrametric evolutionary trees (PaCT 2005 reproduction)
 USAGE:
   mutree solve <matrix.phy> [--backend seq|par:N|sim:N] [--all] [--33 off|initial]
                [--timeout SECS] [--threads N] [--trace-search incumbents|all]
-               [--max-open-nodes N] [--checkpoint FILE] [--checkpoint-interval B]
-               [--resume FILE] [--cache]
+               [--max-open-nodes N] [--cache]
         Exact minimum ultrametric tree via branch-and-bound.
   mutree fast <matrix.phy> [--threshold K] [--linkage max|min|avg] [--timeout SECS]
                [--threads N] [--trace-search incumbents|all] [--max-open-nodes N]
@@ -125,11 +122,6 @@ USAGE:
 
   --max-open-nodes caps the live search frontier: past the cap the search
   sheds its worst-bound open nodes, keeps the best tree found and exits 5.
-
-  --checkpoint periodically snapshots the best tree to FILE (crash-safe:
-  written atomically, checksummed); --checkpoint-interval sets the branch
-  period (default 512). --resume warm-starts from such a snapshot, so an
-  interrupted run picks up its incumbent instead of restarting cold.
 
   --cache enables the content-addressed group-solve cache: a solve whose
   canonical matrix bytes match a stored solve is answered from the cache
@@ -293,9 +285,6 @@ const SOLVE_FLAGS: Flags = &[
     ("--threads", true),
     ("--trace-search", true),
     ("--max-open-nodes", true),
-    ("--checkpoint", true),
-    ("--checkpoint-interval", true),
-    ("--resume", true),
     ("--cache", false),
 ];
 const FAST_FLAGS: Flags = &[
@@ -375,22 +364,6 @@ fn solve(args: &[String]) -> Result<ExitCode, CliError> {
     }
     req.timeout = parse_timeout(args)?;
     req.memory = parse_memory_budget(args)?;
-    if let Some(path) = flag_value(args, "--checkpoint") {
-        let mut policy = CheckpointPolicy::new(path);
-        if let Some(every) = parse_count(args, "--checkpoint-interval")? {
-            policy = policy.interval(every);
-        }
-        req.checkpoint = Some(policy);
-    } else if args.iter().any(|a| a == "--checkpoint") {
-        return Err(usage("--checkpoint requires a file path"));
-    } else if parse_count(args, "--checkpoint-interval")?.is_some() {
-        return Err(usage("--checkpoint-interval needs --checkpoint <file>"));
-    }
-    if let Some(path) = flag_value(args, "--resume") {
-        req.resume = Some(PathBuf::from(path));
-    } else if args.iter().any(|a| a == "--resume") {
-        return Err(usage("--resume requires a file path"));
-    }
     if args.iter().any(|a| a == "--cache") {
         req = req.cache(true);
     }
@@ -406,8 +379,7 @@ fn solve(args: &[String]) -> Result<ExitCode, CliError> {
     // engine spine.
     let plan = SolvePlan::resolve(req, &EnvOverrides::none());
     let report = solve_plan(&plan).map_err(|e| match e {
-        // A bad snapshot is an input problem, not a search failure.
-        MutError::Checkpoint { .. } | MutError::Input { .. } => CliError::Input(e.to_string()),
+        MutError::Input { .. } => CliError::Input(e.to_string()),
         e => CliError::Solver(e.to_string()),
     })?;
     println!("weight: {}", report.weight);
@@ -426,11 +398,8 @@ fn solve(args: &[String]) -> Result<ExitCode, CliError> {
         "steals: {}  donations: {}  parks: {}",
         report.stats.steals, report.stats.donations, report.stats.parks
     );
-    // Supervision counters: watchdog sheds and checkpoint snapshots.
-    println!(
-        "nodes shed: {}  checkpoints: {}",
-        report.stats.nodes_shed, report.stats.checkpoints
-    );
+    // Supervision counter: open nodes the memory watchdog shed.
+    println!("nodes shed: {}", report.stats.nodes_shed);
     print_cache_stats(&report);
     if let Some(sim) = &report.sim {
         println!(
@@ -524,10 +493,7 @@ fn fast(args: &[String]) -> Result<ExitCode, CliError> {
         })
         .collect();
     println!("groups: {}", groups.join(" "));
-    println!(
-        "nodes shed: {}  checkpoints: {}",
-        report.stats.nodes_shed, report.stats.checkpoints
-    );
+    println!("nodes shed: {}", report.stats.nodes_shed);
     print_cache_stats(&report);
     println!("{}", newick::to_newick_with(&report.tree, |t| m.label(t)));
     let slowest: Vec<String> = report
@@ -865,17 +831,17 @@ mod tests {
                 seen += 1;
             }
         }
-        assert!(seen >= 25, "parsed only {seen} flags from USAGE");
+        assert!(seen >= 24, "parsed only {seen} flags from USAGE");
     }
 
     #[test]
     fn a_flag_value_is_never_read_as_a_flag() {
-        let args: Vec<String> = ["-", "--resume", "--cache", "--all"]
+        let args: Vec<String> = ["-", "--backend", "--cache", "--all"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         assert!(check_flags(&args, SOLVE_FLAGS).is_ok());
         let err = check_flags(&args[..2], FAST_FLAGS).unwrap_err();
-        assert_eq!(err.message(), "unknown flag \"--resume\"");
+        assert_eq!(err.message(), "unknown flag \"--backend\"");
     }
 }

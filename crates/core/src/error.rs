@@ -35,13 +35,6 @@ pub enum MutError {
         /// Why the search stopped.
         reason: mutree_bnb::StopReason,
     },
-    /// A checkpoint file could not be read, verified or decoded for a
-    /// resume — corrupt or truncated files refuse loudly rather than
-    /// silently warm-starting from wrong data.
-    Checkpoint {
-        /// What went wrong (I/O failure, checksum mismatch, bad payload…).
-        message: String,
-    },
     /// A solve request's input could not be loaded — the matrix file was
     /// missing or failed to parse, or the request itself was malformed.
     Input {
@@ -70,7 +63,6 @@ impl fmt::Display for MutError {
                     "search stopped ({reason}) before any feasible tree was found"
                 )
             }
-            MutError::Checkpoint { message } => write!(f, "checkpoint error: {message}"),
             MutError::Input { message } => write!(f, "input error: {message}"),
             MutError::Matrix(e) => write!(f, "matrix error: {e}"),
             MutError::Tree(e) => write!(f, "tree error: {e}"),

@@ -64,10 +64,10 @@ pub use run::{
 pub use solver::{solution_newick, MutSolution, MutSolver, SearchBackend, MAX_EXACT_TAXA};
 
 pub use mutree_bnb::{
-    CancelToken, CheckpointError, CheckpointFile, CheckpointPolicy, LoggingObserver, MemoryBudget,
-    SearchMode, SearchStats, StopReason, TraceLevel, WorkerPool,
+    CancelToken, LoggingObserver, MemoryBudget, SearchMode, SearchStats, StopReason, TraceLevel,
+    WorkerPool,
 };
-// The bit-exact tree codec (checkpoints, cache payloads) and the shared
+// The bit-exact tree codec (cache payloads, wire trees) and the shared
 // FNV hash primitives live downstack; re-export them at their
 // historical paths.
 pub use mutree_bnb::hash;

@@ -194,7 +194,7 @@ impl CompactPipeline {
     /// the memoized optimum, a near-hit warm-seeds the search), and whole
     /// pipeline runs are memoized too. Only unconstrained best-one
     /// solvers are cacheable — see [`MutSolver::cache_sig`] — so
-    /// deadline/budget/checkpoint runs are never served stale answers.
+    /// deadline/budget runs are never served stale answers.
     pub fn cache(mut self, cache: Arc<GroupCache>) -> Self {
         self.cache = Some(cache);
         self

@@ -62,16 +62,11 @@ pub struct MutProblem {
     half: Vec<f64>,
     three_three: ThreeThree,
     use_upgmm: bool,
-    /// Permuted-index → original-index taxon map for checkpoint payloads;
-    /// `None` means the identity (no relabeling was applied). Checkpoints
-    /// always store original indexing so a resumed run is independent of
-    /// the relabeling that produced the snapshot.
-    taxon_map: Option<Vec<usize>>,
-    /// A warm-start incumbent recovered from a checkpoint, already in
+    /// A warm-start incumbent (the cache's warm seed), already in
     /// *permuted* indexing. Competes with the UPGMM tree in
     /// [`initial_incumbent`](Problem::initial_incumbent); the better
     /// bound wins.
-    resume: Option<(UltrametricTree, f64)>,
+    seed: Option<(UltrametricTree, f64)>,
 }
 
 /// `adj(g)` of every lane `g` of a node with pendant terms `base`, whose
@@ -142,8 +137,7 @@ impl MutProblem {
             half: half_distances(m),
             three_three,
             use_upgmm,
-            taxon_map: None,
-            resume: None,
+            seed: None,
         }
     }
 
@@ -152,20 +146,13 @@ impl MutProblem {
         &self.m
     }
 
-    /// Sets the permuted→original taxon map applied when encoding
-    /// checkpoint payloads (see [`Problem::encode_solution`]). Without it,
-    /// payloads use the problem's own (permuted) indexing.
-    pub fn set_taxon_map(&mut self, map: Vec<usize>) {
-        self.taxon_map = Some(map);
-    }
-
-    /// Injects a checkpoint-recovered incumbent (in this problem's own,
-    /// i.e. permuted, indexing). It competes with the UPGMM heuristic in
+    /// Injects a warm-start incumbent (in this problem's own, i.e.
+    /// permuted, indexing). It competes with the UPGMM heuristic in
     /// [`Problem::initial_incumbent`]; whichever bound is lower seeds the
-    /// search, so a resume can only tighten the warm start, never loosen
+    /// search, so a seed can only tighten the warm start, never loosen
     /// it.
-    pub fn set_resume_incumbent(&mut self, tree: UltrametricTree, weight: f64) {
-        self.resume = Some((tree, weight));
+    pub fn seed(&mut self, tree: UltrametricTree, weight: f64) {
+        self.seed = Some((tree, weight));
     }
 
     /// `lb` less `8n·ε·lb`. The look-ahead bound adds `ω` (or the site
@@ -345,24 +332,11 @@ impl Problem for MutProblem {
             let w = t.weight();
             (t, w)
         });
-        // A checkpoint-recovered incumbent competes with the heuristic:
-        // the lower bound wins, so resuming never weakens the warm start.
-        match (upgmm, self.resume.clone()) {
-            (Some(u), Some(r)) => Some(if r.1 < u.1 { r } else { u }),
-            (u, r) => u.or(r),
-        }
-    }
-
-    fn encode_solution(&self, solution: &UltrametricTree) -> Option<Vec<u8>> {
-        // Checkpoints store original taxon indexing: remap before
-        // serializing when the matrix was relabeled.
-        match &self.taxon_map {
-            Some(map) => {
-                let mut t = solution.clone();
-                t.map_taxa(|permuted| map[permuted]);
-                Some(crate::codec::encode_tree(&t))
-            }
-            None => Some(crate::codec::encode_tree(solution)),
+        // A seeded incumbent competes with the heuristic: the lower bound
+        // wins, so a seed never weakens the warm start.
+        match (upgmm, self.seed.clone()) {
+            (Some(u), Some(s)) => Some(if s.1 < u.1 { s } else { u }),
+            (u, s) => u.or(s),
         }
     }
 }

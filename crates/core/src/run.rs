@@ -166,12 +166,6 @@ fn hooked_solver(plan: &SolvePlan, hooks: &SolveHooks) -> MutSolver {
     if let Some(budget) = req.memory {
         s = s.memory_budget(budget);
     }
-    if let Some(cp) = &req.checkpoint {
-        s = s.checkpoint_to(&cp.path).checkpoint_interval(cp.interval);
-    }
-    if let Some(path) = &req.resume {
-        s = s.resume_from(path);
-    }
     if let Some(level) = req.trace {
         s = s.trace(crate::LoggingObserver::new(level));
     }

@@ -1,11 +1,9 @@
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mutree_bnb::{
-    checkpoint, solve_parallel, solve_sequential_observed, CancelToken, CheckpointFile,
-    CheckpointPolicy, LoggingObserver, MemoryBudget, SearchMode, SearchOptions, SearchStats,
-    SpawnPool, StopReason, WorkerPool,
+    solve_parallel, solve_sequential_observed, CancelToken, LoggingObserver, MemoryBudget,
+    SearchMode, SearchOptions, SearchStats, SpawnPool, StopReason, WorkerPool,
 };
 use mutree_clustersim::{ClusterSpec, SimReport};
 use mutree_distmat::DistanceMatrix;
@@ -97,8 +95,6 @@ pub struct MutSolver {
     trace: Option<LoggingObserver>,
     panic_on_taxa: Option<usize>,
     memory: Option<MemoryBudget>,
-    checkpoint: Option<CheckpointPolicy>,
-    resume: Option<PathBuf>,
     seed: Option<UltrametricTree>,
 }
 
@@ -127,8 +123,6 @@ impl MutSolver {
             trace: None,
             panic_on_taxa: None,
             memory: None,
-            checkpoint: None,
-            resume: None,
             seed: None,
         }
     }
@@ -195,59 +189,16 @@ impl MutSolver {
         self
     }
 
-    /// Writes crash-safe snapshots of the best incumbent to `path` while
-    /// solving, plus one final snapshot when the solve returns. A later
-    /// run can warm-start from the file via
-    /// [`resume_from`](MutSolver::resume_from). See
-    /// [`mutree_bnb::checkpoint`] for the file format.
-    pub fn checkpoint_to(mut self, path: impl Into<PathBuf>) -> Self {
-        let path = path.into();
-        self.checkpoint = Some(match self.checkpoint {
-            Some(p) => CheckpointPolicy { path, ..p },
-            None => CheckpointPolicy::new(path),
-        });
-        self
-    }
-
-    /// Sets the snapshot cadence in branch operations (default 512).
-    /// Only meaningful together with [`checkpoint_to`](MutSolver::checkpoint_to).
-    pub fn checkpoint_interval(mut self, every: u64) -> Self {
-        if let Some(p) = self.checkpoint.take() {
-            self.checkpoint = Some(p.interval(every));
-        } else {
-            // Remember the cadence for a later `checkpoint_to`.
-            self.checkpoint = Some(CheckpointPolicy::new(PathBuf::new()).interval(every));
-        }
-        self
-    }
-
     /// Seeds the search with a known-feasible incumbent tree (original
     /// taxon indexing, all `n` taxa). Its heights are re-fit to dominate
     /// the matrix and it competes with the UPGMM tree for the initial
     /// upper bound — the better one wins, so a seed can speed the search
     /// up but never change the optimum. The group-solve cache uses this
-    /// to warm-start ε-near re-solves. Ignored when
-    /// [`resume_from`](MutSolver::resume_from) is also set (a checkpoint
-    /// is a strictly better-informed seed). A seed over the wrong taxa
-    /// is discarded rather than erroring: it is an optimization hint,
-    /// not an input.
+    /// to warm-start ε-near re-solves. A seed over the wrong taxa is
+    /// discarded rather than erroring: it is an optimization hint, not
+    /// an input.
     pub fn seed_incumbent(mut self, tree: UltrametricTree) -> Self {
         self.seed = Some(tree);
-        self
-    }
-
-    /// Warm-starts the solve from a checkpoint written by a previous run
-    /// (same matrix): the snapshot's incumbent seeds the upper bound, so
-    /// the resumed search prunes at least as hard as the interrupted one
-    /// did. The optimum found is bit-identical to an uninterrupted run's.
-    ///
-    /// # Errors
-    ///
-    /// [`MutError::Checkpoint`](crate::MutError::Checkpoint) from
-    /// [`solve`](MutSolver::solve) when the file is missing, corrupt, or
-    /// encodes a tree over different taxa than the matrix.
-    pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
-        self.resume = Some(path.into());
         self
     }
 
@@ -317,9 +268,9 @@ impl MutSolver {
     /// `None` — no caching — whenever a solve is constrained or
     /// instrumented: anything but a plain unconstrained
     /// [`SearchMode::BestOne`] search (deadlines, cancellation, branch
-    /// or memory budgets, checkpoints, resume, tracing, fault
-    /// injection) can return a non-optimal incumbent or carries
-    /// side effects a cache hit would silently skip.
+    /// or memory budgets, tracing, fault injection) can return a
+    /// non-optimal incumbent or carries side effects a cache hit would
+    /// silently skip.
     pub fn cache_sig(&self) -> Option<u64> {
         if self.deadline.is_some() || self.cancel.is_some() {
             return None;
@@ -337,14 +288,12 @@ impl MutSolver {
     /// stored proven optimum may share entries across interrupt
     /// configurations: a hit for a deadlined request just returns the
     /// exact answer sooner than the deadline required. Every other
-    /// constraint (mode, budgets, checkpoints, tracing, fault injection)
-    /// still disables caching, exactly as in `cache_sig`.
+    /// constraint (mode, budgets, tracing, fault injection) still
+    /// disables caching, exactly as in `cache_sig`.
     pub fn cache_sig_interruptible(&self) -> Option<u64> {
         let unconstrained = self.mode == SearchMode::BestOne
             && self.max_branches == u64::MAX
             && self.memory.is_none()
-            && self.checkpoint.is_none()
-            && self.resume.is_none()
             && self.trace.is_none()
             && self.panic_on_taxa.is_none();
         if !unconstrained {
@@ -424,42 +373,15 @@ impl MutSolver {
         };
 
         let mut problem = MutProblem::new(pm, self.three_three, self.use_upgmm);
-        if let Some(order) = &order {
-            problem.set_taxon_map(order.clone());
-        }
-        if let Some(path) = &self.resume {
-            let ckpt = checkpoint::read(path).map_err(|e| MutError::Checkpoint {
-                message: e.to_string(),
-            })?;
-            let mut tree =
-                crate::codec::decode_tree(&ckpt.payload).ok_or_else(|| MutError::Checkpoint {
-                    message: "payload does not decode to an ultrametric tree".into(),
-                })?;
-            if tree.leaf_count() != n || tree.taxa().any(|t| t >= n) {
-                return Err(MutError::Checkpoint {
-                    message: format!(
-                        "checkpoint tree has {} leaves, matrix has {n} taxa",
-                        tree.leaf_count()
-                    ),
-                });
-            }
-            // The payload is in original indexing; the problem searches the
-            // permuted matrix, so map through the inverse permutation.
-            if let Some(order) = &order {
-                let mut inv = vec![0usize; n];
-                for (permuted, &original) in order.iter().enumerate() {
-                    inv[original] = permuted;
-                }
-                tree.map_taxa(|original| inv[original]);
-            }
-            problem.set_resume_incumbent(tree, ckpt.best_value);
-        } else if let Some(seed) = &self.seed {
-            // A cache-provided warm start (original indexing). Unlike a
-            // checkpoint it is advisory: a seed over the wrong taxa is
-            // dropped, and its weight is re-derived by fitting minimal
-            // feasible heights against this matrix rather than trusted.
+        if let Some(seed) = &self.seed {
+            // A cache-provided warm start (original indexing). It is
+            // advisory: a seed over the wrong taxa is dropped, and its
+            // weight is re-derived by fitting minimal feasible heights
+            // against this matrix rather than trusted.
             if seed.leaf_count() == n && seed.taxa().all(|t| t < n) {
                 let mut tree = seed.clone();
+                // The problem searches the permuted matrix, so map through
+                // the inverse permutation.
                 if let Some(order) = &order {
                     let mut inv = vec![0usize; n];
                     for (permuted, &original) in order.iter().enumerate() {
@@ -468,19 +390,13 @@ impl MutSolver {
                     tree.map_taxa(|original| inv[original]);
                 }
                 let w = tree.fit_heights(pm);
-                problem.set_resume_incumbent(tree, w);
+                problem.seed(tree, w);
             }
         }
         let mut opts = SearchOptions::new(self.mode).max_branches(self.max_branches);
         opts.deadline = self.deadline;
         opts.cancel = self.cancel.clone();
         opts.memory = self.memory;
-        // A cadence set before any destination was given has an empty
-        // path; never hand that to the drivers.
-        opts.checkpoint = self
-            .checkpoint
-            .clone()
-            .filter(|p| !p.path.as_os_str().is_empty());
 
         let (outcome, sim) = match &self.backend {
             SearchBackend::Sequential => (
@@ -530,26 +446,11 @@ impl MutSolver {
         }
         assert!(!trees.is_empty(), "search returned a value but no tree");
         let tree = trees[0].clone();
-        let mut stats = outcome.stats;
-        // One final durable snapshot after the solve, whatever stopped it:
-        // covers runs too short (or too interrupted) for a periodic write
-        // to have fired, so `--resume` always has the latest incumbent.
-        if let Some(policy) = opts.checkpoint.as_ref() {
-            let file = CheckpointFile {
-                best_value: weight,
-                open_nodes: 0,
-                branched: stats.branched,
-                payload: crate::codec::encode_tree(&tree),
-            };
-            if checkpoint::write_atomic(&policy.path, &file).is_ok() {
-                stats.checkpoints += 1;
-            }
-        }
         Ok(MutSolution {
             tree,
             weight,
             trees,
-            stats,
+            stats: outcome.stats,
             stop: outcome.stop,
             sim,
         })

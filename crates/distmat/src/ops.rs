@@ -69,8 +69,8 @@ impl MaxminPermutation {
     /// The inverse permutation: `inverse()[t]` is the relabeled index of
     /// original taxon `t`. Mapping a tree built in relabeled indexing
     /// back to original taxa goes through [`order`](Self::order); mapping
-    /// an original-indexed tree *into* relabeled indexing (checkpoint
-    /// resume, cache warm seeds) goes through this.
+    /// an original-indexed tree *into* relabeled indexing (cache warm
+    /// seeds) goes through this.
     pub fn inverse(&self) -> Vec<usize> {
         let mut inv = vec![0usize; self.order.len()];
         for (k, &orig) in self.order.iter().enumerate() {

@@ -2,7 +2,7 @@
 //!
 //! Every `f64` on the wire is its IEEE-754 bit pattern as exactly 16
 //! lowercase hex digits (the `{:016x}` form), and every tree is its
-//! checkpoint-codec bytes as two lowercase digits per byte. Encoders
+//! tree-codec bytes as two lowercase digits per byte. Encoders
 //! append digits to the document being built, with no allocation per
 //! token; decoders read bytes, never `&str` slices, so a token holding a
 //! multibyte character is rejected like any other non-digit instead of

@@ -6,8 +6,8 @@
 //!
 //! 1. [`SolveRequest`] — an owned, serializable description of *what* to
 //!    solve: the matrix (inline or a PHYLIP path) plus every knob (mode,
-//!    budget, deadline, threads, checkpoint and memory policies,
-//!    pipeline depth and threshold). Nothing in a
+//!    budget, deadline, threads, memory policy, pipeline depth and
+//!    threshold). Nothing in a
 //!    request depends on the process environment. Its `tol` is only the
 //!    tolerance a caller checks answers against: the search and the
 //!    cache compare at the one constant [`mutree_bnb::TOL`].
@@ -28,7 +28,7 @@
 //! ones.
 //!
 //! The [`wire`] module carries the spine over a socket: the
-//! `mutree-report v3` codec serializes a [`SolveReport`] in the same
+//! `mutree-report v4` codec serializes a [`SolveReport`] in the same
 //! bit-exact line style as the request codec, and [`ServeError`] is the
 //! structured error frame the `mutree serve` daemon answers with when a
 //! request is shed, malformed, cancelled or failed.

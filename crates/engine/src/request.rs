@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use mutree_bnb::{CheckpointPolicy, MemoryBudget, SearchMode, TraceLevel};
+use mutree_bnb::{MemoryBudget, SearchMode, TraceLevel};
 use mutree_distmat::{DistanceMatrix, MatrixError};
 use mutree_tree::Linkage;
 
@@ -117,10 +117,6 @@ pub struct SolveRequest {
     pub threads: Option<usize>,
     /// Open-node cap for the memory watchdog.
     pub memory: Option<MemoryBudget>,
-    /// Crash-safe incumbent snapshots while solving.
-    pub checkpoint: Option<CheckpointPolicy>,
-    /// Warm-start from a checkpoint written by a previous run.
-    pub resume: Option<PathBuf>,
     /// Largest group the pipeline solves exactly.
     pub threshold: usize,
     /// Condensed-matrix linkage.
@@ -155,8 +151,6 @@ impl SolveRequest {
             use_upgmm: true,
             threads: None,
             memory: None,
-            checkpoint: None,
-            resume: None,
             threshold: 12,
             linkage: Linkage::Maximum,
             max_depth: 8,
@@ -268,12 +262,6 @@ impl SolveRequest {
         }
         if let Some(m) = self.memory {
             writeln!(out, "memory-nodes {}", m.max_open_nodes)?;
-        }
-        if let Some(cp) = &self.checkpoint {
-            writeln!(out, "checkpoint {} {}", cp.interval, cp.path.display())?;
-        }
-        if let Some(p) = &self.resume {
-            writeln!(out, "resume {}", p.display())?;
         }
         writeln!(out, "threshold {}", self.threshold)?;
         writeln!(
@@ -447,16 +435,6 @@ impl SolveRequest {
                         .map_err(|_| fail(ln, format!("bad node cap {rest:?}")))?;
                     req.memory = Some(MemoryBudget::new(nodes));
                 }
-                "checkpoint" => {
-                    let (interval, path) = rest
-                        .split_once(' ')
-                        .ok_or_else(|| fail(ln, "checkpoint needs interval and path".into()))?;
-                    let interval: u64 = interval
-                        .parse()
-                        .map_err(|_| fail(ln, format!("bad checkpoint interval {interval:?}")))?;
-                    req.checkpoint = Some(CheckpointPolicy::new(path).interval(interval));
-                }
-                "resume" => req.resume = Some(PathBuf::from(rest)),
                 "threshold" => {
                     req.threshold = usize_arg()?;
                     if req.threshold < 2 {
@@ -616,8 +594,6 @@ mod tests {
         req.timeout = Some(Duration::from_millis(1500));
         req.use_maxmin = false;
         req.memory = Some(MemoryBudget::new(9999));
-        req.checkpoint = Some(CheckpointPolicy::new("/tmp/ck pt.bin").interval(64));
-        req.resume = Some(PathBuf::from("/tmp/old.ckpt"));
         req.threshold = 6;
         req.linkage = Linkage::Average;
         req.max_depth = 3;
@@ -768,6 +744,25 @@ mod tests {
             let err = SolveRequest::decode(&text).unwrap_err();
             assert_eq!(err.line, 3, "{line}");
             assert_eq!(err.message, message, "{line}");
+        }
+    }
+
+    #[test]
+    fn snapshot_path_lines_are_refused_by_line_number() {
+        // A request names no path a solve writes or opens, so a daemon
+        // cannot be steered into replacing or reading its own files.
+        for (line, keyword) in [
+            ("checkpoint 1 /tmp/victim.txt", "checkpoint"),
+            ("resume /tmp/victim.txt", "resume"),
+        ] {
+            let text = format!("mutree-request v1\nmode best-one\n{line}\nmatrix phylip x.phy\n");
+            let err = SolveRequest::decode(&text).unwrap_err();
+            assert_eq!(err.line, 3, "{line}");
+            assert_eq!(
+                err.message,
+                format!("unknown keyword {keyword:?}"),
+                "{line}"
+            );
         }
     }
 

@@ -1,4 +1,4 @@
-//! Wire codecs for the serve daemon: `mutree-report v3` and
+//! Wire codecs for the serve daemon: `mutree-report v4` and
 //! `mutree-error v1`.
 //!
 //! The daemon (`crates/serve`) carries the existing [`SolveRequest`]
@@ -14,9 +14,10 @@
 //! of every `timing` and `degraded` line that v1 carried: each stage is
 //! solved once, so those counts were constant. Version 3 dropped the
 //! exact solve's leaf-bitset width line, as the search has one node
-//! layout. An older document fails on its header.
+//! layout. Version 4 dropped the `checkpoints` counter with the snapshot
+//! files it counted. An older document fails on its header.
 //!
-//! Trees ride along as the hex of the checkpoint byte codec
+//! Trees ride along as the hex of the tree byte codec
 //! ([`mutree_tree::codec`]), which already guarantees bit-exact heights
 //! and validates structure on decode.
 //!
@@ -44,13 +45,13 @@ use crate::report::{DegradeReason, DegradedGroup, SolveReport, StageProvenance, 
 /// [`SolveRequest::encode`](crate::SolveRequest::encode)).
 pub const REQUEST_HEADER: &str = "mutree-request v1";
 /// First line of every serialized report.
-pub const REPORT_HEADER: &str = "mutree-report v3";
+pub const REPORT_HEADER: &str = "mutree-report v4";
 /// First line of every serialized error frame.
 pub const ERROR_HEADER: &str = "mutree-error v1";
 /// Payload a client sends to ask the daemon for a graceful drain.
 pub const SHUTDOWN_HEADER: &str = "mutree-shutdown v1";
 
-/// A malformed `mutree-report v3` document.
+/// A malformed `mutree-report v4` document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReportError {
     /// 1-based line number of the offending line.
@@ -111,7 +112,7 @@ fn parse_provenance(tok: &str) -> Option<StageProvenance> {
 /// wire; a new counter appended here stays decodable by older readers
 /// because unknown `stat` names are an explicit decode error (the codec
 /// is versioned, not sloppy) while *missing* ones default to zero.
-const STAT_FIELDS: [&str; 15] = [
+const STAT_FIELDS: [&str; 14] = [
     "branched",
     "pruned",
     "propagation-pruned",
@@ -122,14 +123,13 @@ const STAT_FIELDS: [&str; 15] = [
     "donations",
     "parks",
     "nodes-shed",
-    "checkpoints",
     "cache-hits",
     "cache-misses",
     "cache-warm-seeds",
     "cache-poisoned",
 ];
 
-fn stat_values(s: &SearchStats) -> [u64; 15] {
+fn stat_values(s: &SearchStats) -> [u64; 14] {
     [
         s.branched,
         s.pruned,
@@ -141,7 +141,6 @@ fn stat_values(s: &SearchStats) -> [u64; 15] {
         s.donations,
         s.parks,
         s.nodes_shed,
-        s.checkpoints,
         s.cache_hits,
         s.cache_misses,
         s.cache_warm_seeds,
@@ -161,7 +160,6 @@ fn set_stat(s: &mut SearchStats, name: &str, v: u64) -> bool {
         "donations" => s.donations = v,
         "parks" => s.parks = v,
         "nodes-shed" => s.nodes_shed = v,
-        "checkpoints" => s.checkpoints = v,
         "cache-hits" => s.cache_hits = v,
         "cache-misses" => s.cache_misses = v,
         "cache-warm-seeds" => s.cache_warm_seeds = v,
@@ -184,12 +182,12 @@ fn push_flat(out: &mut String, text: &str) {
 }
 
 impl SolveReport {
-    /// Serializes the report to its `mutree-report v3` line form.
+    /// Serializes the report to its `mutree-report v4` line form.
     ///
     /// Everything except `sim` crosses the wire (see the module docs);
     /// [`decode`](SolveReport::decode) reproduces the same report to the
     /// bit — weights and stage seconds as IEEE-754 bit patterns, tree
-    /// heights through the checkpoint byte codec.
+    /// heights through the tree byte codec.
     pub fn encode(&self) -> String {
         let trees: Vec<Vec<u8>> = std::iter::once(&self.tree)
             .chain(&self.trees)
@@ -479,8 +477,8 @@ pub enum ServeErrorCode {
     /// The solve panicked; the daemon and its pool survived, this
     /// request alone failed.
     Panicked,
-    /// The solver returned an error (bad matrix, unresumable checkpoint,
-    /// ...), carried in the message.
+    /// The solver returned an error (bad matrix, too many taxa, ...),
+    /// carried in the message.
     Solver,
 }
 
@@ -665,7 +663,7 @@ mod tests {
 
     #[test]
     fn header_is_mandatory() {
-        for header in ["mutree-report v2", "mutree-report v4"] {
+        for header in ["mutree-report v3", "mutree-report v5"] {
             let err = SolveReport::decode(&format!("{header}\nweight 0\n")).unwrap_err();
             assert_eq!(err.line, 1, "{header}");
         }

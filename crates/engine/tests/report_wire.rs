@@ -1,7 +1,7 @@
-//! Property tests of the `mutree-report v3` wire codec, mirroring the
+//! Property tests of the `mutree-report v4` wire codec, mirroring the
 //! request codec's round-trip suite: a randomized report must survive
 //! `encode → decode` with every bit intact — f64 weight and stage
-//! seconds as exact bit patterns, all 15 search counters, stop reasons,
+//! seconds as exact bit patterns, all 14 search counters, stop reasons,
 //! provenance and degradation records — and corrupted documents must be
 //! rejected with a line-numbered error, never mis-decoded. A hex token
 //! of a report or of a request's matrix rows that is anything but the
@@ -55,11 +55,10 @@ fn stats_from(c: &[u64]) -> SearchStats {
         donations: c[7],
         parks: c[8],
         nodes_shed: c[9],
-        checkpoints: c[10],
-        cache_hits: c[11],
-        cache_misses: c[12],
-        cache_warm_seeds: c[13],
-        cache_poisoned: c[14],
+        cache_hits: c[10],
+        cache_misses: c[11],
+        cache_warm_seeds: c[12],
+        cache_poisoned: c[13],
     }
 }
 
@@ -152,7 +151,7 @@ proptest! {
     fn report_round_trips_bit_exactly(
         steps in proptest::collection::vec(0.001f64..50.0, 1..7),
         weight_bits in any::<u64>(),
-        counters in proptest::collection::vec(any::<u64>(), 15..16),
+        counters in proptest::collection::vec(any::<u64>(), 14..15),
         stop_idx in 0usize..6,
         timing_seconds in proptest::collection::vec(0.0f64..1e4, 1..5),
         degrade_idx in 0usize..8,
@@ -181,7 +180,7 @@ proptest! {
         line_idx in 0usize..64,
     ) {
         let report = build_report(
-            &steps, 0x400921fb54442d18, &[7u64; 15], 0, &[0.25], 0, false,
+            &steps, 0x400921fb54442d18, &[7u64; 14], 0, &[0.25], 0, false,
         );
         let text = report.encode();
         let lines: Vec<&str> = text.lines().collect();
@@ -219,7 +218,7 @@ fn odd_weight_bit_patterns_survive() {
         f64::MIN_POSITIVE.to_bits() >> 1,
         f64::MAX.to_bits(),
     ] {
-        let report = build_report(&[1.0, 2.0], bits, &[0; 15], 0, &[0.5], 0, false);
+        let report = build_report(&[1.0, 2.0], bits, &[0; 14], 0, &[0.5], 0, false);
         let back = SolveReport::decode(&report.encode()).expect("decode");
         assert_eq!(back.weight.to_bits(), bits);
     }
@@ -231,7 +230,7 @@ fn corrupt_headers_and_structure_are_rejected() {
     let report = build_report(
         &[1.0, 2.0, 3.0],
         0x3ff0_0000_0000_0000,
-        &[1; 15],
+        &[1; 14],
         2,
         &[0.125],
         3,
@@ -242,9 +241,9 @@ fn corrupt_headers_and_structure_are_rejected() {
 
     let cases: Vec<String> = vec![
         // Wrong protocol version.
-        good.replacen("mutree-report v3", "mutree-report v2", 1),
+        good.replacen("mutree-report v4", "mutree-report v3", 1),
         // Wrong document kind entirely.
-        good.replacen("mutree-report v3", "mutree-request v1", 1),
+        good.replacen("mutree-report v4", "mutree-request v1", 1),
         // Missing header.
         good.lines().skip(1).collect::<Vec<_>>().join("\n"),
         // Truncated mid-document: the mandatory best/tree lines are gone.
@@ -305,7 +304,7 @@ fn huge_group_counts_are_rejected_without_allocating() {
     let good = build_report(
         &[1.0, 2.0, 3.0],
         0x3ff0_0000_0000_0000,
-        &[1; 15],
+        &[1; 14],
         2,
         &[0.125],
         3,
@@ -386,7 +385,7 @@ proptest! {
         at in any::<usize>(),
     ) {
         let mut report = build_report(
-            &steps, weight_bits, &[3; 15], 0, &timing_seconds, 0, false,
+            &steps, weight_bits, &[3; 14], 0, &timing_seconds, 0, false,
         );
         report.trees.push(caterpillar(&steps));
         let text = report.encode();

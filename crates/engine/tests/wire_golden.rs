@@ -5,19 +5,19 @@
 //! back to its own bytes, so the decoders accept everything the encoders
 //! produce.
 //!
-//! The report golden is `mutree-report v3`: the v2 golden minus the
-//! exact solve's leaf-bitset width line, and no other byte (v2 was the
-//! v1 golden minus one `stat` line and the per-stage count column of
-//! each `timing` and `degraded` line). The request golden is still
-//! `mutree-request v1`; it lost only the optional lines that asked for
-//! stage re-runs and for a leaf-bitset width, so every request without
-//! them encodes as before, and it asks for the initial 3-3 rule since
-//! the full rule was retired.
+//! The report golden is `mutree-report v4`: the v3 golden minus the
+//! `stat checkpoints` line, and no other byte (v3 was the v2 golden
+//! minus the exact solve's leaf-bitset width line; v2 was the v1 golden
+//! minus one `stat` line and the per-stage count column of each `timing`
+//! and `degraded` line). The request golden is still `mutree-request
+//! v1`; it lost only the optional lines that asked for stage re-runs,
+//! for a leaf-bitset width and for snapshot files to write and resume
+//! from, so every request without them encodes as before, and it asks
+//! for the initial 3-3 rule since the full rule was retired.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
-use mutree_bnb::{CheckpointPolicy, MemoryBudget, SearchMode, SearchStats, StopReason, TraceLevel};
+use mutree_bnb::{MemoryBudget, SearchMode, SearchStats, StopReason, TraceLevel};
 use mutree_distmat::DistanceMatrix;
 use mutree_engine::{
     BackendSpec, DegradeReason, DegradedGroup, SolveReport, SolveRequest, StageProvenance,
@@ -46,8 +46,6 @@ fn golden_request() -> SolveRequest {
     req.timeout = Some(Duration::from_millis(1500));
     req.use_maxmin = false;
     req.memory = Some(MemoryBudget::new(9999));
-    req.checkpoint = Some(CheckpointPolicy::new("/tmp/ck pt.bin").interval(64));
-    req.resume = Some(PathBuf::from("/tmp/old.ckpt"));
     req.threshold = 6;
     req.linkage = Linkage::Average;
     req.max_depth = 3;
@@ -68,8 +66,6 @@ const GOLDEN_REQUEST: &str = concat!(
     "upgmm true\n",
     "threads 8\n",
     "memory-nodes 9999\n",
-    "checkpoint 64 /tmp/ck pt.bin\n",
-    "resume /tmp/old.ckpt\n",
     "threshold 6\n",
     "linkage average\n",
     "max-depth 3\n",
@@ -154,7 +150,7 @@ fn golden_report() -> SolveReport {
 }
 
 const GOLDEN_REPORT: &str = concat!(
-    "mutree-report v3\n",
+    "mutree-report v4\n",
     "weight 403ab80000000001\n",
     "stop deadline\n",
     "stat branched 11\n",
@@ -167,7 +163,6 @@ const GOLDEN_REPORT: &str = concat!(
     "stat donations 0\n",
     "stat parks 0\n",
     "stat nodes-shed 18446744073709551615\n",
-    "stat checkpoints 0\n",
     "stat cache-hits 2\n",
     "stat cache-misses 0\n",
     "stat cache-warm-seeds 0\n",

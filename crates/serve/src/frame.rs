@@ -3,7 +3,7 @@
 //! The daemon's transport is deliberately minimal: every message is one
 //! frame, `[payload length: u32 BE][tag: u32 BE][payload bytes]`, where
 //! the payload is one of the engine spine's line-based text documents
-//! (`mutree-request v1` in, `mutree-report v3` / `mutree-error v1` out,
+//! (`mutree-request v1` in, `mutree-report v4` / `mutree-error v1` out,
 //! plus the shutdown/drain control pair). The tag is an opaque client
 //! correlation id: the server echoes a request's tag on its response, so
 //! a client that pipelines can match responses to requests without the
@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn a_frame_is_one_write_of_length_tag_and_payload() {
-        for payload in [&b""[..], b"mutree-report v3\n", &[0xa5; 70_000]] {
+        for payload in [&b""[..], b"mutree-report v4\n", &[0xa5; 70_000]] {
             let mut w = CountingWriter::default();
             write_frame(&mut w, 0x0102_0304, payload).unwrap();
             assert_eq!(w.writes.len(), 1, "{} payload bytes", payload.len());

@@ -3,10 +3,10 @@
 //! This crate puts the engine spine behind a TCP socket. The wire
 //! format reuses the spine's existing text codecs — a request frame
 //! carries a `mutree-request v1` document, a response frame carries a
-//! `mutree-report v3` or `mutree-error v1` document — wrapped in
+//! `mutree-report v4` or `mutree-error v1` document — wrapped in
 //! minimal length-prefixed binary frames ([`frame`]). Because both
 //! codecs are bit-exact (f64s travel as `{:016x}` bit patterns, trees
-//! as the checkpoint codec's bytes), a report that crossed the socket
+//! as the tree codec's bytes), a report that crossed the socket
 //! is **bit-identical** to the [`SolveReport`](mutree_core::SolveReport)
 //! the daemon computed, which is in turn bit-identical to an in-process
 //! `solve_plan` of the same request: the daemon adds availability, not

@@ -1,19 +1,18 @@
-//! Byte codec for ultrametric trees in checkpoint and cache payloads.
+//! Byte codec for ultrametric trees in cache payloads and on the wire.
 //!
-//! Checkpoint files (`mutree_bnb::checkpoint`) carry an opaque solution
-//! payload, and the engine's group-solve cache stores memoized optima;
-//! for MUT solves both payloads are an [`UltrametricTree`] in the
-//! **original** (respectively canonical) matrix indexing, serialized by
-//! this module. The encoding is a pre-order walk: a leaf is a tag byte
+//! The engine's group-solve cache stores memoized optima as an
+//! [`UltrametricTree`] in canonical matrix indexing, serialized by this
+//! module, and the daemon's report codec carries trees as the hex of the
+//! same bytes. The encoding is a pre-order walk: a leaf is a tag byte
 //! plus its taxon as `u64` little-endian; an internal node is a tag byte,
 //! its height as IEEE-754 bits little-endian, then the two child
-//! encodings. Bit-exact heights round-trip, so a resumed search warm
-//! starts from *exactly* the incumbent the interrupted run had.
+//! encodings. Bit-exact heights round-trip, so a cache hit or a report
+//! that crossed a socket carries *exactly* the tree that was solved.
 //!
 //! The decoder validates structure (join heights must dominate subtree
 //! heights, taxa must be distinct) and returns `None` rather than
-//! panicking on malformed bytes — the checksum in the checkpoint file
-//! catches corruption first, but the decoder never trusts that.
+//! panicking on malformed bytes — a cache entry's checksum catches
+//! corruption first, but the decoder never trusts that.
 
 use crate::tree::PostOrder;
 use crate::{NodeId, NodeKind, UltrametricTree};
@@ -21,7 +20,7 @@ use crate::{NodeId, NodeKind, UltrametricTree};
 const TAG_LEAF: u8 = 0;
 const TAG_INTERNAL: u8 = 1;
 
-/// Serializes `tree` into the checkpoint payload byte layout.
+/// Serializes `tree` into the payload byte layout.
 ///
 /// Walks the tree in pre-order on an explicit stack, so a caterpillar of
 /// any depth encodes without exhausting the call stack.

@@ -5,8 +5,9 @@
 //! each one with [`UltrametricTree::join`] and weighs it with
 //! [`UltrametricTree::fit_heights`], the minimal heights of the topology.
 //! The lightest is the minimum ultrametric tree. Every exact solve, on
-//! every driver, in the search order and in input order, and replayed
-//! from the solve cache, must return a tree of that weight.
+//! every driver, in the search order and in input order, replayed from
+//! the solve cache, and served by an in-process daemon, must return a
+//! tree of that weight.
 //!
 //! Nothing here touches the search's node type or its bound: the
 //! enumerator grows a topology by grafting each new taxon onto every edge
@@ -17,6 +18,7 @@ use mutree::core::{
     solve_plan, EnvOverrides, MutSolver, SearchBackend, SolvePlan, SolveRequest, StageProvenance,
 };
 use mutree::distmat::{gen, DistanceMatrix};
+use mutree::serve::{Client, ServeConfig, Server};
 use mutree::tree::UltrametricTree;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -159,12 +161,48 @@ fn check_answer(m: &DistanceMatrix, want: f64, weight: f64, tree: &UltrametricTr
     );
 }
 
+/// Sends `m` twice to an in-process daemon with the cache on. Each reply
+/// carries the oracle's weight, in the bits of an in-process sequential
+/// solve (the oracle sums its heights in another order, so its last bit
+/// can differ); the repeat comes from the cache.
+fn check_daemon(m: &DistanceMatrix, want: f64, what: &str) {
+    let local = MutSolver::new()
+        .solve(m)
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let req = SolveRequest::exact(m.clone()).cache(true);
+    for pass in ["first", "repeat"] {
+        let at = format!("{what}, daemon {pass}");
+        let report = client.solve(&req).unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert!(report.is_complete(), "{at}");
+        check_answer(m, want, report.weight, &report.tree, &at);
+        assert_eq!(
+            report.weight.to_bits(),
+            local.weight.to_bits(),
+            "{at}: {} vs in-process {}",
+            report.weight,
+            local.weight
+        );
+        if pass == "repeat" {
+            assert_eq!(
+                report.timings[0].provenance,
+                StageProvenance::Cached,
+                "{at}"
+            );
+        }
+    }
+    client.drain().expect("drain");
+    server.join();
+}
+
 /// Solves `m` exactly on every driver, in the search order and in input
-/// order, then twice through the solve cache, and checks each answer
-/// against the oracle's weight. The cached replay must come from the
-/// cache.
+/// order, twice through an in-process daemon, then twice through the
+/// solve cache, and checks each answer against the oracle's weight. The
+/// cached replays must come from the cache.
 fn check_every_driver(m: &DistanceMatrix, what: &str) {
     let want = oracle(m);
+    check_daemon(m, want, what);
     let backends = [
         SearchBackend::Sequential,
         SearchBackend::Parallel { workers: 2 },
@@ -225,8 +263,8 @@ proptest! {
 
     /// The exact solve returns the brute-force minimum on the sequential,
     /// parallel and simulated drivers, in the search order and in input
-    /// order, and from the solve cache, over uniform, clock-like and
-    /// tie-heavy matrices up to seven taxa.
+    /// order, from the solve cache and from a daemon, over uniform,
+    /// clock-like and tie-heavy matrices up to seven taxa.
     #[test]
     fn exact_solves_match_the_topology_oracle(
         n in 3usize..=7,

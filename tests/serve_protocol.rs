@@ -10,6 +10,8 @@
 //! * malformed, truncated and oversized frames get clean error frames
 //!   and never kill the daemon; a request carrying invalid distances
 //!   leaves its connection serving;
+//! * a request line naming a server-side file to write or read is
+//!   refused, and the file is left untouched;
 //! * a client disconnect cancels its in-flight request;
 //! * concurrent clients all get correct answers;
 //! * a drain finishes queued and in-flight work before acknowledging.
@@ -161,6 +163,59 @@ fn malformed_frames_get_error_frames_and_do_not_kill_the_daemon() {
     assert!(report.is_complete());
     client.drain().expect("drain");
     server.join();
+}
+
+#[test]
+fn snapshot_path_lines_are_refused_and_touch_no_file() {
+    let dir = std::env::temp_dir().join(format!("mutree-serve-paths-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let victim = dir.join("victim.txt");
+    let original = b"a file the daemon's user can replace\n";
+    std::fs::write(&victim, original).expect("write victim");
+    let absent = dir.join("absent.bin");
+
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let mut raw = TcpStream::connect(addr).expect("connect raw");
+    // A well-formed request with one extra line right after the header.
+    let body = SolveRequest::exact(matrix(7, 0x5a9e)).cache(false).encode();
+    let (header, rest) = body.split_once('\n').expect("header line");
+    let lines = [
+        format!("checkpoint 1 {}", victim.display()),
+        format!("checkpoint 1 {}", absent.display()),
+        format!("resume {}", victim.display()),
+    ];
+    for (tag, line) in (1u32..).zip(&lines) {
+        let text = format!("{header}\n{line}\n{rest}");
+        write_frame(&mut raw, tag, text.as_bytes()).expect("write");
+        let (got, reply) = read_text(&mut raw);
+        assert_eq!(got, tag);
+        let err = mutree::engine::ServeError::decode(&reply)
+            .unwrap_or_else(|_| panic!("{line}: expected an error frame, got {reply}"));
+        assert_eq!(err.code, ServeErrorCode::Malformed, "{line}");
+        let keyword = line.split(' ').next().unwrap();
+        assert!(
+            err.message
+                .contains(&format!("line 2: unknown keyword {keyword:?}")),
+            "{line}: {}",
+            err.message
+        );
+        assert_eq!(
+            std::fs::read(&victim).expect("victim still readable"),
+            original,
+            "{line}: the existing file changed"
+        );
+        assert!(!absent.exists(), "{line}: a file was created");
+    }
+    drop(raw);
+    let summary = Client::connect(addr)
+        .expect("connect drain client")
+        .drain()
+        .expect("drain");
+    assert_eq!(summary.errors, 3);
+    assert_eq!(summary.served, 0);
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -330,7 +385,7 @@ fn requests_racing_a_drain_get_clean_draining_frames() {
 /// codec rename cannot silently change the wire.
 #[test]
 fn response_headers_are_the_documented_constants() {
-    assert_eq!(REPORT_HEADER, "mutree-report v3");
+    assert_eq!(REPORT_HEADER, "mutree-report v4");
     assert_eq!(ERROR_HEADER, "mutree-error v1");
     assert_eq!(mutree::serve::DRAIN_HEADER, "mutree-drain v1");
 }
