@@ -35,8 +35,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use mutree_core::{
-    plan_pipeline, plan_solver, solve_plan, BackendSpec, EnvOverrides, MemoryBudget, MutError,
-    SearchMode, SolvePlan, SolveReport, SolveRequest, ThreeThree, TraceLevel, MAX_EXACT_TAXA,
+    solve_plan, solve_plan_hooked, BackendSpec, EnvOverrides, MemoryBudget, MutError, SearchMode,
+    SolveHooks, SolvePlan, SolveReport, SolveRequest, ThreeThree, TraceLevel, MAX_EXACT_TAXA,
 };
 use mutree_distmat::{io as mio, DistanceMatrix};
 use mutree_graph::CompactSets;
@@ -470,16 +470,12 @@ fn fast(args: &[String]) -> Result<ExitCode, CliError> {
     // Undocumented test hook for the exit-code contract tests: makes
     // every n-taxon stage solve panic, exercising the degrade path (the
     // stage falls back to UPGMM and the run exits 5). A request cannot
-    // express it, so this path assembles the pipeline from the plan's
-    // own building blocks instead.
-    let report: SolveReport = match parse_count(args, "--inject-panic-taxa")? {
-        Some(n) => plan_pipeline(&plan)
-            .solver(plan_solver(&plan).panic_on_taxa(n as usize))
-            .solve(&m)
-            .map_err(|e| CliError::Solver(e.to_string()))?
-            .into(),
-        None => solve_plan(&plan).map_err(|e| CliError::Solver(e.to_string()))?,
+    // express it, so it rides in as a solve hook.
+    let hooks = SolveHooks {
+        panic_on_taxa: parse_count(args, "--inject-panic-taxa")?.map(|n| n as usize),
+        ..SolveHooks::default()
     };
+    let report = solve_plan_hooked(&plan, &hooks).map_err(|e| CliError::Solver(e.to_string()))?;
     println!("weight: {}", report.weight);
     println!("compact sets: {}", report.compact_sets.unwrap_or(0));
     let groups: Vec<String> = report

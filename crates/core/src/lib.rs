@@ -58,9 +58,7 @@ pub use exec::{Executor, QueueStats};
 pub use node::{half_distances, PartialTree};
 pub use pipeline::{CompactPipeline, PipelineSolution};
 pub use problem::MutProblem;
-pub use run::{
-    plan_pipeline, plan_solver, solve_plan, solve_plan_hooked, solve_request, SolveHooks,
-};
+pub use run::{plan_solver, solve_plan, solve_plan_hooked, SolveHooks};
 pub use solver::{solution_newick, MutSolution, MutSolver, SearchBackend, MAX_EXACT_TAXA};
 
 pub use mutree_bnb::{

@@ -5,9 +5,10 @@
 //! The sequence is always the same: probe the [`GroupCache`]; answer an
 //! exact hit from memory; on a near hit hand the stored tree to the
 //! solve as a warm-start incumbent; otherwise solve cold; then file the
-//! result only when it is a completed, undegraded solve. The callers
-//! differ only in what a "solve" is, which signature gates the cache and
-//! how they report a hit.
+//! result only when it is a completed, undegraded solve. All three are
+//! gated by [`MutSolver::cache_sig_interruptible`](crate::MutSolver::cache_sig_interruptible)
+//! (the pipeline's whole-run memo extends it with its own knobs); the
+//! callers differ only in what a "solve" is and how they report a hit.
 
 use mutree_distmat::DistanceMatrix;
 use mutree_engine::{CacheOutcome, GroupCache, StageProvenance};

@@ -192,17 +192,12 @@ impl CompactPipeline {
     /// Attaches a content-addressed [`GroupCache`]: every cacheable group
     /// and meta solve probes it before searching (an exact hit returns
     /// the memoized optimum, a near-hit warm-seeds the search), and whole
-    /// pipeline runs are memoized too. Only unconstrained best-one
-    /// solvers are cacheable — see [`MutSolver::cache_sig`] — so
-    /// deadline/budget runs are never served stale answers.
+    /// pipeline runs are memoized too. Both lookups are gated by
+    /// [`MutSolver::cache_sig_interruptible`]: a deadline or cancel token
+    /// keeps the cache on, a branch or memory budget turns it off.
     pub fn cache(mut self, cache: Arc<GroupCache>) -> Self {
         self.cache = Some(cache);
         self
-    }
-
-    /// The attached cache, if any.
-    pub fn cache_handle(&self) -> Option<&Arc<GroupCache>> {
-        self.cache.as_ref()
     }
 
     /// The solver clone handed to each stage job: when the pipeline has
@@ -226,10 +221,11 @@ impl CompactPipeline {
     /// ([`MAX_EXACT_TAXA`](crate::MAX_EXACT_TAXA), 256), and any error
     /// from the underlying solver.
     pub fn solve(&self, m: &DistanceMatrix) -> Result<PipelineSolution, MutError> {
-        let cache = self
-            .cache
-            .as_deref()
-            .zip(self.solver.cache_sig().map(|sig| self.pipeline_sig(sig)));
+        let cache = self.cache.as_deref().zip(
+            self.solver
+                .cache_sig_interruptible()
+                .map(|sig| self.pipeline_sig(sig)),
+        );
         let started = Instant::now();
         // A near hit cannot seed a decomposed run (the stage lookups seed
         // per group), so it counts as a plain miss.
@@ -576,12 +572,12 @@ enum StageData {
 /// straight to step 3.
 ///
 /// With a [`GroupCache`] and a cacheable solver
-/// ([`MutSolver::cache_sig`] returns `Some`), the stage probes the cache
-/// first: an exact hit skips the solve entirely (provenance `Cached`), a
-/// near-hit seeds the search with the cached tree as an advisory
-/// incumbent (provenance `WarmSeeded`), and any solve that then completes
-/// to proven optimality is inserted back. Degraded or interrupted trees
-/// are never cached.
+/// ([`MutSolver::cache_sig_interruptible`] returns `Some`, as it does
+/// under a deadline or cancel token), the stage probes the cache first: an exact
+/// hit skips the solve entirely (provenance `Cached`), a near-hit seeds
+/// the search with the cached tree as an advisory incumbent (provenance
+/// `WarmSeeded`), and any solve that then completes to proven optimality
+/// is inserted back. Degraded or interrupted trees are never cached.
 fn solve_stage(
     solver: &MutSolver,
     sub: &DistanceMatrix,
@@ -590,7 +586,7 @@ fn solve_stage(
     cache: Option<&GroupCache>,
 ) -> StageTree {
     let memo = memoized(
-        cache.zip(solver.cache_sig()),
+        cache.zip(solver.cache_sig_interruptible()),
         sub,
         true,
         |seed| {

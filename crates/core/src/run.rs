@@ -1,13 +1,17 @@
-//! The spine's final leg: executing a [`SolveRequest`] / [`SolvePlan`]
+//! The spine's final leg: executing a
+//! [`SolveRequest`](mutree_engine::SolveRequest) / [`SolvePlan`]
 //! and folding either solve path's outcome into one [`SolveReport`].
 //!
 //! ```text
 //! SolveRequest ──resolve──▶ SolvePlan ──solve_plan──▶ SolveReport
 //! ```
 //!
-//! [`solve_request`] resolves a request and runs it; [`solve_plan`] runs
-//! an already-resolved plan. Either way the request alone configures the
-//! solve: nothing on this path reads the environment. The
+//! [`solve_plan`] runs a resolved plan, and [`solve_plan_hooked`] runs
+//! it under a serving front end's [`SolveHooks`]. Either way the request
+//! alone configures the solve: nothing on this path reads the
+//! environment. Every cached lookup on this path, and in the pipeline
+//! beneath it, is gated by the one
+//! [`MutSolver::cache_sig_interruptible`]. The
 //! `From` conversions below are the only place the exact solver's
 //! [`MutSolution`] and the pipeline's [`PipelineSolution`] are reconciled
 //! into the shared report shape.
@@ -18,8 +22,7 @@ use std::time::Instant;
 use mutree_clustersim::ClusterSpec;
 use mutree_distmat::DistanceMatrix;
 use mutree_engine::{
-    BackendSpec, EnvOverrides, GroupCache, MatrixSource, SolveKind, SolvePlan, SolveReport,
-    SolveRequest, StageTiming,
+    BackendSpec, GroupCache, MatrixSource, SolveKind, SolvePlan, SolveReport, StageTiming,
 };
 
 use crate::memo::{memoized, Answer};
@@ -78,8 +81,8 @@ fn shared_cache() -> Arc<GroupCache> {
 
 /// Supervision hooks a serving front end layers onto a plan's execution.
 ///
-/// A [`SolveRequest`] is deliberately env-free and serializable, so it
-/// cannot carry process-local live objects: the `mutree serve` daemon's
+/// A [`SolveRequest`](mutree_engine::SolveRequest) is deliberately
+/// env-free and serializable, so it cannot carry process-local live objects: the `mutree serve` daemon's
 /// per-request [`CancelToken`] (wired to client disconnect), the
 /// admission controller's *absolute* deadline (queue wait must count
 /// against a request's budget, so the daemon converts the request's
@@ -104,15 +107,6 @@ pub struct SolveHooks {
     pub panic_on_taxa: Option<usize>,
 }
 
-impl SolveHooks {
-    fn is_empty(&self) -> bool {
-        self.deadline.is_none()
-            && self.cancel.is_none()
-            && self.executor.is_none()
-            && self.panic_on_taxa.is_none()
-    }
-}
-
 /// Loads the request's matrix: inline matrices are cloned, PHYLIP paths
 /// are read and parsed.
 fn load_matrix(source: &MatrixSource) -> Result<DistanceMatrix, MutError> {
@@ -130,9 +124,8 @@ fn load_matrix(source: &MatrixSource) -> Result<DistanceMatrix, MutError> {
 }
 
 /// Builds the solver a plan prescribes: pure request-to-builder
-/// translation. Public so front ends that need a builder tweak the plan
-/// cannot express (the CLI's fault-injection test hook) can still
-/// construct through the spine.
+/// translation. Public so a caller can read the plan's cache signature
+/// ([`MutSolver::cache_sig_interruptible`]) without running a solve.
 pub fn plan_solver(plan: &SolvePlan) -> MutSolver {
     hooked_solver(plan, &SolveHooks::default())
 }
@@ -194,14 +187,8 @@ fn hooked_solver(plan: &SolvePlan, hooks: &SolveHooks) -> MutSolver {
     s
 }
 
-/// Builds the pipeline a plan prescribes around [`plan_solver`]'s solver.
-/// See [`plan_solver`] for why this is public.
-pub fn plan_pipeline(plan: &SolvePlan) -> CompactPipeline {
-    pipeline_with_solver(plan, plan_solver(plan), None)
-}
-
-/// [`plan_pipeline`] with an already-tweaked solver and an optional
-/// shared pool in place of the plan's own `Executor::new`.
+/// Builds the pipeline a plan prescribes around `solver`, with an
+/// optional shared pool in place of the plan's own `Executor::new`.
 fn pipeline_with_solver(
     plan: &SolvePlan,
     solver: MutSolver,
@@ -235,18 +222,10 @@ pub fn solve_plan(plan: &SolvePlan) -> Result<SolveReport, MutError> {
 }
 
 /// [`solve_plan`] with [`SolveHooks`] threaded into the solver — the
-/// serving daemon's entry point. Two deliberate differences from the
-/// bare path:
-///
-/// * The whole-solve memo gate relaxes from
-///   [`MutSolver::cache_sig`] to
-///   [`MutSolver::cache_sig_interruptible`]: a daemon wires a cancel
-///   token into *every* request, and strict gating would silently turn
-///   the shared cache off for all of them. Sound because entries are
-///   only filed from completed solves and a hit returns the stored
-///   proven optimum (see `cache_sig_interruptible`'s contract).
-/// * The hooks' executor stands in for every per-solve `Executor::new`,
-///   which is then never built, so all requests share one pool.
+/// serving daemon's entry point. The hooks' executor stands in for every
+/// per-solve `Executor::new`, which is then never built, so all requests
+/// share one pool. The hooks' deadline and cancel token leave the cache
+/// on, as [`MutSolver::cache_sig_interruptible`] explains.
 ///
 /// # Errors
 ///
@@ -259,15 +238,10 @@ pub fn solve_plan_hooked(plan: &SolvePlan, hooks: &SolveHooks) -> Result<SolveRe
             let solver = hooked_solver(plan, hooks);
             // Whole-solve memoization; the signature gate keeps
             // constrained solves live.
-            let sig = if hooks.is_empty() {
-                solver.cache_sig()
-            } else {
-                solver.cache_sig_interruptible()
-            };
             let cache = plan.cache_enabled.then(shared_cache);
             let started = Instant::now();
             let memo = memoized(
-                cache.as_deref().zip(sig),
+                cache.as_deref().zip(solver.cache_sig_interruptible()),
                 &m,
                 true,
                 |seed| match seed {
@@ -307,22 +281,11 @@ pub fn solve_plan_hooked(plan: &SolvePlan, hooks: &SolveHooks) -> Result<SolveRe
     }
 }
 
-/// Resolves `request` and executes it: the whole spine in one call.
-/// Equivalent to `solve_plan(&SolvePlan::resolve(request,
-/// &EnvOverrides::none()))`.
-///
-/// # Errors
-///
-/// See [`solve_plan`].
-pub fn solve_request(request: SolveRequest) -> Result<SolveReport, MutError> {
-    solve_plan(&SolvePlan::resolve(request, &EnvOverrides::none()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mutree_distmat::gen;
-    use mutree_engine::StageProvenance;
+    use mutree_engine::{EnvOverrides, SolveRequest, StageProvenance};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -406,19 +369,23 @@ mod tests {
         let builders = |text: &str| {
             let plan =
                 SolvePlan::resolve(SolveRequest::decode(text).unwrap(), &EnvOverrides::none());
-            (plan_solver(&plan), plan_pipeline(&plan))
+            let solver = plan_solver(&plan);
+            (solver.clone(), pipeline_with_solver(&plan, solver, None))
         };
         let (solver, pipeline) = builders(
             "mutree-request v1\nkind decompose\nthreads 3\nmaxmin false\nmatrix phylip unread.phy\n",
         );
         assert_eq!(
-            solver.cache_sig(),
-            MutSolver::new().without_maxmin().cache_sig()
+            solver.cache_sig_interruptible(),
+            MutSolver::new().without_maxmin().cache_sig_interruptible()
         );
         assert!(pipeline.executor_handle().is_some());
         let (solver, pipeline) =
             builders("mutree-request v1\nkind decompose\nmatrix phylip unread.phy\n");
-        assert_eq!(solver.cache_sig(), MutSolver::new().cache_sig());
+        assert_eq!(
+            solver.cache_sig_interruptible(),
+            MutSolver::new().cache_sig_interruptible()
+        );
         assert!(pipeline.executor_handle().is_none());
     }
 
@@ -477,6 +444,24 @@ mod tests {
         };
         let cold = solve_plan_hooked(&plan, &hooks).unwrap();
         let warm = solve_plan_hooked(&plan, &hooks).unwrap();
+        assert_eq!(warm.weight.to_bits(), cold.weight.to_bits());
+        assert_eq!(warm.stats.cache_hits, 1);
+        assert_eq!(warm.timings[0].provenance, StageProvenance::Cached);
+    }
+
+    #[test]
+    fn deadlined_requests_replay_from_the_cache() {
+        // A `timeout` becomes a solver deadline; it only stops a search
+        // early, so a completed deadlined solve is filed and its replay
+        // comes back `Cached` with the identical optimum.
+        let m = matrix(9, 29);
+        let mut req = SolveRequest::exact(m).cache(true);
+        req.timeout = Some(std::time::Duration::from_secs(600));
+        let plan = SolvePlan::resolve(req, &EnvOverrides::none());
+        let cold = solve_plan(&plan).unwrap();
+        let warm = solve_plan(&plan).unwrap();
+        assert!(cold.is_complete());
+        assert_eq!(cold.stats.cache_misses, 1);
         assert_eq!(warm.weight.to_bits(), cold.weight.to_bits());
         assert_eq!(warm.stats.cache_hits, 1);
         assert_eq!(warm.timings[0].provenance, StageProvenance::Cached);

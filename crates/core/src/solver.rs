@@ -172,11 +172,6 @@ impl MutSolver {
         self
     }
 
-    /// The configured deadline, if any.
-    pub fn deadline_instant(&self) -> Option<Instant> {
-        self.deadline
-    }
-
     /// Caps the number of simultaneously open search nodes (the dominant
     /// memory consumer). On breach the watchdog sheds the worst-bound
     /// open nodes and the solve finishes with
@@ -255,7 +250,9 @@ impl MutSolver {
     }
 
     /// The content-addressing signature of this solver's *answer*, or
-    /// `None` when its solves must not be cached.
+    /// `None` when its solves must not be cached: the one cache gate of
+    /// every cached lookup (a plan's exact solve, the pipeline's
+    /// whole-run memo and each pipeline stage).
     ///
     /// Two solvers with the same signature produce the same optimum for
     /// the same matrix, so a [`GroupCache`](crate::GroupCache) entry
@@ -265,31 +262,16 @@ impl MutSolver {
     /// omits the worker count, which the differential tests pin as
     /// answer-neutral.
     ///
-    /// `None` — no caching — whenever a solve is constrained or
-    /// instrumented: anything but a plain unconstrained
-    /// [`SearchMode::BestOne`] search (deadlines, cancellation, branch
-    /// or memory budgets, tracing, fault injection) can return a
+    /// A deadline or cancel token is tolerated: an interrupt can only
+    /// stop a search *early*; it never changes what a **completed**
+    /// search answers. Every caller files entries only from completed,
+    /// undegraded solves and serves a hit as the stored proven optimum,
+    /// so a hit for a deadlined request just returns the exact answer
+    /// sooner than the deadline required. Every other constraint gives
+    /// `None`: anything but a [`SearchMode::BestOne`] search, a branch
+    /// or memory budget, tracing or fault injection can return a
     /// non-optimal incumbent or carries side effects a cache hit would
     /// silently skip.
-    pub fn cache_sig(&self) -> Option<u64> {
-        if self.deadline.is_some() || self.cancel.is_some() {
-            return None;
-        }
-        self.cache_sig_interruptible()
-    }
-
-    /// Like [`cache_sig`](MutSolver::cache_sig), but tolerating a
-    /// deadline or cancel token — the supervision hooks a serving front
-    /// end attaches to every solve. An interrupt can only stop a search
-    /// *early*; it never changes what a **completed** search answers. So
-    /// a caller that files entries exclusively from completed solves
-    /// (the [`solve_plan`](crate::solve_plan) family checks
-    /// `stop.is_complete()` before inserting) and serves hits as the
-    /// stored proven optimum may share entries across interrupt
-    /// configurations: a hit for a deadlined request just returns the
-    /// exact answer sooner than the deadline required. Every other
-    /// constraint (mode, budgets, tracing, fault injection) still
-    /// disables caching, exactly as in `cache_sig`.
     pub fn cache_sig_interruptible(&self) -> Option<u64> {
         let unconstrained = self.mode == SearchMode::BestOne
             && self.max_branches == u64::MAX

@@ -133,12 +133,6 @@ impl SolveReport {
         self.stop.is_complete() && self.degraded.is_empty()
     }
 
-    /// Total cache interactions: hits + misses (zero when no cache was
-    /// attached or no stage was cacheable).
-    pub fn cache_lookups(&self) -> u64 {
-        self.stats.cache_hits + self.stats.cache_misses
-    }
-
     /// The `count` slowest stages, most expensive first.
     pub fn slowest_stages(&self, count: usize) -> Vec<&StageTiming> {
         let mut by_time: Vec<&StageTiming> = self.timings.iter().collect();

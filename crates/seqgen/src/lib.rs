@@ -31,8 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod align;
-
 mod distance;
 mod evolve;
 mod fasta;

@@ -323,7 +323,7 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
     /// serving. Every request runs exactly as its own fields say, like
-    /// `solve_request` in-process; its solves borrow the daemon's one
+    /// `solve_plan` in-process; its solves borrow the daemon's one
     /// shared [`Executor`], so a request's `threads` spawns nothing.
     ///
     /// # Errors

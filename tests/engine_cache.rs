@@ -88,7 +88,7 @@ proptest! {
             m.set(i, j, d);
         }
         let solver = MutSolver::new();
-        let sig = solver.cache_sig().expect("unconstrained solver is cacheable");
+        let sig = solver.cache_sig_interruptible().expect("unconstrained solver is cacheable");
         let cold = solver.solve(&m).unwrap();
         let query = match cache.probe(&m, sig).outcome {
             CacheOutcome::Miss(q) => q,
@@ -135,7 +135,7 @@ fn cache_sig_separates_three_three_modes() {
         .map(|&rule| {
             MutSolver::new()
                 .three_three(rule)
-                .cache_sig()
+                .cache_sig_interruptible()
                 .expect("unconstrained solver is cacheable")
         })
         .collect();
@@ -149,10 +149,10 @@ fn cache_sig_separates_three_three_modes() {
     assert_eq!(
         MutSolver::new()
             .backend(SearchBackend::Parallel { workers: 2 })
-            .cache_sig(),
+            .cache_sig_interruptible(),
         MutSolver::new()
             .backend(SearchBackend::Parallel { workers: 4 })
-            .cache_sig()
+            .cache_sig_interruptible()
     );
 }
 
@@ -283,7 +283,7 @@ fn shared_cache_never_changes_a_pipeline_answer() {
     // stages probe and could file under a healthy parallel solver's key.
     let cache = Arc::new(GroupCache::new());
     let broken = MutSolver::new().backend(SearchBackend::Parallel { workers: 0 });
-    assert!(broken.cache_sig().is_some());
+    assert!(broken.cache_sig_interruptible().is_some());
     for m in &batch {
         let sol = cached(&cache).solver(broken.clone()).solve(m).unwrap();
         assert!(

@@ -5,8 +5,9 @@
 //!
 //! * a daemon answer is **bit-identical** to an in-process `solve_plan`
 //!   of the same request;
-//! * a replayed request is answered from the process-wide shared cache,
-//!   provenance `Cached`, bit-identical to the filing solve;
+//! * a replayed request, exact or decomposed, is answered from the
+//!   process-wide shared cache, provenance `Cached`, bit-identical to
+//!   the filing solve;
 //! * malformed, truncated and oversized frames get clean error frames
 //!   and never kill the daemon; a request carrying invalid distances
 //!   leaves its connection serving;
@@ -37,10 +38,11 @@ fn matrix(n: usize, seed: u64) -> DistanceMatrix {
     gen::perturbed_ultrametric(n, 50.0, 0.2, &mut StdRng::seed_from_u64(seed))
 }
 
-/// Bit-level equality of two reports: optimum bits, every returned
-/// tree's canonical codec bytes, stop reason and all 16 search counters.
-/// (Full struct equality would also compare wall-clock stage timings,
-/// which legitimately differ between two runs of the same search.)
+/// Bit-level equality of two reports' answers: optimum bits, stop reason
+/// and every returned tree's canonical codec bytes. Search counters are
+/// left to the callers, since a cache replay's differ by design. (Full
+/// struct equality would also compare wall-clock stage timings, which
+/// legitimately differ between two runs of the same search.)
 fn assert_bit_identical(a: &SolveReport, b: &SolveReport) {
     assert_eq!(a.weight.to_bits(), b.weight.to_bits());
     assert_eq!(a.stop, b.stop);
@@ -87,6 +89,33 @@ fn cache_hit_replay_is_cached_and_bit_identical() {
     assert_eq!(replay.timings.len(), 1);
     assert_eq!(replay.timings[0].provenance, StageProvenance::Cached);
     assert_bit_identical(&replay, &first);
+    client.drain().expect("drain");
+    server.join();
+}
+
+#[test]
+fn decompose_replay_is_cached_and_bit_identical() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let m = matrix(24, 0xdec0);
+    let local = solve_plan(&SolvePlan::resolve(
+        SolveRequest::decompose(m.clone()).cache(false),
+        &EnvOverrides::none(),
+    ))
+    .expect("in-process solve");
+    assert!(local.is_complete());
+    assert!(local.groups.as_ref().is_some_and(|g| g.len() > 1));
+    // Request leaves `cache` unset: the daemon's cache-by-default policy
+    // holds for decompositions too, although every daemon solve carries
+    // a cancel token.
+    let req = SolveRequest::decompose(m);
+    let first = client.solve(&req).expect("filing solve");
+    let replay = client.solve(&req).expect("replayed solve");
+    assert!(first.stats.cache_misses >= 1);
+    assert!(replay.stats.cache_hits >= 1);
+    assert_eq!(replay.timings[0].provenance, StageProvenance::Cached);
+    assert_bit_identical(&first, &local);
+    assert_bit_identical(&replay, &local);
     client.drain().expect("drain");
     server.join();
 }
@@ -242,6 +271,7 @@ fn invalid_inline_distances_get_an_error_frame_and_the_connection_lives_on() {
     let remote = SolveReport::decode(&text).expect("report frame");
     let local = solve_plan(&SolvePlan::resolve(req, &EnvOverrides::none())).expect("local");
     assert_bit_identical(&remote, &local);
+    assert_eq!(remote.stats, local.stats);
     drop(raw);
 
     let summary = Client::connect(addr)
@@ -310,7 +340,7 @@ fn eight_concurrent_clients_all_get_correct_answers() {
                         .expect("local solve");
                     let remote = client.solve(&req).expect("daemon solve");
                     assert_bit_identical(&remote, &local);
-                    assert_eq!(remote.stats.branched, local.stats.branched);
+                    assert_eq!(remote.stats, local.stats);
                 }
             });
         }
